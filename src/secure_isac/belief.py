@@ -72,7 +72,7 @@ def entropy(belief: BeliefState) -> float:
     return float(-np.sum(p * np.log2(p)))
 
 
-def synthesize_measurement(true_angles_deg, sensing_beam_gain, gamma: float,
+def synthesize_measurement(true_angles_deg, gamma: float,
                            noise_sigma_deg: float, rng: np.random.Generator,
                            grid_deg: np.ndarray | None = None,
                            bs_power_w: float = 15.0,
@@ -83,7 +83,8 @@ def synthesize_measurement(true_angles_deg, sensing_beam_gain, gamma: float,
 
     Each return is a Gaussian lobe centered on the true bearing perturbed by
     the measurement noise, with amplitude proportional to the sensing power
-    times the beam response along the grid. gamma = 0 leaves only the floor.
+    (the scanning beam has unit response at every bearing). gamma = 0 leaves
+    only the floor.
     """
     if gamma < 0:
         raise ValueError("gamma must be >= 0")
@@ -93,11 +94,10 @@ def synthesize_measurement(true_angles_deg, sensing_beam_gain, gamma: float,
     z = rng.exponential(floor_mean, size=grid_deg.shape[0]) if floor_mean > 0 \
         else np.zeros(grid_deg.shape[0])
     if gamma > 0.0:
-        response = np.array([sensing_beam_gain(t) for t in grid_deg])
         for truth in true_angles_deg:
             center = truth + rng.normal(0.0, noise_sigma_deg)
             lobe = np.exp(-0.5 * ((grid_deg - center) / bump_width_deg) ** 2)
-            z = z + gamma * bs_power_w * response * lobe
+            z = z + gamma * bs_power_w * lobe
     return z
 
 

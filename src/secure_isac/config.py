@@ -47,8 +47,6 @@ class NoiseConfig:
 class BsConfig:
     antennas: int = 128
     num_rf: int = 8
-    x_m: float = 0.0
-    y_m: float = 0.0
     z_m: float = 10.0
     p_max_w: float = 20.0
     p_init_w: float = 15.0

@@ -35,8 +35,9 @@ from .followers import (FeasibilitySpec, NodeState, Role, gne_solve, role_switch
 from .leader import (Broadcast, LeaderGains, LeaderKpis, LeaderState,
                      leader_objective, leader_residual, leader_step)
 from .link import (PowerConsts, SlotContext, SlotRecord, an_power_at,
-                   an_projector, build_precoder, power_accounting, see)
-from .refinement import refinement_loop
+                   an_projector, build_precoder, outage_metrics,
+                   power_accounting, see)
+from .refinement import posterior_peaks, refinement_loop
 
 log = logging.getLogger(__name__)
 
@@ -131,7 +132,7 @@ def init_scenario(config: ScenarioConfig, seed: int) -> World:
     lam = C_LIGHT / config.carrier.frequency_hz
     bs_spec = ArraySpec.half_wavelength(config.bs.antennas, lam)
     hn_spec = ArraySpec.half_wavelength(config.hn.array_elements, lam)
-    bs_center = np.array([config.bs.x_m, config.bs.y_m, config.bs.z_m])
+    bs_center = np.array([0.0, 0.0, config.bs.z_m])
     bs_elements = ula_positions(bs_spec) + bs_center
 
     noise_w = noise_power(NoiseSpec(config.noise.psd_dbm_per_hz,
@@ -251,7 +252,7 @@ def step_eves(world: World, slot: int) -> None:
 def _eve_channels(world: World, slot: int) -> list:
     lam = world.bs_spec.wavelength
     k_lin = 10.0 ** (world.config.channel.rician_k_db / 10.0)
-    bs_center = np.array([world.config.bs.x_m, world.config.bs.y_m, world.config.bs.z_m])
+    bs_center = np.array([0.0, 0.0, world.config.bs.z_m])
     channels = []
     for j in range(world.num_eve):
         dist = np.linalg.norm(world.eve_positions[j] - bs_center)
@@ -353,9 +354,9 @@ def build_slot_context(world: World, served: list, broadcast: Broadcast,
     isi = np.zeros(len(served))
     an_thn = np.zeros(len(served))
     for idx, u in enumerate(served):
-        coupling = np.abs(np.conj(world.hn_channels[u]) @ prec.beams) ** 2
-        sig[idx] = p_stream * coupling[idx] * rx
-        isi[idx] = p_stream * (coupling.sum() - coupling[idx]) * rx
+        beam_gain = np.abs(np.conj(world.hn_channels[u]) @ prec.beams) ** 2
+        sig[idx] = p_stream * beam_gain[idx] * rx
+        isi[idx] = p_stream * (beam_gain.sum() - beam_gain[idx]) * rx
         an_thn[idx] = an_power_at(world.hn_channels[u], basis, an_total) * rx
 
     eve_capture = np.array([p_stream * np.linalg.norm(h) ** 2 for h in eve_channels])
@@ -473,8 +474,7 @@ def run_slot(world: World, strategy: StrategyId, slot: int) -> SlotRecord:
                            grid_points=cfg.followers.grid_points,
                            tolerance=cfg.gne.tolerance, max_iters=cfg.gne.max_iters)
         powers = result.powers
-        gne_iters, gne_gap, gne_conv = result.iterations, \
-            (result.gap_trace[-1] if result.gap_trace else 0.0), result.converged
+        gne_iters, gne_gap, gne_conv = result.iterations, result.gap, result.converged
     else:
         powers = np.zeros(k)
         gne_iters, gne_gap, gne_conv = 0, 0.0, True
@@ -514,7 +514,7 @@ def run_slot(world: World, strategy: StrategyId, slot: int) -> SlotRecord:
     for j, belief in enumerate(world.beliefs):
         rng = substream(world.seed, STREAM_MEASUREMENT, j, slot)
         z = synthesize_measurement(
-            [eve_bearings_true[j]], lambda t: 1.0, broadcast.gamma,
+            [eve_bearings_true[j]], broadcast.gamma,
             cfg.belief.meas_noise_deg, rng, grid_deg=belief.grid_deg,
             bs_power_w=cfg.bs.p_init_w, bump_width_deg=cfg.belief.bump_width_deg,
             floor_scale=cfg.belief.floor_scale)
@@ -636,7 +636,6 @@ def _run_refinement(world: World, jhn_ids, served_final, powers, ctx, broadcast,
 
     combined = np.max(np.stack([b.probs for b in world.beliefs]), axis=0)
     threshold = cfg.refinement.peak_threshold_scale / cfg.belief.grid_size
-    from .refinement import posterior_peaks
     peaks = posterior_peaks(combined, grid, threshold)
     aim_deg, null_deg = {}, {}
     for u in jhn_ids:
@@ -678,8 +677,7 @@ def _finalize_slot(world, strategy, slot, broadcast, ctx, powers, served_final,
                    shaping_relaxed, coalition_scale, entropies, h_pred, residual,
                    spec, info_gain):
     cfg = world.config
-    rates = ctx.rates(powers) if served_final else np.zeros(0)
-    from .link import outage_metrics
+    rates = ctx.rates(powers)
     r_min, r_mean, outage = outage_metrics(rates, cfg.run.outage_threshold)
     consts = PowerConsts(cfg.bs.num_rf, cfg.power.p_rf_w, cfg.power.p_bb_w,
                          cfg.power.pa_efficiency)
@@ -692,11 +690,10 @@ def _finalize_slot(world, strategy, slot, broadcast, ctx, powers, served_final,
 
     jam_power = float(sum(powers[u] for u in range(world.num_hn)
                           if roles[u] is Role.JHN))
-    leakage = ctx.leakage_at_served(powers) if served_final else np.zeros(0)
+    leakage = ctx.leakage_at_served(powers)
     jam_benefit = 0.0
     if served_final:
-        jam_benefit = float(ctx.rates(powers).mean()
-                            - ctx.rates(np.zeros_like(powers)).mean())
+        jam_benefit = float(rates.mean() - ctx.rates(np.zeros_like(powers)).mean())
     # smoothed secrecy KPI keeps the AN integrator from chasing slot noise
     if world.secrecy_ema is None:
         world.secrecy_ema = r_mean

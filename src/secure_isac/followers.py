@@ -47,23 +47,36 @@ class NodeState:
 
 @dataclass
 class FeasibilitySpec:
-    """Shared constraints: aggregate jamming budget, per-served-node leakage
-    cap, and an optional extra coupling g(powers) <= 0."""
+    """Shared constraints: aggregate jamming budget and per-served-node
+    leakage cap."""
 
     p_fj_max: float = 12.0
     xi_max: float = 2e-12
-    coupling: object = None
 
     def __post_init__(self):
         if self.p_fj_max <= 0 or self.xi_max <= 0:
             raise ValueError("all caps must be > 0")
 
 
-def node_rate(u: int, powers: np.ndarray, ctx: SlotContext) -> float:
-    """Secrecy rate of node u at this profile (0 when it has no stream)."""
-    if u in ctx.served:
-        return float(ctx.rates(powers)[ctx.served.index(u)])
-    return 0.0
+def trial_block(u: int, powers: np.ndarray, grid) -> np.ndarray:
+    """One profile per grid value: powers with node u's power replaced, (G, K)."""
+    trial = np.tile(np.asarray(powers, dtype=float), (len(grid), 1))
+    trial[:, u] = grid
+    return trial
+
+
+def _utilities(u: int, trial: np.ndarray, roles: dict, broadcast: Broadcast,
+               ctx: SlotContext, node: NodeState) -> np.ndarray:
+    """Node u's priced payoff at every profile of a (M, K) trial block."""
+    power = trial[:, u]
+    secrecy, jam = 0.0, 0.0
+    if roles[u] is Role.JHN:
+        jam = broadcast.pi * ctx.jam_contribution(u, trial)
+    elif u in ctx.served:
+        secrecy = node.eta * ctx.rates(trial)[:, ctx.served.index(u)]
+    leak = power * ctx.jam_to_thn[u].sum()
+    return (secrecy - node.cost * power - broadcast.tau * leak + jam
+            + broadcast.kappa * ctx.info_gain)
 
 
 def hn_utility(u: int, power: float, powers: np.ndarray, roles: dict,
@@ -76,111 +89,34 @@ def hn_utility(u: int, power: float, powers: np.ndarray, roles: dict,
     """
     if power < -FEAS_TOL or power > node.p_max + FEAS_TOL:
         raise ValueError(f"infeasible power {power} for node {u}")
-    p = np.array(powers, dtype=float)
-    p[u] = power
-    if roles[u] is Role.THN:
-        secrecy = node.eta * node_rate(u, p, ctx)
-        jam = 0.0
-    else:
-        secrecy = 0.0
-        jam = broadcast.pi * ctx.jam_contribution(u, p)
-    leak = ctx.leakage_of_node(u, p)
-    return (secrecy - node.cost * power - broadcast.tau * leak + jam
-            + broadcast.kappa * ctx.info_gain)
+    trial = trial_block(u, powers, [power])
+    return float(_utilities(u, trial, roles, broadcast, ctx, node)[0])
 
 
 def feasible(powers: np.ndarray, spec: FeasibilitySpec, p_maxes: np.ndarray,
-             ctx: SlotContext) -> bool:
-    """True iff every box bound, the aggregate budget, every leakage cap, and
-    the optional coupling hold (closed constraints)."""
+             ctx: SlotContext):
+    """Per profile of a (..., K) block: True iff every box bound, the
+    aggregate budget, and every leakage cap hold (closed constraints)."""
     p = np.asarray(powers, dtype=float)
-    if np.any(p < -FEAS_TOL) or np.any(p > p_maxes + FEAS_TOL):
-        return False
-    if p.sum() > spec.p_fj_max + FEAS_TOL:
-        return False
+    ok = np.all((p >= -FEAS_TOL) & (p <= p_maxes + FEAS_TOL), axis=-1)
+    ok &= p.sum(axis=-1) <= spec.p_fj_max + FEAS_TOL
     # leakage is watt-scale: a relative tolerance keeps the boundary closed
-    if ctx.served and np.any(ctx.leakage_at_served(p) > spec.xi_max * (1.0 + 1e-9)):
-        return False
-    if spec.coupling is not None and np.any(np.asarray(spec.coupling(p)) > FEAS_TOL):
-        return False
-    return True
+    ok &= np.all(ctx.leakage_at_served(p) <= spec.xi_max * (1.0 + 1e-9), axis=-1)
+    return ok
 
 
 def candidate_utilities(u: int, powers: np.ndarray, grid: np.ndarray,
                         broadcast: Broadcast, ctx: SlotContext,
                         spec: FeasibilitySpec, roles: dict, node: NodeState,
                         p_maxes: np.ndarray):
-    """Vectorized utilities and feasibility over node u's candidate grid.
-
-    Exactly mirrors hn_utility/feasible evaluated pointwise; the scalar
-    routines stay as the reference implementation.
-    """
-    p = np.asarray(powers, dtype=float)
-    others_sum = p.sum() - p[u]
-    feas = (grid >= -FEAS_TOL) & (grid <= node.p_max + FEAS_TOL)
-    feas &= others_sum + grid <= spec.p_fj_max + FEAS_TOL
-    if ctx.served:
-        leak_base = ctx.leakage_at_served(p) - p[u] * ctx.jam_to_thn[u]
-        leak = leak_base[None, :] + grid[:, None] * ctx.jam_to_thn[u][None, :]
-        feas &= np.all(leak <= spec.xi_max * (1.0 + 1e-9), axis=1)
-    if spec.coupling is not None:
-        trial = p.copy()
-        for i, g in enumerate(grid):
-            if not feas[i]:
-                continue
-            trial[u] = g
-            feas[i] = not np.any(np.asarray(spec.coupling(trial)) > FEAS_TOL)
-
-    leak_row = ctx.jam_to_thn[u].sum() if ctx.served else 0.0
-    base = -node.cost * grid - broadcast.tau * grid * leak_row \
-        + broadcast.kappa * ctx.info_gain
-    if roles[u] is Role.THN:
-        if u in ctx.served:
-            idx = ctx.served.index(u)
-            leak_base = ctx.leakage_at_served(p) - p[u] * ctx.jam_to_thn[u]
-            leak_at_u = leak_base[idx] + grid * ctx.jam_to_thn[u][idx]
-            sinr = ctx.sig_w[idx] / (ctx.isi_w[idx] + ctx.an_thn_w[idx]
-                                     + leak_at_u + ctx.noise_w)
-            legit = np.log2(1.0 + sinr)
-            eve = _eve_rates_for_candidates(u, p, grid, ctx)
-            rate = np.where(np.isfinite(eve), np.maximum(0.0, legit - eve), 0.0)
-            secrecy = node.eta * rate
-        else:
-            secrecy = np.zeros_like(grid)
-        values = secrecy + base
-    else:
-        eve_with = _eve_rates_for_candidates(u, p, grid, ctx)
-        without = p.copy()
-        without[u] = 0.0
-        eve_without = ctx.eve_rate_max(without)
-        with np.errstate(invalid="ignore"):
-            diff = eve_without - eve_with
-        gain = np.where(~np.isfinite(eve_with), 0.0,
-                        np.where(np.isfinite(eve_without), diff, 50.0))
-        contrib = np.where(grid > 0.0, len(ctx.served) * np.maximum(0.0, gain), 0.0)
-        values = broadcast.pi * contrib + base
+    """Utilities and feasibility over node u's candidate grid, others fixed:
+    hn_utility and feasible evaluated on one trial block. Infeasible
+    candidates score -inf."""
+    trial = trial_block(u, powers, grid)
+    feas = feasible(trial, spec, p_maxes, ctx)
+    values = _utilities(u, trial, roles, broadcast, ctx, node)
     values[~feas] = -np.inf
     return values, feas
-
-
-def _eve_rates_for_candidates(u: int, powers: np.ndarray, grid: np.ndarray,
-                              ctx: SlotContext) -> np.ndarray:
-    """Strongest-eavesdropper rate for each candidate power of node u."""
-    if ctx.num_eves == 0:
-        return np.zeros_like(grid)
-    jam_base = powers @ ctx.jam_to_eve - powers[u] * ctx.jam_to_eve[u]
-    den = ctx.eve_an_w[None, :] + jam_base[None, :] \
-        + grid[:, None] * ctx.jam_to_eve[u][None, :] + ctx.eve_noise_w
-    sinr = np.full((grid.shape[0], ctx.num_eves), np.inf)
-    ok = den > 0
-    cap = np.broadcast_to(ctx.eve_capture_w[None, :], sinr.shape)
-    sinr[ok] = cap[ok] / den[ok]
-    sinr[~ok & (cap <= 0)] = 0.0
-    smax = sinr.max(axis=1)
-    out = np.full(grid.shape[0], np.inf)
-    finite = np.isfinite(smax)
-    out[finite] = np.log2(1.0 + smax[finite])
-    return out
 
 
 def best_response(u: int, powers: np.ndarray, grid: np.ndarray, broadcast: Broadcast,
@@ -205,7 +141,7 @@ def best_response(u: int, powers: np.ndarray, grid: np.ndarray, broadcast: Broad
 class GneResult:
     powers: np.ndarray
     iterations: int
-    gap_trace: list
+    gap: float          # exhaustive equilibrium gap at the returned profile
     converged: bool
 
 
@@ -230,7 +166,7 @@ def gne_solve(node_list, broadcast: Broadcast, ctx: SlotContext, spec: Feasibili
     """Gauss-Seidel best-response sweeps until the profile stops moving.
 
     Sweep order is ascending node id. Returns the profile, sweep count, the
-    per-sweep trace of the exhaustive equilibrium gap, and a convergence flag
+    exhaustive equilibrium gap at the returned profile, and a convergence flag
     (a profile-change norm <= tolerance, which on a discrete grid means an
     exact fixed point).
     """
@@ -250,7 +186,6 @@ def gne_solve(node_list, broadcast: Broadcast, ctx: SlotContext, spec: Feasibili
     if not feasible(powers, spec, p_maxes, ctx):
         powers = np.zeros_like(powers)
 
-    gap_trace = []
     converged = False
     iterations = 0
     for _ in range(max_iters):
@@ -259,14 +194,13 @@ def gne_solve(node_list, broadcast: Broadcast, ctx: SlotContext, spec: Feasibili
         for uid in order:
             powers[uid] = best_response(uid, powers, grids[uid], broadcast, ctx,
                                         spec, roles, nodes, p_maxes)
-        gap_trace.append(equilibrium_gap(powers, grids, broadcast, ctx, spec,
-                                         roles, nodes, p_maxes))
         if np.linalg.norm(powers - previous) <= tolerance:
             converged = True
             break
     if not converged:
         log.warning("best-response dynamics hit the iteration cap (%d sweeps)", max_iters)
-    return GneResult(powers, iterations, gap_trace, converged)
+    gap = equilibrium_gap(powers, grids, broadcast, ctx, spec, roles, nodes, p_maxes)
+    return GneResult(powers, iterations, gap, converged)
 
 
 def role_switch(rates: dict, threshold: float) -> dict:

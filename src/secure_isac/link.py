@@ -1,14 +1,13 @@
-"""Hybrid precoding, artificial-noise projection, SINR and secrecy metrics,
-power accounting, and the per-slot coefficient context shared by the game
-layers.
+"""Hybrid precoding, artificial-noise projection, power accounting, and the
+per-slot secrecy evaluator shared by every control layer.
 
-Eavesdropper SINR supports two readings. The physical one evaluates the actual
-beam coupling with inter-stream interference and receiver noise. The
-worst-case one is the defender's threat model: the eavesdropper is credited
-with matched-filter capture of the full stream power, cancellation of other
-streams, and a negligible noise floor, so only artificial noise and
-cooperative jamming degrade her. Engine-level secrecy accounting uses the
-worst-case reading.
+Secrecy is scored against the worst-case interceptor (Goel & Negi, IEEE TWC
+2008): each eavesdropper is credited with matched-filter capture of the full
+stream power, cancellation of the other streams, and only her configured
+noise floor, so artificial noise and cooperative jamming are what degrade
+her. SlotContext holds one slot's coefficients and evaluates rates, the
+strongest eavesdropper's rate, leakage, and jamming credit for a single
+power profile (K,) or a batch of profiles (..., K).
 """
 
 from dataclasses import dataclass, field
@@ -22,26 +21,6 @@ class CapacityError(ValueError):
 
 class NoNullspaceError(ValueError):
     """Scheduled channels span the whole transmit space."""
-
-
-@dataclass(frozen=True)
-class PowerSplit:
-    """Base-station power fractions for data/AN/sensing plus the total budget."""
-
-    alpha: float
-    beta: float
-    gamma: float
-    bs_power: float
-
-    def __post_init__(self):
-        for name, v in (("alpha", self.alpha), ("beta", self.beta), ("gamma", self.gamma)):
-            if v < -1e-12:
-                raise ValueError(f"{name} must be >= 0, got {v}")
-        if abs(self.alpha + self.beta + self.gamma - 1.0) > 1e-9:
-            raise ValueError(
-                f"power fractions must sum to 1, got {self.alpha + self.beta + self.gamma}")
-        if self.bs_power < 0:
-            raise ValueError("bs_power must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -75,8 +54,8 @@ def build_precoder(thn_channels, num_rf: int, rzf_reg: float = 1e-3) -> Precoder
     """Phase-only sub-array analog stage plus regularized zero-forcing digital stage.
 
     RF chain b is aligned with scheduled node b's channel restricted to its
-    sub-array; the digital stage suppresses cross-stream coupling. Composite
-    beam columns are normalized to unit power.
+    sub-array; the digital stage suppresses cross-stream interference.
+    Composite beam columns are normalized to unit power.
     """
     channels = list(thn_channels)
     u_count = len(channels)
@@ -143,72 +122,6 @@ def an_power_at(channel: np.ndarray, an_basis: np.ndarray, an_power_w: float) ->
     return an_power_w / dim * float(np.linalg.norm(channel.conj() @ an_basis) ** 2)
 
 
-def sinr_legitimate(u: int, split: PowerSplit, precoder: PrecoderSet, thn_channels,
-                    jam_interference_w: float, an_basis: np.ndarray | None,
-                    noise_w: float, rx_gain: float = 1.0) -> float:
-    """Instantaneous SINR of scheduled node u: desired stream over inter-stream
-    interference, jammer leakage, residual AN, and noise."""
-    channels = list(thn_channels)
-    u_count = precoder.num_streams
-    if not 0 <= u < u_count:
-        raise ValueError(f"node index {u} is not a scheduled stream (have {u_count})")
-    p_stream = split.alpha * split.bs_power / u_count
-    coupling = np.abs(np.conj(channels[u]) @ precoder.beams) ** 2   # (U,)
-    desired = p_stream * coupling[u] * rx_gain
-    isi = p_stream * (coupling.sum() - coupling[u]) * rx_gain
-    an = 0.0
-    if an_basis is not None:
-        an = an_power_at(channels[u], an_basis, split.beta * split.bs_power) * rx_gain
-    return desired / (isi + jam_interference_w + an + noise_w)
-
-
-def sinr_eavesdropper(eve_channel: np.ndarray, u: int, split: PowerSplit,
-                      precoder: PrecoderSet, jam_w: float, an_basis: np.ndarray | None,
-                      noise_w: float, rx_gain: float = 1.0,
-                      worst_case: bool = False) -> float:
-    """Eavesdropper SINR when decoding stream u.
-
-    worst_case=False evaluates the realized beam couplings with inter-stream
-    interference. worst_case=True is the defender's bound: full matched-filter
-    capture of stream u, other streams cancelled.
-    """
-    u_count = precoder.num_streams
-    if not 0 <= u < u_count:
-        raise ValueError(f"stream index {u} out of range (have {u_count})")
-    p_stream = split.alpha * split.bs_power / u_count
-    an = 0.0
-    if an_basis is not None:
-        an = an_power_at(eve_channel, an_basis, split.beta * split.bs_power) * rx_gain
-    if worst_case:
-        desired = p_stream * float(np.linalg.norm(eve_channel) ** 2) * rx_gain
-        isi = 0.0
-    else:
-        coupling = np.abs(np.conj(eve_channel) @ precoder.beams) ** 2
-        desired = p_stream * coupling[u] * rx_gain
-        isi = p_stream * (coupling.sum() - coupling[u]) * rx_gain
-    den = isi + jam_w + an + noise_w
-    if den <= 0.0:
-        return np.inf if desired > 0 else 0.0
-    return desired / den
-
-
-def worst_case_eve(eve_sinrs) -> float:
-    """SINR of the most detrimental eavesdropper."""
-    values = list(eve_sinrs)
-    if not values:
-        raise ValueError("empty eavesdropper set")
-    return max(values)
-
-
-def secrecy_rate(sinr_legit: float, sinr_eve: float) -> float:
-    """Wiretap secrecy rate [log2(1+SINR_l) - log2(1+SINR_e)]^+ in bps/Hz."""
-    if sinr_legit < 0 or sinr_eve < 0:
-        raise ValueError("SINRs must be nonnegative")
-    if not np.isfinite(sinr_eve):
-        return 0.0
-    return max(0.0, float(np.log2(1.0 + sinr_legit) - np.log2(1.0 + sinr_eve)))
-
-
 def power_accounting(bs_power: float, hn_powers, consts: PowerConsts):
     """Total radiated power and slot consumption (static draw + PA losses)."""
     tx_total = bs_power + float(np.sum(hn_powers))
@@ -233,14 +146,33 @@ def outage_metrics(rates, threshold: float):
             float(np.mean(values < threshold)))
 
 
+def _delivered(powers: np.ndarray, gains: np.ndarray) -> np.ndarray:
+    """Watts delivered through gains (K, X) by each profile, (..., X).
+
+    A single (K,) profile keeps the plain vector product. A batch contracts
+    every row in the same summation order whatever else the batch holds, so
+    a profile scores identically in every block that contains it, a one-row
+    block included (a BLAS matrix product would not).
+    """
+    if powers.ndim == 1:
+        return powers @ gains
+    return np.einsum("...k,kx->...x", powers, gains)
+
+
+# Jamming credit (bps/Hz per served stream) when a jammer alone takes the
+# strongest eavesdropper off an infinite rate: a finite stand-in for an
+# unbounded improvement.
+JAM_CREDIT = 50.0
+
+
 @dataclass
 class SlotContext:
-    """Precomputed per-slot interference coefficients.
+    """Precomputed per-slot interference coefficients and the secrecy evaluator.
 
     Every quantity the follower game and the cooperative refinement evaluate
     is an affine or rational function of the hybrid-node power vector; this
-    context holds the coefficients so utility evaluations are cheap scalar
-    arithmetic.
+    context holds the coefficients. Each method takes one power profile (K,)
+    or a batch of profiles (..., K) and scores every profile.
 
     Shapes: K hybrid nodes, U served streams, E eavesdroppers.
     jam_to_eve[k, e] / jam_to_thn[k, u] are delivered watts per transmitted
@@ -261,76 +193,54 @@ class SlotContext:
     p_stream_w: float = 1.0     # per-stream data power behind eve_capture_w
 
     @property
-    def num_nodes(self) -> int:
-        return self.jam_to_eve.shape[0]
-
-    @property
     def num_eves(self) -> int:
         return self.jam_to_eve.shape[1]
 
-    def thn_sinr(self, powers: np.ndarray) -> np.ndarray:
-        leak = powers @ self.jam_to_thn if self.jam_to_thn.size else np.zeros(len(self.served))
-        return self.sig_w / (self.isi_w + self.an_thn_w + leak + self.noise_w)
+    def leakage_at_served(self, powers) -> np.ndarray:
+        """Interference power each served node receives from all hybrid
+        nodes, (..., U)."""
+        return _delivered(np.asarray(powers, dtype=float), self.jam_to_thn)
 
-    def eve_sinr(self, powers: np.ndarray) -> np.ndarray:
-        """Worst-case per-eavesdropper SINR (identical across streams)."""
-        jam = powers @ self.jam_to_eve if self.jam_to_eve.size else np.zeros(self.num_eves)
-        den = self.eve_an_w + jam + self.eve_noise_w
-        out = np.full(self.num_eves, np.inf)
-        ok = den > 0
-        out[ok] = self.eve_capture_w[ok] / den[ok]
-        out[~ok & (self.eve_capture_w <= 0)] = 0.0
-        return out
-
-    def eve_rate_max(self, powers: np.ndarray, capture_scale: float = 1.0) -> float:
-        """Spectral efficiency of the strongest eavesdropper; capture_scale
-        rescales the per-stream power she intercepts."""
+    def eve_rate_max(self, powers, capture_scale: float = 1.0):
+        """Spectral efficiency of the strongest eavesdropper, (...); inf when
+        she decodes with a zero denominator. capture_scale rescales the
+        per-stream power she intercepts."""
+        p = np.asarray(powers, dtype=float)
         if self.num_eves == 0:
-            return 0.0
-        s = capture_scale * np.max(self.eve_sinr(powers))
-        return float(np.log2(1.0 + s)) if np.isfinite(s) else np.inf
+            return np.zeros(p.shape[:-1])[()]
+        den = self.eve_an_w + _delivered(p, self.jam_to_eve) + self.eve_noise_w
+        with np.errstate(divide="ignore", invalid="ignore"):
+            sinr = np.where(den > 0, self.eve_capture_w / den,
+                            np.where(self.eve_capture_w > 0, np.inf, 0.0))
+            s = capture_scale * sinr.max(axis=-1)
+            return np.where(np.isfinite(s), np.log2(1.0 + s), np.inf)[()]
 
-    def rates(self, powers: np.ndarray) -> np.ndarray:
-        """Per served node secrecy rates at the given power profile."""
-        if not self.served:
-            return np.zeros(0)
-        eve = self.eve_rate_max(powers)
-        if not np.isfinite(eve):
-            return np.zeros(len(self.served))
-        legit = np.log2(1.0 + self.thn_sinr(powers))
-        return np.maximum(0.0, legit - eve)
+    def rates(self, powers) -> np.ndarray:
+        """Per served node secrecy rates, (..., U); all zero while the
+        strongest eavesdropper's rate is infinite."""
+        p = np.asarray(powers, dtype=float)
+        eve = np.asarray(self.eve_rate_max(p))[..., None]
+        leak = self.leakage_at_served(p)
+        legit = np.log2(1.0 + self.sig_w / (self.isi_w + self.an_thn_w + leak
+                                            + self.noise_w))
+        with np.errstate(invalid="ignore"):
+            return np.where(np.isfinite(eve), np.maximum(0.0, legit - eve), 0.0)
 
-    def sum_rate(self, powers: np.ndarray) -> float:
-        return float(self.rates(powers).sum())
-
-    def leakage_at_served(self, powers: np.ndarray) -> np.ndarray:
-        """Interference power each served node receives from all hybrid nodes."""
-        if not self.served:
-            return np.zeros(0)
-        return powers @ self.jam_to_thn
-
-    def leakage_of_node(self, k: int, powers: np.ndarray) -> float:
-        """Interference power node k delivers to the served nodes."""
-        if not self.served:
-            return 0.0
-        return float(powers[k] * self.jam_to_thn[k].sum())
-
-    def jam_contribution(self, k: int, powers: np.ndarray) -> float:
-        """Drop in the strongest eavesdropper's rate attributable to node k's power,
-        accumulated over served streams."""
-        if not self.served or powers[k] <= 0.0:
-            return 0.0
-        without = powers.copy()
-        without[k] = 0.0
-        with_rate = self.eve_rate_max(powers)
+    def jam_contribution(self, k: int, powers):
+        """Drop in the strongest eavesdropper's rate attributable to node k's
+        power, accumulated over served streams, (...)."""
+        p = np.asarray(powers, dtype=float)
+        without = p.copy()
+        without[..., k] = 0.0
+        with_rate = self.eve_rate_max(p)
         without_rate = self.eve_rate_max(without)
-        if not np.isfinite(with_rate):
-            gain = 0.0   # the interceptor stays clean regardless of this jammer
-        elif not np.isfinite(without_rate):
-            gain = 50.0  # this jammer alone takes the interceptor off infinity
-        else:
-            gain = without_rate - with_rate
-        return len(self.served) * max(0.0, gain)
+        with np.errstate(invalid="ignore"):
+            gain = np.where(np.isfinite(without_rate), without_rate - with_rate,
+                            JAM_CREDIT)
+        # a clean interceptor stays clean regardless of this jammer
+        gain = np.where(np.isfinite(with_rate), gain, 0.0)
+        credit = len(self.served) * np.maximum(0.0, gain)
+        return np.where(p[..., k] > 0.0, credit, 0.0)[()]
 
 
 @dataclass

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .arrays import ArraySpec, InfeasibleNullError, null_steer, steering_vector
+from .followers import FeasibilitySpec, feasible, trial_block
 from .link import SlotContext
 
 log = logging.getLogger(__name__)
@@ -129,20 +130,6 @@ def synthesize_field(coalitions, powers: dict, aim_deg: dict, null_deg: dict,
     return FieldSynthesis(beams, gain_rows, field_w, dropped)
 
 
-def _candidate_ok(member_powers, member_ids, powers, ctx, p_fj_max, xi_max,
-                  rate_floor_eff):
-    trial = powers.copy()
-    trial[member_ids] = member_powers
-    if trial.sum() > p_fj_max + 1e-12:
-        return False, trial
-    if ctx.served:
-        if np.any(ctx.leakage_at_served(trial) > xi_max * (1.0 + 1e-9)):
-            return False, trial
-        if rate_floor_eff > 0 and ctx.rates(trial).min() < rate_floor_eff - 1e-12:
-            return False, trial
-    return True, trial
-
-
 def coalition_refine(coalition: Coalition, powers: np.ndarray, ctx: SlotContext,
                      p_maxes: np.ndarray, p_fj_max: float, xi_max: float,
                      j_min: float, field_gains: dict, posterior_probs: np.ndarray,
@@ -165,36 +152,35 @@ def coalition_refine(coalition: Coalition, powers: np.ndarray, ctx: SlotContext,
     if ids.size == 0:
         raise ValueError("empty coalition")
     powers = np.array(powers, dtype=float)
+    spec = FeasibilitySpec(p_fj_max=p_fj_max, xi_max=xi_max)
     gains_matrix = np.stack([field_gains[j] for j in ids])    # (|C|, grid)
     shaping_weights = gains_matrix @ posterior_probs          # (|C|,)
     grids = [np.linspace(0.0, p_maxes[j], grid_points) for j in ids]
 
-    current_rates = ctx.rates(powers) if ctx.served else np.zeros(0)
+    current_rates = ctx.rates(powers)
     floor_eff = min(rate_floor, float(current_rates.min())) if current_rates.size else 0.0
 
-    def shaping_of(member_powers):
-        return float(np.dot(member_powers, shaping_weights))
-
-    def objective_of(member_powers, trial):
-        return ctx.sum_rate(trial) - power_penalty_per_w * float(np.sum(member_powers))
+    def score(trial):
+        """Feasibility (rate floor included), objective and shaping test of
+        every profile in a (M, K) block."""
+        rates = ctx.rates(trial)
+        ok = feasible(trial, spec, p_maxes, ctx)
+        if floor_eff > 0:
+            ok &= rates.min(axis=-1) >= floor_eff - 1e-12
+        member = trial[:, ids]
+        objective = rates.sum(axis=-1) - power_penalty_per_w * member.sum(axis=-1)
+        return ok, objective, member @ shaping_weights >= j_min - 1e-15
 
     relaxed = False
     if ids.size <= 2:
-        combos = (np.array([[g] for g in grids[0]]) if ids.size == 1 else
-                  np.array([[a, b] for a in grids[0] for b in grids[1]]))
-        feas, objective, shaped = [], [], []
-        for combo in combos:
-            ok, trial = _candidate_ok(combo, ids, powers, ctx, p_fj_max, xi_max,
-                                      floor_eff)
-            if not ok:
-                continue
-            feas.append(combo)
-            objective.append(objective_of(combo, trial))
-            shaped.append(shaping_of(combo) >= j_min - 1e-15)
-        if not feas:
+        combos = np.stack([g.ravel() for g in np.meshgrid(*grids, indexing="ij")],
+                          axis=1)
+        trial = np.tile(powers, (combos.shape[0], 1))
+        trial[:, ids] = combos
+        ok, objective, shaped = score(trial)
+        if not ok.any():
             return powers, 0, True
-        objective = np.array(objective)
-        shaped = np.array(shaped)
+        combos, objective, shaped = combos[ok], objective[ok], shaped[ok]
         # combos are ascending, so the first occurrence of a (near-)maximal
         # objective is the lowest-power optimum: no watts spent on ties
         if shaped.any():
@@ -204,7 +190,7 @@ def coalition_refine(coalition: Coalition, powers: np.ndarray, ctx: SlotContext,
         else:
             relaxed = j_min > 0
             pick = int(np.flatnonzero(objective >= objective.max() - 1e-9)[0])
-        powers[ids] = feas[pick]
+        powers[ids] = combos[pick]
         return powers, 1, relaxed
 
     rounds = 0
@@ -212,23 +198,18 @@ def coalition_refine(coalition: Coalition, powers: np.ndarray, ctx: SlotContext,
         rounds += 1
         moved = False
         for slot_i, jid in enumerate(ids):
+            ok, objective, shaped = score(trial_block(jid, powers, grids[slot_i]))
             best_val = -np.inf
             best_p = powers[jid]
             found_shaped = False
-            for p in grids[slot_i]:
-                member = powers[ids].copy()
-                member[slot_i] = p
-                ok, trial = _candidate_ok(member, ids, powers, ctx, p_fj_max,
-                                          xi_max, floor_eff)
-                if not ok:
+            for p, p_ok, value, meets in zip(grids[slot_i], ok, objective, shaped):
+                if not p_ok:
                     continue
-                meets = shaping_of(member) >= j_min - 1e-15
                 if meets and not found_shaped:
                     found_shaped = True
                     best_val = -np.inf  # restart preference on shaped candidates
                 if found_shaped and not meets:
                     continue
-                value = objective_of(member, trial)
                 # require a real improvement so ties stay at lower power
                 if value > best_val + 1e-9:
                     best_val = value
@@ -276,8 +257,8 @@ def refinement_loop(posteriors, jhn_bearings_deg: dict, aim_deg: dict,
     if delta_stop <= 0:
         raise ValueError("delta_stop must be > 0")
     powers = np.array(powers, dtype=float)
-    best_sum = ctx.sum_rate(powers)
     base_rates = ctx.rates(powers)
+    best_sum = float(base_rates.sum())
     min_floor = min(rate_floor, float(base_rates.min())) if base_rates.size else 0.0
     pre_jam_power = powers.sum()
     best = RefinementResult(powers.copy(), {}, np.zeros(grid_deg.shape[0]), [],
@@ -286,6 +267,7 @@ def refinement_loop(posteriors, jhn_bearings_deg: dict, aim_deg: dict,
                                  assoc_width_deg)
     if not coalitions:
         return best
+    posterior = _combined_posterior(posteriors)
     relaxed = False
     improvements = []
     iterations = 0
@@ -299,16 +281,16 @@ def refinement_loop(posteriors, jhn_bearings_deg: dict, aim_deg: dict,
             baseline = shaping_energy(
                 np.sum([trial_powers[j] * synth.gain_rows[j]
                         for j in coalition.member_ids], axis=0),
-                _combined_posterior(posteriors))
+                posterior)
             j_min = j_min_fraction * baseline
             trial_powers, _, was_relaxed = coalition_refine(
                 coalition, trial_powers, trial_ctx, p_maxes, p_fj_max, xi_max,
-                j_min, synth.gain_rows, _combined_posterior(posteriors),
+                j_min, synth.gain_rows, posterior,
                 rate_floor=rate_floor, grid_points=grid_points,
                 power_penalty_per_w=power_penalty_per_w)
             relaxed = relaxed or was_relaxed
-        new_sum = trial_ctx.sum_rate(trial_powers)
         new_rates = trial_ctx.rates(trial_powers)
+        new_sum = float(new_rates.sum())
         delta = new_sum - best_sum
         if delta < 0 or (new_rates.size and new_rates.min() < min_floor - 1e-12):
             break  # rejected: keep the best accepted state

@@ -16,7 +16,8 @@ from secure_isac.belief import BeliefState, default_grid
 from secure_isac.channel import NoiseSpec, noise_power, path_loss_db, PathLossModel
 from secure_isac.config import ScenarioConfig, StrategyId
 from secure_isac.engine import bearing_deg, init_scenario, run_simulation, run_slot
-from secure_isac.link import PowerConsts, outage_metrics, power_accounting, secrecy_rate, see
+from secure_isac.link import (PowerConsts, SlotContext, outage_metrics,
+                               power_accounting, see)
 
 logging.disable(logging.WARNING)
 
@@ -306,7 +307,13 @@ class TestAcceptance:
             pytest.approx(1.9952623149688827e-12, rel=rel)
         model = PathLossModel(61.4, 2.2, 3.0)
         assert path_loss_db(model, 100.0, 0.0) == pytest.approx(105.4, rel=rel)
-        assert secrecy_rate(10 ** 1.5, 10 ** 0.5) == \
+        # one served stream at SINR 10^1.5 against an interceptor at 10^0.5
+        ctx = SlotContext(
+            served=[0], sig_w=np.array([10 ** 1.5]), isi_w=np.zeros(1),
+            an_thn_w=np.zeros(1), noise_w=1.0, eve_capture_w=np.array([10 ** 0.5]),
+            eve_an_w=np.zeros(1), jam_to_eve=np.zeros((1, 1)),
+            jam_to_thn=np.zeros((1, 1)), eve_noise_w=1.0)
+        assert ctx.rates(np.zeros(1))[0] == \
             pytest.approx(2.9704344647437244, rel=rel)
         consts = PowerConsts(num_rf=4, p_rf_w=0.25, p_bb_w=1.0, pa_efficiency=0.4)
         _, slot_power = power_accounting(15.0, [1.0, 1.0, 1.0], consts)

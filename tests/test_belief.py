@@ -88,7 +88,7 @@ class TestEntropy:
 class TestMeasurement:
     def test_gamma_zero_pure_floor(self):
         rng = np.random.default_rng(2)
-        z = synthesize_measurement([30.0], lambda t: 1.0, 0.0, 5.0, rng)
+        z = synthesize_measurement([30.0], 0.0, 5.0, rng)
         assert np.all(z >= 0.0)
         # flat in expectation: no bump structure anywhere near the truth
         grid = default_grid()
@@ -99,7 +99,7 @@ class TestMeasurement:
     def test_noiseless_peak_at_truth(self):
         rng = np.random.default_rng(3)
         grid = default_grid()
-        z = synthesize_measurement([30.0], lambda t: 1.0, 0.2, 0.0, rng,
+        z = synthesize_measurement([30.0], 0.2, 0.0, rng,
                                    floor_scale=0.0)
         assert abs(grid[np.argmax(z)] - 30.0) <= 1.0
 
@@ -109,14 +109,14 @@ class TestMeasurement:
         grid = default_grid()
         hits = 0
         for _ in range(1000):
-            z = synthesize_measurement([20.0], lambda t: 1.0, 0.15, 5.0, rng)
+            z = synthesize_measurement([20.0], 0.15, 5.0, rng)
             if abs(grid[np.argmax(z)] - 20.0) <= 10.0:
                 hits += 1
         assert hits >= 900
 
     def test_negative_gamma_rejected(self):
         with pytest.raises(ValueError):
-            synthesize_measurement([0.0], lambda t: 1.0, -0.1, 5.0,
+            synthesize_measurement([0.0], -0.1, 5.0,
                                    np.random.default_rng(0))
 
 
@@ -191,7 +191,7 @@ class TestContraction:
         entropies = []
         for _ in range(50):
             b = predict(b)
-            z = synthesize_measurement([25.0], lambda t: 1.0, 0.15, 5.0, rng)
+            z = synthesize_measurement([25.0], 0.15, 5.0, rng)
             b = update(b, z, 1.0)
             b.kernel_sigma_deg = kernel_adapt(b.kernel_sigma_deg, entropy(b), 4.0, 0.5)
             entropies.append(entropy(b))

@@ -55,9 +55,12 @@ class TestConfigParsing:
         assert any("gne.tolerance" in e for e in err.value.errors)
 
     def test_unknown_key_rejected(self):
-        with pytest.raises(ConfigError) as err:
-            config_from_dict({"bs": {"warp_drive": "1"}})
-        assert any("bs.warp_drive" in e for e in err.value.errors)
+        # bs.x_m / bs.y_m were removed: they moved the channels but not the
+        # bearings, node placement or mobility disc
+        for key in ("warp_drive", "x_m", "y_m"):
+            with pytest.raises(ConfigError) as err:
+                config_from_dict({"bs": {key: "1"}})
+            assert any(f"bs.{key}" in e for e in err.value.errors)
 
     def test_unknown_section_rejected(self):
         with pytest.raises(ConfigError) as err:

@@ -1,3 +1,5 @@
+from collections import namedtuple
+
 import numpy as np
 import pytest
 
@@ -7,26 +9,65 @@ from secure_isac.link import (
     CapacityError,
     NoNullspaceError,
     PowerConsts,
-    PowerSplit,
     SlotContext,
     an_power_at,
     an_projector,
     build_precoder,
     outage_metrics,
     power_accounting,
-    secrecy_rate,
     see,
-    sinr_eavesdropper,
-    sinr_legitimate,
-    worst_case_eve,
 )
 
 C = 299792458.0
 LAM = C / 28e9
 
+# base-station power fractions (data, AN, sensing) and total budget
+Split = namedtuple("Split", "alpha beta gamma bs_power")
+
 
 def los_at(spec, x, y, gain=1.0, z=0.0):
     return los_channel(ula_positions(spec), np.array([x, y, z]), gain, spec.wavelength)
+
+
+def link_context(split, prec, channels, eve_channels=(), basis=None, noise=2e-12,
+                 eve_noise=0.0, rx_gain=1.0, jam_to_thn=None, jam_to_eve=None):
+    """SlotContext of a physical link, assembled as the engine does: served
+    coupling through the precoder, worst-case stream capture at each
+    eavesdropper, AN through the nullspace basis. Jammer rows default to one
+    silent node."""
+    u_count = len(channels)
+    p_stream = split.alpha * split.bs_power / u_count
+    an_total = split.beta * split.bs_power
+    sig, isi, an = np.zeros(u_count), np.zeros(u_count), np.zeros(u_count)
+    for idx, h in enumerate(channels):
+        coupling = np.abs(np.conj(h) @ prec.beams) ** 2
+        sig[idx] = p_stream * coupling[idx] * rx_gain
+        isi[idx] = p_stream * (coupling.sum() - coupling[idx]) * rx_gain
+        if basis is not None:
+            an[idx] = an_power_at(h, basis, an_total) * rx_gain
+    e_count = len(eve_channels)
+    return SlotContext(
+        served=list(range(u_count)), sig_w=sig, isi_w=isi, an_thn_w=an,
+        noise_w=noise,
+        eve_capture_w=np.array([p_stream * np.linalg.norm(g) ** 2 * rx_gain
+                                for g in eve_channels]),
+        eve_an_w=np.array([0.0 if basis is None
+                           else an_power_at(g, basis, an_total) * rx_gain
+                           for g in eve_channels]),
+        jam_to_eve=np.zeros((1, e_count)) if jam_to_eve is None else jam_to_eve,
+        jam_to_thn=np.zeros((1, u_count)) if jam_to_thn is None else jam_to_thn,
+        eve_noise_w=eve_noise, p_stream_w=p_stream)
+
+
+def scalar_context(legit_sinr, eve_sinrs):
+    """One served stream at the given SINR against eavesdroppers at theirs
+    (unit noise everywhere, one silent jammer)."""
+    e_count = len(eve_sinrs)
+    return SlotContext(
+        served=[0], sig_w=np.array([legit_sinr]), isi_w=np.zeros(1),
+        an_thn_w=np.zeros(1), noise_w=1.0, eve_capture_w=np.array(eve_sinrs, float),
+        eve_an_w=np.zeros(e_count), jam_to_eve=np.zeros((1, e_count)),
+        jam_to_thn=np.zeros((1, 1)), eve_noise_w=1.0)
 
 
 class TestPrecoder:
@@ -121,56 +162,54 @@ class TestAnProjector:
 
 
 class TestSinrLegitimate:
+    # served SINRs are read through the rate with no eavesdropper, where the
+    # secrecy rate is log2(1 + SINR)
     def test_interference_free_reduction(self):
         spec = ArraySpec.half_wavelength(16, LAM)
         h = los_at(spec, 40.0, 10.0, gain=0.01)
         prec = build_precoder([h], num_rf=1)
-        split = PowerSplit(0.7, 0.2, 0.1, 10.0)
+        split = Split(0.7, 0.2, 0.1, 10.0)
         noise = 2e-12
-        got = sinr_legitimate(0, split, prec, [h], 0.0, None, noise, rx_gain=2.0)
+        ctx = link_context(split, prec, [h], noise=noise, rx_gain=2.0)
         expected = 0.7 * 10.0 * np.abs(np.conj(h) @ prec.beams[:, 0]) ** 2 * 2.0 / noise
-        assert got == pytest.approx(expected, rel=1e-12)
+        assert ctx.rates(np.zeros(1))[0] == pytest.approx(np.log2(1 + expected), rel=1e-12)
 
     def test_jammer_strictly_decreases(self):
         spec = ArraySpec.half_wavelength(16, LAM)
         h = los_at(spec, 40.0, 10.0, gain=0.01)
         prec = build_precoder([h], num_rf=1)
-        split = PowerSplit(0.7, 0.2, 0.1, 10.0)
-        clean = sinr_legitimate(0, split, prec, [h], 0.0, None, 2e-12)
-        jammed = sinr_legitimate(0, split, prec, [h], 1e-12, None, 2e-12)
-        assert jammed < clean
+        ctx = link_context(Split(0.7, 0.2, 0.1, 10.0), prec, [h],
+                           jam_to_thn=np.array([[1e-12]]))
+        assert ctx.leakage_at_served(np.ones(1))[0] == 1e-12
+        assert ctx.rates(np.ones(1))[0] < ctx.rates(np.zeros(1))[0]
 
     def test_symmetric_thns_equal_sinr(self):
-        # mirrored geometry, shadow 0, pure LOS: SINRs agree to 1e-9
+        # mirrored geometry, shadow 0, pure LOS: rates agree to 1e-9
         spec = ArraySpec.half_wavelength(128, LAM)
         r = 90.0
         az = np.radians(25.0)
         h1 = los_at(spec, r * np.cos(az), r * np.sin(az), gain=0.002)
         h2 = los_at(spec, r * np.cos(az), -r * np.sin(az), gain=0.002)
         prec = build_precoder([h1, h2], num_rf=2)
-        split = PowerSplit(0.8, 0.1, 0.1, 15.0)
-        s1 = sinr_legitimate(0, split, prec, [h1, h2], 0.0, None, 2e-12)
-        s2 = sinr_legitimate(1, split, prec, [h1, h2], 0.0, None, 2e-12)
-        assert s1 == pytest.approx(s2, rel=1e-9)
-
-    def test_unscheduled_index_rejected(self):
-        spec = ArraySpec.half_wavelength(16, LAM)
-        h = los_at(spec, 40.0, 10.0)
-        prec = build_precoder([h], num_rf=1)
-        with pytest.raises(ValueError):
-            sinr_legitimate(1, PowerSplit(1, 0, 0, 1.0), prec, [h], 0.0, None, 1e-12)
+        ctx = link_context(Split(0.8, 0.1, 0.1, 15.0), prec, [h1, h2])
+        r1, r2 = ctx.rates(np.zeros(1))
+        assert r1 == pytest.approx(r2, rel=1e-9)
 
 
 class TestSinrEavesdropper:
     def test_colocated_eve_matches_legitimate(self):
+        # a single matched stream: the interceptor at the served node's own
+        # channel captures exactly the served power, so secrecy clips to 0
         spec = ArraySpec.half_wavelength(16, LAM)
         h = los_at(spec, 40.0, 10.0, gain=0.01)
         prec = build_precoder([h], num_rf=1)
-        split = PowerSplit(1.0, 0.0, 0.0, 10.0)
         noise = 2e-12
-        legit = sinr_legitimate(0, split, prec, [h], 0.0, None, noise)
-        eve = sinr_eavesdropper(h, 0, split, prec, 0.0, None, noise)
-        assert eve == pytest.approx(legit, rel=1e-12)
+        ctx = link_context(Split(1.0, 0.0, 0.0, 10.0), prec, [h], [h],
+                           noise=noise, eve_noise=noise)
+        legit = ctx.sig_w[0] / (ctx.isi_w[0] + ctx.an_thn_w[0] + noise)
+        assert ctx.eve_rate_max(np.zeros(1)) == pytest.approx(np.log2(1 + legit),
+                                                              rel=1e-12)
+        assert ctx.rates(np.zeros(1))[0] == pytest.approx(0.0, abs=1e-9)
 
     def test_more_an_decreases_eve_sinr(self):
         spec = ArraySpec.half_wavelength(16, LAM)
@@ -178,54 +217,60 @@ class TestSinrEavesdropper:
         eve = los_at(spec, 25.0, -14.0, gain=0.02)
         prec = build_precoder([h], num_rf=1)
         basis = an_projector([h])
-        lo = sinr_eavesdropper(eve, 0, PowerSplit(0.8, 0.1, 0.1, 10.0), prec,
-                               0.0, basis, 2e-12)
-        hi = sinr_eavesdropper(eve, 0, PowerSplit(0.6, 0.3, 0.1, 10.0), prec,
-                               0.0, basis, 2e-12)
-        assert hi < lo
+        lo = link_context(Split(0.8, 0.1, 0.1, 10.0), prec, [h], [eve], basis)
+        hi = link_context(Split(0.6, 0.3, 0.1, 10.0), prec, [h], [eve], basis)
+        assert hi.eve_rate_max(np.zeros(1)) < lo.eve_rate_max(np.zeros(1))
 
     def test_hand_set_scalar_value(self):
-        # direct evaluation: |g_e|^2 = 0.5, |g_u|^2 = 1, P_u = 1, sigma^2 = 0.1
+        # direct evaluation: |g_e|^2 = 0.5, P_u = 1, sigma^2 = 0.1 -> SINR 5
         prec = build_precoder([np.array([1.0 + 0j])], num_rf=1)
-        split = PowerSplit(1.0, 0.0, 0.0, 1.0)
         eve = np.array([np.sqrt(0.5) + 0j])
-        got = sinr_eavesdropper(eve, 0, split, prec, 0.0, None, 0.1)
-        assert got == pytest.approx(5.0, rel=1e-12)
+        ctx = link_context(Split(1.0, 0.0, 0.0, 1.0), prec,
+                           [np.array([1.0 + 0j])], [eve], eve_noise=0.1)
+        assert ctx.eve_rate_max(np.zeros(1)) == pytest.approx(np.log2(6.0), rel=1e-12)
 
     def test_worst_case_full_capture(self):
         spec = ArraySpec.half_wavelength(16, LAM)
         h = los_at(spec, 40.0, 10.0, gain=0.01)
         eve = los_at(spec, 25.0, -14.0, gain=0.02)
         prec = build_precoder([h], num_rf=1)
-        split = PowerSplit(1.0, 0.0, 0.0, 10.0)
-        wc = sinr_eavesdropper(eve, 0, split, prec, 0.0, None, 2e-12, worst_case=True)
+        ctx = link_context(Split(1.0, 0.0, 0.0, 10.0), prec, [h], [eve],
+                           eve_noise=2e-12)
         expected = 10.0 * np.linalg.norm(eve) ** 2 / 2e-12
-        assert wc == pytest.approx(expected, rel=1e-12)
-        # physical coupling never exceeds the worst-case credit
-        phys = sinr_eavesdropper(eve, 0, split, prec, 0.0, None, 2e-12)
-        assert phys <= wc
+        assert ctx.eve_rate_max(np.zeros(1)) == pytest.approx(np.log2(1 + expected),
+                                                              rel=1e-12)
+        # the realized beam coupling never exceeds the worst-case credit
+        assert np.abs(np.conj(eve) @ prec.beams[:, 0]) ** 2 <= np.linalg.norm(eve) ** 2
 
     def test_worst_case_noiseless_unjammed_is_infinite(self):
         prec = build_precoder([np.array([1.0 + 0j])], num_rf=1)
-        split = PowerSplit(1.0, 0.0, 0.0, 1.0)
-        got = sinr_eavesdropper(np.array([0.5 + 0j]), 0, split, prec, 0.0, None,
-                                0.0, worst_case=True)
-        assert np.isinf(got)
+        ctx = link_context(Split(1.0, 0.0, 0.0, 1.0), prec,
+                           [np.array([1.0 + 0j])], [np.array([0.5 + 0j])])
+        assert np.isinf(ctx.eve_rate_max(np.zeros(1)))
+        assert ctx.rates(np.zeros(1))[0] == 0.0
 
 
 class TestScalarMetrics:
     def test_worst_case_eve(self):
-        assert worst_case_eve([2.5]) == 2.5
-        assert worst_case_eve([1.1, 1.1, 1.1]) == 1.1
-        assert worst_case_eve([0.1, 5.0, 2.3]) == 5.0
-        with pytest.raises(ValueError):
-            worst_case_eve([])
+        # the strongest eavesdropper sets the rate; weaker ones do not matter
+        assert scalar_context(1.0, [2.5]).eve_rate_max(np.zeros(1)) == np.log2(3.5)
+        assert scalar_context(1.0, [1.1, 1.1, 1.1]).eve_rate_max(np.zeros(1)) == \
+            np.log2(2.1)
+        assert scalar_context(1.0, [0.1, 5.0, 2.3]).eve_rate_max(np.zeros(1)) == \
+            np.log2(6.0)
+        assert scalar_context(1.0, []).eve_rate_max(np.zeros(1)) == 0.0
 
     def test_secrecy_rate_values(self):
-        assert secrecy_rate(3.0, 3.0) == 0.0
-        assert secrecy_rate(10 ** 1.5, 10 ** 0.5) == pytest.approx(2.9704344647437244, rel=1e-9)
-        assert secrecy_rate(1.0, 2.0) == 0.0
-        assert secrecy_rate(1.0, np.inf) == 0.0
+        def secrecy(legit, eve):
+            return scalar_context(legit, [eve]).rates(np.zeros(1))[0]
+
+        assert secrecy(3.0, 3.0) == 0.0
+        assert secrecy(10 ** 1.5, 10 ** 0.5) == pytest.approx(2.9704344647437244, rel=1e-9)
+        assert secrecy(1.0, 2.0) == 0.0
+        infinite = scalar_context(1.0, [2.0])
+        infinite.eve_noise_w = 0.0
+        assert np.isinf(infinite.eve_rate_max(np.zeros(1)))
+        assert infinite.rates(np.zeros(1))[0] == 0.0
 
     def test_power_accounting(self):
         consts = PowerConsts(num_rf=8, p_rf_w=0.25, p_bb_w=1.0, pa_efficiency=1.0)
@@ -274,15 +319,16 @@ class TestSlotContext:
 
     def test_rates_nonnegative_and_jamming_helps(self):
         ctx = self.ctx()
-        quiet = ctx.sum_rate(np.zeros(3))
-        jammed = ctx.sum_rate(np.array([1.0, 0.5, 0.0]))
+        quiet = ctx.rates(np.zeros(3)).sum()
+        jammed = ctx.rates(np.array([1.0, 0.5, 0.0])).sum()
         assert jammed >= quiet >= 0.0
         assert np.all(ctx.rates(np.array([1.0, 0.5, 0.0])) >= 0.0)
 
     def test_noiseless_eve_without_an_or_jam_kills_rates(self):
         ctx = self.ctx()
         ctx.eve_an_w = np.zeros(1)
-        assert ctx.sum_rate(np.zeros(3)) == 0.0
+        assert np.isinf(ctx.eve_rate_max(np.zeros(3)))
+        assert np.all(ctx.rates(np.zeros(3)) == 0.0)
 
     def test_leakage(self):
         ctx = self.ctx()
@@ -290,7 +336,34 @@ class TestSlotContext:
         leak = ctx.leakage_at_served(p)
         assert leak[0] == pytest.approx(2e-14)
         assert leak[1] == pytest.approx(2 * 2e-14 + 1e-13)
-        assert ctx.leakage_of_node(0, p) == pytest.approx(2.0 * 3e-14)
+        # node 0 alone delivers p_0 times its row
+        alone = ctx.leakage_at_served(np.array([2.0, 0.0, 0.0]))
+        assert alone.sum() == pytest.approx(2.0 * 3e-14)
+
+    def test_batch_matches_row_by_row(self):
+        ctx = self.ctx()
+        ctx.eve_capture_w = np.array([4e-10, 1e-10])
+        ctx.eve_an_w = np.array([1e-11, 0.0])
+        ctx.jam_to_eve = np.array([[1e-10, 0.0], [2e-11, 3e-11], [0.0, 1e-10]])
+        rng = np.random.default_rng(5)
+        block = rng.uniform(0.0, 1.5, (4, 6, 3))
+        block[0, 0] = 0.0   # the second eavesdropper decodes noiselessly here
+        rates = ctx.rates(block)
+        eve = ctx.eve_rate_max(block, capture_scale=0.7)
+        leak = ctx.leakage_at_served(block)
+        jam = [ctx.jam_contribution(k, block) for k in range(3)]
+        assert rates.shape == (4, 6, 2) and eve.shape == (4, 6)
+        for idx in np.ndindex(4, 6):
+            row = block[idx]
+            np.testing.assert_allclose(rates[idx], ctx.rates(row), rtol=1e-12, atol=0)
+            np.testing.assert_allclose(eve[idx], ctx.eve_rate_max(row, capture_scale=0.7),
+                                       rtol=1e-12, atol=0)
+            np.testing.assert_allclose(leak[idx], ctx.leakage_at_served(row),
+                                       rtol=1e-12, atol=0)
+            for k in range(3):
+                np.testing.assert_allclose(jam[k][idx], ctx.jam_contribution(k, row),
+                                           rtol=1e-12, atol=0)
+        assert np.isinf(eve[0, 0]) and np.all(rates[0, 0] == 0.0)
 
     def test_jam_contribution_positive_for_effective_jammer(self):
         ctx = self.ctx()

@@ -32,9 +32,9 @@ DIGESTS = {
     ("defaults", "stackelberg_only"):
         "883ef5aaf7fc92a8555ba10726bfdf84d77e19390a8821ea5e6a386728e01635",
     ("defaults", "stackelberg_roleswitch"):
-        "64f245f0e4cc4cdca948a513fb81b3c639405723145839563fa300e000575454",
+        "1447b4f7396f94132f8d06e947e2b9d9b66d09fca8847363d10a1be7b04d85b4",
     ("defaults", "ibeams"):
-        "11ea748d0e215a149b55332e2c98f41eab5c5bc0efedf6a30b733ba4a26bd280",
+        "9f7dce88ef00dbb68cc0ea4ee5ef2fec4dbf3bcc7da7cab526b611fb51b32372",
     ("beampattern_field", "baseline"):
         "13bc8a4e897edba756fe5bad267a4174d5c8fd71c673556d7d4d1ddedbb68460",
     ("beampattern_field", "fixed_an"):
@@ -42,9 +42,9 @@ DIGESTS = {
     ("beampattern_field", "stackelberg_only"):
         "26a26105f0ee2c7e66613cd8d5d35ec51f7c3845c182887edc49264b162832fa",
     ("beampattern_field", "stackelberg_roleswitch"):
-        "c59dd9c065adc48089ace4bd9edea2d4341a7b67afd501af0c4de97a6031d219",
+        "0927e96347f039a756b232cc0b086cff2d60dd5ed61e8de7c07b28d619de7d07",
     ("beampattern_field", "ibeams"):
-        "0ec071cde8f27444a2bbe298ba0bbe4b13392e592474e24a0c490fd1e96735d8",
+        "bb462c9074ed90386b4071ef4307abc8f3389e608f9b4f92c5cb416b77a7b2e2",
     ("posterior_mobile", "baseline"):
         "77fd45e58cf3f86a2653570daf7bec9ad03190be36321c93819b7129745004b5",
     ("posterior_mobile", "fixed_an"):
@@ -52,9 +52,9 @@ DIGESTS = {
     ("posterior_mobile", "stackelberg_only"):
         "d612df3f44bd835b4abd961e497c32b985087d2312389370766ce70fa22e0f90",
     ("posterior_mobile", "stackelberg_roleswitch"):
-        "0666e2adeb02f422ee5d5e7c5f46893d6e7b34211d20e1244d1bbb1b9c978913",
+        "0e408c73b286ca5797f5d7728aae50ab723b973b7ff3a12e23cea779e7216447",
     ("posterior_mobile", "ibeams"):
-        "1620c09fbf7440355724e2aafc7b1877f65ea51b6a2b440a47a72f97486550a6",
+        "282642e30b1143be36155d13f601a559f227f60e3463b233503b94fd16f7cb80",
     ("posterior_static", "baseline"):
         "77fd45e58cf3f86a2653570daf7bec9ad03190be36321c93819b7129745004b5",
     ("posterior_static", "fixed_an"):
@@ -62,9 +62,9 @@ DIGESTS = {
     ("posterior_static", "stackelberg_only"):
         "35a32a3048b31003bbfbc2ad2d8e30ddb8157c3a57df06bce422f2b5a628520a",
     ("posterior_static", "stackelberg_roleswitch"):
-        "9cf77eead3b5967b210efa066add5a2c71de4b72174e24b45edbf1d2506577e5",
+        "8dccd61aa2b33607c5e1019f7b0bca497c757456b3d560c79add4fc2c64457fd",
     ("posterior_static", "ibeams"):
-        "71b7d1f7408d97938c006e662cfb1614daf6dad6fb53ce76c07e64987719eb30",
+        "7a3f7b07ea7a690f48f617e1a37a40db701c02871243742f8c51a9c7db2b03e3",
 }
 
 
