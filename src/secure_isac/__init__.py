@@ -8,3 +8,7 @@ jamming geometry against worst-case eavesdroppers.
 """
 
 __version__ = "0.1.0"
+
+
+class InvariantError(RuntimeError):
+    """A simulation invariant failed; checked whatever the interpreter's -O flag."""

@@ -20,11 +20,6 @@ class BeliefState:
     kernel_sigma_deg: float
     eve_id: int = 0
 
-    def validate(self):
-        assert np.all(self.probs >= -1e-15), "negative probability mass"
-        assert abs(self.probs.sum() - 1.0) <= 1e-9, "belief not normalized"
-        assert np.all(np.diff(self.grid_deg) > 0), "grid must be increasing"
-
     @property
     def argmax_deg(self) -> float:
         return float(self.grid_deg[int(np.argmax(self.probs))])

@@ -1,13 +1,18 @@
 """Scenario construction and the per-slot simulation loop.
 
-Each slot runs: eavesdropper mobility and fading, belief prediction, the
-leader's split/price update, the hybrid-node power game, secrecy-threshold
-role switching, the sensing measurement and posterior update, cooperative
-jamming refinement, and metric collection. Strategy variants gate these
-stages: the plain baseline transmits data only, fixed_an adds a static
-nullspace-noise split, stackelberg_only adds the adaptive leader,
-stackelberg_roleswitch adds the power game and role switching, and ibeams
-adds the posterior-aligned refinement layer.
+run_slot advances a slot through named stages over one SlotState:
+1. open: eavesdropper motion and channels, belief prediction, the leader's
+   split/price update, and the node gain tables;
+2. serve: roles and the served set, whose SlotContext is built once;
+3. power game: the hybrid nodes' GNE and secrecy-threshold role switching;
+4. sense: the sensing measurement and posterior update;
+5. refine: cooperative jamming refinement and the slot-0 bootstrap prune;
+6. withhold: service below the outage threshold is withheld;
+7. finalize: metrics, invariant checks, and the leader's next KPIs.
+Strategies gate the stages: baseline transmits data only, fixed_an adds a
+static nullspace-noise split, stackelberg_only the adaptive leader,
+stackelberg_roleswitch the power game (stages 3 and 6), and ibeams the
+posterior-aligned refinement.
 
 Secrecy is always assessed against the worst-case interceptor: full
 matched-filter capture of a stream, multiuser interference cancelled, and no
@@ -18,10 +23,11 @@ against.
 """
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from . import InvariantError
 from .arrays import ArraySpec, steering_vector, ula_positions
 from .belief import (entropy, predict, synthesize_measurement, uniform_prior,
                      update)
@@ -267,10 +273,9 @@ def _precoder_for(world: World, served: tuple):
     estimates, which equal the true channels unless a CSI error is configured)."""
     if served not in world.precoder_cache:
         estimates = [world.hn_estimates[u] for u in served]
-        prec = build_precoder(estimates, world.config.bs.num_rf, world.config.bs.rzf_reg)
-        basis = an_projector(estimates, num_antennas=world.config.bs.antennas) \
-            if estimates else an_projector([], num_antennas=world.config.bs.antennas)
-        world.precoder_cache[served] = (prec, basis)
+        world.precoder_cache[served] = (
+            build_precoder(estimates, world.config.bs.num_rf, world.config.bs.rzf_reg),
+            an_projector(estimates, num_antennas=world.config.bs.antennas))
     return world.precoder_cache[served]
 
 
@@ -302,17 +307,17 @@ def _node_gain_tables(world: World, slot: int):
     return path, bearings
 
 
-def _pattern_table(world: World, node_bearings: np.ndarray) -> np.ndarray:
-    """Transmit pattern gains (K, K+E) for every node toward every victim."""
+def _pattern_table(world: World, node_bearings: np.ndarray, beams: dict) -> np.ndarray:
+    """Transmit pattern gains (K, K+E) for every node toward every victim;
+    nodes without a beam in `beams` radiate uniformly."""
     spec = world.hn_spec
     n = spec.num_elements
     idx = np.arange(n) - (n - 1) / 2.0
     phase = spec.wavenumber * spec.spacing
     uniform = np.ones(n, dtype=complex) / np.sqrt(n)
-    k = node_bearings.shape[0]
     pattern = np.zeros_like(node_bearings)
-    for i in range(k):
-        beam = world.jhn_beams.get(i, uniform)
+    for i in range(node_bearings.shape[0]):
+        beam = beams.get(i, uniform)
         steer = np.exp(1j * phase * np.outer(np.sin(np.radians(node_bearings[i])),
                                              idx)) / np.sqrt(n)
         pattern[i] = np.abs(steer.conj() @ beam) ** 2
@@ -320,85 +325,89 @@ def _pattern_table(world: World, node_bearings: np.ndarray) -> np.ndarray:
     return pattern
 
 
-def build_slot_context(world: World, served: list, broadcast: Broadcast,
-                       eve_channels: list, node_path: np.ndarray,
-                       node_bearings: np.ndarray, beams: dict | None = None,
-                       info_gain: float = 0.0):
-    """Assemble the per-slot interference coefficients.
+@dataclass
+class SlotState:
+    """One slot's record: the inputs fixed at slot start, then what each
+    stage of run_slot fills in."""
 
-    Returns (SlotContext, jam gains toward every hybrid node (K, K) for
-    hypothetical-rate evaluation).
-    """
+    slot: int
+    broadcast: Broadcast
+    eve_chans: list
+    node_path: np.ndarray             # (K, K+E) watts per watt before beam pattern
+    node_bearings: np.ndarray         # (K, K+E) degrees from each node to each victim
+    info_gain: float                  # the game's information bonus (last slot's)
+    spec: FeasibilitySpec
+    powers: np.ndarray                # (K,) hybrid-node powers
+    h_pred: float = 0.0               # predicted (pre-sensing) entropy
+    residual: float = 0.0             # leader control-vector change
+    roles: dict = field(default_factory=dict)
+    served: list = field(default_factory=list)
+    ctx: SlotContext | None = None    # context of `served` under the current beams
+    rates_eq: dict = field(default_factory=dict)   # role-switch rates, game on
+    gne_iters: int = 0
+    gne_gap: float = 0.0
+    gne_conv: bool = True
+    entropies: list = field(default_factory=list)  # posterior, per eavesdropper
+    sensed_gain: float = 0.0          # this slot's entropy drop, for the leader
+    refine_iters: int = 0
+    shaping_relaxed: bool = False
+    coalition_scale: float = 1.0
+
+
+def build_slot_context(world: World, state: SlotState, served: list,
+                       beams: dict) -> SlotContext:
+    """Assemble the interference coefficients of a served set under the given
+    per-node transmit beams."""
     cfg = world.config
-    k, e = world.num_hn, world.num_eve
-    p_bs = cfg.bs.p_init_w
+    k, p_bs = world.num_hn, cfg.bs.p_init_w
     prec, basis = _precoder_for(world, tuple(served))
-    u_count = max(len(served), 1)
-    p_stream = broadcast.alpha * p_bs / u_count
+    p_stream = state.broadcast.alpha * p_bs / max(len(served), 1)
 
-    saved = world.jhn_beams
-    if beams is not None:
-        world.jhn_beams = beams
-    try:
-        pattern = _pattern_table(world, node_bearings)
-    finally:
-        world.jhn_beams = saved
-
-    delivered = node_path * pattern                   # (K, K+E) watts per watt
+    delivered = state.node_path * _pattern_table(world, state.node_bearings, beams)
     jam_to_nodes = delivered[:, :k]
-    jam_to_eve = delivered[:, k:]
 
     rx = cfg.hn.rx_gain
-    an_total = broadcast.beta * p_bs
-    sig = np.zeros(len(served))
-    isi = np.zeros(len(served))
-    an_thn = np.zeros(len(served))
+    an_total = state.broadcast.beta * p_bs
+    sig, isi, an_thn = (np.zeros(len(served)) for _ in range(3))
     for idx, u in enumerate(served):
         beam_gain = np.abs(np.conj(world.hn_channels[u]) @ prec.beams) ** 2
         sig[idx] = p_stream * beam_gain[idx] * rx
         isi[idx] = p_stream * (beam_gain.sum() - beam_gain[idx]) * rx
         an_thn[idx] = an_power_at(world.hn_channels[u], basis, an_total) * rx
 
-    eve_capture = np.array([p_stream * np.linalg.norm(h) ** 2 for h in eve_channels])
-    eve_an = np.array([an_power_at(h, basis, an_total) for h in eve_channels])
+    eve_capture = np.array([p_stream * np.linalg.norm(h) ** 2 for h in state.eve_chans])
+    eve_an = np.array([an_power_at(h, basis, an_total) for h in state.eve_chans])
 
-    ctx = SlotContext(
+    return SlotContext(
         served=list(served), sig_w=sig, isi_w=isi, an_thn_w=an_thn,
         noise_w=world.noise_w, eve_capture_w=eve_capture, eve_an_w=eve_an,
-        jam_to_eve=jam_to_eve, jam_to_thn=jam_to_nodes[:, served] if served
-        else np.zeros((k, 0)),
-        eve_noise_w=cfg.eve.noise_floor_w, info_gain=info_gain,
-        p_stream_w=p_stream)
-    return ctx, jam_to_nodes
+        jam_to_eve=delivered[:, k:], jam_to_thn=jam_to_nodes[:, served],
+        eve_noise_w=cfg.eve.noise_floor_w, info_gain=state.info_gain,
+        jam_to_hn=jam_to_nodes)
 
 
-def _hypothetical_rate(world: World, uid: int, ctx: SlotContext,
-                       jam_to_nodes: np.ndarray, powers: np.ndarray,
-                       p_stream: float) -> float:
-    """Secrecy rate node uid would see if it were served right now.
-
-    The sub-array architecture delivers roughly 1/num_rf of the full-aperture
-    matched gain, so the estimate applies that factor."""
-    leak = float(powers @ jam_to_nodes[:, uid])
-    sinr = p_stream * world.hn_norm2[uid] / world.config.bs.num_rf \
-        * world.config.hn.rx_gain / (leak + world.noise_w)
-    # evaluate the interceptor at the hypothetical stream power too, not at a
-    # transient concentration on few streams
-    eve = ctx.eve_rate_max(powers, capture_scale=p_stream / ctx.p_stream_w)
-    if not np.isfinite(eve):
-        return 0.0
-    return max(0.0, float(np.log2(1.0 + sinr)) - eve)
+def _readmission_context(world: World, state: SlotState, waiting: list) -> SlotContext:
+    """The slot context re-scored as if each waiting node were served now, at
+    a full complement of streams (so joining is never judged against a
+    transient power concentration), free of inter-stream interference and AN,
+    with the sub-array gain of roughly 1/num_rf of the full-aperture match."""
+    cfg = world.config
+    p_full = state.broadcast.alpha * cfg.bs.p_init_w / cfg.bs.num_rf
+    none = np.zeros(len(waiting))
+    return replace(
+        state.ctx, served=waiting,
+        sig_w=p_full * world.hn_norm2[waiting] / cfg.bs.num_rf * cfg.hn.rx_gain,
+        isi_w=none, an_thn_w=none,
+        eve_capture_w=np.array([p_full * np.linalg.norm(h) ** 2 for h in state.eve_chans]),
+        jam_to_thn=state.ctx.jam_to_hn[:, waiting])
 
 
 def _project_leakage(powers: np.ndarray, ctx: SlotContext, xi_max: float) -> np.ndarray:
     """Scale jamming powers so every served node's leakage cap holds."""
     if not ctx.served:
         return powers
-    leak = ctx.leakage_at_served(powers)
-    worst = leak.max()
-    if worst <= xi_max:
-        return powers
-    return powers * (xi_max / worst)
+    worst = ctx.leakage_at_served(powers).max()
+    return powers if worst <= xi_max else powers * (xi_max / worst)
 
 
 def _strategy_flags(strategy: StrategyId):
@@ -418,16 +427,30 @@ def _static_broadcast(world: World, strategy: StrategyId) -> Broadcast:
 
 
 def run_slot(world: World, strategy: StrategyId, slot: int) -> SlotRecord:
-    """Advance one slot and return its record."""
-    cfg = world.config
+    """Advance one slot through its stages and return its record."""
     leader_on, gne_on, refine_on = _strategy_flags(strategy)
-    k = world.num_hn
+    state = _open_slot(world, strategy, slot, leader_on)
+    state.roles = (dict(world.roles) if gne_on
+                   else {u: Role.THN for u in range(world.num_hn)})
+    _serve(world, state, _select_served(world, state.roles))
+    if gne_on:
+        _play_power_game(world, state)
+    _sense(world, state)
+    if refine_on:
+        _refine(world, state)
+    if gne_on:
+        _withhold_outage(world, state)
+    return _finalize_slot(world, state)
 
+
+def _open_slot(world: World, strategy: StrategyId, slot: int,
+               leader_on: bool) -> SlotState:
+    """Stage 1: move the eavesdroppers and draw their channels, predict the
+    beliefs, step the leader, and draw the node gain tables."""
+    cfg = world.config
     if slot > 0:
         step_eves(world, slot)
     eve_chans = _eve_channels(world, slot)
-    eve_bearings_true = [bearing_deg(np.zeros(3), world.eve_positions[j])
-                         for j in range(world.num_eve)]
 
     # belief prediction feeds the controller; the posterior update comes after
     # the game so sensing power reflects this slot's split
@@ -456,143 +479,123 @@ def run_slot(world: World, strategy: StrategyId, slot: int) -> SlotRecord:
         b.kernel_sigma_deg = world.leader.kernel_sigma_deg
     world.beliefs = predicted
 
-    roles = dict(world.roles) if gne_on else {u: Role.THN for u in range(k)}
-    served = _select_served(world, roles)
     node_path, node_bearings = _node_gain_tables(world, slot)
-    ctx, jam_to_nodes = build_slot_context(world, served, broadcast, eve_chans,
-                                           node_path, node_bearings,
-                                           info_gain=world.prev_kpis.info_gain)
+    return SlotState(
+        slot=slot, broadcast=broadcast, eve_chans=eve_chans, node_path=node_path,
+        node_bearings=node_bearings, info_gain=world.prev_kpis.info_gain,
+        spec=FeasibilitySpec(p_fj_max=cfg.followers.p_fj_max_w,
+                             xi_max=cfg.followers.xi_max_scale * world.noise_w),
+        powers=np.zeros(world.num_hn), h_pred=h_pred, residual=residual)
 
-    spec = FeasibilitySpec(p_fj_max=cfg.followers.p_fj_max_w,
-                           xi_max=cfg.followers.xi_max_scale * world.noise_w)
-    if gne_on:
-        nodes = [NodeState(u, world.hn_positions[u], roles[u],
-                           power=min(world.powers[u], cfg.hn.p_max_w),
-                           p_max=cfg.hn.p_max_w, eta=cfg.hn.eta,
-                           cost=cfg.hn.power_cost_per_w) for u in range(k)]
-        result = gne_solve(nodes, broadcast, ctx, spec,
-                           grid_points=cfg.followers.grid_points,
-                           tolerance=cfg.gne.tolerance, max_iters=cfg.gne.max_iters)
-        powers = result.powers
-        gne_iters, gne_gap, gne_conv = result.iterations, result.gap, result.converged
-    else:
-        powers = np.zeros(k)
-        gne_iters, gne_gap, gne_conv = 0, 0.0, True
 
-    # per-node equilibrium rates: actual for served, re-admission otherwise;
-    # re-admission assumes a full complement of streams so joining is never
-    # judged against a transient power concentration
-    p_stream = broadcast.alpha * cfg.bs.p_init_w / cfg.bs.num_rf
-    rates_eq = {}
-    served_rates = ctx.rates(powers)
-    for idx, u in enumerate(served):
-        rates_eq[u] = float(served_rates[idx])
-    for u in range(k):
-        if u not in rates_eq:
-            rates_eq[u] = cfg.followers.hypothetical_discount * _hypothetical_rate(
-                world, u, ctx, jam_to_nodes, powers, p_stream)
-    if gne_on and slot > 0:
-        # switching starts once a defended slot has been observed (the warm
-        # role split covers slot 0); if thresholding would empty the transmit
-        # pool, the best node is re-admitted so the network cannot absorb
-        # into a no-service state
-        roles = role_switch(rates_eq, cfg.followers.role_threshold)
-        if all(r is Role.JHN for r in roles.values()):
-            best = max(rates_eq, key=rates_eq.get)
-            roles[best] = Role.THN
-    served_final = _select_served(world, roles)
-    if served_final != served:
-        ctx, jam_to_nodes = build_slot_context(world, served_final, broadcast,
-                                               eve_chans, node_path, node_bearings,
-                                               info_gain=world.prev_kpis.info_gain)
+def _serve(world: World, state: SlotState, served: list) -> None:
+    """Stage 2, and every later change of the served set: serve `served` and
+    build its context under the current jamming beams."""
+    state.served = served
+    state.ctx = build_slot_context(world, state, served, world.jhn_beams)
+
+
+def _switch_roles(rates_eq: dict, threshold: float) -> dict:
+    """Secrecy-threshold role switch that re-admits the best node rather than
+    empty the transmit pool, so the network cannot absorb into no service."""
+    roles = role_switch(rates_eq, threshold)
+    if all(r is Role.JHN for r in roles.values()):
+        roles[max(rates_eq, key=rates_eq.get)] = Role.THN
+    return roles
+
+
+def _play_power_game(world: World, state: SlotState) -> None:
+    """Stage 3: the hybrid nodes' power game, the per-node equilibrium rates,
+    and (after slot 0) the role switch and the re-served set."""
+    cfg = world.config
+    nodes = [NodeState(u, world.hn_positions[u], state.roles[u],
+                       power=min(world.powers[u], cfg.hn.p_max_w),
+                       p_max=cfg.hn.p_max_w, eta=cfg.hn.eta,
+                       cost=cfg.hn.power_cost_per_w) for u in range(world.num_hn)]
+    result = gne_solve(nodes, state.broadcast, state.ctx, state.spec,
+                       grid_points=cfg.followers.grid_points,
+                       tolerance=cfg.gne.tolerance, max_iters=cfg.gne.max_iters)
+    state.powers, state.gne_iters = result.powers, result.iterations
+    state.gne_gap, state.gne_conv = result.gap, result.converged
+
+    # per-node equilibrium rates: actual for served, re-admission otherwise
+    served = state.ctx.served
+    waiting = [u for u in range(world.num_hn) if u not in served]
+    estimate = _readmission_context(world, state, waiting).rates(state.powers)
+    rates = np.concatenate([state.ctx.rates(state.powers),
+                            cfg.followers.hypothetical_discount * estimate])
+    state.rates_eq = dict(zip(served + waiting, rates.tolist()))
+    if state.slot == 0:
+        return
+    # switching starts once a defended slot has been observed (the warm role
+    # split covers slot 0)
+    state.roles = _switch_roles(state.rates_eq, cfg.followers.role_threshold)
+    served_now = _select_served(world, state.roles)
+    if served_now != served:
+        _serve(world, state, served_now)
         # nodes admitted after the power game were not in its leakage caps:
         # scale jamming down so every served node is back inside the cap
-        powers = _project_leakage(powers, ctx, spec.xi_max)
+        state.powers = _project_leakage(state.powers, state.ctx, state.spec.xi_max)
 
-    # sensing scan and posterior update (scanning beam: unit self-response)
+
+def _sense(world: World, state: SlotState) -> None:
+    """Stage 4: sensing scan (unit self-response) and posterior update."""
+    cfg = world.config
     new_beliefs = []
     for j, belief in enumerate(world.beliefs):
-        rng = substream(world.seed, STREAM_MEASUREMENT, j, slot)
+        rng = substream(world.seed, STREAM_MEASUREMENT, j, state.slot)
         z = synthesize_measurement(
-            [eve_bearings_true[j]], broadcast.gamma,
+            [bearing_deg(np.zeros(3), world.eve_positions[j])], state.broadcast.gamma,
             cfg.belief.meas_noise_deg, rng, grid_deg=belief.grid_deg,
             bs_power_w=cfg.bs.p_init_w, bump_width_deg=cfg.belief.bump_width_deg,
             floor_scale=cfg.belief.floor_scale)
         new_beliefs.append(update(belief, z, cfg.belief.k_eff))
     world.beliefs = new_beliefs
-    entropies = [entropy(b) for b in world.beliefs]
-    h_post = max(entropies)
-    info_gain = max(0.0, world.prev_entropy_max - h_post) if slot > 0 else 0.0
+    state.entropies = [entropy(b) for b in world.beliefs]
+    h_post = max(state.entropies)
+    state.sensed_gain = max(0.0, world.prev_entropy_max - h_post) if state.slot > 0 else 0.0
     world.prev_entropy_max = h_post
 
-    refine_iters = 0
-    shaping_relaxed = False
-    coalition_scale = 1.0
-    if refine_on:
-        jhn_ids = [u for u in range(k) if roles[u] is Role.JHN]
-        if jhn_ids:
-            refine_result = _run_refinement(world, jhn_ids, served_final, powers,
-                                            ctx, broadcast, eve_chans, node_path,
-                                            node_bearings)
-            assert all(d >= -1e-12 for d in refine_result.improvements), \
-                "refinement accepted a secrecy-decreasing iteration"
-            powers = refine_result.powers
-            world.jhn_beams.update(refine_result.beams)
-            world.last_field = refine_result.field_w
-            refine_iters = refine_result.iterations
-            shaping_relaxed = refine_result.relaxed
-            coalition_scale = refine_result.scale
-            world.last_coalitions = [
-                (float(c.target_angle_deg), list(c.member_ids))
-                for c in refine_result.coalitions]
-            ctx, jam_to_nodes = build_slot_context(world, served_final, broadcast,
-                                                   eve_chans, node_path, node_bearings,
-                                                   info_gain=info_gain)
-        if gne_on and slot == 0:
-            # bootstrap pruning: the first switch acts on defended
-            # (post-refinement) rates, since no earlier observation exists
-            refined = ctx.rates(powers)
-            for idx, u in enumerate(served_final):
-                rates_eq[u] = float(refined[idx])
-            roles = role_switch(rates_eq, cfg.followers.role_threshold)
-            if all(r is Role.JHN for r in roles.values()):
-                best = max(rates_eq, key=rates_eq.get)
-                roles[best] = Role.THN
-            pruned = [u for u in served_final if roles[u] is Role.THN]
-            if pruned != served_final:
-                served_final = pruned
-                ctx, jam_to_nodes = build_slot_context(world, served_final,
-                                                       broadcast, eve_chans,
-                                                       node_path, node_bearings,
-                                                       info_gain=info_gain)
 
-    if gne_on:
-        # transmit only to nodes whose realized secrecy clears the outage
-        # threshold: wiretap service below the target is withheld, and the
-        # node jams instead from the next slot on
-        while served_final:
-            rates_now = ctx.rates(powers)
-            keep = [u for u, r in zip(served_final, rates_now)
-                    if r >= cfg.run.outage_threshold]
-            if keep == served_final:
-                break
-            for u in served_final:
-                if u not in keep:
-                    roles[u] = Role.JHN
-            served_final = keep
-            ctx, jam_to_nodes = build_slot_context(world, served_final, broadcast,
-                                                   eve_chans, node_path,
-                                                   node_bearings,
-                                                   info_gain=info_gain)
+def _refine(world: World, state: SlotState) -> None:
+    """Stage 5: cooperative jamming refinement, then on slot 0 the bootstrap
+    pruning of the served set."""
+    jhn_ids = [u for u in range(world.num_hn) if state.roles[u] is Role.JHN]
+    if jhn_ids:
+        result = _run_refinement(world, state, jhn_ids)
+        if not all(d >= -1e-12 for d in result.improvements):
+            raise InvariantError(f"slot {state.slot}: refinement accepted a "
+                                 "secrecy-decreasing iteration")
+        state.powers, state.ctx = result.powers, result.ctx
+        world.jhn_beams.update(result.beams)
+        world.last_field = result.field_w
+        state.refine_iters, state.shaping_relaxed, state.coalition_scale = (
+            result.iterations, result.relaxed, result.scale)
+        world.last_coalitions = [(float(c.target_angle_deg), list(c.member_ids))
+                                 for c in result.coalitions]
+    if state.slot == 0:
+        # bootstrap pruning: the first switch acts on defended
+        # (post-refinement) rates, since no earlier observation exists
+        refined = state.ctx.rates(state.powers)
+        state.rates_eq.update(zip(state.served, refined.tolist()))
+        state.roles = _switch_roles(state.rates_eq, world.config.followers.role_threshold)
+        pruned = [u for u in state.served if state.roles[u] is Role.THN]
+        if pruned != state.served:
+            _serve(world, state, pruned)
 
-    record = _finalize_slot(world, strategy, slot, broadcast, ctx, powers,
-                            served_final, roles, gne_iters, gne_gap, gne_conv,
-                            refine_iters, shaping_relaxed, coalition_scale,
-                            entropies, h_pred, residual, spec, info_gain)
-    world.roles = roles
-    world.powers = powers
-    world.belief_history.append([b.probs.copy() for b in world.beliefs])
-    return record
+
+def _withhold_outage(world: World, state: SlotState) -> None:
+    """Stage 6: transmit only to nodes whose realized secrecy clears the
+    outage threshold; wiretap service below the target is withheld, and the
+    node jams instead from the next slot on."""
+    threshold = world.config.run.outage_threshold
+    while state.served:
+        rates_now = state.ctx.rates(state.powers)
+        keep = [u for u, r in zip(state.served, rates_now) if r >= threshold]
+        if keep == state.served:
+            break
+        state.roles.update((u, Role.JHN) for u in state.served if u not in keep)
+        _serve(world, state, keep)
 
 
 def _ray_aim(world: World, uid: int, peak_bearing_deg: float,
@@ -627,24 +630,19 @@ def _ray_aim(world: World, uid: int, peak_bearing_deg: float,
     return best_aim
 
 
-def _run_refinement(world: World, jhn_ids, served_final, powers, ctx, broadcast,
-                    eve_chans, node_path, node_bearings):
+def _run_refinement(world: World, state: SlotState, jhn_ids):
     cfg = world.config
     grid = world.beliefs[0].grid_deg
-    bs_center = np.zeros(3)
-    jhn_bearings = {u: bearing_deg(bs_center, world.hn_positions[u]) for u in jhn_ids}
+    jhn_bearings = {u: bearing_deg(np.zeros(3), world.hn_positions[u]) for u in jhn_ids}
 
     combined = np.max(np.stack([b.probs for b in world.beliefs]), axis=0)
     threshold = cfg.refinement.peak_threshold_scale / cfg.belief.grid_size
     peaks = posterior_peaks(combined, grid, threshold)
     aim_deg, null_deg = {}, {}
     for u in jhn_ids:
-        if peaks:
-            peak = min(peaks, key=lambda p: abs(p - jhn_bearings[u]))
-        else:
-            peak = jhn_bearings[u]
+        peak = min(peaks, key=lambda p: abs(p - jhn_bearings[u]), default=jhn_bearings[u])
         aim_deg[u] = _ray_aim(world, u, peak)
-        protected = sorted(served_final,
+        protected = sorted(state.served,
                            key=lambda t: np.linalg.norm(world.hn_positions[t]
                                                         - world.hn_positions[u]))
         protected = protected[: world.hn_spec.num_elements - 1]
@@ -652,17 +650,14 @@ def _run_refinement(world: World, jhn_ids, served_final, powers, ctx, broadcast,
                        for t in protected]
 
     def context_builder(beams):
-        new_ctx, _ = build_slot_context(world, served_final, broadcast, eve_chans,
-                                        node_path, node_bearings, beams={**world.jhn_beams, **beams},
-                                        info_gain=ctx.info_gain)
-        return new_ctx
+        return build_slot_context(world, state, state.served,
+                                  {**world.jhn_beams, **beams})
 
     return refinement_loop(
-        world.beliefs, jhn_bearings, aim_deg, null_deg, powers, ctx,
+        world.beliefs, jhn_bearings, aim_deg, null_deg, state.powers, state.ctx,
         context_builder, world.hn_spec, grid,
         p_maxes=np.full(world.num_hn, cfg.hn.p_max_w),
-        p_fj_max=cfg.followers.p_fj_max_w,
-        xi_max=cfg.followers.xi_max_scale * world.noise_w,
+        p_fj_max=state.spec.p_fj_max, xi_max=state.spec.xi_max,
         peak_threshold=threshold, assoc_width_deg=cfg.refinement.assoc_width_deg,
         j_min_fraction=cfg.refinement.j_min_fraction,
         rate_floor=cfg.run.outage_threshold,
@@ -672,11 +667,11 @@ def _run_refinement(world: World, jhn_ids, served_final, powers, ctx, broadcast,
         power_penalty_per_w=cfg.refinement.power_penalty_per_w)
 
 
-def _finalize_slot(world, strategy, slot, broadcast, ctx, powers, served_final,
-                   roles, gne_iters, gne_gap, gne_conv, refine_iters,
-                   shaping_relaxed, coalition_scale, entropies, h_pred, residual,
-                   spec, info_gain):
+def _finalize_slot(world: World, state: SlotState) -> SlotRecord:
+    """Stage 7: slot metrics and invariants, the leader's KPIs for the next
+    slot, and the carried-over roles, powers and beliefs."""
     cfg = world.config
+    ctx, powers, roles, broadcast = state.ctx, state.powers, state.roles, state.broadcast
     rates = ctx.rates(powers)
     r_min, r_mean, outage = outage_metrics(rates, cfg.run.outage_threshold)
     consts = PowerConsts(cfg.bs.num_rf, cfg.power.p_rf_w, cfg.power.p_bb_w,
@@ -686,14 +681,13 @@ def _finalize_slot(world, strategy, slot, broadcast, ctx, powers, served_final,
     secrecy_sum = float(rates.sum())
     see_value = see(secrecy_sum, slot_power)
 
-    _assert_slot_invariants(world, broadcast, ctx, powers, rates, spec, p_bs)
+    _check_slot_invariants(world, state, rates)
 
     jam_power = float(sum(powers[u] for u in range(world.num_hn)
                           if roles[u] is Role.JHN))
     leakage = ctx.leakage_at_served(powers)
-    jam_benefit = 0.0
-    if served_final:
-        jam_benefit = float(rates.mean() - ctx.rates(np.zeros_like(powers)).mean())
+    jam_benefit = (float(rates.mean() - ctx.rates(np.zeros_like(powers)).mean())
+                   if state.served else 0.0)
     # smoothed secrecy KPI keeps the AN integrator from chasing slot noise
     if world.secrecy_ema is None:
         world.secrecy_ema = r_mean
@@ -702,50 +696,61 @@ def _finalize_slot(world, strategy, slot, broadcast, ctx, powers, served_final,
     world.prev_kpis = LeaderKpis(
         secrecy=world.secrecy_ema, outage=outage, jam_benefit=jam_benefit,
         mean_leakage_w=float(leakage.mean()) if leakage.size else 0.0,
-        info_gain=info_gain)
+        info_gain=state.sensed_gain)
 
+    entropy_max = max(state.entropies)
     record = SlotRecord(
-        slot=slot, alpha=broadcast.alpha, beta=broadcast.beta,
+        slot=state.slot, alpha=broadcast.alpha, beta=broadcast.beta,
         gamma=broadcast.gamma, pi=broadcast.pi, tau=broadcast.tau,
         kappa=broadcast.kappa, sigma_deg=world.leader.kernel_sigma_deg,
-        entropy_bits=max(entropies), r_min=r_min, r_mean=r_mean, outage=outage,
+        entropy_bits=entropy_max, r_min=r_min, r_mean=r_mean, outage=outage,
         see=see_value, bs_power_dbm=10.0 * np.log10(p_bs * 1000.0),
-        hn_power_sum_w=float(powers.sum()), gne_iters=gne_iters, gne_gap=gne_gap,
+        hn_power_sum_w=float(powers.sum()), gne_iters=state.gne_iters,
+        gne_gap=state.gne_gap,
         n_thn=sum(1 for r in roles.values() if r is Role.THN),
         n_jhn=sum(1 for r in roles.values() if r is Role.JHN),
-        refine_iters=refine_iters, jam_power_w=jam_power,
-        predicted_entropy_bits=h_pred, entropy_per_eve=list(entropies),
-        rates={u: float(r) for u, r in zip(served_final, rates)},
+        refine_iters=state.refine_iters, jam_power_w=jam_power,
+        predicted_entropy_bits=state.h_pred, entropy_per_eve=list(state.entropies),
+        rates={u: float(r) for u, r in zip(state.served, rates)},
         roles={u: roles[u].value for u in range(world.num_hn)},
         powers={u: float(powers[u]) for u in range(world.num_hn)},
         tx_total_w=tx_total, slot_power_w=slot_power, secrecy_sum=secrecy_sum,
-        leader_residual=residual, gne_converged=gne_conv,
-        shaping_relaxed=shaping_relaxed, coalition_scale=coalition_scale,
+        leader_residual=state.residual, gne_converged=state.gne_conv,
+        shaping_relaxed=state.shaping_relaxed, coalition_scale=state.coalition_scale,
         coalitions=list(world.last_coalitions))
-    record.leader_objective = leader_objective(see_value, r_mean, max(entropies),
-                                               info_gain, world.gains)
+    record.leader_objective = leader_objective(see_value, r_mean, entropy_max,
+                                               state.sensed_gain, world.gains)
+    world.roles = roles
+    world.powers = powers
+    world.belief_history.append([b.probs.copy() for b in world.beliefs])
     return record
 
 
-def _assert_slot_invariants(world, broadcast, ctx, powers, rates, spec, p_bs):
+def _check_slot_invariants(world: World, state: SlotState, rates: np.ndarray) -> None:
+    """Raise InvariantError naming the first slot invariant that fails."""
     cfg = world.config
-    assert abs(broadcast.alpha + broadcast.beta + broadcast.gamma - 1.0) <= 1e-9
-    assert p_bs <= cfg.bs.p_max_w + 1e-12
-    assert np.all(powers >= -1e-12)
-    assert np.all(powers <= cfg.hn.p_max_w + 1e-12)
-    assert powers.sum() <= spec.p_fj_max + 1e-9
-    assert np.all(rates >= 0.0)
-    for b in world.beliefs:
-        assert abs(b.probs.sum() - 1.0) <= 1e-9
-        assert np.all(b.probs >= -1e-15)
-    if ctx.served:
-        leak = ctx.leakage_at_served(powers)
-        assert np.all(leak <= spec.xi_max * (1.0 + 1e-6))
+    b, powers, ctx, p_bs = state.broadcast, state.powers, state.ctx, cfg.bs.p_init_w
+    checks = {
+        "power split off the simplex": abs(b.alpha + b.beta + b.gamma - 1.0) <= 1e-9,
+        "base-station power above its p_max": p_bs <= cfg.bs.p_max_w + 1e-12,
+        "node power outside [0, p_max]": np.all((powers >= -1e-12)
+                                                & (powers <= cfg.hn.p_max_w + 1e-12)),
+        "jamming budget exceeded": powers.sum() <= state.spec.p_fj_max + 1e-9,
+        "negative secrecy rate": np.all(rates >= 0.0),
+        "belief not a distribution": all(abs(q.probs.sum() - 1.0) <= 1e-9
+                                         and np.all(q.probs >= -1e-15)
+                                         for q in world.beliefs),
+        "leakage cap exceeded at a served node": np.all(
+            ctx.leakage_at_served(powers) <= state.spec.xi_max * (1.0 + 1e-6)),
         # with perfect estimates the noise basis is exactly invisible at the
         # served nodes; a configured CSI error makes residual leakage physical
-        if broadcast.beta > 0 and cfg.channel.csi_error_frobenius == 0.0:
-            assert np.all(ctx.an_thn_w <= 1e-8 * broadcast.beta * p_bs
-                          * cfg.hn.rx_gain + 1e-30)
+        "artificial noise visible at a served node": (
+            b.beta <= 0 or cfg.channel.csi_error_frobenius != 0.0
+            or np.all(ctx.an_thn_w <= 1e-8 * b.beta * p_bs * cfg.hn.rx_gain + 1e-30)),
+    }
+    for what, ok in checks.items():
+        if not ok:
+            raise InvariantError(f"slot {state.slot}: {what}")
 
 
 @dataclass

@@ -11,6 +11,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import InvariantError
 from .belief import kernel_adapt
 
 
@@ -140,7 +141,8 @@ def leader_step(state: LeaderState, gains: LeaderGains, kpis: LeaderKpis,
     new_state = replace(state, alpha=alpha, beta=beta, gamma=gamma, pi=pi,
                         tau=tau, kappa=kappa, kernel_sigma_deg=sigma,
                         prev_secrecy=kpis.secrecy, prev_outage=kpis.outage)
-    assert abs(new_state.alpha + new_state.beta + new_state.gamma - 1.0) <= 1e-9
+    if not abs(new_state.alpha + new_state.beta + new_state.gamma - 1.0) <= 1e-9:
+        raise InvariantError("leader power split left the simplex")
     return new_state, Broadcast(alpha, beta, gamma, pi, tau, kappa)
 
 

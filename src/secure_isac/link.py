@@ -175,8 +175,9 @@ class SlotContext:
     or a batch of profiles (..., K) and scores every profile.
 
     Shapes: K hybrid nodes, U served streams, E eavesdroppers.
-    jam_to_eve[k, e] / jam_to_thn[k, u] are delivered watts per transmitted
-    watt from node k (path gain x transmit pattern x fade).
+    jam_to_eve[k, e] / jam_to_thn[k, u] / jam_to_hn[k, j] are delivered watts
+    per transmitted watt from node k (path gain x transmit pattern x fade);
+    jam_to_hn reaches every hybrid node, served or not.
     """
 
     served: list            # served node ids, stream order
@@ -190,7 +191,7 @@ class SlotContext:
     jam_to_thn: np.ndarray      # (K, U)
     eve_noise_w: float = 0.0
     info_gain: float = 0.0
-    p_stream_w: float = 1.0     # per-stream data power behind eve_capture_w
+    jam_to_hn: np.ndarray | None = None     # (K, K)
 
     @property
     def num_eves(self) -> int:
@@ -201,10 +202,9 @@ class SlotContext:
         nodes, (..., U)."""
         return _delivered(np.asarray(powers, dtype=float), self.jam_to_thn)
 
-    def eve_rate_max(self, powers, capture_scale: float = 1.0):
+    def eve_rate_max(self, powers):
         """Spectral efficiency of the strongest eavesdropper, (...); inf when
-        she decodes with a zero denominator. capture_scale rescales the
-        per-stream power she intercepts."""
+        she decodes with a zero denominator."""
         p = np.asarray(powers, dtype=float)
         if self.num_eves == 0:
             return np.zeros(p.shape[:-1])[()]
@@ -212,7 +212,7 @@ class SlotContext:
         with np.errstate(divide="ignore", invalid="ignore"):
             sinr = np.where(den > 0, self.eve_capture_w / den,
                             np.where(self.eve_capture_w > 0, np.inf, 0.0))
-            s = capture_scale * sinr.max(axis=-1)
+            s = sinr.max(axis=-1)
             return np.where(np.isfinite(s), np.log2(1.0 + s), np.inf)[()]
 
     def rates(self, powers) -> np.ndarray:

@@ -27,7 +27,6 @@ class Coalition:
 
     member_ids: list
     target_angle_deg: float
-    scale: float = 1.0
 
 
 def posterior_peaks(probs: np.ndarray, grid_deg: np.ndarray, threshold: float):
@@ -66,11 +65,6 @@ def form_coalitions(posteriors, jhn_bearings_deg: dict, peak_threshold: float,
             members[nearest].append(jid)
     return [Coalition(member_ids=ids, target_angle_deg=p)
             for p, ids in members.items() if ids]
-
-
-def leakage(powers, gains) -> float:
-    """Interference power delivered to one victim: sum of P_k |h_k|^2."""
-    return float(np.dot(np.asarray(powers, dtype=float), np.asarray(gains, dtype=float)))
 
 
 def shaping_energy(field_w: np.ndarray, posterior_probs: np.ndarray) -> float:
@@ -233,6 +227,7 @@ class RefinementResult:
     iterations: int
     relaxed: bool
     sum_secrecy: float
+    ctx: SlotContext        # context of the accepted beams (the input if none)
     scale: float = 1.0
     improvements: list = field(default_factory=list)
 
@@ -252,7 +247,8 @@ def refinement_loop(posteriors, jhn_bearings_deg: dict, aim_deg: dict,
     so the accepted improvement sequence is nonnegative.
 
     context_builder(beams) must return a SlotContext with jamming rows
-    re-evaluated for the given per-node transmit patterns.
+    re-evaluated for the given per-node transmit patterns; the result carries
+    the context of the accepted beams.
     """
     if delta_stop <= 0:
         raise ValueError("delta_stop must be > 0")
@@ -262,7 +258,7 @@ def refinement_loop(posteriors, jhn_bearings_deg: dict, aim_deg: dict,
     min_floor = min(rate_floor, float(base_rates.min())) if base_rates.size else 0.0
     pre_jam_power = powers.sum()
     best = RefinementResult(powers.copy(), {}, np.zeros(grid_deg.shape[0]), [],
-                            0, False, best_sum)
+                            0, False, best_sum, ctx)
     coalitions = form_coalitions(posteriors, jhn_bearings_deg, peak_threshold,
                                  assoc_width_deg)
     if not coalitions:
@@ -299,12 +295,8 @@ def refinement_loop(posteriors, jhn_bearings_deg: dict, aim_deg: dict,
         for coalition in coalitions:
             for j in coalition.member_ids:
                 field_w += powers[j] * synth.gain_rows[j]
-        for coalition in coalitions:
-            pre = pre_jam_power if pre_jam_power > 0 else 1.0
-            coalition.scale = float(powers[list(coalition.member_ids)].sum()
-                                    / max(pre, 1e-12))
         best = RefinementResult(powers.copy(), synth.beams, field_w, coalitions,
-                                iterations, relaxed, new_sum)
+                                iterations, relaxed, new_sum, trial_ctx)
         improvements.append(delta)
         best_sum = new_sum
         if delta < delta_stop:

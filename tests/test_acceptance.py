@@ -280,7 +280,7 @@ class TestAcceptance:
                 assert max(r.powers.values()) <= cfg.hn.p_max_w + 1e-12
                 assert 0.0 <= r.outage <= 1.0
         # per-slot leakage caps, belief normalization, AN invisibility, and
-        # refinement monotonicity are asserted inside the engine on every
+        # refinement monotonicity are checked inside the engine on every
         # slot of every run in this session
         report(10, "simplex, power boxes, budget caps, nonnegative rates, and "
                    "in-engine invariants held on every slot")

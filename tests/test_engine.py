@@ -1,8 +1,15 @@
 import logging
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import secure_isac
+from secure_isac import engine
 from secure_isac.config import ScenarioConfig, StrategyId
 from secure_isac.engine import (
     GeometryError,
@@ -238,3 +245,63 @@ class TestCoalitionRecord:
         for target, members in records[-1].coalitions:
             assert -90.0 <= target <= 90.0
             assert all(isinstance(m, int) for m in members)
+
+
+class TestReadmission:
+    def test_estimate_matches_scalar_formula(self):
+        # after a real ibeams power game, each waiting node's re-admission
+        # estimate equals the per-node scalar formula
+        cfg = ScenarioConfig()
+        world = init_scenario(cfg, 1)
+        for t in range(3):
+            run_slot(world, StrategyId.IBEAMS, t)
+        state = engine._open_slot(world, StrategyId.IBEAMS, 3, True)
+        state.roles = dict(world.roles)
+        engine._serve(world, state, engine._select_served(world, state.roles))
+        ctx, served = state.ctx, state.served
+        engine._play_power_game(world, state)
+        assert state.served == served   # the powers are still the game's
+        powers = state.powers
+        p_full = state.broadcast.alpha * cfg.bs.p_init_w / cfg.bs.num_rf
+        eve_sinr = max(p_full * np.linalg.norm(h) ** 2
+                       / (ctx.eve_an_w[j] + powers @ ctx.jam_to_eve[:, j] + ctx.eve_noise_w)
+                       for j, h in enumerate(state.eve_chans))
+        eve = np.log2(1.0 + eve_sinr)
+        waiting = [u for u in range(world.num_hn) if u not in served]
+        assert len(waiting) == world.num_hn - cfg.bs.num_rf
+        positive = 0
+        for u in waiting:
+            leak = powers @ ctx.jam_to_hn[:, u]
+            legit = np.log2(1.0 + p_full * world.hn_norm2[u] / cfg.bs.num_rf
+                            * cfg.hn.rx_gain / (leak + world.noise_w))
+            expected = (cfg.followers.hypothetical_discount * max(0.0, legit - eve)
+                        if np.isfinite(eve) else 0.0)
+            assert state.rates_eq[u] == pytest.approx(expected, rel=1e-12, abs=0.0)
+            positive += expected > 0.0
+        assert positive > 0 and np.count_nonzero(powers) > 1
+
+
+class TestInvariants:
+    def test_slot_check_raises_under_python_O(self):
+        # python -O strips assert statements; the slot check must still fire
+        code = textwrap.dedent("""
+            from secure_isac import InvariantError, engine
+            from secure_isac.config import ScenarioConfig, StrategyId
+
+            world = engine.init_scenario(ScenarioConfig(), 1)
+            state = engine._open_slot(world, StrategyId.FIXED_AN, 0, False)
+            engine._serve(world, state, [])
+            engine._check_slot_invariants(world, state, state.ctx.rates(state.powers))
+            state.powers[0] = 2.0 * world.config.hn.p_max_w
+            try:
+                engine._check_slot_invariants(world, state, state.ctx.rates(state.powers))
+            except InvariantError as exc:
+                print(__debug__, exc)
+        """)
+        src = str(Path(secure_isac.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+        out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "False slot 0: node power outside [0, p_max]"

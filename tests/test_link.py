@@ -56,7 +56,7 @@ def link_context(split, prec, channels, eve_channels=(), basis=None, noise=2e-12
                            for g in eve_channels]),
         jam_to_eve=np.zeros((1, e_count)) if jam_to_eve is None else jam_to_eve,
         jam_to_thn=np.zeros((1, u_count)) if jam_to_thn is None else jam_to_thn,
-        eve_noise_w=eve_noise, p_stream_w=p_stream)
+        eve_noise_w=eve_noise)
 
 
 def scalar_context(legit_sinr, eve_sinrs):
@@ -349,14 +349,14 @@ class TestSlotContext:
         block = rng.uniform(0.0, 1.5, (4, 6, 3))
         block[0, 0] = 0.0   # the second eavesdropper decodes noiselessly here
         rates = ctx.rates(block)
-        eve = ctx.eve_rate_max(block, capture_scale=0.7)
+        eve = ctx.eve_rate_max(block)
         leak = ctx.leakage_at_served(block)
         jam = [ctx.jam_contribution(k, block) for k in range(3)]
         assert rates.shape == (4, 6, 2) and eve.shape == (4, 6)
         for idx in np.ndindex(4, 6):
             row = block[idx]
             np.testing.assert_allclose(rates[idx], ctx.rates(row), rtol=1e-12, atol=0)
-            np.testing.assert_allclose(eve[idx], ctx.eve_rate_max(row, capture_scale=0.7),
+            np.testing.assert_allclose(eve[idx], ctx.eve_rate_max(row),
                                        rtol=1e-12, atol=0)
             np.testing.assert_allclose(leak[idx], ctx.leakage_at_served(row),
                                        rtol=1e-12, atol=0)

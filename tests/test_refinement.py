@@ -8,7 +8,6 @@ from secure_isac.refinement import (
     Coalition,
     coalition_refine,
     form_coalitions,
-    leakage,
     posterior_peaks,
     refinement_loop,
     shaping_energy,
@@ -67,18 +66,6 @@ class TestFormCoalitions:
         probs /= probs.sum()
         peaks = posterior_peaks(probs, GRID, 0.01)
         assert peaks == [float(GRID[50]), float(GRID[120])]
-
-
-class TestLeakage:
-    def test_zero_powers(self):
-        assert leakage([0.0, 0.0], [0.1, 0.2]) == 0.0
-
-    def test_single_term(self):
-        assert leakage([1.0], [0.01]) == pytest.approx(0.01)
-
-    def test_linearity(self):
-        base = leakage([0.5, 0.7], [0.01, 0.02])
-        assert leakage([1.0, 1.4], [0.01, 0.02]) == pytest.approx(2 * base)
 
 
 class TestShaping:
@@ -255,6 +242,9 @@ class TestRefinementLoop:
         assert res.powers[1] > 0.0 or res.powers[2] > 0.0
         # nulls keep the served node protected
         assert builder(res.beams).leakage_at_served(res.powers)[0] <= 1e-12 * (1 + 1e-9)
+        # the result carries the context of the accepted beams
+        assert np.array_equal(res.ctx.jam_to_eve, builder(res.beams).jam_to_eve)
+        assert float(res.ctx.rates(res.powers).sum()) == res.sum_secrecy
 
     def test_stationary_state_terminates_immediately(self):
         posteriors, jb, aims, nulls, builder = self.setup_problem()
@@ -269,3 +259,4 @@ class TestRefinementLoop:
         res = self.run_loop(np.zeros(3), builder, posteriors, {}, aims, nulls)
         assert res.iterations == 0
         assert np.all(res.field_w == 0.0)
+        assert float(res.ctx.rates(res.powers).sum()) == res.sum_secrecy
