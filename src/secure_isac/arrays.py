@@ -57,10 +57,15 @@ def ula_positions(spec: ArraySpec) -> np.ndarray:
     return pos
 
 
-def steering_vector(spec: ArraySpec, azimuth: float, elevation: float = 0.0) -> np.ndarray:
-    """Unit-norm plane-wave steering vector; element-n phase k0*d*n*cos(el)*sin(az)."""
+def steering_vector(spec: ArraySpec, azimuth, elevation: float = 0.0) -> np.ndarray:
+    """Unit-norm plane-wave steering vector; element-n phase k0*d*n*cos(el)*sin(az).
+
+    An array of azimuths gives one vector per azimuth, shape (..., N), each
+    equal to the scalar call.
+    """
     phase = spec.wavenumber * spec.spacing * np.cos(elevation) * np.sin(azimuth)
-    return np.exp(1j * phase * element_indices(spec)) / np.sqrt(spec.num_elements)
+    return (np.exp(1j * np.asarray(phase)[..., None] * element_indices(spec))
+            / np.sqrt(spec.num_elements))
 
 
 def array_gain(weights: np.ndarray, steering: np.ndarray) -> float:
@@ -107,7 +112,7 @@ def null_steer(weights: np.ndarray, null_angles, spec: ArraySpec) -> np.ndarray:
         raise InfeasibleNullError(
             f"{len(angles)} nulls requested for {spec.num_elements} elements"
         )
-    basis = np.column_stack([steering_vector(spec, a) for a in angles])
+    basis = steering_vector(spec, angles).T
     q, _ = np.linalg.qr(basis)
     projected = weights - q @ (q.conj().T @ weights)
     norm = np.linalg.norm(projected)

@@ -2,7 +2,10 @@
 
 run_slot advances a slot through named stages over one SlotState:
 1. open: eavesdropper motion and channels, belief prediction, the leader's
-   split/price update, and the node gain tables;
+   split/price update, and the node gain tables (the link gains, bearings
+   and steering of the fixed hybrid nodes are computed once per scenario; a
+   slot only draws its fades, and refreshes the eavesdropper columns when
+   the eavesdroppers move);
 2. serve: roles and the served set, whose SlotContext is built once;
 3. power game: the hybrid nodes' GNE and secrecy-threshold role switching;
 4. sense: the sensing measurement and posterior update;
@@ -28,7 +31,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import InvariantError
-from .arrays import ArraySpec, steering_vector, ula_positions
+from .arrays import ArraySpec, element_indices, steering_vector, ula_positions
 from .belief import (entropy, predict, synthesize_measurement, uniform_prior,
                      update)
 from .channel import (STREAM_FADE, STREAM_HN_NLOS, STREAM_MEASUREMENT,
@@ -89,6 +92,9 @@ class World:
     hn_norm2: np.ndarray              # static channel powers
     eve_shadow: np.ndarray            # fixed shadowing draws per eavesdropper
     pair_shadow: np.ndarray           # (K, K+E) symmetric-in-nodes draws
+    link_gain: np.ndarray             # (K, K+E) squared path gain before fading
+    link_bearing: np.ndarray          # (K, K+E) degrees from each node to each victim
+    link_steer: np.ndarray            # (K, K+E, n) node-array steering to each victim
     beliefs: list
     leader: LeaderState
     gains: LeaderGains
@@ -172,9 +178,10 @@ def init_scenario(config: ScenarioConfig, seed: int) -> World:
                            for j in range(e)])
     pair_shadow = np.zeros((k, k + e))
     for i in range(k):
-        for j in range(k + e):
-            a, b = (i, j) if j >= i else (j, i)
-            pair_shadow[i, j] = substream(seed, STREAM_PAIR_SHADOW, a, b).standard_normal()
+        for j in range(i, k + e):  # once per unordered pair; nodes mirrored
+            pair_shadow[i, j] = substream(seed, STREAM_PAIR_SHADOW, i, j).standard_normal()
+            if j < k:
+                pair_shadow[j, i] = pair_shadow[i, j]
 
     lead = config.leader
     leader = LeaderState(alpha=lead.alpha_init, beta=lead.beta_init,
@@ -194,10 +201,12 @@ def init_scenario(config: ScenarioConfig, seed: int) -> World:
         hn_positions=hn_positions, eve_positions=eve_positions,
         hn_channels=hn_channels, hn_estimates=hn_estimates,
         hn_norm2=hn_norm2, eve_shadow=eve_shadow,
-        pair_shadow=pair_shadow, beliefs=beliefs, leader=leader,
-        gains=_leader_gains(config, noise_w),
-        roles=roles,
-        powers=np.zeros(k))
+        pair_shadow=pair_shadow, link_gain=np.zeros((k, k + e)),
+        link_bearing=np.zeros((k, k + e)),
+        link_steer=np.zeros((k, k + e, hn_spec.num_elements), dtype=complex),
+        beliefs=beliefs, leader=leader, gains=_leader_gains(config, noise_w),
+        roles=roles, powers=np.zeros(k))
+    _refresh_links(world, 0)
     world.prev_kpis = LeaderKpis(secrecy=config.leader.r_s_target)
     if config.eve.mobility == "waypoint":
         world.eve_leg = np.zeros(e, dtype=int)
@@ -253,6 +262,37 @@ def step_eves(world: World, slot: int) -> None:
         radius = np.linalg.norm(ground)
         if 0 < radius < r_min:  # keep mobile nodes outside the exclusion disc
             world.eve_positions[j][:2] = ground * (r_min / radius)
+    _refresh_links(world, world.num_hn)
+
+
+def _refresh_links(world: World, first: int) -> None:
+    """Recompute the link tables toward victims first.. (hybrid nodes, then
+    eavesdroppers).
+
+    Each gain keeps the scalar distance and path-loss arithmetic, so the
+    tables match a per-pair recomputation bit for bit. Distances and pair
+    shadowing are symmetric, so each node pair is computed once and mirrored.
+    """
+    k, total = world.num_hn, world.num_hn + world.num_eve
+    nodes = world.hn_positions
+    targets = np.vstack([nodes, world.eve_positions])
+    for i in range(k):
+        for j in range(max(first, i + 1), total):
+            dist = np.linalg.norm(targets[j] - nodes[i])
+            pl = path_loss_db(world.pl_model, max(dist, 1.0), world.pair_shadow[i, j])
+            world.link_gain[i, j] = linear_gain(pl) ** 2
+            if j < k:
+                world.link_gain[j, i] = world.link_gain[i, j]
+    d = targets[None, first:] - nodes[:, None]
+    bearings = np.degrees(np.arctan2(d[..., 1], d[..., 0]))
+    world.link_bearing[:, first:] = bearings
+    spec = world.hn_spec
+    phase = spec.wavenumber * spec.spacing
+    # not steering_vector: its (phase * sin) * idx order rounds differently
+    # and moves the game strategies' traces
+    world.link_steer[:, first:] = np.exp(
+        1j * phase * (np.sin(np.radians(bearings))[..., None] * element_indices(spec))
+    ) / np.sqrt(spec.num_elements)
 
 
 def _eve_channels(world: World, slot: int) -> list:
@@ -285,42 +325,22 @@ def _select_served(world: World, roles: dict) -> list:
     return [int(u) for u in candidates[: world.config.bs.num_rf]]
 
 
-def _node_gain_tables(world: World, slot: int):
-    """Path/fade gains between hybrid nodes and toward eavesdroppers.
-
-    Returns (node_path (K, K+E) delivered watts per watt before beam pattern,
-    bearings (K, K+E) degrees from each node toward each victim).
-    """
-    k, e = world.num_hn, world.num_eve
-    targets = np.vstack([world.hn_positions, world.eve_positions])
-    fades = substream(world.seed, STREAM_FADE, slot).exponential(1.0, size=(k, k + e))
-    path = np.zeros((k, k + e))
-    bearings = np.zeros((k, k + e))
-    for i in range(k):
-        for j in range(k + e):
-            if j == i:
-                continue
-            dist = np.linalg.norm(targets[j] - world.hn_positions[i])
-            pl = path_loss_db(world.pl_model, max(dist, 1.0), world.pair_shadow[i, j])
-            path[i, j] = linear_gain(pl) ** 2 * fades[i, j]
-            bearings[i, j] = bearing_deg(world.hn_positions[i], targets[j])
-    return path, bearings
+def _node_gain_tables(world: World, slot: int) -> np.ndarray:
+    """This slot's faded gains (K, K+E) between hybrid nodes and toward
+    eavesdroppers: delivered watts per watt before beam pattern."""
+    fades = substream(world.seed, STREAM_FADE, slot).exponential(
+        1.0, size=world.link_gain.shape)
+    return world.link_gain * fades
 
 
-def _pattern_table(world: World, node_bearings: np.ndarray, beams: dict) -> np.ndarray:
+def _pattern_table(world: World, beams: dict) -> np.ndarray:
     """Transmit pattern gains (K, K+E) for every node toward every victim;
     nodes without a beam in `beams` radiate uniformly."""
-    spec = world.hn_spec
-    n = spec.num_elements
-    idx = np.arange(n) - (n - 1) / 2.0
-    phase = spec.wavenumber * spec.spacing
+    n = world.hn_spec.num_elements
     uniform = np.ones(n, dtype=complex) / np.sqrt(n)
-    pattern = np.zeros_like(node_bearings)
-    for i in range(node_bearings.shape[0]):
-        beam = beams.get(i, uniform)
-        steer = np.exp(1j * phase * np.outer(np.sin(np.radians(node_bearings[i])),
-                                             idx)) / np.sqrt(n)
-        pattern[i] = np.abs(steer.conj() @ beam) ** 2
+    pattern = np.zeros(world.link_bearing.shape)
+    for i in range(world.num_hn):
+        pattern[i] = np.abs(world.link_steer[i].conj() @ beams.get(i, uniform)) ** 2
         pattern[i, i] = 0.0
     return pattern
 
@@ -334,7 +354,6 @@ class SlotState:
     broadcast: Broadcast
     eve_chans: list
     node_path: np.ndarray             # (K, K+E) watts per watt before beam pattern
-    node_bearings: np.ndarray         # (K, K+E) degrees from each node to each victim
     info_gain: float                  # the game's information bonus (last slot's)
     spec: FeasibilitySpec
     powers: np.ndarray                # (K,) hybrid-node powers
@@ -363,7 +382,7 @@ def build_slot_context(world: World, state: SlotState, served: list,
     prec, basis = _precoder_for(world, tuple(served))
     p_stream = state.broadcast.alpha * p_bs / max(len(served), 1)
 
-    delivered = state.node_path * _pattern_table(world, state.node_bearings, beams)
+    delivered = state.node_path * _pattern_table(world, beams)
     jam_to_nodes = delivered[:, :k]
 
     rx = cfg.hn.rx_gain
@@ -479,10 +498,9 @@ def _open_slot(world: World, strategy: StrategyId, slot: int,
         b.kernel_sigma_deg = world.leader.kernel_sigma_deg
     world.beliefs = predicted
 
-    node_path, node_bearings = _node_gain_tables(world, slot)
     return SlotState(
-        slot=slot, broadcast=broadcast, eve_chans=eve_chans, node_path=node_path,
-        node_bearings=node_bearings, info_gain=world.prev_kpis.info_gain,
+        slot=slot, broadcast=broadcast, eve_chans=eve_chans,
+        node_path=_node_gain_tables(world, slot), info_gain=world.prev_kpis.info_gain,
         spec=FeasibilitySpec(p_fj_max=cfg.followers.p_fj_max_w,
                              xi_max=cfg.followers.xi_max_scale * world.noise_w),
         powers=np.zeros(world.num_hn), h_pred=h_pred, residual=residual)
@@ -613,16 +631,19 @@ def _ray_aim(world: World, uid: int, peak_bearing_deg: float,
     points = np.stack([ranges * np.cos(theta), ranges * np.sin(theta),
                        np.full(num_samples, cfg.eve.height_m)], axis=1)
     pos = world.hn_positions[uid]
-    bearings = np.array([bearing_deg(pos, p) for p in points])
-    dists = np.maximum(np.linalg.norm(points - pos, axis=1), 1.0)
+    d = points - pos
+    bearings = np.degrees(np.arctan2(d[:, 1], d[:, 0]))
+    dists = np.maximum(np.linalg.norm(d, axis=1), 1.0)
     # a sample at BS range r needs suppression proportional to its stream
     # capture (~r^-n); the jammer delivers ~d^-n * pattern, so the quality of
     # an aim at a sample is pattern * (r/d)^n. Pick the aim with the best
     # worst-case quality over the ray.
     need_ratio = (ranges / dists) ** cfg.channel.path_loss_exponent
-    steers = [steering_vector(world.hn_spec, np.radians(b)) for b in bearings]
+    steers = steering_vector(world.hn_spec, np.radians(bearings))
     best_aim, best_score = float(bearings[0]), -1.0
     for cand, cand_steer in zip(bearings, steers):
+        # one vdot per pair: a (7, N) @ (N, 7) product rounds differently and
+        # could flip the aim on near-ties
         gains = np.array([np.abs(np.vdot(cand_steer, s)) ** 2 for s in steers])
         score = float(np.min(gains * need_ratio))
         if score > best_score:
@@ -646,8 +667,7 @@ def _run_refinement(world: World, state: SlotState, jhn_ids):
                            key=lambda t: np.linalg.norm(world.hn_positions[t]
                                                         - world.hn_positions[u]))
         protected = protected[: world.hn_spec.num_elements - 1]
-        null_deg[u] = [bearing_deg(world.hn_positions[u], world.hn_positions[t])
-                       for t in protected]
+        null_deg[u] = [world.link_bearing[u, t] for t in protected]
 
     def context_builder(beams):
         return build_slot_context(world, state, state.served,

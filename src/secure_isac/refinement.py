@@ -95,8 +95,7 @@ def synthesize_field(coalitions, powers: dict, aim_deg: dict, null_deg: dict,
     """
     beams, gain_rows = {}, {}
     dropped = 0
-    grid_rad = np.radians(grid_deg)
-    steer_grid = np.stack([steering_vector(array_spec, a) for a in grid_rad])
+    steer_grid = steering_vector(array_spec, np.radians(grid_deg))
     for coalition in coalitions:
         for jid in coalition.member_ids:
             aim = np.radians(aim_deg[jid])

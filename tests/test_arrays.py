@@ -81,6 +81,21 @@ class TestSteering:
         a = steering_vector(ArraySpec(9, 0.005, 0.01), 0.4, 0.1)
         assert np.allclose(a, np.conj(a[::-1]))
 
+    def test_batched_azimuths_match_scalar_calls(self):
+        spec = spec28(16)
+        rng = np.random.default_rng(11)
+        for shape in [(), (7,), (3, 29)]:
+            az = rng.uniform(-np.pi / 2, np.pi / 2, size=shape)
+            for el in (0.0, 0.3):
+                batch = steering_vector(spec, az, el)
+                stacked = np.array([steering_vector(spec, a, el) for a in az.ravel()])
+                assert batch.shape == shape + (16,)
+                assert np.array_equal(batch, stacked.reshape(batch.shape))
+
+    def test_scalar_azimuth_gives_one_vector(self):
+        assert steering_vector(spec28(8), 0.25).shape == (8,)
+        assert steering_vector(spec28(8), np.float64(0.25)).shape == (8,)
+
 
 class TestArrayGain:
     def test_matched(self):

@@ -7,9 +7,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import secure_isac
 from secure_isac import engine
+from secure_isac.channel import STREAM_FADE, linear_gain, path_loss_db, substream
 from secure_isac.config import ScenarioConfig, StrategyId
 from secure_isac.engine import (
     GeometryError,
@@ -119,6 +122,63 @@ class TestMobility:
                 radius = np.linalg.norm(pos[:2])
                 assert radius <= cfg.run.cell_radius_m + 1e-6
                 assert radius >= cfg.run.min_node_distance_m - 1e-6
+
+
+def reference_pair_shadow(seed, k, e):
+    """One draw per (node, victim) pair, keyed by the sorted pair."""
+    shadow = np.zeros((k, k + e))
+    for i in range(k):
+        for j in range(k + e):
+            a, b = (i, j) if j >= i else (j, i)
+            shadow[i, j] = substream(seed, engine.STREAM_PAIR_SHADOW, a, b).standard_normal()
+    return shadow
+
+
+def reference_gain_tables(world, slot):
+    """Per-pair faded path gains and bearings, recomputed from the positions."""
+    k, e = world.num_hn, world.num_eve
+    targets = np.vstack([world.hn_positions, world.eve_positions])
+    fades = substream(world.seed, STREAM_FADE, slot).exponential(1.0, size=(k, k + e))
+    path = np.zeros((k, k + e))
+    bearings = np.zeros((k, k + e))
+    for i in range(k):
+        for j in range(k + e):
+            if j == i:
+                continue
+            dist = np.linalg.norm(targets[j] - world.hn_positions[i])
+            pl = path_loss_db(world.pl_model, max(dist, 1.0), world.pair_shadow[i, j])
+            path[i, j] = linear_gain(pl) ** 2 * fades[i, j]
+            bearings[i, j] = bearing_deg(world.hn_positions[i], targets[j])
+    return path, bearings
+
+
+def reference_steer(world, node_bearings):
+    """Node-array steering toward each victim, one node row at a time."""
+    spec = world.hn_spec
+    n = spec.num_elements
+    idx = np.arange(n) - (n - 1) / 2.0
+    phase = spec.wavenumber * spec.spacing
+    return np.stack([np.exp(1j * phase * np.outer(np.sin(np.radians(row)), idx)) / np.sqrt(n)
+                     for row in node_bearings])
+
+
+class TestLinkTables:
+    @settings(max_examples=25, deadline=None)
+    @given(k=st.integers(2, 8), e=st.integers(1, 4),
+           mobility=st.sampled_from(["static", "waypoint"]),
+           seed=st.integers(0, 2 ** 31 - 1))
+    def test_cached_tables_match_per_pair_recomputation(self, k, e, mobility, seed):
+        cfg = small_config(hn__count=k, eve__count=e, eve__mobility=mobility,
+                           eve__speed_mps=25.0)
+        world = init_scenario(cfg, seed)
+        assert np.array_equal(world.pair_shadow, reference_pair_shadow(seed, k, e))
+        for slot in range(3):
+            if slot > 0:
+                step_eves(world, slot)
+            path, bearings = reference_gain_tables(world, slot)
+            assert np.array_equal(engine._node_gain_tables(world, slot), path)
+            assert np.array_equal(world.link_bearing, bearings)
+            assert np.array_equal(world.link_steer, reference_steer(world, bearings))
 
 
 class TestRunSlot:
