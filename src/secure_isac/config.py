@@ -11,6 +11,7 @@ import configparser
 import hashlib
 import io
 import json
+import numbers
 from dataclasses import dataclass, field, fields
 from enum import Enum
 
@@ -280,16 +281,20 @@ class ScenarioConfig:
             raise ConfigError(errors)
 
 
-def _coerce(path: str, raw: str, target_type, errors):
+def _coerce(path: str, raw, target_type, errors):
+    """The field value for `raw`, or None with the violation appended.
+
+    Strings are parsed; other values must be numbers (not bools) that convert
+    exactly, so an int field rejects 2.7 instead of truncating it.
+    """
     try:
-        if target_type is int:
-            value = int(raw)
-        elif target_type is float:
-            value = float(raw)
-        else:
-            value = raw
+        if isinstance(raw, bool) or not isinstance(raw, (str, numbers.Real)):
+            raise TypeError
+        value = target_type(raw)
+        if target_type is int and not isinstance(raw, str) and value != raw:
+            raise ValueError
         return value
-    except ValueError:
+    except (TypeError, ValueError, OverflowError):
         errors.append(f"{path}: cannot parse {raw!r} as {target_type.__name__}")
         return None
 
@@ -311,14 +316,9 @@ def config_from_dict(data: dict) -> ScenarioConfig:
             if key not in known:
                 errors.append(f"{path}: unknown key")
                 continue
-            current = getattr(group, key)
-            if isinstance(raw, str) and not isinstance(current, str):
-                value = _coerce(path, raw, type(current), errors)
-                if value is None:
-                    continue
-            else:
-                value = type(current)(raw) if not isinstance(raw, type(current)) else raw
-            setattr(group, key, value)
+            value = _coerce(path, raw, type(getattr(group, key)), errors)
+            if value is not None:
+                setattr(group, key, value)
     if errors:
         raise ConfigError(errors)
     config.validate()

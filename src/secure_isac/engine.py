@@ -40,13 +40,13 @@ from .channel import (STREAM_FADE, STREAM_HN_NLOS, STREAM_MEASUREMENT,
                       los_channel, noise_power, path_loss_db, rician_channel,
                       substream)
 from .config import ScenarioConfig, StrategyId
-from .followers import (FeasibilitySpec, NodeState, Role, gne_solve, role_switch)
+from .followers import FeasibilitySpec, Role, gne_solve, role_switch
 from .leader import (Broadcast, LeaderGains, LeaderKpis, LeaderState,
                      leader_objective, leader_residual, leader_step)
 from .link import (PowerConsts, SlotContext, SlotRecord, an_power_at,
                    an_projector, build_precoder, outage_metrics,
                    power_accounting, see)
-from .refinement import posterior_peaks, refinement_loop
+from .refinement import form_coalitions, posterior_peaks, refinement_loop
 
 log = logging.getLogger(__name__)
 
@@ -242,7 +242,7 @@ def _next_waypoint(world: World, eve_id: int) -> np.ndarray:
                                  world.config.eve.height_m)
 
 
-def step_eves(world: World, slot: int) -> None:
+def step_eves(world: World) -> None:
     """Advance eavesdroppers toward their waypoints, redrawing on arrival."""
     if world.config.eve.mobility != "waypoint":
         return
@@ -468,7 +468,7 @@ def _open_slot(world: World, strategy: StrategyId, slot: int,
     beliefs, step the leader, and draw the node gain tables."""
     cfg = world.config
     if slot > 0:
-        step_eves(world, slot)
+        step_eves(world)
     eve_chans = _eve_channels(world, slot)
 
     # belief prediction feeds the controller; the posterior update comes after
@@ -501,7 +501,7 @@ def _open_slot(world: World, strategy: StrategyId, slot: int,
     return SlotState(
         slot=slot, broadcast=broadcast, eve_chans=eve_chans,
         node_path=_node_gain_tables(world, slot), info_gain=world.prev_kpis.info_gain,
-        spec=FeasibilitySpec(p_fj_max=cfg.followers.p_fj_max_w,
+        spec=FeasibilitySpec(p_max=cfg.hn.p_max_w, p_fj_max=cfg.followers.p_fj_max_w,
                              xi_max=cfg.followers.xi_max_scale * world.noise_w),
         powers=np.zeros(world.num_hn), h_pred=h_pred, residual=residual)
 
@@ -526,12 +526,9 @@ def _play_power_game(world: World, state: SlotState) -> None:
     """Stage 3: the hybrid nodes' power game, the per-node equilibrium rates,
     and (after slot 0) the role switch and the re-served set."""
     cfg = world.config
-    nodes = [NodeState(u, world.hn_positions[u], state.roles[u],
-                       power=min(world.powers[u], cfg.hn.p_max_w),
-                       p_max=cfg.hn.p_max_w, eta=cfg.hn.eta,
-                       cost=cfg.hn.power_cost_per_w) for u in range(world.num_hn)]
-    result = gne_solve(nodes, state.broadcast, state.ctx, state.spec,
-                       grid_points=cfg.followers.grid_points,
+    result = gne_solve(state.roles, np.minimum(world.powers, state.spec.p_max),
+                       state.broadcast, state.ctx, state.spec, cfg.hn.eta,
+                       cfg.hn.power_cost_per_w, grid_points=cfg.followers.grid_points,
                        tolerance=cfg.gne.tolerance, max_iters=cfg.gne.max_iters)
     state.powers, state.gne_iters = result.powers, result.iterations
     state.gne_gap, state.gne_conv = result.gap, result.converged
@@ -652,33 +649,32 @@ def _ray_aim(world: World, uid: int, peak_bearing_deg: float,
 
 
 def _run_refinement(world: World, state: SlotState, jhn_ids):
+    """Coalitions of the jamming nodes around the combined posterior's peaks,
+    each member's ray aim and protective nulls, then the refinement loop."""
     cfg = world.config
     grid = world.beliefs[0].grid_deg
-    jhn_bearings = {u: bearing_deg(np.zeros(3), world.hn_positions[u]) for u in jhn_ids}
-
     combined = np.max(np.stack([b.probs for b in world.beliefs]), axis=0)
-    threshold = cfg.refinement.peak_threshold_scale / cfg.belief.grid_size
-    peaks = posterior_peaks(combined, grid, threshold)
+    peaks = posterior_peaks(combined, grid,
+                            cfg.refinement.peak_threshold_scale / cfg.belief.grid_size)
+    jhn_bearings = {u: bearing_deg(np.zeros(3), world.hn_positions[u]) for u in jhn_ids}
+    coalitions = form_coalitions(peaks, jhn_bearings, cfg.refinement.assoc_width_deg)
     aim_deg, null_deg = {}, {}
-    for u in jhn_ids:
-        peak = min(peaks, key=lambda p: abs(p - jhn_bearings[u]), default=jhn_bearings[u])
-        aim_deg[u] = _ray_aim(world, u, peak)
-        protected = sorted(state.served,
-                           key=lambda t: np.linalg.norm(world.hn_positions[t]
-                                                        - world.hn_positions[u]))
-        protected = protected[: world.hn_spec.num_elements - 1]
-        null_deg[u] = [world.link_bearing[u, t] for t in protected]
+    for coalition in coalitions:
+        for u in coalition.member_ids:
+            aim_deg[u] = _ray_aim(world, u, coalition.target_angle_deg)
+            protected = sorted(state.served,
+                               key=lambda t: np.linalg.norm(world.hn_positions[t]
+                                                            - world.hn_positions[u]))
+            protected = protected[: world.hn_spec.num_elements - 1]
+            null_deg[u] = [world.link_bearing[u, t] for t in protected]
 
     def context_builder(beams):
         return build_slot_context(world, state, state.served,
                                   {**world.jhn_beams, **beams})
 
     return refinement_loop(
-        world.beliefs, jhn_bearings, aim_deg, null_deg, state.powers, state.ctx,
-        context_builder, world.hn_spec, grid,
-        p_maxes=np.full(world.num_hn, cfg.hn.p_max_w),
-        p_fj_max=state.spec.p_fj_max, xi_max=state.spec.xi_max,
-        peak_threshold=threshold, assoc_width_deg=cfg.refinement.assoc_width_deg,
+        coalitions, combined / combined.sum(), aim_deg, null_deg, state.powers,
+        state.ctx, context_builder, world.hn_spec, grid, state.spec,
         j_min_fraction=cfg.refinement.j_min_fraction,
         rate_floor=cfg.run.outage_threshold,
         delta_stop=cfg.refinement.delta_stop,
@@ -754,7 +750,7 @@ def _check_slot_invariants(world: World, state: SlotState, rates: np.ndarray) ->
         "power split off the simplex": abs(b.alpha + b.beta + b.gamma - 1.0) <= 1e-9,
         "base-station power above its p_max": p_bs <= cfg.bs.p_max_w + 1e-12,
         "node power outside [0, p_max]": np.all((powers >= -1e-12)
-                                                & (powers <= cfg.hn.p_max_w + 1e-12)),
+                                                & (powers <= state.spec.p_max + 1e-12)),
         "jamming budget exceeded": powers.sum() <= state.spec.p_fj_max + 1e-9,
         "negative secrecy rate": np.all(rates >= 0.0),
         "belief not a distribution": all(abs(q.probs.sum() - 1.0) <= 1e-9

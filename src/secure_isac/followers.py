@@ -29,32 +29,17 @@ class Role(str, Enum):
 
 
 @dataclass
-class NodeState:
-    """One hybrid node: identity, geometry, role, power, and utility weights."""
-
-    id: int
-    position: np.ndarray
-    role: Role = Role.THN
-    power: float = 0.0
-    p_max: float = 1.5
-    eta: float = 1.0      # secrecy reward weight
-    cost: float = 0.5     # power cost per watt
-
-    def __post_init__(self):
-        if not 0.0 <= self.power <= self.p_max + 1e-12:
-            raise ValueError(f"node {self.id}: power {self.power} outside [0, {self.p_max}]")
-
-
-@dataclass
 class FeasibilitySpec:
-    """Shared constraints: aggregate jamming budget and per-served-node
-    leakage cap."""
+    """Shared constraints of the power game and the refinement: every node's
+    power box [0, p_max], the aggregate jamming budget, and the
+    per-served-node leakage cap."""
 
+    p_max: float = 1.5
     p_fj_max: float = 12.0
     xi_max: float = 2e-12
 
     def __post_init__(self):
-        if self.p_fj_max <= 0 or self.xi_max <= 0:
+        if self.p_max <= 0 or self.p_fj_max <= 0 or self.xi_max <= 0:
             raise ValueError("all caps must be > 0")
 
 
@@ -66,39 +51,40 @@ def trial_block(u: int, powers: np.ndarray, grid) -> np.ndarray:
 
 
 def _utilities(u: int, trial: np.ndarray, roles: dict, broadcast: Broadcast,
-               ctx: SlotContext, node: NodeState) -> np.ndarray:
+               ctx: SlotContext, eta: float, cost: float) -> np.ndarray:
     """Node u's priced payoff at every profile of a (M, K) trial block."""
     power = trial[:, u]
     secrecy, jam = 0.0, 0.0
     if roles[u] is Role.JHN:
         jam = broadcast.pi * ctx.jam_contribution(u, trial)
     elif u in ctx.served:
-        secrecy = node.eta * ctx.rates(trial)[:, ctx.served.index(u)]
+        secrecy = eta * ctx.rates(trial)[:, ctx.served.index(u)]
     leak = power * ctx.jam_to_thn[u].sum()
-    return (secrecy - node.cost * power - broadcast.tau * leak + jam
+    return (secrecy - cost * power - broadcast.tau * leak + jam
             + broadcast.kappa * ctx.info_gain)
 
 
 def hn_utility(u: int, power: float, powers: np.ndarray, roles: dict,
-               broadcast: Broadcast, ctx: SlotContext, node: NodeState) -> float:
-    """Priced per-node payoff at the profile (power, powers[-u]).
+               broadcast: Broadcast, ctx: SlotContext, spec: FeasibilitySpec,
+               eta: float, cost: float) -> float:
+    """Priced per-node payoff at the profile (power, powers[-u]), with secrecy
+    reward weight eta and power cost per watt.
 
     Transmit-role nodes earn the secrecy reward and contribute no jamming;
     jamming-role nodes earn the jamming reward instead. Power cost, leakage
     penalty, and the shared information bonus apply to everyone.
     """
-    if power < -FEAS_TOL or power > node.p_max + FEAS_TOL:
+    if power < -FEAS_TOL or power > spec.p_max + FEAS_TOL:
         raise ValueError(f"infeasible power {power} for node {u}")
     trial = trial_block(u, powers, [power])
-    return float(_utilities(u, trial, roles, broadcast, ctx, node)[0])
+    return float(_utilities(u, trial, roles, broadcast, ctx, eta, cost)[0])
 
 
-def feasible(powers: np.ndarray, spec: FeasibilitySpec, p_maxes: np.ndarray,
-             ctx: SlotContext):
+def feasible(powers: np.ndarray, spec: FeasibilitySpec, ctx: SlotContext):
     """Per profile of a (..., K) block: True iff every box bound, the
     aggregate budget, and every leakage cap hold (closed constraints)."""
     p = np.asarray(powers, dtype=float)
-    ok = np.all((p >= -FEAS_TOL) & (p <= p_maxes + FEAS_TOL), axis=-1)
+    ok = np.all((p >= -FEAS_TOL) & (p <= spec.p_max + FEAS_TOL), axis=-1)
     ok &= p.sum(axis=-1) <= spec.p_fj_max + FEAS_TOL
     # leakage is watt-scale: a relative tolerance keeps the boundary closed
     ok &= np.all(ctx.leakage_at_served(p) <= spec.xi_max * (1.0 + 1e-9), axis=-1)
@@ -107,21 +93,20 @@ def feasible(powers: np.ndarray, spec: FeasibilitySpec, p_maxes: np.ndarray,
 
 def candidate_utilities(u: int, powers: np.ndarray, grid: np.ndarray,
                         broadcast: Broadcast, ctx: SlotContext,
-                        spec: FeasibilitySpec, roles: dict, node: NodeState,
-                        p_maxes: np.ndarray):
+                        spec: FeasibilitySpec, roles: dict, eta: float, cost: float):
     """Utilities and feasibility over node u's candidate grid, others fixed:
     hn_utility and feasible evaluated on one trial block. Infeasible
     candidates score -inf."""
     trial = trial_block(u, powers, grid)
-    feas = feasible(trial, spec, p_maxes, ctx)
-    values = _utilities(u, trial, roles, broadcast, ctx, node)
+    feas = feasible(trial, spec, ctx)
+    values = _utilities(u, trial, roles, broadcast, ctx, eta, cost)
     values[~feas] = -np.inf
     return values, feas
 
 
 def best_response(u: int, powers: np.ndarray, grid: np.ndarray, broadcast: Broadcast,
                   ctx: SlotContext, spec: FeasibilitySpec, roles: dict,
-                  nodes: dict, p_maxes: np.ndarray) -> float:
+                  eta: float, cost: float) -> float:
     """Utility-maximizing feasible grid power for node u, others fixed.
 
     Exact ties break toward lower power. An empty feasible set falls back to
@@ -130,7 +115,7 @@ def best_response(u: int, powers: np.ndarray, grid: np.ndarray, broadcast: Broad
     if grid.size == 0:
         raise ValueError("empty power grid")
     values, feas = candidate_utilities(u, powers, grid, broadcast, ctx, spec,
-                                       roles, nodes[u], p_maxes)
+                                       roles, eta, cost)
     if not feas.any():
         log.warning("node %d: no feasible grid power, falling back to 0", u)
         return 0.0
@@ -145,26 +130,29 @@ class GneResult:
     converged: bool
 
 
-def equilibrium_gap(powers: np.ndarray, grids: dict, broadcast: Broadcast,
+def equilibrium_gap(powers: np.ndarray, grid: np.ndarray, broadcast: Broadcast,
                     ctx: SlotContext, spec: FeasibilitySpec, roles: dict,
-                    nodes: dict, p_maxes: np.ndarray) -> float:
-    """Largest unilateral utility improvement any node can reach on its grid
+                    eta: float, cost: float) -> float:
+    """Largest unilateral utility improvement any node can reach on the grid
     (the epsilon-equilibrium certificate, by exhaustive scan)."""
     worst = 0.0
-    for u, grid in grids.items():
-        current = hn_utility(u, powers[u], powers, roles, broadcast, ctx, nodes[u])
+    for u in range(len(powers)):
+        current = hn_utility(u, powers[u], powers, roles, broadcast, ctx, spec, eta, cost)
         values, feas = candidate_utilities(u, powers, grid, broadcast, ctx, spec,
-                                           roles, nodes[u], p_maxes)
+                                           roles, eta, cost)
         if feas.any():
             worst = max(worst, float(values[feas].max()) - current)
     return worst
 
 
-def gne_solve(node_list, broadcast: Broadcast, ctx: SlotContext, spec: FeasibilitySpec,
-              grid_points: int = 21, tolerance: float = 1e-3,
-              max_iters: int = 50) -> GneResult:
-    """Gauss-Seidel best-response sweeps until the profile stops moving.
+def gne_solve(roles: dict, powers: np.ndarray, broadcast: Broadcast, ctx: SlotContext,
+              spec: FeasibilitySpec, eta: float, cost: float, grid_points: int = 21,
+              tolerance: float = 1e-3, max_iters: int = 50) -> GneResult:
+    """Gauss-Seidel best-response sweeps from the start profile `powers` until
+    the profile stops moving.
 
+    Every node shares the secrecy weight eta, the power cost per watt and the
+    grid over [0, spec.p_max]; an infeasible start profile restarts from zero.
     Sweep order is ascending node id. Returns the profile, sweep count, the
     exhaustive equilibrium gap at the returned profile, and a convergence flag
     (a profile-change norm <= tolerance, which on a discrete grid means an
@@ -174,16 +162,11 @@ def gne_solve(node_list, broadcast: Broadcast, ctx: SlotContext, spec: Feasibili
         raise ValueError("tolerance must be > 0")
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
-    nodes = {n.id: n for n in node_list}
-    order = sorted(nodes)
-    if order != list(range(len(order))):
-        raise ValueError("node ids must be 0..K-1 and match the context rows")
-    roles = {uid: nodes[uid].role for uid in order}
-    p_maxes = np.array([nodes[uid].p_max for uid in order])
-    grids = {uid: np.linspace(0.0, nodes[uid].p_max, grid_points) for uid in order}
-
-    powers = np.array([nodes[uid].power for uid in order], dtype=float)
-    if not feasible(powers, spec, p_maxes, ctx):
+    if sorted(roles) != list(range(len(roles))):
+        raise ValueError("role keys must be 0..K-1 and match the context rows")
+    grid = np.linspace(0.0, spec.p_max, grid_points)
+    powers = np.array(powers, dtype=float)
+    if not feasible(powers, spec, ctx):
         powers = np.zeros_like(powers)
 
     converged = False
@@ -191,15 +174,15 @@ def gne_solve(node_list, broadcast: Broadcast, ctx: SlotContext, spec: Feasibili
     for _ in range(max_iters):
         iterations += 1
         previous = powers.copy()
-        for uid in order:
-            powers[uid] = best_response(uid, powers, grids[uid], broadcast, ctx,
-                                        spec, roles, nodes, p_maxes)
+        for uid in range(len(roles)):
+            powers[uid] = best_response(uid, powers, grid, broadcast, ctx, spec,
+                                        roles, eta, cost)
         if np.linalg.norm(powers - previous) <= tolerance:
             converged = True
             break
     if not converged:
         log.warning("best-response dynamics hit the iteration cap (%d sweeps)", max_iters)
-    gap = equilibrium_gap(powers, grids, broadcast, ctx, spec, roles, nodes, p_maxes)
+    gap = equilibrium_gap(powers, grid, broadcast, ctx, spec, roles, eta, cost)
     return GneResult(powers, iterations, gap, converged)
 
 

@@ -36,9 +36,6 @@ class LeaderGains:
     pi_bounds: tuple = (0.0, 1.0)
     tau_bounds: tuple = (0.0, 1.0)
     kappa_bounds: tuple = (0.0, 1.0)
-    lambda_sec: float = 1.0
-    lambda_h: float = 1.0
-    lambda_i: float = 1.0
 
     def __post_init__(self):
         for name in ("k_s", "k_pi", "k_tau", "k_kappa", "eta_sigma"):
@@ -59,8 +56,6 @@ class LeaderState:
     tau: float = 0.3
     kappa: float = 0.1
     kernel_sigma_deg: float = 10.0
-    prev_secrecy: float = 0.0
-    prev_outage: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -139,8 +134,7 @@ def leader_step(state: LeaderState, gains: LeaderGains, kpis: LeaderKpis,
     sigma = kernel_adapt(state.kernel_sigma_deg, belief_entropy, gains.h_max,
                          gains.eta_sigma, gains.sigma_min_deg, gains.sigma_max_deg)
     new_state = replace(state, alpha=alpha, beta=beta, gamma=gamma, pi=pi,
-                        tau=tau, kappa=kappa, kernel_sigma_deg=sigma,
-                        prev_secrecy=kpis.secrecy, prev_outage=kpis.outage)
+                        tau=tau, kappa=kappa, kernel_sigma_deg=sigma)
     if not abs(new_state.alpha + new_state.beta + new_state.gamma - 1.0) <= 1e-9:
         raise InvariantError("leader power split left the simplex")
     return new_state, Broadcast(alpha, beta, gamma, pi, tau, kappa)
@@ -156,10 +150,9 @@ def leader_residual(prev: LeaderState, new: LeaderState) -> float:
 
 def leader_objective(see_value: float, mean_secrecy: float, entropy_bits: float,
                      info_gain: float, gains: LeaderGains) -> float:
-    """Diagnostic slot utility: efficiency minus hinge penalties on secrecy
-    deficit and excess uncertainty, plus an information bonus. Logged only;
-    the clipped updates above are the actual controller."""
+    """Diagnostic slot utility: efficiency minus unit-weight hinge penalties
+    on secrecy deficit and excess uncertainty, plus the information gain.
+    Logged only; the clipped updates above are the actual controller."""
     deficit = max(0.0, gains.r_s_target - mean_secrecy)
     excess = max(0.0, entropy_bits - gains.h_max)
-    return (see_value - gains.lambda_sec * deficit - gains.lambda_h * excess
-            + gains.lambda_i * info_gain)
+    return see_value - deficit - excess + info_gain

@@ -232,6 +232,11 @@ class SlotContext:
         p = np.asarray(powers, dtype=float)
         without = p.copy()
         without[..., k] = 0.0
+        rows = without.reshape(-1, p.shape[-1])
+        if p.ndim > 1 and (rows[1:] == rows[:1]).all():
+            # a candidate block of node k: every row is the same without it,
+            # so score that row once (as a one-row batch, same summation)
+            without = rows[:1]
         with_rate = self.eve_rate_max(p)
         without_rate = self.eve_rate_max(without)
         with np.errstate(invalid="ignore"):

@@ -42,19 +42,12 @@ def posterior_peaks(probs: np.ndarray, grid_deg: np.ndarray, threshold: float):
     return peaks
 
 
-def form_coalitions(posteriors, jhn_bearings_deg: dict, peak_threshold: float,
-                    assoc_width_deg: float):
+def form_coalitions(peaks, jhn_bearings_deg: dict, assoc_width_deg: float):
     """Group jamming nodes by the nearest dominant posterior peak.
 
-    Peaks come from the bin-wise maximum over the per-eavesdropper posteriors.
     A node joins its nearest peak only within the association width; the rest
     stay in an untouched reserve pool.
     """
-    if not posteriors or not jhn_bearings_deg:
-        return []
-    grid = posteriors[0].grid_deg
-    combined = np.max(np.stack([b.probs for b in posteriors]), axis=0)
-    peaks = posterior_peaks(combined, grid, peak_threshold)
     if not peaks:
         return []
     members = {p: [] for p in peaks}
@@ -79,65 +72,59 @@ def shaping_energy(field_w: np.ndarray, posterior_probs: np.ndarray) -> float:
 class FieldSynthesis:
     beams: dict                 # node id -> unit-norm weights
     gain_rows: dict             # node id -> directional gain over the grid
-    field_w: np.ndarray         # watts per grid angle at the given powers
     dropped_nulls: int = 0
 
 
-def synthesize_field(coalitions, powers: dict, aim_deg: dict, null_deg: dict,
+def synthesize_field(coalitions, aim_deg: dict, null_deg: dict,
                      array_spec: ArraySpec, grid_deg: np.ndarray) -> FieldSynthesis:
-    """Per-member aligned beams with protective nulls, and the resulting field.
+    """Per-member aligned beams with protective nulls, and their gains over
+    the bearing grid.
 
     Each member steers toward its coalition aim angle, inserts nulls toward
     the protected bearings (dropping the farthest nulls if the set is
     infeasible), and is phase-referenced so member responses add coherently at
-    the target. The field is the power-weighted sum of the member patterns
-    over the bearing grid.
+    the target. The field at given powers is the power-weighted sum of the
+    gain rows.
     """
     beams, gain_rows = {}, {}
     dropped = 0
     steer_grid = steering_vector(array_spec, np.radians(grid_deg))
     for coalition in coalitions:
         for jid in coalition.member_ids:
-            aim = np.radians(aim_deg[jid])
-            w = steering_vector(array_spec, aim)
+            target = steering_vector(array_spec, np.radians(aim_deg[jid]))
             nulls = list(null_deg.get(jid, ()))
             nulls = nulls[: array_spec.num_elements - 1]
             while True:
                 try:
-                    beam = null_steer(w, [np.radians(a) for a in nulls], array_spec)
+                    beam = null_steer(target, [np.radians(a) for a in nulls], array_spec)
                     break
                 except InfeasibleNullError:
                     nulls.pop()  # drop the farthest (lists come nearest-first)
                     dropped += 1
                     log.debug("node %d: dropped a protective null", jid)
-            target = steering_vector(array_spec, aim)
             response = np.vdot(beam, target)  # w^H a(aim)
             if abs(response) > 0:
                 beam = beam * np.exp(1j * np.angle(response))
             beams[jid] = beam
             gain_rows[jid] = np.abs(steer_grid.conj() @ beam) ** 2
-    size = grid_deg.shape[0]
-    field_w = np.zeros(size)
-    for jid, row in gain_rows.items():
-        field_w += powers.get(jid, 0.0) * row
-    return FieldSynthesis(beams, gain_rows, field_w, dropped)
+    return FieldSynthesis(beams, gain_rows, dropped)
 
 
 def coalition_refine(coalition: Coalition, powers: np.ndarray, ctx: SlotContext,
-                     p_maxes: np.ndarray, p_fj_max: float, xi_max: float,
-                     j_min: float, field_gains: dict, posterior_probs: np.ndarray,
-                     rate_floor: float = 0.0, grid_points: int = 21,
-                     max_rounds: int = 8, power_penalty_per_w: float = 1e-3):
+                     spec: FeasibilitySpec, j_min: float, field_gains: dict,
+                     posterior_probs: np.ndarray, rate_floor: float = 0.0,
+                     grid_points: int = 21, max_rounds: int = 8,
+                     power_penalty_per_w: float = 1e-3):
     """Re-optimize coalition member powers for aggregate served secrecy.
 
-    Members move on their power grids subject to the box, aggregate budget,
-    per-victim leakage cap, a served-rate floor, and the posterior-weighted
-    shaping bound. A small per-watt penalty suppresses redundant or
-    low-impact jammers, which also preserves the shared budget for coalitions
-    facing stronger adversaries. Coalitions of one or two members are solved
-    exactly by enumeration; larger ones by coordinate ascent. If the shaping
-    bound is unreachable it is relaxed to the best achievable level and
-    flagged.
+    Members move on the power grid over [0, spec.p_max] subject to the box,
+    aggregate budget and per-victim leakage cap of `spec`, a served-rate
+    floor, and the posterior-weighted shaping bound. A small per-watt penalty
+    suppresses redundant or low-impact jammers, which also preserves the
+    shared budget for coalitions facing stronger adversaries. Coalitions of
+    one or two members are solved exactly by enumeration; larger ones by
+    coordinate ascent. If the shaping bound is unreachable it is relaxed to
+    the best achievable level and flagged.
 
     Returns (new power vector, rounds, relaxed flag).
     """
@@ -145,10 +132,9 @@ def coalition_refine(coalition: Coalition, powers: np.ndarray, ctx: SlotContext,
     if ids.size == 0:
         raise ValueError("empty coalition")
     powers = np.array(powers, dtype=float)
-    spec = FeasibilitySpec(p_fj_max=p_fj_max, xi_max=xi_max)
     gains_matrix = np.stack([field_gains[j] for j in ids])    # (|C|, grid)
     shaping_weights = gains_matrix @ posterior_probs          # (|C|,)
-    grids = [np.linspace(0.0, p_maxes[j], grid_points) for j in ids]
+    grid = np.linspace(0.0, spec.p_max, grid_points)
 
     current_rates = ctx.rates(powers)
     floor_eff = min(rate_floor, float(current_rates.min())) if current_rates.size else 0.0
@@ -157,7 +143,7 @@ def coalition_refine(coalition: Coalition, powers: np.ndarray, ctx: SlotContext,
         """Feasibility (rate floor included), objective and shaping test of
         every profile in a (M, K) block."""
         rates = ctx.rates(trial)
-        ok = feasible(trial, spec, p_maxes, ctx)
+        ok = feasible(trial, spec, ctx)
         if floor_eff > 0:
             ok &= rates.min(axis=-1) >= floor_eff - 1e-12
         member = trial[:, ids]
@@ -166,8 +152,8 @@ def coalition_refine(coalition: Coalition, powers: np.ndarray, ctx: SlotContext,
 
     relaxed = False
     if ids.size <= 2:
-        combos = np.stack([g.ravel() for g in np.meshgrid(*grids, indexing="ij")],
-                          axis=1)
+        combos = np.stack([g.ravel() for g in np.meshgrid(*[grid] * ids.size,
+                                                          indexing="ij")], axis=1)
         trial = np.tile(powers, (combos.shape[0], 1))
         trial[:, ids] = combos
         ok, objective, shaped = score(trial)
@@ -190,12 +176,12 @@ def coalition_refine(coalition: Coalition, powers: np.ndarray, ctx: SlotContext,
     for _ in range(max_rounds):
         rounds += 1
         moved = False
-        for slot_i, jid in enumerate(ids):
-            ok, objective, shaped = score(trial_block(jid, powers, grids[slot_i]))
+        for jid in ids:
+            ok, objective, shaped = score(trial_block(jid, powers, grid))
             best_val = -np.inf
             best_p = powers[jid]
             found_shaped = False
-            for p, p_ok, value, meets in zip(grids[slot_i], ok, objective, shaped):
+            for p, p_ok, value, meets in zip(grid, ok, objective, shaped):
                 if not p_ok:
                     continue
                 if meets and not found_shaped:
@@ -231,20 +217,20 @@ class RefinementResult:
     improvements: list = field(default_factory=list)
 
 
-def refinement_loop(posteriors, jhn_bearings_deg: dict, aim_deg: dict,
-                    null_deg: dict, powers: np.ndarray, ctx: SlotContext,
-                    context_builder, array_spec: ArraySpec, grid_deg: np.ndarray,
-                    p_maxes: np.ndarray, p_fj_max: float, xi_max: float,
-                    peak_threshold: float, assoc_width_deg: float,
-                    j_min_fraction: float = 0.1, rate_floor: float = 0.0,
-                    delta_stop: float = 0.01, max_iters: int = 10,
-                    grid_points: int = 21,
+def refinement_loop(coalitions, posterior: np.ndarray, aim_deg: dict, null_deg: dict,
+                    powers: np.ndarray, ctx: SlotContext, context_builder,
+                    array_spec: ArraySpec, grid_deg: np.ndarray,
+                    spec: FeasibilitySpec, j_min_fraction: float = 0.1,
+                    rate_floor: float = 0.0, delta_stop: float = 0.01,
+                    max_iters: int = 10, grid_points: int = 21,
                     power_penalty_per_w: float = 1e-3) -> RefinementResult:
-    """Iterate coalition formation, power refinement, and field synthesis
-    until the aggregate-secrecy improvement falls below the stopping
+    """Synthesize the coalitions' beams, then iterate power refinement under
+    them until the aggregate-secrecy improvement falls below the stopping
     threshold. Iterations that would reduce aggregate secrecy are rejected,
     so the accepted improvement sequence is nonnegative.
 
+    `posterior` is the normalized combined eavesdropper bearing posterior over
+    `grid_deg`; aims and nulls are needed for coalition members only.
     context_builder(beams) must return a SlotContext with jamming rows
     re-evaluated for the given per-node transmit patterns; the result carries
     the context of the accepted beams.
@@ -258,29 +244,26 @@ def refinement_loop(posteriors, jhn_bearings_deg: dict, aim_deg: dict,
     pre_jam_power = powers.sum()
     best = RefinementResult(powers.copy(), {}, np.zeros(grid_deg.shape[0]), [],
                             0, False, best_sum, ctx)
-    coalitions = form_coalitions(posteriors, jhn_bearings_deg, peak_threshold,
-                                 assoc_width_deg)
     if not coalitions:
         return best
-    posterior = _combined_posterior(posteriors)
+    # beams depend only on the aims and nulls, so one synthesis serves every
+    # iteration
+    synth = synthesize_field(coalitions, aim_deg, null_deg, array_spec, grid_deg)
+    trial_ctx = context_builder(synth.beams)
     relaxed = False
     improvements = []
     iterations = 0
     for _ in range(max_iters):
         iterations += 1
-        synth = synthesize_field(coalitions, {j: powers[j] for j in jhn_bearings_deg},
-                                 aim_deg, null_deg, array_spec, grid_deg)
-        trial_ctx = context_builder(synth.beams)
         trial_powers = powers.copy()
         for coalition in coalitions:
             baseline = shaping_energy(
                 np.sum([trial_powers[j] * synth.gain_rows[j]
                         for j in coalition.member_ids], axis=0),
                 posterior)
-            j_min = j_min_fraction * baseline
             trial_powers, _, was_relaxed = coalition_refine(
-                coalition, trial_powers, trial_ctx, p_maxes, p_fj_max, xi_max,
-                j_min, synth.gain_rows, posterior,
+                coalition, trial_powers, trial_ctx, spec,
+                j_min_fraction * baseline, synth.gain_rows, posterior,
                 rate_floor=rate_floor, grid_points=grid_points,
                 power_penalty_per_w=power_penalty_per_w)
             relaxed = relaxed or was_relaxed
@@ -305,9 +288,3 @@ def refinement_loop(posteriors, jhn_bearings_deg: dict, aim_deg: dict,
     best.scale = float(jam_now / pre_jam_power) if pre_jam_power > 0 else 1.0
     best.iterations = iterations
     return best
-
-
-def _combined_posterior(posteriors) -> np.ndarray:
-    combined = np.max(np.stack([b.probs for b in posteriors]), axis=0)
-    total = combined.sum()
-    return combined / total if total > 0 else combined

@@ -134,8 +134,8 @@ class TestAcceptance:
                   f"({elapsed:.0f}s < 5 min)")
 
     def test_07_bruteforce_equivalence(self):
-        from secure_isac.followers import (FeasibilitySpec, NodeState, Role,
-                                           equilibrium_gap, feasible, gne_solve)
+        from secure_isac.followers import (FeasibilitySpec, Role, equilibrium_gap,
+                                           feasible, gne_solve)
         from secure_isac.leader import Broadcast
         from secure_isac.link import SlotContext
         from secure_isac.refinement import Coalition, coalition_refine
@@ -164,23 +164,22 @@ class TestAcceptance:
             spec = FeasibilitySpec(p_fj_max=rng.uniform(1.0, 4.0),
                                    xi_max=rng.uniform(2e-13, 2e-12))
             roles = [Role.THN] + [Role.JHN] * (n - 1)
-            nodes = [NodeState(i, np.zeros(3), roles[i], p_max=1.5,
-                               cost=rng.uniform(0.2, 0.8)) for i in range(n)]
-            result = gne_solve(nodes, bc, ctx, spec, grid_points=11)
+            # all players share one power cost, as in the engine; drawing n
+            # values keeps the random stream of the later toys unchanged
+            cost = rng.uniform(0.2, 0.8, n)[0]
+            role_map = {i: roles[i] for i in range(n)}
+            result = gne_solve(role_map, np.zeros(n), bc, ctx, spec, 1.0, cost,
+                               grid_points=11)
             assert result.converged, f"toy {trial} did not converge"
             # membership in the enumerated epsilon-GNE set: the set is exactly
             # the feasible grid profiles whose exhaustive unilateral-scan gap
             # is ~0, so membership = (on the grid) and (feasible) and (gap ~0)
-            node_map = {i: nd for i, nd in enumerate(nodes)}
-            role_map = {i: roles[i] for i in range(n)}
-            p_maxes = np.full(n, 1.5)
-            grids = {i: grid for i in range(n)}
             for power in result.powers:
                 assert np.min(np.abs(grid - power)) <= 1e-15, \
                     f"toy {trial}: off-grid power {power}"
-            assert feasible(result.powers, spec, p_maxes, ctx), f"toy {trial}"
-            gap = equilibrium_gap(result.powers, grids, bc, ctx, spec, role_map,
-                                  node_map, p_maxes)
+            assert feasible(result.powers, spec, ctx), f"toy {trial}"
+            gap = equilibrium_gap(result.powers, grid, bc, ctx, spec, role_map, 1.0,
+                                  cost)
             assert gap <= 1e-9, f"toy {trial}: gap {gap}"
 
         # 50 randomized 2-jammer refinement instances vs exhaustive enumeration
@@ -200,7 +199,7 @@ class TestAcceptance:
             )
             got, _, _ = coalition_refine(
                 Coalition([1, 2], 0.0), np.zeros(3), ctx,
-                p_maxes=np.full(3, 1.5), p_fj_max=fj, xi_max=xi_max, j_min=0.0,
+                FeasibilitySpec(p_max=1.5, p_fj_max=fj, xi_max=xi_max), j_min=0.0,
                 field_gains=flat_gains, posterior_probs=uniform_post,
                 grid_points=11)
             combos, vals = [], []
@@ -255,12 +254,13 @@ class TestAcceptance:
         spec128 = ArraySpec.half_wavelength(128, 299792458.0 / 28e9)
         grid = default_grid()
         coalition = Coalition([0], 12.0)
-        synth = synthesize_field([coalition], {0: 1.0}, {0: 12.0},
-                                 {0: [-35.0, 50.0]}, spec128, grid)
-        peak = synth.field_w.max()
+        synth = synthesize_field([coalition], {0: 12.0}, {0: [-35.0, 50.0]},
+                                 spec128, grid)
+        field_w = synth.gain_rows[0]  # the field at unit power
+        peak = field_w.max()
         for angle in (-35.0, 50.0):
             idx = int(np.argmin(np.abs(grid - angle)))
-            depth_db = 10 * np.log10(max(synth.field_w[idx], 1e-30) / peak)
+            depth_db = 10 * np.log10(max(field_w[idx], 1e-30) / peak)
             assert depth_db <= -25.0, f"null at {angle} deg only {depth_db:.1f} dB"
         report(9, "protected bearings suppressed by more than 25 dB below the "
                   "field peak at N=128")

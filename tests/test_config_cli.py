@@ -96,6 +96,22 @@ class TestConfigParsing:
             config_from_dict({"run": {"slots": "many"}})
         assert any("run.slots" in e for e in err.value.errors)
 
+    @pytest.mark.parametrize("raw", [2.7, True, [3]],
+                             ids=["fractional_float", "bool", "list"])
+    def test_bad_non_string_value_reported(self, raw):
+        # an int field must not truncate 2.7, keep a bool, or raise a bare
+        # TypeError on a list
+        with pytest.raises(ConfigError) as err:
+            config_from_dict({"hn": {"count": raw}})
+        assert any("hn.count" in e for e in err.value.errors)
+
+    def test_exact_non_string_numbers_accepted(self):
+        cfg = config_from_dict({"hn": {"count": 4.0}, "run": {"seed": np.int64(3),
+                                                              "outage_threshold": 0}})
+        assert cfg.hn.count == 4 and type(cfg.hn.count) is int
+        assert cfg.run.seed == 3 and type(cfg.run.seed) is int
+        assert cfg.run.outage_threshold == 0.0 and type(cfg.run.outage_threshold) is float
+
 
 class TestManifest:
     def test_power_round_trips_to_dbm(self):

@@ -90,7 +90,7 @@ class TestMobility:
         start = world.eve_positions.copy()
         steps = 50
         for t in range(1, steps + 1):
-            step_eves(world, t)
+            step_eves(world)
         step_len = cfg.eve.speed_mps * cfg.run.slot_duration_s
         moved = np.linalg.norm(world.eve_positions - start, axis=1)
         assert np.all(moved <= steps * step_len + 1e-9)
@@ -103,7 +103,7 @@ class TestMobility:
         a_edges = np.linspace(-90.0, 90.0, 5)
         visited = np.zeros((3, 4), dtype=bool)
         for t in range(1, 20001):
-            step_eves(world, t)
+            step_eves(world)
             for pos in world.eve_positions:
                 radius = np.linalg.norm(pos[:2])
                 angle = bearing_deg(np.zeros(3), pos)
@@ -117,7 +117,7 @@ class TestMobility:
         cfg = small_config(eve__mobility="waypoint", eve__speed_mps=25.0)
         world = init_scenario(cfg, 4)
         for t in range(1, 2000):
-            step_eves(world, t)
+            step_eves(world)
             for pos in world.eve_positions:
                 radius = np.linalg.norm(pos[:2])
                 assert radius <= cfg.run.cell_radius_m + 1e-6
@@ -174,7 +174,7 @@ class TestLinkTables:
         assert np.array_equal(world.pair_shadow, reference_pair_shadow(seed, k, e))
         for slot in range(3):
             if slot > 0:
-                step_eves(world, slot)
+                step_eves(world)
             path, bearings = reference_gain_tables(world, slot)
             assert np.array_equal(engine._node_gain_tables(world, slot), path)
             assert np.array_equal(world.link_bearing, bearings)

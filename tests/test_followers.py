@@ -3,7 +3,6 @@ import pytest
 
 from secure_isac.followers import (
     FeasibilitySpec,
-    NodeState,
     Role,
     best_response,
     equilibrium_gap,
@@ -34,9 +33,9 @@ def toy_context(info_gain=0.0):
     )
 
 
-def toy_nodes(roles=(Role.THN, Role.JHN, Role.JHN), cost=0.5):
-    return [NodeState(i, np.zeros(3), role=r, p_max=1.5, cost=cost)
-            for i, r in enumerate(roles)]
+ROLES = {0: Role.THN, 1: Role.JHN, 2: Role.JHN}
+ETA, COST = 1.0, 0.5
+BOX = FeasibilitySpec(p_max=1.5)   # the power box is all hn_utility checks
 
 
 def oracle_utility(u, power, powers, roles, bc, info_gain=0.0):
@@ -66,106 +65,92 @@ class TestUtility:
     def test_zero_everything_gives_zero(self):
         ctx = toy_context()
         ctx.eve_an_w = np.zeros(1)  # noiseless unjammed eavesdropper: rate 0
-        nodes = toy_nodes()
-        roles = {i: n.role for i, n in enumerate(nodes)}
-        u = hn_utility(0, 0.0, np.zeros(3), roles, BC, ctx, nodes[0])
+        u = hn_utility(0, 0.0, np.zeros(3), ROLES, BC, ctx, BOX, ETA, COST)
         assert u == 0.0
 
     def test_cost_linearity(self):
         ctx = toy_context()
-        nodes = toy_nodes(cost=0.5)
-        nodes2 = toy_nodes(cost=1.0)
-        roles = {i: n.role for i, n in enumerate(nodes)}
         p = np.array([0.0, 0.8, 0.2])
-        u1 = hn_utility(1, 0.8, p, roles, BC, ctx, nodes[1])
-        u2 = hn_utility(1, 0.8, p, roles, BC, ctx, nodes2[1])
+        u1 = hn_utility(1, 0.8, p, ROLES, BC, ctx, BOX, ETA, 0.5)
+        u2 = hn_utility(1, 0.8, p, ROLES, BC, ctx, BOX, ETA, 1.0)
         assert u1 - u2 == pytest.approx(0.5 * 0.8, rel=1e-12)
 
     def test_matches_independent_oracle(self):
         # hand-built scalar instance, prices (0.7, 0.3, 0.1): implementation
         # agrees with a from-scratch evaluation to 1e-12
         ctx = toy_context(info_gain=0.3)
-        nodes = toy_nodes()
-        roles = {i: n.role for i, n in enumerate(nodes)}
         rng = np.random.default_rng(0)
         for _ in range(50):
             powers = rng.uniform(0, 1.5, size=3)
             powers[0] = 0.0
             for u in range(3):
                 p = rng.uniform(0, 1.5)
-                got = hn_utility(u, p, powers, roles, BC, ctx, nodes[u])
-                want = oracle_utility(u, p, powers, roles, BC, info_gain=0.3)
+                got = hn_utility(u, p, powers, ROLES, BC, ctx, BOX, ETA, COST)
+                want = oracle_utility(u, p, powers, ROLES, BC, info_gain=0.3)
                 assert got == pytest.approx(want, abs=1e-12)
 
     def test_infeasible_power_rejected(self):
         ctx = toy_context()
-        nodes = toy_nodes()
-        roles = {i: n.role for i, n in enumerate(nodes)}
         with pytest.raises(ValueError):
-            hn_utility(1, 2.0, np.zeros(3), roles, BC, ctx, nodes[1])
+            hn_utility(1, 2.0, np.zeros(3), ROLES, BC, ctx, BOX, ETA, COST)
 
 
 class TestFeasible:
     def spec(self):
-        return FeasibilitySpec(p_fj_max=2.0, xi_max=1e-13)
+        return FeasibilitySpec(p_max=1.5, p_fj_max=2.0, xi_max=1e-13)
 
     def test_zeros_feasible(self):
-        assert feasible(np.zeros(3), self.spec(), np.full(3, 1.5), toy_context())
+        assert feasible(np.zeros(3), self.spec(), toy_context())
 
     def test_box_violation(self):
         p = np.array([0.0, 1.5 + 1e-6, 0.0])
-        assert not feasible(p, self.spec(), np.full(3, 1.5), toy_context())
+        assert not feasible(p, self.spec(), toy_context())
 
     def test_sum_cap_closed(self):
         p = np.array([0.0, 1.0, 1.0])  # exactly at the 2.0 budget
-        assert feasible(p, self.spec(), np.full(3, 1.5), toy_context())
-        assert not feasible(p * 1.01, self.spec(), np.full(3, 1.5), toy_context())
+        assert feasible(p, self.spec(), toy_context())
+        assert not feasible(p * 1.01, self.spec(), toy_context())
 
     def test_leakage_cap(self):
-        spec = FeasibilitySpec(p_fj_max=10.0, xi_max=1e-14)
+        spec = FeasibilitySpec(p_max=1.5, p_fj_max=10.0, xi_max=1e-14)
         p = np.array([0.0, 1.5, 0.0])  # leakage at node 0: 1.5e-14 > cap
-        assert not feasible(p, spec, np.full(3, 1.5), toy_context())
+        assert not feasible(p, spec, toy_context())
+
+    @pytest.mark.parametrize("p_max", [0.0, -1.5])
+    def test_nonpositive_power_box_rejected(self, p_max):
+        with pytest.raises(ValueError):
+            FeasibilitySpec(p_max=p_max)
 
 
 class TestBestResponse:
     def test_pure_cost_returns_zero(self):
         # a THN pays for power and gains nothing from it
         ctx = toy_context()
-        nodes = toy_nodes()
-        roles = {i: n.role for i, n in enumerate(nodes)}
         grid = np.linspace(0, 1.5, 21)
         p = best_response(0, np.zeros(3), grid, BC, ctx,
-                          FeasibilitySpec(p_fj_max=10.0, xi_max=1.0), roles,
-                          {i: n for i, n in enumerate(nodes)}, np.full(3, 1.5))
+                          FeasibilitySpec(p_fj_max=10.0, xi_max=1.0), ROLES, ETA, COST)
         assert p == 0.0
 
     def test_increasing_utility_saturates_at_cap(self):
         # zero-cost jammer with a rewarding price climbs to the largest
         # feasible grid point under the budget
         ctx = toy_context()
-        nodes = toy_nodes()
-        nodes[1].cost = 0.0
-        roles = {i: n.role for i, n in enumerate(nodes)}
         grid = np.linspace(0, 1.5, 21)
         spec = FeasibilitySpec(p_fj_max=0.9, xi_max=1.0)
-        p = best_response(1, np.zeros(3), grid, BC, ctx, spec, roles,
-                          {i: n for i, n in enumerate(nodes)}, np.full(3, 1.5))
+        p = best_response(1, np.zeros(3), grid, BC, ctx, spec, ROLES, ETA, 0.0)
         assert p == pytest.approx(0.9)
 
     def test_matches_bruteforce_on_grid(self):
         # brute-force oracle: exhaustive scan of the same grid with the
         # independently coded utility
         ctx = toy_context()
-        nodes = toy_nodes()
-        roles = {i: n.role for i, n in enumerate(nodes)}
         grid = np.linspace(0, 1.5, 11)
         spec = FeasibilitySpec(p_fj_max=2.0, xi_max=1e-13)
         rng = np.random.default_rng(1)
         for _ in range(20):
             others = np.array([0.0, rng.choice(grid), rng.choice(grid)])
             u = int(rng.integers(1, 3))
-            got = best_response(u, others, grid, BC, ctx, spec, roles,
-                                {i: n for i, n in enumerate(nodes)}, np.full(3, 1.5))
+            got = best_response(u, others, grid, BC, ctx, spec, ROLES, ETA, COST)
             best_val, best_p = -np.inf, None
             for p in grid:
                 trial = others.copy()
@@ -174,7 +159,7 @@ class TestBestResponse:
                     continue
                 if 1e-14 * trial[1] + 2e-14 * trial[2] > 1e-13 * (1 + 1e-9):
                     continue
-                val = oracle_utility(u, p, trial, roles, BC)
+                val = oracle_utility(u, p, trial, ROLES, BC)
                 if val > best_val:
                     best_val, best_p = val, p
             assert got == pytest.approx(best_p, abs=1e-15)
@@ -188,8 +173,8 @@ class TestGneSolve:
             eve_capture_w=np.array([5e-10]), eve_an_w=np.array([2e-11]),
             jam_to_eve=np.array([[0.0]]), jam_to_thn=np.array([[0.0]]),
         )
-        res = gne_solve([NodeState(0, np.zeros(3), role=Role.THN)], BC, ctx,
-                        FeasibilitySpec(p_fj_max=5.0, xi_max=1.0))
+        res = gne_solve({0: Role.THN}, np.zeros(1), BC, ctx,
+                        FeasibilitySpec(p_fj_max=5.0, xi_max=1.0), ETA, COST)
         assert res.converged
         assert res.iterations == 1
         assert res.powers[0] == 0.0
@@ -205,52 +190,53 @@ class TestGneSolve:
             jam_to_eve=np.array([[0.0, 0.0], [1e-10, 0.0], [0.0, 1e-10]]),
             jam_to_thn=np.zeros((3, 1)),
         )
-        nodes = toy_nodes()
-        res = gne_solve(nodes, BC, ctx, FeasibilitySpec(p_fj_max=10.0, xi_max=1.0))
+        spec = FeasibilitySpec(p_fj_max=10.0, xi_max=1.0)
+        res = gne_solve(ROLES, np.zeros(3), BC, ctx, spec, ETA, COST)
         assert res.converged
         # independent optimum per jammer: brute-force its own grid alone
         grid = np.linspace(0, 1.5, 21)
-        roles = {i: n.role for i, n in enumerate(nodes)}
         for u in (1, 2):
             vals = []
             for p in grid:
                 trial = res.powers.copy()
                 trial[u] = p
-                vals.append(hn_utility(u, p, trial, roles, BC, ctx, nodes[u]))
+                vals.append(hn_utility(u, p, trial, ROLES, BC, ctx, spec, ETA, COST))
             assert res.powers[u] == pytest.approx(grid[int(np.argmax(vals))])
 
     def test_three_node_equilibrium_matches_enumeration(self):
         # epsilon-GNE oracle: exhaustive joint enumeration over the 11^2
         # jammer profiles, returned profile has no improving unilateral move
         ctx = toy_context()
-        nodes = toy_nodes()
         spec = FeasibilitySpec(p_fj_max=2.0, xi_max=1e-13)
-        res = gne_solve(nodes, BC, ctx, spec, grid_points=11)
+        res = gne_solve(ROLES, np.zeros(3), BC, ctx, spec, ETA, COST, grid_points=11)
         assert res.converged
         assert res.gap <= 1e-9
         # membership in the enumerated epsilon-GNE set
         grid = np.linspace(0, 1.5, 11)
-        roles = {i: n.role for i, n in enumerate(nodes)}
-        p_maxes = np.full(3, 1.5)
         gne_set = []
         for p1 in grid:
             for p2 in grid:
                 prof = np.array([0.0, p1, p2])
-                if not feasible(prof, spec, p_maxes, ctx):
+                if not feasible(prof, spec, ctx):
                     continue
-                gap = equilibrium_gap(prof, {i: grid for i in range(3)}, BC, ctx,
-                                      spec, roles, {i: n for i, n in enumerate(nodes)},
-                                      p_maxes)
+                gap = equilibrium_gap(prof, grid, BC, ctx, spec, ROLES, ETA, COST)
                 if gap <= 1e-9:
                     gne_set.append(prof)
         assert any(np.allclose(res.powers, g, atol=1e-15) for g in gne_set)
 
     def test_nonconvergence_flagged(self):
         ctx = toy_context()
-        nodes = toy_nodes()
-        res = gne_solve(nodes, BC, ctx, FeasibilitySpec(p_fj_max=2.0, xi_max=1e-13),
+        res = gne_solve(ROLES, np.zeros(3), BC, ctx,
+                        FeasibilitySpec(p_fj_max=2.0, xi_max=1e-13), ETA, COST,
                         max_iters=1)
         assert res.iterations == 1  # cap respected even if it converged fast
+
+    @pytest.mark.parametrize("roles", [{0: Role.THN, 2: Role.JHN},
+                                       {1: Role.THN, 2: Role.JHN, 3: Role.JHN}])
+    def test_role_keys_must_be_node_ids(self, roles):
+        with pytest.raises(ValueError, match="0..K-1"):
+            gne_solve(roles, np.zeros(len(roles)), BC, toy_context(),
+                      FeasibilitySpec(p_fj_max=2.0, xi_max=1e-13), ETA, COST)
 
 
 class TestRoleSwitch:
@@ -292,33 +278,31 @@ class TestVectorizedEquivalence:
             ctx.jam_to_thn[0, 0] = 0.0
             ctx.jam_to_thn[1, 1] = 0.0
             roles = {0: Role.THN, 1: Role.THN, 2: Role.JHN, 3: Role.JHN}
-            nodes = [NodeState(i, np.zeros(3), roles[i], p_max=1.5,
-                               cost=rng.uniform(0.1, 1.0)) for i in range(k)]
+            costs = [rng.uniform(0.1, 1.0) for _ in range(k)]
             spec = FeasibilitySpec(p_fj_max=rng.uniform(1.0, 4.0),
                                    xi_max=rng.uniform(1e-13, 1e-12))
             powers = rng.uniform(0, 1.0, k)
             grid = np.linspace(0, 1.5, 11)
-            p_maxes = np.full(k, 1.5)
             for u in range(k):
                 values, feas = candidate_utilities(u, powers, grid, BC, ctx,
-                                                   spec, roles, nodes[u], p_maxes)
+                                                   spec, roles, ETA, costs[u])
                 for gi, g in enumerate(grid):
                     trial_p = powers.copy()
                     trial_p[u] = g
-                    scalar_feas = feasible(trial_p, spec, p_maxes, ctx)
+                    scalar_feas = feasible(trial_p, spec, ctx)
                     assert feas[gi] == scalar_feas, (trial, u, gi)
                     if scalar_feas:
-                        want = hn_utility(u, g, powers, roles, BC, ctx, nodes[u])
+                        want = hn_utility(u, g, powers, roles, BC, ctx, spec, ETA,
+                                          costs[u])
                         assert values[gi] == pytest.approx(want, abs=1e-12), (trial, u, gi)
 
 
 class TestGneInvariants:
     def test_returned_profile_feasible_and_deterministic(self):
         ctx = toy_context()
-        nodes = toy_nodes()
         spec = FeasibilitySpec(p_fj_max=2.0, xi_max=1e-13)
-        a = gne_solve(nodes, BC, ctx, spec)
-        b = gne_solve(toy_nodes(), BC, ctx, spec)
-        assert feasible(a.powers, spec, np.full(3, 1.5), ctx)
+        a = gne_solve(ROLES, np.zeros(3), BC, ctx, spec, ETA, COST)
+        b = gne_solve(dict(ROLES), np.zeros(3), BC, ctx, spec, ETA, COST)
+        assert feasible(a.powers, spec, ctx)
         assert np.array_equal(a.powers, b.powers)
         assert a.iterations == b.iterations

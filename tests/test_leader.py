@@ -151,9 +151,8 @@ class TestLeaderObjective:
         at = leader_objective(0.5, 10.0, GAINS.h_max, 0.0, GAINS)
         above = leader_objective(0.5, 10.0, GAINS.h_max + 0.5, 0.0, GAINS)
         assert at == pytest.approx(0.5)
-        assert above == pytest.approx(0.5 - 0.5 * GAINS.lambda_h)
+        assert above == pytest.approx(0.5 - 0.5)  # unit hinge weight
 
     def test_secrecy_deficit_penalty(self):
-        gains = LeaderGains(lambda_sec=1.0, lambda_h=1.0)
-        got = leader_objective(0.5, gains.r_s_target - 0.2, 0.0, 0.0, gains)
+        got = leader_objective(0.5, GAINS.r_s_target - 0.2, 0.0, 0.0, GAINS)
         assert got == pytest.approx(0.3)

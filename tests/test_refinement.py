@@ -3,6 +3,7 @@ import pytest
 
 from secure_isac.arrays import ArraySpec, array_gain, steering_vector
 from secure_isac.belief import BeliefState, default_grid
+from secure_isac.followers import FeasibilitySpec
 from secure_isac.link import SlotContext
 from secure_isac.refinement import (
     Coalition,
@@ -27,22 +28,28 @@ def uniform_belief():
     return BeliefState(GRID, np.full(181, 1 / 181), 5.0)
 
 
+def peaks_of(beliefs, threshold=2 / 181):
+    """Peaks of the bin-wise maximum over the per-eavesdropper posteriors."""
+    return posterior_peaks(np.max(np.stack([b.probs for b in beliefs]), axis=0),
+                           GRID, threshold)
+
+
 class TestFormCoalitions:
     def test_single_peak_gathers_all(self):
-        cos = form_coalitions([peaked_belief(30.0)], {1: 28.0, 2: 33.0, 3: 41.0},
-                              peak_threshold=2 / 181, assoc_width_deg=15.0)
+        cos = form_coalitions(peaks_of([peaked_belief(30.0)]),
+                              {1: 28.0, 2: 33.0, 3: 41.0}, assoc_width_deg=15.0)
         assert len(cos) == 1
         assert sorted(cos[0].member_ids) == [1, 2, 3]
         assert cos[0].target_angle_deg == pytest.approx(30.0, abs=1.0)
 
     def test_uniform_posterior_no_coalitions(self):
-        cos = form_coalitions([uniform_belief()], {1: 0.0}, 2 / 181, 15.0)
+        cos = form_coalitions(peaks_of([uniform_belief()]), {1: 0.0}, 15.0)
         assert cos == []
 
     def test_two_peaks_disjoint(self):
         beliefs = [peaked_belief(-40.0, eve_id=0), peaked_belief(40.0, eve_id=1)]
         bearings = {1: -42.0, 2: -38.0, 3: 39.0, 4: 44.0}
-        cos = form_coalitions(beliefs, bearings, 2 / 181, 15.0)
+        cos = form_coalitions(peaks_of(beliefs), bearings, 15.0)
         assert len(cos) == 2
         all_members = [m for c in cos for m in c.member_ids]
         assert sorted(all_members) == [1, 2, 3, 4]
@@ -52,12 +59,18 @@ class TestFormCoalitions:
         assert by_target[40] == [3, 4]
 
     def test_far_jhn_left_in_reserve(self):
-        cos = form_coalitions([peaked_belief(0.0)], {1: 1.0, 2: 80.0}, 2 / 181, 15.0)
+        cos = form_coalitions(peaks_of([peaked_belief(0.0)]), {1: 1.0, 2: 80.0}, 15.0)
         assert len(cos) == 1
         assert cos[0].member_ids == [1]
 
     def test_no_jhns(self):
-        assert form_coalitions([peaked_belief(0.0)], {}, 2 / 181, 15.0) == []
+        assert form_coalitions(peaks_of([peaked_belief(0.0)]), {}, 15.0) == []
+
+    def test_takes_peaks_directly(self):
+        cos = form_coalitions([-40.0, 40.0], {1: -45.0, 2: 30.0, 3: 0.0}, 15.0)
+        assert [(c.target_angle_deg, c.member_ids) for c in cos] == [(-40.0, [1]),
+                                                                     (40.0, [2])]
+        assert form_coalitions([], {1: 0.0}, 15.0) == []
 
     def test_peak_detection(self):
         probs = np.full(181, 1e-4)
@@ -112,8 +125,7 @@ class TestCoalitionRefine:
         ctx = refine_ctx(jam_to_eve=[[0.0], [1e-15]], jam_to_thn=[[0.0], [1e-11]])
         powers, _, relaxed = coalition_refine(
             Coalition([1], 0.0), np.array([0.0, 1.5]), ctx,
-            p_maxes=np.array([1.5, 1.5]), p_fj_max=10.0, xi_max=1.0,
-            j_min=0.0, field_gains=FLAT_GAINS, posterior_probs=UNIFORM_POST)
+            FeasibilitySpec(p_max=1.5, p_fj_max=10.0, xi_max=1.0), j_min=0.0, field_gains=FLAT_GAINS, posterior_probs=UNIFORM_POST)
         assert powers[1] == 0.0
         assert not relaxed
 
@@ -122,8 +134,7 @@ class TestCoalitionRefine:
         ctx = refine_ctx(jam_to_eve=[[0.0], [1e-10]], jam_to_thn=[[0.0], [0.0]])
         powers, _, _ = coalition_refine(
             Coalition([1], 0.0), np.array([0.0, 0.0]), ctx,
-            p_maxes=np.array([1.5, 1.5]), p_fj_max=10.0, xi_max=1.0,
-            j_min=0.0, field_gains=FLAT_GAINS, posterior_probs=UNIFORM_POST)
+            FeasibilitySpec(p_max=1.5, p_fj_max=10.0, xi_max=1.0), j_min=0.0, field_gains=FLAT_GAINS, posterior_probs=UNIFORM_POST)
         assert powers[1] == pytest.approx(1.5)
 
     def test_matches_exhaustive_enumeration(self):
@@ -139,8 +150,7 @@ class TestCoalitionRefine:
             start = np.zeros(3)
             got, _, _ = coalition_refine(
                 Coalition([1, 2], 0.0), start, ctx,
-                p_maxes=np.array([1.5, 1.5, 1.5]), p_fj_max=fj, xi_max=xi_max,
-                j_min=0.0, field_gains=FLAT_GAINS, posterior_probs=UNIFORM_POST,
+                FeasibilitySpec(p_max=1.5, p_fj_max=fj, xi_max=xi_max), j_min=0.0, field_gains=FLAT_GAINS, posterior_probs=UNIFORM_POST,
                 grid_points=11)
             # independent enumeration of the constrained objective; ties
             # within 1e-9 resolve to the lowest combo in ascending order
@@ -167,8 +177,7 @@ class TestCoalitionRefine:
         ctx = refine_ctx(jam_to_eve=[[0.0], [1e-10]], jam_to_thn=[[0.0], [0.0]])
         powers, _, relaxed = coalition_refine(
             Coalition([1], 0.0), np.array([0.0, 0.0]), ctx,
-            p_maxes=np.array([1.5, 1.5]), p_fj_max=10.0, xi_max=1.0,
-            j_min=1e9, field_gains=FLAT_GAINS, posterior_probs=UNIFORM_POST)
+            FeasibilitySpec(p_max=1.5, p_fj_max=10.0, xi_max=1.0), j_min=1e9, field_gains=FLAT_GAINS, posterior_probs=UNIFORM_POST)
         assert relaxed
 
 
@@ -176,29 +185,28 @@ class TestSynthesizeField:
     def test_field_peak_aligned_with_posterior(self):
         belief = peaked_belief(25.0)
         coalition = Coalition([1], 25.0)
-        synth = synthesize_field([coalition], {1: 1.0}, {1: 25.0}, {1: []},
-                                 HN_SPEC, GRID)
-        peak_angle = GRID[int(np.argmax(synth.field_w))]
+        synth = synthesize_field([coalition], {1: 25.0}, {1: []}, HN_SPEC, GRID)
+        peak_angle = GRID[int(np.argmax(synth.gain_rows[1]))]
         assert abs(peak_angle - belief.argmax_deg) <= 1.0
 
     def test_protected_bearings_nulled(self):
         coalition = Coalition([1, 2], 10.0)
         nulls = {1: [-30.0, 55.0], 2: [-30.0, 55.0]}
-        synth = synthesize_field([coalition], {1: 1.2, 2: 0.8}, {1: 10.0, 2: 10.0},
-                                 nulls, HN_SPEC, GRID)
-        peak = synth.field_w.max()
+        synth = synthesize_field([coalition], {1: 10.0, 2: 10.0}, nulls, HN_SPEC, GRID)
+        field_w = 1.2 * synth.gain_rows[1] + 0.8 * synth.gain_rows[2]
+        peak = field_w.max()
         for angle in (-30.0, 55.0):
             idx = int(np.argmin(np.abs(GRID - angle)))
-            assert synth.field_w[idx] <= 1e-4 * peak
+            assert field_w[idx] <= 1e-4 * peak
 
     def test_no_coalitions_zero_field(self):
-        synth = synthesize_field([], {}, {}, {}, HN_SPEC, GRID)
-        assert np.all(synth.field_w == 0.0)
+        synth = synthesize_field([], {}, {}, HN_SPEC, GRID)
+        assert synth.beams == {} and synth.gain_rows == {}
 
     def test_coherent_phase_reference(self):
         coalition = Coalition([1, 2], 0.0)
-        synth = synthesize_field([coalition], {1: 1.0, 2: 1.0}, {1: 0.0, 2: 0.0},
-                                 {1: [40.0], 2: [40.0]}, HN_SPEC, GRID)
+        synth = synthesize_field([coalition], {1: 0.0, 2: 0.0}, {1: [40.0], 2: [40.0]},
+                                 HN_SPEC, GRID)
         target = steering_vector(HN_SPEC, 0.0)
         for jid in (1, 2):
             response = np.vdot(synth.beams[jid], target)
@@ -228,11 +236,12 @@ class TestRefinementLoop:
     def run_loop(self, powers, builder, posteriors, jhn_bearings, aims, nulls,
                  beams0=None):
         ctx = builder(beams0 or {})
+        combined = np.max(np.stack([b.probs for b in posteriors]), axis=0)
+        coalitions = form_coalitions(peaks_of(posteriors), jhn_bearings, 15.0)
         return refinement_loop(
-            posteriors, jhn_bearings, aims, nulls, powers, ctx, builder,
-            HN_SPEC, GRID, p_maxes=np.full(3, 1.5), p_fj_max=6.0, xi_max=1e-12,
-            peak_threshold=2 / 181, assoc_width_deg=15.0, rate_floor=0.0,
-            delta_stop=0.01, max_iters=10)
+            coalitions, combined / combined.sum(), aims, nulls, powers, ctx, builder,
+            HN_SPEC, GRID, FeasibilitySpec(p_max=1.5, p_fj_max=6.0, xi_max=1e-12),
+            rate_floor=0.0, delta_stop=0.01, max_iters=10)
 
     def test_improves_and_is_monotone(self):
         posteriors, jb, aims, nulls, builder = self.setup_problem()
@@ -253,6 +262,18 @@ class TestRefinementLoop:
                               nulls, beams0=first.beams)
         assert again.iterations == 1
         assert again.sum_secrecy >= first.sum_secrecy - 1e-9
+
+    def test_jammer_outside_association_width_is_untouched(self):
+        # jammer 2 sits 60 deg from the only peak: it joins no coalition, so
+        # it gets no beam and keeps its power
+        posteriors, _, aims, nulls, builder = self.setup_problem()
+        start = np.array([0.0, 0.0, 0.7])
+        res = self.run_loop(start, builder, posteriors, {1: 28.0, 2: 90.0},
+                            {1: aims[1]}, {1: nulls[1]})
+        assert [c.member_ids for c in res.coalitions] == [[1]]
+        assert res.iterations >= 1 and res.powers[1] > 0.0
+        assert 2 not in res.beams
+        assert res.powers[2] == start[2]
 
     def test_no_jammers_is_noop(self):
         posteriors, _, aims, nulls, builder = self.setup_problem()
