@@ -387,15 +387,17 @@ def build_slot_context(world: World, state: SlotState, served: list,
 
     rx = cfg.hn.rx_gain
     an_total = state.broadcast.beta * p_bs
-    sig, isi, an_thn = (np.zeros(len(served)) for _ in range(3))
+    sig, isi = np.zeros(len(served)), np.zeros(len(served))
     for idx, u in enumerate(served):
         beam_gain = np.abs(np.conj(world.hn_channels[u]) @ prec.beams) ** 2
         sig[idx] = p_stream * beam_gain[idx] * rx
         isi[idx] = p_stream * (beam_gain.sum() - beam_gain[idx]) * rx
-        an_thn[idx] = an_power_at(world.hn_channels[u], basis, an_total) * rx
+    served_chans = np.array([world.hn_channels[u] for u in served],
+                            dtype=complex).reshape(len(served), cfg.bs.antennas)
+    an_thn = an_power_at(served_chans, basis, an_total) * rx
 
     eve_capture = np.array([p_stream * np.linalg.norm(h) ** 2 for h in state.eve_chans])
-    eve_an = np.array([an_power_at(h, basis, an_total) for h in state.eve_chans])
+    eve_an = an_power_at(np.stack(state.eve_chans), basis, an_total)
 
     return SlotContext(
         served=list(served), sig_w=sig, isi_w=isi, an_thn_w=an_thn,
@@ -637,15 +639,10 @@ def _ray_aim(world: World, uid: int, peak_bearing_deg: float,
     # worst-case quality over the ray.
     need_ratio = (ranges / dists) ** cfg.channel.path_loss_exponent
     steers = steering_vector(world.hn_spec, np.radians(bearings))
-    best_aim, best_score = float(bearings[0]), -1.0
-    for cand, cand_steer in zip(bearings, steers):
-        # one vdot per pair: a (7, N) @ (N, 7) product rounds differently and
-        # could flip the aim on near-ties
-        gains = np.array([np.abs(np.vdot(cand_steer, s)) ** 2 for s in steers])
-        score = float(np.min(gains * need_ratio))
-        if score > best_score:
-            best_score, best_aim = score, float(cand)
-    return best_aim
+    # einsum, not a BLAS product, so the aim does not depend on the thread count
+    gains = np.abs(np.einsum("ci,si->cs", steers.conj(), steers)) ** 2
+    scores = np.min(gains * need_ratio, axis=1)
+    return float(bearings[int(np.argmax(scores))])   # first of tied aims
 
 
 def _run_refinement(world: World, state: SlotState, jhn_ids):

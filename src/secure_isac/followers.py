@@ -134,14 +134,21 @@ def equilibrium_gap(powers: np.ndarray, grid: np.ndarray, broadcast: Broadcast,
                     ctx: SlotContext, spec: FeasibilitySpec, roles: dict,
                     eta: float, cost: float) -> float:
     """Largest unilateral utility improvement any node can reach on the grid
-    (the epsilon-equilibrium certificate, by exhaustive scan)."""
+    (the epsilon-equilibrium certificate, by exhaustive scan).
+
+    Every power must be a grid point, as it is after any best-response sweep:
+    node u's current utility is the row of its candidate block at powers[u].
+    """
     worst = 0.0
     for u in range(len(powers)):
-        current = hn_utility(u, powers[u], powers, roles, broadcast, ctx, spec, eta, cost)
-        values, feas = candidate_utilities(u, powers, grid, broadcast, ctx, spec,
-                                           roles, eta, cost)
+        at = np.flatnonzero(grid == powers[u])
+        if at.size == 0:
+            raise ValueError(f"node {u}: power {powers[u]} is not on the grid")
+        trial = trial_block(u, powers, grid)
+        values = _utilities(u, trial, roles, broadcast, ctx, eta, cost)
+        feas = feasible(trial, spec, ctx)
         if feas.any():
-            worst = max(worst, float(values[feas].max()) - current)
+            worst = max(worst, float(values[feas].max() - values[at[0]]))
     return worst
 
 

@@ -96,30 +96,42 @@ def build_precoder(thn_channels, num_rf: int, rzf_reg: float = 1e-3) -> Precoder
 
 
 def an_projector(thn_channels, num_antennas: int | None = None) -> np.ndarray:
-    """Orthonormal basis of the nullspace of the stacked scheduled channels.
+    """Orthonormal basis Q (N, U) of the span of the stacked scheduled channels.
 
-    Columns are orthogonal to every scheduled channel (residual <= 1e-8), so
-    noise radiated through them is invisible to the served nodes.
+    Artificial noise is radiated through the projector I - QQ^H onto the
+    orthogonal complement of that span, so it is invisible to the served
+    nodes. With no scheduled channel Q is (N, 0) and the projector is I.
     """
     channels = list(thn_channels)
     if not channels:
         if num_antennas is None:
             raise ValueError("num_antennas required for an empty channel set")
-        return np.eye(num_antennas, dtype=complex)
+        return np.zeros((num_antennas, 0), dtype=complex)
     n = channels[0].shape[0]
     if len(channels) >= n:
         raise NoNullspaceError(f"{len(channels)} channels span all {n} antennas")
-    rows = np.conj(np.stack(channels))          # rows h_u^H
-    _, _, vh = np.linalg.svd(rows, full_matrices=True)
-    return vh[len(channels):].conj().T          # (N, N - U)
+    span, _ = np.linalg.qr(np.stack(channels).T)   # reduced: (N, U)
+    return span
 
 
-def an_power_at(channel: np.ndarray, an_basis: np.ndarray, an_power_w: float) -> float:
-    """AN power delivered to a receiver with the given channel."""
-    dim = an_basis.shape[1]
-    if dim == 0 or an_power_w <= 0.0:
-        return 0.0
-    return an_power_w / dim * float(np.linalg.norm(channel.conj() @ an_basis) ** 2)
+def an_power_at(channels, span: np.ndarray, an_power_w: float):
+    """AN power delivered to each receiver of a channel (N,) or stack (..., N).
+
+    The AN power is spread evenly over the N - U dimensions of the complement
+    of the served span Q (N, U) from an_projector, so a receiver with channel
+    h gets an_power_w / (N - U) * ||(I - QQ^H) h||^2, computed as
+    ||h||^2 - ||Q^H h||^2. The reductions are einsum calls, never BLAS, so the
+    result does not depend on the BLAS thread count and each row of a stack
+    equals its own single-channel call.
+    """
+    h = np.asarray(channels)
+    n, u = span.shape
+    if n == u or an_power_w <= 0.0:
+        return np.zeros(h.shape[:-1])[()]
+    total = np.einsum("...n,...n->...", h.conj(), h).real
+    coeffs = np.einsum("nu,...n->...u", span.conj(), h)    # Q^H h
+    captured = np.einsum("...u,...u->...", coeffs.conj(), coeffs).real
+    return (an_power_w / (n - u) * np.maximum(0.0, total - captured))[()]
 
 
 def power_accounting(bs_power: float, hn_powers, consts: PowerConsts):

@@ -12,8 +12,9 @@ from hypothesis import strategies as st
 
 import secure_isac
 from secure_isac import engine
+from secure_isac.arrays import steering_vector
 from secure_isac.channel import STREAM_FADE, linear_gain, path_loss_db, substream
-from secure_isac.config import ScenarioConfig, StrategyId
+from secure_isac.config import ScenarioConfig, StrategyId, parse_config
 from secure_isac.engine import (
     GeometryError,
     World,
@@ -339,6 +340,46 @@ class TestReadmission:
             assert state.rates_eq[u] == pytest.approx(expected, rel=1e-12, abs=0.0)
             positive += expected > 0.0
         assert positive > 0 and np.count_nonzero(powers) > 1
+
+
+def reference_ray_aim(world, uid, peak_bearing_deg, num_samples=7):
+    """engine._ray_aim's aim, scored pair by pair with np.vdot."""
+    cfg = world.config
+    theta = np.radians(peak_bearing_deg)
+    ranges = np.linspace(cfg.run.min_node_distance_m, cfg.run.cell_radius_m,
+                         num_samples)
+    points = np.stack([ranges * np.cos(theta), ranges * np.sin(theta),
+                       np.full(num_samples, cfg.eve.height_m)], axis=1)
+    d = points - world.hn_positions[uid]
+    bearings = np.degrees(np.arctan2(d[:, 1], d[:, 0]))
+    dists = np.maximum(np.linalg.norm(d, axis=1), 1.0)
+    need_ratio = (ranges / dists) ** cfg.channel.path_loss_exponent
+    steers = steering_vector(world.hn_spec, np.radians(bearings))
+    best_aim, best_score = float(bearings[0]), -1.0
+    for cand, cand_steer in zip(bearings, steers):
+        gains = np.array([np.abs(np.vdot(cand_steer, s)) ** 2 for s in steers])
+        score = float(np.min(gains * need_ratio))
+        if score > best_score:
+            best_score, best_aim = score, float(cand)
+    return best_aim
+
+
+class TestRayAim:
+    @pytest.mark.parametrize("config_file", [None, "posterior_static.ini"])
+    def test_matches_vdot_loop_for_every_jammer(self, config_file):
+        cfg = (parse_config(str(Path(__file__).resolve().parent.parent / "configs"
+                                / config_file)) if config_file else ScenarioConfig())
+        world = init_scenario(cfg, cfg.run.seed)
+        checked = 0
+        for t in range(6):
+            record = run_slot(world, StrategyId.IBEAMS, t)
+            jammers = [u for u, role in record.roles.items() if role == Role.JHN.value]
+            for target, _ in record.coalitions:
+                for u in jammers:
+                    assert (engine._ray_aim(world, u, target)
+                            == reference_ray_aim(world, u, target))
+                    checked += 1
+        assert checked > 0
 
 
 class TestInvariants:

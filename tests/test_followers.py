@@ -239,6 +239,36 @@ class TestGneSolve:
                       FeasibilitySpec(p_fj_max=2.0, xi_max=1e-13), ETA, COST)
 
 
+class TestEquilibriumGap:
+    def test_matches_scalar_utility_scan(self):
+        # the scalar oracle: best feasible grid utility minus the current
+        # utility, each through hn_utility
+        ctx = toy_context(info_gain=0.3)
+        spec = FeasibilitySpec(p_fj_max=2.0, xi_max=3e-14)
+        grid = np.linspace(0, 1.5, 7)
+        rng = np.random.default_rng(4)
+        for _ in range(10):
+            powers = rng.choice(grid, size=3)
+            want = 0.0
+            for u in range(3):
+                best = -np.inf
+                for g in grid:
+                    trial = powers.copy()
+                    trial[u] = g
+                    if feasible(trial, spec, ctx):
+                        best = max(best, hn_utility(u, g, powers, ROLES, BC, ctx, spec,
+                                                    ETA, COST))
+                current = hn_utility(u, powers[u], powers, ROLES, BC, ctx, spec, ETA, COST)
+                want = max(want, best - current)
+            assert equilibrium_gap(powers, grid, BC, ctx, spec, ROLES, ETA, COST) == want
+
+    def test_off_grid_power_rejected(self):
+        grid = np.linspace(0, 1.5, 7)
+        with pytest.raises(ValueError, match="not on the grid"):
+            equilibrium_gap(np.array([0.0, 0.3, 0.5]), grid, BC, toy_context(),
+                            FeasibilitySpec(p_fj_max=2.0, xi_max=1e-13), ROLES, ETA, COST)
+
+
 class TestRoleSwitch:
     def test_boundary_keeps_thn(self):
         roles = role_switch({0: 0.5}, 0.5)

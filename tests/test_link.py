@@ -126,10 +126,45 @@ class TestAnProjector:
     def test_rank_one_complement(self):
         spec = ArraySpec.half_wavelength(4, LAM)
         h = los_at(spec, 20.0, 3.0)
-        basis = an_projector([h])
-        assert basis.shape == (4, 3)
-        assert np.allclose(np.conj(h) @ basis, 0.0, atol=1e-10)
-        assert np.allclose(basis.conj().T @ basis, np.eye(3), atol=1e-10)
+        span = an_projector([h])
+        beta_p = 2.0
+        assert an_power_at(h, span, beta_p) <= 1e-10 * beta_p
+        assert np.allclose(span.conj().T @ span, np.eye(span.shape[1]), atol=1e-10)
+
+    def test_batched_call_equals_row_calls(self):
+        rng = np.random.default_rng(5)
+        spec = ArraySpec.half_wavelength(128, LAM)
+        span = an_projector([los_at(spec, 50.0, y) for y in (5.0, -12.0, 30.0)])
+        stack = (rng.standard_normal((6, 128)) + 1j * rng.standard_normal((6, 128))) * 1e-3
+        batched = an_power_at(stack, span, 2.5)
+        assert batched.shape == (6,)
+        assert np.array_equal(batched, [an_power_at(h, span, 2.5) for h in stack])
+
+    def test_matches_explicit_projector(self):
+        rng = np.random.default_rng(6)
+        spec = ArraySpec.half_wavelength(32, LAM)
+        span = an_projector([los_at(spec, 40.0, 9.0), los_at(spec, 60.0, -20.0)])
+        projector = np.eye(32) - span @ span.conj().T
+        for _ in range(20):
+            h = rng.standard_normal(32) + 1j * rng.standard_normal(32)
+            want = 1.5 / 30 * np.linalg.norm(projector @ h) ** 2
+            assert an_power_at(h, span, 1.5) == pytest.approx(want, rel=1e-12)
+
+    def test_empty_served_set_spreads_over_all_antennas(self):
+        rng = np.random.default_rng(7)
+        span = an_projector([], num_antennas=16)
+        assert span.shape == (16, 0)
+        h = rng.standard_normal(16) + 1j * rng.standard_normal(16)
+        assert an_power_at(h, span, 3.0) == pytest.approx(
+            3.0 / 16 * np.linalg.norm(h) ** 2, rel=1e-12)
+
+    def test_no_complement_gives_zeros_of_batch_shape(self):
+        rng = np.random.default_rng(8)
+        span, _ = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+        stack = rng.standard_normal((2, 3, 4)) + 1j * rng.standard_normal((2, 3, 4))
+        out = an_power_at(stack, span, 1.0)
+        assert out.shape == (2, 3)
+        assert np.all(out == 0.0)
 
     def test_an_invisible_at_served(self):
         spec = ArraySpec.half_wavelength(64, LAM)

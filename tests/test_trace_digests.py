@@ -4,17 +4,23 @@ Every strategy runs for 20 slots on each distinct shipped scenario, and the
 trace CSV must match its pinned digest byte for byte. compare_28ghz.ini and
 convergence_28ghz.ini run the program defaults (seed 1), so the defaults
 stand for both. A refactor that is meant to keep behaviour keeps these
-digests; a change that moves them must say which trace columns moved.
+digests; a change that moves them must say which trace columns moved. The
+digests must not depend on the BLAS or OpenMP thread count.
 """
 
 import hashlib
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from secure_isac.cli import main
 
-CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+ROOT = Path(__file__).resolve().parent.parent
+CONFIGS = ROOT / "configs"
 SLOTS = 20
 
 SCENARIOS = {
@@ -28,52 +34,82 @@ DIGESTS = {
     ("defaults", "baseline"):
         "2f3c41e0a555a586e4aa25e383fe858fc1b2513de11e22daf76c244cffa5d477",
     ("defaults", "fixed_an"):
-        "3ab852dfe084b1b0183281ba30b4f095faf4a26b6dd435c2f0b7554b708d963a",
+        "926fcb31278af37cedb2384256450f7ec0428457a7cd9eeabeba113ea3ade321",
     ("defaults", "stackelberg_only"):
-        "883ef5aaf7fc92a8555ba10726bfdf84d77e19390a8821ea5e6a386728e01635",
+        "13804243aafdf09e1fa9b1b9c7063d8fc92c9989db927661c4b976bc4066bac1",
     ("defaults", "stackelberg_roleswitch"):
-        "1447b4f7396f94132f8d06e947e2b9d9b66d09fca8847363d10a1be7b04d85b4",
+        "7f38cc405c9db168b91900a61874f7d340ce7cdb2ac0327e38b5f4eb08284820",
     ("defaults", "ibeams"):
-        "9f7dce88ef00dbb68cc0ea4ee5ef2fec4dbf3bcc7da7cab526b611fb51b32372",
+        "be004eab48898ef948a40852ba16db0b5dc53ef65ebab5c922192a8ad876b404",
     ("beampattern_field", "baseline"):
         "13bc8a4e897edba756fe5bad267a4174d5c8fd71c673556d7d4d1ddedbb68460",
     ("beampattern_field", "fixed_an"):
-        "6e309aeaddd46ad4fbced632725bc29df27c70705250593c3cc6c7bb9a7de328",
+        "ddf4ae8b008a01c6c96c85acc015e2c3615c4fb07aca04432bf5b56a88df977a",
     ("beampattern_field", "stackelberg_only"):
-        "26a26105f0ee2c7e66613cd8d5d35ec51f7c3845c182887edc49264b162832fa",
+        "c0833a60a25a845da92df9a3829e70a7c2266e0610a9b1646296c26ce6f982d6",
     ("beampattern_field", "stackelberg_roleswitch"):
-        "0927e96347f039a756b232cc0b086cff2d60dd5ed61e8de7c07b28d619de7d07",
+        "707e614680959212d4e743f5e465a834af592cd7f99586813e66e4f16384ce59",
     ("beampattern_field", "ibeams"):
-        "bb462c9074ed90386b4071ef4307abc8f3389e608f9b4f92c5cb416b77a7b2e2",
+        "42d908b860b744b4e3249ad1f43e2ce628f2f111cb414908015ad3b907da2e3d",
     ("posterior_mobile", "baseline"):
         "77fd45e58cf3f86a2653570daf7bec9ad03190be36321c93819b7129745004b5",
     ("posterior_mobile", "fixed_an"):
-        "bd2bbf09da4bdc49335fa8f79819666a06c835dda2aeffbe46a0ff72ff01bd81",
+        "f04173d688a36b88dab74a841cc5dbf9419973fc4b19dc72b2fa0c8b2a8e2b94",
     ("posterior_mobile", "stackelberg_only"):
-        "d612df3f44bd835b4abd961e497c32b985087d2312389370766ce70fa22e0f90",
+        "311220701fd5850fdec895b0e3c4dfada7755c59af590e9f736b573464a2f3ac",
     ("posterior_mobile", "stackelberg_roleswitch"):
-        "0e408c73b286ca5797f5d7728aae50ab723b973b7ff3a12e23cea779e7216447",
+        "8411df5efa1a84f1e5683a9ec27d79a5d256b7904915407335f25a1a8b9b1392",
     ("posterior_mobile", "ibeams"):
-        "282642e30b1143be36155d13f601a559f227f60e3463b233503b94fd16f7cb80",
+        "0c0fbdeec71894cf690c5524a70dffb5a80f85df695e633ff4a9358886106b5e",
     ("posterior_static", "baseline"):
         "77fd45e58cf3f86a2653570daf7bec9ad03190be36321c93819b7129745004b5",
     ("posterior_static", "fixed_an"):
-        "febb395eb95d64539b8d129d2bfd5770ba002d1c208f703e7046fa60ddfbb9b9",
+        "b34379f05e7f94d410ba36721a1c757cf12715ed8a2a54159607224a33f840cb",
     ("posterior_static", "stackelberg_only"):
-        "35a32a3048b31003bbfbc2ad2d8e30ddb8157c3a57df06bce422f2b5a628520a",
+        "72d1411a44103c71acb289c428536953def96d9208b16537f6273abbd2a6763d",
     ("posterior_static", "stackelberg_roleswitch"):
-        "8dccd61aa2b33607c5e1019f7b0bca497c757456b3d560c79add4fc2c64457fd",
+        "6bde93969eaf5b3e67876b0fb08aaeaea1bbb9fa8433338da6634aa9c60d5537",
     ("posterior_static", "ibeams"):
-        "7a3f7b07ea7a690f48f617e1a37a40db701c02871243742f8c51a9c7db2b03e3",
+        "4b9786f5135b8a9580c5be71bfcc96a909497afb6067be495443dd65a1e290c2",
 }
+
+
+def trace_digest(scenario: str, strategy: str, out_dir: Path) -> str:
+    """SHA-256 of the trace CSV of one strategy on one scenario."""
+    args = ["--strategy", strategy, "--slots", str(SLOTS), "--replications", "1",
+            "--emit", "trace", "--out", str(out_dir)]
+    if SCENARIOS[scenario]:
+        args += ["--config", str(CONFIGS / SCENARIOS[scenario])]
+    if main(args) != 0:
+        raise RuntimeError(f"{scenario}/{strategy} exited nonzero")
+    data = (out_dir / f"trace_{strategy}.csv").read_bytes()
+    return hashlib.sha256(data).hexdigest()
 
 
 @pytest.mark.parametrize("scenario,strategy", sorted(DIGESTS))
 def test_trace_digest(scenario, strategy, tmp_path):
-    args = ["--strategy", strategy, "--slots", str(SLOTS), "--replications", "1",
-            "--emit", "trace", "--out", str(tmp_path)]
-    if SCENARIOS[scenario]:
-        args += ["--config", str(CONFIGS / SCENARIOS[scenario])]
-    assert main(args) == 0
-    data = (tmp_path / f"trace_{strategy}.csv").read_bytes()
-    assert hashlib.sha256(data).hexdigest() == DIGESTS[scenario, strategy]
+    assert trace_digest(scenario, strategy, tmp_path) == DIGESTS[scenario, strategy]
+
+
+# Runs every case in one fresh interpreter, so the thread variables are read
+# before numpy loads its BLAS.
+_ALL_DIGESTS = """
+import json, sys
+from pathlib import Path
+from test_trace_digests import DIGESTS, trace_digest
+out = Path(sys.argv[1])
+print(json.dumps({f"{sc}/{st}": trace_digest(sc, st, out) for sc, st in sorted(DIGESTS)}))
+"""
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_digests_independent_of_thread_count(threads, tmp_path):
+    path = (str(ROOT / "src"), str(ROOT / "tests"), os.environ.get("PYTHONPATH"))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads),
+               OMP_NUM_THREADS=str(threads),
+               PYTHONPATH=os.pathsep.join(p for p in path if p))
+    run = subprocess.run([sys.executable, "-c", _ALL_DIGESTS, str(tmp_path)], env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    got = json.loads(run.stdout.splitlines()[-1])
+    assert got == {f"{sc}/{st}": digest for (sc, st), digest in DIGESTS.items()}
