@@ -23,6 +23,10 @@ STREAM_EVE_NLOS = 4
 STREAM_FADE = 5
 STREAM_MEASUREMENT = 6
 STREAM_WAYPOINT = 7
+STREAM_PAIR_SHADOW = 8
+STREAM_CSI_ERROR = 9
+
+C_LIGHT = 299792458.0
 
 
 def substream(seed: int, *keys: int) -> np.random.Generator:
@@ -48,7 +52,7 @@ class PathLossModel:
     def friis_reference(cls, carrier_hz: float, exponent: float,
                         shadow_sigma_db: float = 0.0) -> "PathLossModel":
         """Anchor the 1 m reference loss at free-space Friis for the carrier."""
-        lam = 299792458.0 / carrier_hz
+        lam = C_LIGHT / carrier_hz
         pl_1m = 20.0 * np.log10(4.0 * np.pi / lam)
         return cls(pl_1m, exponent, shadow_sigma_db)
 

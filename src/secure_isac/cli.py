@@ -17,7 +17,8 @@ import numpy as np
 from . import __version__
 from .config import (ConfigError, ScenarioConfig, StrategyId, config_hash,
                      parse_config, serialize_config)
-from .engine import SimulationResult, run_simulation
+from .engine import SimulationResult, run_compare, run_simulation
+from .followers import Role
 
 TRACE_COLUMNS = [
     "slot", "alpha", "beta", "gamma", "pi", "tau", "kappa", "sigma_deg",
@@ -80,7 +81,8 @@ def write_summary(summaries, path: str) -> None:
 
 def emit_plot_data(result: SimulationResult, out_dir: str, wanted) -> list:
     """Plot-ready artifacts from replication 0: posterior heatmaps, the last
-    jamming-field snapshot, and the strongest jammer's normalized pattern."""
+    jamming-field snapshot, and the normalized pattern of the strongest node
+    that ends the run as a jammer (the sensing beam when none has a beam)."""
     from .arrays import beampattern_db
 
     world = result.worlds[0]
@@ -115,15 +117,14 @@ def emit_plot_data(result: SimulationResult, out_dir: str, wanted) -> list:
         written.append(path)
 
     if "beampattern" in wanted:
-        beam = None
-        if world.jhn_beams:
-            strongest = max(world.jhn_beams, key=lambda u: world.powers[u])
-            beam = world.jhn_beams[strongest]
-        if beam is None:
+        spec = world.scenario.hn_spec
+        jammers = [u for u in world.jhn_beams if world.roles[u] is Role.JHN]
+        if jammers:
+            beam = world.jhn_beams[max(jammers, key=lambda u: world.powers[u])]
+        else:
             from .arrays import sensing_beam
-            peak = world.beliefs[0].argmax_deg
-            beam = sensing_beam(world.hn_spec, 0.5, np.radians(peak))
-        pattern = beampattern_db(beam, world.hn_spec, np.radians(grid))
+            beam = sensing_beam(spec, 0.5, np.radians(world.beliefs[0].argmax_deg))
+        pattern = beampattern_db(beam, spec, np.radians(grid))
         path = os.path.join(out_dir, "beampattern.txt")
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write("angle_deg gain_db\n")
@@ -167,19 +168,6 @@ def _apply_overrides(config: ScenarioConfig, args) -> None:
     config.validate()
 
 
-def _run_one(config: ScenarioConfig, strategy: StrategyId, out_dir: str,
-             wanted) -> tuple:
-    result = run_simulation(config, strategy)
-    outputs = []
-    prefix = strategy.value
-    if "trace" in wanted:
-        path = os.path.join(out_dir, f"trace_{prefix}.csv")
-        write_trace(result.traces[0], path)
-        outputs.append(path)
-    outputs.extend(emit_plot_data(result, out_dir, wanted))
-    return result, outputs
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="secure-isac",
@@ -218,27 +206,28 @@ def main(argv=None) -> int:
     os.makedirs(args.out, exist_ok=True)
     started = time.monotonic()
     try:
+        strategy = StrategyId(args.strategy)
         if args.compare:
-            summaries, outputs = [], []
-            for strategy in StrategyId:
-                result, outs = _run_one(config, strategy, args.out, wanted)
-                summaries.append(result.summary)
-                outputs.extend(outs)
-            if "summary" in wanted:
-                path = os.path.join(args.out, "summary_compare.tsv")
-                write_summary(summaries, path)
-                outputs.append(path)
+            # the plot files come from ibeams, the full stack
+            results, label, plotted = run_compare(config), "compare", StrategyId.IBEAMS
         else:
-            strategy = StrategyId(args.strategy)
-            result, outputs = _run_one(config, strategy, args.out, wanted)
-            if "summary" in wanted:
-                path = os.path.join(args.out, f"summary_{strategy.value}.tsv")
-                write_summary(result.summary, path)
+            results = {strategy: run_simulation(config, strategy)}
+            label, plotted = strategy.value, strategy
+        outputs = []
+        if "trace" in wanted:
+            for run, result in results.items():
+                path = os.path.join(args.out, f"trace_{run.value}.csv")
+                write_trace(result.traces[0], path)
                 outputs.append(path)
+        outputs.extend(emit_plot_data(results[plotted], args.out, wanted))
+        if "summary" in wanted:
+            path = os.path.join(args.out, f"summary_{label}.tsv")
+            write_summary([r.summary for r in results.values()], path)
+            outputs.append(path)
         with open(os.path.join(args.out, "config_used.ini"), "w",
                   encoding="utf-8") as fh:
             fh.write(serialize_config(config))
-        manifest = build_manifest(config, StrategyId(args.strategy), outputs,
+        manifest = build_manifest(config, strategy, outputs,
                                   round(time.monotonic() - started, 3),
                                   compare=args.compare)
         with open(os.path.join(args.out, "manifest.json"), "w",

@@ -203,6 +203,9 @@ class ScenarioConfig:
         if c.bs.antennas >= 1 and c.bs.num_rf >= 1:
             check(c.bs.antennas % c.bs.num_rf == 0, "bs.num_rf",
                   f"must divide bs.antennas ({c.bs.antennas})")
+            # artificial noise needs a nullspace left over by the served streams
+            check(min(c.hn.count, c.bs.num_rf) < c.bs.antennas, "bs.num_rf",
+                  f"min(hn.count, bs.num_rf) must be < bs.antennas ({c.bs.antennas})")
         check(c.bs.p_max_w > 0, "bs.p_max_w", "must be > 0")
         check(0 < c.bs.p_init_w <= c.bs.p_max_w, "bs.p_init_w",
               f"must be in (0, {c.bs.p_max_w}]")

@@ -1,4 +1,4 @@
-"""Scenario construction and the per-slot simulation loop.
+"""The per-slot simulation loop and the run loops over scenarios.
 
 run_slot advances a slot through named stages over one SlotState:
 1. open: eavesdropper motion and channels, belief prediction, the leader's
@@ -17,318 +17,52 @@ static nullspace-noise split, stackelberg_only the adaptive leader,
 stackelberg_roleswitch the power game (stages 3 and 6), and ibeams the
 posterior-aligned refinement.
 
-Secrecy is always assessed against the worst-case interceptor: full
-matched-filter capture of a stream, multiuser interference cancelled, and no
-thermal floor by default, so only artificial noise and cooperative jamming
-appear in her denominator. Conventional transmission therefore scores exactly
-zero secrecy, which is the operating regime the defense layers are judged
-against.
+Secrecy is scored against link.py's worst-case interceptor, so conventional
+transmission (baseline) scores exactly zero secrecy.
 """
 
-import logging
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import InvariantError
-from .arrays import ArraySpec, element_indices, steering_vector, ula_positions
-from .belief import (entropy, predict, synthesize_measurement, uniform_prior,
-                     update)
-from .channel import (STREAM_FADE, STREAM_HN_NLOS, STREAM_MEASUREMENT,
-                      STREAM_PLACEMENT, STREAM_SHADOW, STREAM_WAYPOINT,
-                      NoiseSpec, PathLossModel, eve_channel, linear_gain,
-                      los_channel, noise_power, path_loss_db, rician_channel,
-                      substream)
+from .belief import entropy, predict, synthesize_measurement, update
+from .channel import (STREAM_FADE, STREAM_MEASUREMENT, eve_channel,
+                      linear_gain, los_channel, path_loss_db, substream)
 from .config import ScenarioConfig, StrategyId
 from .followers import FeasibilitySpec, Role, gne_solve, role_switch
-from .leader import (Broadcast, LeaderGains, LeaderKpis, LeaderState,
-                     leader_objective, leader_residual, leader_step)
+from .leader import Broadcast, LeaderKpis, leader_step
 from .link import (PowerConsts, SlotContext, SlotRecord, an_power_at,
-                   an_projector, build_precoder, outage_metrics,
-                   power_accounting, see)
-from .refinement import form_coalitions, posterior_peaks, refinement_loop
-
-log = logging.getLogger(__name__)
-
-C_LIGHT = 299792458.0
-STREAM_PAIR_SHADOW = 8
-STREAM_CSI_ERROR = 9
-
-
-class GeometryError(ValueError):
-    """Scenario geometry cannot be realized."""
-
-
-def _leader_gains(config: ScenarioConfig, noise_w: float) -> LeaderGains:
-    lead = config.leader
-    bel = config.belief
-    return LeaderGains(
-        k_s=lead.k_s, k_pi=lead.k_pi, k_tau=lead.k_tau, k_kappa=lead.k_kappa,
-        eta_sigma=lead.eta_sigma, r_s_target=lead.r_s_target,
-        h_max=lead.h_max_bits, gamma_min=lead.gamma_min, gamma_max=lead.gamma_max,
-        xi_target_w=lead.xi_target_scale * noise_w,
-        beta_min=lead.beta_min, beta_max=lead.beta_max,
-        sigma_min_deg=bel.sigma_min_deg, sigma_max_deg=bel.sigma_max_deg,
-        pi_bounds=(lead.pi_min, lead.pi_max),
-        tau_bounds=(lead.tau_min, lead.tau_max),
-        kappa_bounds=(lead.kappa_min, lead.kappa_max))
-
-
-@dataclass
-class World:
-    """Mutable simulation state for one replication."""
-
-    config: ScenarioConfig
-    seed: int
-    bs_spec: ArraySpec
-    hn_spec: ArraySpec
-    bs_elements: np.ndarray           # (N, 3) element positions
-    noise_w: float
-    pl_model: PathLossModel
-    hn_positions: np.ndarray          # (K, 3)
-    eve_positions: np.ndarray         # (E, 3)
-    hn_channels: list                 # static BS->HN vectors
-    hn_estimates: list                # what the precoder believes they are
-    hn_norm2: np.ndarray              # static channel powers
-    eve_shadow: np.ndarray            # fixed shadowing draws per eavesdropper
-    pair_shadow: np.ndarray           # (K, K+E) symmetric-in-nodes draws
-    link_gain: np.ndarray             # (K, K+E) squared path gain before fading
-    link_bearing: np.ndarray          # (K, K+E) degrees from each node to each victim
-    link_steer: np.ndarray            # (K, K+E, n) node-array steering to each victim
-    beliefs: list
-    leader: LeaderState
-    gains: LeaderGains
-    roles: dict
-    powers: np.ndarray
-    jhn_beams: dict = field(default_factory=dict)
-    eve_waypoints: np.ndarray | None = None
-    eve_leg: np.ndarray | None = None
-    prev_kpis: LeaderKpis = field(default_factory=LeaderKpis)
-    prev_entropy_max: float = 0.0
-    entropy_ema: float | None = None
-    secrecy_ema: float | None = None
-    precoder_cache: dict = field(default_factory=dict)
-    last_field: np.ndarray | None = None
-    last_coalitions: list = field(default_factory=list)
-    belief_history: list = field(default_factory=list)
-
-    @property
-    def num_hn(self) -> int:
-        return self.hn_positions.shape[0]
-
-    @property
-    def num_eve(self) -> int:
-        return self.eve_positions.shape[0]
-
-
-def _draw_sector_position(rng, r_min: float, r_max: float, height: float) -> np.ndarray:
-    """Area-uniform draw in the forward half-annulus (bearings within +-90 deg)."""
-    radius = np.sqrt(rng.uniform(r_min ** 2, r_max ** 2))
-    azimuth = rng.uniform(-np.pi / 2, np.pi / 2)
-    return np.array([radius * np.cos(azimuth), radius * np.sin(azimuth), height])
-
-
-def bearing_deg(origin: np.ndarray, target: np.ndarray) -> float:
-    """Ground-plane bearing of target from origin, degrees in (-180, 180]."""
-    d = target - origin
-    return float(np.degrees(np.arctan2(d[1], d[0])))
-
-
-def init_scenario(config: ScenarioConfig, seed: int) -> World:
-    """Place nodes, realize quasi-static channels, and initialize all layers."""
-    run = config.run
-    if run.cell_radius_m <= run.min_node_distance_m:
-        raise GeometryError(
-            f"cell radius {run.cell_radius_m} m does not exceed the minimum node "
-            f"distance {run.min_node_distance_m} m")
-    lam = C_LIGHT / config.carrier.frequency_hz
-    bs_spec = ArraySpec.half_wavelength(config.bs.antennas, lam)
-    hn_spec = ArraySpec.half_wavelength(config.hn.array_elements, lam)
-    bs_center = np.array([0.0, 0.0, config.bs.z_m])
-    bs_elements = ula_positions(bs_spec) + bs_center
-
-    noise_w = noise_power(NoiseSpec(config.noise.psd_dbm_per_hz,
-                                    config.carrier.bandwidth_hz,
-                                    config.noise.noise_figure_db))
-    pl_model = PathLossModel.friis_reference(config.carrier.frequency_hz,
-                                             config.channel.path_loss_exponent,
-                                             config.channel.shadow_sigma_db)
-
-    place = substream(seed, STREAM_PLACEMENT)
-    k, e = config.hn.count, config.eve.count
-    hn_positions = np.stack([
-        _draw_sector_position(place, run.min_node_distance_m, run.cell_radius_m,
-                              config.hn.height_m) for _ in range(k)])
-    eve_positions = np.stack([
-        _draw_sector_position(place, run.min_node_distance_m, run.cell_radius_m,
-                              config.eve.height_m) for _ in range(e)])
-
-    k_lin = 10.0 ** (config.channel.rician_k_db / 10.0)
-    hn_channels = []
-    for uid in range(k):
-        shadow = substream(seed, STREAM_SHADOW, uid).standard_normal()
-        dist = np.linalg.norm(hn_positions[uid] - bs_center)
-        gain = linear_gain(path_loss_db(pl_model, dist, shadow))
-        los = los_channel(bs_elements, hn_positions[uid], gain, lam)
-        hn_channels.append(rician_channel(k_lin, los, substream(seed, STREAM_HN_NLOS, uid)))
-    hn_norm2 = np.array([np.linalg.norm(h) ** 2 for h in hn_channels])
-    hn_estimates = _estimate_channels(hn_channels, config, seed)
-
-    eve_shadow = np.array([substream(seed, STREAM_SHADOW, k + j).standard_normal()
-                           for j in range(e)])
-    pair_shadow = np.zeros((k, k + e))
-    for i in range(k):
-        for j in range(i, k + e):  # once per unordered pair; nodes mirrored
-            pair_shadow[i, j] = substream(seed, STREAM_PAIR_SHADOW, i, j).standard_normal()
-            if j < k:
-                pair_shadow[j, i] = pair_shadow[i, j]
-
-    lead = config.leader
-    leader = LeaderState(alpha=lead.alpha_init, beta=lead.beta_init,
-                         gamma=lead.gamma_init, pi=lead.pi_init, tau=lead.tau_init,
-                         kappa=lead.kappa_init, kernel_sigma_deg=config.belief.sigma0_deg)
-    beliefs = [uniform_prior(config.belief.grid_size, config.belief.sigma0_deg, j)
-               for j in range(e)]
-
-    # warm role start: the strongest channels begin as transmit nodes, the
-    # rest as jammers, so defense is active from the first slot
-    ranked = np.argsort(-hn_norm2)
-    roles = {int(u): (Role.THN if rank < config.bs.num_rf else Role.JHN)
-             for rank, u in enumerate(ranked)}
-    world = World(
-        config=config, seed=seed, bs_spec=bs_spec, hn_spec=hn_spec,
-        bs_elements=bs_elements, noise_w=noise_w, pl_model=pl_model,
-        hn_positions=hn_positions, eve_positions=eve_positions,
-        hn_channels=hn_channels, hn_estimates=hn_estimates,
-        hn_norm2=hn_norm2, eve_shadow=eve_shadow,
-        pair_shadow=pair_shadow, link_gain=np.zeros((k, k + e)),
-        link_bearing=np.zeros((k, k + e)),
-        link_steer=np.zeros((k, k + e, hn_spec.num_elements), dtype=complex),
-        beliefs=beliefs, leader=leader, gains=_leader_gains(config, noise_w),
-        roles=roles, powers=np.zeros(k))
-    _refresh_links(world, 0)
-    world.prev_kpis = LeaderKpis(secrecy=config.leader.r_s_target)
-    if config.eve.mobility == "waypoint":
-        world.eve_leg = np.zeros(e, dtype=int)
-        world.eve_waypoints = np.stack([_next_waypoint(world, j) for j in range(e)])
-    return world
-
-
-def _estimate_channels(hn_channels, config: ScenarioConfig, seed: int) -> list:
-    """Channel estimates the precoder works from.
-
-    With a zero error budget these are the true channels (and stay
-    bit-identical to earlier runs); otherwise each node's estimate carries an
-    additive Gaussian perturbation, jointly scaled so the stacked error has
-    exactly the configured Frobenius norm.
-    """
-    bound = config.channel.csi_error_frobenius
-    if bound <= 0.0:
-        return list(hn_channels)
-    rng = substream(seed, STREAM_CSI_ERROR)
-    errors = [rng.standard_normal(h.shape[0]) + 1j * rng.standard_normal(h.shape[0])
-              for h in hn_channels]
-    total = np.sqrt(sum(np.linalg.norm(e) ** 2 for e in errors))
-    scale = bound / total
-    return [h + scale * e for h, e in zip(hn_channels, errors)]
-
-
-def _next_waypoint(world: World, eve_id: int) -> np.ndarray:
-    leg = int(world.eve_leg[eve_id])
-    world.eve_leg[eve_id] = leg + 1
-    rng = substream(world.seed, STREAM_WAYPOINT, eve_id, leg)
-    return _draw_sector_position(rng, world.config.run.min_node_distance_m,
-                                 world.config.run.cell_radius_m,
-                                 world.config.eve.height_m)
-
-
-def step_eves(world: World) -> None:
-    """Advance eavesdroppers toward their waypoints, redrawing on arrival."""
-    if world.config.eve.mobility != "waypoint":
-        return
-    step = world.config.eve.speed_mps * world.config.run.slot_duration_s
-    r_min = world.config.run.min_node_distance_m
-    for j in range(world.num_eve):
-        pos = world.eve_positions[j]
-        target = world.eve_waypoints[j]
-        delta = target - pos
-        dist = np.linalg.norm(delta)
-        if dist <= step:
-            world.eve_positions[j] = target
-            world.eve_waypoints[j] = _next_waypoint(world, j)
-        else:
-            world.eve_positions[j] = pos + delta * (step / dist)
-        ground = world.eve_positions[j][:2]
-        radius = np.linalg.norm(ground)
-        if 0 < radius < r_min:  # keep mobile nodes outside the exclusion disc
-            world.eve_positions[j][:2] = ground * (r_min / radius)
-    _refresh_links(world, world.num_hn)
-
-
-def _refresh_links(world: World, first: int) -> None:
-    """Recompute the link tables toward victims first.. (hybrid nodes, then
-    eavesdroppers).
-
-    Each gain keeps the scalar distance and path-loss arithmetic, so the
-    tables match a per-pair recomputation bit for bit. Distances and pair
-    shadowing are symmetric, so each node pair is computed once and mirrored.
-    """
-    k, total = world.num_hn, world.num_hn + world.num_eve
-    nodes = world.hn_positions
-    targets = np.vstack([nodes, world.eve_positions])
-    for i in range(k):
-        for j in range(max(first, i + 1), total):
-            dist = np.linalg.norm(targets[j] - nodes[i])
-            pl = path_loss_db(world.pl_model, max(dist, 1.0), world.pair_shadow[i, j])
-            world.link_gain[i, j] = linear_gain(pl) ** 2
-            if j < k:
-                world.link_gain[j, i] = world.link_gain[i, j]
-    d = targets[None, first:] - nodes[:, None]
-    bearings = np.degrees(np.arctan2(d[..., 1], d[..., 0]))
-    world.link_bearing[:, first:] = bearings
-    spec = world.hn_spec
-    phase = spec.wavenumber * spec.spacing
-    # not steering_vector: its (phase * sin) * idx order rounds differently
-    # and moves the game strategies' traces
-    world.link_steer[:, first:] = np.exp(
-        1j * phase * (np.sin(np.radians(bearings))[..., None] * element_indices(spec))
-    ) / np.sqrt(spec.num_elements)
+                   outage_metrics, power_accounting, see)
+from .refinement import (form_coalitions, posterior_peaks, protective_nulls,
+                         ray_aim, refinement_loop)
+from .scenario import (World, bearing_deg, build_scenario, init_scenario,
+                       start_run, step_eves)
 
 
 def _eve_channels(world: World, slot: int) -> list:
-    lam = world.bs_spec.wavelength
-    k_lin = 10.0 ** (world.config.channel.rician_k_db / 10.0)
-    bs_center = np.array([0.0, 0.0, world.config.bs.z_m])
+    scn = world.scenario
     channels = []
     for j in range(world.num_eve):
-        dist = np.linalg.norm(world.eve_positions[j] - bs_center)
-        gain = linear_gain(path_loss_db(world.pl_model, dist, world.eve_shadow[j]))
-        los = los_channel(world.bs_elements, world.eve_positions[j], gain, lam)
-        channels.append(eve_channel(k_lin, los, slot, world.seed, j))
+        dist = np.linalg.norm(world.eve_positions[j] - scn.bs_center)
+        gain = linear_gain(path_loss_db(scn.pl_model, dist, scn.eve_shadow[j]))
+        los = los_channel(scn.bs_elements, world.eve_positions[j], gain,
+                          scn.bs_spec.wavelength)
+        channels.append(eve_channel(scn.k_lin, los, slot, scn.seed, j))
     return channels
-
-
-def _precoder_for(world: World, served: tuple):
-    """Precoder and AN basis for a served set (cached; built from the channel
-    estimates, which equal the true channels unless a CSI error is configured)."""
-    if served not in world.precoder_cache:
-        estimates = [world.hn_estimates[u] for u in served]
-        world.precoder_cache[served] = (
-            build_precoder(estimates, world.config.bs.num_rf, world.config.bs.rzf_reg),
-            an_projector(estimates, num_antennas=world.config.bs.antennas))
-    return world.precoder_cache[served]
 
 
 def _select_served(world: World, roles: dict) -> list:
     """Up to num_rf transmit-role nodes, strongest static channels first."""
-    candidates = [u for u in np.argsort(-world.hn_norm2) if roles[int(u)] is Role.THN]
+    candidates = [u for u in np.argsort(-world.scenario.hn_norm2)
+                  if roles[int(u)] is Role.THN]
     return [int(u) for u in candidates[: world.config.bs.num_rf]]
 
 
 def _node_gain_tables(world: World, slot: int) -> np.ndarray:
     """This slot's faded gains (K, K+E) between hybrid nodes and toward
     eavesdroppers: delivered watts per watt before beam pattern."""
-    fades = substream(world.seed, STREAM_FADE, slot).exponential(
+    fades = substream(world.scenario.seed, STREAM_FADE, slot).exponential(
         1.0, size=world.link_gain.shape)
     return world.link_gain * fades
 
@@ -336,7 +70,7 @@ def _node_gain_tables(world: World, slot: int) -> np.ndarray:
 def _pattern_table(world: World, beams: dict) -> np.ndarray:
     """Transmit pattern gains (K, K+E) for every node toward every victim;
     nodes without a beam in `beams` radiate uniformly."""
-    n = world.hn_spec.num_elements
+    n = world.scenario.hn_spec.num_elements
     uniform = np.ones(n, dtype=complex) / np.sqrt(n)
     pattern = np.zeros(world.link_bearing.shape)
     for i in range(world.num_hn):
@@ -357,8 +91,6 @@ class SlotState:
     info_gain: float                  # the game's information bonus (last slot's)
     spec: FeasibilitySpec
     powers: np.ndarray                # (K,) hybrid-node powers
-    h_pred: float = 0.0               # predicted (pre-sensing) entropy
-    residual: float = 0.0             # leader control-vector change
     roles: dict = field(default_factory=dict)
     served: list = field(default_factory=list)
     ctx: SlotContext | None = None    # context of `served` under the current beams
@@ -369,17 +101,15 @@ class SlotState:
     entropies: list = field(default_factory=list)  # posterior, per eavesdropper
     sensed_gain: float = 0.0          # this slot's entropy drop, for the leader
     refine_iters: int = 0
-    shaping_relaxed: bool = False
-    coalition_scale: float = 1.0
 
 
 def build_slot_context(world: World, state: SlotState, served: list,
                        beams: dict) -> SlotContext:
     """Assemble the interference coefficients of a served set under the given
     per-node transmit beams."""
-    cfg = world.config
+    scn, cfg = world.scenario, world.config
     k, p_bs = world.num_hn, cfg.bs.p_init_w
-    prec, basis = _precoder_for(world, tuple(served))
+    prec, basis = scn.precoder(tuple(served))
     p_stream = state.broadcast.alpha * p_bs / max(len(served), 1)
 
     delivered = state.node_path * _pattern_table(world, beams)
@@ -389,19 +119,17 @@ def build_slot_context(world: World, state: SlotState, served: list,
     an_total = state.broadcast.beta * p_bs
     sig, isi = np.zeros(len(served)), np.zeros(len(served))
     for idx, u in enumerate(served):
-        beam_gain = np.abs(np.conj(world.hn_channels[u]) @ prec.beams) ** 2
+        beam_gain = np.abs(np.conj(scn.hn_channels[u]) @ prec.beams) ** 2
         sig[idx] = p_stream * beam_gain[idx] * rx
         isi[idx] = p_stream * (beam_gain.sum() - beam_gain[idx]) * rx
-    served_chans = np.array([world.hn_channels[u] for u in served],
-                            dtype=complex).reshape(len(served), cfg.bs.antennas)
-    an_thn = an_power_at(served_chans, basis, an_total) * rx
+    an_thn = an_power_at(scn.hn_channels[served], basis, an_total) * rx
 
     eve_capture = np.array([p_stream * np.linalg.norm(h) ** 2 for h in state.eve_chans])
     eve_an = an_power_at(np.stack(state.eve_chans), basis, an_total)
 
     return SlotContext(
         served=list(served), sig_w=sig, isi_w=isi, an_thn_w=an_thn,
-        noise_w=world.noise_w, eve_capture_w=eve_capture, eve_an_w=eve_an,
+        noise_w=scn.noise_w, eve_capture_w=eve_capture, eve_an_w=eve_an,
         jam_to_eve=delivered[:, k:], jam_to_thn=jam_to_nodes[:, served],
         eve_noise_w=cfg.eve.noise_floor_w, info_gain=state.info_gain,
         jam_to_hn=jam_to_nodes)
@@ -417,7 +145,7 @@ def _readmission_context(world: World, state: SlotState, waiting: list) -> SlotC
     none = np.zeros(len(waiting))
     return replace(
         state.ctx, served=waiting,
-        sig_w=p_full * world.hn_norm2[waiting] / cfg.bs.num_rf * cfg.hn.rx_gain,
+        sig_w=p_full * world.scenario.hn_norm2[waiting] / cfg.bs.num_rf * cfg.hn.rx_gain,
         isi_w=none, an_thn_w=none,
         eve_capture_w=np.array([p_full * np.linalg.norm(h) ** 2 for h in state.eve_chans]),
         jam_to_thn=state.ctx.jam_to_hn[:, waiting])
@@ -437,6 +165,10 @@ def _strategy_flags(strategy: StrategyId):
     gne_on = strategy in (StrategyId.STACKELBERG_ROLESWITCH, StrategyId.IBEAMS)
     refine_on = strategy is StrategyId.IBEAMS
     return leader_on, gne_on, refine_on
+
+
+def _ema(previous: float | None, value: float) -> float:
+    return value if previous is None else 0.8 * previous + 0.2 * value
 
 
 def _static_broadcast(world: World, strategy: StrategyId) -> Broadcast:
@@ -479,23 +211,13 @@ def _open_slot(world: World, strategy: StrategyId, slot: int,
     h_pred = max(entropy(b) for b in predicted)
     # smooth the controller's uncertainty signal so the sensing split does not
     # chase per-slot measurement noise
-    if world.entropy_ema is None:
-        world.entropy_ema = h_pred
-    else:
-        world.entropy_ema = 0.8 * world.entropy_ema + 0.2 * h_pred
+    world.entropy_ema = _ema(world.entropy_ema, h_pred)
 
-    prev_state = world.leader
     if leader_on:
-        world.leader, broadcast = leader_step(world.leader, world.gains,
+        world.leader, broadcast = leader_step(world.leader, world.scenario.gains,
                                               world.prev_kpis, world.entropy_ema)
-        residual = leader_residual(prev_state, world.leader)
     else:
         broadcast = _static_broadcast(world, strategy)
-        world.leader = LeaderState(alpha=broadcast.alpha, beta=broadcast.beta,
-                                   gamma=broadcast.gamma, pi=broadcast.pi,
-                                   tau=broadcast.tau, kappa=broadcast.kappa,
-                                   kernel_sigma_deg=world.leader.kernel_sigma_deg)
-        residual = 0.0
     for b in predicted:
         b.kernel_sigma_deg = world.leader.kernel_sigma_deg
     world.beliefs = predicted
@@ -504,8 +226,8 @@ def _open_slot(world: World, strategy: StrategyId, slot: int,
         slot=slot, broadcast=broadcast, eve_chans=eve_chans,
         node_path=_node_gain_tables(world, slot), info_gain=world.prev_kpis.info_gain,
         spec=FeasibilitySpec(p_max=cfg.hn.p_max_w, p_fj_max=cfg.followers.p_fj_max_w,
-                             xi_max=cfg.followers.xi_max_scale * world.noise_w),
-        powers=np.zeros(world.num_hn), h_pred=h_pred, residual=residual)
+                             xi_max=cfg.followers.xi_max_scale * world.scenario.noise_w),
+        powers=np.zeros(world.num_hn))
 
 
 def _serve(world: World, state: SlotState, served: list) -> None:
@@ -560,7 +282,7 @@ def _sense(world: World, state: SlotState) -> None:
     cfg = world.config
     new_beliefs = []
     for j, belief in enumerate(world.beliefs):
-        rng = substream(world.seed, STREAM_MEASUREMENT, j, state.slot)
+        rng = substream(world.scenario.seed, STREAM_MEASUREMENT, j, state.slot)
         z = synthesize_measurement(
             [bearing_deg(np.zeros(3), world.eve_positions[j])], state.broadcast.gamma,
             cfg.belief.meas_noise_deg, rng, grid_deg=belief.grid_deg,
@@ -586,8 +308,7 @@ def _refine(world: World, state: SlotState) -> None:
         state.powers, state.ctx = result.powers, result.ctx
         world.jhn_beams.update(result.beams)
         world.last_field = result.field_w
-        state.refine_iters, state.shaping_relaxed, state.coalition_scale = (
-            result.iterations, result.relaxed, result.scale)
+        state.refine_iters = result.iterations
         world.last_coalitions = [(float(c.target_angle_deg), list(c.member_ids))
                                  for c in result.coalitions]
     if state.slot == 0:
@@ -615,55 +336,25 @@ def _withhold_outage(world: World, state: SlotState) -> None:
         _serve(world, state, keep)
 
 
-def _ray_aim(world: World, uid: int, peak_bearing_deg: float,
-             num_samples: int = 7) -> float:
-    """Aim angle maximizing expected delivered power along the bearing ray.
-
-    The posterior fixes only the adversary's bearing from the base station,
-    so the jammer scores candidate aims against range samples along that ray,
-    weighted by its own path loss to each sample point.
-    """
-    cfg = world.config
-    theta = np.radians(peak_bearing_deg)
-    ranges = np.linspace(cfg.run.min_node_distance_m, cfg.run.cell_radius_m,
-                         num_samples)
-    points = np.stack([ranges * np.cos(theta), ranges * np.sin(theta),
-                       np.full(num_samples, cfg.eve.height_m)], axis=1)
-    pos = world.hn_positions[uid]
-    d = points - pos
-    bearings = np.degrees(np.arctan2(d[:, 1], d[:, 0]))
-    dists = np.maximum(np.linalg.norm(d, axis=1), 1.0)
-    # a sample at BS range r needs suppression proportional to its stream
-    # capture (~r^-n); the jammer delivers ~d^-n * pattern, so the quality of
-    # an aim at a sample is pattern * (r/d)^n. Pick the aim with the best
-    # worst-case quality over the ray.
-    need_ratio = (ranges / dists) ** cfg.channel.path_loss_exponent
-    steers = steering_vector(world.hn_spec, np.radians(bearings))
-    # einsum, not a BLAS product, so the aim does not depend on the thread count
-    gains = np.abs(np.einsum("ci,si->cs", steers.conj(), steers)) ** 2
-    scores = np.min(gains * need_ratio, axis=1)
-    return float(bearings[int(np.argmax(scores))])   # first of tied aims
-
-
 def _run_refinement(world: World, state: SlotState, jhn_ids):
     """Coalitions of the jamming nodes around the combined posterior's peaks,
     each member's ray aim and protective nulls, then the refinement loop."""
-    cfg = world.config
+    scn, cfg = world.scenario, world.config
     grid = world.beliefs[0].grid_deg
     combined = np.max(np.stack([b.probs for b in world.beliefs]), axis=0)
     peaks = posterior_peaks(combined, grid,
                             cfg.refinement.peak_threshold_scale / cfg.belief.grid_size)
-    jhn_bearings = {u: bearing_deg(np.zeros(3), world.hn_positions[u]) for u in jhn_ids}
+    jhn_bearings = {u: bearing_deg(np.zeros(3), scn.hn_positions[u]) for u in jhn_ids}
     coalitions = form_coalitions(peaks, jhn_bearings, cfg.refinement.assoc_width_deg)
+    radii = (cfg.run.min_node_distance_m, cfg.run.cell_radius_m)
     aim_deg, null_deg = {}, {}
     for coalition in coalitions:
         for u in coalition.member_ids:
-            aim_deg[u] = _ray_aim(world, u, coalition.target_angle_deg)
-            protected = sorted(state.served,
-                               key=lambda t: np.linalg.norm(world.hn_positions[t]
-                                                            - world.hn_positions[u]))
-            protected = protected[: world.hn_spec.num_elements - 1]
-            null_deg[u] = [world.link_bearing[u, t] for t in protected]
+            aim_deg[u] = ray_aim(scn.hn_positions[u], coalition.target_angle_deg,
+                                 scn.hn_spec, radii, cfg.eve.height_m,
+                                 cfg.channel.path_loss_exponent)
+            null_deg[u] = protective_nulls(u, state.served, scn.hn_positions,
+                                           scn.link_bearing[u], scn.hn_spec)
 
     def context_builder(beams):
         return build_slot_context(world, state, state.served,
@@ -671,7 +362,7 @@ def _run_refinement(world: World, state: SlotState, jhn_ids):
 
     return refinement_loop(
         coalitions, combined / combined.sum(), aim_deg, null_deg, state.powers,
-        state.ctx, context_builder, world.hn_spec, grid, state.spec,
+        state.ctx, context_builder, scn.hn_spec, grid, state.spec,
         j_min_fraction=cfg.refinement.j_min_fraction,
         rate_floor=cfg.run.outage_threshold,
         delta_stop=cfg.refinement.delta_stop,
@@ -690,7 +381,7 @@ def _finalize_slot(world: World, state: SlotState) -> SlotRecord:
     consts = PowerConsts(cfg.bs.num_rf, cfg.power.p_rf_w, cfg.power.p_bb_w,
                          cfg.power.pa_efficiency)
     p_bs = cfg.bs.p_init_w
-    tx_total, slot_power = power_accounting(p_bs, powers, consts)
+    _, slot_power = power_accounting(p_bs, powers, consts)
     secrecy_sum = float(rates.sum())
     see_value = see(secrecy_sum, slot_power)
 
@@ -702,37 +393,29 @@ def _finalize_slot(world: World, state: SlotState) -> SlotRecord:
     jam_benefit = (float(rates.mean() - ctx.rates(np.zeros_like(powers)).mean())
                    if state.served else 0.0)
     # smoothed secrecy KPI keeps the AN integrator from chasing slot noise
-    if world.secrecy_ema is None:
-        world.secrecy_ema = r_mean
-    else:
-        world.secrecy_ema = 0.8 * world.secrecy_ema + 0.2 * r_mean
+    world.secrecy_ema = _ema(world.secrecy_ema, r_mean)
     world.prev_kpis = LeaderKpis(
         secrecy=world.secrecy_ema, outage=outage, jam_benefit=jam_benefit,
         mean_leakage_w=float(leakage.mean()) if leakage.size else 0.0,
         info_gain=state.sensed_gain)
 
-    entropy_max = max(state.entropies)
     record = SlotRecord(
         slot=state.slot, alpha=broadcast.alpha, beta=broadcast.beta,
         gamma=broadcast.gamma, pi=broadcast.pi, tau=broadcast.tau,
         kappa=broadcast.kappa, sigma_deg=world.leader.kernel_sigma_deg,
-        entropy_bits=entropy_max, r_min=r_min, r_mean=r_mean, outage=outage,
+        entropy_bits=max(state.entropies), r_min=r_min, r_mean=r_mean, outage=outage,
         see=see_value, bs_power_dbm=10.0 * np.log10(p_bs * 1000.0),
         hn_power_sum_w=float(powers.sum()), gne_iters=state.gne_iters,
         gne_gap=state.gne_gap,
         n_thn=sum(1 for r in roles.values() if r is Role.THN),
         n_jhn=sum(1 for r in roles.values() if r is Role.JHN),
         refine_iters=state.refine_iters, jam_power_w=jam_power,
-        predicted_entropy_bits=state.h_pred, entropy_per_eve=list(state.entropies),
+        entropy_per_eve=list(state.entropies),
         rates={u: float(r) for u, r in zip(state.served, rates)},
         roles={u: roles[u].value for u in range(world.num_hn)},
         powers={u: float(powers[u]) for u in range(world.num_hn)},
-        tx_total_w=tx_total, slot_power_w=slot_power, secrecy_sum=secrecy_sum,
-        leader_residual=state.residual, gne_converged=state.gne_conv,
-        shaping_relaxed=state.shaping_relaxed, coalition_scale=state.coalition_scale,
-        coalitions=list(world.last_coalitions))
-    record.leader_objective = leader_objective(see_value, r_mean, entropy_max,
-                                               state.sensed_gain, world.gains)
+        slot_power_w=slot_power, secrecy_sum=secrecy_sum,
+        gne_converged=state.gne_conv, coalitions=list(world.last_coalitions))
     world.roles = roles
     world.powers = powers
     world.belief_history.append([b.probs.copy() for b in world.beliefs])
@@ -776,13 +459,25 @@ class SimulationResult:
 def run_simulation(config: ScenarioConfig, strategy: StrategyId) -> SimulationResult:
     """Run slots x replications; deterministic given (config, seed, strategy)."""
     config.validate()
-    traces = []
-    worlds = []
-    for rep in range(config.run.replications):
-        world = init_scenario(config, config.run.seed + rep)
-        trace = [run_slot(world, strategy, t) for t in range(config.run.slots)]
-        traces.append(trace)
-        worlds.append(world)
+    return _run_worlds(config, strategy, [init_scenario(config, config.run.seed + rep)
+                                          for rep in range(config.run.replications)])
+
+
+def run_compare(config: ScenarioConfig) -> dict:
+    """Every strategy over the same scenarios: one Scenario per replication,
+    shared by the strategies' runs. Results keyed in StrategyId order."""
+    config.validate()
+    scenarios = [build_scenario(config, config.run.seed + rep)
+                 for rep in range(config.run.replications)]
+    return {strategy: _run_worlds(config, strategy, [start_run(s) for s in scenarios])
+            for strategy in StrategyId}
+
+
+def _run_worlds(config: ScenarioConfig, strategy: StrategyId,
+                worlds: list) -> SimulationResult:
+    """Run every slot of each world, one world per replication, and summarize."""
+    traces = [[run_slot(world, strategy, t) for t in range(config.run.slots)]
+              for world in worlds]
     flat = [r for trace in traces for r in trace]
     summary = {
         "strategy": strategy.value,

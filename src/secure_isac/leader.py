@@ -139,20 +139,3 @@ def leader_step(state: LeaderState, gains: LeaderGains, kpis: LeaderKpis,
         raise InvariantError("leader power split left the simplex")
     return new_state, Broadcast(alpha, beta, gamma, pi, tau, kappa)
 
-
-def leader_residual(prev: LeaderState, new: LeaderState) -> float:
-    """L2 norm of the control-vector change, the logged convergence proxy."""
-    deltas = np.array([new.alpha - prev.alpha, new.beta - prev.beta,
-                       new.gamma - prev.gamma, new.pi - prev.pi,
-                       new.tau - prev.tau, new.kappa - prev.kappa])
-    return float(np.linalg.norm(deltas))
-
-
-def leader_objective(see_value: float, mean_secrecy: float, entropy_bits: float,
-                     info_gain: float, gains: LeaderGains) -> float:
-    """Diagnostic slot utility: efficiency minus unit-weight hinge penalties
-    on secrecy deficit and excess uncertainty, plus the information gain.
-    Logged only; the clipped updates above are the actual controller."""
-    deficit = max(0.0, gains.r_s_target - mean_secrecy)
-    excess = max(0.0, entropy_bits - gains.h_max)
-    return see_value - deficit - excess + info_gain

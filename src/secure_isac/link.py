@@ -286,17 +286,11 @@ class SlotRecord:
     refine_iters: int
     jam_power_w: float
     # diagnostics beyond the canonical trace columns
-    predicted_entropy_bits: float = 0.0
     entropy_per_eve: list = field(default_factory=list)
     rates: dict = field(default_factory=dict)
     roles: dict = field(default_factory=dict)
     powers: dict = field(default_factory=dict)
-    tx_total_w: float = 0.0
     slot_power_w: float = 0.0
     secrecy_sum: float = 0.0
-    leader_residual: float = 0.0
     gne_converged: bool = True
-    shaping_relaxed: bool = False
-    coalition_scale: float = 1.0
     coalitions: list = field(default_factory=list)   # (target_deg, member ids)
-    leader_objective: float = 0.0

@@ -60,6 +60,43 @@ def form_coalitions(peaks, jhn_bearings_deg: dict, assoc_width_deg: float):
             for p, ids in members.items() if ids]
 
 
+def ray_aim(node_pos: np.ndarray, peak_bearing_deg: float, spec: ArraySpec,
+            radii: tuple, height_m: float, exponent: float,
+            num_samples: int = 7) -> float:
+    """Aim angle maximizing expected delivered power along the bearing ray.
+
+    The posterior fixes only the adversary's bearing from the base station,
+    so the jammer at node_pos scores candidate aims against range samples
+    over radii = (r_min, r_max) along that ray, at height_m, weighted by its
+    own path loss (exponent) to each sample point.
+    """
+    theta = np.radians(peak_bearing_deg)
+    ranges = np.linspace(radii[0], radii[1], num_samples)
+    points = np.stack([ranges * np.cos(theta), ranges * np.sin(theta),
+                       np.full(num_samples, height_m)], axis=1)
+    d = points - node_pos
+    bearings = np.degrees(np.arctan2(d[:, 1], d[:, 0]))
+    dists = np.maximum(np.linalg.norm(d, axis=1), 1.0)
+    # a sample at BS range r needs suppression proportional to its stream
+    # capture (~r^-n); the jammer delivers ~d^-n * pattern, so the quality of
+    # an aim at a sample is pattern * (r/d)^n. Pick the aim with the best
+    # worst-case quality over the ray.
+    need_ratio = (ranges / dists) ** exponent
+    steers = steering_vector(spec, np.radians(bearings))
+    # einsum, not a BLAS product, so the aim does not depend on the thread count
+    gains = np.abs(np.einsum("ci,si->cs", steers.conj(), steers)) ** 2
+    scores = np.min(gains * need_ratio, axis=1)
+    return float(bearings[int(np.argmax(scores))])   # first of tied aims
+
+
+def protective_nulls(node: int, served, positions: np.ndarray,
+                     bearings_deg: np.ndarray, spec: ArraySpec) -> list:
+    """Bearings from `node` (its row of the link bearings) of the served
+    nodes its beam protects: the nearest first, one fewer than its elements."""
+    protected = sorted(served, key=lambda t: np.linalg.norm(positions[t] - positions[node]))
+    return [bearings_deg[t] for t in protected[: spec.num_elements - 1]]
+
+
 def shaping_energy(field_w: np.ndarray, posterior_probs: np.ndarray) -> float:
     """Posterior-weighted jamming energy: inner product of belief and field."""
     if field_w.shape != posterior_probs.shape:
@@ -210,10 +247,8 @@ class RefinementResult:
     field_w: np.ndarray
     coalitions: list
     iterations: int
-    relaxed: bool
     sum_secrecy: float
     ctx: SlotContext        # context of the accepted beams (the input if none)
-    scale: float = 1.0
     improvements: list = field(default_factory=list)
 
 
@@ -241,16 +276,14 @@ def refinement_loop(coalitions, posterior: np.ndarray, aim_deg: dict, null_deg: 
     base_rates = ctx.rates(powers)
     best_sum = float(base_rates.sum())
     min_floor = min(rate_floor, float(base_rates.min())) if base_rates.size else 0.0
-    pre_jam_power = powers.sum()
     best = RefinementResult(powers.copy(), {}, np.zeros(grid_deg.shape[0]), [],
-                            0, False, best_sum, ctx)
+                            0, best_sum, ctx)
     if not coalitions:
         return best
     # beams depend only on the aims and nulls, so one synthesis serves every
     # iteration
     synth = synthesize_field(coalitions, aim_deg, null_deg, array_spec, grid_deg)
     trial_ctx = context_builder(synth.beams)
-    relaxed = False
     improvements = []
     iterations = 0
     for _ in range(max_iters):
@@ -261,12 +294,11 @@ def refinement_loop(coalitions, posterior: np.ndarray, aim_deg: dict, null_deg: 
                 np.sum([trial_powers[j] * synth.gain_rows[j]
                         for j in coalition.member_ids], axis=0),
                 posterior)
-            trial_powers, _, was_relaxed = coalition_refine(
+            trial_powers, _, _ = coalition_refine(
                 coalition, trial_powers, trial_ctx, spec,
                 j_min_fraction * baseline, synth.gain_rows, posterior,
                 rate_floor=rate_floor, grid_points=grid_points,
                 power_penalty_per_w=power_penalty_per_w)
-            relaxed = relaxed or was_relaxed
         new_rates = trial_ctx.rates(trial_powers)
         new_sum = float(new_rates.sum())
         delta = new_sum - best_sum
@@ -278,13 +310,11 @@ def refinement_loop(coalitions, posterior: np.ndarray, aim_deg: dict, null_deg: 
             for j in coalition.member_ids:
                 field_w += powers[j] * synth.gain_rows[j]
         best = RefinementResult(powers.copy(), synth.beams, field_w, coalitions,
-                                iterations, relaxed, new_sum, trial_ctx)
+                                iterations, new_sum, trial_ctx)
         improvements.append(delta)
         best_sum = new_sum
         if delta < delta_stop:
             break
     best.improvements = improvements
-    jam_now = best.powers.sum()
-    best.scale = float(jam_now / pre_jam_power) if pre_jam_power > 0 else 1.0
     best.iterations = iterations
     return best

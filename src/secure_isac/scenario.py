@@ -1,0 +1,301 @@
+"""The per-seed Scenario and the per-run World over it.
+
+A Scenario is what (config, seed) fixes. It is frozen and its arrays are
+read-only, so many runs (every strategy of a comparison) can share one. A
+World is one run: eavesdropper motion, beliefs, leader, roles, powers, beams.
+"""
+
+from dataclasses import dataclass, field, fields
+
+import numpy as np
+
+from .arrays import ArraySpec, element_indices, ula_positions
+from .belief import uniform_prior
+from .channel import (C_LIGHT, STREAM_CSI_ERROR, STREAM_HN_NLOS,
+                      STREAM_PAIR_SHADOW, STREAM_PLACEMENT, STREAM_SHADOW,
+                      STREAM_WAYPOINT, NoiseSpec, PathLossModel, linear_gain,
+                      los_channel, noise_power, path_loss_db, rician_channel,
+                      substream)
+from .config import RunConfig, ScenarioConfig
+from .followers import Role
+from .leader import LeaderGains, LeaderKpis, LeaderState
+from .link import an_projector, build_precoder
+
+
+@dataclass(frozen=True, eq=False)
+class Scenario:
+    """Everything one (config, seed) fixes; shared read-only by its runs."""
+
+    config: ScenarioConfig
+    seed: int
+    bs_spec: ArraySpec
+    hn_spec: ArraySpec
+    bs_center: np.ndarray             # (3,) array centroid
+    bs_elements: np.ndarray           # (N, 3) element positions
+    noise_w: float
+    pl_model: PathLossModel
+    k_lin: float                      # linear Rician factor
+    hn_positions: np.ndarray          # (K, 3)
+    eve_start: np.ndarray             # (E, 3) eavesdropper positions at slot 0
+    hn_channels: np.ndarray           # (K, N) static BS->HN channels
+    hn_estimates: np.ndarray          # (K, N) what the precoder believes they are
+    hn_norm2: np.ndarray              # (K,) static channel powers
+    eve_shadow: np.ndarray            # (E,) fixed shadowing draws per eavesdropper
+    pair_shadow: np.ndarray           # (K, K+E) symmetric-in-nodes draws
+    link_gain: np.ndarray             # (K, K+E) squared path gain before fading
+    link_bearing: np.ndarray          # (K, K+E) degrees from each node to each victim
+    link_steer: np.ndarray            # (K, K+E, n) node-array steering to each victim
+    gains: LeaderGains
+    # precoders are a pure function of the estimates and the served set
+    precoder_cache: dict = field(default_factory=dict)
+
+    def precoder(self, served: tuple):
+        """Precoder and AN basis for a served set, cached; built from the
+        channel estimates (the true channels unless a CSI error is configured)."""
+        if served not in self.precoder_cache:
+            estimates = self.hn_estimates[list(served)]
+            prec = build_precoder(estimates, self.config.bs.num_rf, self.config.bs.rzf_reg)
+            basis = an_projector(estimates, num_antennas=self.config.bs.antennas)
+            for arr in (prec.analog, prec.digital, prec.beams, basis):
+                arr.setflags(write=False)     # shared by every run
+            self.precoder_cache[served] = (prec, basis)
+        return self.precoder_cache[served]
+
+
+@dataclass
+class World:
+    """One run's state over a shared Scenario."""
+
+    scenario: Scenario
+    eve_positions: np.ndarray         # (E, 3)
+    # copies of the scenario's; the eavesdropper columns follow them
+    link_gain: np.ndarray
+    link_bearing: np.ndarray
+    link_steer: np.ndarray
+    beliefs: list
+    leader: LeaderState
+    roles: dict
+    powers: np.ndarray
+    prev_kpis: LeaderKpis
+    jhn_beams: dict = field(default_factory=dict)
+    eve_waypoints: np.ndarray | None = None
+    eve_leg: np.ndarray | None = None
+    prev_entropy_max: float = 0.0
+    entropy_ema: float | None = None
+    secrecy_ema: float | None = None
+    last_field: np.ndarray | None = None
+    last_coalitions: list = field(default_factory=list)
+    belief_history: list = field(default_factory=list)
+
+    @property
+    def config(self) -> ScenarioConfig:
+        return self.scenario.config
+
+    @property
+    def num_hn(self) -> int:
+        return self.scenario.hn_positions.shape[0]
+
+    @property
+    def num_eve(self) -> int:
+        return self.eve_positions.shape[0]
+
+
+def _draw_sector_position(rng, run: RunConfig, height: float) -> np.ndarray:
+    """Area-uniform draw in the forward half-annulus (bearings within +-90 deg)."""
+    radius = np.sqrt(rng.uniform(run.min_node_distance_m ** 2, run.cell_radius_m ** 2))
+    azimuth = rng.uniform(-np.pi / 2, np.pi / 2)
+    return np.array([radius * np.cos(azimuth), radius * np.sin(azimuth), height])
+
+
+def bearing_deg(origin: np.ndarray, target: np.ndarray) -> float:
+    """Ground-plane bearing of target from origin, degrees in (-180, 180]."""
+    d = target - origin
+    return float(np.degrees(np.arctan2(d[1], d[0])))
+
+
+def _leader_gains(config: ScenarioConfig, noise_w: float) -> LeaderGains:
+    lead, bel = config.leader, config.belief
+    return LeaderGains(
+        k_s=lead.k_s, k_pi=lead.k_pi, k_tau=lead.k_tau, k_kappa=lead.k_kappa,
+        eta_sigma=lead.eta_sigma, r_s_target=lead.r_s_target,
+        h_max=lead.h_max_bits, gamma_min=lead.gamma_min, gamma_max=lead.gamma_max,
+        xi_target_w=lead.xi_target_scale * noise_w,
+        beta_min=lead.beta_min, beta_max=lead.beta_max,
+        sigma_min_deg=bel.sigma_min_deg, sigma_max_deg=bel.sigma_max_deg,
+        pi_bounds=(lead.pi_min, lead.pi_max),
+        tau_bounds=(lead.tau_min, lead.tau_max),
+        kappa_bounds=(lead.kappa_min, lead.kappa_max))
+
+
+def build_scenario(config: ScenarioConfig, seed: int) -> Scenario:
+    """Validate the config, place the nodes, realize the quasi-static
+    channels and the slot-0 link tables, and freeze the result."""
+    config.validate()
+    lam = C_LIGHT / config.carrier.frequency_hz
+    bs_spec = ArraySpec.half_wavelength(config.bs.antennas, lam)
+    bs_center = np.array([0.0, 0.0, config.bs.z_m])
+    bs_elements = ula_positions(bs_spec) + bs_center
+    noise_w = noise_power(NoiseSpec(config.noise.psd_dbm_per_hz,
+                                    config.carrier.bandwidth_hz,
+                                    config.noise.noise_figure_db))
+    pl_model = PathLossModel.friis_reference(config.carrier.frequency_hz,
+                                             config.channel.path_loss_exponent,
+                                             config.channel.shadow_sigma_db)
+
+    place = substream(seed, STREAM_PLACEMENT)
+    k, e = config.hn.count, config.eve.count
+    hn_positions = np.stack([_draw_sector_position(place, config.run, config.hn.height_m)
+                             for _ in range(k)])
+    eve_start = np.stack([_draw_sector_position(place, config.run, config.eve.height_m)
+                          for _ in range(e)])
+
+    k_lin = 10.0 ** (config.channel.rician_k_db / 10.0)
+    hn_channels = []
+    for uid in range(k):
+        shadow = substream(seed, STREAM_SHADOW, uid).standard_normal()
+        dist = np.linalg.norm(hn_positions[uid] - bs_center)
+        gain = linear_gain(path_loss_db(pl_model, dist, shadow))
+        los = los_channel(bs_elements, hn_positions[uid], gain, lam)
+        hn_channels.append(rician_channel(k_lin, los, substream(seed, STREAM_HN_NLOS, uid)))
+    hn_channels = np.stack(hn_channels)
+
+    eve_shadow = np.array([substream(seed, STREAM_SHADOW, k + j).standard_normal()
+                           for j in range(e)])
+    pair_shadow = np.zeros((k, k + e))
+    for i in range(k):
+        for j in range(i, k + e):  # once per unordered pair; nodes mirrored
+            pair_shadow[i, j] = substream(seed, STREAM_PAIR_SHADOW, i, j).standard_normal()
+            if j < k:
+                pair_shadow[j, i] = pair_shadow[i, j]
+
+    hn_spec = ArraySpec.half_wavelength(config.hn.array_elements, lam)
+    scenario = Scenario(
+        config=config, seed=seed, bs_spec=bs_spec, hn_spec=hn_spec,
+        bs_center=bs_center, bs_elements=bs_elements, noise_w=noise_w,
+        pl_model=pl_model, k_lin=k_lin, hn_positions=hn_positions,
+        eve_start=eve_start, hn_channels=hn_channels,
+        hn_estimates=_estimate_channels(hn_channels, config, seed),
+        hn_norm2=np.array([np.linalg.norm(h) ** 2 for h in hn_channels]),
+        eve_shadow=eve_shadow, pair_shadow=pair_shadow,
+        link_gain=np.zeros((k, k + e)), link_bearing=np.zeros((k, k + e)),
+        link_steer=np.zeros((k, k + e, hn_spec.num_elements), dtype=complex),
+        gains=_leader_gains(config, noise_w))
+    _refresh_links(scenario, scenario, eve_start, 0)
+    for f in fields(scenario):
+        value = getattr(scenario, f.name)
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)
+    return scenario
+
+
+def _estimate_channels(hn_channels: np.ndarray, config: ScenarioConfig,
+                       seed: int) -> np.ndarray:
+    """Channel estimates the precoder works from.
+
+    With a zero error budget these are the true channels (and stay
+    bit-identical to earlier runs); otherwise each node's estimate carries an
+    additive Gaussian perturbation, jointly scaled so the stacked error has
+    exactly the configured Frobenius norm.
+    """
+    bound = config.channel.csi_error_frobenius
+    if bound <= 0.0:
+        return hn_channels
+    rng = substream(seed, STREAM_CSI_ERROR)
+    errors = np.stack([rng.standard_normal(h.shape[0]) + 1j * rng.standard_normal(h.shape[0])
+                       for h in hn_channels])
+    total = np.sqrt(sum(np.linalg.norm(e) ** 2 for e in errors))
+    return hn_channels + (bound / total) * errors
+
+
+def start_run(scenario: Scenario) -> World:
+    """A fresh run over the scenario: uniform beliefs, the configured leader
+    start, and the warm role split."""
+    config = scenario.config
+    lead, k, e = config.leader, config.hn.count, config.eve.count
+    # warm role start: the strongest channels begin as transmit nodes, the
+    # rest as jammers, so defense is active from the first slot
+    ranked = np.argsort(-scenario.hn_norm2)
+    world = World(
+        scenario=scenario, eve_positions=scenario.eve_start.copy(),
+        link_gain=scenario.link_gain.copy(), link_bearing=scenario.link_bearing.copy(),
+        link_steer=scenario.link_steer.copy(),
+        beliefs=[uniform_prior(config.belief.grid_size, config.belief.sigma0_deg, j)
+                 for j in range(e)],
+        leader=LeaderState(alpha=lead.alpha_init, beta=lead.beta_init,
+                           gamma=lead.gamma_init, pi=lead.pi_init, tau=lead.tau_init,
+                           kappa=lead.kappa_init,
+                           kernel_sigma_deg=config.belief.sigma0_deg),
+        roles={int(u): (Role.THN if rank < config.bs.num_rf else Role.JHN)
+               for rank, u in enumerate(ranked)},
+        powers=np.zeros(k),
+        prev_kpis=LeaderKpis(secrecy=lead.r_s_target))
+    if config.eve.mobility == "waypoint":
+        world.eve_leg = np.zeros(e, dtype=int)
+        world.eve_waypoints = np.stack([_next_waypoint(world, j) for j in range(e)])
+    return world
+
+
+def init_scenario(config: ScenarioConfig, seed: int) -> World:
+    """A fresh run over a newly built scenario."""
+    return start_run(build_scenario(config, seed))
+
+
+def _next_waypoint(world: World, eve_id: int) -> np.ndarray:
+    leg = int(world.eve_leg[eve_id])
+    world.eve_leg[eve_id] = leg + 1
+    rng = substream(world.scenario.seed, STREAM_WAYPOINT, eve_id, leg)
+    return _draw_sector_position(rng, world.config.run, world.config.eve.height_m)
+
+
+def step_eves(world: World) -> None:
+    """Advance eavesdroppers toward their waypoints, redrawing on arrival."""
+    if world.config.eve.mobility != "waypoint":
+        return
+    step = world.config.eve.speed_mps * world.config.run.slot_duration_s
+    r_min = world.config.run.min_node_distance_m
+    for j in range(world.num_eve):
+        pos = world.eve_positions[j]
+        target = world.eve_waypoints[j]
+        delta = target - pos
+        dist = np.linalg.norm(delta)
+        if dist <= step:
+            world.eve_positions[j] = target
+            world.eve_waypoints[j] = _next_waypoint(world, j)
+        else:
+            world.eve_positions[j] = pos + delta * (step / dist)
+        ground = world.eve_positions[j][:2]
+        radius = np.linalg.norm(ground)
+        if 0 < radius < r_min:  # keep mobile nodes outside the exclusion disc
+            world.eve_positions[j][:2] = ground * (r_min / radius)
+    _refresh_links(world, world.scenario, world.eve_positions, world.num_hn)
+
+
+def _refresh_links(tables, scenario: Scenario, eve_positions: np.ndarray,
+                   first: int) -> None:
+    """Recompute the link tables of `tables` (a Scenario being built, or a
+    World) toward victims first.. (hybrid nodes, then eavesdroppers).
+
+    Each gain keeps the scalar distance and path-loss arithmetic, so the
+    tables match a per-pair recomputation bit for bit. Distances and pair
+    shadowing are symmetric, so each node pair is computed once and mirrored.
+    """
+    nodes = scenario.hn_positions
+    k = nodes.shape[0]
+    targets = np.vstack([nodes, eve_positions])
+    for i in range(k):
+        for j in range(max(first, i + 1), targets.shape[0]):
+            dist = np.linalg.norm(targets[j] - nodes[i])
+            pl = path_loss_db(scenario.pl_model, max(dist, 1.0), scenario.pair_shadow[i, j])
+            tables.link_gain[i, j] = linear_gain(pl) ** 2
+            if j < k:
+                tables.link_gain[j, i] = tables.link_gain[i, j]
+    d = targets[None, first:] - nodes[:, None]
+    bearings = np.degrees(np.arctan2(d[..., 1], d[..., 0]))
+    tables.link_bearing[:, first:] = bearings
+    spec = scenario.hn_spec
+    phase = spec.wavenumber * spec.spacing
+    # not steering_vector: its (phase * sin) * idx order rounds differently
+    # and moves the game strategies' traces
+    tables.link_steer[:, first:] = np.exp(
+        1j * phase * (np.sin(np.radians(bearings))[..., None] * element_indices(spec))
+    ) / np.sqrt(spec.num_elements)

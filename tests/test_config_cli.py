@@ -1,12 +1,15 @@
+import hashlib
 import json
 import os
 
 import numpy as np
 import pytest
 
+from secure_isac.arrays import beampattern_db, sensing_beam
 from secure_isac.cli import (
     TRACE_COLUMNS,
     build_manifest,
+    emit_plot_data,
     main,
     read_trace,
     write_trace,
@@ -20,6 +23,8 @@ from secure_isac.config import (
     parse_config,
     serialize_config,
 )
+from secure_isac.engine import run_simulation
+from secure_isac.followers import Role
 
 
 def small_config_text(extra=""):
@@ -220,3 +225,94 @@ class TestCliRun:
         lines = (out / "beampattern.txt").read_text().strip().split("\n")[1:]
         gains = np.array([float(line.split()[1]) for line in lines])
         assert gains.max() == pytest.approx(0.0, abs=1e-9)
+
+
+class TestNullspaceRule:
+    """The served streams must leave the base station a nullspace for AN."""
+
+    def test_as_many_streams_as_antennas_rejected(self):
+        with pytest.raises(ConfigError) as err:
+            config_from_dict({"bs": {"antennas": "8", "num_rf": "8"}})
+        assert any(e.startswith("bs.num_rf:") and "bs.antennas" in e
+                   for e in err.value.errors)
+
+    def test_fewer_nodes_than_antennas_accepted(self):
+        cfg = config_from_dict({"bs": {"antennas": "8", "num_rf": "8"},
+                                "hn": {"count": "3"}, "run": {"slots": "3"}})
+        for strategy in StrategyId:
+            assert len(run_simulation(cfg, strategy).traces[0]) == 3
+
+    def test_cli_exit_code(self, tmp_path):
+        cfg = tmp_path / "full_rank.ini"
+        cfg.write_text("[bs]\nantennas = 8\nnum_rf = 8\n")
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+
+
+# `--compare --slots 4 --replications 2` at the defaults, pinned while every
+# strategy still built its own scenario per replication
+COMPARE_DIGESTS = {
+    "summary_compare.tsv":
+        "aa38fcdfb298ce87ebd7027fb89072b9c068a584c33ee6995aa650e551004179",
+    "trace_baseline.csv":
+        "3ee2f630fa101ae777c8c6d0b0aec5e6700bff0635a800cf627d5439de4275e4",
+    "trace_fixed_an.csv":
+        "0ba90348aad8959db089aac84c48a98b61fdafb2b35b8dc9d320ff69b2425b27",
+    "trace_stackelberg_only.csv":
+        "a9e91eeddf20486c307ac3260ac148c2a7c59fc523affc6f084a2c92051f5d57",
+    "trace_stackelberg_roleswitch.csv":
+        "937ac44dbcec68b336112c882f651750e795b3bdb899477a6b273f470e020969",
+    "trace_ibeams.csv":
+        "5d43c6018912871bb25a4354e78ac5755e889f6042173cb58603d42aad6620ae",
+}
+
+
+class TestCompareOutputs:
+    FLAGS = ["--slots", "4", "--replications", "2",
+             "--emit", "trace,summary,beliefs,beampattern,field"]
+
+    def test_shared_scenarios_keep_bytes_and_write_each_file_once(self, tmp_path):
+        compare, alone = tmp_path / "compare", tmp_path / "ibeams"
+        assert main(["--compare", "--out", str(compare), *self.FLAGS]) == 0
+        assert main(["--strategy", "ibeams", "--out", str(alone), *self.FLAGS]) == 0
+        for name, digest in COMPARE_DIGESTS.items():
+            assert hashlib.sha256((compare / name).read_bytes()).hexdigest() == digest, name
+        outputs = json.loads((compare / "manifest.json").read_text())["outputs"]
+        assert len(outputs) == len(set(outputs)) == 13
+        plots = [os.path.basename(p) for p in outputs
+                 if not p.endswith((".csv", ".tsv"))]
+        assert len(plots) == 7    # four belief maps, field, coalitions, pattern
+        for name in plots:
+            assert (compare / name).read_bytes() == (alone / name).read_bytes(), name
+
+
+class TestBeampatternSource:
+    def test_only_current_jammers_are_drawn(self, tmp_path):
+        cfg = ScenarioConfig()
+        cfg.run.slots = 6
+        result = run_simulation(cfg, StrategyId.IBEAMS)
+        world = result.worlds[0]
+        angles = np.radians(world.beliefs[0].grid_deg)
+        spec = world.scenario.hn_spec
+
+        def emitted():
+            emit_plot_data(result, str(tmp_path), ["beampattern"])
+            rows = (tmp_path / "beampattern.txt").read_text().strip().split("\n")[1:]
+            return np.array([float(row.split()[1]) for row in rows])
+
+        def pattern(u):
+            return beampattern_db(world.jhn_beams[u], spec, angles)
+
+        owners = list(world.jhn_beams)
+        top = max(owners, key=lambda u: world.powers[u])
+        runner_up = max((u for u in owners if u != top), key=lambda u: world.powers[u])
+        assert world.roles[top] is Role.JHN and world.roles[runner_up] is Role.JHN
+        assert np.array_equal(emitted(), pattern(top))
+        assert not np.array_equal(pattern(top), pattern(runner_up))
+
+        world.roles[top] = Role.THN     # its jamming beam is now stale
+        assert np.array_equal(emitted(), pattern(runner_up))
+
+        for u in owners:
+            world.roles[u] = Role.THN
+        sensing = sensing_beam(spec, 0.5, np.radians(world.beliefs[0].argmax_deg))
+        assert np.array_equal(emitted(), beampattern_db(sensing, spec, angles))

@@ -13,11 +13,10 @@ from hypothesis import strategies as st
 import secure_isac
 from secure_isac import engine
 from secure_isac.arrays import steering_vector
-from secure_isac.channel import STREAM_FADE, linear_gain, path_loss_db, substream
-from secure_isac.config import ScenarioConfig, StrategyId, parse_config
+from secure_isac.channel import (STREAM_FADE, STREAM_PAIR_SHADOW, linear_gain,
+                                  path_loss_db, substream)
+from secure_isac.config import ConfigError, ScenarioConfig, StrategyId, parse_config
 from secure_isac.engine import (
-    GeometryError,
-    World,
     bearing_deg,
     init_scenario,
     run_simulation,
@@ -25,6 +24,7 @@ from secure_isac.engine import (
     step_eves,
 )
 from secure_isac.followers import Role
+from secure_isac.refinement import ray_aim
 
 logging.disable(logging.WARNING)
 
@@ -45,9 +45,9 @@ class TestInitScenario:
         cfg = small_config()
         a = init_scenario(cfg, 3)
         b = init_scenario(cfg, 3)
-        assert np.array_equal(a.hn_positions, b.hn_positions)
+        assert np.array_equal(a.scenario.hn_positions, b.scenario.hn_positions)
         assert np.array_equal(a.eve_positions, b.eve_positions)
-        for ha, hb in zip(a.hn_channels, b.hn_channels):
+        for ha, hb in zip(a.scenario.hn_channels, b.scenario.hn_channels):
             assert np.array_equal(ha, hb)
 
     def test_counts_match_config(self):
@@ -59,13 +59,13 @@ class TestInitScenario:
     def test_degenerate_radius_rejected(self):
         cfg = small_config()
         cfg.run.cell_radius_m = 0.0
-        with pytest.raises(GeometryError):
+        with pytest.raises(ConfigError, match="run.cell_radius_m"):
             init_scenario(cfg, 1)
 
     def test_positions_in_forward_sector(self):
         cfg = small_config(hn__count=20, eve__count=10)
         world = init_scenario(cfg, 5)
-        for pos in np.vstack([world.hn_positions, world.eve_positions]):
+        for pos in np.vstack([world.scenario.hn_positions, world.eve_positions]):
             radius = np.linalg.norm(pos[:2])
             assert cfg.run.min_node_distance_m <= radius <= cfg.run.cell_radius_m + 1e-9
             assert pos[0] > 0.0  # bearings stay inside the tracked grid
@@ -131,31 +131,31 @@ def reference_pair_shadow(seed, k, e):
     for i in range(k):
         for j in range(k + e):
             a, b = (i, j) if j >= i else (j, i)
-            shadow[i, j] = substream(seed, engine.STREAM_PAIR_SHADOW, a, b).standard_normal()
+            shadow[i, j] = substream(seed, STREAM_PAIR_SHADOW, a, b).standard_normal()
     return shadow
 
 
 def reference_gain_tables(world, slot):
     """Per-pair faded path gains and bearings, recomputed from the positions."""
-    k, e = world.num_hn, world.num_eve
-    targets = np.vstack([world.hn_positions, world.eve_positions])
-    fades = substream(world.seed, STREAM_FADE, slot).exponential(1.0, size=(k, k + e))
+    scn, k, e = world.scenario, world.num_hn, world.num_eve
+    targets = np.vstack([scn.hn_positions, world.eve_positions])
+    fades = substream(scn.seed, STREAM_FADE, slot).exponential(1.0, size=(k, k + e))
     path = np.zeros((k, k + e))
     bearings = np.zeros((k, k + e))
     for i in range(k):
         for j in range(k + e):
             if j == i:
                 continue
-            dist = np.linalg.norm(targets[j] - world.hn_positions[i])
-            pl = path_loss_db(world.pl_model, max(dist, 1.0), world.pair_shadow[i, j])
+            dist = np.linalg.norm(targets[j] - scn.hn_positions[i])
+            pl = path_loss_db(scn.pl_model, max(dist, 1.0), scn.pair_shadow[i, j])
             path[i, j] = linear_gain(pl) ** 2 * fades[i, j]
-            bearings[i, j] = bearing_deg(world.hn_positions[i], targets[j])
+            bearings[i, j] = bearing_deg(scn.hn_positions[i], targets[j])
     return path, bearings
 
 
 def reference_steer(world, node_bearings):
     """Node-array steering toward each victim, one node row at a time."""
-    spec = world.hn_spec
+    spec = world.scenario.hn_spec
     n = spec.num_elements
     idx = np.arange(n) - (n - 1) / 2.0
     phase = spec.wavenumber * spec.spacing
@@ -172,7 +172,7 @@ class TestLinkTables:
         cfg = small_config(hn__count=k, eve__count=e, eve__mobility=mobility,
                            eve__speed_mps=25.0)
         world = init_scenario(cfg, seed)
-        assert np.array_equal(world.pair_shadow, reference_pair_shadow(seed, k, e))
+        assert np.array_equal(world.scenario.pair_shadow, reference_pair_shadow(seed, k, e))
         for slot in range(3):
             if slot > 0:
                 step_eves(world)
@@ -259,8 +259,8 @@ class TestRunSimulation:
         assert len(res.traces) == 2
         assert res.summary["replications"] == 2
         # different placements across replications
-        assert not np.array_equal(res.worlds[0].hn_positions,
-                                  res.worlds[1].hn_positions)
+        assert not np.array_equal(res.worlds[0].scenario.hn_positions,
+                                  res.worlds[1].scenario.hn_positions)
 
 
 class TestPowerBand:
@@ -274,7 +274,7 @@ class TestPowerBand:
 class TestCsiErrorKnob:
     def test_default_off_estimates_are_true_channels(self):
         world = init_scenario(small_config(), 1)
-        for h, e in zip(world.hn_channels, world.hn_estimates):
+        for h, e in zip(world.scenario.hn_channels, world.scenario.hn_estimates):
             assert np.array_equal(h, e)
 
     def test_bounded_error_perturbs_estimates(self):
@@ -282,7 +282,7 @@ class TestCsiErrorKnob:
         cfg.channel.csi_error_frobenius = 1e-6
         world = init_scenario(cfg, 1)
         total = np.sqrt(sum(np.linalg.norm(e - h) ** 2 for h, e in
-                            zip(world.hn_channels, world.hn_estimates)))
+                            zip(world.scenario.hn_channels, world.scenario.hn_estimates)))
         assert total == pytest.approx(1e-6, rel=1e-9)
         # the run stays valid: AN leaks a little at served nodes but nothing
         # blows up
@@ -294,7 +294,7 @@ class TestCsiErrorKnob:
         cfg.channel.csi_error_frobenius = 1e-6
         a = init_scenario(cfg, 2)
         b = init_scenario(cfg, 2)
-        for ea, eb in zip(a.hn_estimates, b.hn_estimates):
+        for ea, eb in zip(a.scenario.hn_estimates, b.scenario.hn_estimates):
             assert np.array_equal(ea, eb)
 
 
@@ -333,8 +333,8 @@ class TestReadmission:
         positive = 0
         for u in waiting:
             leak = powers @ ctx.jam_to_hn[:, u]
-            legit = np.log2(1.0 + p_full * world.hn_norm2[u] / cfg.bs.num_rf
-                            * cfg.hn.rx_gain / (leak + world.noise_w))
+            legit = np.log2(1.0 + p_full * world.scenario.hn_norm2[u] / cfg.bs.num_rf
+                            * cfg.hn.rx_gain / (leak + world.scenario.noise_w))
             expected = (cfg.followers.hypothetical_discount * max(0.0, legit - eve)
                         if np.isfinite(eve) else 0.0)
             assert state.rates_eq[u] == pytest.approx(expected, rel=1e-12, abs=0.0)
@@ -343,18 +343,18 @@ class TestReadmission:
 
 
 def reference_ray_aim(world, uid, peak_bearing_deg, num_samples=7):
-    """engine._ray_aim's aim, scored pair by pair with np.vdot."""
+    """refinement.ray_aim's aim from a node, scored pair by pair with np.vdot."""
     cfg = world.config
     theta = np.radians(peak_bearing_deg)
     ranges = np.linspace(cfg.run.min_node_distance_m, cfg.run.cell_radius_m,
                          num_samples)
     points = np.stack([ranges * np.cos(theta), ranges * np.sin(theta),
                        np.full(num_samples, cfg.eve.height_m)], axis=1)
-    d = points - world.hn_positions[uid]
+    d = points - world.scenario.hn_positions[uid]
     bearings = np.degrees(np.arctan2(d[:, 1], d[:, 0]))
     dists = np.maximum(np.linalg.norm(d, axis=1), 1.0)
     need_ratio = (ranges / dists) ** cfg.channel.path_loss_exponent
-    steers = steering_vector(world.hn_spec, np.radians(bearings))
+    steers = steering_vector(world.scenario.hn_spec, np.radians(bearings))
     best_aim, best_score = float(bearings[0]), -1.0
     for cand, cand_steer in zip(bearings, steers):
         gains = np.array([np.abs(np.vdot(cand_steer, s)) ** 2 for s in steers])
@@ -376,8 +376,11 @@ class TestRayAim:
             jammers = [u for u, role in record.roles.items() if role == Role.JHN.value]
             for target, _ in record.coalitions:
                 for u in jammers:
-                    assert (engine._ray_aim(world, u, target)
-                            == reference_ray_aim(world, u, target))
+                    got = ray_aim(world.scenario.hn_positions[u], target,
+                                  world.scenario.hn_spec,
+                                  (cfg.run.min_node_distance_m, cfg.run.cell_radius_m),
+                                  cfg.eve.height_m, cfg.channel.path_loss_exponent)
+                    assert got == reference_ray_aim(world, u, target)
                     checked += 1
         assert checked > 0
 

@@ -8,8 +8,6 @@ from secure_isac.leader import (
     LeaderState,
     an_update,
     data_fraction,
-    leader_objective,
-    leader_residual,
     leader_step,
     price_update,
     sensing_fraction,
@@ -139,20 +137,5 @@ class TestLeaderStep:
         state = LeaderState(alpha=1.0 - 0.2 - gamma, beta=0.2, gamma=gamma)
         kpis = LeaderKpis(secrecy=GAINS.r_s_target, mean_leakage_w=GAINS.xi_target_w)
         new, _ = leader_step(state, GAINS, kpis, GAINS.h_max)
-        assert leader_residual(state, new) == pytest.approx(0.0, abs=1e-12)
-
-
-class TestLeaderObjective:
-    def test_zero_penalties_equals_see(self):
-        assert leader_objective(0.42, GAINS.r_s_target + 1, GAINS.h_max - 1, 0.0,
-                                GAINS) == pytest.approx(0.42)
-
-    def test_entropy_hinge_boundary(self):
-        at = leader_objective(0.5, 10.0, GAINS.h_max, 0.0, GAINS)
-        above = leader_objective(0.5, 10.0, GAINS.h_max + 0.5, 0.0, GAINS)
-        assert at == pytest.approx(0.5)
-        assert above == pytest.approx(0.5 - 0.5)  # unit hinge weight
-
-    def test_secrecy_deficit_penalty(self):
-        got = leader_objective(0.5, GAINS.r_s_target - 0.2, 0.0, 0.0, GAINS)
-        assert got == pytest.approx(0.3)
+        for name in ("alpha", "beta", "gamma", "pi", "tau", "kappa"):
+            assert getattr(new, name) == pytest.approx(getattr(state, name), abs=1e-12)
