@@ -261,6 +261,12 @@ class ScenarioConfig:
         check(0 < c.followers.hypothetical_discount <= 1,
               "followers.hypothetical_discount", "must be in (0, 1]")
         check(c.gne.tolerance > 0, "gne.tolerance", "must be > 0")
+        if c.followers.grid_points >= 2:
+            # a profile change below one grid step means no node moved
+            step = c.hn.p_max_w / (c.followers.grid_points - 1)
+            check(c.gne.tolerance < step, "gne.tolerance",
+                  f"must be below the grid step hn.p_max_w / "
+                  f"(followers.grid_points - 1) = {step}")
         check(c.gne.max_iters >= 1, "gne.max_iters", "must be >= 1")
         check(c.refinement.peak_threshold_scale > 0, "refinement.peak_threshold_scale",
               "must be > 0")

@@ -42,26 +42,35 @@ class FeasibilitySpec:
         if self.p_max <= 0 or self.p_fj_max <= 0 or self.xi_max <= 0:
             raise ValueError("all caps must be > 0")
 
+    def admits(self, powers: np.ndarray, leakage: np.ndarray):
+        """Per profile of a (..., K) block whose served nodes receive
+        `leakage` (..., U): True iff every box bound, the aggregate budget,
+        and every leakage cap hold (closed constraints)."""
+        ok = ((powers >= -FEAS_TOL) & (powers <= self.p_max + FEAS_TOL)).all(axis=-1)
+        ok &= powers.sum(axis=-1) <= self.p_fj_max + FEAS_TOL
+        # leakage is watt-scale: a relative tolerance keeps the boundary closed
+        ok &= (leakage <= self.xi_max * (1.0 + 1e-9)).all(axis=-1)
+        return ok
 
-def trial_block(u: int, powers: np.ndarray, grid) -> np.ndarray:
-    """One profile per grid value: powers with node u's power replaced, (G, K)."""
-    trial = np.tile(np.asarray(powers, dtype=float), (len(grid), 1))
+
+def trial_block(u, powers: np.ndarray, grid) -> np.ndarray:
+    """One profile per grid row: powers with node u's power replaced, (G, K).
+
+    u may also be an array of node ids, with one column of `grid` per id.
+    """
+    trial = np.empty((len(grid), len(powers)))
+    trial[:] = powers
     trial[:, u] = grid
     return trial
 
 
-def _utilities(u: int, trial: np.ndarray, roles: dict, broadcast: Broadcast,
-               ctx: SlotContext, eta: float, cost: float) -> np.ndarray:
-    """Node u's priced payoff at every profile of a (M, K) trial block."""
-    power = trial[:, u]
-    secrecy, jam = 0.0, 0.0
-    if roles[u] is Role.JHN:
-        jam = broadcast.pi * ctx.jam_contribution(u, trial)
-    elif u in ctx.served:
-        secrecy = eta * ctx.rates(trial)[:, ctx.served.index(u)]
-    leak = power * ctx.jam_to_thn[u].sum()
+def _priced(secrecy, jam, power, leak_gain, broadcast: Broadcast, info_gain: float,
+            cost: float):
+    """A node's payoff from its secrecy reward and jamming credit at `power`,
+    where leak_gain is its total leakage per watt into the served nodes."""
+    leak = power * leak_gain
     return (secrecy - cost * power - broadcast.tau * leak + jam
-            + broadcast.kappa * ctx.info_gain)
+            + broadcast.kappa * info_gain)
 
 
 def hn_utility(u: int, power: float, powers: np.ndarray, roles: dict,
@@ -72,36 +81,79 @@ def hn_utility(u: int, power: float, powers: np.ndarray, roles: dict,
 
     Transmit-role nodes earn the secrecy reward and contribute no jamming;
     jamming-role nodes earn the jamming reward instead. Power cost, leakage
-    penalty, and the shared information bonus apply to everyone.
+    penalty, and the shared information bonus apply to everyone. Scored one
+    profile at a time, apart from the game's block scorer, so tests can hold
+    that scorer to it.
     """
     if power < -FEAS_TOL or power > spec.p_max + FEAS_TOL:
         raise ValueError(f"infeasible power {power} for node {u}")
     trial = trial_block(u, powers, [power])
-    return float(_utilities(u, trial, roles, broadcast, ctx, eta, cost)[0])
+    secrecy, jam = 0.0, 0.0
+    if roles[u] is Role.JHN:
+        jam = broadcast.pi * ctx.jam_contribution(u, trial)
+    elif u in ctx.served:
+        secrecy = eta * ctx.rates(trial)[:, ctx.served.index(u)]
+    return float(_priced(secrecy, jam, trial[:, u], ctx.jam_to_thn[u].sum(), broadcast,
+                         ctx.info_gain, cost)[0])
 
 
 def feasible(powers: np.ndarray, spec: FeasibilitySpec, ctx: SlotContext):
     """Per profile of a (..., K) block: True iff every box bound, the
     aggregate budget, and every leakage cap hold (closed constraints)."""
     p = np.asarray(powers, dtype=float)
-    ok = np.all((p >= -FEAS_TOL) & (p <= spec.p_max + FEAS_TOL), axis=-1)
-    ok &= p.sum(axis=-1) <= spec.p_fj_max + FEAS_TOL
-    # leakage is watt-scale: a relative tolerance keeps the boundary closed
-    ok &= np.all(ctx.leakage_at_served(p) <= spec.xi_max * (1.0 + 1e-9), axis=-1)
-    return ok
+    return spec.admits(p, ctx.leakage_at_served(p))
+
+
+def _score_grid(nodes: list, powers: np.ndarray, grid: np.ndarray,
+                broadcast: Broadcast, ctx: SlotContext, spec: FeasibilitySpec,
+                roles: dict, eta: float, cost: float):
+    """Utilities and feasibility, each (N, G), of every node in `nodes` at
+    every grid power, the others fixed at `powers`; infeasible profiles keep
+    their utility.
+
+    One block holds the N x G candidate profiles, then one profile per node
+    with that node silent (its jamming credit's reference). Each gain table
+    contracts the block once, and the leakage serves both the caps and the
+    served rates. Every row scores as it would alone (see link._delivered),
+    so the values equal hn_utility's.
+    """
+    n, g = len(nodes), len(grid)
+    block = np.empty((n * (g + 1), len(powers)))
+    block[:] = powers
+    for i, u in enumerate(nodes):
+        block[i * g:(i + 1) * g, u] = grid
+        block[n * g + i, u] = 0.0
+    candidates = block[: n * g]
+    leak = ctx.leakage_at_served(candidates)
+    feas = spec.admits(candidates, leak).reshape(n, g)
+
+    jams = [roles[u] is Role.JHN for u in nodes]
+    earns = [not j and u in ctx.served for u, j in zip(nodes, jams)]
+    secrecy, jam = 0.0, 0.0
+    if any(jams) or any(earns):
+        eve = ctx.eve_rate_max(block)
+        with_rate = eve[: n * g].reshape(n, g)
+    if any(earns):
+        column = [ctx.served.index(u) if e else 0 for u, e in zip(nodes, earns)]
+        rates = ctx.rates_from(leak.reshape(n, g, -1), with_rate)[np.arange(n), :, column]
+        secrecy = np.where(np.array(earns)[:, None], eta * rates, 0.0)
+    if any(jams):
+        credit = ctx.jam_credit(with_rate, eve[n * g:, None], grid)
+        jam = np.where(np.array(jams)[:, None], broadcast.pi * credit, 0.0)
+    leak_gain = np.array([ctx.jam_to_thn[u].sum() for u in nodes])[:, None]
+    values = _priced(secrecy, jam, grid, leak_gain, broadcast, ctx.info_gain, cost)
+    return values, feas
 
 
 def candidate_utilities(u: int, powers: np.ndarray, grid: np.ndarray,
                         broadcast: Broadcast, ctx: SlotContext,
                         spec: FeasibilitySpec, roles: dict, eta: float, cost: float):
     """Utilities and feasibility over node u's candidate grid, others fixed:
-    hn_utility and feasible evaluated on one trial block. Infeasible
-    candidates score -inf."""
-    trial = trial_block(u, powers, grid)
-    feas = feasible(trial, spec, ctx)
-    values = _utilities(u, trial, roles, broadcast, ctx, eta, cost)
-    values[~feas] = -np.inf
-    return values, feas
+    hn_utility and feasible at every grid power, scored as one block.
+    Infeasible candidates score -inf."""
+    values, feas = _score_grid([u], powers, grid, broadcast, ctx, spec,
+                               roles, eta, cost)
+    return np.where(feas[0], values[0], -np.inf), feas[0]
 
 
 def best_response(u: int, powers: np.ndarray, grid: np.ndarray, broadcast: Broadcast,
@@ -134,22 +186,23 @@ def equilibrium_gap(powers: np.ndarray, grid: np.ndarray, broadcast: Broadcast,
                     ctx: SlotContext, spec: FeasibilitySpec, roles: dict,
                     eta: float, cost: float) -> float:
     """Largest unilateral utility improvement any node can reach on the grid
-    (the epsilon-equilibrium certificate, by exhaustive scan).
+    (the epsilon-equilibrium certificate, by exhaustive scan of every node's
+    grid as one block).
 
     Every power must be a grid point, as it is after any best-response sweep:
     node u's current utility is the row of its candidate block at powers[u].
     """
-    worst = 0.0
-    for u in range(len(powers)):
-        at = np.flatnonzero(grid == powers[u])
-        if at.size == 0:
-            raise ValueError(f"node {u}: power {powers[u]} is not on the grid")
-        trial = trial_block(u, powers, grid)
-        values = _utilities(u, trial, roles, broadcast, ctx, eta, cost)
-        feas = feasible(trial, spec, ctx)
-        if feas.any():
-            worst = max(worst, float(values[feas].max() - values[at[0]]))
-    return worst
+    powers = np.asarray(powers, dtype=float)
+    on_grid = grid == powers[:, None]
+    off = np.flatnonzero(~on_grid.any(axis=1))
+    if off.size:
+        raise ValueError(f"node {off[0]}: power {powers[off[0]]} is not on the grid")
+    values, feas = _score_grid(list(range(len(powers))), powers, grid, broadcast,
+                               ctx, spec, roles, eta, cost)
+    current = values[np.arange(len(powers)), on_grid.argmax(axis=1)]
+    best = np.where(feas, values, -np.inf).max(axis=1)
+    gains = (best - current)[feas.any(axis=1)]
+    return max(0.0, float(gains.max())) if gains.size else 0.0
 
 
 def gne_solve(roles: dict, powers: np.ndarray, broadcast: Broadcast, ctx: SlotContext,
@@ -162,11 +215,15 @@ def gne_solve(roles: dict, powers: np.ndarray, broadcast: Broadcast, ctx: SlotCo
     grid over [0, spec.p_max]; an infeasible start profile restarts from zero.
     Sweep order is ascending node id. Returns the profile, sweep count, the
     exhaustive equilibrium gap at the returned profile, and a convergence flag
-    (a profile-change norm <= tolerance, which on a discrete grid means an
-    exact fixed point).
+    (a profile-change norm <= tolerance). The tolerance must lie below the
+    grid step, so that a converged sweep moved no node: an exact grid fixed
+    point.
     """
-    if tolerance <= 0:
-        raise ValueError("tolerance must be > 0")
+    if grid_points < 2:
+        raise ValueError("grid_points must be >= 2")
+    step = spec.p_max / (grid_points - 1)
+    if not 0 < tolerance < step:
+        raise ValueError(f"tolerance must be > 0 and below the grid step {step}")
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
     if sorted(roles) != list(range(len(roles))):

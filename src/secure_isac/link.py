@@ -218,22 +218,33 @@ class SlotContext:
         """Spectral efficiency of the strongest eavesdropper, (...); inf when
         she decodes with a zero denominator."""
         p = np.asarray(powers, dtype=float)
+        return self.eve_rate_from(_delivered(p, self.jam_to_eve))
+
+    def eve_rate_from(self, jam_w: np.ndarray):
+        """The strongest eavesdropper's rate, (...), when each receives the
+        friendly-jamming watts jam_w, (..., E); inf when she decodes with a
+        zero denominator."""
         if self.num_eves == 0:
-            return np.zeros(p.shape[:-1])[()]
-        den = self.eve_an_w + _delivered(p, self.jam_to_eve) + self.eve_noise_w
-        with np.errstate(divide="ignore", invalid="ignore"):
-            sinr = np.where(den > 0, self.eve_capture_w / den,
-                            np.where(self.eve_capture_w > 0, np.inf, 0.0))
-            s = sinr.max(axis=-1)
-            return np.where(np.isfinite(s), np.log2(1.0 + s), np.inf)[()]
+            return np.zeros(jam_w.shape[:-1])[()]
+        den = self.eve_an_w + jam_w + self.eve_noise_w
+        live = den > 0
+        # a zero denominator decodes perfectly, unless nothing was captured
+        sinr = np.where(live, 0.0, np.where(self.eve_capture_w > 0, np.inf, 0.0))
+        np.divide(self.eve_capture_w, den, out=sinr, where=live)
+        return np.log2(1.0 + sinr.max(axis=-1))[()]     # log2(inf) is inf
 
     def rates(self, powers) -> np.ndarray:
         """Per served node secrecy rates, (..., U); all zero while the
         strongest eavesdropper's rate is infinite."""
         p = np.asarray(powers, dtype=float)
-        eve = np.asarray(self.eve_rate_max(p))[..., None]
-        leak = self.leakage_at_served(p)
-        legit = np.log2(1.0 + self.sig_w / (self.isi_w + self.an_thn_w + leak
+        return self.rates_from(self.leakage_at_served(p), self.eve_rate_max(p))
+
+    def rates_from(self, leak_w: np.ndarray, eve_rate) -> np.ndarray:
+        """Per served node secrecy rates, (..., U), from the leakage each
+        served node receives, (..., U), and the strongest eavesdropper's rate
+        of the same profiles, (...)."""
+        eve = np.asarray(eve_rate)[..., None]
+        legit = np.log2(1.0 + self.sig_w / (self.isi_w + self.an_thn_w + leak_w
                                             + self.noise_w))
         with np.errstate(invalid="ignore"):
             return np.where(np.isfinite(eve), np.maximum(0.0, legit - eve), 0.0)
@@ -244,20 +255,20 @@ class SlotContext:
         p = np.asarray(powers, dtype=float)
         without = p.copy()
         without[..., k] = 0.0
-        rows = without.reshape(-1, p.shape[-1])
-        if p.ndim > 1 and (rows[1:] == rows[:1]).all():
-            # a candidate block of node k: every row is the same without it,
-            # so score that row once (as a one-row batch, same summation)
-            without = rows[:1]
-        with_rate = self.eve_rate_max(p)
-        without_rate = self.eve_rate_max(without)
+        return self.jam_credit(self.eve_rate_max(p), self.eve_rate_max(without),
+                               p[..., k])
+
+    def jam_credit(self, with_rate, without_rate, power):
+        """Jamming credit of a node radiating `power`, given the strongest
+        eavesdropper's rate with it (with_rate) and with it silent
+        (without_rate); the three broadcast together."""
         with np.errstate(invalid="ignore"):
             gain = np.where(np.isfinite(without_rate), without_rate - with_rate,
                             JAM_CREDIT)
         # a clean interceptor stays clean regardless of this jammer
         gain = np.where(np.isfinite(with_rate), gain, 0.0)
         credit = len(self.served) * np.maximum(0.0, gain)
-        return np.where(p[..., k] > 0.0, credit, 0.0)[()]
+        return np.where(power > 0.0, credit, 0.0)[()]
 
 
 @dataclass

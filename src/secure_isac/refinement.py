@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .arrays import ArraySpec, InfeasibleNullError, null_steer, steering_vector
-from .followers import FeasibilitySpec, feasible, trial_block
+from .followers import FeasibilitySpec, trial_block
 from .link import SlotContext
 
 log = logging.getLogger(__name__)
@@ -179,8 +179,9 @@ def coalition_refine(coalition: Coalition, powers: np.ndarray, ctx: SlotContext,
     def score(trial):
         """Feasibility (rate floor included), objective and shaping test of
         every profile in a (M, K) block."""
-        rates = ctx.rates(trial)
-        ok = feasible(trial, spec, ctx)
+        leak = ctx.leakage_at_served(trial)
+        rates = ctx.rates_from(leak, ctx.eve_rate_max(trial))
+        ok = spec.admits(trial, leak)
         if floor_eff > 0:
             ok &= rates.min(axis=-1) >= floor_eff - 1e-12
         member = trial[:, ids]
@@ -191,9 +192,7 @@ def coalition_refine(coalition: Coalition, powers: np.ndarray, ctx: SlotContext,
     if ids.size <= 2:
         combos = np.stack([g.ravel() for g in np.meshgrid(*[grid] * ids.size,
                                                           indexing="ij")], axis=1)
-        trial = np.tile(powers, (combos.shape[0], 1))
-        trial[:, ids] = combos
-        ok, objective, shaped = score(trial)
+        ok, objective, shaped = score(trial_block(ids, powers, combos))
         if not ok.any():
             return powers, 0, True
         combos, objective, shaped = combos[ok], objective[ok], shaped[ok]

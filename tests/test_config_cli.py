@@ -248,6 +248,34 @@ class TestNullspaceRule:
         assert main(["--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
 
 
+class TestGneToleranceRule:
+    """A converged sweep must be an exact grid fixed point, so the tolerance
+    lies below the grid step hn.p_max_w / (followers.grid_points - 1)."""
+
+    # default step 1.5 / 20 = 0.075; 0.5 declared converged slots with gap 0.158
+    @pytest.mark.parametrize("tolerance", ["0.5", "0.075"])
+    def test_tolerance_at_or_above_step_rejected(self, tolerance):
+        with pytest.raises(ConfigError) as err:
+            config_from_dict({"gne": {"tolerance": tolerance}})
+        assert any(e.startswith("gne.tolerance:") and "grid step" in e
+                   for e in err.value.errors)
+
+    def test_step_follows_power_box_and_grid(self):
+        assert config_from_dict({"gne": {"tolerance": "0.07"}}).gne.tolerance == 0.07
+        with pytest.raises(ConfigError):
+            config_from_dict({"gne": {"tolerance": "0.07"},
+                              "followers": {"grid_points": "31"}})   # step 0.05
+        cfg = config_from_dict({"gne": {"tolerance": "0.5"},
+                                "hn": {"p_max_w": "3.0"},
+                                "followers": {"grid_points": "5"}})   # step 0.75
+        assert cfg.gne.tolerance == 0.5
+
+    def test_cli_exit_code(self, tmp_path):
+        cfg = tmp_path / "coarse_tolerance.ini"
+        cfg.write_text("[gne]\ntolerance = 0.5\n")
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+
+
 # `--compare --slots 4 --replications 2` at the defaults, pinned while every
 # strategy still built its own scenario per replication
 COMPARE_DIGESTS = {

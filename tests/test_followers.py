@@ -1,10 +1,18 @@
+import logging
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from secure_isac import engine
+from secure_isac.config import ScenarioConfig, StrategyId
 from secure_isac.followers import (
+    FEAS_TOL,
     FeasibilitySpec,
     Role,
     best_response,
+    candidate_utilities,
     equilibrium_gap,
     feasible,
     gne_solve,
@@ -12,7 +20,7 @@ from secure_isac.followers import (
     role_switch,
 )
 from secure_isac.leader import Broadcast
-from secure_isac.link import SlotContext
+from secure_isac.link import JAM_CREDIT, SlotContext
 
 BC = Broadcast(alpha=0.6, beta=0.2, gamma=0.2, pi=0.7, tau=0.3, kappa=0.1)
 
@@ -231,6 +239,21 @@ class TestGneSolve:
                         max_iters=1)
         assert res.iterations == 1  # cap respected even if it converged fast
 
+    @pytest.mark.parametrize("tolerance", [0.15, 0.5])
+    def test_tolerance_must_lie_below_grid_step(self, tolerance):
+        # 11 points over [0, 1.5]: a step of 0.15, so a one-step move could
+        # pass for convergence
+        with pytest.raises(ValueError, match="grid step"):
+            gne_solve(ROLES, np.zeros(3), BC, toy_context(),
+                      FeasibilitySpec(p_fj_max=2.0, xi_max=1e-13), ETA, COST,
+                      grid_points=11, tolerance=tolerance)
+
+    def test_tolerance_below_grid_step_accepted(self):
+        res = gne_solve(ROLES, np.zeros(3), BC, toy_context(),
+                        FeasibilitySpec(p_fj_max=2.0, xi_max=1e-13), ETA, COST,
+                        grid_points=11, tolerance=0.149)
+        assert res.converged and res.gap <= 1e-9
+
     @pytest.mark.parametrize("roles", [{0: Role.THN, 2: Role.JHN},
                                        {1: Role.THN, 2: Role.JHN, 3: Role.JHN}])
     def test_role_keys_must_be_node_ids(self, roles):
@@ -336,3 +359,178 @@ class TestGneInvariants:
         assert feasible(a.powers, spec, ctx)
         assert np.array_equal(a.powers, b.powers)
         assert a.iterations == b.iterations
+
+
+def scalar_scan(u, powers, grid, ctx, spec, roles, bc, eta, cost):
+    """Node u's utility at every grid power through hn_utility, -inf where
+    feasible rejects the profile."""
+    values = []
+    for g in grid:
+        trial = powers.copy()
+        trial[u] = g
+        values.append(hn_utility(u, g, powers, roles, bc, ctx, spec, eta, cost)
+                      if feasible(trial, spec, ctx) else -np.inf)
+    return np.array(values)
+
+
+@st.composite
+def toy_games(draw):
+    """A random small game: mixed roles with unserved transmit nodes, some
+    eavesdroppers that decode perfectly unless jammed (no AN, no noise floor,
+    sparse jamming rows), and caps that cut the grid."""
+    k = draw(st.integers(2, 6))
+    e = draw(st.integers(1, 3))
+    unit = st.floats(0.0, 1.0)
+    roles = {u: draw(st.sampled_from([Role.THN, Role.JHN])) for u in range(k)}
+    served = [u for u in range(k) if draw(st.booleans())]
+    n_served = len(served)
+
+    def arr(shape, scale, sparse=False):
+        values = np.array(draw(st.lists(unit, min_size=int(np.prod(shape)),
+                                        max_size=int(np.prod(shape))))).reshape(shape)
+        if sparse:
+            values[values < 0.5] = 0.0
+        return values * scale
+
+    ctx = SlotContext(
+        served=served,
+        sig_w=arr((n_served,), 1e-9) + 1e-11,
+        isi_w=arr((n_served,), 1e-12),
+        an_thn_w=arr((n_served,), 1e-12),
+        noise_w=1e-12,
+        eve_capture_w=arr((e,), 1e-10, sparse=True),
+        eve_an_w=arr((e,), 5e-11, sparse=True),
+        jam_to_eve=arr((k, e), 2e-10, sparse=True),
+        jam_to_thn=arr((k, n_served), 3e-13, sparse=True),
+        eve_noise_w=draw(st.sampled_from([0.0, 1e-12])),
+        info_gain=draw(unit),
+    )
+    grid = np.linspace(0.0, 1.5, draw(st.integers(2, 8)))
+    powers = np.array([draw(st.sampled_from(list(grid))) for _ in range(k)])
+    spec = FeasibilitySpec(p_max=1.5, p_fj_max=draw(st.floats(0.2, 1.5 * k)),
+                           xi_max=draw(st.floats(1e-14, 1e-12)))
+    bc = Broadcast(alpha=0.6, beta=0.2, gamma=0.2, pi=draw(unit), tau=draw(unit),
+                   kappa=draw(unit))
+    return ctx, roles, grid, powers, spec, bc, draw(unit), draw(unit)
+
+
+class TestBlockScorerProperties:
+    # 150 examples take about 2 s on 2 vCPUs (keep it under 10 s)
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(game=toy_games())
+    def test_gap_and_best_response_match_scalar_scan(self, game):
+        ctx, roles, grid, powers, spec, bc, eta, cost = game
+        want_gap = 0.0
+        logging.disable(logging.WARNING)   # empty feasible sets warn
+        try:
+            for u in range(len(powers)):
+                scan = scalar_scan(u, powers, grid, ctx, spec, roles, bc, eta, cost)
+                feasible_any = np.isfinite(scan).any()
+                if feasible_any:
+                    current = hn_utility(u, powers[u], powers, roles, bc, ctx, spec,
+                                         eta, cost)
+                    want_gap = max(want_gap, float(scan.max() - current))
+                want_p = float(grid[int(np.argmax(scan))]) if feasible_any else 0.0
+                assert best_response(u, powers, grid, bc, ctx, spec, roles, eta,
+                                     cost) == want_p
+        finally:
+            logging.disable(logging.NOTSET)
+        assert equilibrium_gap(powers, grid, bc, ctx, spec, roles, eta, cost) == want_gap
+
+
+def reference_eve_rate(ctx, p):
+    """The strongest eavesdropper's rate as the per-node game computed it."""
+    den = ctx.eve_an_w + np.einsum("...k,kx->...x", p, ctx.jam_to_eve) + ctx.eve_noise_w
+    with np.errstate(divide="ignore", invalid="ignore"):
+        sinr = np.where(den > 0, ctx.eve_capture_w / den,
+                        np.where(ctx.eve_capture_w > 0, np.inf, 0.0))
+        s = sinr.max(axis=-1)
+        return np.where(np.isfinite(s), np.log2(1.0 + s), np.inf)
+
+
+def reference_candidates(u, powers, grid, bc, ctx, spec, roles, eta, cost):
+    """The per-node formulation the block scorer replaced: a tiled (G, K)
+    trial block that feasibility and the rates each contract, and a jamming
+    credit from a second eavesdropper pass over one row with u silent.
+    Returns the raw utilities and the feasibility."""
+    trial = np.tile(np.asarray(powers, dtype=float), (len(grid), 1))
+    trial[:, u] = grid
+    leak_at = np.einsum("...k,kx->...x", trial, ctx.jam_to_thn)
+    feas = np.all((trial >= -FEAS_TOL) & (trial <= spec.p_max + FEAS_TOL), axis=-1)
+    feas &= trial.sum(axis=-1) <= spec.p_fj_max + FEAS_TOL
+    feas &= np.all(leak_at <= spec.xi_max * (1.0 + 1e-9), axis=-1)
+    power = trial[:, u]
+    secrecy, jam = 0.0, 0.0
+    if roles[u] is Role.JHN:
+        without = trial[:1].copy()
+        without[:, u] = 0.0
+        with_rate = reference_eve_rate(ctx, trial)
+        without_rate = reference_eve_rate(ctx, without)
+        with np.errstate(invalid="ignore"):
+            gain = np.where(np.isfinite(without_rate), without_rate - with_rate,
+                            JAM_CREDIT)
+        gain = np.where(np.isfinite(with_rate), gain, 0.0)
+        credit = len(ctx.served) * np.maximum(0.0, gain)
+        jam = bc.pi * np.where(power > 0.0, credit, 0.0)
+    elif u in ctx.served:
+        eve = reference_eve_rate(ctx, trial)[:, None]
+        legit = np.log2(1.0 + ctx.sig_w / (ctx.isi_w + ctx.an_thn_w + leak_at
+                                           + ctx.noise_w))
+        with np.errstate(invalid="ignore"):
+            rates = np.where(np.isfinite(eve), np.maximum(0.0, legit - eve), 0.0)
+        secrecy = eta * rates[:, ctx.served.index(u)]
+    leak = power * ctx.jam_to_thn[u].sum()
+    values = (secrecy - cost * power - bc.tau * leak + jam + bc.kappa * ctx.info_gain)
+    return values, feas
+
+
+@pytest.fixture(scope="module")
+def default_games():
+    """The power games of three default ibeams slots (K = 25, seed 1): the
+    arguments of each gne_solve call and its returned profile."""
+    games = []
+    solve = engine.gne_solve
+
+    def recording(roles, powers, broadcast, ctx, spec, eta, cost, **kw):
+        result = solve(roles, powers, broadcast, ctx, spec, eta, cost, **kw)
+        games.append((roles, np.array(powers), broadcast, ctx, spec, eta, cost,
+                      kw["grid_points"], result.powers))
+        return result
+
+    world = engine.init_scenario(ScenarioConfig(), 1)
+    engine.gne_solve = recording
+    try:
+        for slot in range(3):
+            engine.run_slot(world, StrategyId.IBEAMS, slot)
+    finally:
+        engine.gne_solve = solve
+    assert len(games) == 3
+    return games
+
+
+class TestBlockScorerOnDefaultSlots:
+    def test_candidates_equal_per_node_reference(self, default_games):
+        for roles, start, bc, ctx, spec, eta, cost, points, eq in default_games:
+            assert len(roles) == 25
+            grid = np.linspace(0.0, spec.p_max, points)
+            for powers in (start, eq):
+                for u in range(len(powers)):
+                    values, feas = candidate_utilities(u, powers, grid, bc, ctx, spec,
+                                                       roles, eta, cost)
+                    want, want_feas = reference_candidates(u, powers, grid, bc, ctx,
+                                                           spec, roles, eta, cost)
+                    assert np.array_equal(feas, want_feas)
+                    assert np.array_equal(values, np.where(want_feas, want, -np.inf))
+
+    def test_gap_equals_per_node_reference(self, default_games):
+        for roles, _, bc, ctx, spec, eta, cost, points, eq in default_games:
+            grid = np.linspace(0.0, spec.p_max, points)
+            want = 0.0
+            for u in range(len(eq)):
+                values, feas = reference_candidates(u, eq, grid, bc, ctx, spec, roles,
+                                                    eta, cost)
+                if feas.any():
+                    at = np.flatnonzero(grid == eq[u])[0]
+                    want = max(want, float(values[feas].max() - values[at]))
+            assert equilibrium_gap(eq, grid, bc, ctx, spec, roles, eta, cost) == want
