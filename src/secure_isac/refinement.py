@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .arrays import ArraySpec, InfeasibleNullError, null_steer, steering_vector
-from .followers import FeasibilitySpec, trial_block
+from .followers import FeasibilitySpec, candidate_block, sweep_best_responses, trial_block
 from .link import SlotContext
 
 log = logging.getLogger(__name__)
@@ -160,8 +160,9 @@ def coalition_refine(coalition: Coalition, powers: np.ndarray, ctx: SlotContext,
     suppresses redundant or low-impact jammers, which also preserves the
     shared budget for coalitions facing stronger adversaries. Coalitions of
     one or two members are solved exactly by enumeration; larger ones by
-    coordinate ascent. If the shaping bound is unreachable it is relaxed to
-    the best achievable level and flagged.
+    coordinate ascent in the power game's block sweeps
+    (followers.sweep_best_responses). If the shaping bound is unreachable it
+    is relaxed to the best achievable level and flagged.
 
     Returns (new power vector, rounds, relaxed flag).
     """
@@ -170,7 +171,9 @@ def coalition_refine(coalition: Coalition, powers: np.ndarray, ctx: SlotContext,
         raise ValueError("empty coalition")
     powers = np.array(powers, dtype=float)
     gains_matrix = np.stack([field_gains[j] for j in ids])    # (|C|, grid)
-    shaping_weights = gains_matrix @ posterior_probs          # (|C|,)
+    # einsum, not BLAS: a member's shaping test must score the same in any
+    # block and at any thread count
+    shaping_weights = np.einsum("cg,g->c", gains_matrix, posterior_probs)   # (|C|,)
     grid = np.linspace(0.0, spec.p_max, grid_points)
 
     current_rates = ctx.rates(powers)
@@ -186,7 +189,7 @@ def coalition_refine(coalition: Coalition, powers: np.ndarray, ctx: SlotContext,
             ok &= rates.min(axis=-1) >= floor_eff - 1e-12
         member = trial[:, ids]
         objective = rates.sum(axis=-1) - power_penalty_per_w * member.sum(axis=-1)
-        return ok, objective, member @ shaping_weights >= j_min - 1e-15
+        return ok, objective, np.einsum("mc,c->m", member, shaping_weights) >= j_min - 1e-15
 
     relaxed = False
     if ids.size <= 2:
@@ -208,35 +211,34 @@ def coalition_refine(coalition: Coalition, powers: np.ndarray, ctx: SlotContext,
         powers[ids] = combos[pick]
         return powers, 1, relaxed
 
-    rounds = 0
-    for _ in range(max_rounds):
-        rounds += 1
-        moved = False
-        for jid in ids:
-            ok, objective, shaped = score(trial_block(jid, powers, grid))
-            best_val = -np.inf
-            best_p = powers[jid]
-            found_shaped = False
-            for p, p_ok, value, meets in zip(grid, ok, objective, shaped):
-                if not p_ok:
-                    continue
-                if meets and not found_shaped:
-                    found_shaped = True
-                    best_val = -np.inf  # restart preference on shaped candidates
-                if found_shaped and not meets:
-                    continue
-                # require a real improvement so ties stay at lower power
-                if value > best_val + 1e-9:
-                    best_val = value
-                    best_p = p
-            if not found_shaped and j_min > 0:
-                relaxed = True
-            if best_p != powers[jid]:
-                powers[jid] = best_p
-                moved = True
-        if not moved:
-            break
+    def respond(block):
+        nonlocal relaxed
+        rows = [a.reshape(len(block), -1)
+                for a in score(candidate_block(block, powers, grid))]
+        for jid, ok, objective, shaped in zip(block, *rows):
+            pick, met = _ascent_pick(grid, ok, objective, shaped, powers[jid])
+            relaxed |= j_min > 0 and not met
+            yield pick
+
+    rounds, _ = sweep_best_responses(ids, powers, respond, max_rounds,
+                                     lambda previous: np.array_equal(powers, previous))
     return powers, rounds, relaxed
+
+
+def _ascent_pick(grid, ok, objective, shaped, current):
+    """One member's coordinate-ascent step over its feasible grid powers:
+    shaped candidates first if any is feasible, else every feasible one; a
+    pick must beat the running best by 1e-9, so ties stay at lower power.
+    Returns (power, whether a shaped candidate was feasible); the member keeps
+    `current` when nothing is feasible."""
+    shaped_ok = ok & shaped
+    met = bool(shaped_ok.any())
+    keep = shaped_ok if met else ok
+    best_val, best_p = -np.inf, current
+    for p, value in zip(grid[keep], objective[keep]):
+        if value > best_val + 1e-9:
+            best_val, best_p = value, p
+    return best_p, met
 
 
 @dataclass

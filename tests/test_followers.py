@@ -485,28 +485,40 @@ def reference_candidates(u, powers, grid, bc, ctx, spec, roles, eta, cost):
     return values, feas
 
 
-@pytest.fixture(scope="module")
-def default_games():
-    """The power games of three default ibeams slots (K = 25, seed 1): the
-    arguments of each gne_solve call and its returned profile."""
+def capture_games(config, strategy, slots):
+    """The power games of the first `slots` slots of `strategy` on `config`
+    (scenario seed 1): the arguments of each gne_solve call and its result."""
     games = []
     solve = engine.gne_solve
 
-    def recording(roles, powers, broadcast, ctx, spec, eta, cost, **kw):
-        result = solve(roles, powers, broadcast, ctx, spec, eta, cost, **kw)
-        games.append((roles, np.array(powers), broadcast, ctx, spec, eta, cost,
-                      kw["grid_points"], result.powers))
+    def recording(*args, **kw):
+        result = solve(*args, **kw)
+        games.append((args, kw, result))
         return result
 
-    world = engine.init_scenario(ScenarioConfig(), 1)
+    world = engine.init_scenario(config, 1)
     engine.gne_solve = recording
     try:
-        for slot in range(3):
-            engine.run_slot(world, StrategyId.IBEAMS, slot)
+        for slot in range(slots):
+            engine.run_slot(world, strategy, slot)
     finally:
         engine.gne_solve = solve
-    assert len(games) == 3
+    assert len(games) == slots
     return games
+
+
+@pytest.fixture(scope="module")
+def default_solves():
+    """The power games of three default ibeams slots (K = 25)."""
+    return capture_games(ScenarioConfig(), StrategyId.IBEAMS, 3)
+
+
+@pytest.fixture(scope="module")
+def default_games(default_solves):
+    """The default games as (roles, start, broadcast, ctx, spec, eta, cost,
+    grid points, returned profile)."""
+    return [(*args, kw["grid_points"], result.powers)
+            for args, kw, result in default_solves]
 
 
 class TestBlockScorerOnDefaultSlots:
@@ -534,3 +546,114 @@ class TestBlockScorerOnDefaultSlots:
                     at = np.flatnonzero(grid == eq[u])[0]
                     want = max(want, float(values[feas].max() - values[at]))
             assert equilibrium_gap(eq, grid, bc, ctx, spec, roles, eta, cost) == want
+
+
+def reference_gne(roles, powers, bc, ctx, spec, eta, cost, grid_points=21,
+                  tolerance=1e-3, max_iters=50):
+    """The per-node Gauss-Seidel loop the block sweeps replaced: every node
+    scored alone through the scalar best_response, at its turn, in every
+    sweep. Returns (powers, iterations, converged, gap)."""
+    grid = np.linspace(0.0, spec.p_max, grid_points)
+    powers = np.array(powers, dtype=float)
+    if not feasible(powers, spec, ctx):
+        powers = np.zeros_like(powers)
+    converged = False
+    iterations = 0
+    for _ in range(max_iters):
+        iterations += 1
+        previous = powers.copy()
+        for uid in range(len(roles)):
+            powers[uid] = best_response(uid, powers, grid, bc, ctx, spec, roles, eta, cost)
+        if np.linalg.norm(powers - previous) <= tolerance:
+            converged = True
+            break
+    gap = equilibrium_gap(powers, grid, bc, ctx, spec, roles, eta, cost)
+    return powers, iterations, converged, gap
+
+
+def assert_solve_matches_reference(args, kw):
+    got = gne_solve(*args, **kw)
+    powers, iterations, converged, gap = reference_gne(*args, **kw)
+    assert np.array_equal(got.powers, powers)
+    assert got.iterations == iterations
+    assert got.converged == converged
+    assert got.gap == gap
+
+
+@st.composite
+def sweep_games(draw):
+    """A toy game with a start profile on the grid, off the grid, or
+    infeasible (every node at p_max), and a sweep cap."""
+    ctx, roles, grid, powers, spec, bc, eta, cost = draw(toy_games())
+    start = draw(st.sampled_from(["grid", "off", "full"]))
+    if start == "off":
+        powers = np.array([draw(st.floats(0.0, 1.5)) for _ in powers])
+    elif start == "full":
+        powers = np.full(len(powers), spec.p_max)
+    kw = {"grid_points": len(grid), "max_iters": draw(st.sampled_from([1, 2, 50]))}
+    return (roles, powers, bc, ctx, spec, eta, cost), kw
+
+
+class TestBlockSweeps:
+    # 100 examples take about 1 s on 2 vCPUs
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(game=sweep_games())
+    def test_toy_games_match_per_node_sweeps(self, game):
+        logging.disable(logging.WARNING)   # empty feasible sets warn
+        try:
+            assert_solve_matches_reference(*game)
+        finally:
+            logging.disable(logging.NOTSET)
+
+    def test_default_slots_match_per_node_sweeps(self, default_solves):
+        for args, kw, _ in default_solves:
+            assert_solve_matches_reference(args, kw)
+
+    def test_k100_roleswitch_slots_match_per_node_sweeps(self):
+        config = ScenarioConfig()
+        config.hn.count = 100
+        games = capture_games(config, StrategyId.STACKELBERG_ROLESWITCH, 3)
+        assert max(result.iterations for _, _, result in games) > 2
+        for args, kw, _ in games:
+            assert len(args[0]) == 100
+            assert_solve_matches_reference(args, kw)
+
+    def test_block_form_scores_each_node_as_alone(self):
+        ctx = toy_context(info_gain=0.3)
+        spec = FeasibilitySpec(p_fj_max=2.0, xi_max=3e-14)
+        grid = np.linspace(0, 1.5, 7)
+        powers = np.array([0.25, 0.5, 1.0])
+        picks, empty = best_response([2, 0, 1], powers, grid, BC, ctx, spec, ROLES,
+                                     ETA, COST)
+        assert not empty.any()
+        assert picks.tolist() == [best_response(u, powers, grid, BC, ctx, spec, ROLES,
+                                                ETA, COST) for u in (2, 0, 1)]
+
+    # A start just inside the closed budget (2.0 + 1e-12) whose slightly
+    # negative entry hides that the other two nodes overdraw it: the node
+    # holding the negative power has no feasible grid power at the start.
+    OVERDRAWN = FeasibilitySpec(p_fj_max=2.0, xi_max=1.0)
+
+    def test_fallback_warns_for_an_accepted_evaluation(self, caplog):
+        start = np.array([-0.9e-12, 1.0, 1.0 + 1.5e-12])
+        assert feasible(start, self.OVERDRAWN, toy_context())
+        with caplog.at_level(logging.WARNING, logger="secure_isac.followers"):
+            res = gne_solve(ROLES, start, BC, toy_context(), self.OVERDRAWN, ETA, COST)
+        assert [r.getMessage() for r in caplog.records] == [
+            "node 0: no feasible grid power, falling back to 0"]
+        assert res.powers[0] == 0.0
+
+    def test_fallback_never_warns_for_a_discarded_row(self, caplog):
+        # node 0 moves first, so node 2's row in the same block, empty against
+        # the start profile, is dropped; rescored after the move it is feasible
+        start = np.array([1.0 + 1.5e-12, 1.0, -0.9e-12])
+        grid = np.linspace(0, 1.5, 21)
+        assert feasible(start, self.OVERDRAWN, toy_context())
+        _, empty = best_response([0, 1, 2], start, grid, BC, toy_context(),
+                                 self.OVERDRAWN, ROLES, ETA, COST)
+        assert empty.tolist() == [False, False, True]
+        with caplog.at_level(logging.WARNING, logger="secure_isac.followers"):
+            res = gne_solve(ROLES, start, BC, toy_context(), self.OVERDRAWN, ETA, COST)
+        assert caplog.records == []
+        assert res.powers[0] == 0.0

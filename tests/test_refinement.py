@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from secure_isac.arrays import ArraySpec, array_gain, steering_vector
 from secure_isac.belief import BeliefState, default_grid
-from secure_isac.followers import FeasibilitySpec
+from secure_isac.followers import FeasibilitySpec, trial_block
 from secure_isac.link import SlotContext
 from secure_isac.refinement import (
     Coalition,
@@ -179,6 +181,119 @@ class TestCoalitionRefine:
             Coalition([1], 0.0), np.array([0.0, 0.0]), ctx,
             FeasibilitySpec(p_max=1.5, p_fj_max=10.0, xi_max=1.0), j_min=1e9, field_gains=FLAT_GAINS, posterior_probs=UNIFORM_POST)
         assert relaxed
+
+
+def reference_ascent(coalition, powers, ctx, spec, j_min, field_gains, posterior_probs,
+                     rate_floor=0.0, grid_points=21, max_rounds=8,
+                     power_penalty_per_w=1e-3):
+    """The per-member coordinate ascent the block sweeps replaced, for
+    coalitions of three or more: every member scored alone, at its turn, in
+    every round, with the same einsum shaping test."""
+    ids = np.array(coalition.member_ids, dtype=int)
+    powers = np.array(powers, dtype=float)
+    gains_matrix = np.stack([field_gains[j] for j in ids])
+    shaping_weights = np.einsum("cg,g->c", gains_matrix, posterior_probs)
+    grid = np.linspace(0.0, spec.p_max, grid_points)
+    current_rates = ctx.rates(powers)
+    floor_eff = min(rate_floor, float(current_rates.min())) if current_rates.size else 0.0
+
+    def score(trial):
+        leak = ctx.leakage_at_served(trial)
+        rates = ctx.rates_from(leak, ctx.eve_rate_max(trial))
+        ok = spec.admits(trial, leak)
+        if floor_eff > 0:
+            ok &= rates.min(axis=-1) >= floor_eff - 1e-12
+        member = trial[:, ids]
+        objective = rates.sum(axis=-1) - power_penalty_per_w * member.sum(axis=-1)
+        return ok, objective, np.einsum("mc,c->m", member, shaping_weights) >= j_min - 1e-15
+
+    relaxed = False
+    rounds = 0
+    for _ in range(max_rounds):
+        rounds += 1
+        moved = False
+        for jid in ids:
+            ok, objective, shaped = score(trial_block(jid, powers, grid))
+            best_val = -np.inf
+            best_p = powers[jid]
+            found_shaped = False
+            for p, p_ok, value, meets in zip(grid, ok, objective, shaped):
+                if not p_ok:
+                    continue
+                if meets and not found_shaped:
+                    found_shaped = True
+                    best_val = -np.inf  # restart preference on shaped candidates
+                if found_shaped and not meets:
+                    continue
+                if value > best_val + 1e-9:
+                    best_val = value
+                    best_p = p
+            if not found_shaped and j_min > 0:
+                relaxed = True
+            if best_p != powers[jid]:
+                powers[jid] = best_p
+                moved = True
+        if not moved:
+            break
+    return powers, rounds, relaxed
+
+
+@st.composite
+def coalition_games(draw):
+    """A coalition of 3-8 jammers in random order among served and idle
+    nodes, with random gains, field rows, posterior, caps, rate floor,
+    shaping bound and start powers (on or off the grid)."""
+    unit = st.floats(0.0, 1.0)
+
+    def arr(shape, scale):
+        n = int(np.prod(shape))
+        return np.array(draw(st.lists(unit, min_size=n, max_size=n))).reshape(shape) * scale
+
+    size = draw(st.integers(3, 8))
+    n_served = draw(st.integers(1, 2))
+    k = size + n_served + draw(st.integers(0, 2))
+    e = draw(st.integers(1, 3))
+    order = draw(st.permutations(range(k)))
+    members, served = list(order[:size]), sorted(order[size:size + n_served])
+    ctx = SlotContext(
+        served=served,
+        sig_w=arr((n_served,), 1e-9) + 1e-11,
+        isi_w=arr((n_served,), 1e-12),
+        an_thn_w=arr((n_served,), 1e-12),
+        noise_w=1e-12,
+        eve_capture_w=arr((e,), 1e-10),
+        eve_an_w=arr((e,), 5e-11),
+        jam_to_eve=arr((k, e), 2e-10),
+        jam_to_thn=arr((k, n_served), 1e-13),
+    )
+    bins = 9
+    gains = {j: arr((bins,), 1.0) for j in members}
+    posterior = arr((bins,), 1.0) + 1e-3
+    spec = FeasibilitySpec(p_max=1.5, p_fj_max=draw(st.floats(0.5, 1.5 * k)),
+                           xi_max=draw(st.floats(1e-13, 2e-12)))
+    powers = arr((k,), draw(st.sampled_from([0.2, 1.5])))
+    kw = {"rate_floor": draw(st.sampled_from([0.0, 0.5, 5.0])),
+          "grid_points": draw(st.integers(3, 11))}
+    posterior /= posterior.sum()
+    # the shaping bound as a fraction of the start's shaping energy, as the
+    # refinement loop sets it
+    energy = sum(powers[j] * gains[j] for j in members) @ posterior
+    return (Coalition(members, 0.0), powers, ctx, spec,
+            draw(st.floats(0.0, 2.0)) * energy, gains, posterior), kw
+
+
+class TestCoalitionBlockSweeps:
+    # 100 examples take about 2 s on 2 vCPUs
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(game=coalition_games())
+    def test_matches_per_member_ascent(self, game):
+        args, kw = game
+        powers, rounds, relaxed = coalition_refine(*args, **kw)
+        want_powers, want_rounds, want_relaxed = reference_ascent(*args, **kw)
+        assert np.array_equal(powers, want_powers)
+        assert rounds == want_rounds
+        assert relaxed == want_relaxed
 
 
 class TestSynthesizeField:
