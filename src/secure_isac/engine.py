@@ -226,7 +226,8 @@ def _open_slot(world: World, strategy: StrategyId, slot: int,
         slot=slot, broadcast=broadcast, eve_chans=eve_chans,
         node_path=_node_gain_tables(world, slot), info_gain=world.prev_kpis.info_gain,
         spec=FeasibilitySpec(p_max=cfg.hn.p_max_w, p_fj_max=cfg.followers.p_fj_max_w,
-                             xi_max=cfg.followers.xi_max_scale * world.scenario.noise_w),
+                             xi_max=cfg.followers.xi_max_scale * world.scenario.noise_w,
+                             grid_points=cfg.followers.grid_points),
         powers=np.zeros(world.num_hn))
 
 
@@ -252,8 +253,7 @@ def _play_power_game(world: World, state: SlotState) -> None:
     cfg = world.config
     result = gne_solve(state.roles, np.minimum(world.powers, state.spec.p_max),
                        state.broadcast, state.ctx, state.spec, cfg.hn.eta,
-                       cfg.hn.power_cost_per_w, grid_points=cfg.followers.grid_points,
-                       tolerance=cfg.gne.tolerance, max_iters=cfg.gne.max_iters)
+                       cfg.hn.power_cost_per_w, max_iters=cfg.gne.max_iters)
     state.powers, state.gne_iters = result.powers, result.iterations
     state.gne_gap, state.gne_conv = result.gap, result.converged
 
@@ -367,7 +367,6 @@ def _run_refinement(world: World, state: SlotState, jhn_ids):
         rate_floor=cfg.run.outage_threshold,
         delta_stop=cfg.refinement.delta_stop,
         max_iters=cfg.refinement.max_iters,
-        grid_points=cfg.followers.grid_points,
         power_penalty_per_w=cfg.refinement.power_penalty_per_w)
 
 

@@ -35,17 +35,25 @@ class Role(str, Enum):
 
 @dataclass
 class FeasibilitySpec:
-    """Shared constraints of the power game and the refinement: every node's
-    power box [0, p_max], the aggregate jamming budget, and the
-    per-served-node leakage cap."""
+    """Shared constraints and power grid of the power game and the
+    refinement: every node's power box [0, p_max], the aggregate jamming
+    budget, the per-served-node leakage cap, and the grid_points evenly spaced
+    powers over the box that every node chooses from."""
 
     p_max: float = 1.5
     p_fj_max: float = 12.0
     xi_max: float = 2e-12
+    grid_points: int = 21
 
     def __post_init__(self):
         if self.p_max <= 0 or self.p_fj_max <= 0 or self.xi_max <= 0:
             raise ValueError("all caps must be > 0")
+        if self.grid_points < 2:
+            raise ValueError("grid_points must be >= 2")
+
+    @property
+    def grid(self) -> np.ndarray:
+        return np.linspace(0.0, self.p_max, self.grid_points)
 
     def admits(self, powers: np.ndarray, leakage: np.ndarray):
         """Per profile of a (..., K) block whose served nodes receive
@@ -159,59 +167,42 @@ def _score_grid(nodes: list, powers: np.ndarray, grid: np.ndarray,
     return values, feas
 
 
-def candidate_utilities(u, powers: np.ndarray, grid: np.ndarray,
+def candidate_utilities(nodes: list, powers: np.ndarray, grid: np.ndarray,
                         broadcast: Broadcast, ctx: SlotContext,
                         spec: FeasibilitySpec, roles: dict, eta: float, cost: float):
-    """Utilities and feasibility over node u's candidate grid, others fixed:
-    hn_utility and feasible at every grid power, scored as one block.
-    Infeasible candidates score -inf. u may also be a list of node ids: then
-    both are (N, G), one row per node."""
-    nodes = u if isinstance(u, list) else [u]
+    """Utilities and feasibility, each (N, G), over the candidate grid of
+    every node id in `nodes`, the others fixed: hn_utility and feasible at
+    every grid power, scored as one block. Infeasible candidates score -inf."""
     values, feas = _score_grid(nodes, powers, grid, broadcast, ctx, spec,
                                roles, eta, cost)
-    values = np.where(feas, values, -np.inf)
-    return (values, feas) if isinstance(u, list) else (values[0], feas[0])
+    return np.where(feas, values, -np.inf), feas
 
 
-_FALLBACK = "node %d: no feasible grid power, falling back to 0"
+def best_response(nodes: list, powers: np.ndarray, grid: np.ndarray,
+                  broadcast: Broadcast, ctx: SlotContext, spec: FeasibilitySpec,
+                  roles: dict, eta: float, cost: float):
+    """Utility-maximizing feasible grid power of every node id in `nodes`,
+    each scored against the same profile, the others fixed.
 
-
-def best_response(u, powers: np.ndarray, grid: np.ndarray, broadcast: Broadcast,
-                  ctx: SlotContext, spec: FeasibilitySpec, roles: dict,
-                  eta: float, cost: float):
-    """Utility-maximizing feasible grid power for node u, others fixed.
-
-    Exact ties break toward lower power. An empty feasible set falls back to
-    zero power with a warning.
-
-    u may also be a list of node ids, each scored against the same profile in
-    one block. Then the result is (picks (N,), empty (N,)), where `empty`
-    marks the nodes that fell back to zero power, and nothing is logged: a
-    sweep logs only the picks it accepts.
+    Returns (picks (N,), empty (N,)). Exact ties break toward lower power; a
+    node with an empty feasible set falls back to zero power and is marked in
+    `empty`. Nothing is logged: a sweep logs only the picks it accepts.
     """
-    if grid.size == 0:
-        raise ValueError("empty power grid")
-    values, feas = candidate_utilities(u if isinstance(u, list) else [u], powers,
-                                       grid, broadcast, ctx, spec, roles, eta, cost)
+    values, feas = candidate_utilities(nodes, powers, grid, broadcast, ctx, spec,
+                                       roles, eta, cost)
     empty = ~feas.any(axis=1)
     # argmax takes the first (lowest) tie
-    picks = np.where(empty, 0.0, grid[np.argmax(values, axis=1)])
-    if isinstance(u, list):
-        return picks, empty
-    if empty[0]:
-        log.warning(_FALLBACK, u)
-    return float(picks[0])
+    return np.where(empty, 0.0, grid[np.argmax(values, axis=1)]), empty
 
 
-def sweep_best_responses(nodes, powers: np.ndarray, respond, max_sweeps: int,
-                         settled):
+def sweep_best_responses(nodes, powers: np.ndarray, respond, max_sweeps: int):
     """Gauss-Seidel best-response sweeps over the node ids `nodes` in order,
-    moving `powers` in place. Returns (sweeps run, settled flag).
+    moving `powers` in place, until a sweep moves no node. Returns (sweeps
+    run, converged flag).
 
     respond(block) yields, in order, the pick of each node id in `block`, all
     scored against the current powers; a node's pick must not depend on its
-    own power. settled(previous) is tested after every sweep, with the powers
-    the sweep started from, and ends the sweeps when true.
+    own power.
 
     A node is scored at its turn only if some node has moved since it was
     last scored; otherwise its pick would be the power it holds. Up to
@@ -223,7 +214,7 @@ def sweep_best_responses(nodes, powers: np.ndarray, respond, max_sweeps: int,
     seen = [-1] * len(nodes)    # the move count when each node was last scored
     version = 0                 # moves so far
     for sweep in range(1, max_sweeps + 1):
-        previous = powers.copy()
+        moves_before = version
         pos = 0
         while True:
             # pending is decided at each node's turn, not at the sweep's
@@ -240,7 +231,7 @@ def sweep_best_responses(nodes, powers: np.ndarray, respond, max_sweeps: int,
                     version += 1
                     seen[i] = version
                     break
-        if settled(previous):
+        if version == moves_before:
             return sweep, True
     return max_sweeps, False
 
@@ -277,30 +268,23 @@ def equilibrium_gap(powers: np.ndarray, grid: np.ndarray, broadcast: Broadcast,
 
 
 def gne_solve(roles: dict, powers: np.ndarray, broadcast: Broadcast, ctx: SlotContext,
-              spec: FeasibilitySpec, eta: float, cost: float, grid_points: int = 21,
-              tolerance: float = 1e-3, max_iters: int = 50) -> GneResult:
+              spec: FeasibilitySpec, eta: float, cost: float,
+              max_iters: int = 50) -> GneResult:
     """Gauss-Seidel best-response sweeps from the start profile `powers` until
-    the profile stops moving.
+    a sweep moves no node: an exact fixed point on spec.grid.
 
     Every node shares the secrecy weight eta, the power cost per watt and the
-    grid over [0, spec.p_max]; an infeasible start profile restarts from zero.
-    Sweep order is ascending node id, and a node is re-scored only after
-    some node has moved (see sweep_best_responses). Returns the profile,
-    sweep count, the exhaustive equilibrium gap at the returned profile, and a
-    convergence flag (a profile-change norm <= tolerance). The tolerance must lie below the
-    grid step, so that a converged sweep moved no node: an exact grid fixed
-    point.
+    grid; an infeasible start profile restarts from zero. Sweep order is
+    ascending node id, and a node is re-scored only after some node has moved
+    (see sweep_best_responses). Returns the profile, sweep count, the
+    exhaustive equilibrium gap at the returned profile, and whether the last
+    sweep moved no node.
     """
-    if grid_points < 2:
-        raise ValueError("grid_points must be >= 2")
-    step = spec.p_max / (grid_points - 1)
-    if not 0 < tolerance < step:
-        raise ValueError(f"tolerance must be > 0 and below the grid step {step}")
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
     if sorted(roles) != list(range(len(roles))):
         raise ValueError("role keys must be 0..K-1 and match the context rows")
-    grid = np.linspace(0.0, spec.p_max, grid_points)
+    grid = spec.grid
     powers = np.array(powers, dtype=float)
     if not feasible(powers, spec, ctx):
         powers = np.zeros_like(powers)
@@ -311,12 +295,11 @@ def gne_solve(roles: dict, powers: np.ndarray, broadcast: Broadcast, ctx: SlotCo
                                      roles, eta, cost)
         for u, pick, fell_back in zip(block, picks, empty):
             if fell_back:
-                log.warning(_FALLBACK, u)
+                log.warning("node %d: no feasible grid power, falling back to 0", u)
             yield pick
 
-    iterations, converged = sweep_best_responses(
-        range(len(roles)), powers, respond, max_iters,
-        lambda previous: np.linalg.norm(powers - previous) <= tolerance)
+    iterations, converged = sweep_best_responses(range(len(roles)), powers, respond,
+                                                 max_iters)
     if not converged:
         log.warning("best-response dynamics hit the iteration cap (%d sweeps)", max_iters)
     gap = equilibrium_gap(powers, grid, broadcast, ctx, spec, roles, eta, cost)

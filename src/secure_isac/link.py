@@ -230,7 +230,9 @@ class SlotContext:
         live = den > 0
         # a zero denominator decodes perfectly, unless nothing was captured
         sinr = np.where(live, 0.0, np.where(self.eve_capture_w > 0, np.inf, 0.0))
-        np.divide(self.eve_capture_w, den, out=sinr, where=live)
+        # a subnormal denominator overflows to the same infinite SINR
+        with np.errstate(over="ignore"):
+            np.divide(self.eve_capture_w, den, out=sinr, where=live)
         return np.log2(1.0 + sinr.max(axis=-1))[()]     # log2(inf) is inf
 
     def rates(self, powers) -> np.ndarray:

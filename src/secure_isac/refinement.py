@@ -20,6 +20,8 @@ from .link import SlotContext
 
 log = logging.getLogger(__name__)
 
+MAX_ROUNDS = 8  # coordinate-ascent sweeps per coalition_refine call
+
 
 @dataclass
 class Coalition:
@@ -150,21 +152,21 @@ def synthesize_field(coalitions, aim_deg: dict, null_deg: dict,
 def coalition_refine(coalition: Coalition, powers: np.ndarray, ctx: SlotContext,
                      spec: FeasibilitySpec, j_min: float, field_gains: dict,
                      posterior_probs: np.ndarray, rate_floor: float = 0.0,
-                     grid_points: int = 21, max_rounds: int = 8,
-                     power_penalty_per_w: float = 1e-3):
+                     power_penalty_per_w: float = 1e-3) -> np.ndarray:
     """Re-optimize coalition member powers for aggregate served secrecy.
 
-    Members move on the power grid over [0, spec.p_max] subject to the box,
-    aggregate budget and per-victim leakage cap of `spec`, a served-rate
-    floor, and the posterior-weighted shaping bound. A small per-watt penalty
-    suppresses redundant or low-impact jammers, which also preserves the
-    shared budget for coalitions facing stronger adversaries. Coalitions of
-    one or two members are solved exactly by enumeration; larger ones by
-    coordinate ascent in the power game's block sweeps
-    (followers.sweep_best_responses). If the shaping bound is unreachable it
-    is relaxed to the best achievable level and flagged.
+    Members move on spec.grid subject to the box, aggregate budget and
+    per-victim leakage cap of `spec`, a served-rate floor, and the
+    posterior-weighted shaping bound. A small per-watt penalty suppresses
+    redundant or low-impact jammers, which also preserves the shared budget
+    for coalitions facing stronger adversaries. Coalitions of one or two
+    members are solved exactly by enumeration, and keep their powers when no
+    combination is feasible; larger ones by coordinate ascent in the power
+    game's block sweeps (followers.sweep_best_responses), at most MAX_ROUNDS
+    sweeps. Where the shaping bound is unreachable, the best feasible
+    candidates are taken without it.
 
-    Returns (new power vector, rounds, relaxed flag).
+    Returns the new power vector.
     """
     ids = np.array(coalition.member_ids, dtype=int)
     if ids.size == 0:
@@ -174,7 +176,7 @@ def coalition_refine(coalition: Coalition, powers: np.ndarray, ctx: SlotContext,
     # einsum, not BLAS: a member's shaping test must score the same in any
     # block and at any thread count
     shaping_weights = np.einsum("cg,g->c", gains_matrix, posterior_probs)   # (|C|,)
-    grid = np.linspace(0.0, spec.p_max, grid_points)
+    grid = spec.grid
 
     current_rates = ctx.rates(powers)
     floor_eff = min(rate_floor, float(current_rates.min())) if current_rates.size else 0.0
@@ -191,54 +193,42 @@ def coalition_refine(coalition: Coalition, powers: np.ndarray, ctx: SlotContext,
         objective = rates.sum(axis=-1) - power_penalty_per_w * member.sum(axis=-1)
         return ok, objective, np.einsum("mc,c->m", member, shaping_weights) >= j_min - 1e-15
 
-    relaxed = False
     if ids.size <= 2:
         combos = np.stack([g.ravel() for g in np.meshgrid(*[grid] * ids.size,
                                                           indexing="ij")], axis=1)
         ok, objective, shaped = score(trial_block(ids, powers, combos))
         if not ok.any():
-            return powers, 0, True
+            return powers
         combos, objective, shaped = combos[ok], objective[ok], shaped[ok]
+        if shaped.any():    # otherwise the shaping bound is unreachable: drop it
+            combos, objective = combos[shaped], objective[shaped]
         # combos are ascending, so the first occurrence of a (near-)maximal
         # objective is the lowest-power optimum: no watts spent on ties
-        if shaped.any():
-            idx = np.flatnonzero(shaped)
-            vals = objective[shaped]
-            pick = int(idx[np.flatnonzero(vals >= vals.max() - 1e-9)[0]])
-        else:
-            relaxed = j_min > 0
-            pick = int(np.flatnonzero(objective >= objective.max() - 1e-9)[0])
-        powers[ids] = combos[pick]
-        return powers, 1, relaxed
+        powers[ids] = combos[np.flatnonzero(objective >= objective.max() - 1e-9)[0]]
+        return powers
 
     def respond(block):
-        nonlocal relaxed
         rows = [a.reshape(len(block), -1)
                 for a in score(candidate_block(block, powers, grid))]
         for jid, ok, objective, shaped in zip(block, *rows):
-            pick, met = _ascent_pick(grid, ok, objective, shaped, powers[jid])
-            relaxed |= j_min > 0 and not met
-            yield pick
+            yield _ascent_pick(grid, ok, objective, shaped, powers[jid])
 
-    rounds, _ = sweep_best_responses(ids, powers, respond, max_rounds,
-                                     lambda previous: np.array_equal(powers, previous))
-    return powers, rounds, relaxed
+    sweep_best_responses(ids, powers, respond, MAX_ROUNDS)
+    return powers
 
 
 def _ascent_pick(grid, ok, objective, shaped, current):
-    """One member's coordinate-ascent step over its feasible grid powers:
+    """One member's coordinate-ascent pick over its feasible grid powers:
     shaped candidates first if any is feasible, else every feasible one; a
     pick must beat the running best by 1e-9, so ties stay at lower power.
-    Returns (power, whether a shaped candidate was feasible); the member keeps
-    `current` when nothing is feasible."""
+    The member keeps `current` when nothing is feasible."""
     shaped_ok = ok & shaped
-    met = bool(shaped_ok.any())
-    keep = shaped_ok if met else ok
+    keep = shaped_ok if shaped_ok.any() else ok
     best_val, best_p = -np.inf, current
     for p, value in zip(grid[keep], objective[keep]):
         if value > best_val + 1e-9:
             best_val, best_p = value, p
-    return best_p, met
+    return best_p
 
 
 @dataclass
@@ -258,7 +248,7 @@ def refinement_loop(coalitions, posterior: np.ndarray, aim_deg: dict, null_deg: 
                     array_spec: ArraySpec, grid_deg: np.ndarray,
                     spec: FeasibilitySpec, j_min_fraction: float = 0.1,
                     rate_floor: float = 0.0, delta_stop: float = 0.01,
-                    max_iters: int = 10, grid_points: int = 21,
+                    max_iters: int = 10,
                     power_penalty_per_w: float = 1e-3) -> RefinementResult:
     """Synthesize the coalitions' beams, then iterate power refinement under
     them until the aggregate-secrecy improvement falls below the stopping
@@ -295,11 +285,10 @@ def refinement_loop(coalitions, posterior: np.ndarray, aim_deg: dict, null_deg: 
                 np.sum([trial_powers[j] * synth.gain_rows[j]
                         for j in coalition.member_ids], axis=0),
                 posterior)
-            trial_powers, _, _ = coalition_refine(
+            trial_powers = coalition_refine(
                 coalition, trial_powers, trial_ctx, spec,
                 j_min_fraction * baseline, synth.gain_rows, posterior,
-                rate_floor=rate_floor, grid_points=grid_points,
-                power_penalty_per_w=power_penalty_per_w)
+                rate_floor=rate_floor, power_penalty_per_w=power_penalty_per_w)
         new_rates = trial_ctx.rates(trial_powers)
         new_sum = float(new_rates.sum())
         delta = new_sum - best_sum

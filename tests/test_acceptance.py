@@ -162,14 +162,13 @@ class TestAcceptance:
                     [np.zeros((1, 1)), rng.uniform(0, 4e-13, (n - 1, 1))]),
             )
             spec = FeasibilitySpec(p_fj_max=rng.uniform(1.0, 4.0),
-                                   xi_max=rng.uniform(2e-13, 2e-12))
+                                   xi_max=rng.uniform(2e-13, 2e-12), grid_points=11)
             roles = [Role.THN] + [Role.JHN] * (n - 1)
             # all players share one power cost, as in the engine; drawing n
             # values keeps the random stream of the later toys unchanged
             cost = rng.uniform(0.2, 0.8, n)[0]
             role_map = {i: roles[i] for i in range(n)}
-            result = gne_solve(role_map, np.zeros(n), bc, ctx, spec, 1.0, cost,
-                               grid_points=11)
+            result = gne_solve(role_map, np.zeros(n), bc, ctx, spec, 1.0, cost)
             assert result.converged, f"toy {trial} did not converge"
             # membership in the enumerated epsilon-GNE set: the set is exactly
             # the feasible grid profiles whose exhaustive unilateral-scan gap
@@ -197,11 +196,10 @@ class TestAcceptance:
                 jam_to_eve=np.array([[0.0], [j2e[0]], [j2e[1]]]),
                 jam_to_thn=np.array([[0.0], [j2t[0]], [j2t[1]]]),
             )
-            got, _, _ = coalition_refine(
+            got = coalition_refine(
                 Coalition([1, 2], 0.0), np.zeros(3), ctx,
-                FeasibilitySpec(p_max=1.5, p_fj_max=fj, xi_max=xi_max), j_min=0.0,
-                field_gains=flat_gains, posterior_probs=uniform_post,
-                grid_points=11)
+                FeasibilitySpec(p_max=1.5, p_fj_max=fj, xi_max=xi_max, grid_points=11),
+                j_min=0.0, field_gains=flat_gains, posterior_probs=uniform_post)
             combos, vals = [], []
             for a in grid:
                 for b in grid:

@@ -54,10 +54,10 @@ class TestConfigParsing:
 
     def test_invalid_value_names_field(self, tmp_path):
         path = tmp_path / "c.ini"
-        path.write_text("[gne]\ntolerance = -1\n")
+        path.write_text("[gne]\nmax_iters = 0\n")
         with pytest.raises(ConfigError) as err:
             parse_config(str(path))
-        assert any("gne.tolerance" in e for e in err.value.errors)
+        assert any("gne.max_iters" in e for e in err.value.errors)
 
     def test_unknown_key_rejected(self):
         # bs.x_m / bs.y_m were removed: they moved the channels but not the
@@ -66,6 +66,10 @@ class TestConfigParsing:
             with pytest.raises(ConfigError) as err:
                 config_from_dict({"bs": {key: "1"}})
             assert any(f"bs.{key}" in e for e in err.value.errors)
+        # gne.tolerance was removed: a converged sweep is one that moved no node
+        with pytest.raises(ConfigError) as err:
+            config_from_dict({"gne": {"tolerance": "1e-3"}})
+        assert any("gne.tolerance" in e for e in err.value.errors)
 
     def test_unknown_section_rejected(self):
         with pytest.raises(ConfigError) as err:
@@ -74,10 +78,10 @@ class TestConfigParsing:
 
     def test_all_violations_listed_at_once(self):
         with pytest.raises(ConfigError) as err:
-            config_from_dict({"gne": {"tolerance": "-1", "max_iters": "0"},
-                              "run": {"slots": "0"}})
+            config_from_dict({"followers": {"grid_points": "1"},
+                              "gne": {"max_iters": "0"}, "run": {"slots": "0"}})
         joined = "\n".join(err.value.errors)
-        assert "gne.tolerance" in joined
+        assert "followers.grid_points" in joined
         assert "gne.max_iters" in joined
         assert "run.slots" in joined
 
@@ -195,7 +199,7 @@ class TestCliRun:
 
     def test_validation_error_exit_code(self, tmp_path):
         cfg = tmp_path / "bad.ini"
-        cfg.write_text("[gne]\ntolerance = -5\n")
+        cfg.write_text("[gne]\nmax_iters = 0\n")
         assert main(["--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
 
     def test_unknown_emit_exit_code(self, tmp_path):
@@ -249,26 +253,8 @@ class TestNullspaceRule:
 
 
 class TestGneToleranceRule:
-    """A converged sweep must be an exact grid fixed point, so the tolerance
-    lies below the grid step hn.p_max_w / (followers.grid_points - 1)."""
-
-    # default step 1.5 / 20 = 0.075; 0.5 declared converged slots with gap 0.158
-    @pytest.mark.parametrize("tolerance", ["0.5", "0.075"])
-    def test_tolerance_at_or_above_step_rejected(self, tolerance):
-        with pytest.raises(ConfigError) as err:
-            config_from_dict({"gne": {"tolerance": tolerance}})
-        assert any(e.startswith("gne.tolerance:") and "grid step" in e
-                   for e in err.value.errors)
-
-    def test_step_follows_power_box_and_grid(self):
-        assert config_from_dict({"gne": {"tolerance": "0.07"}}).gne.tolerance == 0.07
-        with pytest.raises(ConfigError):
-            config_from_dict({"gne": {"tolerance": "0.07"},
-                              "followers": {"grid_points": "31"}})   # step 0.05
-        cfg = config_from_dict({"gne": {"tolerance": "0.5"},
-                                "hn": {"p_max_w": "3.0"},
-                                "followers": {"grid_points": "5"}})   # step 0.75
-        assert cfg.gne.tolerance == 0.5
+    """gne.tolerance is gone: a sweep has converged when it moved no node.
+    A config that still sets it is rejected as an unknown key."""
 
     def test_cli_exit_code(self, tmp_path):
         cfg = tmp_path / "coarse_tolerance.ini"

@@ -129,15 +129,25 @@ class TestFeasible:
         with pytest.raises(ValueError):
             FeasibilitySpec(p_max=p_max)
 
+    def test_grid_spans_the_power_box(self):
+        spec = FeasibilitySpec(p_max=3.0, grid_points=5)
+        assert spec.grid.tolist() == [0.0, 0.75, 1.5, 2.25, 3.0]
+
+    @pytest.mark.parametrize("points", [1, 0])
+    def test_grid_needs_two_points(self, points):
+        with pytest.raises(ValueError, match="grid_points"):
+            FeasibilitySpec(grid_points=points)
+
 
 class TestBestResponse:
     def test_pure_cost_returns_zero(self):
         # a THN pays for power and gains nothing from it
         ctx = toy_context()
         grid = np.linspace(0, 1.5, 21)
-        p = best_response(0, np.zeros(3), grid, BC, ctx,
-                          FeasibilitySpec(p_fj_max=10.0, xi_max=1.0), ROLES, ETA, COST)
-        assert p == 0.0
+        picks, _ = best_response([0], np.zeros(3), grid, BC, ctx,
+                                 FeasibilitySpec(p_fj_max=10.0, xi_max=1.0), ROLES, ETA,
+                                 COST)
+        assert picks[0] == 0.0
 
     def test_increasing_utility_saturates_at_cap(self):
         # zero-cost jammer with a rewarding price climbs to the largest
@@ -145,8 +155,8 @@ class TestBestResponse:
         ctx = toy_context()
         grid = np.linspace(0, 1.5, 21)
         spec = FeasibilitySpec(p_fj_max=0.9, xi_max=1.0)
-        p = best_response(1, np.zeros(3), grid, BC, ctx, spec, ROLES, ETA, 0.0)
-        assert p == pytest.approx(0.9)
+        picks, _ = best_response([1], np.zeros(3), grid, BC, ctx, spec, ROLES, ETA, 0.0)
+        assert picks[0] == pytest.approx(0.9)
 
     def test_matches_bruteforce_on_grid(self):
         # brute-force oracle: exhaustive scan of the same grid with the
@@ -158,7 +168,7 @@ class TestBestResponse:
         for _ in range(20):
             others = np.array([0.0, rng.choice(grid), rng.choice(grid)])
             u = int(rng.integers(1, 3))
-            got = best_response(u, others, grid, BC, ctx, spec, ROLES, ETA, COST)
+            (got,), _ = best_response([u], others, grid, BC, ctx, spec, ROLES, ETA, COST)
             best_val, best_p = -np.inf, None
             for p in grid:
                 trial = others.copy()
@@ -215,8 +225,8 @@ class TestGneSolve:
         # epsilon-GNE oracle: exhaustive joint enumeration over the 11^2
         # jammer profiles, returned profile has no improving unilateral move
         ctx = toy_context()
-        spec = FeasibilitySpec(p_fj_max=2.0, xi_max=1e-13)
-        res = gne_solve(ROLES, np.zeros(3), BC, ctx, spec, ETA, COST, grid_points=11)
+        spec = FeasibilitySpec(p_fj_max=2.0, xi_max=1e-13, grid_points=11)
+        res = gne_solve(ROLES, np.zeros(3), BC, ctx, spec, ETA, COST)
         assert res.converged
         assert res.gap <= 1e-9
         # membership in the enumerated epsilon-GNE set
@@ -239,20 +249,20 @@ class TestGneSolve:
                         max_iters=1)
         assert res.iterations == 1  # cap respected even if it converged fast
 
-    @pytest.mark.parametrize("tolerance", [0.15, 0.5])
-    def test_tolerance_must_lie_below_grid_step(self, tolerance):
-        # 11 points over [0, 1.5]: a step of 0.15, so a one-step move could
-        # pass for convergence
-        with pytest.raises(ValueError, match="grid step"):
-            gne_solve(ROLES, np.zeros(3), BC, toy_context(),
-                      FeasibilitySpec(p_fj_max=2.0, xi_max=1e-13), ETA, COST,
-                      grid_points=11, tolerance=tolerance)
-
-    def test_tolerance_below_grid_step_accepted(self):
-        res = gne_solve(ROLES, np.zeros(3), BC, toy_context(),
-                        FeasibilitySpec(p_fj_max=2.0, xi_max=1e-13), ETA, COST,
-                        grid_points=11, tolerance=0.149)
-        assert res.converged and res.gap <= 1e-9
+    def test_off_grid_snap_counts_as_a_move(self):
+        # 1e-4 W snaps to 0: the first sweep moved the node, so convergence
+        # takes a second sweep that moves nothing
+        ctx = SlotContext(
+            served=[0], sig_w=np.array([1e-9]), isi_w=np.array([0.0]),
+            an_thn_w=np.array([0.0]), noise_w=1e-12,
+            eve_capture_w=np.array([5e-10]), eve_an_w=np.array([2e-11]),
+            jam_to_eve=np.array([[0.0]]), jam_to_thn=np.array([[0.0]]),
+        )
+        res = gne_solve({0: Role.THN}, np.array([1e-4]), BC, ctx,
+                        FeasibilitySpec(p_fj_max=5.0, xi_max=1.0), ETA, COST)
+        assert res.converged
+        assert res.iterations == 2
+        assert res.powers[0] == 0.0
 
     @pytest.mark.parametrize("roles", [{0: Role.THN, 2: Role.JHN},
                                        {1: Role.THN, 2: Role.JHN, 3: Role.JHN}])
@@ -337,8 +347,8 @@ class TestVectorizedEquivalence:
             powers = rng.uniform(0, 1.0, k)
             grid = np.linspace(0, 1.5, 11)
             for u in range(k):
-                values, feas = candidate_utilities(u, powers, grid, BC, ctx,
-                                                   spec, roles, ETA, costs[u])
+                (values,), (feas,) = candidate_utilities([u], powers, grid, BC, ctx,
+                                                         spec, roles, ETA, costs[u])
                 for gi, g in enumerate(grid):
                     trial_p = powers.copy()
                     trial_p[u] = g
@@ -408,7 +418,7 @@ def toy_games(draw):
     grid = np.linspace(0.0, 1.5, draw(st.integers(2, 8)))
     powers = np.array([draw(st.sampled_from(list(grid))) for _ in range(k)])
     spec = FeasibilitySpec(p_max=1.5, p_fj_max=draw(st.floats(0.2, 1.5 * k)),
-                           xi_max=draw(st.floats(1e-14, 1e-12)))
+                           xi_max=draw(st.floats(1e-14, 1e-12)), grid_points=len(grid))
     bc = Broadcast(alpha=0.6, beta=0.2, gamma=0.2, pi=draw(unit), tau=draw(unit),
                    kappa=draw(unit))
     return ctx, roles, grid, powers, spec, bc, draw(unit), draw(unit)
@@ -422,20 +432,17 @@ class TestBlockScorerProperties:
     def test_gap_and_best_response_match_scalar_scan(self, game):
         ctx, roles, grid, powers, spec, bc, eta, cost = game
         want_gap = 0.0
-        logging.disable(logging.WARNING)   # empty feasible sets warn
-        try:
-            for u in range(len(powers)):
-                scan = scalar_scan(u, powers, grid, ctx, spec, roles, bc, eta, cost)
-                feasible_any = np.isfinite(scan).any()
-                if feasible_any:
-                    current = hn_utility(u, powers[u], powers, roles, bc, ctx, spec,
+        for u in range(len(powers)):
+            scan = scalar_scan(u, powers, grid, ctx, spec, roles, bc, eta, cost)
+            feasible_any = np.isfinite(scan).any()
+            if feasible_any:
+                current = hn_utility(u, powers[u], powers, roles, bc, ctx, spec,
+                                     eta, cost)
+                want_gap = max(want_gap, float(scan.max() - current))
+            want_p = float(grid[int(np.argmax(scan))]) if feasible_any else 0.0
+            picks, empty = best_response([u], powers, grid, bc, ctx, spec, roles,
                                          eta, cost)
-                    want_gap = max(want_gap, float(scan.max() - current))
-                want_p = float(grid[int(np.argmax(scan))]) if feasible_any else 0.0
-                assert best_response(u, powers, grid, bc, ctx, spec, roles, eta,
-                                     cost) == want_p
-        finally:
-            logging.disable(logging.NOTSET)
+            assert picks[0] == want_p and empty[0] != feasible_any
         assert equilibrium_gap(powers, grid, bc, ctx, spec, roles, eta, cost) == want_gap
 
 
@@ -516,28 +523,27 @@ def default_solves():
 @pytest.fixture(scope="module")
 def default_games(default_solves):
     """The default games as (roles, start, broadcast, ctx, spec, eta, cost,
-    grid points, returned profile)."""
-    return [(*args, kw["grid_points"], result.powers)
-            for args, kw, result in default_solves]
+    returned profile)."""
+    return [(*args, result.powers) for args, _, result in default_solves]
 
 
 class TestBlockScorerOnDefaultSlots:
     def test_candidates_equal_per_node_reference(self, default_games):
-        for roles, start, bc, ctx, spec, eta, cost, points, eq in default_games:
+        for roles, start, bc, ctx, spec, eta, cost, eq in default_games:
             assert len(roles) == 25
-            grid = np.linspace(0.0, spec.p_max, points)
+            grid = spec.grid
             for powers in (start, eq):
                 for u in range(len(powers)):
-                    values, feas = candidate_utilities(u, powers, grid, bc, ctx, spec,
-                                                       roles, eta, cost)
+                    (values,), (feas,) = candidate_utilities([u], powers, grid, bc, ctx,
+                                                             spec, roles, eta, cost)
                     want, want_feas = reference_candidates(u, powers, grid, bc, ctx,
                                                            spec, roles, eta, cost)
                     assert np.array_equal(feas, want_feas)
                     assert np.array_equal(values, np.where(want_feas, want, -np.inf))
 
     def test_gap_equals_per_node_reference(self, default_games):
-        for roles, _, bc, ctx, spec, eta, cost, points, eq in default_games:
-            grid = np.linspace(0.0, spec.p_max, points)
+        for roles, _, bc, ctx, spec, eta, cost, eq in default_games:
+            grid = spec.grid
             want = 0.0
             for u in range(len(eq)):
                 values, feas = reference_candidates(u, eq, grid, bc, ctx, spec, roles,
@@ -548,12 +554,11 @@ class TestBlockScorerOnDefaultSlots:
             assert equilibrium_gap(eq, grid, bc, ctx, spec, roles, eta, cost) == want
 
 
-def reference_gne(roles, powers, bc, ctx, spec, eta, cost, grid_points=21,
-                  tolerance=1e-3, max_iters=50):
+def reference_gne(roles, powers, bc, ctx, spec, eta, cost, max_iters=50):
     """The per-node Gauss-Seidel loop the block sweeps replaced: every node
-    scored alone through the scalar best_response, at its turn, in every
-    sweep. Returns (powers, iterations, converged, gap)."""
-    grid = np.linspace(0.0, spec.p_max, grid_points)
+    scored alone through best_response, at its turn, in every sweep, until a
+    sweep moves no node. Returns (powers, iterations, converged, gap)."""
+    grid = spec.grid
     powers = np.array(powers, dtype=float)
     if not feasible(powers, spec, ctx):
         powers = np.zeros_like(powers)
@@ -563,8 +568,9 @@ def reference_gne(roles, powers, bc, ctx, spec, eta, cost, grid_points=21,
         iterations += 1
         previous = powers.copy()
         for uid in range(len(roles)):
-            powers[uid] = best_response(uid, powers, grid, bc, ctx, spec, roles, eta, cost)
-        if np.linalg.norm(powers - previous) <= tolerance:
+            (powers[uid],), _ = best_response([uid], powers, grid, bc, ctx, spec, roles,
+                                              eta, cost)
+        if np.array_equal(powers, previous):
             converged = True
             break
     gap = equilibrium_gap(powers, grid, bc, ctx, spec, roles, eta, cost)
@@ -578,6 +584,7 @@ def assert_solve_matches_reference(args, kw):
     assert got.iterations == iterations
     assert got.converged == converged
     assert got.gap == gap
+    return got
 
 
 @st.composite
@@ -590,7 +597,7 @@ def sweep_games(draw):
         powers = np.array([draw(st.floats(0.0, 1.5)) for _ in powers])
     elif start == "full":
         powers = np.full(len(powers), spec.p_max)
-    kw = {"grid_points": len(grid), "max_iters": draw(st.sampled_from([1, 2, 50]))}
+    kw = {"max_iters": draw(st.sampled_from([1, 2, 50]))}
     return (roles, powers, bc, ctx, spec, eta, cost), kw
 
 
@@ -602,7 +609,14 @@ class TestBlockSweeps:
     def test_toy_games_match_per_node_sweeps(self, game):
         logging.disable(logging.WARNING)   # empty feasible sets warn
         try:
-            assert_solve_matches_reference(*game)
+            got = assert_solve_matches_reference(*game)
+            if got.converged:
+                # a converged profile is a grid fixed point: restarted from
+                # it, the first sweep moves no node
+                (roles, _, *rest), kw = game
+                again = gne_solve(roles, got.powers, *rest, **kw)
+                assert again.converged and again.iterations == 1
+                assert np.array_equal(again.powers, got.powers)
         finally:
             logging.disable(logging.NOTSET)
 
@@ -627,8 +641,8 @@ class TestBlockSweeps:
         picks, empty = best_response([2, 0, 1], powers, grid, BC, ctx, spec, ROLES,
                                      ETA, COST)
         assert not empty.any()
-        assert picks.tolist() == [best_response(u, powers, grid, BC, ctx, spec, ROLES,
-                                                ETA, COST) for u in (2, 0, 1)]
+        assert picks.tolist() == [best_response([u], powers, grid, BC, ctx, spec, ROLES,
+                                                ETA, COST)[0][0] for u in (2, 0, 1)]
 
     # A start just inside the closed budget (2.0 + 1e-12) whose slightly
     # negative entry hides that the other two nodes overdraw it: the node

@@ -1,3 +1,4 @@
+import warnings
 from collections import namedtuple
 
 import numpy as np
@@ -364,6 +365,18 @@ class TestSlotContext:
         ctx.eve_an_w = np.zeros(1)
         assert np.isinf(ctx.eve_rate_max(np.zeros(3)))
         assert np.all(ctx.rates(np.zeros(3)) == 0.0)
+
+    def test_subnormal_jamming_gives_infinite_sinr_silently(self):
+        # no AN and no noise floor: a subnormal jamming power leaves a
+        # denominator so small that the SINR overflows to inf
+        ctx = self.ctx()
+        ctx.eve_an_w = np.zeros(1)
+        ctx.jam_to_eve = np.array([[0.0], [1.0], [0.0]])
+        p = np.array([0.0, 5e-324, 0.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.isinf(ctx.eve_rate_max(p))
+            assert np.all(ctx.rates(p) == 0.0)
 
     def test_leakage(self):
         ctx = self.ctx()
