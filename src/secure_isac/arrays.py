@@ -39,10 +39,6 @@ class ArraySpec:
     def wavenumber(self) -> float:
         return 2.0 * np.pi / self.wavelength
 
-    @property
-    def aperture(self) -> float:
-        return (self.num_elements - 1) * self.spacing
-
 
 def element_indices(spec: ArraySpec) -> np.ndarray:
     """Signed element indices n in {-(N-1)/2, ..., (N-1)/2}, centroid at 0."""

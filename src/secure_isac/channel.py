@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arrays import ArraySpec
 
 # substream purpose codes (spawn keys must be stable across runs)
 STREAM_PLACEMENT = 1
@@ -88,11 +87,6 @@ def path_loss_db(model: PathLossModel, distance: float, shadow_draw: float = 0.0
 def linear_gain(pl_db: float) -> float:
     """Large-scale amplitude gain 10^(-PL/20)."""
     return float(10.0 ** (-pl_db / 20.0))
-
-
-def fraunhofer_distance(spec: ArraySpec) -> float:
-    """Far-field boundary 2 D^2 / lambda with aperture D = (N-1) d."""
-    return 2.0 * spec.aperture ** 2 / spec.wavelength
 
 
 def los_channel(bs_positions: np.ndarray, node_pos: np.ndarray, gain: float,

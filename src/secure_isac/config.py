@@ -2,15 +2,19 @@
 
 Config files are INI text whose sections mirror the parameter groups
 (carrier, noise, bs, hn, eve, channel, power, leader, belief, followers, gne,
-refinement, run). Every value is range-checked with a dotted field path;
-unknown sections or keys are rejected; missing entries take the defaults. A
-canonical JSON rendering provides a platform-stable hash for run manifests.
+refinement, run). Every field declares its valid range beside its default;
+validation holds each value to it (numbers must also be finite), checks the
+few rules that tie fields together, and reports each violation with a dotted
+field path. Unknown sections or keys are rejected; missing entries take the
+defaults. A canonical JSON rendering provides a platform-stable hash for run
+manifests.
 """
 
 import configparser
 import hashlib
 import io
 import json
+import math
 import numbers
 from dataclasses import dataclass, field, fields
 from enum import Enum
@@ -32,136 +36,159 @@ class StrategyId(str, Enum):
     IBEAMS = "ibeams"
 
 
+def knob(default, *, gt=None, ge=None, le=None, choices=None):
+    """A config field with its default and its valid range: above gt or at
+    least ge, at most le, and finite; a string field lists its choices."""
+    lo = gt if gt is not None else ge if ge is not None else -math.inf
+    hi = le if le is not None else math.inf
+    return field(default=default, metadata={"range": (lo, gt is not None, hi, choices)})
+
+
+def _violation(value, lo, lo_open, hi, choices):
+    """Why `value` lies outside a knob's declared range, or None."""
+    if choices is not None:
+        return None if value in choices else f"must be one of {', '.join(choices)}"
+    if not math.isfinite(value):
+        return "must be finite"
+    if (lo < value if lo_open else lo <= value) and value <= hi:
+        return None
+    if hi == math.inf:
+        return f"must be {'>' if lo_open else '>='} {lo:g}"
+    if lo == -math.inf:
+        return f"must be <= {hi:g}"
+    return f"must be in {'(' if lo_open else '['}{lo:g}, {hi:g}]"
+
+
 @dataclass
 class CarrierConfig:
-    frequency_hz: float = 28e9
-    bandwidth_hz: float = 1e8
+    frequency_hz: float = knob(28e9, gt=0)
+    bandwidth_hz: float = knob(1e8, gt=0)
 
 
 @dataclass
 class NoiseConfig:
-    psd_dbm_per_hz: float = -174.0
-    noise_figure_db: float = 7.0
+    psd_dbm_per_hz: float = knob(-174.0)
+    noise_figure_db: float = knob(7.0, ge=0)
 
 
 @dataclass
 class BsConfig:
-    antennas: int = 128
-    num_rf: int = 8
-    z_m: float = 10.0
-    p_max_w: float = 20.0
-    p_init_w: float = 15.0
-    rzf_reg: float = 1e-3
+    antennas: int = knob(128, ge=1)
+    num_rf: int = knob(8, ge=1)
+    z_m: float = knob(10.0, ge=0)
+    p_max_w: float = knob(20.0, gt=0)
+    p_init_w: float = knob(15.0, gt=0)
+    rzf_reg: float = knob(1e-3, gt=0)
 
 
 @dataclass
 class HnConfig:
-    count: int = 25
-    array_elements: int = 16
-    p_max_w: float = 1.5
-    height_m: float = 1.5
-    rx_gain: float = 16.0   # matched-filter combining over the node's array
-    eta: float = 1.0
-    power_cost_per_w: float = 0.5
+    count: int = knob(25, ge=1)
+    array_elements: int = knob(16, ge=1)
+    p_max_w: float = knob(1.5, gt=0)
+    height_m: float = knob(1.5, ge=0)
+    rx_gain: float = knob(16.0, gt=0)   # matched-filter combining over the node's array
+    eta: float = knob(1.0, ge=0)
+    power_cost_per_w: float = knob(0.5, ge=0)
 
 
 @dataclass
 class EveConfig:
-    count: int = 4
-    mobility: str = "static"      # static | waypoint
-    speed_mps: float = 1.0
-    height_m: float = 1.5
-    noise_floor_w: float = 0.0    # worst-case interceptor: no thermal floor
+    count: int = knob(4, ge=1)
+    mobility: str = knob("static", choices=("static", "waypoint"))
+    speed_mps: float = knob(1.0, ge=0)
+    height_m: float = knob(1.5, ge=0)
+    noise_floor_w: float = knob(0.0, ge=0)   # worst-case interceptor: no thermal floor
 
 
 @dataclass
 class ChannelParams:
-    path_loss_exponent: float = 2.2
-    shadow_sigma_db: float = 3.0
-    rician_k_db: float = 10.0
-    csi_error_frobenius: float = 0.0  # estimate-error budget across all nodes
+    path_loss_exponent: float = knob(2.2, gt=0)
+    shadow_sigma_db: float = knob(3.0, ge=0)
+    rician_k_db: float = knob(10.0, ge=-40, le=40)
+    csi_error_frobenius: float = knob(0.0, ge=0)  # estimate-error budget across all nodes
 
 
 @dataclass
 class PowerModelConfig:
-    p_rf_w: float = 0.25
-    p_bb_w: float = 1.0
-    pa_efficiency: float = 0.4
+    p_rf_w: float = knob(0.25, ge=0)
+    p_bb_w: float = knob(1.0, ge=0)
+    pa_efficiency: float = knob(0.4, gt=0, le=1)
 
 
 @dataclass
 class LeaderConfig:
-    alpha_init: float = 0.6
-    beta_init: float = 0.2
-    gamma_init: float = 0.2
-    pi_init: float = 0.7
-    tau_init: float = 0.3
-    kappa_init: float = 0.1
-    k_s: float = 0.01
-    k_pi: float = 0.05
-    k_tau: float = 0.05
-    k_kappa: float = 0.05
-    eta_sigma: float = 0.5
-    r_s_target: float = 4.5
-    h_max_bits: float = 6.0
-    gamma_min: float = 0.02
-    gamma_max: float = 0.3
-    beta_min: float = 0.0
-    beta_max: float = 0.3
-    pi_min: float = 0.0
-    pi_max: float = 1.0
-    tau_min: float = 0.0
-    tau_max: float = 1.0
-    kappa_min: float = 0.0
-    kappa_max: float = 1.0
-    xi_target_scale: float = 10.0   # leakage price target, in noise powers
+    alpha_init: float = knob(0.6, ge=0, le=1)
+    beta_init: float = knob(0.2, ge=0, le=1)
+    gamma_init: float = knob(0.2, ge=0, le=1)
+    pi_init: float = knob(0.7)
+    tau_init: float = knob(0.3)
+    kappa_init: float = knob(0.1)
+    k_s: float = knob(0.01, gt=0)
+    k_pi: float = knob(0.05, gt=0)
+    k_tau: float = knob(0.05, gt=0)
+    k_kappa: float = knob(0.05, gt=0)
+    eta_sigma: float = knob(0.5, gt=0)
+    r_s_target: float = knob(4.5, gt=0)
+    h_max_bits: float = knob(6.0, gt=0)
+    gamma_min: float = knob(0.02, ge=0, le=1)
+    gamma_max: float = knob(0.3, ge=0, le=1)
+    beta_min: float = knob(0.0, ge=0, le=1)
+    beta_max: float = knob(0.3, ge=0, le=1)
+    pi_min: float = knob(0.0)
+    pi_max: float = knob(1.0)
+    tau_min: float = knob(0.0)
+    tau_max: float = knob(1.0)
+    kappa_min: float = knob(0.0)
+    kappa_max: float = knob(1.0)
+    xi_target_scale: float = knob(10.0, gt=0)   # leakage price target, in noise powers
 
 
 @dataclass
 class BeliefConfig:
-    grid_size: int = 181
-    sigma0_deg: float = 10.0
-    meas_noise_deg: float = 5.0
-    k_eff: float = 1.0
-    sigma_min_deg: float = 1.0
-    sigma_max_deg: float = 45.0
-    bump_width_deg: float = 2.0
-    floor_scale: float = 0.005
+    grid_size: int = knob(181, ge=2)
+    sigma0_deg: float = knob(10.0, gt=0)
+    meas_noise_deg: float = knob(5.0, ge=0)
+    k_eff: float = knob(1.0, gt=0)
+    sigma_min_deg: float = knob(1.0, gt=0)
+    sigma_max_deg: float = knob(45.0, gt=0)
+    bump_width_deg: float = knob(2.0, gt=0)
+    floor_scale: float = knob(0.005, ge=0)
 
 
 @dataclass
 class FollowerConfig:
-    grid_points: int = 21
-    p_fj_max_w: float = 12.0
-    xi_max_scale: float = 1.0       # leakage cap, in noise powers
-    role_threshold: float = 1.0     # bps/Hz for THN retention
-    hypothetical_discount: float = 0.5  # damping on re-admission rate estimates
+    grid_points: int = knob(21, ge=2)
+    p_fj_max_w: float = knob(12.0, gt=0)
+    xi_max_scale: float = knob(1.0, gt=0)        # leakage cap, in noise powers
+    role_threshold: float = knob(1.0, ge=0)      # bps/Hz for THN retention
+    hypothetical_discount: float = knob(0.5, gt=0, le=1)  # damping on re-admission rate estimates
 
 
 @dataclass
 class GneConfig:
-    max_iters: int = 50
+    max_iters: int = knob(50, ge=1)
 
 
 @dataclass
 class RefinementConfig:
-    peak_threshold_scale: float = 2.0   # in units of 1/grid_size
-    assoc_width_deg: float = 30.0
-    j_min_fraction: float = 0.1
-    delta_stop: float = 0.01
-    max_iters: int = 10
-    power_penalty_per_w: float = 1e-3
+    peak_threshold_scale: float = knob(2.0, gt=0)   # in units of 1/grid_size
+    assoc_width_deg: float = knob(30.0, gt=0)
+    j_min_fraction: float = knob(0.1, ge=0, le=1)
+    delta_stop: float = knob(0.01, gt=0)
+    max_iters: int = knob(10, ge=1)
+    power_penalty_per_w: float = knob(1e-3, ge=0)
 
 
 @dataclass
 class RunConfig:
-    slots: int = 200
-    replications: int = 1
-    seed: int = 1
-    cell_radius_m: float = 150.0
-    min_node_distance_m: float = 25.0
-    slot_duration_s: float = 0.01
-    outage_threshold: float = 0.5
+    slots: int = knob(200, ge=1)
+    replications: int = knob(1, ge=1)
+    seed: int = knob(1, ge=0)
+    cell_radius_m: float = knob(150.0, gt=0)
+    min_node_distance_m: float = knob(25.0, gt=0)
+    slot_duration_s: float = knob(0.01, gt=0)
+    outage_threshold: float = knob(0.5, ge=0)
 
 
 @dataclass
@@ -188,96 +215,48 @@ class ScenarioConfig:
         return out
 
     def validate(self) -> None:
-        errors = []
+        errors, bad = [], set()
+        for section in fields(self):
+            group = getattr(self, section.name)
+            for f in fields(group):
+                problem = _violation(getattr(group, f.name), *f.metadata["range"])
+                if problem is not None:
+                    path = f"{section.name}.{f.name}"
+                    errors.append(f"{path}: {problem}")
+                    bad.add(path)
 
-        def check(cond, path, message):
-            if not cond:
-                errors.append(f"{path}: {message}")
+        def rule(uses, holds, message):
+            """Cross-field rule over the fields `uses`, reported at the first;
+            skipped while any of them is out of its own range."""
+            if bad.isdisjoint(uses) and not holds():
+                errors.append(f"{uses[0]}: {message}")
 
-        c = self
-        check(c.carrier.frequency_hz > 0, "carrier.frequency_hz", "must be > 0")
-        check(c.carrier.bandwidth_hz > 0, "carrier.bandwidth_hz", "must be > 0")
-        check(c.bs.antennas >= 1, "bs.antennas", "must be >= 1")
-        check(c.bs.num_rf >= 1, "bs.num_rf", "must be >= 1")
-        if c.bs.antennas >= 1 and c.bs.num_rf >= 1:
-            check(c.bs.antennas % c.bs.num_rf == 0, "bs.num_rf",
-                  f"must divide bs.antennas ({c.bs.antennas})")
-            # artificial noise needs a nullspace left over by the served streams
-            check(min(c.hn.count, c.bs.num_rf) < c.bs.antennas, "bs.num_rf",
-                  f"min(hn.count, bs.num_rf) must be < bs.antennas ({c.bs.antennas})")
-        check(c.bs.p_max_w > 0, "bs.p_max_w", "must be > 0")
-        check(0 < c.bs.p_init_w <= c.bs.p_max_w, "bs.p_init_w",
-              f"must be in (0, {c.bs.p_max_w}]")
-        check(c.bs.rzf_reg > 0, "bs.rzf_reg", "must be > 0")
-        check(c.hn.count >= 1, "hn.count", "must be >= 1")
-        check(c.hn.array_elements >= 1, "hn.array_elements", "must be >= 1")
-        check(c.hn.p_max_w > 0, "hn.p_max_w", "must be > 0")
-        check(c.hn.rx_gain > 0, "hn.rx_gain", "must be > 0")
-        check(c.hn.power_cost_per_w >= 0, "hn.power_cost_per_w", "must be >= 0")
-        check(c.eve.count >= 1, "eve.count", "must be >= 1")
-        check(c.eve.mobility in ("static", "waypoint"), "eve.mobility",
-              "must be 'static' or 'waypoint'")
-        check(c.eve.speed_mps >= 0, "eve.speed_mps", "must be >= 0")
-        check(c.eve.noise_floor_w >= 0, "eve.noise_floor_w", "must be >= 0")
-        check(c.channel.path_loss_exponent > 0, "channel.path_loss_exponent",
-              "must be > 0")
-        check(c.channel.shadow_sigma_db >= 0, "channel.shadow_sigma_db", "must be >= 0")
-        check(c.channel.csi_error_frobenius >= 0, "channel.csi_error_frobenius",
-              "must be >= 0")
-        check(0 < c.power.pa_efficiency <= 1, "power.pa_efficiency", "must be in (0, 1]")
-        check(c.power.p_rf_w >= 0, "power.p_rf_w", "must be >= 0")
-        check(c.power.p_bb_w >= 0, "power.p_bb_w", "must be >= 0")
-        lead = c.leader
-        check(abs(lead.alpha_init + lead.beta_init + lead.gamma_init - 1.0) <= 1e-9,
-              "leader.alpha_init", "initial split must sum to 1")
-        for name in ("k_s", "k_pi", "k_tau", "k_kappa", "eta_sigma"):
-            check(getattr(lead, name) > 0, f"leader.{name}", "must be > 0")
-        check(0 <= lead.gamma_min < lead.gamma_max <= 1, "leader.gamma_min",
-              "need 0 <= gamma_min < gamma_max <= 1")
-        check(0 <= lead.beta_min <= lead.beta_max <= 1, "leader.beta_min",
-              "need 0 <= beta_min <= beta_max <= 1")
+        c, lead = self, self.leader
+        rule(("bs.num_rf", "bs.antennas"), lambda: c.bs.antennas % c.bs.num_rf == 0,
+             f"must divide bs.antennas ({c.bs.antennas})")
+        # artificial noise needs a nullspace left over by the served streams
+        rule(("bs.num_rf", "bs.antennas", "hn.count"),
+             lambda: min(c.hn.count, c.bs.num_rf) < c.bs.antennas,
+             f"min(hn.count, bs.num_rf) must be < bs.antennas ({c.bs.antennas})")
+        rule(("bs.p_init_w", "bs.p_max_w"), lambda: c.bs.p_init_w <= c.bs.p_max_w,
+             f"must be <= bs.p_max_w ({c.bs.p_max_w})")
+        rule(("leader.alpha_init", "leader.beta_init", "leader.gamma_init"),
+             lambda: abs(lead.alpha_init + lead.beta_init + lead.gamma_init - 1.0) <= 1e-9,
+             "initial split must sum to 1")
+        rule(("leader.gamma_min", "leader.gamma_max"),
+             lambda: lead.gamma_min < lead.gamma_max, "must be < gamma_max")
+        rule(("leader.beta_min", "leader.beta_max"),
+             lambda: lead.beta_min <= lead.beta_max, "must be <= beta_max")
         for price in ("pi", "tau", "kappa"):
-            lo, hi = getattr(lead, f"{price}_min"), getattr(lead, f"{price}_max")
-            init = getattr(lead, f"{price}_init")
-            check(lo <= init <= hi, f"leader.{price}_init",
-                  f"must lie in [{lo}, {hi}]")
-        check(lead.r_s_target > 0, "leader.r_s_target", "must be > 0")
-        check(lead.h_max_bits > 0, "leader.h_max_bits", "must be > 0")
-        check(lead.xi_target_scale > 0, "leader.xi_target_scale", "must be > 0")
-        check(c.belief.grid_size >= 2, "belief.grid_size", "must be >= 2")
-        check(c.belief.sigma0_deg > 0, "belief.sigma0_deg", "must be > 0")
-        check(0 < c.belief.sigma_min_deg <= c.belief.sigma_max_deg,
-              "belief.sigma_min_deg", "need 0 < sigma_min <= sigma_max")
-        check(c.belief.meas_noise_deg >= 0, "belief.meas_noise_deg", "must be >= 0")
-        check(c.belief.k_eff > 0, "belief.k_eff", "must be > 0")
-        check(c.belief.bump_width_deg > 0, "belief.bump_width_deg", "must be > 0")
-        check(c.belief.floor_scale >= 0, "belief.floor_scale", "must be >= 0")
-        check(c.followers.grid_points >= 2, "followers.grid_points", "must be >= 2")
-        check(c.followers.p_fj_max_w > 0, "followers.p_fj_max_w", "must be > 0")
-        check(c.followers.xi_max_scale > 0, "followers.xi_max_scale", "must be > 0")
-        check(c.followers.role_threshold >= 0, "followers.role_threshold",
-              "must be >= 0")
-        check(0 < c.followers.hypothetical_discount <= 1,
-              "followers.hypothetical_discount", "must be in (0, 1]")
-        check(c.gne.max_iters >= 1, "gne.max_iters", "must be >= 1")
-        check(c.refinement.peak_threshold_scale > 0, "refinement.peak_threshold_scale",
-              "must be > 0")
-        check(c.refinement.assoc_width_deg > 0, "refinement.assoc_width_deg",
-              "must be > 0")
-        check(0 <= c.refinement.j_min_fraction <= 1, "refinement.j_min_fraction",
-              "must be in [0, 1]")
-        check(c.refinement.delta_stop > 0, "refinement.delta_stop", "must be > 0")
-        check(c.refinement.max_iters >= 1, "refinement.max_iters", "must be >= 1")
-        check(c.refinement.power_penalty_per_w >= 0, "refinement.power_penalty_per_w",
-              "must be >= 0")
-        check(c.run.slots >= 1, "run.slots", "must be >= 1")
-        check(c.run.replications >= 1, "run.replications", "must be >= 1")
-        check(c.run.seed >= 0, "run.seed", "must be >= 0")
-        check(c.run.min_node_distance_m > 0, "run.min_node_distance_m", "must be > 0")
-        check(c.run.cell_radius_m > c.run.min_node_distance_m, "run.cell_radius_m",
-              f"must exceed min_node_distance_m ({c.run.min_node_distance_m})")
-        check(c.run.slot_duration_s > 0, "run.slot_duration_s", "must be > 0")
-        check(c.run.outage_threshold >= 0, "run.outage_threshold", "must be >= 0")
+            init, lo, hi = (getattr(lead, f"{price}_{end}") for end in ("init", "min", "max"))
+            rule((f"leader.{price}_init", f"leader.{price}_min", f"leader.{price}_max"),
+                 lambda: lo <= init <= hi, f"must lie in [{lo}, {hi}]")
+        rule(("belief.sigma_min_deg", "belief.sigma_max_deg"),
+             lambda: c.belief.sigma_min_deg <= c.belief.sigma_max_deg,
+             "must be <= sigma_max_deg")
+        rule(("run.cell_radius_m", "run.min_node_distance_m"),
+             lambda: c.run.cell_radius_m > c.run.min_node_distance_m,
+             f"must exceed min_node_distance_m ({c.run.min_node_distance_m})")
         if errors:
             raise ConfigError(errors)
 

@@ -98,30 +98,6 @@ def _priced(secrecy, jam, power, leak_gain, broadcast: Broadcast, info_gain: flo
             + broadcast.kappa * info_gain)
 
 
-def hn_utility(u: int, power: float, powers: np.ndarray, roles: dict,
-               broadcast: Broadcast, ctx: SlotContext, spec: FeasibilitySpec,
-               eta: float, cost: float) -> float:
-    """Priced per-node payoff at the profile (power, powers[-u]), with secrecy
-    reward weight eta and power cost per watt.
-
-    Transmit-role nodes earn the secrecy reward and contribute no jamming;
-    jamming-role nodes earn the jamming reward instead. Power cost, leakage
-    penalty, and the shared information bonus apply to everyone. Scored one
-    profile at a time, apart from the game's block scorer, so tests can hold
-    that scorer to it.
-    """
-    if power < -FEAS_TOL or power > spec.p_max + FEAS_TOL:
-        raise ValueError(f"infeasible power {power} for node {u}")
-    trial = trial_block(u, powers, [power])
-    secrecy, jam = 0.0, 0.0
-    if roles[u] is Role.JHN:
-        jam = broadcast.pi * ctx.jam_contribution(u, trial)
-    elif u in ctx.served:
-        secrecy = eta * ctx.rates(trial)[:, ctx.served.index(u)]
-    return float(_priced(secrecy, jam, trial[:, u], ctx.jam_to_thn[u].sum(), broadcast,
-                         ctx.info_gain, cost)[0])
-
-
 def feasible(powers: np.ndarray, spec: FeasibilitySpec, ctx: SlotContext):
     """Per profile of a (..., K) block: True iff every box bound, the
     aggregate budget, and every leakage cap hold (closed constraints)."""
@@ -140,7 +116,7 @@ def _score_grid(nodes: list, powers: np.ndarray, grid: np.ndarray,
     with that node silent (its jamming credit's reference). Each gain table
     contracts the block once, and the leakage serves both the caps and the
     served rates. Every row scores as it would alone (see link._delivered),
-    so the values equal hn_utility's.
+    so the values equal those of the profiles scored one at a time.
     """
     n, g = len(nodes), len(grid)
     block = candidate_block(nodes, powers, grid, extra=n)
@@ -171,8 +147,8 @@ def candidate_utilities(nodes: list, powers: np.ndarray, grid: np.ndarray,
                         broadcast: Broadcast, ctx: SlotContext,
                         spec: FeasibilitySpec, roles: dict, eta: float, cost: float):
     """Utilities and feasibility, each (N, G), over the candidate grid of
-    every node id in `nodes`, the others fixed: hn_utility and feasible at
-    every grid power, scored as one block. Infeasible candidates score -inf."""
+    every node id in `nodes`, the others fixed: the priced utility and
+    feasible at every grid power, scored as one block. Infeasible candidates score -inf."""
     values, feas = _score_grid(nodes, powers, grid, broadcast, ctx, spec,
                                roles, eta, cost)
     return np.where(feas, values, -np.inf), feas

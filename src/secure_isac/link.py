@@ -45,10 +45,6 @@ class PrecoderSet:
     digital: np.ndarray  # (R, U)
     beams: np.ndarray    # (N, U), unit-norm columns
 
-    @property
-    def num_streams(self) -> int:
-        return self.beams.shape[1]
-
 
 def build_precoder(thn_channels, num_rf: int, rzf_reg: float = 1e-3) -> PrecoderSet:
     """Phase-only sub-array analog stage plus regularized zero-forcing digital stage.
@@ -183,8 +179,9 @@ class SlotContext:
 
     Every quantity the follower game and the cooperative refinement evaluate
     is an affine or rational function of the hybrid-node power vector; this
-    context holds the coefficients. Each method takes one power profile (K,)
-    or a batch of profiles (..., K) and scores every profile.
+    context holds the coefficients. Each method scores one power profile (K,)
+    or a batch of profiles (..., K), taking the profiles or the leakage,
+    jamming watts or eavesdropper rates they produce.
 
     Shapes: K hybrid nodes, U served streams, E eavesdroppers.
     jam_to_eve[k, e] / jam_to_thn[k, u] / jam_to_hn[k, j] are delivered watts
@@ -250,15 +247,6 @@ class SlotContext:
                                             + self.noise_w))
         with np.errstate(invalid="ignore"):
             return np.where(np.isfinite(eve), np.maximum(0.0, legit - eve), 0.0)
-
-    def jam_contribution(self, k: int, powers):
-        """Drop in the strongest eavesdropper's rate attributable to node k's
-        power, accumulated over served streams, (...)."""
-        p = np.asarray(powers, dtype=float)
-        without = p.copy()
-        without[..., k] = 0.0
-        return self.jam_credit(self.eve_rate_max(p), self.eve_rate_max(without),
-                               p[..., k])
 
     def jam_credit(self, with_rate, without_rate, power):
         """Jamming credit of a node radiating `power`, given the strongest

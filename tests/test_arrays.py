@@ -31,11 +31,6 @@ class TestPositions:
         assert np.allclose(pos[:, 1], [-0.0025, 0.0025])
         assert np.allclose(pos[:, [0, 2]], 0.0)
 
-    def test_aperture_128_at_28ghz(self):
-        # direct evaluation: (N-1)*lambda/2 with lambda = c/28 GHz
-        spec = spec28(128)
-        assert spec.aperture == pytest.approx(0.67988646725, rel=1e-12)
-
     def test_centroid_at_origin(self):
         for n in (1, 2, 5, 16):
             pos = ula_positions(ArraySpec(n, 0.007, 0.014))

@@ -6,7 +6,6 @@ from secure_isac.channel import (
     NoiseSpec,
     PathLossModel,
     eve_channel,
-    fraunhofer_distance,
     linear_gain,
     los_channel,
     noise_power,
@@ -83,23 +82,6 @@ class TestLinearGain:
         assert linear_gain(10.0) > linear_gain(11.0) > 0.0
 
 
-class TestFraunhofer:
-    def test_two_elements(self):
-        lam = 0.01
-        spec = ArraySpec.half_wavelength(2, lam)
-        assert fraunhofer_distance(spec) == pytest.approx(lam / 2, rel=1e-12)
-
-    def test_128_at_28ghz(self):
-        spec = ArraySpec.half_wavelength(128, C / 28e9)
-        assert fraunhofer_distance(spec) == pytest.approx(86.34558134, rel=1e-8)
-
-    def test_quadratic_scaling(self):
-        lam = 0.01
-        r1 = fraunhofer_distance(ArraySpec.half_wavelength(5, lam))
-        r2 = fraunhofer_distance(ArraySpec.half_wavelength(9, lam))
-        assert r2 / r1 == pytest.approx(4.0, rel=1e-12)
-
-
 class TestLosChannel:
     def test_far_field_matches_plane_wave(self):
         # oracle: beyond 100 r_F the spherical phases converge to the
@@ -108,7 +90,8 @@ class TestLosChannel:
         lam = C / 28e9
         spec = ArraySpec.half_wavelength(64, lam)
         pos = ula_positions(spec)
-        r = 100.0 * fraunhofer_distance(spec)
+        r_f = 2.0 * ((spec.num_elements - 1) * spec.spacing) ** 2 / lam  # 2 D^2 / lambda
+        r = 100.0 * r_f
         az = 0.3
         node = np.array([r * np.cos(az), r * np.sin(az), 0.0])
         h = los_channel(pos, node, 1.0, lam)

@@ -1,6 +1,9 @@
 import hashlib
 import json
+import math
 import os
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +28,32 @@ from secure_isac.config import (
 )
 from secure_isac.engine import run_simulation
 from secure_isac.followers import Role
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+# (sha256 of serialize_config, config_hash) of the defaults and each shipped
+# config
+CANONICAL_DIGESTS = {
+    "defaults": (
+        "ae1d523ed44f3bc7f9ee71b4a0d05b36eef835bc58117b0ca8cbea67c2501f88",
+        "827be1eac1c0fa7279db6255b3b277b17bba5e6e25c848e92c2c0ebec4289959"),
+    "beampattern_field.ini": (
+        "7ceb1bc2969dcbd92c7c05f9669de90b237ffffe524136513a137a89f7d1ecea",
+        "d6a34e4508726cfadfee4be2b6f65cf2f027f03e94184c06efe50bf7a96a27fd"),
+    "compare_28ghz.ini": (
+        "ab5d279a82c753ef3b4066778f23d2a235dc63455c5b8904f0fe39d7ec04c4c8",
+        "b9e366fd4c139fc196c3447544ca2d0da64624c944a5c0de9963e52f65c811ac"),
+    "convergence_28ghz.ini": (
+        "ae1d523ed44f3bc7f9ee71b4a0d05b36eef835bc58117b0ca8cbea67c2501f88",
+        "827be1eac1c0fa7279db6255b3b277b17bba5e6e25c848e92c2c0ebec4289959"),
+    "posterior_mobile.ini": (
+        "39320111efc74d06fd1b6bcd40ad6f527cc3e224051576e1c72c098ac877ee58",
+        "01a9382ba79b5d021399e15654f4cfd9f012d2f27a8741a1646bedf4a9501145"),
+    "posterior_static.ini": (
+        "2ed18f8db5cfb5384741a5317f8860fbf33ab3f71377bbf1bdf024118dbe2b2e",
+        "8e4e2284b0f4d969f528d0d3198c87515ce4d941df8a934edf00c15e7e5ec721"),
+}
 
 
 def small_config_text(extra=""):
@@ -120,6 +149,63 @@ class TestConfigParsing:
         assert cfg.hn.count == 4 and type(cfg.hn.count) is int
         assert cfg.run.seed == 3 and type(cfg.run.seed) is int
         assert cfg.run.outage_threshold == 0.0 and type(cfg.run.outage_threshold) is float
+
+
+def knobs():
+    """(section name, dataclass field) of every knob of every config section."""
+    for section in fields(ScenarioConfig):
+        for f in fields(section.default_factory):
+            yield section.name, f
+
+
+def out_of_range_cases():
+    """(dotted path, value) pairs that every knob's declared range rejects:
+    nan and +-inf for each float, a value past each finite bound for each
+    number, and an unknown choice for each string knob."""
+    cases = []
+    for section, f in knobs():
+        if "range" not in f.metadata:
+            continue    # test_every_knob_declares_its_range reports it
+        path = f"{section}.{f.name}"
+        lo, lo_open, hi, choices = f.metadata["range"]
+        if choices is not None:
+            cases.append((path, "teleport"))
+            continue
+        if isinstance(f.default, float):
+            cases += [(path, math.nan), (path, math.inf), (path, -math.inf)]
+        if lo > -math.inf:
+            cases.append((path, lo if lo_open else lo - 1))
+        if hi < math.inf:
+            cases.append((path, hi + 1))
+    return cases
+
+
+class TestDeclaredRanges:
+    def test_every_knob_declares_its_range(self):
+        missing = [f"{s}.{f.name}" for s, f in knobs() if "range" not in f.metadata]
+        assert missing == []
+
+    @pytest.mark.parametrize("path,value", out_of_range_cases())
+    def test_out_of_range_value_names_field(self, path, value):
+        section, key = path.split(".")
+        with pytest.raises(ConfigError) as err:
+            config_from_dict({section: {key: value}})
+        assert any(e.startswith(f"{path}: ") for e in err.value.errors)
+
+    def test_defaults_and_shipped_configs_lie_in_range(self):
+        ScenarioConfig().validate()
+        for path in sorted(CONFIGS.glob("*.ini")):
+            parse_config(str(path)).validate()
+
+    def test_canonical_config_bytes_pinned(self):
+        # sha256 of serialize_config and config_hash; the range metadata on
+        # each field must not reach the canonical form
+        configs = {"defaults": ScenarioConfig()}
+        configs.update((p.name, parse_config(str(p))) for p in CONFIGS.glob("*.ini"))
+        assert sorted(configs) == sorted(CANONICAL_DIGESTS)
+        for name, config in configs.items():
+            serialized = hashlib.sha256(serialize_config(config).encode()).hexdigest()
+            assert (serialized, config_hash(config)) == CANONICAL_DIGESTS[name], name
 
 
 class TestManifest:
@@ -250,6 +336,29 @@ class TestNullspaceRule:
         cfg = tmp_path / "full_rank.ini"
         cfg.write_text("[bs]\nantennas = 8\nnum_rf = 8\n")
         assert main(["--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+
+
+class TestNonFiniteAndOutOfRangeCli:
+    """Values that once ran to exit 0 or crashed with exit 3 are rejected
+    with exit 2, naming the field."""
+
+    @pytest.mark.parametrize("text,path,extra", [
+        ("[eve]\nheight_m = nan\n", "eve.height_m", []),
+        ("[carrier]\nfrequency_hz = inf\n", "carrier.frequency_hz", []),
+        ("[channel]\nrician_k_db = 4000\n", "channel.rician_k_db", []),
+        ("[noise]\nnoise_figure_db = inf\n", "noise.noise_figure_db", []),
+        ("[hn]\nrx_gain = inf\n", "hn.rx_gain", []),
+        # sums to 1, but with a negative AN share
+        ("[leader]\nalpha_init = 1.2\nbeta_init = -0.4\n", "leader.beta_init",
+         ["--strategy", "fixed_an"]),
+    ], ids=["eve_height_nan", "carrier_frequency_inf", "rician_k_4000",
+            "noise_figure_inf", "rx_gain_inf", "negative_an_share"])
+    def test_cli_exit_code(self, tmp_path, capsys, text, path, extra):
+        cfg = tmp_path / "bad.ini"
+        cfg.write_text(text)
+        argv = ["--config", str(cfg), "--out", str(tmp_path / "o"), "--slots", "2"]
+        assert main(argv + extra) == 2
+        assert f"error: {path}: " in capsys.readouterr().err
 
 
 class TestGneToleranceRule:

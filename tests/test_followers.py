@@ -16,11 +16,47 @@ from secure_isac.followers import (
     equilibrium_gap,
     feasible,
     gne_solve,
-    hn_utility,
     role_switch,
+    trial_block,
+    _priced,
 )
 from secure_isac.leader import Broadcast
 from secure_isac.link import JAM_CREDIT, SlotContext
+
+
+def jam_contribution(ctx: SlotContext, k: int, powers):
+    """Drop in the strongest eavesdropper's rate attributable to node k's
+    power, accumulated over served streams, (...)."""
+    p = np.asarray(powers, dtype=float)
+    without = p.copy()
+    without[..., k] = 0.0
+    return ctx.jam_credit(ctx.eve_rate_max(p), ctx.eve_rate_max(without),
+                          p[..., k])
+
+
+def hn_utility(u: int, power: float, powers: np.ndarray, roles: dict,
+               broadcast: Broadcast, ctx: SlotContext, spec: FeasibilitySpec,
+               eta: float, cost: float) -> float:
+    """Priced per-node payoff at the profile (power, powers[-u]), with secrecy
+    reward weight eta and power cost per watt.
+
+    Transmit-role nodes earn the secrecy reward and contribute no jamming;
+    jamming-role nodes earn the jamming reward instead. Power cost, leakage
+    penalty, and the shared information bonus apply to everyone. Scored one
+    profile at a time, apart from the game's block scorer, so the tests can
+    hold that scorer to it.
+    """
+    if power < -FEAS_TOL or power > spec.p_max + FEAS_TOL:
+        raise ValueError(f"infeasible power {power} for node {u}")
+    trial = trial_block(u, powers, [power])
+    secrecy, jam = 0.0, 0.0
+    if roles[u] is Role.JHN:
+        jam = broadcast.pi * jam_contribution(ctx, u, trial)
+    elif u in ctx.served:
+        secrecy = eta * ctx.rates(trial)[:, ctx.served.index(u)]
+    return float(_priced(secrecy, jam, trial[:, u], ctx.jam_to_thn[u].sum(), broadcast,
+                         ctx.info_gain, cost)[0])
+
 
 BC = Broadcast(alpha=0.6, beta=0.2, gamma=0.2, pi=0.7, tau=0.3, kappa=0.1)
 
