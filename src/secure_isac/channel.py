@@ -75,18 +75,22 @@ def noise_power(spec: NoiseSpec) -> float:
     return float(10.0 ** ((db - 30.0) / 10.0))
 
 
-def path_loss_db(model: PathLossModel, distance: float, shadow_draw: float = 0.0) -> float:
-    """PL_1m + 10 n log10(d) + sigma_sh * shadow_draw, distances clamped to >= 1 m."""
-    if distance <= 0:
+def path_loss_db(model: PathLossModel, distance, shadow_draw=0.0):
+    """PL_1m + 10 n log10(d) + sigma_sh * shadow_draw, distances clamped to >= 1 m.
+
+    Distances and shadow draws may be scalars or arrays (broadcast together);
+    a scalar call returns a numpy scalar.
+    """
+    d = np.asarray(distance, dtype=float)
+    if np.any(d <= 0):
         raise ValueError(f"distance must be > 0, got {distance}")
-    d = max(distance, 1.0)
-    return model.pl_1m_db + 10.0 * model.exponent * np.log10(d) \
-        + model.shadow_sigma_db * shadow_draw
+    return (model.pl_1m_db + 10.0 * model.exponent * np.log10(np.maximum(d, 1.0))
+            + model.shadow_sigma_db * np.asarray(shadow_draw))[()]
 
 
-def linear_gain(pl_db: float) -> float:
-    """Large-scale amplitude gain 10^(-PL/20)."""
-    return float(10.0 ** (-pl_db / 20.0))
+def linear_gain(pl_db):
+    """Large-scale amplitude gain 10^(-PL/20), elementwise over arrays."""
+    return (10.0 ** (-np.asarray(pl_db) / 20.0))[()]
 
 
 def los_channel(bs_positions: np.ndarray, node_pos: np.ndarray, gain: float,

@@ -61,21 +61,21 @@ def _violation(value, lo, lo_open, hi, choices):
 
 @dataclass
 class CarrierConfig:
-    frequency_hz: float = knob(28e9, gt=0)
-    bandwidth_hz: float = knob(1e8, gt=0)
+    frequency_hz: float = knob(28e9, ge=1e9, le=1e13)
+    bandwidth_hz: float = knob(1e8, ge=1e3, le=1e11)
 
 
 @dataclass
 class NoiseConfig:
-    psd_dbm_per_hz: float = knob(-174.0)
-    noise_figure_db: float = knob(7.0, ge=0)
+    psd_dbm_per_hz: float = knob(-174.0, ge=-200, le=-100)
+    noise_figure_db: float = knob(7.0, ge=0, le=30)
 
 
 @dataclass
 class BsConfig:
     antennas: int = knob(128, ge=1)
     num_rf: int = knob(8, ge=1)
-    z_m: float = knob(10.0, ge=0)
+    z_m: float = knob(10.0, ge=0, le=100)
     p_max_w: float = knob(20.0, gt=0)
     p_init_w: float = knob(15.0, gt=0)
     rzf_reg: float = knob(1e-3, gt=0)
@@ -86,7 +86,7 @@ class HnConfig:
     count: int = knob(25, ge=1)
     array_elements: int = knob(16, ge=1)
     p_max_w: float = knob(1.5, gt=0)
-    height_m: float = knob(1.5, ge=0)
+    height_m: float = knob(1.5, ge=0, le=100)
     rx_gain: float = knob(16.0, gt=0)   # matched-filter combining over the node's array
     eta: float = knob(1.0, ge=0)
     power_cost_per_w: float = knob(0.5, ge=0)
@@ -97,14 +97,14 @@ class EveConfig:
     count: int = knob(4, ge=1)
     mobility: str = knob("static", choices=("static", "waypoint"))
     speed_mps: float = knob(1.0, ge=0)
-    height_m: float = knob(1.5, ge=0)
+    height_m: float = knob(1.5, ge=0, le=100)
     noise_floor_w: float = knob(0.0, ge=0)   # worst-case interceptor: no thermal floor
 
 
 @dataclass
 class ChannelParams:
-    path_loss_exponent: float = knob(2.2, gt=0)
-    shadow_sigma_db: float = knob(3.0, ge=0)
+    path_loss_exponent: float = knob(2.2, gt=0, le=6)
+    shadow_sigma_db: float = knob(3.0, ge=0, le=20)
     rician_k_db: float = knob(10.0, ge=-40, le=40)
     csi_error_frobenius: float = knob(0.0, ge=0)  # estimate-error budget across all nodes
 
@@ -185,7 +185,7 @@ class RunConfig:
     slots: int = knob(200, ge=1)
     replications: int = knob(1, ge=1)
     seed: int = knob(1, ge=0)
-    cell_radius_m: float = knob(150.0, gt=0)
+    cell_radius_m: float = knob(150.0, gt=0, le=1000)
     min_node_distance_m: float = knob(25.0, gt=0)
     slot_duration_s: float = knob(0.01, gt=0)
     outage_threshold: float = knob(0.5, ge=0)

@@ -40,7 +40,8 @@ from .scenario import (World, bearing_deg, build_scenario, init_scenario,
                        start_run, step_eves)
 
 
-def _eve_channels(world: World, slot: int) -> list:
+def _eve_channels(world: World, slot: int) -> np.ndarray:
+    """This slot's BS->eavesdropper channels, (E, N)."""
     scn = world.scenario
     channels = []
     for j in range(world.num_eve):
@@ -49,7 +50,7 @@ def _eve_channels(world: World, slot: int) -> list:
         los = los_channel(scn.bs_elements, world.eve_positions[j], gain,
                           scn.bs_spec.wavelength)
         channels.append(eve_channel(scn.k_lin, los, slot, scn.seed, j))
-    return channels
+    return np.stack(channels)
 
 
 def _select_served(world: World, roles: dict) -> list:
@@ -68,14 +69,14 @@ def _node_gain_tables(world: World, slot: int) -> np.ndarray:
 
 
 def _pattern_table(world: World, beams: dict) -> np.ndarray:
-    """Transmit pattern gains (K, K+E) for every node toward every victim;
-    nodes without a beam in `beams` radiate uniformly."""
+    """Transmit pattern gains |a^H w|^2 (K, K+E) for every node toward every
+    victim; nodes without a beam in `beams` radiate uniformly."""
     n = world.scenario.hn_spec.num_elements
-    uniform = np.ones(n, dtype=complex) / np.sqrt(n)
-    pattern = np.zeros(world.link_bearing.shape)
-    for i in range(world.num_hn):
-        pattern[i] = np.abs(world.link_steer[i].conj() @ beams.get(i, uniform)) ** 2
-        pattern[i, i] = 0.0
+    stacked = np.full((world.num_hn, n), 1.0 / np.sqrt(n), dtype=complex)
+    if beams:
+        stacked[list(beams)] = list(beams.values())
+    pattern = np.abs(np.einsum("kvn,kn->kv", world.link_steer.conj(), stacked)) ** 2
+    np.fill_diagonal(pattern, 0.0)
     return pattern
 
 
@@ -86,7 +87,8 @@ class SlotState:
 
     slot: int
     broadcast: Broadcast
-    eve_chans: list
+    eve_chans: np.ndarray             # (E, N) BS->eavesdropper channels
+    eve_norm2: np.ndarray             # (E,) their powers ||h_e||^2
     node_path: np.ndarray             # (K, K+E) watts per watt before beam pattern
     info_gain: float                  # the game's information bonus (last slot's)
     spec: FeasibilitySpec
@@ -117,19 +119,19 @@ def build_slot_context(world: World, state: SlotState, served: list,
 
     rx = cfg.hn.rx_gain
     an_total = state.broadcast.beta * p_bs
-    sig, isi = np.zeros(len(served)), np.zeros(len(served))
-    for idx, u in enumerate(served):
-        beam_gain = np.abs(np.conj(scn.hn_channels[u]) @ prec.beams) ** 2
-        sig[idx] = p_stream * beam_gain[idx] * rx
-        isi[idx] = p_stream * (beam_gain.sum() - beam_gain[idx]) * rx
-    an_thn = an_power_at(scn.hn_channels[served], basis, an_total) * rx
-
-    eve_capture = np.array([p_stream * np.linalg.norm(h) ** 2 for h in state.eve_chans])
-    eve_an = an_power_at(np.stack(state.eve_chans), basis, an_total)
+    channels = scn.hn_channels[served]
+    # coupling[u, v] = |h_u^H b_v|^2 of served node u to stream v; the
+    # precoder of an empty served set has no antenna axis
+    coupling = (np.abs(np.einsum("un,nv->uv", channels.conj(), prec.beams)) ** 2
+                if served else np.zeros((0, 0)))
+    sig = p_stream * coupling.diagonal() * rx
+    isi = p_stream * (coupling.sum(axis=1) - coupling.diagonal()) * rx
+    an_thn = an_power_at(channels, basis, an_total) * rx
 
     return SlotContext(
         served=list(served), sig_w=sig, isi_w=isi, an_thn_w=an_thn,
-        noise_w=scn.noise_w, eve_capture_w=eve_capture, eve_an_w=eve_an,
+        noise_w=scn.noise_w, eve_capture_w=p_stream * state.eve_norm2,
+        eve_an_w=an_power_at(state.eve_chans, basis, an_total),
         jam_to_eve=delivered[:, k:], jam_to_thn=jam_to_nodes[:, served],
         eve_noise_w=cfg.eve.noise_floor_w, info_gain=state.info_gain,
         jam_to_hn=jam_to_nodes)
@@ -147,7 +149,7 @@ def _readmission_context(world: World, state: SlotState, waiting: list) -> SlotC
         state.ctx, served=waiting,
         sig_w=p_full * world.scenario.hn_norm2[waiting] / cfg.bs.num_rf * cfg.hn.rx_gain,
         isi_w=none, an_thn_w=none,
-        eve_capture_w=np.array([p_full * np.linalg.norm(h) ** 2 for h in state.eve_chans]),
+        eve_capture_w=p_full * state.eve_norm2,
         jam_to_thn=state.ctx.jam_to_hn[:, waiting])
 
 
@@ -224,6 +226,7 @@ def _open_slot(world: World, strategy: StrategyId, slot: int,
 
     return SlotState(
         slot=slot, broadcast=broadcast, eve_chans=eve_chans,
+        eve_norm2=np.einsum("en,en->e", eve_chans.conj(), eve_chans).real,
         node_path=_node_gain_tables(world, slot), info_gain=world.prev_kpis.info_gain,
         spec=FeasibilitySpec(p_max=cfg.hn.p_max_w, p_fj_max=cfg.followers.p_fj_max_w,
                              xi_max=cfg.followers.xi_max_scale * world.scenario.noise_w,
@@ -456,8 +459,8 @@ class SimulationResult:
 
 
 def run_simulation(config: ScenarioConfig, strategy: StrategyId) -> SimulationResult:
-    """Run slots x replications; deterministic given (config, seed, strategy)."""
-    config.validate()
+    """Run slots x replications; deterministic given (config, seed, strategy).
+    Each replication's build_scenario validates the config before any slot."""
     return _run_worlds(config, strategy, [init_scenario(config, config.run.seed + rep)
                                           for rep in range(config.run.replications)])
 
@@ -465,7 +468,6 @@ def run_simulation(config: ScenarioConfig, strategy: StrategyId) -> SimulationRe
 def run_compare(config: ScenarioConfig) -> dict:
     """Every strategy over the same scenarios: one Scenario per replication,
     shared by the strategies' runs. Results keyed in StrategyId order."""
-    config.validate()
     scenarios = [build_scenario(config, config.run.seed + rep)
                  for rep in range(config.run.replications)]
     return {strategy: _run_worlds(config, strategy, [start_run(s) for s in scenarios])

@@ -115,8 +115,7 @@ def _score_grid(nodes: list, powers: np.ndarray, grid: np.ndarray,
     One block holds the N x G candidate profiles, then one profile per node
     with that node silent (its jamming credit's reference). Each gain table
     contracts the block once, and the leakage serves both the caps and the
-    served rates. Every row scores as it would alone (see link._delivered),
-    so the values equal those of the profiles scored one at a time.
+    served rates. A row scores as it would alone (see link._delivered).
     """
     n, g = len(nodes), len(grid)
     block = candidate_block(nodes, powers, grid, extra=n)

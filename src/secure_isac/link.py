@@ -155,15 +155,12 @@ def outage_metrics(rates, threshold: float):
 
 
 def _delivered(powers: np.ndarray, gains: np.ndarray) -> np.ndarray:
-    """Watts delivered through gains (K, X) by each profile, (..., X).
+    """Watts delivered through gains (K, X) by a profile (K,) or each profile
+    of a batch (..., K), as (..., X).
 
-    A single (K,) profile keeps the plain vector product. A batch contracts
-    every row in the same summation order whatever else the batch holds, so
-    a profile scores identically in every block that contains it, a one-row
-    block included (a BLAS matrix product would not).
+    One einsum contraction, never a BLAS product, so a profile scores the
+    same alone as in any block that contains it.
     """
-    if powers.ndim == 1:
-        return powers @ gains
     return np.einsum("...k,kx->...x", powers, gains)
 
 

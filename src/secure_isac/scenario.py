@@ -9,7 +9,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .arrays import ArraySpec, element_indices, ula_positions
+from .arrays import ArraySpec, steering_vector, ula_positions
 from .belief import uniform_prior
 from .channel import (C_LIGHT, STREAM_CSI_ERROR, STREAM_HN_NLOS,
                       STREAM_PAIR_SHADOW, STREAM_PLACEMENT, STREAM_SHADOW,
@@ -169,6 +169,9 @@ def build_scenario(config: ScenarioConfig, seed: int) -> Scenario:
                 pair_shadow[j, i] = pair_shadow[i, j]
 
     hn_spec = ArraySpec.half_wavelength(config.hn.array_elements, lam)
+    link_gain, link_bearing, link_steer = _link_columns(
+        hn_positions, np.vstack([hn_positions, eve_start]), pair_shadow, pl_model, hn_spec)
+    np.fill_diagonal(link_gain, 0.0)      # a node does not jam itself
     scenario = Scenario(
         config=config, seed=seed, bs_spec=bs_spec, hn_spec=hn_spec,
         bs_center=bs_center, bs_elements=bs_elements, noise_w=noise_w,
@@ -177,10 +180,8 @@ def build_scenario(config: ScenarioConfig, seed: int) -> Scenario:
         hn_estimates=_estimate_channels(hn_channels, config, seed),
         hn_norm2=np.array([np.linalg.norm(h) ** 2 for h in hn_channels]),
         eve_shadow=eve_shadow, pair_shadow=pair_shadow,
-        link_gain=np.zeros((k, k + e)), link_bearing=np.zeros((k, k + e)),
-        link_steer=np.zeros((k, k + e, hn_spec.num_elements), dtype=complex),
+        link_gain=link_gain, link_bearing=link_bearing, link_steer=link_steer,
         gains=_leader_gains(config, noise_w))
-    _refresh_links(scenario, scenario, eve_start, 0)
     for f in fields(scenario):
         value = getattr(scenario, f.name)
         if isinstance(value, np.ndarray):
@@ -248,7 +249,8 @@ def _next_waypoint(world: World, eve_id: int) -> np.ndarray:
 
 
 def step_eves(world: World) -> None:
-    """Advance eavesdroppers toward their waypoints, redrawing on arrival."""
+    """Advance eavesdroppers toward their waypoints, redrawing on arrival,
+    and refresh the eavesdropper columns of the run's link tables."""
     if world.config.eve.mobility != "waypoint":
         return
     step = world.config.eve.speed_mps * world.config.run.slot_duration_s
@@ -267,35 +269,21 @@ def step_eves(world: World) -> None:
         radius = np.linalg.norm(ground)
         if 0 < radius < r_min:  # keep mobile nodes outside the exclusion disc
             world.eve_positions[j][:2] = ground * (r_min / radius)
-    _refresh_links(world, world.scenario, world.eve_positions, world.num_hn)
+    k, scn = world.num_hn, world.scenario
+    (world.link_gain[:, k:], world.link_bearing[:, k:],
+     world.link_steer[:, k:]) = _link_columns(scn.hn_positions, world.eve_positions,
+                                              scn.pair_shadow[:, k:], scn.pl_model,
+                                              scn.hn_spec)
 
 
-def _refresh_links(tables, scenario: Scenario, eve_positions: np.ndarray,
-                   first: int) -> None:
-    """Recompute the link tables of `tables` (a Scenario being built, or a
-    World) toward victims first.. (hybrid nodes, then eavesdroppers).
-
-    Each gain keeps the scalar distance and path-loss arithmetic, so the
-    tables match a per-pair recomputation bit for bit. Distances and pair
-    shadowing are symmetric, so each node pair is computed once and mirrored.
-    """
-    nodes = scenario.hn_positions
-    k = nodes.shape[0]
-    targets = np.vstack([nodes, eve_positions])
-    for i in range(k):
-        for j in range(max(first, i + 1), targets.shape[0]):
-            dist = np.linalg.norm(targets[j] - nodes[i])
-            pl = path_loss_db(scenario.pl_model, max(dist, 1.0), scenario.pair_shadow[i, j])
-            tables.link_gain[i, j] = linear_gain(pl) ** 2
-            if j < k:
-                tables.link_gain[j, i] = tables.link_gain[i, j]
-    d = targets[None, first:] - nodes[:, None]
-    bearings = np.degrees(np.arctan2(d[..., 1], d[..., 0]))
-    tables.link_bearing[:, first:] = bearings
-    spec = scenario.hn_spec
-    phase = spec.wavenumber * spec.spacing
-    # not steering_vector: its (phase * sin) * idx order rounds differently
-    # and moves the game strategies' traces
-    tables.link_steer[:, first:] = np.exp(
-        1j * phase * (np.sin(np.radians(bearings))[..., None] * element_indices(spec))
-    ) / np.sqrt(spec.num_elements)
+def _link_columns(nodes: np.ndarray, victims: np.ndarray, shadow: np.ndarray,
+                  pl_model: PathLossModel, spec: ArraySpec):
+    """Link tables from each hybrid node (K, 3) toward each victim (V, 3):
+    squared path gain before fading (K, V) under the pair shadowing draws
+    (K, V), ground bearing in degrees (K, V), and node-array steering
+    (K, V, n)."""
+    d = victims[None] - nodes[:, None]
+    dist = np.maximum(np.linalg.norm(d, axis=-1), 1.0)
+    gain = linear_gain(path_loss_db(pl_model, dist, shadow)) ** 2
+    bearing = np.degrees(np.arctan2(d[..., 1], d[..., 0]))
+    return gain, bearing, steering_vector(spec, np.radians(bearing))

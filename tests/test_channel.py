@@ -67,6 +67,23 @@ class TestPathLoss:
         pl = [path_loss_db(m, x) for x in d]
         assert np.all(np.diff(pl) > 0)
 
+    def test_array_matches_scalar_calls(self):
+        m = PathLossModel(61.4, 2.2, 3.0)
+        rng = np.random.default_rng(3)
+        d = rng.uniform(0.1, 500.0, (7, 9))
+        shadow = rng.standard_normal((7, 9))
+        pl = path_loss_db(m, d, shadow)
+        assert pl.shape == d.shape
+        scalar = [[path_loss_db(m, x, z) for x, z in zip(*row)] for row in zip(d, shadow)]
+        np.testing.assert_allclose(pl, scalar, rtol=1e-15, atol=0)
+        assert isinstance(path_loss_db(m, 50.0, 1.0), np.float64)
+
+    def test_nonpositive_distance_in_array_rejected(self):
+        m = PathLossModel(61.4, 2.2, 0.0)
+        for bad in (0.0, -3.0):
+            with pytest.raises(ValueError):
+                path_loss_db(m, np.array([[5.0, 2.0], [bad, 7.0]]))
+
     def test_friis_reference_28ghz(self):
         m = PathLossModel.friis_reference(28e9, 2.2)
         assert m.pl_1m_db == pytest.approx(61.39094384872776, rel=1e-12)
@@ -80,6 +97,14 @@ class TestLinearGain:
 
     def test_monotone_decreasing(self):
         assert linear_gain(10.0) > linear_gain(11.0) > 0.0
+
+    def test_array_matches_scalar_calls(self):
+        pl = np.random.default_rng(4).uniform(40.0, 160.0, (11, 13))
+        gains = linear_gain(pl)
+        assert gains.shape == pl.shape
+        np.testing.assert_allclose(gains, [[linear_gain(x) for x in row] for row in pl],
+                                   rtol=1e-15, atol=0)
+        assert isinstance(linear_gain(90.0), np.float64)
 
 
 class TestLosChannel:

@@ -361,6 +361,38 @@ class TestNonFiniteAndOutOfRangeCli:
         assert f"error: {path}: " in capsys.readouterr().err
 
 
+class TestPhysicalKnobBoundsCli:
+    """Finite but absurd physical values once overflowed (exit 0 after a
+    numpy warning) or crashed (exit 3). They are rejected with exit 2, naming
+    the field, and each declared bound itself runs cleanly."""
+
+    @staticmethod
+    def run_two_slots(tmp_path, path, value) -> int:
+        section, key = path.split(".")
+        cfg = tmp_path / "knob.ini"
+        cfg.write_text(f"[{section}]\n{key} = {value!r}\n")
+        return main(["--config", str(cfg), "--out", str(tmp_path / "o"), "--slots", "2"])
+
+    @pytest.mark.parametrize("path,value", [
+        ("carrier.frequency_hz", 1e300), ("channel.path_loss_exponent", 1e6),
+        ("channel.shadow_sigma_db", 1e6), ("noise.noise_figure_db", 1e6),
+        ("noise.psd_dbm_per_hz", 1e6), ("noise.psd_dbm_per_hz", -1e6),
+        ("run.cell_radius_m", 1e300), ("bs.z_m", 1e300)])
+    def test_absurd_value_exit_code(self, tmp_path, capsys, path, value):
+        assert self.run_two_slots(tmp_path, path, value) == 2
+        assert f"error: {path}: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("path,value", [
+        ("carrier.frequency_hz", 1e9), ("carrier.frequency_hz", 1e13),
+        ("carrier.bandwidth_hz", 1e3), ("carrier.bandwidth_hz", 1e11),
+        ("channel.path_loss_exponent", 6.0), ("channel.shadow_sigma_db", 20.0),
+        ("noise.noise_figure_db", 30.0), ("noise.psd_dbm_per_hz", -200.0),
+        ("noise.psd_dbm_per_hz", -100.0), ("run.cell_radius_m", 1000.0),
+        ("bs.z_m", 100.0), ("hn.height_m", 100.0), ("eve.height_m", 100.0)])
+    def test_bound_value_runs(self, tmp_path, path, value):
+        assert self.run_two_slots(tmp_path, path, value) == 0
+
+
 class TestGneToleranceRule:
     """gne.tolerance is gone: a sweep has converged when it moved no node.
     A config that still sets it is rejected as an unknown key."""
@@ -371,21 +403,20 @@ class TestGneToleranceRule:
         assert main(["--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
 
 
-# `--compare --slots 4 --replications 2` at the defaults, pinned while every
-# strategy still built its own scenario per replication
+# `--compare --slots 4 --replications 2` at the defaults
 COMPARE_DIGESTS = {
     "summary_compare.tsv":
-        "aa38fcdfb298ce87ebd7027fb89072b9c068a584c33ee6995aa650e551004179",
+        "3efb3813ca0722ab9697255336d867c37faa78e65b24e9eba65102daa72cc9ef",
     "trace_baseline.csv":
         "3ee2f630fa101ae777c8c6d0b0aec5e6700bff0635a800cf627d5439de4275e4",
     "trace_fixed_an.csv":
-        "0ba90348aad8959db089aac84c48a98b61fdafb2b35b8dc9d320ff69b2425b27",
+        "8c93ef11d7e54539457dd6b858f520f6974403731e72fb620057c838527fb264",
     "trace_stackelberg_only.csv":
-        "a9e91eeddf20486c307ac3260ac148c2a7c59fc523affc6f084a2c92051f5d57",
+        "9da071d6ee07809854d1d669e046d09021d5aba2eb88c985c1c22eca4bb4a548",
     "trace_stackelberg_roleswitch.csv":
-        "937ac44dbcec68b336112c882f651750e795b3bdb899477a6b273f470e020969",
+        "9010e3370945368172af9736c69b42386af5c9aa52138fd01c53816227da8e76",
     "trace_ibeams.csv":
-        "5d43c6018912871bb25a4354e78ac5755e889f6042173cb58603d42aad6620ae",
+        "b999274deed356633a58ebd3fa140286a92034c8184018e1ed39ce56d443bd00",
 }
 
 

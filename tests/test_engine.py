@@ -173,13 +173,79 @@ class TestLinkTables:
                            eve__speed_mps=25.0)
         world = init_scenario(cfg, seed)
         assert np.array_equal(world.scenario.pair_shadow, reference_pair_shadow(seed, k, e))
+        nodes = world.scenario.link_gain[:, :k]
+        assert np.array_equal(nodes, nodes.T) and np.all(np.diagonal(nodes) == 0.0)
         for slot in range(3):
             if slot > 0:
                 step_eves(world)
             path, bearings = reference_gain_tables(world, slot)
-            assert np.array_equal(engine._node_gain_tables(world, slot), path)
+            # the array form rounds apart from the per-pair scalar arithmetic
+            np.testing.assert_allclose(engine._node_gain_tables(world, slot), path,
+                                       rtol=1e-13, atol=0)
             assert np.array_equal(world.link_bearing, bearings)
-            assert np.array_equal(world.link_steer, reference_steer(world, bearings))
+            np.testing.assert_allclose(world.link_steer, reference_steer(world, bearings),
+                                       rtol=0, atol=1e-15)
+            assert np.array_equal(world.link_gain[:, :k], nodes)
+
+
+def reference_pattern_table(world, beams):
+    """Transmit pattern gains, one node row at a time through a BLAS product."""
+    n = world.scenario.hn_spec.num_elements
+    uniform = np.ones(n, dtype=complex) / np.sqrt(n)
+    pattern = np.zeros(world.link_bearing.shape)
+    for i in range(world.num_hn):
+        pattern[i] = np.abs(world.link_steer[i].conj() @ beams.get(i, uniform)) ** 2
+        pattern[i, i] = 0.0
+    return pattern
+
+
+def reference_stream_powers(world, p_stream, served):
+    """Desired and inter-stream power at each served node, one node at a time
+    through a BLAS product."""
+    scn, rx = world.scenario, world.config.hn.rx_gain
+    prec, _ = scn.precoder(tuple(served))
+    sig, isi = np.zeros(len(served)), np.zeros(len(served))
+    for idx, u in enumerate(served):
+        beam_gain = np.abs(np.conj(scn.hn_channels[u]) @ prec.beams) ** 2
+        sig[idx] = p_stream * beam_gain[idx] * rx
+        isi[idx] = p_stream * (beam_gain.sum() - beam_gain[idx]) * rx
+    return sig, isi
+
+
+class TestSlotArrayForms:
+    @settings(max_examples=25, deadline=None)
+    @given(k=st.integers(1, 10), e=st.integers(1, 4), seed=st.integers(0, 2 ** 31 - 1),
+           data=st.data())
+    def test_pattern_and_stream_powers_match_per_node_loops(self, k, e, seed, data):
+        cfg = small_config(hn__count=k, eve__count=e)
+        world = init_scenario(cfg, seed)
+        state = engine._open_slot(world, StrategyId.IBEAMS, 0, True)
+        rng = np.random.default_rng(seed)
+        n = world.scenario.hn_spec.num_elements
+        beams = {}
+        for u in data.draw(st.lists(st.integers(0, k - 1), unique=True)):
+            w = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            beams[u] = w / np.linalg.norm(w)
+        # entries are at most 1, so atol (a few ulps of 1) covers the
+        # rounding of entries near a pattern null
+        np.testing.assert_allclose(engine._pattern_table(world, beams),
+                                   reference_pattern_table(world, beams),
+                                   rtol=1e-13, atol=2e-15)
+        drawn = data.draw(st.lists(st.integers(0, k - 1), unique=True,
+                                   max_size=cfg.bs.num_rf))
+        for served in (drawn, []):
+            ctx = engine.build_slot_context(world, state, served, beams)
+            p_stream = state.broadcast.alpha * cfg.bs.p_init_w / max(len(served), 1)
+            sig, isi = reference_stream_powers(world, p_stream, served)
+            assert ctx.sig_w.shape == ctx.isi_w.shape == (len(served),)
+            np.testing.assert_allclose(ctx.sig_w, sig, rtol=1e-13, atol=0)
+            # zero forcing cancels the cross-stream couplings, so their
+            # rounding is relative to the node's whole received stream power
+            assert np.all(np.abs(ctx.isi_w - isi) <= 1e-13 * (sig + isi))
+            np.testing.assert_allclose(
+                ctx.eve_capture_w,
+                [p_stream * np.linalg.norm(h) ** 2 for h in state.eve_chans],
+                rtol=1e-13, atol=0)
 
 
 class TestRunSlot:

@@ -402,16 +402,14 @@ class TestSlotContext:
         leak = ctx.leakage_at_served(block)
         jam = [jam_contribution(ctx, k, block) for k in range(3)]
         assert rates.shape == (4, 6, 2) and eve.shape == (4, 6)
+        # one contraction path: a row scores exactly as it does alone
         for idx in np.ndindex(4, 6):
             row = block[idx]
-            np.testing.assert_allclose(rates[idx], ctx.rates(row), rtol=1e-12, atol=0)
-            np.testing.assert_allclose(eve[idx], ctx.eve_rate_max(row),
-                                       rtol=1e-12, atol=0)
-            np.testing.assert_allclose(leak[idx], ctx.leakage_at_served(row),
-                                       rtol=1e-12, atol=0)
+            assert np.array_equal(rates[idx], ctx.rates(row))
+            assert np.array_equal(eve[idx], ctx.eve_rate_max(row))
+            assert np.array_equal(leak[idx], ctx.leakage_at_served(row))
             for k in range(3):
-                np.testing.assert_allclose(jam[k][idx], jam_contribution(ctx, k, row),
-                                           rtol=1e-12, atol=0)
+                assert np.array_equal(jam[k][idx], jam_contribution(ctx, k, row))
         assert np.isinf(eve[0, 0]) and np.all(rates[0, 0] == 0.0)
 
     def test_jam_contribution_positive_for_effective_jammer(self):

@@ -2,7 +2,9 @@
 invariant and are pure functions of (config, seed, strategy)."""
 
 import logging
+import math
 import tempfile
+from dataclasses import fields
 from pathlib import Path
 
 from hypothesis import HealthCheck, assume, given, settings
@@ -17,13 +19,42 @@ logging.disable(logging.WARNING)
 SLOTS = 3
 
 
+# physical knobs drawn from their declared ranges
+PHYSICAL_KNOBS = ("carrier.frequency_hz", "carrier.bandwidth_hz",
+                  "channel.path_loss_exponent", "channel.shadow_sigma_db",
+                  "noise.noise_figure_db", "noise.psd_dbm_per_hz", "run.cell_radius_m",
+                  "bs.z_m", "hn.height_m", "eve.height_m")
+
+
+def declared_range(path):
+    """(lo, lo_open, hi) of a knob, as its field declares it."""
+    section, name = path.split(".")
+    knob = next(f for f in fields(getattr(ScenarioConfig(), section)) if f.name == name)
+    lo, lo_open, hi, _ = knob.metadata["range"]
+    return lo, lo_open, hi
+
+
+def draw_in_range(draw, lo, lo_open, hi):
+    """A value in the range; log-uniform when it spans a decade or more."""
+    if lo > 0 and hi >= 10 * lo:
+        value = min(max(10.0 ** draw(st.floats(math.log10(lo), math.log10(hi))), lo), hi)
+        assume(value > lo or not lo_open)
+        return value
+    return draw(st.floats(lo, hi, exclude_min=lo_open))
+
+
 @st.composite
 def small_configs(draw):
     cfg = ScenarioConfig()
     cfg.hn.count = draw(st.integers(1, 20))
     cfg.eve.count = draw(st.integers(1, 5))
-    # the 28 GHz - 3 THz span of the source paper
-    cfg.carrier.frequency_hz = draw(st.sampled_from([28e9, 100e9, 300e9, 3e12]))
+    for path in PHYSICAL_KNOBS:
+        lo, lo_open, hi = declared_range(path)
+        if path == "run.cell_radius_m":
+            # the radius must exceed min_node_distance_m (a cross-field rule)
+            lo, lo_open = cfg.run.min_node_distance_m, True
+        section, name = path.split(".")
+        setattr(getattr(cfg, section), name, draw_in_range(draw, lo, lo_open, hi))
     cfg.bs.antennas, cfg.bs.num_rf = draw(
         st.sampled_from([(128, 8), (32, 4), (16, 8), (8, 8)]))
     # AN needs a nullspace: validation rejects as many streams as antennas

@@ -34,43 +34,43 @@ DIGESTS = {
     ("defaults", "baseline"):
         "2f3c41e0a555a586e4aa25e383fe858fc1b2513de11e22daf76c244cffa5d477",
     ("defaults", "fixed_an"):
-        "926fcb31278af37cedb2384256450f7ec0428457a7cd9eeabeba113ea3ade321",
+        "66387ddb74b4096cd152639e5c3247af2e7f9aa7852bdaa80c7d4680500715c9",
     ("defaults", "stackelberg_only"):
-        "13804243aafdf09e1fa9b1b9c7063d8fc92c9989db927661c4b976bc4066bac1",
+        "a21229f3cf798363864f4d186d3e1a209d2f3cac8e4d2cb72f7ec8998c90c36e",
     ("defaults", "stackelberg_roleswitch"):
-        "7f38cc405c9db168b91900a61874f7d340ce7cdb2ac0327e38b5f4eb08284820",
+        "aae8bcd5174f89d09a6d4c2809cef198443c6e35992e0747108272bd22e3ead2",
     ("defaults", "ibeams"):
-        "be004eab48898ef948a40852ba16db0b5dc53ef65ebab5c922192a8ad876b404",
+        "079380f41e5d20139a9e66c3f39a952298227d5bd3f6d50486f9ae15986153ff",
     ("beampattern_field", "baseline"):
         "13bc8a4e897edba756fe5bad267a4174d5c8fd71c673556d7d4d1ddedbb68460",
     ("beampattern_field", "fixed_an"):
-        "ddf4ae8b008a01c6c96c85acc015e2c3615c4fb07aca04432bf5b56a88df977a",
+        "c13b48bceb90b33897d9c18325b39521983b01c829f317e10717691c40d1fbef",
     ("beampattern_field", "stackelberg_only"):
-        "c0833a60a25a845da92df9a3829e70a7c2266e0610a9b1646296c26ce6f982d6",
+        "e09f847d1fcdcfb27ac3ff28dc31976b62c636f920b7d604405bedd6527d1e69",
     ("beampattern_field", "stackelberg_roleswitch"):
-        "707e614680959212d4e743f5e465a834af592cd7f99586813e66e4f16384ce59",
+        "cd69b7052a6db5afda7ef003e12d05e33e20969219aeb8dfbdb261a4e06bcd7e",
     ("beampattern_field", "ibeams"):
-        "42d908b860b744b4e3249ad1f43e2ce628f2f111cb414908015ad3b907da2e3d",
+        "36bd312f66a3e54b15ec23ec7ae57ab8c0827f7cbc09e849487b0772d15534f0",
     ("posterior_mobile", "baseline"):
         "77fd45e58cf3f86a2653570daf7bec9ad03190be36321c93819b7129745004b5",
     ("posterior_mobile", "fixed_an"):
-        "f04173d688a36b88dab74a841cc5dbf9419973fc4b19dc72b2fa0c8b2a8e2b94",
+        "139ca8dd2c62875fbba2d1d14f97f970f3986a4affd70661fa38ef70d8a8440f",
     ("posterior_mobile", "stackelberg_only"):
-        "311220701fd5850fdec895b0e3c4dfada7755c59af590e9f736b573464a2f3ac",
+        "257ab0927fdc49a39afefa0b696597cba5d4a65803df84a5f386611648f6581d",
     ("posterior_mobile", "stackelberg_roleswitch"):
-        "8411df5efa1a84f1e5683a9ec27d79a5d256b7904915407335f25a1a8b9b1392",
+        "27264fc280035c99d1a3b7e087438e2f9b3aa82ca38042cf268a0d928bfde968",
     ("posterior_mobile", "ibeams"):
-        "0c0fbdeec71894cf690c5524a70dffb5a80f85df695e633ff4a9358886106b5e",
+        "52caafeaa84f60f947178a742b7e326fca827fab34698e7005d0753a03c2f22d",
     ("posterior_static", "baseline"):
         "77fd45e58cf3f86a2653570daf7bec9ad03190be36321c93819b7129745004b5",
     ("posterior_static", "fixed_an"):
-        "b34379f05e7f94d410ba36721a1c757cf12715ed8a2a54159607224a33f840cb",
+        "384994b5d08b66d1d4527c6f524045a074f5b0aff67e4ec3a560414b99d8d5ba",
     ("posterior_static", "stackelberg_only"):
-        "72d1411a44103c71acb289c428536953def96d9208b16537f6273abbd2a6763d",
+        "144685b52f7ffa96f1cc7bed0855f769fc3d6e1d34ff2cde7968f98d781d8f9c",
     ("posterior_static", "stackelberg_roleswitch"):
-        "6bde93969eaf5b3e67876b0fb08aaeaea1bbb9fa8433338da6634aa9c60d5537",
+        "67c22cc3eb6acc7d40cc60864b6c7387d46aaac553d56ad8fedbf55b0f187a73",
     ("posterior_static", "ibeams"):
-        "4b9786f5135b8a9580c5be71bfcc96a909497afb6067be495443dd65a1e290c2",
+        "72dd678a37c9bfca0721b6509dfd9cf2e48f3ef82f21d5bcfd6d84bb37530876",
 }
 
 
