@@ -17,7 +17,6 @@ class BeliefState:
 
     grid_deg: np.ndarray
     probs: np.ndarray
-    kernel_sigma_deg: float
     eve_id: int = 0
 
     @property
@@ -29,36 +28,35 @@ def default_grid(size: int = 181, lo: float = -90.0, hi: float = 90.0) -> np.nda
     return np.linspace(lo, hi, size)
 
 
-def uniform_prior(grid_size: int = 181, kernel_sigma_deg: float = 10.0,
-                  eve_id: int = 0, lo: float = -90.0, hi: float = 90.0) -> BeliefState:
+def uniform_prior(grid_size: int = 181, eve_id: int = 0, lo: float = -90.0,
+                  hi: float = 90.0) -> BeliefState:
     """Maximum-entropy prior over the bearing grid."""
     if grid_size < 2:
         raise ValueError(f"grid_size must be >= 2, got {grid_size}")
     grid = default_grid(grid_size, lo, hi)
-    return BeliefState(grid, np.full(grid_size, 1.0 / grid_size), kernel_sigma_deg, eve_id)
+    return BeliefState(grid, np.full(grid_size, 1.0 / grid_size), eve_id)
 
 
-def predict(belief: BeliefState) -> BeliefState:
-    """Blur the posterior with a Gaussian kernel of the current bandwidth.
+def predict(belief: BeliefState, sigma_deg: float) -> BeliefState:
+    """Blur the posterior with a Gaussian kernel of bandwidth sigma_deg.
 
     Mass leaving the grid is reflected back at the boundaries, then the result
     is renormalized.
     """
-    sigma = belief.kernel_sigma_deg
-    if sigma <= 0:
-        raise ValueError("kernel_sigma must be > 0")
+    if sigma_deg <= 0:
+        raise ValueError("sigma_deg must be > 0")
     step = float(belief.grid_deg[1] - belief.grid_deg[0])
-    half = int(np.ceil(4.0 * sigma / step))
+    half = int(np.ceil(4.0 * sigma_deg / step))
     probs = belief.probs
     if half >= 1:
         offsets = np.arange(-half, half + 1) * step
-        kernel = np.exp(-0.5 * (offsets / sigma) ** 2)
+        kernel = np.exp(-0.5 * (offsets / sigma_deg) ** 2)
         kernel /= kernel.sum()
         padded = np.pad(probs, half, mode="reflect")
         probs = np.convolve(padded, kernel, mode="valid")
     probs = np.maximum(probs, 0.0)
     probs = probs / probs.sum()
-    return BeliefState(belief.grid_deg, probs, sigma, belief.eve_id)
+    return BeliefState(belief.grid_deg, probs, belief.eve_id)
 
 
 def entropy(belief: BeliefState) -> float:
@@ -110,16 +108,13 @@ def update(belief: BeliefState, z: np.ndarray, k_eff: float = 1.0) -> BeliefStat
         raise ValueError("scan must be nonnegative")
     zmax = z.max()
     if zmax <= 0.0:
-        return BeliefState(belief.grid_deg, belief.probs.copy(),
-                           belief.kernel_sigma_deg, belief.eve_id)
+        return BeliefState(belief.grid_deg, belief.probs.copy(), belief.eve_id)
     likelihood = (z / zmax) ** k_eff
     post = belief.probs * likelihood
     total = post.sum()
     if total <= 0.0 or not np.isfinite(total):
-        return BeliefState(belief.grid_deg, belief.probs.copy(),
-                           belief.kernel_sigma_deg, belief.eve_id)
-    return BeliefState(belief.grid_deg, post / total, belief.kernel_sigma_deg,
-                       belief.eve_id)
+        return BeliefState(belief.grid_deg, belief.probs.copy(), belief.eve_id)
+    return BeliefState(belief.grid_deg, post / total, belief.eve_id)
 
 
 def kernel_adapt(sigma: float, entropy_bits: float, h_max: float, eta_sigma: float,

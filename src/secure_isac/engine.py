@@ -90,12 +90,10 @@ class SlotState:
     eve_chans: np.ndarray             # (E, N) BS->eavesdropper channels
     eve_norm2: np.ndarray             # (E,) their powers ||h_e||^2
     node_path: np.ndarray             # (K, K+E) watts per watt before beam pattern
-    info_gain: float                  # the game's information bonus (last slot's)
     spec: FeasibilitySpec
     powers: np.ndarray                # (K,) hybrid-node powers
     roles: dict = field(default_factory=dict)
-    served: list = field(default_factory=list)
-    ctx: SlotContext | None = None    # context of `served` under the current beams
+    ctx: SlotContext | None = None    # the served set's context under the current beams
     rates_eq: dict = field(default_factory=dict)   # role-switch rates, game on
     gne_iters: int = 0
     gne_gap: float = 0.0
@@ -133,7 +131,7 @@ def build_slot_context(world: World, state: SlotState, served: list,
         noise_w=scn.noise_w, eve_capture_w=p_stream * state.eve_norm2,
         eve_an_w=an_power_at(state.eve_chans, basis, an_total),
         jam_to_eve=delivered[:, k:], jam_to_thn=jam_to_nodes[:, served],
-        eve_noise_w=cfg.eve.noise_floor_w, info_gain=state.info_gain,
+        eve_noise_w=cfg.eve.noise_floor_w, info_gain=world.prev_kpis.info_gain,
         jam_to_hn=jam_to_nodes)
 
 
@@ -173,14 +171,6 @@ def _ema(previous: float | None, value: float) -> float:
     return value if previous is None else 0.8 * previous + 0.2 * value
 
 
-def _static_broadcast(world: World, strategy: StrategyId) -> Broadcast:
-    lead = world.config.leader
-    if strategy is StrategyId.BASELINE:
-        return Broadcast(1.0, 0.0, 0.0, lead.pi_init, lead.tau_init, lead.kappa_init)
-    return Broadcast(lead.alpha_init, lead.beta_init, lead.gamma_init,
-                     lead.pi_init, lead.tau_init, lead.kappa_init)
-
-
 def run_slot(world: World, strategy: StrategyId, slot: int) -> SlotRecord:
     """Advance one slot through its stages and return its record."""
     leader_on, gne_on, refine_on = _strategy_flags(strategy)
@@ -209,25 +199,23 @@ def _open_slot(world: World, strategy: StrategyId, slot: int,
 
     # belief prediction feeds the controller; the posterior update comes after
     # the game so sensing power reflects this slot's split
-    predicted = [predict(b) for b in world.beliefs]
-    h_pred = max(entropy(b) for b in predicted)
+    world.beliefs = [predict(b, world.leader.kernel_sigma_deg) for b in world.beliefs]
+    h_pred = max(entropy(b) for b in world.beliefs)
     # smooth the controller's uncertainty signal so the sensing split does not
     # chase per-slot measurement noise
     world.entropy_ema = _ema(world.entropy_ema, h_pred)
 
     if leader_on:
-        world.leader, broadcast = leader_step(world.leader, world.scenario.gains,
-                                              world.prev_kpis, world.entropy_ema)
-    else:
-        broadcast = _static_broadcast(world, strategy)
-    for b in predicted:
-        b.kernel_sigma_deg = world.leader.kernel_sigma_deg
-    world.beliefs = predicted
+        world.leader = leader_step(world.leader, world.scenario.gains,
+                                   world.prev_kpis, world.entropy_ema)
+    broadcast = world.leader.broadcast
+    if strategy is StrategyId.BASELINE:
+        broadcast = replace(broadcast, alpha=1.0, beta=0.0, gamma=0.0)
 
     return SlotState(
         slot=slot, broadcast=broadcast, eve_chans=eve_chans,
         eve_norm2=np.einsum("en,en->e", eve_chans.conj(), eve_chans).real,
-        node_path=_node_gain_tables(world, slot), info_gain=world.prev_kpis.info_gain,
+        node_path=_node_gain_tables(world, slot),
         spec=FeasibilitySpec(p_max=cfg.hn.p_max_w, p_fj_max=cfg.followers.p_fj_max_w,
                              xi_max=cfg.followers.xi_max_scale * world.scenario.noise_w,
                              grid_points=cfg.followers.grid_points),
@@ -237,7 +225,6 @@ def _open_slot(world: World, strategy: StrategyId, slot: int,
 def _serve(world: World, state: SlotState, served: list) -> None:
     """Stage 2, and every later change of the served set: serve `served` and
     build its context under the current jamming beams."""
-    state.served = served
     state.ctx = build_slot_context(world, state, served, world.jhn_beams)
 
 
@@ -318,10 +305,11 @@ def _refine(world: World, state: SlotState) -> None:
         # bootstrap pruning: the first switch acts on defended
         # (post-refinement) rates, since no earlier observation exists
         refined = state.ctx.rates(state.powers)
-        state.rates_eq.update(zip(state.served, refined.tolist()))
+        served = state.ctx.served
+        state.rates_eq.update(zip(served, refined.tolist()))
         state.roles = _switch_roles(state.rates_eq, world.config.followers.role_threshold)
-        pruned = [u for u in state.served if state.roles[u] is Role.THN]
-        if pruned != state.served:
+        pruned = [u for u in served if state.roles[u] is Role.THN]
+        if pruned != served:
             _serve(world, state, pruned)
 
 
@@ -330,19 +318,20 @@ def _withhold_outage(world: World, state: SlotState) -> None:
     outage threshold; wiretap service below the target is withheld, and the
     node jams instead from the next slot on."""
     threshold = world.config.run.outage_threshold
-    while state.served:
+    while state.ctx.served:
+        served = state.ctx.served
         rates_now = state.ctx.rates(state.powers)
-        keep = [u for u, r in zip(state.served, rates_now) if r >= threshold]
-        if keep == state.served:
+        keep = [u for u, r in zip(served, rates_now) if r >= threshold]
+        if keep == served:
             break
-        state.roles.update((u, Role.JHN) for u in state.served if u not in keep)
+        state.roles.update((u, Role.JHN) for u in served if u not in keep)
         _serve(world, state, keep)
 
 
 def _run_refinement(world: World, state: SlotState, jhn_ids):
     """Coalitions of the jamming nodes around the combined posterior's peaks,
     each member's ray aim and protective nulls, then the refinement loop."""
-    scn, cfg = world.scenario, world.config
+    scn, cfg, served = world.scenario, world.config, state.ctx.served
     grid = world.beliefs[0].grid_deg
     combined = np.max(np.stack([b.probs for b in world.beliefs]), axis=0)
     peaks = posterior_peaks(combined, grid,
@@ -356,11 +345,11 @@ def _run_refinement(world: World, state: SlotState, jhn_ids):
             aim_deg[u] = ray_aim(scn.hn_positions[u], coalition.target_angle_deg,
                                  scn.hn_spec, radii, cfg.eve.height_m,
                                  cfg.channel.path_loss_exponent)
-            null_deg[u] = protective_nulls(u, state.served, scn.hn_positions,
+            null_deg[u] = protective_nulls(u, served, scn.hn_positions,
                                            scn.link_bearing[u], scn.hn_spec)
 
     def context_builder(beams):
-        return build_slot_context(world, state, state.served,
+        return build_slot_context(world, state, served,
                                   {**world.jhn_beams, **beams})
 
     return refinement_loop(
@@ -393,7 +382,7 @@ def _finalize_slot(world: World, state: SlotState) -> SlotRecord:
                           if roles[u] is Role.JHN))
     leakage = ctx.leakage_at_served(powers)
     jam_benefit = (float(rates.mean() - ctx.rates(np.zeros_like(powers)).mean())
-                   if state.served else 0.0)
+                   if ctx.served else 0.0)
     # smoothed secrecy KPI keeps the AN integrator from chasing slot noise
     world.secrecy_ema = _ema(world.secrecy_ema, r_mean)
     world.prev_kpis = LeaderKpis(
@@ -413,7 +402,7 @@ def _finalize_slot(world: World, state: SlotState) -> SlotRecord:
         n_jhn=sum(1 for r in roles.values() if r is Role.JHN),
         refine_iters=state.refine_iters, jam_power_w=jam_power,
         entropy_per_eve=list(state.entropies),
-        rates={u: float(r) for u, r in zip(state.served, rates)},
+        rates={u: float(r) for u, r in zip(ctx.served, rates)},
         roles={u: roles[u].value for u in range(world.num_hn)},
         powers={u: float(powers[u]) for u in range(world.num_hn)},
         slot_power_w=slot_power, secrecy_sum=secrecy_sum,

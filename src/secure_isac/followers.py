@@ -105,18 +105,19 @@ def feasible(powers: np.ndarray, spec: FeasibilitySpec, ctx: SlotContext):
     return spec.admits(p, ctx.leakage_at_served(p))
 
 
-def _score_grid(nodes: list, powers: np.ndarray, grid: np.ndarray,
-                broadcast: Broadcast, ctx: SlotContext, spec: FeasibilitySpec,
-                roles: dict, eta: float, cost: float):
+def _score_grid(nodes: list, powers: np.ndarray, broadcast: Broadcast,
+                ctx: SlotContext, spec: FeasibilitySpec, roles: dict, eta: float,
+                cost: float):
     """Utilities and feasibility, each (N, G), of every node in `nodes` at
-    every grid power, the others fixed at `powers`; infeasible profiles keep
-    their utility.
+    every power of spec.grid, the others fixed at `powers`; infeasible
+    profiles keep their utility.
 
     One block holds the N x G candidate profiles, then one profile per node
     with that node silent (its jamming credit's reference). Each gain table
     contracts the block once, and the leakage serves both the caps and the
     served rates. A row scores as it would alone (see link._delivered).
     """
+    grid = spec.grid
     n, g = len(nodes), len(grid)
     block = candidate_block(nodes, powers, grid, extra=n)
     block[n * g + np.arange(n), nodes] = 0.0
@@ -142,32 +143,31 @@ def _score_grid(nodes: list, powers: np.ndarray, grid: np.ndarray,
     return values, feas
 
 
-def candidate_utilities(nodes: list, powers: np.ndarray, grid: np.ndarray,
-                        broadcast: Broadcast, ctx: SlotContext,
-                        spec: FeasibilitySpec, roles: dict, eta: float, cost: float):
-    """Utilities and feasibility, each (N, G), over the candidate grid of
-    every node id in `nodes`, the others fixed: the priced utility and
-    feasible at every grid power, scored as one block. Infeasible candidates score -inf."""
-    values, feas = _score_grid(nodes, powers, grid, broadcast, ctx, spec,
-                               roles, eta, cost)
+def candidate_utilities(nodes: list, powers: np.ndarray, broadcast: Broadcast,
+                        ctx: SlotContext, spec: FeasibilitySpec, roles: dict,
+                        eta: float, cost: float):
+    """Utilities and feasibility, each (N, G), over spec.grid for every node
+    id in `nodes`, the others fixed: the priced utility and feasible at every
+    grid power, scored as one block. Infeasible candidates score -inf."""
+    values, feas = _score_grid(nodes, powers, broadcast, ctx, spec, roles, eta, cost)
     return np.where(feas, values, -np.inf), feas
 
 
-def best_response(nodes: list, powers: np.ndarray, grid: np.ndarray,
-                  broadcast: Broadcast, ctx: SlotContext, spec: FeasibilitySpec,
-                  roles: dict, eta: float, cost: float):
-    """Utility-maximizing feasible grid power of every node id in `nodes`,
+def best_response(nodes: list, powers: np.ndarray, broadcast: Broadcast,
+                  ctx: SlotContext, spec: FeasibilitySpec, roles: dict, eta: float,
+                  cost: float):
+    """Utility-maximizing feasible power on spec.grid of every node id in `nodes`,
     each scored against the same profile, the others fixed.
 
     Returns (picks (N,), empty (N,)). Exact ties break toward lower power; a
     node with an empty feasible set falls back to zero power and is marked in
     `empty`. Nothing is logged: a sweep logs only the picks it accepts.
     """
-    values, feas = candidate_utilities(nodes, powers, grid, broadcast, ctx, spec,
-                                       roles, eta, cost)
+    values, feas = candidate_utilities(nodes, powers, broadcast, ctx, spec, roles,
+                                       eta, cost)
     empty = ~feas.any(axis=1)
     # argmax takes the first (lowest) tie
-    return np.where(empty, 0.0, grid[np.argmax(values, axis=1)]), empty
+    return np.where(empty, 0.0, spec.grid[np.argmax(values, axis=1)]), empty
 
 
 def sweep_best_responses(nodes, powers: np.ndarray, respond, max_sweeps: int):
@@ -219,10 +219,10 @@ class GneResult:
     converged: bool
 
 
-def equilibrium_gap(powers: np.ndarray, grid: np.ndarray, broadcast: Broadcast,
-                    ctx: SlotContext, spec: FeasibilitySpec, roles: dict,
-                    eta: float, cost: float) -> float:
-    """Largest unilateral utility improvement any node can reach on the grid
+def equilibrium_gap(powers: np.ndarray, broadcast: Broadcast, ctx: SlotContext,
+                    spec: FeasibilitySpec, roles: dict, eta: float,
+                    cost: float) -> float:
+    """Largest unilateral utility improvement any node can reach on spec.grid
     (the epsilon-equilibrium certificate, by exhaustive scan of every node's
     grid as one block).
 
@@ -230,12 +230,12 @@ def equilibrium_gap(powers: np.ndarray, grid: np.ndarray, broadcast: Broadcast,
     node u's current utility is the row of its candidate block at powers[u].
     """
     powers = np.asarray(powers, dtype=float)
-    on_grid = grid == powers[:, None]
+    on_grid = spec.grid == powers[:, None]
     off = np.flatnonzero(~on_grid.any(axis=1))
     if off.size:
         raise ValueError(f"node {off[0]}: power {powers[off[0]]} is not on the grid")
-    values, feas = _score_grid(list(range(len(powers))), powers, grid, broadcast,
-                               ctx, spec, roles, eta, cost)
+    values, feas = _score_grid(list(range(len(powers))), powers, broadcast, ctx, spec,
+                               roles, eta, cost)
     current = values[np.arange(len(powers)), on_grid.argmax(axis=1)]
     best = np.where(feas, values, -np.inf).max(axis=1)
     gains = (best - current)[feas.any(axis=1)]
@@ -259,15 +259,14 @@ def gne_solve(roles: dict, powers: np.ndarray, broadcast: Broadcast, ctx: SlotCo
         raise ValueError("max_iters must be >= 1")
     if sorted(roles) != list(range(len(roles))):
         raise ValueError("role keys must be 0..K-1 and match the context rows")
-    grid = spec.grid
     powers = np.array(powers, dtype=float)
     if not feasible(powers, spec, ctx):
         powers = np.zeros_like(powers)
 
     def respond(block):
         # through the module global, so a wrapped best_response sees each block
-        picks, empty = best_response(block, powers, grid, broadcast, ctx, spec,
-                                     roles, eta, cost)
+        picks, empty = best_response(block, powers, broadcast, ctx, spec, roles,
+                                     eta, cost)
         for u, pick, fell_back in zip(block, picks, empty):
             if fell_back:
                 log.warning("node %d: no feasible grid power, falling back to 0", u)
@@ -277,7 +276,7 @@ def gne_solve(roles: dict, powers: np.ndarray, broadcast: Broadcast, ctx: SlotCo
                                                  max_iters)
     if not converged:
         log.warning("best-response dynamics hit the iteration cap (%d sweeps)", max_iters)
-    gap = equilibrium_gap(powers, grid, broadcast, ctx, spec, roles, eta, cost)
+    gap = equilibrium_gap(powers, broadcast, ctx, spec, roles, eta, cost)
     return GneResult(powers, iterations, gap, converged)
 
 

@@ -7,7 +7,7 @@ All updates are clipped affine laws, so the state provably stays inside its
 boxes for any KPI sequence.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,19 +45,6 @@ class LeaderGains:
             raise ValueError("gamma_min must be < gamma_max")
 
 
-@dataclass
-class LeaderState:
-    """Controller state carried across slots."""
-
-    alpha: float = 0.6
-    beta: float = 0.2
-    gamma: float = 0.2
-    pi: float = 0.7
-    tau: float = 0.3
-    kappa: float = 0.1
-    kernel_sigma_deg: float = 10.0
-
-
 @dataclass(frozen=True)
 class Broadcast:
     """Immutable per-slot announcement to the hybrid nodes."""
@@ -68,6 +55,15 @@ class Broadcast:
     pi: float
     tau: float
     kappa: float
+
+
+@dataclass(frozen=True)
+class LeaderState:
+    """Controller state carried across slots: the last announcement and the
+    prediction-kernel width."""
+
+    broadcast: Broadcast
+    kernel_sigma_deg: float
 
 
 @dataclass
@@ -121,21 +117,19 @@ def price_update(pi: float, tau: float, kappa: float, kpis: LeaderKpis,
 
 
 def leader_step(state: LeaderState, gains: LeaderGains, kpis: LeaderKpis,
-                belief_entropy: float):
+                belief_entropy: float) -> LeaderState:
     """One controller cycle: entropy -> sensing split -> AN integrator ->
-    data complement -> prices -> kernel width. Returns the new state and the
-    broadcast for the followers."""
+    data complement -> prices -> kernel width. Returns the new state, whose
+    broadcast is this slot's announcement to the followers."""
+    last = state.broadcast
     gamma = sensing_fraction(belief_entropy, gains)
     error = gains.r_s_target - kpis.secrecy
-    beta = an_update(state.beta, error, gamma, gains)
+    beta = an_update(last.beta, error, gamma, gains)
     alpha = data_fraction(beta, gamma)
-    pi, tau, kappa = price_update(state.pi, state.tau, state.kappa, kpis,
+    pi, tau, kappa = price_update(last.pi, last.tau, last.kappa, kpis,
                                   belief_entropy, gains)
     sigma = kernel_adapt(state.kernel_sigma_deg, belief_entropy, gains.h_max,
                          gains.eta_sigma, gains.sigma_min_deg, gains.sigma_max_deg)
-    new_state = replace(state, alpha=alpha, beta=beta, gamma=gamma, pi=pi,
-                        tau=tau, kappa=kappa, kernel_sigma_deg=sigma)
-    if not abs(new_state.alpha + new_state.beta + new_state.gamma - 1.0) <= 1e-9:
+    if not abs(alpha + beta + gamma - 1.0) <= 1e-9:
         raise InvariantError("leader power split left the simplex")
-    return new_state, Broadcast(alpha, beta, gamma, pi, tau, kappa)
-
+    return LeaderState(Broadcast(alpha, beta, gamma, pi, tau, kappa), sigma)

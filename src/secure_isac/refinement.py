@@ -238,7 +238,6 @@ class RefinementResult:
     field_w: np.ndarray
     coalitions: list
     iterations: int
-    sum_secrecy: float
     ctx: SlotContext        # context of the accepted beams (the input if none)
     improvements: list = field(default_factory=list)
 
@@ -267,8 +266,7 @@ def refinement_loop(coalitions, posterior: np.ndarray, aim_deg: dict, null_deg: 
     base_rates = ctx.rates(powers)
     best_sum = float(base_rates.sum())
     min_floor = min(rate_floor, float(base_rates.min())) if base_rates.size else 0.0
-    best = RefinementResult(powers.copy(), {}, np.zeros(grid_deg.shape[0]), [],
-                            0, best_sum, ctx)
+    best = RefinementResult(powers.copy(), {}, np.zeros(grid_deg.shape[0]), [], 0, ctx)
     if not coalitions:
         return best
     # beams depend only on the aims and nulls, so one synthesis serves every
@@ -300,7 +298,7 @@ def refinement_loop(coalitions, posterior: np.ndarray, aim_deg: dict, null_deg: 
             for j in coalition.member_ids:
                 field_w += powers[j] * synth.gain_rows[j]
         best = RefinementResult(powers.copy(), synth.beams, field_w, coalitions,
-                                iterations, new_sum, trial_ctx)
+                                iterations, trial_ctx)
         improvements.append(delta)
         best_sum = new_sum
         if delta < delta_stop:

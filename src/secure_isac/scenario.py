@@ -18,7 +18,7 @@ from .channel import (C_LIGHT, STREAM_CSI_ERROR, STREAM_HN_NLOS,
                       substream)
 from .config import RunConfig, ScenarioConfig
 from .followers import Role
-from .leader import LeaderGains, LeaderKpis, LeaderState
+from .leader import Broadcast, LeaderGains, LeaderKpis, LeaderState
 from .link import an_projector, build_precoder
 
 
@@ -70,7 +70,6 @@ class World:
     eve_positions: np.ndarray         # (E, 3)
     # copies of the scenario's; the eavesdropper columns follow them
     link_gain: np.ndarray
-    link_bearing: np.ndarray
     link_steer: np.ndarray
     beliefs: list
     leader: LeaderState
@@ -218,14 +217,11 @@ def start_run(scenario: Scenario) -> World:
     ranked = np.argsort(-scenario.hn_norm2)
     world = World(
         scenario=scenario, eve_positions=scenario.eve_start.copy(),
-        link_gain=scenario.link_gain.copy(), link_bearing=scenario.link_bearing.copy(),
-        link_steer=scenario.link_steer.copy(),
-        beliefs=[uniform_prior(config.belief.grid_size, config.belief.sigma0_deg, j)
-                 for j in range(e)],
-        leader=LeaderState(alpha=lead.alpha_init, beta=lead.beta_init,
-                           gamma=lead.gamma_init, pi=lead.pi_init, tau=lead.tau_init,
-                           kappa=lead.kappa_init,
-                           kernel_sigma_deg=config.belief.sigma0_deg),
+        link_gain=scenario.link_gain.copy(), link_steer=scenario.link_steer.copy(),
+        beliefs=[uniform_prior(config.belief.grid_size, j) for j in range(e)],
+        leader=LeaderState(Broadcast(lead.alpha_init, lead.beta_init, lead.gamma_init,
+                                     lead.pi_init, lead.tau_init, lead.kappa_init),
+                           config.belief.sigma0_deg),
         roles={int(u): (Role.THN if rank < config.bs.num_rf else Role.JHN)
                for rank, u in enumerate(ranked)},
         powers=np.zeros(k),
@@ -270,10 +266,9 @@ def step_eves(world: World) -> None:
         if 0 < radius < r_min:  # keep mobile nodes outside the exclusion disc
             world.eve_positions[j][:2] = ground * (r_min / radius)
     k, scn = world.num_hn, world.scenario
-    (world.link_gain[:, k:], world.link_bearing[:, k:],
-     world.link_steer[:, k:]) = _link_columns(scn.hn_positions, world.eve_positions,
-                                              scn.pair_shadow[:, k:], scn.pl_model,
-                                              scn.hn_spec)
+    world.link_gain[:, k:], _, world.link_steer[:, k:] = _link_columns(
+        scn.hn_positions, world.eve_positions, scn.pair_shadow[:, k:], scn.pl_model,
+        scn.hn_spec)
 
 
 def _link_columns(nodes: np.ndarray, victims: np.ndarray, shadow: np.ndarray,

@@ -177,8 +177,7 @@ class TestAcceptance:
                 assert np.min(np.abs(grid - power)) <= 1e-15, \
                     f"toy {trial}: off-grid power {power}"
             assert feasible(result.powers, spec, ctx), f"toy {trial}"
-            gap = equilibrium_gap(result.powers, grid, bc, ctx, spec, role_map, 1.0,
-                                  cost)
+            gap = equilibrium_gap(result.powers, bc, ctx, spec, role_map, 1.0, cost)
             assert gap <= 1e-9, f"toy {trial}: gap {gap}"
 
         # 50 randomized 2-jammer refinement instances vs exhaustive enumeration
@@ -320,7 +319,7 @@ class TestAcceptance:
         probs = np.zeros(181)
         probs[:3] = (0.5, 0.25, 0.25)
         from secure_isac.belief import entropy as belief_entropy
-        assert belief_entropy(BeliefState(default_grid(), probs, 10.0)) == \
+        assert belief_entropy(BeliefState(default_grid(), probs)) == \
             pytest.approx(1.5, rel=rel)
         assert belief_entropy(
             __import__("secure_isac.belief", fromlist=["uniform_prior"])

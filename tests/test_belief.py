@@ -13,11 +13,11 @@ from secure_isac.belief import (
 )
 
 
-def delta_belief(idx, sigma=10.0, size=181):
+def delta_belief(idx, size=181):
     grid = default_grid(size)
     probs = np.zeros(size)
     probs[idx] = 1.0
-    return BeliefState(grid, probs, sigma)
+    return BeliefState(grid, probs)
 
 
 class TestPrior:
@@ -40,13 +40,13 @@ class TestPrior:
 
 class TestPredict:
     def test_tiny_kernel_is_identity(self):
-        b = delta_belief(90, sigma=1e-6)
-        out = predict(b)
+        b = delta_belief(90)
+        out = predict(b, 1e-6)
         assert np.max(np.abs(out.probs - b.probs)) < 1e-6
 
     def test_delta_spreads_symmetrically(self):
-        b = delta_belief(90, sigma=10.0)
-        out = predict(b)
+        b = delta_belief(90)
+        out = predict(b, 10.0)
         assert int(np.argmax(out.probs)) == 90
         assert out.probs[80] == pytest.approx(out.probs[100], rel=1e-9)
         assert out.probs.sum() == pytest.approx(1.0, abs=1e-12)
@@ -58,12 +58,12 @@ class TestPredict:
             probs = np.zeros(181)
             inner = rng.random(101)
             probs[40:141] = inner / inner.sum()
-            b = BeliefState(default_grid(), probs, rng.uniform(0.5, 8.0))
-            assert entropy(predict(b)) >= entropy(b) - 1e-9
+            b = BeliefState(default_grid(), probs)
+            assert entropy(predict(b, rng.uniform(0.5, 8.0))) >= entropy(b) - 1e-9
 
     def test_mass_conserved_at_boundary(self):
-        b = delta_belief(0, sigma=15.0)
-        out = predict(b)
+        b = delta_belief(0)
+        out = predict(b, 15.0)
         assert out.probs.sum() == pytest.approx(1.0, abs=1e-12)
 
 
@@ -74,14 +74,14 @@ class TestEntropy:
     def test_half_quarter_quarter(self):
         probs = np.zeros(181)
         probs[0], probs[1], probs[2] = 0.5, 0.25, 0.25
-        b = BeliefState(default_grid(), probs, 10.0)
+        b = BeliefState(default_grid(), probs)
         assert entropy(b) == pytest.approx(1.5, rel=1e-12)
 
     def test_bounds(self):
         rng = np.random.default_rng(1)
         for _ in range(50):
             p = rng.random(181)
-            b = BeliefState(default_grid(), p / p.sum(), 10.0)
+            b = BeliefState(default_grid(), p / p.sum())
             assert 0.0 <= entropy(b) <= np.log2(181) + 1e-12
 
 
@@ -131,7 +131,7 @@ class TestUpdate:
     def test_vanishing_exponent_keeps_prior(self):
         rng = np.random.default_rng(6)
         p = rng.random(181)
-        b = BeliefState(default_grid(), p / p.sum(), 10.0)
+        b = BeliefState(default_grid(), p / p.sum())
         z = rng.random(181) + 0.1
         out = update(b, z, 1e-9)
         assert np.max(np.abs(out.probs - b.probs)) < 1e-6
@@ -159,7 +159,7 @@ class TestUpdate:
         b = uniform_prior(181)
         for _ in range(20):
             z = rng.random(181)
-            b = update(predict(b), z, 1.0)
+            b = update(predict(b, 10.0), z, 1.0)
             assert b.probs.sum() == pytest.approx(1.0, abs=1e-9)
             assert np.all(b.probs >= 0.0)
 
@@ -187,12 +187,12 @@ class TestContraction:
         # filter cycle on a fixed emitter: late-window entropy drops below the
         # early window
         rng = np.random.default_rng(9)
-        b = uniform_prior(181)
+        b, sigma = uniform_prior(181), 10.0
         entropies = []
         for _ in range(50):
-            b = predict(b)
+            b = predict(b, sigma)
             z = synthesize_measurement([25.0], 0.15, 5.0, rng)
             b = update(b, z, 1.0)
-            b.kernel_sigma_deg = kernel_adapt(b.kernel_sigma_deg, entropy(b), 4.0, 0.5)
+            sigma = kernel_adapt(sigma, entropy(b), 4.0, 0.5)
             entropies.append(entropy(b))
         assert np.median(entropies[19:50]) < np.median(entropies[0:10])

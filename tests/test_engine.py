@@ -182,7 +182,7 @@ class TestLinkTables:
             # the array form rounds apart from the per-pair scalar arithmetic
             np.testing.assert_allclose(engine._node_gain_tables(world, slot), path,
                                        rtol=1e-13, atol=0)
-            assert np.array_equal(world.link_bearing, bearings)
+            assert np.array_equal(world.scenario.link_bearing[:, :k], bearings[:, :k])
             np.testing.assert_allclose(world.link_steer, reference_steer(world, bearings),
                                        rtol=0, atol=1e-15)
             assert np.array_equal(world.link_gain[:, :k], nodes)
@@ -192,7 +192,7 @@ def reference_pattern_table(world, beams):
     """Transmit pattern gains, one node row at a time through a BLAS product."""
     n = world.scenario.hn_spec.num_elements
     uniform = np.ones(n, dtype=complex) / np.sqrt(n)
-    pattern = np.zeros(world.link_bearing.shape)
+    pattern = np.zeros(world.link_gain.shape)
     for i in range(world.num_hn):
         pattern[i] = np.abs(world.link_steer[i].conj() @ beams.get(i, uniform)) ** 2
         pattern[i, i] = 0.0
@@ -385,9 +385,9 @@ class TestReadmission:
         state = engine._open_slot(world, StrategyId.IBEAMS, 3, True)
         state.roles = dict(world.roles)
         engine._serve(world, state, engine._select_served(world, state.roles))
-        ctx, served = state.ctx, state.served
+        ctx, served = state.ctx, state.ctx.served
         engine._play_power_game(world, state)
-        assert state.served == served   # the powers are still the game's
+        assert state.ctx.served == served   # the powers are still the game's
         powers = state.powers
         p_full = state.broadcast.alpha * cfg.bs.p_init_w / cfg.bs.num_rf
         eve_sinr = max(p_full * np.linalg.norm(h) ** 2

@@ -179,8 +179,7 @@ class TestBestResponse:
     def test_pure_cost_returns_zero(self):
         # a THN pays for power and gains nothing from it
         ctx = toy_context()
-        grid = np.linspace(0, 1.5, 21)
-        picks, _ = best_response([0], np.zeros(3), grid, BC, ctx,
+        picks, _ = best_response([0], np.zeros(3), BC, ctx,
                                  FeasibilitySpec(p_fj_max=10.0, xi_max=1.0), ROLES, ETA,
                                  COST)
         assert picks[0] == 0.0
@@ -189,22 +188,21 @@ class TestBestResponse:
         # zero-cost jammer with a rewarding price climbs to the largest
         # feasible grid point under the budget
         ctx = toy_context()
-        grid = np.linspace(0, 1.5, 21)
         spec = FeasibilitySpec(p_fj_max=0.9, xi_max=1.0)
-        picks, _ = best_response([1], np.zeros(3), grid, BC, ctx, spec, ROLES, ETA, 0.0)
+        picks, _ = best_response([1], np.zeros(3), BC, ctx, spec, ROLES, ETA, 0.0)
         assert picks[0] == pytest.approx(0.9)
 
     def test_matches_bruteforce_on_grid(self):
         # brute-force oracle: exhaustive scan of the same grid with the
         # independently coded utility
         ctx = toy_context()
-        grid = np.linspace(0, 1.5, 11)
-        spec = FeasibilitySpec(p_fj_max=2.0, xi_max=1e-13)
+        spec = FeasibilitySpec(p_fj_max=2.0, xi_max=1e-13, grid_points=11)
+        grid = spec.grid
         rng = np.random.default_rng(1)
         for _ in range(20):
             others = np.array([0.0, rng.choice(grid), rng.choice(grid)])
             u = int(rng.integers(1, 3))
-            (got,), _ = best_response([u], others, grid, BC, ctx, spec, ROLES, ETA, COST)
+            (got,), _ = best_response([u], others, BC, ctx, spec, ROLES, ETA, COST)
             best_val, best_p = -np.inf, None
             for p in grid:
                 trial = others.copy()
@@ -266,14 +264,14 @@ class TestGneSolve:
         assert res.converged
         assert res.gap <= 1e-9
         # membership in the enumerated epsilon-GNE set
-        grid = np.linspace(0, 1.5, 11)
+        grid = spec.grid
         gne_set = []
         for p1 in grid:
             for p2 in grid:
                 prof = np.array([0.0, p1, p2])
                 if not feasible(prof, spec, ctx):
                     continue
-                gap = equilibrium_gap(prof, grid, BC, ctx, spec, ROLES, ETA, COST)
+                gap = equilibrium_gap(prof, BC, ctx, spec, ROLES, ETA, COST)
                 if gap <= 1e-9:
                     gne_set.append(prof)
         assert any(np.allclose(res.powers, g, atol=1e-15) for g in gne_set)
@@ -313,8 +311,8 @@ class TestEquilibriumGap:
         # the scalar oracle: best feasible grid utility minus the current
         # utility, each through hn_utility
         ctx = toy_context(info_gain=0.3)
-        spec = FeasibilitySpec(p_fj_max=2.0, xi_max=3e-14)
-        grid = np.linspace(0, 1.5, 7)
+        spec = FeasibilitySpec(p_fj_max=2.0, xi_max=3e-14, grid_points=7)
+        grid = spec.grid
         rng = np.random.default_rng(4)
         for _ in range(10):
             powers = rng.choice(grid, size=3)
@@ -329,13 +327,13 @@ class TestEquilibriumGap:
                                                     ETA, COST))
                 current = hn_utility(u, powers[u], powers, ROLES, BC, ctx, spec, ETA, COST)
                 want = max(want, best - current)
-            assert equilibrium_gap(powers, grid, BC, ctx, spec, ROLES, ETA, COST) == want
+            assert equilibrium_gap(powers, BC, ctx, spec, ROLES, ETA, COST) == want
 
     def test_off_grid_power_rejected(self):
-        grid = np.linspace(0, 1.5, 7)
         with pytest.raises(ValueError, match="not on the grid"):
-            equilibrium_gap(np.array([0.0, 0.3, 0.5]), grid, BC, toy_context(),
-                            FeasibilitySpec(p_fj_max=2.0, xi_max=1e-13), ROLES, ETA, COST)
+            equilibrium_gap(np.array([0.0, 0.3, 0.5]), BC, toy_context(),
+                            FeasibilitySpec(p_fj_max=2.0, xi_max=1e-13, grid_points=7),
+                            ROLES, ETA, COST)
 
 
 class TestRoleSwitch:
@@ -379,12 +377,12 @@ class TestVectorizedEquivalence:
             roles = {0: Role.THN, 1: Role.THN, 2: Role.JHN, 3: Role.JHN}
             costs = [rng.uniform(0.1, 1.0) for _ in range(k)]
             spec = FeasibilitySpec(p_fj_max=rng.uniform(1.0, 4.0),
-                                   xi_max=rng.uniform(1e-13, 1e-12))
+                                   xi_max=rng.uniform(1e-13, 1e-12), grid_points=11)
             powers = rng.uniform(0, 1.0, k)
-            grid = np.linspace(0, 1.5, 11)
+            grid = spec.grid
             for u in range(k):
-                (values,), (feas,) = candidate_utilities([u], powers, grid, BC, ctx,
-                                                         spec, roles, ETA, costs[u])
+                (values,), (feas,) = candidate_utilities([u], powers, BC, ctx, spec, roles,
+                                                         ETA, costs[u])
                 for gi, g in enumerate(grid):
                     trial_p = powers.copy()
                     trial_p[u] = g
@@ -476,10 +474,9 @@ class TestBlockScorerProperties:
                                      eta, cost)
                 want_gap = max(want_gap, float(scan.max() - current))
             want_p = float(grid[int(np.argmax(scan))]) if feasible_any else 0.0
-            picks, empty = best_response([u], powers, grid, bc, ctx, spec, roles,
-                                         eta, cost)
+            picks, empty = best_response([u], powers, bc, ctx, spec, roles, eta, cost)
             assert picks[0] == want_p and empty[0] != feasible_any
-        assert equilibrium_gap(powers, grid, bc, ctx, spec, roles, eta, cost) == want_gap
+        assert equilibrium_gap(powers, bc, ctx, spec, roles, eta, cost) == want_gap
 
 
 def reference_eve_rate(ctx, p):
@@ -570,8 +567,8 @@ class TestBlockScorerOnDefaultSlots:
             grid = spec.grid
             for powers in (start, eq):
                 for u in range(len(powers)):
-                    (values,), (feas,) = candidate_utilities([u], powers, grid, bc, ctx,
-                                                             spec, roles, eta, cost)
+                    (values,), (feas,) = candidate_utilities([u], powers, bc, ctx, spec,
+                                                             roles, eta, cost)
                     want, want_feas = reference_candidates(u, powers, grid, bc, ctx,
                                                            spec, roles, eta, cost)
                     assert np.array_equal(feas, want_feas)
@@ -587,14 +584,13 @@ class TestBlockScorerOnDefaultSlots:
                 if feas.any():
                     at = np.flatnonzero(grid == eq[u])[0]
                     want = max(want, float(values[feas].max() - values[at]))
-            assert equilibrium_gap(eq, grid, bc, ctx, spec, roles, eta, cost) == want
+            assert equilibrium_gap(eq, bc, ctx, spec, roles, eta, cost) == want
 
 
 def reference_gne(roles, powers, bc, ctx, spec, eta, cost, max_iters=50):
     """The per-node Gauss-Seidel loop the block sweeps replaced: every node
     scored alone through best_response, at its turn, in every sweep, until a
     sweep moves no node. Returns (powers, iterations, converged, gap)."""
-    grid = spec.grid
     powers = np.array(powers, dtype=float)
     if not feasible(powers, spec, ctx):
         powers = np.zeros_like(powers)
@@ -604,12 +600,12 @@ def reference_gne(roles, powers, bc, ctx, spec, eta, cost, max_iters=50):
         iterations += 1
         previous = powers.copy()
         for uid in range(len(roles)):
-            (powers[uid],), _ = best_response([uid], powers, grid, bc, ctx, spec, roles,
-                                              eta, cost)
+            (powers[uid],), _ = best_response([uid], powers, bc, ctx, spec, roles, eta,
+                                              cost)
         if np.array_equal(powers, previous):
             converged = True
             break
-    gap = equilibrium_gap(powers, grid, bc, ctx, spec, roles, eta, cost)
+    gap = equilibrium_gap(powers, bc, ctx, spec, roles, eta, cost)
     return powers, iterations, converged, gap
 
 
@@ -671,13 +667,11 @@ class TestBlockSweeps:
 
     def test_block_form_scores_each_node_as_alone(self):
         ctx = toy_context(info_gain=0.3)
-        spec = FeasibilitySpec(p_fj_max=2.0, xi_max=3e-14)
-        grid = np.linspace(0, 1.5, 7)
+        spec = FeasibilitySpec(p_fj_max=2.0, xi_max=3e-14, grid_points=7)
         powers = np.array([0.25, 0.5, 1.0])
-        picks, empty = best_response([2, 0, 1], powers, grid, BC, ctx, spec, ROLES,
-                                     ETA, COST)
+        picks, empty = best_response([2, 0, 1], powers, BC, ctx, spec, ROLES, ETA, COST)
         assert not empty.any()
-        assert picks.tolist() == [best_response([u], powers, grid, BC, ctx, spec, ROLES,
+        assert picks.tolist() == [best_response([u], powers, BC, ctx, spec, ROLES,
                                                 ETA, COST)[0][0] for u in (2, 0, 1)]
 
     # A start just inside the closed budget (2.0 + 1e-12) whose slightly
@@ -698,9 +692,8 @@ class TestBlockSweeps:
         # node 0 moves first, so node 2's row in the same block, empty against
         # the start profile, is dropped; rescored after the move it is feasible
         start = np.array([1.0 + 1.5e-12, 1.0, -0.9e-12])
-        grid = np.linspace(0, 1.5, 21)
         assert feasible(start, self.OVERDRAWN, toy_context())
-        _, empty = best_response([0, 1, 2], start, grid, BC, toy_context(),
+        _, empty = best_response([0, 1, 2], start, BC, toy_context(),
                                  self.OVERDRAWN, ROLES, ETA, COST)
         assert empty.tolist() == [False, False, True]
         with caplog.at_level(logging.WARNING, logger="secure_isac.followers"):

@@ -16,6 +16,13 @@ from secure_isac.leader import (
 GAINS = LeaderGains()
 
 
+def leader_state(sigma=10.0, **announced):
+    """A controller state announcing (0.6, 0.2, 0.2) and prices (0.7, 0.3,
+    0.1), but for the fields in `announced`."""
+    split = dict(alpha=0.6, beta=0.2, gamma=0.2, pi=0.7, tau=0.3, kappa=0.1)
+    return LeaderState(Broadcast(**{**split, **announced}), sigma)
+
+
 class TestSensingFraction:
     def test_endpoints(self):
         assert sensing_fraction(0.0, GAINS) == GAINS.gamma_min
@@ -93,37 +100,38 @@ class TestLeaderStep:
     def test_fixed_point_consistency(self):
         # e=0, jam_benefit=0, leakage at target, H=H_max: identity on
         # (beta, pi, tau, kappa, sigma)
-        state = LeaderState(beta=0.25, pi=0.5, tau=0.4, kappa=0.2,
-                            kernel_sigma_deg=12.0)
+        state = leader_state(12.0, beta=0.25, pi=0.5, tau=0.4, kappa=0.2)
         kpis = LeaderKpis(secrecy=GAINS.r_s_target, jam_benefit=0.0,
                           mean_leakage_w=GAINS.xi_target_w)
-        new, bc = leader_step(state, GAINS, kpis, GAINS.h_max)
-        assert new.beta == pytest.approx(state.beta)
-        assert new.pi == pytest.approx(state.pi)
-        assert new.tau == pytest.approx(state.tau)
-        assert new.kappa == pytest.approx(state.kappa)
+        new = leader_step(state, GAINS, kpis, GAINS.h_max)
+        bc, last = new.broadcast, state.broadcast
+        assert bc.beta == pytest.approx(last.beta)
+        assert bc.pi == pytest.approx(last.pi)
+        assert bc.tau == pytest.approx(last.tau)
+        assert bc.kappa == pytest.approx(last.kappa)
         assert new.kernel_sigma_deg == pytest.approx(state.kernel_sigma_deg)
         assert isinstance(bc, Broadcast)
 
     def test_persistent_deficit_raises_beta(self):
-        state = LeaderState(beta=0.1)
-        betas = [state.beta]
+        state = leader_state(beta=0.1)
+        betas = [state.broadcast.beta]
         for _ in range(10):
-            state, _ = leader_step(state, GAINS, LeaderKpis(secrecy=0.0), 2.0)
-            betas.append(state.beta)
+            state = leader_step(state, GAINS, LeaderKpis(secrecy=0.0), 2.0)
+            betas.append(state.broadcast.beta)
         diffs = np.diff(betas)
         assert np.all(diffs >= -1e-12)
         assert betas[-1] > betas[0]
 
     def test_invariants_hold_for_arbitrary_kpis(self):
         rng = np.random.default_rng(0)
-        state = LeaderState()
+        state = leader_state()
         for _ in range(500):
             kpis = LeaderKpis(secrecy=rng.uniform(0, 10), outage=rng.uniform(0, 1),
                               jam_benefit=rng.uniform(-5, 20),
                               mean_leakage_w=rng.uniform(0, 1e-9),
                               info_gain=rng.uniform(0, 2))
-            state, bc = leader_step(state, GAINS, kpis, rng.uniform(0, 8))
+            state = leader_step(state, GAINS, kpis, rng.uniform(0, 8))
+            bc = state.broadcast
             assert abs(bc.alpha + bc.beta + bc.gamma - 1.0) <= 1e-9
             assert GAINS.pi_bounds[0] <= bc.pi <= GAINS.pi_bounds[1]
             assert GAINS.tau_bounds[0] <= bc.tau <= GAINS.tau_bounds[1]
@@ -134,8 +142,9 @@ class TestLeaderStep:
 
     def test_residual_zero_at_fixed_point(self):
         gamma = sensing_fraction(GAINS.h_max, GAINS)
-        state = LeaderState(alpha=1.0 - 0.2 - gamma, beta=0.2, gamma=gamma)
+        state = leader_state(alpha=1.0 - 0.2 - gamma, beta=0.2, gamma=gamma)
         kpis = LeaderKpis(secrecy=GAINS.r_s_target, mean_leakage_w=GAINS.xi_target_w)
-        new, _ = leader_step(state, GAINS, kpis, GAINS.h_max)
+        new = leader_step(state, GAINS, kpis, GAINS.h_max)
         for name in ("alpha", "beta", "gamma", "pi", "tau", "kappa"):
-            assert getattr(new, name) == pytest.approx(getattr(state, name), abs=1e-12)
+            assert getattr(new.broadcast, name) == pytest.approx(
+                getattr(state.broadcast, name), abs=1e-12)
