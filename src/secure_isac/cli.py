@@ -18,7 +18,6 @@ from . import __version__
 from .config import (ConfigError, ScenarioConfig, StrategyId, config_hash,
                      parse_config, serialize_config)
 from .engine import SimulationResult, run_compare, run_simulation
-from .followers import Role
 
 TRACE_COLUMNS = [
     "slot", "alpha", "beta", "gamma", "pi", "tau", "kappa", "sigma_deg",
@@ -82,7 +81,8 @@ def write_summary(summaries, path: str) -> None:
 def emit_plot_data(result: SimulationResult, out_dir: str, wanted) -> list:
     """Plot-ready artifacts from replication 0: posterior heatmaps, the last
     jamming-field snapshot, and the normalized pattern of the strongest node
-    that ends the run as a jammer (the sensing beam when none has a beam)."""
+    holding a jamming beam (every holder ends the run as a jammer), or the
+    sensing beam when none does."""
     from .arrays import beampattern_db
 
     world = result.worlds[0]
@@ -118,9 +118,8 @@ def emit_plot_data(result: SimulationResult, out_dir: str, wanted) -> list:
 
     if "beampattern" in wanted:
         spec = world.scenario.hn_spec
-        jammers = [u for u in world.jhn_beams if world.roles[u] is Role.JHN]
-        if jammers:
-            beam = world.jhn_beams[max(jammers, key=lambda u: world.powers[u])]
+        if world.jhn_beams:
+            beam = world.jhn_beams[max(world.jhn_beams, key=lambda u: world.powers[u])]
         else:
             from .arrays import sensing_beam
             beam = sensing_beam(spec, 0.5, np.radians(world.beliefs[0].argmax_deg))

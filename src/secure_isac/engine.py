@@ -409,6 +409,8 @@ def _finalize_slot(world: World, state: SlotState) -> SlotRecord:
         gne_converged=state.gne_conv, coalitions=list(world.last_coalitions))
     world.roles = roles
     world.powers = powers
+    # a node radiates its jamming beam only while it jams
+    world.jhn_beams = {u: w for u, w in world.jhn_beams.items() if roles[u] is Role.JHN}
     world.belief_history.append([b.probs.copy() for b in world.beliefs])
     return record
 

@@ -406,7 +406,7 @@ class TestGneToleranceRule:
 # `--compare --slots 4 --replications 2` at the defaults
 COMPARE_DIGESTS = {
     "summary_compare.tsv":
-        "3efb3813ca0722ab9697255336d867c37faa78e65b24e9eba65102daa72cc9ef",
+        "9a609ea49f3d8d35bae7dfb1144629735457645c5da9ec5a4ffe34ef59d13856",
     "trace_baseline.csv":
         "3ee2f630fa101ae777c8c6d0b0aec5e6700bff0635a800cf627d5439de4275e4",
     "trace_fixed_an.csv":
@@ -463,10 +463,13 @@ class TestBeampatternSource:
         assert np.array_equal(emitted(), pattern(top))
         assert not np.array_equal(pattern(top), pattern(runner_up))
 
-        world.roles[top] = Role.THN     # its jamming beam is now stale
+        # a node that stops jamming drops its beam (engine._finalize_slot)
+        world.roles[top] = Role.THN
+        del world.jhn_beams[top]
         assert np.array_equal(emitted(), pattern(runner_up))
 
         for u in owners:
             world.roles[u] = Role.THN
+        world.jhn_beams.clear()
         sensing = sensing_beam(spec, 0.5, np.radians(world.beliefs[0].argmax_deg))
         assert np.array_equal(emitted(), beampattern_db(sensing, spec, angles))

@@ -298,6 +298,22 @@ class TestRunSlot:
                    for r in records)
 
 
+class TestJammingBeams:
+    @pytest.mark.parametrize("ini", [None, "posterior_mobile.ini"])
+    def test_only_jammers_hold_beams(self, ini):
+        # a node that ends a slot in the transmit role stops radiating its
+        # jamming beam from the next slot on
+        cfg = (parse_config(str(Path(__file__).resolve().parent.parent / "configs" / ini))
+               if ini else ScenarioConfig())
+        world = init_scenario(cfg, cfg.run.seed)
+        held = set()
+        for t in range(20):
+            run_slot(world, StrategyId.IBEAMS, t)
+            assert all(world.roles[u] is Role.JHN for u in world.jhn_beams), t
+            held.update(world.jhn_beams)
+        assert held
+
+
 class TestRunSimulation:
     def test_trace_shape_and_determinism(self):
         cfg = small_config()

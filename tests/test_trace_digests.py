@@ -40,7 +40,7 @@ DIGESTS = {
     ("defaults", "stackelberg_roleswitch"):
         "aae8bcd5174f89d09a6d4c2809cef198443c6e35992e0747108272bd22e3ead2",
     ("defaults", "ibeams"):
-        "079380f41e5d20139a9e66c3f39a952298227d5bd3f6d50486f9ae15986153ff",
+        "1031d1a9222b450748a40aa227bfbc25036aca6904871fb28ddec1b5cdda5920",
     ("beampattern_field", "baseline"):
         "13bc8a4e897edba756fe5bad267a4174d5c8fd71c673556d7d4d1ddedbb68460",
     ("beampattern_field", "fixed_an"):
@@ -50,7 +50,7 @@ DIGESTS = {
     ("beampattern_field", "stackelberg_roleswitch"):
         "cd69b7052a6db5afda7ef003e12d05e33e20969219aeb8dfbdb261a4e06bcd7e",
     ("beampattern_field", "ibeams"):
-        "36bd312f66a3e54b15ec23ec7ae57ab8c0827f7cbc09e849487b0772d15534f0",
+        "96d5fa8e693ad402163f445b462c5a3123475fb40f836f288fc51983d7d60a6c",
     ("posterior_mobile", "baseline"):
         "77fd45e58cf3f86a2653570daf7bec9ad03190be36321c93819b7129745004b5",
     ("posterior_mobile", "fixed_an"):
@@ -60,7 +60,7 @@ DIGESTS = {
     ("posterior_mobile", "stackelberg_roleswitch"):
         "27264fc280035c99d1a3b7e087438e2f9b3aa82ca38042cf268a0d928bfde968",
     ("posterior_mobile", "ibeams"):
-        "52caafeaa84f60f947178a742b7e326fca827fab34698e7005d0753a03c2f22d",
+        "7f728a5117d6f0fdc6c021f96f5257b023776697d949709580c57a6a0bf7deb1",
     ("posterior_static", "baseline"):
         "77fd45e58cf3f86a2653570daf7bec9ad03190be36321c93819b7129745004b5",
     ("posterior_static", "fixed_an"):
@@ -70,7 +70,7 @@ DIGESTS = {
     ("posterior_static", "stackelberg_roleswitch"):
         "67c22cc3eb6acc7d40cc60864b6c7387d46aaac553d56ad8fedbf55b0f187a73",
     ("posterior_static", "ibeams"):
-        "72dd678a37c9bfca0721b6509dfd9cf2e48f3ef82f21d5bcfd6d84bb37530876",
+        "2280b73b3a752b8a6aa75639b6215e899516f7fe4d35b14573322635e076fb3c",
 }
 
 
