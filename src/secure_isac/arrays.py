@@ -64,15 +64,6 @@ def steering_vector(spec: ArraySpec, azimuth, elevation: float = 0.0) -> np.ndar
             / np.sqrt(spec.num_elements))
 
 
-def array_gain(weights: np.ndarray, steering: np.ndarray) -> float:
-    """Normalized power gain |w^H a|^2; in [0, 1] for unit-norm inputs."""
-    if weights.shape != steering.shape:
-        raise ValueError(
-            f"weight/steering length mismatch: {weights.shape} vs {steering.shape}"
-        )
-    return float(np.abs(np.vdot(weights, steering)) ** 2)
-
-
 def sensing_beam(spec: ArraySpec, taper: float, steer_angle: float) -> np.ndarray:
     """Steered sensing beam with a convex uniform/Hamming amplitude blend.
 
@@ -88,11 +79,6 @@ def sensing_beam(spec: ArraySpec, taper: float, steer_angle: float) -> np.ndarra
     profile = (1.0 - taper) * np.ones(n) + taper * hamming
     weights = profile * steering_vector(spec, steer_angle)
     return weights / np.linalg.norm(weights)
-
-
-def sensing_response(weights: np.ndarray, spec: ArraySpec, probe_angle: float) -> float:
-    """Power-normalized response |w^H a(probe)|^2 of a sensing beam."""
-    return array_gain(weights, steering_vector(spec, probe_angle))
 
 
 def null_steer(weights: np.ndarray, null_angles, spec: ArraySpec) -> np.ndarray:
@@ -118,8 +104,10 @@ def null_steer(weights: np.ndarray, null_angles, spec: ArraySpec) -> np.ndarray:
 
 
 def beampattern_db(weights: np.ndarray, spec: ArraySpec, angles: np.ndarray) -> np.ndarray:
-    """Gain pattern in dB over the given angles, normalized to a 0 dB peak."""
-    gains = np.array([sensing_response(weights, spec, a) for a in angles])
+    """Power gain |w^H a(angle)|^2 in dB over the given angles, normalized to
+    a 0 dB peak."""
+    gains = np.abs(np.einsum("an,n->a", steering_vector(spec, angles),
+                             weights.conj())) ** 2
     peak = gains.max()
     if peak <= 0:
         return np.full_like(gains, -np.inf)

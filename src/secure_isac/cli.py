@@ -56,19 +56,6 @@ def write_trace(trace, path: str) -> None:
             fh.write(",".join(row) + "\n")
 
 
-def read_trace(path: str):
-    """Re-parse a trace CSV into per-column lists (floats/ints restored)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip().split(",")
-        rows = [line.strip().split(",") for line in fh if line.strip()]
-    ints = {"slot", "gne_iters", "n_thn", "n_jhn", "refine_iters"}
-    out = {col: [] for col in header}
-    for row in rows:
-        for col, cell in zip(header, row):
-            out[col].append(int(cell) if col in ints else float(cell))
-    return out
-
-
 def write_summary(summaries, path: str) -> None:
     """One table row per run (five rows under --compare)."""
     rows = summaries if isinstance(summaries, list) else [summaries]

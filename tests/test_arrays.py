@@ -4,11 +4,9 @@ import pytest
 from secure_isac.arrays import (
     ArraySpec,
     InfeasibleNullError,
-    array_gain,
     beampattern_db,
     null_steer,
     sensing_beam,
-    sensing_response,
     steering_vector,
     ula_positions,
 )
@@ -19,6 +17,26 @@ C = 299792458.0
 def spec28(n):
     lam = C / 28e9
     return ArraySpec.half_wavelength(n, lam)
+
+
+def array_gain(weights, steering):
+    """Normalized power gain |w^H a|^2; in [0, 1] for unit-norm inputs."""
+    if weights.shape != steering.shape:
+        raise ValueError(
+            f"weight/steering length mismatch: {weights.shape} vs {steering.shape}")
+    return float(np.abs(np.vdot(weights, steering)) ** 2)
+
+
+def sensing_response(weights, spec, probe_angle):
+    """Power-normalized response |w^H a(probe)|^2 of a beam at one angle."""
+    return array_gain(weights, steering_vector(spec, probe_angle))
+
+
+def reference_pattern_db(weights, spec, angles):
+    """beampattern_db one angle at a time through sensing_response."""
+    gains = np.array([sensing_response(weights, spec, a) for a in angles])
+    peak = gains.max()
+    return 10.0 * np.log10(np.maximum(gains, peak * 1e-16) / peak)
 
 
 class TestPositions:
@@ -186,6 +204,29 @@ class TestSensingResponse:
             spec = ArraySpec(n, 0.005, 0.01)
             vals = [sensing_response(sensing_beam(spec, 0.0, a), spec, a) for a in angles]
             assert np.mean(vals) == pytest.approx(1.0, abs=1e-10)
+
+
+class TestBeampattern:
+    def test_matches_per_angle_oracle(self):
+        # 200 beams: random, tapered sensing and null-steered, over 8-128
+        # elements and the 181-point bearing grid
+        rng = np.random.default_rng(13)
+        angles = np.radians(np.linspace(-90.0, 90.0, 181))
+        for i in range(200):
+            spec = spec28(int(rng.choice([8, 16, 32, 128])))
+            n = spec.num_elements
+            kind = i % 3
+            if kind == 0:
+                w = rng.normal(size=n) + 1j * rng.normal(size=n)
+                w /= np.linalg.norm(w)
+            elif kind == 1:
+                w = sensing_beam(spec, rng.uniform(0, 1), rng.uniform(-1.4, 1.4))
+            else:
+                w = null_steer(steering_vector(spec, rng.uniform(-1.4, 1.4)),
+                               rng.uniform(-1.5, 1.5, size=3), spec)
+            np.testing.assert_allclose(beampattern_db(w, spec, angles),
+                                       reference_pattern_db(w, spec, angles),
+                                       rtol=0, atol=1e-9)
 
 
 class TestNullSteer:

@@ -39,6 +39,11 @@ class TestPrior:
 
 
 class TestPredict:
+    @pytest.mark.parametrize("sigma", [0.0, -1.0])
+    def test_nonpositive_width_rejected(self, sigma):
+        with pytest.raises(ValueError, match="sigma_deg"):
+            predict(uniform_prior(181), sigma)
+
     def test_tiny_kernel_is_identity(self):
         b = delta_belief(90)
         out = predict(b, 1e-6)

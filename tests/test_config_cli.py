@@ -14,7 +14,6 @@ from secure_isac.cli import (
     build_manifest,
     emit_plot_data,
     main,
-    read_trace,
     write_trace,
 )
 from secure_isac.config import (
@@ -31,6 +30,20 @@ from secure_isac.followers import Role
 
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+def read_trace(path: str):
+    """Re-parse a trace CSV into per-column lists (floats/ints restored)."""
+    with open(path, "r", encoding="utf-8") as fh:
+        header = fh.readline().strip().split(",")
+        rows = [line.strip().split(",") for line in fh if line.strip()]
+    ints = {"slot", "gne_iters", "n_thn", "n_jhn", "refine_iters"}
+    out = {col: [] for col in header}
+    for row in rows:
+        for col, cell in zip(header, row):
+            out[col].append(int(cell) if col in ints else float(cell))
+    return out
+
 
 # (sha256 of serialize_config, config_hash) of the defaults and each shipped
 # config

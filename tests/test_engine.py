@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import textwrap
+from dataclasses import astuple, replace
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +25,7 @@ from secure_isac.engine import (
     step_eves,
 )
 from secure_isac.followers import Role
+from secure_isac.leader import Broadcast, LeaderState, leader_step
 from secure_isac.refinement import ray_aim
 
 logging.disable(logging.WARNING)
@@ -288,6 +290,28 @@ class TestRunSlot:
             has_refine = any(r.refine_iters > 0 for r in records)
             assert has_gne == bool(expect_gne), strat
             assert has_refine == bool(expect_refine), strat
+
+    def test_strategies_start_from_the_initial_broadcast(self):
+        cfg = small_config(leader__alpha_init=0.65, leader__beta_init=0.25,
+                           leader__gamma_init=0.1, leader__pi_init=0.4,
+                           leader__tau_init=0.6, leader__kappa_init=0.25)
+        initial = Broadcast(0.65, 0.25, 0.1, 0.4, 0.6, 0.25)
+        no_defense = replace(initial, alpha=1.0, beta=0.0, gamma=0.0)
+        for strategy, want in ((StrategyId.BASELINE, no_defense),
+                               (StrategyId.FIXED_AN, initial)):
+            world = init_scenario(cfg, 1)
+            for t in range(3):
+                r = run_slot(world, strategy, t)
+                assert (r.alpha, r.beta, r.gamma, r.pi, r.tau, r.kappa) == astuple(want)
+        # stackelberg_only runs the leader: its first step acts on the
+        # initial announcement
+        world = init_scenario(cfg, 1)
+        kpis = world.prev_kpis
+        r = run_slot(world, StrategyId.STACKELBERG_ONLY, 0)
+        want = leader_step(LeaderState(initial, cfg.belief.sigma0_deg),
+                           world.scenario.gains, kpis, world.entropy_ema).broadcast
+        assert (r.alpha, r.beta, r.gamma, r.pi, r.tau, r.kappa) == astuple(want)
+        assert want != initial
 
     def test_leader_frozen_for_static_strategies(self):
         world = init_scenario(small_config(), 1)

@@ -217,6 +217,18 @@ class TestBestResponse:
             assert got == pytest.approx(best_p, abs=1e-15)
 
 
+    @pytest.mark.parametrize("points", [2, 5, 21])
+    def test_picks_lie_on_the_spec_grid(self, points):
+        spec = FeasibilitySpec(p_fj_max=2.0, xi_max=1e-13, grid_points=points)
+        ctx = toy_context(info_gain=0.3)
+        picks, _ = best_response([0, 1, 2], np.full(3, 0.3), BC, ctx, spec, ROLES,
+                                 ETA, 0.0)
+        res = gne_solve(ROLES, np.full(3, 0.3), BC, ctx, spec, ETA, 0.0)
+        assert np.isin(picks, spec.grid).all()
+        assert np.isin(res.powers, spec.grid).all()
+        assert res.powers.any()   # a jammer climbs off zero
+
+
 class TestGneSolve:
     def test_single_node(self):
         ctx = SlotContext(

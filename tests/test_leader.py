@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -97,6 +99,17 @@ class TestPriceUpdate:
 
 
 class TestLeaderStep:
+    def test_state_is_frozen_and_kept(self):
+        state = leader_state(12.0, beta=0.25)
+        before = (state.broadcast, state.kernel_sigma_deg)
+        new = leader_step(state, GAINS, LeaderKpis(secrecy=0.0, jam_benefit=1.0), 7.0)
+        assert new.broadcast != state.broadcast
+        assert (state.broadcast, state.kernel_sigma_deg) == before
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            state.kernel_sigma_deg = 5.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            state.broadcast = new.broadcast
+
     def test_fixed_point_consistency(self):
         # e=0, jam_benefit=0, leakage at target, H=H_max: identity on
         # (beta, pi, tau, kappa, sigma)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from secure_isac.arrays import ArraySpec, array_gain, steering_vector
+from secure_isac.arrays import ArraySpec, steering_vector
 from secure_isac.belief import BeliefState, default_grid
 from secure_isac.followers import FeasibilitySpec, trial_block
 from secure_isac.link import SlotContext
@@ -347,8 +347,10 @@ class TestRefinementLoop:
             j2e = np.zeros((3, 1))
             j2t = np.zeros((3, 1))
             for j, w in beams.items():
-                j2e[j, 0] = 2e-10 * array_gain(w, steering_vector(HN_SPEC, eve_bearing))
-                j2t[j, 0] = 1e-11 * array_gain(w, steering_vector(HN_SPEC, thn_bearing))
+                to_eve = steering_vector(HN_SPEC, eve_bearing)
+                to_thn = steering_vector(HN_SPEC, thn_bearing)
+                j2e[j, 0] = 2e-10 * abs(np.vdot(w, to_eve)) ** 2
+                j2t[j, 0] = 1e-11 * abs(np.vdot(w, to_thn)) ** 2
             return refine_ctx(j2e, j2t)
 
         return posteriors, jhn_bearings, aims, nulls, builder
