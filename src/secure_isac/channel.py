@@ -56,22 +56,10 @@ class PathLossModel:
         return cls(pl_1m, exponent, shadow_sigma_db)
 
 
-@dataclass(frozen=True)
-class NoiseSpec:
-    """Receiver noise: thermal PSD (dBm/Hz), bandwidth (Hz), noise figure (dB)."""
-
-    psd_dbm_per_hz: float = -174.0
-    bandwidth_hz: float = 1e8
-    noise_figure_db: float = 7.0
-
-    def __post_init__(self):
-        if self.bandwidth_hz <= 0:
-            raise ValueError("bandwidth_hz must be > 0")
-
-
-def noise_power(spec: NoiseSpec) -> float:
+def noise_power(psd_dbm_per_hz: float, bandwidth_hz: float,
+                noise_figure_db: float) -> float:
     """Front-end noise power in watts: 10^((N0 + 10 log10 BW + NF - 30) / 10)."""
-    db = spec.psd_dbm_per_hz + 10.0 * np.log10(spec.bandwidth_hz) + spec.noise_figure_db
+    db = psd_dbm_per_hz + 10.0 * np.log10(bandwidth_hz) + noise_figure_db
     return float(10.0 ** ((db - 30.0) / 10.0))
 
 

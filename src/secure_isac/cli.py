@@ -18,6 +18,7 @@ from . import __version__
 from .config import (ConfigError, ScenarioConfig, StrategyId, config_hash,
                      parse_config, serialize_config)
 from .engine import SimulationResult, run_compare, run_simulation
+from .link import watts_to_dbm
 
 TRACE_COLUMNS = [
     "slot", "alpha", "beta", "gamma", "pi", "tau", "kappa", "sigma_deg",
@@ -121,10 +122,6 @@ def emit_plot_data(result: SimulationResult, out_dir: str, wanted) -> list:
     return written
 
 
-def _watts_to_dbm(watts: float) -> float:
-    return 10.0 * np.log10(watts * 1000.0)
-
-
 def build_manifest(config: ScenarioConfig, strategy: StrategyId, outputs,
                    wall_clock_s: float, compare: bool = False) -> dict:
     return {
@@ -134,9 +131,9 @@ def build_manifest(config: ScenarioConfig, strategy: StrategyId, outputs,
         "strategy": "compare" if compare else strategy.value,
         "slots": config.run.slots,
         "replications": config.run.replications,
-        "bs_p_max_dbm": round(_watts_to_dbm(config.bs.p_max_w), 6),
-        "bs_p_init_dbm": round(_watts_to_dbm(config.bs.p_init_w), 6),
-        "hn_p_max_dbm": round(_watts_to_dbm(config.hn.p_max_w), 6),
+        "bs_p_max_dbm": round(watts_to_dbm(config.bs.p_max_w), 6),
+        "bs_p_init_dbm": round(watts_to_dbm(config.bs.p_init_w), 6),
+        "hn_p_max_dbm": round(watts_to_dbm(config.hn.p_max_w), 6),
         "outputs": sorted(outputs),
         "wall_clock_s": wall_clock_s,
     }
@@ -181,6 +178,7 @@ def main(argv=None) -> int:
     try:
         config = parse_config(args.config) if args.config else ScenarioConfig()
         _apply_overrides(config, args)
+        os.makedirs(args.out, exist_ok=True)
     except ConfigError as exc:
         for line in exc.errors:
             print(f"error: {line}", file=sys.stderr)
@@ -189,7 +187,6 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    os.makedirs(args.out, exist_ok=True)
     started = time.monotonic()
     try:
         strategy = StrategyId(args.strategy)

@@ -30,10 +30,10 @@ from .belief import entropy, predict, synthesize_measurement, update
 from .channel import (STREAM_FADE, STREAM_MEASUREMENT, eve_channel,
                       linear_gain, los_channel, path_loss_db, substream)
 from .config import ScenarioConfig, StrategyId
-from .followers import FeasibilitySpec, Role, gne_solve, role_switch
+from .followers import Role, gne_solve, role_switch
 from .leader import Broadcast, LeaderKpis, leader_step
-from .link import (PowerConsts, SlotContext, SlotRecord, an_power_at,
-                   outage_metrics, power_accounting, see)
+from .link import (SlotContext, SlotRecord, an_power_at, outage_metrics,
+                   power_accounting, see, watts_to_dbm)
 from .refinement import (form_coalitions, posterior_peaks, protective_nulls,
                          ray_aim, refinement_loop)
 from .scenario import (World, bearing_deg, build_scenario, init_scenario,
@@ -90,7 +90,6 @@ class SlotState:
     eve_chans: np.ndarray             # (E, N) BS->eavesdropper channels
     eve_norm2: np.ndarray             # (E,) their powers ||h_e||^2
     node_path: np.ndarray             # (K, K+E) watts per watt before beam pattern
-    spec: FeasibilitySpec
     powers: np.ndarray                # (K,) hybrid-node powers
     roles: dict = field(default_factory=dict)
     ctx: SlotContext | None = None    # the served set's context under the current beams
@@ -192,7 +191,6 @@ def _open_slot(world: World, strategy: StrategyId, slot: int,
                leader_on: bool) -> SlotState:
     """Stage 1: move the eavesdroppers and draw their channels, predict the
     beliefs, step the leader, and draw the node gain tables."""
-    cfg = world.config
     if slot > 0:
         step_eves(world)
     eve_chans = _eve_channels(world, slot)
@@ -206,7 +204,7 @@ def _open_slot(world: World, strategy: StrategyId, slot: int,
     world.entropy_ema = _ema(world.entropy_ema, h_pred)
 
     if leader_on:
-        world.leader = leader_step(world.leader, world.scenario.gains,
+        world.leader = leader_step(world.leader, world.config, world.scenario.noise_w,
                                    world.prev_kpis, world.entropy_ema)
     broadcast = world.leader.broadcast
     if strategy is StrategyId.BASELINE:
@@ -215,11 +213,7 @@ def _open_slot(world: World, strategy: StrategyId, slot: int,
     return SlotState(
         slot=slot, broadcast=broadcast, eve_chans=eve_chans,
         eve_norm2=np.einsum("en,en->e", eve_chans.conj(), eve_chans).real,
-        node_path=_node_gain_tables(world, slot),
-        spec=FeasibilitySpec(p_max=cfg.hn.p_max_w, p_fj_max=cfg.followers.p_fj_max_w,
-                             xi_max=cfg.followers.xi_max_scale * world.scenario.noise_w,
-                             grid_points=cfg.followers.grid_points),
-        powers=np.zeros(world.num_hn))
+        node_path=_node_gain_tables(world, slot), powers=np.zeros(world.num_hn))
 
 
 def _serve(world: World, state: SlotState, served: list) -> None:
@@ -240,9 +234,9 @@ def _switch_roles(rates_eq: dict, threshold: float) -> dict:
 def _play_power_game(world: World, state: SlotState) -> None:
     """Stage 3: the hybrid nodes' power game, the per-node equilibrium rates,
     and (after slot 0) the role switch and the re-served set."""
-    cfg = world.config
-    result = gne_solve(state.roles, np.minimum(world.powers, state.spec.p_max),
-                       state.broadcast, state.ctx, state.spec, cfg.hn.eta,
+    cfg, spec = world.config, world.scenario.feasibility
+    result = gne_solve(state.roles, np.minimum(world.powers, spec.p_max),
+                       state.broadcast, state.ctx, spec, cfg.hn.eta,
                        cfg.hn.power_cost_per_w, max_iters=cfg.gne.max_iters)
     state.powers, state.gne_iters = result.powers, result.iterations
     state.gne_gap, state.gne_conv = result.gap, result.converged
@@ -264,7 +258,7 @@ def _play_power_game(world: World, state: SlotState) -> None:
         _serve(world, state, served_now)
         # nodes admitted after the power game were not in its leakage caps:
         # scale jamming down so every served node is back inside the cap
-        state.powers = _project_leakage(state.powers, state.ctx, state.spec.xi_max)
+        state.powers = _project_leakage(state.powers, state.ctx, spec.xi_max)
 
 
 def _sense(world: World, state: SlotState) -> None:
@@ -354,7 +348,7 @@ def _run_refinement(world: World, state: SlotState, jhn_ids):
 
     return refinement_loop(
         coalitions, combined / combined.sum(), aim_deg, null_deg, state.powers,
-        state.ctx, context_builder, scn.hn_spec, grid, state.spec,
+        state.ctx, context_builder, scn.hn_spec, grid, scn.feasibility,
         j_min_fraction=cfg.refinement.j_min_fraction,
         rate_floor=cfg.run.outage_threshold,
         delta_stop=cfg.refinement.delta_stop,
@@ -369,10 +363,8 @@ def _finalize_slot(world: World, state: SlotState) -> SlotRecord:
     ctx, powers, roles, broadcast = state.ctx, state.powers, state.roles, state.broadcast
     rates = ctx.rates(powers)
     r_min, r_mean, outage = outage_metrics(rates, cfg.run.outage_threshold)
-    consts = PowerConsts(cfg.bs.num_rf, cfg.power.p_rf_w, cfg.power.p_bb_w,
-                         cfg.power.pa_efficiency)
     p_bs = cfg.bs.p_init_w
-    _, slot_power = power_accounting(p_bs, powers, consts)
+    _, slot_power = power_accounting(p_bs, powers, cfg.bs.num_rf, cfg.power)
     secrecy_sum = float(rates.sum())
     see_value = see(secrecy_sum, slot_power)
 
@@ -395,7 +387,7 @@ def _finalize_slot(world: World, state: SlotState) -> SlotRecord:
         gamma=broadcast.gamma, pi=broadcast.pi, tau=broadcast.tau,
         kappa=broadcast.kappa, sigma_deg=world.leader.kernel_sigma_deg,
         entropy_bits=max(state.entropies), r_min=r_min, r_mean=r_mean, outage=outage,
-        see=see_value, bs_power_dbm=10.0 * np.log10(p_bs * 1000.0),
+        see=see_value, bs_power_dbm=watts_to_dbm(p_bs),
         hn_power_sum_w=float(powers.sum()), gne_iters=state.gne_iters,
         gne_gap=state.gne_gap,
         n_thn=sum(1 for r in roles.values() if r is Role.THN),
@@ -417,20 +409,20 @@ def _finalize_slot(world: World, state: SlotState) -> SlotRecord:
 
 def _check_slot_invariants(world: World, state: SlotState, rates: np.ndarray) -> None:
     """Raise InvariantError naming the first slot invariant that fails."""
-    cfg = world.config
+    cfg, spec = world.config, world.scenario.feasibility
     b, powers, ctx, p_bs = state.broadcast, state.powers, state.ctx, cfg.bs.p_init_w
     checks = {
         "power split off the simplex": abs(b.alpha + b.beta + b.gamma - 1.0) <= 1e-9,
         "base-station power above its p_max": p_bs <= cfg.bs.p_max_w + 1e-12,
         "node power outside [0, p_max]": np.all((powers >= -1e-12)
-                                                & (powers <= state.spec.p_max + 1e-12)),
-        "jamming budget exceeded": powers.sum() <= state.spec.p_fj_max + 1e-9,
+                                                & (powers <= spec.p_max + 1e-12)),
+        "jamming budget exceeded": powers.sum() <= spec.p_fj_max + 1e-9,
         "negative secrecy rate": np.all(rates >= 0.0),
         "belief not a distribution": all(abs(q.probs.sum() - 1.0) <= 1e-9
                                          and np.all(q.probs >= -1e-15)
                                          for q in world.beliefs),
         "leakage cap exceeded at a served node": np.all(
-            ctx.leakage_at_served(powers) <= state.spec.xi_max * (1.0 + 1e-6)),
+            ctx.leakage_at_served(powers) <= spec.xi_max * (1.0 + 1e-6)),
         # with perfect estimates the noise basis is exactly invisible at the
         # served nodes; a configured CSI error makes residual leakage physical
         "artificial noise visible at a served node": (

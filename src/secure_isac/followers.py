@@ -33,7 +33,7 @@ class Role(str, Enum):
     JHN = "JHN"
 
 
-@dataclass
+@dataclass(frozen=True)
 class FeasibilitySpec:
     """Shared constraints and power grid of the power game and the
     refinement: every node's power box [0, p_max], the aggregate jamming

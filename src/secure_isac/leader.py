@@ -13,36 +13,7 @@ import numpy as np
 
 from . import InvariantError
 from .belief import kernel_adapt
-
-
-@dataclass(frozen=True)
-class LeaderGains:
-    """Step sizes, targets, and boxes for the controller."""
-
-    k_s: float = 0.01            # AN integrator gain per bps/Hz of secrecy error
-    k_pi: float = 0.05
-    k_tau: float = 0.05
-    k_kappa: float = 0.05
-    eta_sigma: float = 0.5       # kernel degrees per bit of entropy error
-    r_s_target: float = 4.5      # bps/Hz
-    h_max: float = 6.0           # bits
-    gamma_min: float = 0.02
-    gamma_max: float = 0.3
-    xi_target_w: float = 2e-11   # leakage level the tau price steers toward
-    beta_min: float = 0.0
-    beta_max: float = 0.3        # anti-windup: never starve the data fraction
-    sigma_min_deg: float = 1.0
-    sigma_max_deg: float = 45.0
-    pi_bounds: tuple = (0.0, 1.0)
-    tau_bounds: tuple = (0.0, 1.0)
-    kappa_bounds: tuple = (0.0, 1.0)
-
-    def __post_init__(self):
-        for name in ("k_s", "k_pi", "k_tau", "k_kappa", "eta_sigma"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be > 0")
-        if not self.gamma_min < self.gamma_max:
-            raise ValueError("gamma_min must be < gamma_max")
+from .config import LeaderConfig, ScenarioConfig
 
 
 @dataclass(frozen=True)
@@ -77,24 +48,24 @@ class LeaderKpis:
     info_gain: float = 0.0       # entropy reduction (bits)
 
 
-def sensing_fraction(entropy_bits: float, gains: LeaderGains) -> float:
+def sensing_fraction(entropy_bits: float, lead: LeaderConfig) -> float:
     """Affine entropy-to-sensing map: gamma_min at zero entropy, gamma_max at
     the entropy budget, clamped in between."""
     if entropy_bits < 0:
         raise ValueError("entropy must be >= 0")
-    frac = np.clip(entropy_bits / gains.h_max, 0.0, 1.0)
-    return float(gains.gamma_min + (gains.gamma_max - gains.gamma_min) * frac)
+    frac = np.clip(entropy_bits / lead.h_max_bits, 0.0, 1.0)
+    return float(lead.gamma_min + (lead.gamma_max - lead.gamma_min) * frac)
 
 
 def an_update(beta_prev: float, secrecy_error: float, gamma: float,
-              gains: LeaderGains) -> float:
+              lead: LeaderConfig) -> float:
     """Integrate the secrecy deficit into the AN fraction, clamped so the
     split stays feasible."""
     if not 0.0 <= gamma <= 1.0:
         raise ValueError("gamma must be in [0, 1]")
-    hi = min(1.0 - gamma, gains.beta_max)
-    lo = min(gains.beta_min, hi)
-    return float(np.clip(beta_prev + gains.k_s * secrecy_error, lo, hi))
+    hi = min(1.0 - gamma, lead.beta_max)
+    lo = min(lead.beta_min, hi)
+    return float(np.clip(beta_prev + lead.k_s * secrecy_error, lo, hi))
 
 
 def data_fraction(beta: float, gamma: float) -> float:
@@ -105,31 +76,33 @@ def data_fraction(beta: float, gamma: float) -> float:
 
 
 def price_update(pi: float, tau: float, kappa: float, kpis: LeaderKpis,
-                 entropy_bits: float, gains: LeaderGains):
-    """Clipped affine price moves: reward jamming, steer leakage to target,
-    reward sensing when uncertainty exceeds the budget."""
-    pi_new = np.clip(pi + gains.k_pi * kpis.jam_benefit, *gains.pi_bounds)
-    tau_new = np.clip(tau + gains.k_tau * (kpis.mean_leakage_w - gains.xi_target_w),
-                      *gains.tau_bounds)
-    kappa_new = np.clip(kappa + gains.k_kappa * (entropy_bits - gains.h_max),
-                        *gains.kappa_bounds)
+                 entropy_bits: float, lead: LeaderConfig, xi_target_w: float):
+    """Clipped affine price moves: reward jamming, steer leakage to the
+    target xi_target_w, reward sensing when uncertainty exceeds the budget."""
+    pi_new = np.clip(pi + lead.k_pi * kpis.jam_benefit, lead.pi_min, lead.pi_max)
+    tau_new = np.clip(tau + lead.k_tau * (kpis.mean_leakage_w - xi_target_w),
+                      lead.tau_min, lead.tau_max)
+    kappa_new = np.clip(kappa + lead.k_kappa * (entropy_bits - lead.h_max_bits),
+                        lead.kappa_min, lead.kappa_max)
     return float(pi_new), float(tau_new), float(kappa_new)
 
 
-def leader_step(state: LeaderState, gains: LeaderGains, kpis: LeaderKpis,
-                belief_entropy: float) -> LeaderState:
+def leader_step(state: LeaderState, config: ScenarioConfig, noise_w: float,
+                kpis: LeaderKpis, belief_entropy: float) -> LeaderState:
     """One controller cycle: entropy -> sensing split -> AN integrator ->
-    data complement -> prices -> kernel width. Returns the new state, whose
-    broadcast is this slot's announcement to the followers."""
-    last = state.broadcast
-    gamma = sensing_fraction(belief_entropy, gains)
-    error = gains.r_s_target - kpis.secrecy
-    beta = an_update(last.beta, error, gamma, gains)
+    data complement -> prices -> kernel width, under the [leader] gains and
+    the [belief] kernel bounds; the leakage target is xi_target_scale noise
+    powers. Returns the new state, whose broadcast is this slot's
+    announcement to the followers."""
+    lead, bel, last = config.leader, config.belief, state.broadcast
+    gamma = sensing_fraction(belief_entropy, lead)
+    error = lead.r_s_target - kpis.secrecy
+    beta = an_update(last.beta, error, gamma, lead)
     alpha = data_fraction(beta, gamma)
-    pi, tau, kappa = price_update(last.pi, last.tau, last.kappa, kpis,
-                                  belief_entropy, gains)
-    sigma = kernel_adapt(state.kernel_sigma_deg, belief_entropy, gains.h_max,
-                         gains.eta_sigma, gains.sigma_min_deg, gains.sigma_max_deg)
+    pi, tau, kappa = price_update(last.pi, last.tau, last.kappa, kpis, belief_entropy,
+                                  lead, lead.xi_target_scale * noise_w)
+    sigma = kernel_adapt(state.kernel_sigma_deg, belief_entropy, lead.h_max_bits,
+                         lead.eta_sigma, bel.sigma_min_deg, bel.sigma_max_deg)
     if not abs(alpha + beta + gamma - 1.0) <= 1e-9:
         raise InvariantError("leader power split left the simplex")
     return LeaderState(Broadcast(alpha, beta, gamma, pi, tau, kappa), sigma)

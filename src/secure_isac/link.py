@@ -14,6 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import PowerModelConfig
+
 
 class CapacityError(ValueError):
     """More data streams than RF chains."""
@@ -21,20 +23,6 @@ class CapacityError(ValueError):
 
 class NoNullspaceError(ValueError):
     """Scheduled channels span the whole transmit space."""
-
-
-@dataclass(frozen=True)
-class PowerConsts:
-    """Static consumption model: RF chains, per-chain and baseband draw, PA efficiency."""
-
-    num_rf: int = 8
-    p_rf_w: float = 0.25
-    p_bb_w: float = 1.0
-    pa_efficiency: float = 0.4
-
-    def __post_init__(self):
-        if not 0.0 < self.pa_efficiency <= 1.0:
-            raise ValueError(f"pa_efficiency must be in (0, 1], got {self.pa_efficiency}")
 
 
 @dataclass
@@ -130,11 +118,17 @@ def an_power_at(channels, span: np.ndarray, an_power_w: float):
     return (an_power_w / (n - u) * np.maximum(0.0, total - captured))[()]
 
 
-def power_accounting(bs_power: float, hn_powers, consts: PowerConsts):
-    """Total radiated power and slot consumption (static draw + PA losses)."""
+def power_accounting(bs_power: float, hn_powers, num_rf: int, power: PowerModelConfig):
+    """Total radiated power and slot consumption (static draw of num_rf RF
+    chains and the baseband, plus PA losses)."""
     tx_total = bs_power + float(np.sum(hn_powers))
-    p_cons = consts.num_rf * consts.p_rf_w + consts.p_bb_w
-    return tx_total, p_cons + tx_total / consts.pa_efficiency
+    p_cons = num_rf * power.p_rf_w + power.p_bb_w
+    return tx_total, p_cons + tx_total / power.pa_efficiency
+
+
+def watts_to_dbm(watts: float) -> float:
+    """Power in dBm: 10 log10(1000 W)."""
+    return 10.0 * np.log10(watts * 1000.0)
 
 
 def see(sum_secrecy: float, slot_power_w: float) -> float:

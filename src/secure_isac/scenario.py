@@ -13,12 +13,11 @@ from .arrays import ArraySpec, steering_vector, ula_positions
 from .belief import uniform_prior
 from .channel import (C_LIGHT, STREAM_CSI_ERROR, STREAM_HN_NLOS,
                       STREAM_PAIR_SHADOW, STREAM_PLACEMENT, STREAM_SHADOW,
-                      STREAM_WAYPOINT, NoiseSpec, PathLossModel, linear_gain,
-                      los_channel, noise_power, path_loss_db, rician_channel,
-                      substream)
+                      STREAM_WAYPOINT, PathLossModel, linear_gain, los_channel,
+                      noise_power, path_loss_db, rician_channel, substream)
 from .config import RunConfig, ScenarioConfig
-from .followers import Role
-from .leader import Broadcast, LeaderGains, LeaderKpis, LeaderState
+from .followers import FeasibilitySpec, Role
+from .leader import Broadcast, LeaderKpis, LeaderState
 from .link import an_projector, build_precoder
 
 
@@ -45,7 +44,7 @@ class Scenario:
     link_gain: np.ndarray             # (K, K+E) squared path gain before fading
     link_bearing: np.ndarray          # (K, K+E) degrees from each node to each victim
     link_steer: np.ndarray            # (K, K+E, n) node-array steering to each victim
-    gains: LeaderGains
+    feasibility: FeasibilitySpec      # the follower constraints and power grid
     # precoders are a pure function of the estimates and the served set
     precoder_cache: dict = field(default_factory=dict)
 
@@ -112,20 +111,6 @@ def bearing_deg(origin: np.ndarray, target: np.ndarray) -> float:
     return float(np.degrees(np.arctan2(d[1], d[0])))
 
 
-def _leader_gains(config: ScenarioConfig, noise_w: float) -> LeaderGains:
-    lead, bel = config.leader, config.belief
-    return LeaderGains(
-        k_s=lead.k_s, k_pi=lead.k_pi, k_tau=lead.k_tau, k_kappa=lead.k_kappa,
-        eta_sigma=lead.eta_sigma, r_s_target=lead.r_s_target,
-        h_max=lead.h_max_bits, gamma_min=lead.gamma_min, gamma_max=lead.gamma_max,
-        xi_target_w=lead.xi_target_scale * noise_w,
-        beta_min=lead.beta_min, beta_max=lead.beta_max,
-        sigma_min_deg=bel.sigma_min_deg, sigma_max_deg=bel.sigma_max_deg,
-        pi_bounds=(lead.pi_min, lead.pi_max),
-        tau_bounds=(lead.tau_min, lead.tau_max),
-        kappa_bounds=(lead.kappa_min, lead.kappa_max))
-
-
 def build_scenario(config: ScenarioConfig, seed: int) -> Scenario:
     """Validate the config, place the nodes, realize the quasi-static
     channels and the slot-0 link tables, and freeze the result."""
@@ -134,9 +119,8 @@ def build_scenario(config: ScenarioConfig, seed: int) -> Scenario:
     bs_spec = ArraySpec.half_wavelength(config.bs.antennas, lam)
     bs_center = np.array([0.0, 0.0, config.bs.z_m])
     bs_elements = ula_positions(bs_spec) + bs_center
-    noise_w = noise_power(NoiseSpec(config.noise.psd_dbm_per_hz,
-                                    config.carrier.bandwidth_hz,
-                                    config.noise.noise_figure_db))
+    noise_w = noise_power(config.noise.psd_dbm_per_hz, config.carrier.bandwidth_hz,
+                          config.noise.noise_figure_db)
     pl_model = PathLossModel.friis_reference(config.carrier.frequency_hz,
                                              config.channel.path_loss_exponent,
                                              config.channel.shadow_sigma_db)
@@ -180,7 +164,10 @@ def build_scenario(config: ScenarioConfig, seed: int) -> Scenario:
         hn_norm2=np.array([np.linalg.norm(h) ** 2 for h in hn_channels]),
         eve_shadow=eve_shadow, pair_shadow=pair_shadow,
         link_gain=link_gain, link_bearing=link_bearing, link_steer=link_steer,
-        gains=_leader_gains(config, noise_w))
+        feasibility=FeasibilitySpec(
+            p_max=config.hn.p_max_w, p_fj_max=config.followers.p_fj_max_w,
+            xi_max=config.followers.xi_max_scale * noise_w,
+            grid_points=config.followers.grid_points))
     for f in fields(scenario):
         value = getattr(scenario, f.name)
         if isinstance(value, np.ndarray):

@@ -13,11 +13,10 @@ import pytest
 
 from secure_isac.arrays import ArraySpec
 from secure_isac.belief import BeliefState, default_grid
-from secure_isac.channel import NoiseSpec, noise_power, path_loss_db, PathLossModel
-from secure_isac.config import ScenarioConfig, StrategyId
+from secure_isac.channel import noise_power, path_loss_db, PathLossModel
+from secure_isac.config import PowerModelConfig, ScenarioConfig, StrategyId
 from secure_isac.engine import bearing_deg, init_scenario, run_simulation, run_slot
-from secure_isac.link import (PowerConsts, SlotContext, outage_metrics,
-                               power_accounting, see)
+from secure_isac.link import SlotContext, outage_metrics, power_accounting, see
 
 logging.disable(logging.WARNING)
 
@@ -266,9 +265,8 @@ class TestAcceptance:
         runs, _ = suite
         traces, _ = runs[StrategyId.IBEAMS]
         cfg = default_config(1)
-        noise = noise_power(NoiseSpec(cfg.noise.psd_dbm_per_hz,
-                                      cfg.carrier.bandwidth_hz,
-                                      cfg.noise.noise_figure_db))
+        noise = noise_power(cfg.noise.psd_dbm_per_hz, cfg.carrier.bandwidth_hz,
+                            cfg.noise.noise_figure_db)
         for trace in traces:
             for r in trace:
                 assert abs(r.alpha + r.beta + r.gamma - 1.0) <= 1e-9
@@ -300,7 +298,7 @@ class TestAcceptance:
 
     def test_12_formula_units(self):
         rel = 1e-9
-        assert noise_power(NoiseSpec(-174.0, 1e8, 7.0)) == \
+        assert noise_power(-174.0, 1e8, 7.0) == \
             pytest.approx(1.9952623149688827e-12, rel=rel)
         model = PathLossModel(61.4, 2.2, 3.0)
         assert path_loss_db(model, 100.0, 0.0) == pytest.approx(105.4, rel=rel)
@@ -312,8 +310,8 @@ class TestAcceptance:
             jam_to_thn=np.zeros((1, 1)), eve_noise_w=1.0)
         assert ctx.rates(np.zeros(1))[0] == \
             pytest.approx(2.9704344647437244, rel=rel)
-        consts = PowerConsts(num_rf=4, p_rf_w=0.25, p_bb_w=1.0, pa_efficiency=0.4)
-        _, slot_power = power_accounting(15.0, [1.0, 1.0, 1.0], consts)
+        power = PowerModelConfig(p_rf_w=0.25, p_bb_w=1.0, pa_efficiency=0.4)
+        _, slot_power = power_accounting(15.0, [1.0, 1.0, 1.0], 4, power)
         assert slot_power == pytest.approx(47.0, rel=rel)
         assert see(4.5, 9.0) == pytest.approx(0.5, rel=rel)
         probs = np.zeros(181)

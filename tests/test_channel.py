@@ -3,7 +3,6 @@ import pytest
 
 from secure_isac.arrays import ArraySpec, steering_vector, ula_positions
 from secure_isac.channel import (
-    NoiseSpec,
     PathLossModel,
     eve_channel,
     linear_gain,
@@ -20,22 +19,18 @@ C = 299792458.0
 class TestNoise:
     def test_table_values(self):
         # direct evaluation: N0=-174, BW=1e8, NF=7 -> 10^(-11.7) W
-        spec = NoiseSpec(-174.0, 1e8, 7.0)
-        assert noise_power(spec) == pytest.approx(10 ** (-11.7), rel=1e-12)
-        assert noise_power(spec) == pytest.approx(1.9952623149688827e-12, rel=1e-12)
+        assert noise_power(-174.0, 1e8, 7.0) == pytest.approx(10 ** (-11.7), rel=1e-12)
+        assert noise_power(-174.0, 1e8, 7.0) == pytest.approx(1.9952623149688827e-12,
+                                                              rel=1e-12)
 
     def test_reference_bandwidth(self):
-        spec = NoiseSpec(-174.0, 1.0, 0.0)
-        assert noise_power(spec) == pytest.approx(10 ** ((-174.0 - 30.0) / 10.0), rel=1e-12)
+        assert noise_power(-174.0, 1.0, 0.0) == pytest.approx(
+            10 ** ((-174.0 - 30.0) / 10.0), rel=1e-12)
 
     def test_doubling_bandwidth_adds_3db(self):
-        a = noise_power(NoiseSpec(-174.0, 1e7, 7.0))
-        b = noise_power(NoiseSpec(-174.0, 2e7, 7.0))
+        a = noise_power(-174.0, 1e7, 7.0)
+        b = noise_power(-174.0, 2e7, 7.0)
         assert 10 * np.log10(b / a) == pytest.approx(10 * np.log10(2.0), abs=1e-12)
-
-    def test_invalid_bandwidth(self):
-        with pytest.raises(ValueError):
-            NoiseSpec(-174.0, 0.0, 7.0)
 
 
 class TestPathLoss:

@@ -301,6 +301,13 @@ class TestCliRun:
         cfg.write_text("[gne]\nmax_iters = 0\n")
         assert main(["--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
 
+    def test_out_naming_a_file_exit_code(self, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        assert main(["--out", str(taken), "--slots", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(taken) in err
+
     def test_unknown_emit_exit_code(self, tmp_path):
         assert main(["--emit", "sparkles", "--out", str(tmp_path / "o")]) == 2
 
@@ -349,6 +356,30 @@ class TestNullspaceRule:
         cfg = tmp_path / "full_rank.ini"
         cfg.write_text("[bs]\nantennas = 8\nnum_rf = 8\n")
         assert main(["--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+
+
+class TestCrossFieldRules:
+    """Each hand-written rule of ScenarioConfig.validate, reported at its
+    field with its message."""
+
+    @pytest.mark.parametrize("data,error", [
+        ({"bs": {"num_rf": 3}}, "bs.num_rf: must divide bs.antennas (128)"),
+        ({"bs": {"p_init_w": 25}}, "bs.p_init_w: must be <= bs.p_max_w (20.0)"),
+        ({"leader": {"alpha_init": 0.5}}, "leader.alpha_init: initial split must sum to 1"),
+        ({"leader": {"gamma_min": 0.3}}, "leader.gamma_min: must be < gamma_max"),
+        ({"leader": {"beta_min": 0.4}}, "leader.beta_min: must be <= beta_max"),
+        ({"leader": {"pi_init": 1.5}}, "leader.pi_init: must lie in [0.0, 1.0]"),
+        ({"leader": {"tau_min": 0.5}}, "leader.tau_init: must lie in [0.5, 1.0]"),
+        ({"leader": {"kappa_max": 0.05}}, "leader.kappa_init: must lie in [0.0, 0.05]"),
+        ({"belief": {"sigma_min_deg": 50}},
+         "belief.sigma_min_deg: must be <= sigma_max_deg"),
+        ({"run": {"min_node_distance_m": 150}},
+         "run.cell_radius_m: must exceed min_node_distance_m (150.0)"),
+    ])
+    def test_rule_names_field_and_message(self, data, error):
+        with pytest.raises(ConfigError) as err:
+            config_from_dict(data)
+        assert err.value.errors == [error]
 
 
 class TestNonFiniteAndOutOfRangeCli:

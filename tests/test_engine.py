@@ -308,8 +308,8 @@ class TestRunSlot:
         world = init_scenario(cfg, 1)
         kpis = world.prev_kpis
         r = run_slot(world, StrategyId.STACKELBERG_ONLY, 0)
-        want = leader_step(LeaderState(initial, cfg.belief.sigma0_deg),
-                           world.scenario.gains, kpis, world.entropy_ema).broadcast
+        want = leader_step(LeaderState(initial, cfg.belief.sigma0_deg), cfg,
+                           world.scenario.noise_w, kpis, world.entropy_ema).broadcast
         assert (r.alpha, r.beta, r.gamma, r.pi, r.tau, r.kappa) == astuple(want)
         assert want != initial
 

@@ -3,9 +3,9 @@ import dataclasses
 import numpy as np
 import pytest
 
+from secure_isac.config import LeaderConfig, ScenarioConfig
 from secure_isac.leader import (
     Broadcast,
-    LeaderGains,
     LeaderKpis,
     LeaderState,
     an_update,
@@ -15,7 +15,10 @@ from secure_isac.leader import (
     sensing_fraction,
 )
 
-GAINS = LeaderGains()
+CONFIG = ScenarioConfig()
+LEAD = CONFIG.leader
+NOISE_W = 2e-12
+XI_TARGET_W = LEAD.xi_target_scale * NOISE_W   # the target leader_step steers tau to
 
 
 def leader_state(sigma=10.0, **announced):
@@ -27,38 +30,38 @@ def leader_state(sigma=10.0, **announced):
 
 class TestSensingFraction:
     def test_endpoints(self):
-        assert sensing_fraction(0.0, GAINS) == GAINS.gamma_min
-        assert sensing_fraction(GAINS.h_max, GAINS) == pytest.approx(GAINS.gamma_max)
-        assert sensing_fraction(100.0, GAINS) == pytest.approx(GAINS.gamma_max)
+        assert sensing_fraction(0.0, LEAD) == LEAD.gamma_min
+        assert sensing_fraction(LEAD.h_max_bits, LEAD) == pytest.approx(LEAD.gamma_max)
+        assert sensing_fraction(100.0, LEAD) == pytest.approx(LEAD.gamma_max)
 
     def test_midpoint(self):
-        mid = sensing_fraction(GAINS.h_max / 2, GAINS)
-        assert mid == pytest.approx((GAINS.gamma_min + GAINS.gamma_max) / 2)
+        mid = sensing_fraction(LEAD.h_max_bits / 2, LEAD)
+        assert mid == pytest.approx((LEAD.gamma_min + LEAD.gamma_max) / 2)
 
     def test_monotone(self):
         hs = np.linspace(0, 6, 50)
-        gs = [sensing_fraction(h, GAINS) for h in hs]
+        gs = [sensing_fraction(h, LEAD) for h in hs]
         assert np.all(np.diff(gs) >= 0)
 
 
 class TestAnUpdate:
     def test_zero_error_fixed_point(self):
-        assert an_update(0.3, 0.0, 0.1, GAINS) == pytest.approx(0.3)
+        assert an_update(0.3, 0.0, 0.1, LEAD) == pytest.approx(0.3)
 
     def test_saturates_at_complement(self):
-        gains = LeaderGains(beta_max=1.0)
-        assert an_update(0.5, 100.0, 0.25, gains) == pytest.approx(0.75)
+        lead = LeaderConfig(beta_max=1.0)
+        assert an_update(0.5, 100.0, 0.25, lead) == pytest.approx(0.75)
 
     def test_negative_error_decreases(self):
-        gains = LeaderGains(k_s=0.05)
-        assert an_update(0.2, -1.0, 0.1, gains) == pytest.approx(0.15)
+        lead = LeaderConfig(k_s=0.05)
+        assert an_update(0.2, -1.0, 0.1, lead) == pytest.approx(0.15)
 
     def test_floor(self):
-        assert an_update(0.05, -100.0, 0.1, GAINS) == 0.0
+        assert an_update(0.05, -100.0, 0.1, LEAD) == 0.0
 
     def test_beta_max_antiwindup(self):
-        gains = LeaderGains(beta_max=0.6)
-        assert an_update(0.55, 10.0, 0.1, gains) == pytest.approx(0.6)
+        lead = LeaderConfig(beta_max=0.6)
+        assert an_update(0.55, 10.0, 0.1, lead) == pytest.approx(0.6)
 
 
 class TestDataFraction:
@@ -78,31 +81,34 @@ class TestDataFraction:
 
 class TestPriceUpdate:
     def test_zero_drives_fixed_point(self):
-        kpis = LeaderKpis(jam_benefit=0.0, mean_leakage_w=GAINS.xi_target_w)
-        prices = price_update(0.7, 0.3, 0.1, kpis, GAINS.h_max, GAINS)
+        kpis = LeaderKpis(jam_benefit=0.0, mean_leakage_w=XI_TARGET_W)
+        prices = price_update(0.7, 0.3, 0.1, kpis, LEAD.h_max_bits, LEAD, XI_TARGET_W)
         assert prices == (pytest.approx(0.7), pytest.approx(0.3), pytest.approx(0.1))
 
     def test_clamp_at_max(self):
         kpis = LeaderKpis(jam_benefit=5.0)
-        pi, _, _ = price_update(1.0, 0.3, 0.1, kpis, 0.0, GAINS)
+        pi, _, _ = price_update(1.0, 0.3, 0.1, kpis, 0.0, LEAD, XI_TARGET_W)
         assert pi == 1.0
 
     def test_tau_decrement(self):
-        gains = LeaderGains(k_tau=0.1)
-        kpis = LeaderKpis(mean_leakage_w=gains.xi_target_w - 1.0)
-        _, tau, _ = price_update(0.7, 0.3, 0.1, kpis, gains.h_max, gains)
+        lead = LeaderConfig(k_tau=0.1)
+        kpis = LeaderKpis(mean_leakage_w=XI_TARGET_W - 1.0)
+        _, tau, _ = price_update(0.7, 0.3, 0.1, kpis, lead.h_max_bits, lead,
+                                 XI_TARGET_W)
         assert tau == pytest.approx(0.2)
 
     def test_kappa_rises_with_entropy_excess(self):
-        _, _, kappa = price_update(0.7, 0.3, 0.1, LeaderKpis(), GAINS.h_max + 1.0, GAINS)
-        assert kappa == pytest.approx(0.1 + GAINS.k_kappa)
+        _, _, kappa = price_update(0.7, 0.3, 0.1, LeaderKpis(), LEAD.h_max_bits + 1.0,
+                                   LEAD, XI_TARGET_W)
+        assert kappa == pytest.approx(0.1 + LEAD.k_kappa)
 
 
 class TestLeaderStep:
     def test_state_is_frozen_and_kept(self):
         state = leader_state(12.0, beta=0.25)
         before = (state.broadcast, state.kernel_sigma_deg)
-        new = leader_step(state, GAINS, LeaderKpis(secrecy=0.0, jam_benefit=1.0), 7.0)
+        new = leader_step(state, CONFIG, NOISE_W,
+                          LeaderKpis(secrecy=0.0, jam_benefit=1.0), 7.0)
         assert new.broadcast != state.broadcast
         assert (state.broadcast, state.kernel_sigma_deg) == before
         with pytest.raises(dataclasses.FrozenInstanceError):
@@ -114,9 +120,9 @@ class TestLeaderStep:
         # e=0, jam_benefit=0, leakage at target, H=H_max: identity on
         # (beta, pi, tau, kappa, sigma)
         state = leader_state(12.0, beta=0.25, pi=0.5, tau=0.4, kappa=0.2)
-        kpis = LeaderKpis(secrecy=GAINS.r_s_target, jam_benefit=0.0,
-                          mean_leakage_w=GAINS.xi_target_w)
-        new = leader_step(state, GAINS, kpis, GAINS.h_max)
+        kpis = LeaderKpis(secrecy=LEAD.r_s_target, jam_benefit=0.0,
+                          mean_leakage_w=XI_TARGET_W)
+        new = leader_step(state, CONFIG, NOISE_W, kpis, LEAD.h_max_bits)
         bc, last = new.broadcast, state.broadcast
         assert bc.beta == pytest.approx(last.beta)
         assert bc.pi == pytest.approx(last.pi)
@@ -129,7 +135,7 @@ class TestLeaderStep:
         state = leader_state(beta=0.1)
         betas = [state.broadcast.beta]
         for _ in range(10):
-            state = leader_step(state, GAINS, LeaderKpis(secrecy=0.0), 2.0)
+            state = leader_step(state, CONFIG, NOISE_W, LeaderKpis(secrecy=0.0), 2.0)
             betas.append(state.broadcast.beta)
         diffs = np.diff(betas)
         assert np.all(diffs >= -1e-12)
@@ -143,21 +149,38 @@ class TestLeaderStep:
                               jam_benefit=rng.uniform(-5, 20),
                               mean_leakage_w=rng.uniform(0, 1e-9),
                               info_gain=rng.uniform(0, 2))
-            state = leader_step(state, GAINS, kpis, rng.uniform(0, 8))
+            state = leader_step(state, CONFIG, NOISE_W, kpis, rng.uniform(0, 8))
             bc = state.broadcast
             assert abs(bc.alpha + bc.beta + bc.gamma - 1.0) <= 1e-9
-            assert GAINS.pi_bounds[0] <= bc.pi <= GAINS.pi_bounds[1]
-            assert GAINS.tau_bounds[0] <= bc.tau <= GAINS.tau_bounds[1]
-            assert GAINS.kappa_bounds[0] <= bc.kappa <= GAINS.kappa_bounds[1]
-            assert GAINS.gamma_min <= bc.gamma <= GAINS.gamma_max
-            assert 0.0 <= bc.beta <= GAINS.beta_max
-            assert GAINS.sigma_min_deg <= state.kernel_sigma_deg <= GAINS.sigma_max_deg
+            assert LEAD.pi_min <= bc.pi <= LEAD.pi_max
+            assert LEAD.tau_min <= bc.tau <= LEAD.tau_max
+            assert LEAD.kappa_min <= bc.kappa <= LEAD.kappa_max
+            assert LEAD.gamma_min <= bc.gamma <= LEAD.gamma_max
+            assert 0.0 <= bc.beta <= LEAD.beta_max
+            assert (CONFIG.belief.sigma_min_deg <= state.kernel_sigma_deg
+                    <= CONFIG.belief.sigma_max_deg)
 
     def test_residual_zero_at_fixed_point(self):
-        gamma = sensing_fraction(GAINS.h_max, GAINS)
+        gamma = sensing_fraction(LEAD.h_max_bits, LEAD)
         state = leader_state(alpha=1.0 - 0.2 - gamma, beta=0.2, gamma=gamma)
-        kpis = LeaderKpis(secrecy=GAINS.r_s_target, mean_leakage_w=GAINS.xi_target_w)
-        new = leader_step(state, GAINS, kpis, GAINS.h_max)
+        kpis = LeaderKpis(secrecy=LEAD.r_s_target, mean_leakage_w=XI_TARGET_W)
+        new = leader_step(state, CONFIG, NOISE_W, kpis, LEAD.h_max_bits)
         for name in ("alpha", "beta", "gamma", "pi", "tau", "kappa"):
             assert getattr(new.broadcast, name) == pytest.approx(
                 getattr(state.broadcast, name), abs=1e-12)
+
+
+
+@pytest.mark.parametrize("bound,value,entropy_bits,unclamped", [
+    # 2 bits over budget widens 10 deg by eta_sigma * 2 = 1 deg
+    ("sigma_max_deg", 10.5, 8.0, 11.0),
+    # zero entropy shrinks 10 deg by eta_sigma * 6 = 3 deg
+    ("sigma_min_deg", 8.0, 0.0, 7.0),
+])
+def test_kernel_width_clamped_to_belief_section(bound, value, entropy_bits, unclamped):
+    config = ScenarioConfig()
+    step = lambda: leader_step(leader_state(10.0), config, NOISE_W, LeaderKpis(),
+                               entropy_bits).kernel_sigma_deg
+    assert step() == pytest.approx(unclamped)
+    setattr(config.belief, bound, value)
+    assert step() == value

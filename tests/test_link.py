@@ -6,10 +6,10 @@ import pytest
 
 from secure_isac.arrays import ArraySpec, ula_positions
 from secure_isac.channel import los_channel
+from secure_isac.config import PowerModelConfig
 from secure_isac.link import (
     CapacityError,
     NoNullspaceError,
-    PowerConsts,
     SlotContext,
     an_power_at,
     an_projector,
@@ -310,16 +310,14 @@ class TestScalarMetrics:
         assert infinite.rates(np.zeros(1))[0] == 0.0
 
     def test_power_accounting(self):
-        consts = PowerConsts(num_rf=8, p_rf_w=0.25, p_bb_w=1.0, pa_efficiency=1.0)
-        assert power_accounting(0.0, [], consts) == (0.0, 3.0)
-        tx, slot = power_accounting(5.0, [1.0, 2.0], PowerConsts(0, 0.0, 0.0, 1.0))
+        power = PowerModelConfig(p_rf_w=0.25, p_bb_w=1.0, pa_efficiency=1.0)
+        assert power_accounting(0.0, [], 8, power) == (0.0, 3.0)
+        tx, slot = power_accounting(5.0, [1.0, 2.0], 0, PowerModelConfig(0.0, 0.0, 1.0))
         assert (tx, slot) == (8.0, 8.0)
-        consts = PowerConsts(num_rf=4, p_rf_w=0.25, p_bb_w=1.0, pa_efficiency=0.4)
-        tx, slot = power_accounting(15.0, [1.0, 1.0, 1.0], consts)
+        power = PowerModelConfig(p_rf_w=0.25, p_bb_w=1.0, pa_efficiency=0.4)
+        tx, slot = power_accounting(15.0, [1.0, 1.0, 1.0], 4, power)
         assert tx == 18.0
         assert slot == pytest.approx(2.0 + 18.0 / 0.4, rel=1e-12)  # 47 W
-        with pytest.raises(ValueError):
-            PowerConsts(pa_efficiency=0.0)
 
     def test_see(self):
         assert see(0.0, 10.0) == 0.0

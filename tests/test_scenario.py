@@ -45,6 +45,8 @@ class TestFrozenScenario:
                 arr[(0,) * arr.ndim] = 0
         with pytest.raises(FrozenInstanceError):
             scenario.seed = 2
+        with pytest.raises(FrozenInstanceError):
+            scenario.feasibility.p_max = 2.0
 
     @pytest.mark.parametrize("strategy", list(StrategyId))
     def test_runs_leave_it_unchanged_and_match_fresh_builds(self, mobility, strategy):
