@@ -98,7 +98,6 @@ class SlotState:
     gne_gap: float = 0.0
     gne_conv: bool = True
     entropies: list = field(default_factory=list)  # posterior, per eavesdropper
-    sensed_gain: float = 0.0          # this slot's entropy drop, for the leader
     refine_iters: int = 0
 
 
@@ -130,8 +129,7 @@ def build_slot_context(world: World, state: SlotState, served: list,
         noise_w=scn.noise_w, eve_capture_w=p_stream * state.eve_norm2,
         eve_an_w=an_power_at(state.eve_chans, basis, an_total),
         jam_to_eve=delivered[:, k:], jam_to_thn=jam_to_nodes[:, served],
-        eve_noise_w=cfg.eve.noise_floor_w, info_gain=world.prev_kpis.info_gain,
-        jam_to_hn=jam_to_nodes)
+        eve_noise_w=cfg.eve.noise_floor_w, jam_to_hn=jam_to_nodes)
 
 
 def _readmission_context(world: World, state: SlotState, waiting: list) -> SlotContext:
@@ -275,9 +273,6 @@ def _sense(world: World, state: SlotState) -> None:
         new_beliefs.append(update(belief, z, cfg.belief.k_eff))
     world.beliefs = new_beliefs
     state.entropies = [entropy(b) for b in world.beliefs]
-    h_post = max(state.entropies)
-    state.sensed_gain = max(0.0, world.prev_entropy_max - h_post) if state.slot > 0 else 0.0
-    world.prev_entropy_max = h_post
 
 
 def _refine(world: World, state: SlotState) -> None:
@@ -378,9 +373,8 @@ def _finalize_slot(world: World, state: SlotState) -> SlotRecord:
     # smoothed secrecy KPI keeps the AN integrator from chasing slot noise
     world.secrecy_ema = _ema(world.secrecy_ema, r_mean)
     world.prev_kpis = LeaderKpis(
-        secrecy=world.secrecy_ema, outage=outage, jam_benefit=jam_benefit,
-        mean_leakage_w=float(leakage.mean()) if leakage.size else 0.0,
-        info_gain=state.sensed_gain)
+        secrecy=world.secrecy_ema, jam_benefit=jam_benefit,
+        mean_leakage_w=float(leakage.mean()) if leakage.size else 0.0)
 
     record = SlotRecord(
         slot=state.slot, alpha=broadcast.alpha, beta=broadcast.beta,

@@ -2,8 +2,9 @@
 
 Given the leader's broadcast, every hybrid node picks a transmit power on a
 discrete grid to maximize a priced utility (secrecy reward, power cost,
-leakage penalty, jamming reward, shared information bonus) under box, total
-friendly-jamming, and leakage-cap constraints that couple the players.
+leakage penalty, jamming reward) under box, total friendly-jamming, and
+leakage-cap constraints that couple the players. The broadcast's sensing
+price kappa enters no utility.
 Equilibria are approximated by deterministic Gauss-Seidel best-response
 sweeps, scored a few pending nodes per block; roles are re-assigned once per
 slot by thresholding the achieved secrecy rates.
@@ -89,15 +90,6 @@ def candidate_block(nodes: list, powers: np.ndarray, grid, extra: int = 0) -> np
     return block
 
 
-def _priced(secrecy, jam, power, leak_gain, broadcast: Broadcast, info_gain: float,
-            cost: float):
-    """A node's payoff from its secrecy reward and jamming credit at `power`,
-    where leak_gain is its total leakage per watt into the served nodes."""
-    leak = power * leak_gain
-    return (secrecy - cost * power - broadcast.tau * leak + jam
-            + broadcast.kappa * info_gain)
-
-
 def feasible(powers: np.ndarray, spec: FeasibilitySpec, ctx: SlotContext):
     """Per profile of a (..., K) block: True iff every box bound, the
     aggregate budget, and every leakage cap hold (closed constraints)."""
@@ -110,7 +102,9 @@ def _score_grid(nodes: list, powers: np.ndarray, broadcast: Broadcast,
                 cost: float):
     """Utilities and feasibility, each (N, G), of every node in `nodes` at
     every power of spec.grid, the others fixed at `powers`; infeasible
-    profiles keep their utility.
+    profiles keep their utility. A node's utility is its secrecy reward
+    (served transmit nodes) or jamming credit (jammers), less its power cost
+    and the tau price of its leakage into the served nodes.
 
     One block holds the N x G candidate profiles, then one profile per node
     with that node silent (its jamming credit's reference). Each gain table
@@ -138,9 +132,9 @@ def _score_grid(nodes: list, powers: np.ndarray, broadcast: Broadcast,
     if any(jams):
         credit = ctx.jam_credit(with_rate, eve[n * g:, None], grid)
         jam = np.where(np.array(jams)[:, None], broadcast.pi * credit, 0.0)
-    leak_gain = np.array([ctx.jam_to_thn[u].sum() for u in nodes])[:, None]
-    values = _priced(secrecy, jam, grid, leak_gain, broadcast, ctx.info_gain, cost)
-    return values, feas
+    # each node's total leakage into the served nodes at every grid power
+    own_leak = grid * np.array([ctx.jam_to_thn[u].sum() for u in nodes])[:, None]
+    return secrecy - cost * grid - broadcast.tau * own_leak + jam, feas
 
 
 def candidate_utilities(nodes: list, powers: np.ndarray, broadcast: Broadcast,

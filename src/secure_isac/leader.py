@@ -42,10 +42,8 @@ class LeaderKpis:
     """Previous-slot measurements the controller reacts to."""
 
     secrecy: float = 0.0         # mean served secrecy rate (bps/Hz)
-    outage: float = 0.0
     jam_benefit: float = 0.0     # secrecy gained by active jamming (bps/Hz)
     mean_leakage_w: float = 0.0  # mean jamming leakage at served nodes
-    info_gain: float = 0.0       # entropy reduction (bits)
 
 
 def sensing_fraction(entropy_bits: float, lead: LeaderConfig) -> float:

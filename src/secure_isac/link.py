@@ -190,7 +190,6 @@ class SlotContext:
     jam_to_eve: np.ndarray      # (K, E)
     jam_to_thn: np.ndarray      # (K, U)
     eve_noise_w: float = 0.0
-    info_gain: float = 0.0
     jam_to_hn: np.ndarray | None = None     # (K, K)
 
     @property
@@ -206,15 +205,9 @@ class SlotContext:
         """Spectral efficiency of the strongest eavesdropper, (...); inf when
         she decodes with a zero denominator."""
         p = np.asarray(powers, dtype=float)
-        return self.eve_rate_from(_delivered(p, self.jam_to_eve))
-
-    def eve_rate_from(self, jam_w: np.ndarray):
-        """The strongest eavesdropper's rate, (...), when each receives the
-        friendly-jamming watts jam_w, (..., E); inf when she decodes with a
-        zero denominator."""
         if self.num_eves == 0:
-            return np.zeros(jam_w.shape[:-1])[()]
-        den = self.eve_an_w + jam_w + self.eve_noise_w
+            return np.zeros(p.shape[:-1])[()]
+        den = self.eve_an_w + _delivered(p, self.jam_to_eve) + self.eve_noise_w
         live = den > 0
         # a zero denominator decodes perfectly, unless nothing was captured
         sinr = np.where(live, 0.0, np.where(self.eve_capture_w > 0, np.inf, 0.0))

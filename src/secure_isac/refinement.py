@@ -160,11 +160,11 @@ def coalition_refine(coalition: Coalition, powers: np.ndarray, ctx: SlotContext,
     posterior-weighted shaping bound. A small per-watt penalty suppresses
     redundant or low-impact jammers, which also preserves the shared budget
     for coalitions facing stronger adversaries. Coalitions of one or two
-    members are solved exactly by enumeration, and keep their powers when no
-    combination is feasible; larger ones by coordinate ascent in the power
-    game's block sweeps (followers.sweep_best_responses), at most MAX_ROUNDS
-    sweeps. Where the shaping bound is unreachable, the best feasible
-    candidates are taken without it.
+    members are solved exactly by enumeration; larger ones by coordinate
+    ascent in the power game's block sweeps (followers.sweep_best_responses),
+    at most MAX_ROUNDS sweeps. Both take one pick rule (_pick): members keep
+    their powers when no candidate is feasible, and where the shaping bound
+    is unreachable, the best feasible candidates are taken without it.
 
     Returns the new power vector.
     """
@@ -196,39 +196,31 @@ def coalition_refine(coalition: Coalition, powers: np.ndarray, ctx: SlotContext,
     if ids.size <= 2:
         combos = np.stack([g.ravel() for g in np.meshgrid(*[grid] * ids.size,
                                                           indexing="ij")], axis=1)
-        ok, objective, shaped = score(trial_block(ids, powers, combos))
-        if not ok.any():
-            return powers
-        combos, objective, shaped = combos[ok], objective[ok], shaped[ok]
-        if shaped.any():    # otherwise the shaping bound is unreachable: drop it
-            combos, objective = combos[shaped], objective[shaped]
-        # combos are ascending, so the first occurrence of a (near-)maximal
-        # objective is the lowest-power optimum: no watts spent on ties
-        powers[ids] = combos[np.flatnonzero(objective >= objective.max() - 1e-9)[0]]
+        powers[ids] = _pick(combos, *score(trial_block(ids, powers, combos)), powers[ids])
         return powers
 
     def respond(block):
         rows = [a.reshape(len(block), -1)
                 for a in score(candidate_block(block, powers, grid))]
         for jid, ok, objective, shaped in zip(block, *rows):
-            yield _ascent_pick(grid, ok, objective, shaped, powers[jid])
+            yield _pick(grid, ok, objective, shaped, powers[jid])
 
     sweep_best_responses(ids, powers, respond, MAX_ROUNDS)
     return powers
 
 
-def _ascent_pick(grid, ok, objective, shaped, current):
-    """One member's coordinate-ascent pick over its feasible grid powers:
-    shaped candidates first if any is feasible, else every feasible one; a
-    pick must beat the running best by 1e-9, so ties stay at lower power.
-    The member keeps `current` when nothing is feasible."""
+def _pick(rows, ok, objective, shaped, current):
+    """The row of `rows` (ascending powers, one per candidate) to move to:
+    among the shaped candidates if any is feasible, else among every feasible
+    one (the shaping bound is unreachable), the first whose objective is
+    within 1e-9 of the best, so near-ties spend no extra watts. `current`
+    when nothing is feasible."""
     shaped_ok = ok & shaped
     keep = shaped_ok if shaped_ok.any() else ok
-    best_val, best_p = -np.inf, current
-    for p, value in zip(grid[keep], objective[keep]):
-        if value > best_val + 1e-9:
-            best_val, best_p = value, p
-    return best_p
+    if not keep.any():
+        return current
+    best = objective[keep].max()
+    return rows[np.flatnonzero(keep & (objective >= best - 1e-9))[0]]
 
 
 @dataclass

@@ -78,7 +78,6 @@ class World:
     jhn_beams: dict = field(default_factory=dict)
     eve_waypoints: np.ndarray | None = None
     eve_leg: np.ndarray | None = None
-    prev_entropy_max: float = 0.0
     entropy_ema: float | None = None
     secrecy_ema: float | None = None
     last_field: np.ndarray | None = None

@@ -1,3 +1,4 @@
+import dataclasses
 import logging
 
 import numpy as np
@@ -18,7 +19,6 @@ from secure_isac.followers import (
     gne_solve,
     role_switch,
     trial_block,
-    _priced,
 )
 from secure_isac.leader import Broadcast
 from secure_isac.link import JAM_CREDIT, SlotContext
@@ -41,10 +41,9 @@ def hn_utility(u: int, power: float, powers: np.ndarray, roles: dict,
     reward weight eta and power cost per watt.
 
     Transmit-role nodes earn the secrecy reward and contribute no jamming;
-    jamming-role nodes earn the jamming reward instead. Power cost, leakage
-    penalty, and the shared information bonus apply to everyone. Scored one
-    profile at a time, apart from the game's block scorer, so the tests can
-    hold that scorer to it.
+    jamming-role nodes earn the jamming reward instead. Power cost and
+    leakage penalty apply to everyone. Scored one profile at a time, apart
+    from the game's block scorer, so the tests can hold that scorer to it.
     """
     if power < -FEAS_TOL or power > spec.p_max + FEAS_TOL:
         raise ValueError(f"infeasible power {power} for node {u}")
@@ -54,14 +53,14 @@ def hn_utility(u: int, power: float, powers: np.ndarray, roles: dict,
         jam = broadcast.pi * jam_contribution(ctx, u, trial)
     elif u in ctx.served:
         secrecy = eta * ctx.rates(trial)[:, ctx.served.index(u)]
-    return float(_priced(secrecy, jam, trial[:, u], ctx.jam_to_thn[u].sum(), broadcast,
-                         ctx.info_gain, cost)[0])
+    leak = trial[:, u] * ctx.jam_to_thn[u].sum()
+    return float((secrecy - cost * trial[:, u] - broadcast.tau * leak + jam)[0])
 
 
 BC = Broadcast(alpha=0.6, beta=0.2, gamma=0.2, pi=0.7, tau=0.3, kappa=0.1)
 
 
-def toy_context(info_gain=0.0):
+def toy_context():
     """One served node (id 0) and two candidate jammers (ids 1, 2)."""
     return SlotContext(
         served=[0],
@@ -73,7 +72,6 @@ def toy_context(info_gain=0.0):
         eve_an_w=np.array([2e-11]),
         jam_to_eve=np.array([[0.0], [1e-10], [5e-11]]),
         jam_to_thn=np.array([[0.0], [1e-14], [2e-14]]),
-        info_gain=info_gain,
     )
 
 
@@ -82,7 +80,7 @@ ETA, COST = 1.0, 0.5
 BOX = FeasibilitySpec(p_max=1.5)   # the power box is all hn_utility checks
 
 
-def oracle_utility(u, power, powers, roles, bc, info_gain=0.0):
+def oracle_utility(u, power, powers, roles, bc):
     """Independent re-implementation of the payoff on the toy's scalar gains."""
     p = np.array(powers, dtype=float)
     p[u] = power
@@ -102,7 +100,7 @@ def oracle_utility(u, power, powers, roles, bc, info_gain=0.0):
         jam_e0 = 1e-10 * p_without[1] + 5e-11 * p_without[2]
         eve0 = 5e-10 / (2e-11 + jam_e0)
         jam = max(0.0, np.log2(1 + eve0) - np.log2(1 + eve_sinr))
-    return secrecy - 0.5 * power - bc.tau * leak_by[u] + bc.pi * jam + bc.kappa * info_gain
+    return secrecy - 0.5 * power - bc.tau * leak_by[u] + bc.pi * jam
 
 
 class TestUtility:
@@ -122,7 +120,7 @@ class TestUtility:
     def test_matches_independent_oracle(self):
         # hand-built scalar instance, prices (0.7, 0.3, 0.1): implementation
         # agrees with a from-scratch evaluation to 1e-12
-        ctx = toy_context(info_gain=0.3)
+        ctx = toy_context()
         rng = np.random.default_rng(0)
         for _ in range(50):
             powers = rng.uniform(0, 1.5, size=3)
@@ -130,7 +128,7 @@ class TestUtility:
             for u in range(3):
                 p = rng.uniform(0, 1.5)
                 got = hn_utility(u, p, powers, ROLES, BC, ctx, BOX, ETA, COST)
-                want = oracle_utility(u, p, powers, ROLES, BC, info_gain=0.3)
+                want = oracle_utility(u, p, powers, ROLES, BC)
                 assert got == pytest.approx(want, abs=1e-12)
 
     def test_infeasible_power_rejected(self):
@@ -220,7 +218,7 @@ class TestBestResponse:
     @pytest.mark.parametrize("points", [2, 5, 21])
     def test_picks_lie_on_the_spec_grid(self, points):
         spec = FeasibilitySpec(p_fj_max=2.0, xi_max=1e-13, grid_points=points)
-        ctx = toy_context(info_gain=0.3)
+        ctx = toy_context()
         picks, _ = best_response([0, 1, 2], np.full(3, 0.3), BC, ctx, spec, ROLES,
                                  ETA, 0.0)
         res = gne_solve(ROLES, np.full(3, 0.3), BC, ctx, spec, ETA, 0.0)
@@ -322,7 +320,7 @@ class TestEquilibriumGap:
     def test_matches_scalar_utility_scan(self):
         # the scalar oracle: best feasible grid utility minus the current
         # utility, each through hn_utility
-        ctx = toy_context(info_gain=0.3)
+        ctx = toy_context()
         spec = FeasibilitySpec(p_fj_max=2.0, xi_max=3e-14, grid_points=7)
         grid = spec.grid
         rng = np.random.default_rng(4)
@@ -382,7 +380,6 @@ class TestVectorizedEquivalence:
                 eve_an_w=rng.uniform(0, 5e-11, e_count) * rng.integers(0, 2),
                 jam_to_eve=rng.uniform(0, 2e-10, (k, e_count)),
                 jam_to_thn=rng.uniform(0, 3e-13, (k, u_count)),
-                info_gain=rng.uniform(0, 1),
             )
             ctx.jam_to_thn[0, 0] = 0.0
             ctx.jam_to_thn[1, 1] = 0.0
@@ -459,7 +456,6 @@ def toy_games(draw):
         jam_to_eve=arr((k, e), 2e-10, sparse=True),
         jam_to_thn=arr((k, n_served), 3e-13, sparse=True),
         eve_noise_w=draw(st.sampled_from([0.0, 1e-12])),
-        info_gain=draw(unit),
     )
     grid = np.linspace(0.0, 1.5, draw(st.integers(2, 8)))
     powers = np.array([draw(st.sampled_from(list(grid))) for _ in range(k)])
@@ -533,7 +529,7 @@ def reference_candidates(u, powers, grid, bc, ctx, spec, roles, eta, cost):
             rates = np.where(np.isfinite(eve), np.maximum(0.0, legit - eve), 0.0)
         secrecy = eta * rates[:, ctx.served.index(u)]
     leak = power * ctx.jam_to_thn[u].sum()
-    values = (secrecy - cost * power - bc.tau * leak + jam + bc.kappa * ctx.info_gain)
+    values = (secrecy - cost * power - bc.tau * leak + jam)
     return values, feas
 
 
@@ -597,6 +593,36 @@ class TestBlockScorerOnDefaultSlots:
                     at = np.flatnonzero(grid == eq[u])[0]
                     want = max(want, float(values[feas].max() - values[at]))
             assert equilibrium_gap(eq, bc, ctx, spec, roles, eta, cost) == want
+
+
+def assert_kappa_free(roles, powers, bc, ctx, spec, eta, cost, kappa):
+    """Scores and gap under bc and under bc with only kappa changed are
+    bitwise equal."""
+    other = dataclasses.replace(bc, kappa=kappa)
+    nodes = list(range(len(powers)))
+    values, feas = candidate_utilities(nodes, powers, bc, ctx, spec, roles, eta, cost)
+    values_k, feas_k = candidate_utilities(nodes, powers, other, ctx, spec, roles, eta,
+                                           cost)
+    assert np.array_equal(feas, feas_k)
+    assert values.tobytes() == values_k.tobytes()
+    gap = equilibrium_gap(powers, bc, ctx, spec, roles, eta, cost)
+    assert np.float64(gap).tobytes() == np.float64(
+        equilibrium_gap(powers, other, ctx, spec, roles, eta, cost)).tobytes()
+
+
+class TestKappaEntersNoScore:
+    # the sensing price is announced and logged, but no follower utility
+    # reads it
+    @settings(max_examples=50, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(game=toy_games(), kappa=st.floats(0.0, 1.0))
+    def test_toy_games(self, game, kappa):
+        ctx, roles, _, powers, spec, bc, eta, cost = game
+        assert_kappa_free(roles, powers, bc, ctx, spec, eta, cost, kappa)
+
+    def test_default_slots(self, default_games):
+        for roles, _, bc, ctx, spec, eta, cost, eq in default_games:
+            assert_kappa_free(roles, eq, bc, ctx, spec, eta, cost, bc.kappa + 0.37)
 
 
 def reference_gne(roles, powers, bc, ctx, spec, eta, cost, max_iters=50):
@@ -678,7 +704,7 @@ class TestBlockSweeps:
             assert_solve_matches_reference(args, kw)
 
     def test_block_form_scores_each_node_as_alone(self):
-        ctx = toy_context(info_gain=0.3)
+        ctx = toy_context()
         spec = FeasibilitySpec(p_fj_max=2.0, xi_max=3e-14, grid_points=7)
         powers = np.array([0.25, 0.5, 1.0])
         picks, empty = best_response([2, 0, 1], powers, BC, ctx, spec, ROLES, ETA, COST)

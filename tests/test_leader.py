@@ -145,10 +145,9 @@ class TestLeaderStep:
         rng = np.random.default_rng(0)
         state = leader_state()
         for _ in range(500):
-            kpis = LeaderKpis(secrecy=rng.uniform(0, 10), outage=rng.uniform(0, 1),
+            kpis = LeaderKpis(secrecy=rng.uniform(0, 10),
                               jam_benefit=rng.uniform(-5, 20),
-                              mean_leakage_w=rng.uniform(0, 1e-9),
-                              info_gain=rng.uniform(0, 2))
+                              mean_leakage_w=rng.uniform(0, 1e-9))
             state = leader_step(state, CONFIG, NOISE_W, kpis, rng.uniform(0, 8))
             bc = state.broadcast
             assert abs(bc.alpha + bc.beta + bc.gamma - 1.0) <= 1e-9

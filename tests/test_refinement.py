@@ -10,6 +10,7 @@ from secure_isac.link import SlotContext
 from secure_isac.refinement import (
     MAX_ROUNDS,
     Coalition,
+    _pick,
     coalition_refine,
     form_coalitions,
     posterior_peaks,
@@ -198,11 +199,50 @@ class TestCoalitionRefine:
         assert np.array_equal(powers, start)
 
 
+class TestPick:
+    ROWS = np.array([0.0, 0.5, 1.0, 1.5])
+    ALL = np.ones(4, dtype=bool)
+
+    def test_near_tie_chain_takes_the_first_row_within_tolerance(self):
+        # each step gains under 1e-9, the chain over 1e-9: a running best
+        # would climb to row 2, the rule stops at row 1
+        rows, every = self.ROWS[:3], self.ALL[:3]
+        objective = np.array([0.0, 0.6e-9, 1.2e-9])
+        assert _pick(rows, every, objective, every, 9.0) == 0.5
+
+    def test_shaped_candidates_first(self):
+        # row 3 scores best but misses the shaping bound; row 2 meets it but
+        # is infeasible, so row 1 is the best feasible shaped candidate
+        ok = np.array([True, True, False, True])
+        shaped = np.array([False, True, True, False])
+        objective = np.array([0.0, 1.0, 5.0, 9.0])
+        assert _pick(self.ROWS, ok, objective, shaped, 9.0) == 0.5
+
+    def test_unreachable_shaping_falls_back_to_every_feasible_row(self):
+        ok = np.array([True, True, True, False])
+        none = np.zeros(4, dtype=bool)
+        objective = np.array([0.0, 2.0, 1.0, 9.0])
+        assert _pick(self.ROWS, ok, objective, none, 9.0) == 0.5
+
+    def test_nothing_feasible_returns_current(self):
+        none = np.zeros(4, dtype=bool)
+        assert _pick(self.ROWS, none, np.arange(4.0), self.ALL, 0.7) == 0.7
+        current = np.array([0.3, 0.2])
+        assert _pick(np.zeros((4, 2)), none, np.arange(4.0), self.ALL, current) is current
+
+    def test_combination_rows(self):
+        rows = np.array([[0.0, 0.0], [0.0, 1.5], [1.5, 0.0], [1.5, 1.5]])
+        objective = np.array([0.0, 2.0, 2.0 + 0.5e-9, 1.0])
+        picked = _pick(rows, self.ALL, objective, self.ALL, np.zeros(2))
+        assert picked.tolist() == [0.0, 1.5]
+
+
 def reference_ascent(coalition, powers, ctx, spec, j_min, field_gains, posterior_probs,
                      rate_floor=0.0, power_penalty_per_w=1e-3):
     """The per-member coordinate ascent the block sweeps replaced, for
     coalitions of three or more: every member scored alone, at its turn, in
-    every round, with the same einsum shaping test. Returns the powers."""
+    every round, with the same einsum shaping test and the enumeration's pick
+    rule. Returns the powers."""
     ids = np.array(coalition.member_ids, dtype=int)
     powers = np.array(powers, dtype=float)
     gains_matrix = np.stack([field_gains[j] for j in ids])
@@ -225,20 +265,16 @@ def reference_ascent(coalition, powers, ctx, spec, j_min, field_gains, posterior
         moved = False
         for jid in ids:
             ok, objective, shaped = score(trial_block(jid, powers, grid))
-            best_val = -np.inf
+            # shaped candidates if any is feasible, else every feasible one;
+            # the lowest power within 1e-9 of their best objective wins
+            pool = [(p, value, meets) for p, p_ok, value, meets
+                    in zip(grid, ok, objective, shaped) if p_ok]
+            if any(meets for _, _, meets in pool):
+                pool = [c for c in pool if c[2]]
             best_p = powers[jid]
-            found_shaped = False
-            for p, p_ok, value, meets in zip(grid, ok, objective, shaped):
-                if not p_ok:
-                    continue
-                if meets and not found_shaped:
-                    found_shaped = True
-                    best_val = -np.inf  # restart preference on shaped candidates
-                if found_shaped and not meets:
-                    continue
-                if value > best_val + 1e-9:
-                    best_val = value
-                    best_p = p
+            if pool:
+                best_val = max(value for _, value, _ in pool)
+                best_p = next(p for p, value, _ in pool if value >= best_val - 1e-9)
             if best_p != powers[jid]:
                 powers[jid] = best_p
                 moved = True
