@@ -79,7 +79,7 @@ def emit_plot_data(result: SimulationResult, out_dir: str, wanted) -> list:
 
     if "beliefs" in wanted:
         history = world.belief_history
-        for j in range(world.num_eve):
+        for j in range(len(world.beliefs)):
             path = os.path.join(out_dir, f"beliefs_eve{j}.txt")
             with open(path, "w", encoding="utf-8", newline="\n") as fh:
                 fh.write("# rows: slots; columns: posterior mass per angle\n")

@@ -1,11 +1,10 @@
 """The per-slot simulation loop and the run loops over scenarios.
 
 run_slot advances a slot through named stages over one SlotState:
-1. open: eavesdropper motion and channels, belief prediction, the leader's
-   split/price update, and the node gain tables (the link gains, bearings
-   and steering of the fixed hybrid nodes are computed once per scenario; a
-   slot only draws its fades, and refreshes the eavesdropper columns when
-   the eavesdroppers move);
+1. open: the slot's exogenous inputs, a pure function of (Scenario, slot)
+   that every run over the scenario shares (eavesdropper channels, fades, and
+   the eavesdropper columns of the node link tables), then belief prediction
+   and the leader's split/price update;
 2. serve: roles and the served set, whose SlotContext is built once;
 3. power game: the hybrid nodes' GNE and secrecy-threshold role switching;
 4. sense: the sensing measurement and posterior update;
@@ -36,21 +35,29 @@ from .link import (SlotContext, SlotRecord, an_power_at, outage_metrics,
                    power_accounting, see, watts_to_dbm)
 from .refinement import (form_coalitions, posterior_peaks, protective_nulls,
                          ray_aim, refinement_loop)
-from .scenario import (World, bearing_deg, build_scenario, init_scenario,
-                       start_run, step_eves)
+from .scenario import (Scenario, World, _link_columns, bearing_deg, build_scenario,
+                       init_scenario, start_run)
 
 
-def _eve_channels(world: World, slot: int) -> np.ndarray:
-    """This slot's BS->eavesdropper channels, (E, N)."""
-    scn = world.scenario
+def _slot_inputs(scn: Scenario, slot: int):
+    """The slot's inputs that no decision moves: the BS->eavesdropper
+    channels (E, N), the faded gains (K, K+E) toward the nodes and the
+    eavesdroppers in watts per watt before beam pattern, and the node-array
+    steering (K, K+E, n) toward each."""
+    eve_positions = scn.eve_positions(slot)
     channels = []
-    for j in range(world.num_eve):
-        dist = np.linalg.norm(world.eve_positions[j] - scn.bs_center)
+    for j, position in enumerate(eve_positions):
+        dist = np.linalg.norm(position - scn.bs_center)
         gain = linear_gain(path_loss_db(scn.pl_model, dist, scn.eve_shadow[j]))
-        los = los_channel(scn.bs_elements, world.eve_positions[j], gain,
-                          scn.bs_spec.wavelength)
+        los = los_channel(scn.bs_elements, position, gain, scn.bs_spec.wavelength)
         channels.append(eve_channel(scn.k_lin, los, slot, scn.seed, j))
-    return np.stack(channels)
+    k = scn.hn_positions.shape[0]
+    eve_gain, _, eve_steer = _link_columns(scn.hn_positions, eve_positions,
+                                           scn.pair_shadow[:, k:], scn.pl_model, scn.hn_spec)
+    gain = np.hstack([scn.link_gain, eve_gain])
+    fades = substream(scn.seed, STREAM_FADE, slot).exponential(1.0, size=gain.shape)
+    return (np.stack(channels), gain * fades,
+            np.concatenate([scn.link_steer, eve_steer], axis=1))
 
 
 def _select_served(world: World, roles: dict) -> list:
@@ -60,22 +67,15 @@ def _select_served(world: World, roles: dict) -> list:
     return [int(u) for u in candidates[: world.config.bs.num_rf]]
 
 
-def _node_gain_tables(world: World, slot: int) -> np.ndarray:
-    """This slot's faded gains (K, K+E) between hybrid nodes and toward
-    eavesdroppers: delivered watts per watt before beam pattern."""
-    fades = substream(world.scenario.seed, STREAM_FADE, slot).exponential(
-        1.0, size=world.link_gain.shape)
-    return world.link_gain * fades
-
-
-def _pattern_table(world: World, beams: dict) -> np.ndarray:
-    """Transmit pattern gains |a^H w|^2 (K, K+E) for every node toward every
-    victim; nodes without a beam in `beams` radiate uniformly."""
-    n = world.scenario.hn_spec.num_elements
-    stacked = np.full((world.num_hn, n), 1.0 / np.sqrt(n), dtype=complex)
+def _pattern_table(link_steer: np.ndarray, beams: dict) -> np.ndarray:
+    """Transmit pattern gains |a^H w|^2 (K, V) for every node toward every
+    victim of the steering table (K, V, n); nodes without a beam in `beams`
+    radiate uniformly."""
+    k, _, n = link_steer.shape
+    stacked = np.full((k, n), 1.0 / np.sqrt(n), dtype=complex)
     if beams:
         stacked[list(beams)] = list(beams.values())
-    pattern = np.abs(np.einsum("kvn,kn->kv", world.link_steer.conj(), stacked)) ** 2
+    pattern = np.abs(np.einsum("kvn,kn->kv", link_steer.conj(), stacked)) ** 2
     np.fill_diagonal(pattern, 0.0)
     return pattern
 
@@ -90,6 +90,7 @@ class SlotState:
     eve_chans: np.ndarray             # (E, N) BS->eavesdropper channels
     eve_norm2: np.ndarray             # (E,) their powers ||h_e||^2
     node_path: np.ndarray             # (K, K+E) watts per watt before beam pattern
+    link_steer: np.ndarray            # (K, K+E, n) node-array steering to each victim
     powers: np.ndarray                # (K,) hybrid-node powers
     roles: dict = field(default_factory=dict)
     ctx: SlotContext | None = None    # the served set's context under the current beams
@@ -110,7 +111,7 @@ def build_slot_context(world: World, state: SlotState, served: list,
     prec, basis = scn.precoder(tuple(served))
     p_stream = state.broadcast.alpha * p_bs / max(len(served), 1)
 
-    delivered = state.node_path * _pattern_table(world, beams)
+    delivered = state.node_path * _pattern_table(state.link_steer, beams)
     jam_to_nodes = delivered[:, :k]
 
     rx = cfg.hn.rx_gain
@@ -187,11 +188,9 @@ def run_slot(world: World, strategy: StrategyId, slot: int) -> SlotRecord:
 
 def _open_slot(world: World, strategy: StrategyId, slot: int,
                leader_on: bool) -> SlotState:
-    """Stage 1: move the eavesdroppers and draw their channels, predict the
-    beliefs, step the leader, and draw the node gain tables."""
-    if slot > 0:
-        step_eves(world)
-    eve_chans = _eve_channels(world, slot)
+    """Stage 1: the slot's exogenous inputs, then predict the beliefs and
+    step the leader."""
+    eve_chans, node_path, link_steer = _slot_inputs(world.scenario, slot)
 
     # belief prediction feeds the controller; the posterior update comes after
     # the game so sensing power reflects this slot's split
@@ -211,7 +210,7 @@ def _open_slot(world: World, strategy: StrategyId, slot: int,
     return SlotState(
         slot=slot, broadcast=broadcast, eve_chans=eve_chans,
         eve_norm2=np.einsum("en,en->e", eve_chans.conj(), eve_chans).real,
-        node_path=_node_gain_tables(world, slot), powers=np.zeros(world.num_hn))
+        node_path=node_path, link_steer=link_steer, powers=np.zeros(world.num_hn))
 
 
 def _serve(world: World, state: SlotState, served: list) -> None:
@@ -261,12 +260,13 @@ def _play_power_game(world: World, state: SlotState) -> None:
 
 def _sense(world: World, state: SlotState) -> None:
     """Stage 4: sensing scan (unit self-response) and posterior update."""
-    cfg = world.config
+    cfg, scn = world.config, world.scenario
+    eve_positions = scn.eve_positions(state.slot)
     new_beliefs = []
     for j, belief in enumerate(world.beliefs):
-        rng = substream(world.scenario.seed, STREAM_MEASUREMENT, j, state.slot)
+        rng = substream(scn.seed, STREAM_MEASUREMENT, j, state.slot)
         z = synthesize_measurement(
-            [bearing_deg(np.zeros(3), world.eve_positions[j])], state.broadcast.gamma,
+            [bearing_deg(np.zeros(3), eve_positions[j])], state.broadcast.gamma,
             cfg.belief.meas_noise_deg, rng, grid_deg=belief.grid_deg,
             bs_power_w=cfg.bs.p_init_w, bump_width_deg=cfg.belief.bump_width_deg,
             floor_scale=cfg.belief.floor_scale)

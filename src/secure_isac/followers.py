@@ -90,13 +90,6 @@ def candidate_block(nodes: list, powers: np.ndarray, grid, extra: int = 0) -> np
     return block
 
 
-def feasible(powers: np.ndarray, spec: FeasibilitySpec, ctx: SlotContext):
-    """Per profile of a (..., K) block: True iff every box bound, the
-    aggregate budget, and every leakage cap hold (closed constraints)."""
-    p = np.asarray(powers, dtype=float)
-    return spec.admits(p, ctx.leakage_at_served(p))
-
-
 def _score_grid(nodes: list, powers: np.ndarray, broadcast: Broadcast,
                 ctx: SlotContext, spec: FeasibilitySpec, roles: dict, eta: float,
                 cost: float):
@@ -254,7 +247,7 @@ def gne_solve(roles: dict, powers: np.ndarray, broadcast: Broadcast, ctx: SlotCo
     if sorted(roles) != list(range(len(roles))):
         raise ValueError("role keys must be 0..K-1 and match the context rows")
     powers = np.array(powers, dtype=float)
-    if not feasible(powers, spec, ctx):
+    if not spec.admits(powers, ctx.leakage_at_served(powers)):
         powers = np.zeros_like(powers)
 
     def respond(block):

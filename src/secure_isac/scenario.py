@@ -1,8 +1,11 @@
 """The per-seed Scenario and the per-run World over it.
 
-A Scenario is what (config, seed) fixes. It is frozen and its arrays are
-read-only, so many runs (every strategy of a comparison) can share one. A
-World is one run: eavesdropper motion, beliefs, leader, roles, powers, beams.
+A Scenario is what (config, seed) fixes: placements, channels, the node link
+tables, precoders, and the eavesdroppers' positions in every slot, since no
+decision moves them. It is frozen and its arrays are read-only, so many runs
+(every strategy of a comparison) can share one, and a waypoint walk runs once
+per scenario. A World is one run's decision state: beliefs, leader, roles,
+powers, beams.
 """
 
 from dataclasses import dataclass, field, fields
@@ -41,12 +44,29 @@ class Scenario:
     hn_norm2: np.ndarray              # (K,) static channel powers
     eve_shadow: np.ndarray            # (E,) fixed shadowing draws per eavesdropper
     pair_shadow: np.ndarray           # (K, K+E) symmetric-in-nodes draws
-    link_gain: np.ndarray             # (K, K+E) squared path gain before fading
-    link_bearing: np.ndarray          # (K, K+E) degrees from each node to each victim
-    link_steer: np.ndarray            # (K, K+E, n) node-array steering to each victim
+    link_gain: np.ndarray             # (K, K) squared path gain before fading
+    link_bearing: np.ndarray          # (K, K) degrees from each node to each other
+    link_steer: np.ndarray            # (K, K, n) node-array steering to each other
     feasibility: FeasibilitySpec      # the follower constraints and power grid
     # precoders are a pure function of the estimates and the served set
     precoder_cache: dict = field(default_factory=dict)
+    # the waypoint walk: the positions of the slots walked so far, and the
+    # generator that walks on
+    walk_cache: dict = field(default_factory=dict)
+
+    def eve_positions(self, slot: int) -> np.ndarray:
+        """Eavesdropper positions (E, 3) in `slot`, read-only. A waypoint walk
+        runs once per scenario, as far as the latest slot asked for, and every
+        run over the scenario shares it."""
+        if self.config.eve.mobility != "waypoint":
+            return self.eve_start
+        if not self.walk_cache:
+            self.walk_cache.update(
+                positions=[], steps=_waypoint_walk(self.config, self.seed, self.eve_start))
+        positions = self.walk_cache["positions"]
+        while len(positions) <= slot:
+            positions.append(next(self.walk_cache["steps"]))
+        return positions[slot]
 
     def precoder(self, served: tuple):
         """Precoder and AN basis for a served set, cached; built from the
@@ -63,21 +83,15 @@ class Scenario:
 
 @dataclass
 class World:
-    """One run's state over a shared Scenario."""
+    """One run's decision state over a shared Scenario."""
 
     scenario: Scenario
-    eve_positions: np.ndarray         # (E, 3)
-    # copies of the scenario's; the eavesdropper columns follow them
-    link_gain: np.ndarray
-    link_steer: np.ndarray
     beliefs: list
     leader: LeaderState
     roles: dict
     powers: np.ndarray
     prev_kpis: LeaderKpis
     jhn_beams: dict = field(default_factory=dict)
-    eve_waypoints: np.ndarray | None = None
-    eve_leg: np.ndarray | None = None
     entropy_ema: float | None = None
     secrecy_ema: float | None = None
     last_field: np.ndarray | None = None
@@ -91,10 +105,6 @@ class World:
     @property
     def num_hn(self) -> int:
         return self.scenario.hn_positions.shape[0]
-
-    @property
-    def num_eve(self) -> int:
-        return self.eve_positions.shape[0]
 
 
 def _draw_sector_position(rng, run: RunConfig, height: float) -> np.ndarray:
@@ -112,7 +122,7 @@ def bearing_deg(origin: np.ndarray, target: np.ndarray) -> float:
 
 def build_scenario(config: ScenarioConfig, seed: int) -> Scenario:
     """Validate the config, place the nodes, realize the quasi-static
-    channels and the slot-0 link tables, and freeze the result."""
+    channels and the node link tables, and freeze the result."""
     config.validate()
     lam = C_LIGHT / config.carrier.frequency_hz
     bs_spec = ArraySpec.half_wavelength(config.bs.antennas, lam)
@@ -152,7 +162,7 @@ def build_scenario(config: ScenarioConfig, seed: int) -> Scenario:
 
     hn_spec = ArraySpec.half_wavelength(config.hn.array_elements, lam)
     link_gain, link_bearing, link_steer = _link_columns(
-        hn_positions, np.vstack([hn_positions, eve_start]), pair_shadow, pl_model, hn_spec)
+        hn_positions, hn_positions, pair_shadow[:, :k], pl_model, hn_spec)
     np.fill_diagonal(link_gain, 0.0)      # a node does not jam itself
     scenario = Scenario(
         config=config, seed=seed, bs_spec=bs_spec, hn_spec=hn_spec,
@@ -201,9 +211,8 @@ def start_run(scenario: Scenario) -> World:
     # warm role start: the strongest channels begin as transmit nodes, the
     # rest as jammers, so defense is active from the first slot
     ranked = np.argsort(-scenario.hn_norm2)
-    world = World(
-        scenario=scenario, eve_positions=scenario.eve_start.copy(),
-        link_gain=scenario.link_gain.copy(), link_steer=scenario.link_steer.copy(),
+    return World(
+        scenario=scenario,
         beliefs=[uniform_prior(config.belief.grid_size, j) for j in range(e)],
         leader=LeaderState(Broadcast(lead.alpha_init, lead.beta_init, lead.gamma_init,
                                      lead.pi_init, lead.tau_init, lead.kappa_init),
@@ -212,10 +221,6 @@ def start_run(scenario: Scenario) -> World:
                for rank, u in enumerate(ranked)},
         powers=np.zeros(k),
         prev_kpis=LeaderKpis(secrecy=lead.r_s_target))
-    if config.eve.mobility == "waypoint":
-        world.eve_leg = np.zeros(e, dtype=int)
-        world.eve_waypoints = np.stack([_next_waypoint(world, j) for j in range(e)])
-    return world
 
 
 def init_scenario(config: ScenarioConfig, seed: int) -> World:
@@ -223,38 +228,39 @@ def init_scenario(config: ScenarioConfig, seed: int) -> World:
     return start_run(build_scenario(config, seed))
 
 
-def _next_waypoint(world: World, eve_id: int) -> np.ndarray:
-    leg = int(world.eve_leg[eve_id])
-    world.eve_leg[eve_id] = leg + 1
-    rng = substream(world.scenario.seed, STREAM_WAYPOINT, eve_id, leg)
-    return _draw_sector_position(rng, world.config.run, world.config.eve.height_m)
+def _waypoint_walk(config: ScenarioConfig, seed: int, start: np.ndarray):
+    """Eavesdropper positions slot after slot from `start`: each moves toward
+    its waypoint and draws the next one on arrival. It takes no Scenario, so
+    the walk a Scenario caches holds no reference back to it."""
+    step = config.eve.speed_mps * config.run.slot_duration_s
+    r_min = config.run.min_node_distance_m
+    legs = np.zeros(len(start), dtype=int)   # the first waypoint is leg 0
 
+    def next_waypoint(eve_id: int) -> np.ndarray:
+        leg = int(legs[eve_id])
+        legs[eve_id] = leg + 1
+        rng = substream(seed, STREAM_WAYPOINT, eve_id, leg)
+        return _draw_sector_position(rng, config.run, config.eve.height_m)
 
-def step_eves(world: World) -> None:
-    """Advance eavesdroppers toward their waypoints, redrawing on arrival,
-    and refresh the eavesdropper columns of the run's link tables."""
-    if world.config.eve.mobility != "waypoint":
-        return
-    step = world.config.eve.speed_mps * world.config.run.slot_duration_s
-    r_min = world.config.run.min_node_distance_m
-    for j in range(world.num_eve):
-        pos = world.eve_positions[j]
-        target = world.eve_waypoints[j]
-        delta = target - pos
-        dist = np.linalg.norm(delta)
-        if dist <= step:
-            world.eve_positions[j] = target
-            world.eve_waypoints[j] = _next_waypoint(world, j)
-        else:
-            world.eve_positions[j] = pos + delta * (step / dist)
-        ground = world.eve_positions[j][:2]
-        radius = np.linalg.norm(ground)
-        if 0 < radius < r_min:  # keep mobile nodes outside the exclusion disc
-            world.eve_positions[j][:2] = ground * (r_min / radius)
-    k, scn = world.num_hn, world.scenario
-    world.link_gain[:, k:], _, world.link_steer[:, k:] = _link_columns(
-        scn.hn_positions, world.eve_positions, scn.pair_shadow[:, k:], scn.pl_model,
-        scn.hn_spec)
+    positions = start
+    waypoints = np.stack([next_waypoint(j) for j in range(len(legs))])
+    while True:
+        yield positions
+        positions = positions.copy()
+        for j in range(len(legs)):
+            pos, target = positions[j], waypoints[j]
+            delta = target - pos
+            dist = np.linalg.norm(delta)
+            if dist <= step:
+                positions[j] = target
+                waypoints[j] = next_waypoint(j)
+            else:
+                positions[j] = pos + delta * (step / dist)
+            ground = positions[j][:2]
+            radius = np.linalg.norm(ground)
+            if 0 < radius < r_min:  # keep mobile nodes outside the exclusion disc
+                positions[j][:2] = ground * (r_min / radius)
+        positions.setflags(write=False)
 
 
 def _link_columns(nodes: np.ndarray, victims: np.ndarray, shadow: np.ndarray,

@@ -16,6 +16,7 @@ from secure_isac.belief import BeliefState, default_grid
 from secure_isac.channel import noise_power, path_loss_db, PathLossModel
 from secure_isac.config import PowerModelConfig, ScenarioConfig, StrategyId
 from secure_isac.engine import bearing_deg, init_scenario, run_simulation, run_slot
+from secure_isac.followers import FeasibilitySpec
 from secure_isac.link import SlotContext, outage_metrics, power_accounting, see
 
 logging.disable(logging.WARNING)
@@ -51,6 +52,13 @@ def suite():
         timing[strategy] = time.monotonic() - started
         runs[strategy] = (traces, summaries)
     return runs, timing
+
+
+def feasible(powers, spec: FeasibilitySpec, ctx: SlotContext):
+    """Per profile of a (..., K) block: True iff every box bound, the
+    aggregate budget, and every leakage cap hold (closed constraints)."""
+    p = np.asarray(powers, dtype=float)
+    return spec.admits(p, ctx.leakage_at_served(p))
 
 
 def report(number, text):
@@ -133,8 +141,7 @@ class TestAcceptance:
                   f"({elapsed:.0f}s < 5 min)")
 
     def test_07_bruteforce_equivalence(self):
-        from secure_isac.followers import (FeasibilitySpec, Role, equilibrium_gap,
-                                           feasible, gne_solve)
+        from secure_isac.followers import Role, equilibrium_gap, gne_solve
         from secure_isac.leader import Broadcast
         from secure_isac.link import SlotContext
         from secure_isac.refinement import Coalition, coalition_refine
@@ -236,7 +243,7 @@ class TestAcceptance:
             run_slot(world, StrategyId.IBEAMS, t)
             if t <= 15:
                 continue
-            truth = bearing_deg(np.zeros(3), world.eve_positions[0])
+            truth = bearing_deg(np.zeros(3), world.scenario.eve_positions(t)[0])
             est = world.beliefs[0].argmax_deg
             total += 1
             hits += abs(est - truth) <= 10.0

@@ -1,8 +1,10 @@
+import gc
 import logging
 import os
 import subprocess
 import sys
 import textwrap
+import weakref
 from dataclasses import astuple, replace
 from pathlib import Path
 
@@ -14,19 +16,19 @@ from hypothesis import strategies as st
 import secure_isac
 from secure_isac import engine
 from secure_isac.arrays import steering_vector
-from secure_isac.channel import (STREAM_FADE, STREAM_PAIR_SHADOW, linear_gain,
-                                  path_loss_db, substream)
+from secure_isac.channel import (STREAM_FADE, STREAM_PAIR_SHADOW, STREAM_WAYPOINT,
+                                  linear_gain, path_loss_db, substream)
 from secure_isac.config import ConfigError, ScenarioConfig, StrategyId, parse_config
 from secure_isac.engine import (
     bearing_deg,
     init_scenario,
     run_simulation,
     run_slot,
-    step_eves,
 )
 from secure_isac.followers import Role
 from secure_isac.leader import Broadcast, LeaderState, leader_step
 from secure_isac.refinement import ray_aim
+from secure_isac.scenario import _draw_sector_position, build_scenario
 
 logging.disable(logging.WARNING)
 
@@ -48,14 +50,14 @@ class TestInitScenario:
         a = init_scenario(cfg, 3)
         b = init_scenario(cfg, 3)
         assert np.array_equal(a.scenario.hn_positions, b.scenario.hn_positions)
-        assert np.array_equal(a.eve_positions, b.eve_positions)
+        assert np.array_equal(a.scenario.eve_positions(0), b.scenario.eve_positions(0))
         for ha, hb in zip(a.scenario.hn_channels, b.scenario.hn_channels):
             assert np.array_equal(ha, hb)
 
     def test_counts_match_config(self):
         world = init_scenario(small_config(), 1)
         assert world.num_hn == 6
-        assert world.num_eve == 2
+        assert world.scenario.eve_positions(0).shape == (2, 3)
         assert len(world.beliefs) == 2
 
     def test_degenerate_radius_rejected(self):
@@ -67,7 +69,7 @@ class TestInitScenario:
     def test_positions_in_forward_sector(self):
         cfg = small_config(hn__count=20, eve__count=10)
         world = init_scenario(cfg, 5)
-        for pos in np.vstack([world.scenario.hn_positions, world.eve_positions]):
+        for pos in np.vstack([world.scenario.hn_positions, world.scenario.eve_positions(0)]):
             radius = np.linalg.norm(pos[:2])
             assert cfg.run.min_node_distance_m <= radius <= cfg.run.cell_radius_m + 1e-9
             assert pos[0] > 0.0  # bearings stay inside the tracked grid
@@ -82,32 +84,29 @@ class TestMobility:
     def test_static_positions_fixed(self):
         cfg = small_config()
         world = init_scenario(cfg, 1)
-        before = world.eve_positions.copy()
+        before = world.scenario.eve_positions(0).copy()
         for t in range(1, 4):
             run_slot(world, StrategyId.FIXED_AN, t)
-        assert np.array_equal(world.eve_positions, before)
+            assert np.array_equal(world.scenario.eve_positions(t), before)
 
     def test_displacement_bound(self):
         cfg = small_config(eve__mobility="waypoint", eve__speed_mps=3.0)
-        world = init_scenario(cfg, 2)
-        start = world.eve_positions.copy()
+        scn = build_scenario(cfg, 2)
+        start = scn.eve_positions(0)
         steps = 50
-        for t in range(1, steps + 1):
-            step_eves(world)
         step_len = cfg.eve.speed_mps * cfg.run.slot_duration_s
-        moved = np.linalg.norm(world.eve_positions - start, axis=1)
+        moved = np.linalg.norm(scn.eve_positions(steps) - start, axis=1)
         assert np.all(moved <= steps * step_len + 1e-9)
 
     def test_long_run_covers_sector(self):
         # waypoint wandering visits every radial/angular cell of the sector
         cfg = small_config(eve__mobility="waypoint", eve__speed_mps=25.0)
-        world = init_scenario(cfg, 3)
+        scn = build_scenario(cfg, 3)
         r_edges = np.linspace(cfg.run.min_node_distance_m, cfg.run.cell_radius_m, 4)
         a_edges = np.linspace(-90.0, 90.0, 5)
         visited = np.zeros((3, 4), dtype=bool)
         for t in range(1, 20001):
-            step_eves(world)
-            for pos in world.eve_positions:
+            for pos in scn.eve_positions(t):
                 radius = np.linalg.norm(pos[:2])
                 angle = bearing_deg(np.zeros(3), pos)
                 ri = min(np.searchsorted(r_edges, radius) - 1, 2)
@@ -118,13 +117,89 @@ class TestMobility:
 
     def test_positions_stay_in_sector_under_mobility(self):
         cfg = small_config(eve__mobility="waypoint", eve__speed_mps=25.0)
-        world = init_scenario(cfg, 4)
+        scn = build_scenario(cfg, 4)
         for t in range(1, 2000):
-            step_eves(world)
-            for pos in world.eve_positions:
+            for pos in scn.eve_positions(t):
                 radius = np.linalg.norm(pos[:2])
                 assert radius <= cfg.run.cell_radius_m + 1e-6
                 assert radius >= cfg.run.min_node_distance_m - 1e-6
+
+
+class ReferenceWalk:
+    """Reference waypoint walk, stepped in place one slot at a time: the
+    positions, waypoints and leg counters are mutable state of the walker."""
+
+    def __init__(self, scenario):
+        self.scenario, self.config = scenario, scenario.config
+        e = len(scenario.eve_start)
+        self.eve_positions = scenario.eve_start.copy()
+        self.eve_leg = np.zeros(e, dtype=int)
+        self.eve_waypoints = np.stack([self.next_waypoint(j) for j in range(e)])
+
+    def next_waypoint(self, eve_id):
+        leg = int(self.eve_leg[eve_id])
+        self.eve_leg[eve_id] = leg + 1
+        rng = substream(self.scenario.seed, STREAM_WAYPOINT, eve_id, leg)
+        return _draw_sector_position(rng, self.config.run, self.config.eve.height_m)
+
+    def step(self):
+        step = self.config.eve.speed_mps * self.config.run.slot_duration_s
+        r_min = self.config.run.min_node_distance_m
+        for j in range(len(self.eve_positions)):
+            pos = self.eve_positions[j]
+            target = self.eve_waypoints[j]
+            delta = target - pos
+            dist = np.linalg.norm(delta)
+            if dist <= step:
+                self.eve_positions[j] = target
+                self.eve_waypoints[j] = self.next_waypoint(j)
+            else:
+                self.eve_positions[j] = pos + delta * (step / dist)
+            ground = self.eve_positions[j][:2]
+            radius = np.linalg.norm(ground)
+            if 0 < radius < r_min:
+                self.eve_positions[j][:2] = ground * (r_min / radius)
+
+
+class TestScenarioWalk:
+    CFG = dict(eve__mobility="waypoint", eve__speed_mps=25.0)
+
+    @pytest.mark.parametrize("seed", [4, 11])
+    def test_matches_per_run_walk_bitwise(self, seed):
+        scn = build_scenario(small_config(**self.CFG), seed)
+        reference = ReferenceWalk(scn)
+        for t in range(2000):
+            if t > 0:
+                reference.step()
+            assert scn.eve_positions(t).tobytes() == reference.eve_positions.tobytes(), t
+
+    def test_out_of_order_calls_agree(self):
+        cfg = small_config(**self.CFG)
+        in_order = build_scenario(cfg, 4)
+        walked = [in_order.eve_positions(t).tobytes() for t in range(1501)]
+        jumped = build_scenario(cfg, 4)
+        late, early = jumped.eve_positions(1500), jumped.eve_positions(10)
+        assert (late.tobytes(), early.tobytes()) == (walked[1500], walked[10])
+
+    def test_walked_scenario_freed_without_the_cycle_collector(self):
+        # the cached walk must not refer back to its Scenario: a cycle would
+        # keep every walked scenario alive until a full collection
+        scn = build_scenario(small_config(**self.CFG), 4)
+        scn.eve_positions(5)
+        ref = weakref.ref(scn)
+        gc.disable()
+        try:
+            del scn
+            assert ref() is None
+        finally:
+            gc.enable()
+
+    @pytest.mark.parametrize("mobility", ["static", "waypoint"])
+    def test_positions_read_only(self, mobility):
+        scn = build_scenario(small_config(eve__mobility=mobility), 4)
+        for t in (0, 3):
+            with pytest.raises(ValueError):
+                scn.eve_positions(t)[0, 0] = 0.0
 
 
 def reference_pair_shadow(seed, k, e):
@@ -139,8 +214,9 @@ def reference_pair_shadow(seed, k, e):
 
 def reference_gain_tables(world, slot):
     """Per-pair faded path gains and bearings, recomputed from the positions."""
-    scn, k, e = world.scenario, world.num_hn, world.num_eve
-    targets = np.vstack([scn.hn_positions, world.eve_positions])
+    scn = world.scenario
+    targets = np.vstack([scn.hn_positions, scn.eve_positions(slot)])
+    k, e = world.num_hn, len(targets) - world.num_hn
     fades = substream(scn.seed, STREAM_FADE, slot).exponential(1.0, size=(k, k + e))
     path = np.zeros((k, k + e))
     bearings = np.zeros((k, k + e))
@@ -175,28 +251,28 @@ class TestLinkTables:
                            eve__speed_mps=25.0)
         world = init_scenario(cfg, seed)
         assert np.array_equal(world.scenario.pair_shadow, reference_pair_shadow(seed, k, e))
-        nodes = world.scenario.link_gain[:, :k]
+        nodes = world.scenario.link_gain
+        assert nodes.shape == (k, k)
         assert np.array_equal(nodes, nodes.T) and np.all(np.diagonal(nodes) == 0.0)
         for slot in range(3):
-            if slot > 0:
-                step_eves(world)
+            _, node_path, link_steer = engine._slot_inputs(world.scenario, slot)
             path, bearings = reference_gain_tables(world, slot)
             # the array form rounds apart from the per-pair scalar arithmetic
-            np.testing.assert_allclose(engine._node_gain_tables(world, slot), path,
-                                       rtol=1e-13, atol=0)
-            assert np.array_equal(world.scenario.link_bearing[:, :k], bearings[:, :k])
-            np.testing.assert_allclose(world.link_steer, reference_steer(world, bearings),
+            np.testing.assert_allclose(node_path, path, rtol=1e-13, atol=0)
+            assert np.array_equal(world.scenario.link_bearing, bearings[:, :k])
+            np.testing.assert_allclose(link_steer, reference_steer(world, bearings),
                                        rtol=0, atol=1e-15)
-            assert np.array_equal(world.link_gain[:, :k], nodes)
+            fades = substream(seed, STREAM_FADE, slot).exponential(1.0, size=(k, k + e))
+            assert np.array_equal(node_path[:, :k], nodes * fades[:, :k])
 
 
-def reference_pattern_table(world, beams):
+def reference_pattern_table(link_steer, beams):
     """Transmit pattern gains, one node row at a time through a BLAS product."""
-    n = world.scenario.hn_spec.num_elements
+    k, v, n = link_steer.shape
     uniform = np.ones(n, dtype=complex) / np.sqrt(n)
-    pattern = np.zeros(world.link_gain.shape)
-    for i in range(world.num_hn):
-        pattern[i] = np.abs(world.link_steer[i].conj() @ beams.get(i, uniform)) ** 2
+    pattern = np.zeros((k, v))
+    for i in range(k):
+        pattern[i] = np.abs(link_steer[i].conj() @ beams.get(i, uniform)) ** 2
         pattern[i, i] = 0.0
     return pattern
 
@@ -230,8 +306,8 @@ class TestSlotArrayForms:
             beams[u] = w / np.linalg.norm(w)
         # entries are at most 1, so atol (a few ulps of 1) covers the
         # rounding of entries near a pattern null
-        np.testing.assert_allclose(engine._pattern_table(world, beams),
-                                   reference_pattern_table(world, beams),
+        np.testing.assert_allclose(engine._pattern_table(state.link_steer, beams),
+                                   reference_pattern_table(state.link_steer, beams),
                                    rtol=1e-13, atol=2e-15)
         drawn = data.draw(st.lists(st.integers(0, k - 1), unique=True,
                                    max_size=cfg.bs.num_rf))
@@ -274,7 +350,7 @@ class TestRunSlot:
         assert abs(record.alpha + record.beta + record.gamma - 1.0) <= 1e-9
         assert record.n_thn + record.n_jhn == world.num_hn
         assert record.bs_power_dbm == pytest.approx(41.7609, abs=1e-3)
-        assert len(record.entropy_per_eve) == world.num_eve
+        assert len(record.entropy_per_eve) == world.config.eve.count
 
     def test_strategy_gating(self):
         cfg = small_config()

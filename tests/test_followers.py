@@ -15,13 +15,19 @@ from secure_isac.followers import (
     best_response,
     candidate_utilities,
     equilibrium_gap,
-    feasible,
     gne_solve,
     role_switch,
     trial_block,
 )
 from secure_isac.leader import Broadcast
 from secure_isac.link import JAM_CREDIT, SlotContext
+
+
+def feasible(powers, spec: FeasibilitySpec, ctx: SlotContext):
+    """Per profile of a (..., K) block: True iff every box bound, the
+    aggregate budget, and every leakage cap hold (closed constraints)."""
+    p = np.asarray(powers, dtype=float)
+    return spec.admits(p, ctx.leakage_at_served(p))
 
 
 def jam_contribution(ctx: SlotContext, k: int, powers):

@@ -6,9 +6,9 @@ from dataclasses import FrozenInstanceError, fields
 import numpy as np
 import pytest
 
-from secure_isac import engine
+from secure_isac import engine, scenario as scenario_module
 from secure_isac.config import ScenarioConfig, StrategyId, serialize_config
-from secure_isac.scenario import build_scenario, init_scenario, start_run
+from secure_isac.scenario import World, build_scenario, init_scenario, start_run
 
 logging.disable(logging.WARNING)
 
@@ -72,14 +72,47 @@ class TestRunCompare:
             built.append(seed)
             return build_scenario(config, seed)
 
+        walked = []
+        real_walk = scenario_module._waypoint_walk
+
+        def counting_walk(config, seed, start):
+            for positions in real_walk(config, seed, start):
+                walked.append(seed)
+                yield positions
+
         monkeypatch.setattr(engine, "build_scenario", counting_build)
+        monkeypatch.setattr(scenario_module, "_waypoint_walk", counting_walk)
         cfg = small_config("waypoint")
         cfg.run.slots = 2
         cfg.run.replications = 2
         results = engine.run_compare(cfg)
         assert built == [cfg.run.seed, cfg.run.seed + 1]
+        # one walk per replication, shared by the five strategies: each
+        # yields its two slots once
+        assert walked == [cfg.run.seed] * 2 + [cfg.run.seed + 1] * 2
         assert list(results) == list(StrategyId)
         for strategy, result in results.items():
             alone = engine.run_simulation(cfg, strategy)
             assert result.traces == alone.traces
             assert result.summary == alone.summary
+
+    def test_exogenous_inputs_shared_across_strategies(self):
+        cfg = small_config("waypoint")
+        cfg.run.slots = SLOTS
+        results = engine.run_compare(cfg)
+        scenarios = {id(r.worlds[0].scenario) for r in results.values()}
+        assert len(scenarios) == 1
+        shared = results[StrategyId.IBEAMS].worlds[0].scenario
+        fresh = build_scenario(cfg, cfg.run.seed)
+        for t in range(SLOTS):
+            ran, new = engine._slot_inputs(shared, t), engine._slot_inputs(fresh, t)
+            assert [a.tobytes() for a in ran] == [a.tobytes() for a in new], t
+
+
+def test_world_holds_only_decision_state():
+    # a run's state is what its decisions change; anything a decision cannot
+    # move belongs on the Scenario
+    assert {f.name for f in fields(World)} == {
+        "scenario", "beliefs", "leader", "roles", "powers", "prev_kpis",
+        "jhn_beams", "entropy_ema", "secrecy_ema", "last_field",
+        "last_coalitions", "belief_history"}
