@@ -24,16 +24,15 @@ class BeliefState:
         return float(self.grid_deg[int(np.argmax(self.probs))])
 
 
-def default_grid(size: int = 181, lo: float = -90.0, hi: float = 90.0) -> np.ndarray:
-    return np.linspace(lo, hi, size)
+def default_grid(size: int) -> np.ndarray:
+    return np.linspace(-90.0, 90.0, size)
 
 
-def uniform_prior(grid_size: int = 181, eve_id: int = 0, lo: float = -90.0,
-                  hi: float = 90.0) -> BeliefState:
+def uniform_prior(grid_size: int, eve_id: int = 0) -> BeliefState:
     """Maximum-entropy prior over the bearing grid."""
     if grid_size < 2:
         raise ValueError(f"grid_size must be >= 2, got {grid_size}")
-    grid = default_grid(grid_size, lo, hi)
+    grid = default_grid(grid_size)
     return BeliefState(grid, np.full(grid_size, 1.0 / grid_size), eve_id)
 
 
@@ -67,10 +66,8 @@ def entropy(belief: BeliefState) -> float:
 
 def synthesize_measurement(true_angles_deg, gamma: float,
                            noise_sigma_deg: float, rng: np.random.Generator,
-                           grid_deg: np.ndarray | None = None,
-                           bs_power_w: float = 15.0,
-                           bump_width_deg: float = 2.0,
-                           floor_scale: float = 0.005) -> np.ndarray:
+                           grid_deg: np.ndarray, bs_power_w: float,
+                           bump_width_deg: float, floor_scale: float) -> np.ndarray:
     """Nonnegative angular scan: one blurred return per true emitter plus a
     noise floor.
 
@@ -81,8 +78,6 @@ def synthesize_measurement(true_angles_deg, gamma: float,
     """
     if gamma < 0:
         raise ValueError("gamma must be >= 0")
-    if grid_deg is None:
-        grid_deg = default_grid()
     floor_mean = floor_scale * bs_power_w
     z = rng.exponential(floor_mean, size=grid_deg.shape[0]) if floor_mean > 0 \
         else np.zeros(grid_deg.shape[0])
@@ -94,7 +89,7 @@ def synthesize_measurement(true_angles_deg, gamma: float,
     return z
 
 
-def update(belief: BeliefState, z: np.ndarray, k_eff: float = 1.0) -> BeliefState:
+def update(belief: BeliefState, z: np.ndarray, k_eff: float) -> BeliefState:
     """Bayesian update with pseudo-likelihood z^k_eff, renormalized.
 
     Degenerate evidence (all-zero scan, or a posterior that would vanish)
@@ -118,7 +113,7 @@ def update(belief: BeliefState, z: np.ndarray, k_eff: float = 1.0) -> BeliefStat
 
 
 def kernel_adapt(sigma: float, entropy_bits: float, h_max: float, eta_sigma: float,
-                 sigma_min: float = 1.0, sigma_max: float = 45.0) -> float:
+                 sigma_min: float, sigma_max: float) -> float:
     """Widen the prediction kernel when uncertainty exceeds its budget, shrink
     it otherwise; clamped to [sigma_min, sigma_max]."""
     if sigma <= 0:

@@ -39,7 +39,7 @@ class PathLossModel:
 
     pl_1m_db: float
     exponent: float
-    shadow_sigma_db: float = 0.0
+    shadow_sigma_db: float
 
     def __post_init__(self):
         if self.exponent <= 0:
@@ -49,7 +49,7 @@ class PathLossModel:
 
     @classmethod
     def friis_reference(cls, carrier_hz: float, exponent: float,
-                        shadow_sigma_db: float = 0.0) -> "PathLossModel":
+                        shadow_sigma_db: float) -> "PathLossModel":
         """Anchor the 1 m reference loss at free-space Friis for the carrier."""
         lam = C_LIGHT / carrier_hz
         pl_1m = 20.0 * np.log10(4.0 * np.pi / lam)

@@ -19,6 +19,8 @@ import numbers
 from dataclasses import dataclass, field, fields
 from enum import Enum
 
+from .channel import noise_power
+
 
 class ConfigError(ValueError):
     """Carries every validation violation at once."""
@@ -251,6 +253,12 @@ class ScenarioConfig:
             init, lo, hi = (getattr(lead, f"{price}_{end}") for end in ("init", "min", "max"))
             rule((f"leader.{price}_init", f"leader.{price}_min", f"leader.{price}_max"),
                  lambda: lo <= init <= hi, f"must lie in [{lo}, {hi}]")
+        # the leakage cap, a multiple of the noise power, can underflow to 0 W
+        rule(("followers.xi_max_scale", "noise.psd_dbm_per_hz", "carrier.bandwidth_hz",
+              "noise.noise_figure_db"),
+             lambda: c.followers.xi_max_scale * noise_power(
+                 c.noise.psd_dbm_per_hz, c.carrier.bandwidth_hz, c.noise.noise_figure_db) > 0,
+             "leakage cap (times the noise power) must be > 0 W")
         rule(("belief.sigma_min_deg", "belief.sigma_max_deg"),
              lambda: c.belief.sigma_min_deg <= c.belief.sigma_max_deg,
              "must be <= sigma_max_deg")

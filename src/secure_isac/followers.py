@@ -41,10 +41,10 @@ class FeasibilitySpec:
     budget, the per-served-node leakage cap, and the grid_points evenly spaced
     powers over the box that every node chooses from."""
 
-    p_max: float = 1.5
-    p_fj_max: float = 12.0
-    xi_max: float = 2e-12
-    grid_points: int = 21
+    p_max: float
+    p_fj_max: float
+    xi_max: float
+    grid_points: int
 
     def __post_init__(self):
         if self.p_max <= 0 or self.p_fj_max <= 0 or self.xi_max <= 0:
@@ -231,7 +231,7 @@ def equilibrium_gap(powers: np.ndarray, broadcast: Broadcast, ctx: SlotContext,
 
 def gne_solve(roles: dict, powers: np.ndarray, broadcast: Broadcast, ctx: SlotContext,
               spec: FeasibilitySpec, eta: float, cost: float,
-              max_iters: int = 50) -> GneResult:
+              max_iters: int) -> GneResult:
     """Gauss-Seidel best-response sweeps from the start profile `powers` until
     a sweep moves no node: an exact fixed point on spec.grid.
 

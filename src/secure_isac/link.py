@@ -34,7 +34,7 @@ class PrecoderSet:
     beams: np.ndarray    # (N, U), unit-norm columns
 
 
-def build_precoder(thn_channels, num_rf: int, rzf_reg: float = 1e-3) -> PrecoderSet:
+def build_precoder(thn_channels, num_rf: int, rzf_reg: float) -> PrecoderSet:
     """Phase-only sub-array analog stage plus regularized zero-forcing digital stage.
 
     RF chain b is aligned with scheduled node b's channel restricted to its
@@ -79,7 +79,7 @@ def build_precoder(thn_channels, num_rf: int, rzf_reg: float = 1e-3) -> Precoder
     return PrecoderSet(analog, digital, beams)
 
 
-def an_projector(thn_channels, num_antennas: int | None = None) -> np.ndarray:
+def an_projector(thn_channels, num_antennas: int) -> np.ndarray:
     """Orthonormal basis Q (N, U) of the span of the stacked scheduled channels.
 
     Artificial noise is radiated through the projector I - QQ^H onto the
@@ -88,12 +88,9 @@ def an_projector(thn_channels, num_antennas: int | None = None) -> np.ndarray:
     """
     channels = list(thn_channels)
     if not channels:
-        if num_antennas is None:
-            raise ValueError("num_antennas required for an empty channel set")
         return np.zeros((num_antennas, 0), dtype=complex)
-    n = channels[0].shape[0]
-    if len(channels) >= n:
-        raise NoNullspaceError(f"{len(channels)} channels span all {n} antennas")
+    if len(channels) >= num_antennas:
+        raise NoNullspaceError(f"{len(channels)} channels span all {num_antennas} antennas")
     span, _ = np.linalg.qr(np.stack(channels).T)   # reduced: (N, U)
     return span
 
@@ -189,8 +186,8 @@ class SlotContext:
     eve_an_w: np.ndarray        # (E,) AN power at each eavesdropper
     jam_to_eve: np.ndarray      # (K, E)
     jam_to_thn: np.ndarray      # (K, U)
-    eve_noise_w: float = 0.0
-    jam_to_hn: np.ndarray | None = None     # (K, K)
+    eve_noise_w: float          # eavesdropper noise floor
+    jam_to_hn: np.ndarray       # (K, K)
 
     @property
     def num_eves(self) -> int:

@@ -21,6 +21,7 @@ from .link import SlotContext
 log = logging.getLogger(__name__)
 
 MAX_ROUNDS = 8  # coordinate-ascent sweeps per coalition_refine call
+RAY_SAMPLES = 7  # range samples along a bearing ray per ray_aim call
 
 
 @dataclass
@@ -63,19 +64,18 @@ def form_coalitions(peaks, jhn_bearings_deg: dict, assoc_width_deg: float):
 
 
 def ray_aim(node_pos: np.ndarray, peak_bearing_deg: float, spec: ArraySpec,
-            radii: tuple, height_m: float, exponent: float,
-            num_samples: int = 7) -> float:
+            radii: tuple, height_m: float, exponent: float) -> float:
     """Aim angle maximizing expected delivered power along the bearing ray.
 
     The posterior fixes only the adversary's bearing from the base station,
-    so the jammer at node_pos scores candidate aims against range samples
-    over radii = (r_min, r_max) along that ray, at height_m, weighted by its
-    own path loss (exponent) to each sample point.
+    so the jammer at node_pos scores candidate aims against RAY_SAMPLES range
+    samples over radii = (r_min, r_max) along that ray, at height_m, weighted
+    by its own path loss (exponent) to each sample point.
     """
     theta = np.radians(peak_bearing_deg)
-    ranges = np.linspace(radii[0], radii[1], num_samples)
+    ranges = np.linspace(radii[0], radii[1], RAY_SAMPLES)
     points = np.stack([ranges * np.cos(theta), ranges * np.sin(theta),
-                       np.full(num_samples, height_m)], axis=1)
+                       np.full(RAY_SAMPLES, height_m)], axis=1)
     d = points - node_pos
     bearings = np.degrees(np.arctan2(d[:, 1], d[:, 0]))
     dists = np.maximum(np.linalg.norm(d, axis=1), 1.0)
@@ -151,8 +151,8 @@ def synthesize_field(coalitions, aim_deg: dict, null_deg: dict,
 
 def coalition_refine(coalition: Coalition, powers: np.ndarray, ctx: SlotContext,
                      spec: FeasibilitySpec, j_min: float, field_gains: dict,
-                     posterior_probs: np.ndarray, rate_floor: float = 0.0,
-                     power_penalty_per_w: float = 1e-3) -> np.ndarray:
+                     posterior_probs: np.ndarray, rate_floor: float,
+                     power_penalty_per_w: float) -> np.ndarray:
     """Re-optimize coalition member powers for aggregate served secrecy.
 
     Members move on spec.grid subject to the box, aggregate budget and
@@ -237,10 +237,9 @@ class RefinementResult:
 def refinement_loop(coalitions, posterior: np.ndarray, aim_deg: dict, null_deg: dict,
                     powers: np.ndarray, ctx: SlotContext, context_builder,
                     array_spec: ArraySpec, grid_deg: np.ndarray,
-                    spec: FeasibilitySpec, j_min_fraction: float = 0.1,
-                    rate_floor: float = 0.0, delta_stop: float = 0.01,
-                    max_iters: int = 10,
-                    power_penalty_per_w: float = 1e-3) -> RefinementResult:
+                    spec: FeasibilitySpec, j_min_fraction: float, rate_floor: float,
+                    delta_stop: float, max_iters: int,
+                    power_penalty_per_w: float) -> RefinementResult:
     """Synthesize the coalitions' beams, then iterate power refinement under
     them until the aggregate-secrecy improvement falls below the stopping
     threshold. Iterations that would reduce aggregate secrecy are rejected,

@@ -166,15 +166,17 @@ class TestAcceptance:
                 jam_to_eve=rng.uniform(0, 3e-10, (n, n_eve)),
                 jam_to_thn=np.concatenate(
                     [np.zeros((1, 1)), rng.uniform(0, 4e-13, (n - 1, 1))]),
+                eve_noise_w=0.0, jam_to_hn=None,
             )
-            spec = FeasibilitySpec(p_fj_max=rng.uniform(1.0, 4.0),
+            spec = FeasibilitySpec(p_max=1.5, p_fj_max=rng.uniform(1.0, 4.0),
                                    xi_max=rng.uniform(2e-13, 2e-12), grid_points=11)
             roles = [Role.THN] + [Role.JHN] * (n - 1)
             # all players share one power cost, as in the engine; drawing n
             # values keeps the random stream of the later toys unchanged
             cost = rng.uniform(0.2, 0.8, n)[0]
             role_map = {i: roles[i] for i in range(n)}
-            result = gne_solve(role_map, np.zeros(n), bc, ctx, spec, 1.0, cost)
+            result = gne_solve(role_map, np.zeros(n), bc, ctx, spec, 1.0, cost,
+                               max_iters=50)
             assert result.converged, f"toy {trial} did not converge"
             # membership in the enumerated epsilon-GNE set: the set is exactly
             # the feasible grid profiles whose exhaustive unilateral-scan gap
@@ -200,11 +202,13 @@ class TestAcceptance:
                 eve_capture_w=np.array([5e-10]), eve_an_w=np.array([2e-11]),
                 jam_to_eve=np.array([[0.0], [j2e[0]], [j2e[1]]]),
                 jam_to_thn=np.array([[0.0], [j2t[0]], [j2t[1]]]),
+                eve_noise_w=0.0, jam_to_hn=None,
             )
             got = coalition_refine(
                 Coalition([1, 2], 0.0), np.zeros(3), ctx,
                 FeasibilitySpec(p_max=1.5, p_fj_max=fj, xi_max=xi_max, grid_points=11),
-                j_min=0.0, field_gains=flat_gains, posterior_probs=uniform_post)
+                j_min=0.0, field_gains=flat_gains, posterior_probs=uniform_post,
+                rate_floor=0.0, power_penalty_per_w=1e-3)
             combos, vals = [], []
             for a in grid:
                 for b in grid:
@@ -255,7 +259,7 @@ class TestAcceptance:
     def test_09_beampattern_nulls(self):
         from secure_isac.refinement import Coalition, synthesize_field
         spec128 = ArraySpec.half_wavelength(128, 299792458.0 / 28e9)
-        grid = default_grid()
+        grid = default_grid(181)
         coalition = Coalition([0], 12.0)
         synth = synthesize_field([coalition], {0: 12.0}, {0: [-35.0, 50.0]},
                                  spec128, grid)
@@ -314,7 +318,7 @@ class TestAcceptance:
             served=[0], sig_w=np.array([10 ** 1.5]), isi_w=np.zeros(1),
             an_thn_w=np.zeros(1), noise_w=1.0, eve_capture_w=np.array([10 ** 0.5]),
             eve_an_w=np.zeros(1), jam_to_eve=np.zeros((1, 1)),
-            jam_to_thn=np.zeros((1, 1)), eve_noise_w=1.0)
+            jam_to_thn=np.zeros((1, 1)), eve_noise_w=1.0, jam_to_hn=None)
         assert ctx.rates(np.zeros(1))[0] == \
             pytest.approx(2.9704344647437244, rel=rel)
         power = PowerModelConfig(p_rf_w=0.25, p_bb_w=1.0, pa_efficiency=0.4)
@@ -324,7 +328,7 @@ class TestAcceptance:
         probs = np.zeros(181)
         probs[:3] = (0.5, 0.25, 0.25)
         from secure_isac.belief import entropy as belief_entropy
-        assert belief_entropy(BeliefState(default_grid(), probs)) == \
+        assert belief_entropy(BeliefState(default_grid(181), probs)) == \
             pytest.approx(1.5, rel=rel)
         assert belief_entropy(
             __import__("secure_isac.belief", fromlist=["uniform_prior"])

@@ -63,7 +63,7 @@ class TestPredict:
             probs = np.zeros(181)
             inner = rng.random(101)
             probs[40:141] = inner / inner.sum()
-            b = BeliefState(default_grid(), probs)
+            b = BeliefState(default_grid(181), probs)
             assert entropy(predict(b, rng.uniform(0.5, 8.0))) >= entropy(b) - 1e-9
 
     def test_mass_conserved_at_boundary(self):
@@ -79,50 +79,53 @@ class TestEntropy:
     def test_half_quarter_quarter(self):
         probs = np.zeros(181)
         probs[0], probs[1], probs[2] = 0.5, 0.25, 0.25
-        b = BeliefState(default_grid(), probs)
+        b = BeliefState(default_grid(181), probs)
         assert entropy(b) == pytest.approx(1.5, rel=1e-12)
 
     def test_bounds(self):
         rng = np.random.default_rng(1)
         for _ in range(50):
             p = rng.random(181)
-            b = BeliefState(default_grid(), p / p.sum())
+            b = BeliefState(default_grid(181), p / p.sum())
             assert 0.0 <= entropy(b) <= np.log2(181) + 1e-12
 
 
 class TestMeasurement:
     def test_gamma_zero_pure_floor(self):
         rng = np.random.default_rng(2)
-        z = synthesize_measurement([30.0], 0.0, 5.0, rng)
+        z = synthesize_measurement([30.0], 0.0, 5.0, rng, default_grid(181),
+                                   bs_power_w=15.0, bump_width_deg=2.0, floor_scale=0.005)
         assert np.all(z >= 0.0)
         # flat in expectation: no bump structure anywhere near the truth
-        grid = default_grid()
+        grid = default_grid(181)
         near = z[np.abs(grid - 30.0) < 5.0].mean()
         far = z[np.abs(grid - 30.0) > 40.0].mean()
         assert near < 10 * far
 
     def test_noiseless_peak_at_truth(self):
         rng = np.random.default_rng(3)
-        grid = default_grid()
-        z = synthesize_measurement([30.0], 0.2, 0.0, rng,
-                                   floor_scale=0.0)
+        grid = default_grid(181)
+        z = synthesize_measurement([30.0], 0.2, 0.0, rng, grid,
+                                   bs_power_w=15.0, bump_width_deg=2.0, floor_scale=0.0)
         assert abs(grid[np.argmax(z)] - 30.0) <= 1.0
 
     def test_argmax_within_10deg_at_default_noise(self):
         # Monte Carlo: >= 90% of scans peak within +-10 degrees of the truth
         rng = np.random.default_rng(4)
-        grid = default_grid()
+        grid = default_grid(181)
         hits = 0
         for _ in range(1000):
-            z = synthesize_measurement([20.0], 0.15, 5.0, rng)
+            z = synthesize_measurement([20.0], 0.15, 5.0, rng, grid, bs_power_w=15.0,
+                                       bump_width_deg=2.0, floor_scale=0.005)
             if abs(grid[np.argmax(z)] - 20.0) <= 10.0:
                 hits += 1
         assert hits >= 900
 
     def test_negative_gamma_rejected(self):
         with pytest.raises(ValueError):
-            synthesize_measurement([0.0], -0.1, 5.0,
-                                   np.random.default_rng(0))
+            synthesize_measurement([0.0], -0.1, 5.0, np.random.default_rng(0),
+                                   default_grid(181), bs_power_w=15.0,
+                                   bump_width_deg=2.0, floor_scale=0.005)
 
 
 class TestUpdate:
@@ -136,7 +139,7 @@ class TestUpdate:
     def test_vanishing_exponent_keeps_prior(self):
         rng = np.random.default_rng(6)
         p = rng.random(181)
-        b = BeliefState(default_grid(), p / p.sum())
+        b = BeliefState(default_grid(181), p / p.sum())
         z = rng.random(181) + 0.1
         out = update(b, z, 1e-9)
         assert np.max(np.abs(out.probs - b.probs)) < 1e-6
@@ -144,7 +147,7 @@ class TestUpdate:
     def test_larger_exponent_sharpens(self):
         # numeric check over random unimodal scans
         rng = np.random.default_rng(7)
-        grid = default_grid()
+        grid = default_grid(181)
         for _ in range(100):
             b = uniform_prior(181)
             center = rng.uniform(-60, 60)
@@ -171,20 +174,21 @@ class TestUpdate:
 
 class TestKernelAdapt:
     def test_fixed_point(self):
-        assert kernel_adapt(10.0, 4.0, 4.0, 0.5) == 10.0
+        assert kernel_adapt(10.0, 4.0, 4.0, 0.5, sigma_min=1.0, sigma_max=45.0) == 10.0
 
     def test_grows_when_uncertain(self):
-        assert kernel_adapt(10.0, 6.0, 4.0, 0.5) == pytest.approx(11.0)
+        assert kernel_adapt(10.0, 6.0, 4.0, 0.5,
+                            sigma_min=1.0, sigma_max=45.0) == pytest.approx(11.0)
 
     def test_floor_saturates(self):
-        assert kernel_adapt(2.0, 0.0, 4.0, 0.5, sigma_min=1.0) == 1.0
+        assert kernel_adapt(2.0, 0.0, 4.0, 0.5, sigma_min=1.0, sigma_max=45.0) == 1.0
 
     def test_ceiling_saturates(self):
-        assert kernel_adapt(44.0, 10.0, 4.0, 0.5, sigma_max=45.0) == 45.0
+        assert kernel_adapt(44.0, 10.0, 4.0, 0.5, sigma_min=1.0, sigma_max=45.0) == 45.0
 
     def test_invalid_sigma(self):
         with pytest.raises(ValueError):
-            kernel_adapt(0.0, 1.0, 4.0, 0.5)
+            kernel_adapt(0.0, 1.0, 4.0, 0.5, sigma_min=1.0, sigma_max=45.0)
 
 
 class TestContraction:
@@ -196,8 +200,11 @@ class TestContraction:
         entropies = []
         for _ in range(50):
             b = predict(b, sigma)
-            z = synthesize_measurement([25.0], 0.15, 5.0, rng)
+            z = synthesize_measurement([25.0], 0.15, 5.0, rng, b.grid_deg,
+                                       bs_power_w=15.0, bump_width_deg=2.0,
+                                       floor_scale=0.005)
             b = update(b, z, 1.0)
-            sigma = kernel_adapt(sigma, entropy(b), 4.0, 0.5)
+            sigma = kernel_adapt(sigma, entropy(b), 4.0, 0.5, sigma_min=1.0,
+                                 sigma_max=45.0)
             entropies.append(entropy(b))
         assert np.median(entropies[19:50]) < np.median(entropies[0:10])

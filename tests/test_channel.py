@@ -80,7 +80,7 @@ class TestPathLoss:
                 path_loss_db(m, np.array([[5.0, 2.0], [bad, 7.0]]))
 
     def test_friis_reference_28ghz(self):
-        m = PathLossModel.friis_reference(28e9, 2.2)
+        m = PathLossModel.friis_reference(28e9, 2.2, shadow_sigma_db=0.0)
         assert m.pl_1m_db == pytest.approx(61.39094384872776, rel=1e-12)
 
 

@@ -375,6 +375,8 @@ class TestCrossFieldRules:
          "belief.sigma_min_deg: must be <= sigma_max_deg"),
         ({"run": {"min_node_distance_m": 150}},
          "run.cell_radius_m: must exceed min_node_distance_m (150.0)"),
+        ({"followers": {"xi_max_scale": 1e-310}, "noise": {"psd_dbm_per_hz": -200}},
+         "followers.xi_max_scale: leakage cap (times the noise power) must be > 0 W"),
     ])
     def test_rule_names_field_and_message(self, data, error):
         with pytest.raises(ConfigError) as err:
@@ -395,8 +397,12 @@ class TestNonFiniteAndOutOfRangeCli:
         # sums to 1, but with a negative AN share
         ("[leader]\nalpha_init = 1.2\nbeta_init = -0.4\n", "leader.beta_init",
          ["--strategy", "fixed_an"]),
+        # passes every range, but the leakage cap underflows to 0 W
+        ("[followers]\nxi_max_scale = 1e-310\n[noise]\npsd_dbm_per_hz = -200\n",
+         "followers.xi_max_scale", []),
     ], ids=["eve_height_nan", "carrier_frequency_inf", "rician_k_4000",
-            "noise_figure_inf", "rx_gain_inf", "negative_an_share"])
+            "noise_figure_inf", "rx_gain_inf", "negative_an_share",
+            "leakage_cap_underflow"])
     def test_cli_exit_code(self, tmp_path, capsys, text, path, extra):
         cfg = tmp_path / "bad.ini"
         cfg.write_text(text)

@@ -78,12 +78,14 @@ def toy_context():
         eve_an_w=np.array([2e-11]),
         jam_to_eve=np.array([[0.0], [1e-10], [5e-11]]),
         jam_to_thn=np.array([[0.0], [1e-14], [2e-14]]),
+        eve_noise_w=0.0, jam_to_hn=None,
     )
 
 
 ROLES = {0: Role.THN, 1: Role.JHN, 2: Role.JHN}
 ETA, COST = 1.0, 0.5
-BOX = FeasibilitySpec(p_max=1.5)   # the power box is all hn_utility checks
+# the power box is all hn_utility checks
+BOX = FeasibilitySpec(p_max=1.5, p_fj_max=12.0, xi_max=2e-12, grid_points=21)
 
 
 def oracle_utility(u, power, powers, roles, bc):
@@ -145,7 +147,7 @@ class TestUtility:
 
 class TestFeasible:
     def spec(self):
-        return FeasibilitySpec(p_max=1.5, p_fj_max=2.0, xi_max=1e-13)
+        return FeasibilitySpec(p_max=1.5, p_fj_max=2.0, xi_max=1e-13, grid_points=21)
 
     def test_zeros_feasible(self):
         assert feasible(np.zeros(3), self.spec(), toy_context())
@@ -160,23 +162,23 @@ class TestFeasible:
         assert not feasible(p * 1.01, self.spec(), toy_context())
 
     def test_leakage_cap(self):
-        spec = FeasibilitySpec(p_max=1.5, p_fj_max=10.0, xi_max=1e-14)
+        spec = FeasibilitySpec(p_max=1.5, p_fj_max=10.0, xi_max=1e-14, grid_points=21)
         p = np.array([0.0, 1.5, 0.0])  # leakage at node 0: 1.5e-14 > cap
         assert not feasible(p, spec, toy_context())
 
     @pytest.mark.parametrize("p_max", [0.0, -1.5])
     def test_nonpositive_power_box_rejected(self, p_max):
         with pytest.raises(ValueError):
-            FeasibilitySpec(p_max=p_max)
+            FeasibilitySpec(p_max=p_max, p_fj_max=12.0, xi_max=2e-12, grid_points=21)
 
     def test_grid_spans_the_power_box(self):
-        spec = FeasibilitySpec(p_max=3.0, grid_points=5)
+        spec = FeasibilitySpec(p_max=3.0, p_fj_max=12.0, xi_max=2e-12, grid_points=5)
         assert spec.grid.tolist() == [0.0, 0.75, 1.5, 2.25, 3.0]
 
     @pytest.mark.parametrize("points", [1, 0])
     def test_grid_needs_two_points(self, points):
         with pytest.raises(ValueError, match="grid_points"):
-            FeasibilitySpec(grid_points=points)
+            FeasibilitySpec(p_max=1.5, p_fj_max=12.0, xi_max=2e-12, grid_points=points)
 
 
 class TestBestResponse:
@@ -184,7 +186,8 @@ class TestBestResponse:
         # a THN pays for power and gains nothing from it
         ctx = toy_context()
         picks, _ = best_response([0], np.zeros(3), BC, ctx,
-                                 FeasibilitySpec(p_fj_max=10.0, xi_max=1.0), ROLES, ETA,
+                                 FeasibilitySpec(p_max=1.5, p_fj_max=10.0, xi_max=1.0,
+                                                 grid_points=21), ROLES, ETA,
                                  COST)
         assert picks[0] == 0.0
 
@@ -192,7 +195,7 @@ class TestBestResponse:
         # zero-cost jammer with a rewarding price climbs to the largest
         # feasible grid point under the budget
         ctx = toy_context()
-        spec = FeasibilitySpec(p_fj_max=0.9, xi_max=1.0)
+        spec = FeasibilitySpec(p_max=1.5, p_fj_max=0.9, xi_max=1.0, grid_points=21)
         picks, _ = best_response([1], np.zeros(3), BC, ctx, spec, ROLES, ETA, 0.0)
         assert picks[0] == pytest.approx(0.9)
 
@@ -200,7 +203,7 @@ class TestBestResponse:
         # brute-force oracle: exhaustive scan of the same grid with the
         # independently coded utility
         ctx = toy_context()
-        spec = FeasibilitySpec(p_fj_max=2.0, xi_max=1e-13, grid_points=11)
+        spec = FeasibilitySpec(p_max=1.5, p_fj_max=2.0, xi_max=1e-13, grid_points=11)
         grid = spec.grid
         rng = np.random.default_rng(1)
         for _ in range(20):
@@ -223,11 +226,11 @@ class TestBestResponse:
 
     @pytest.mark.parametrize("points", [2, 5, 21])
     def test_picks_lie_on_the_spec_grid(self, points):
-        spec = FeasibilitySpec(p_fj_max=2.0, xi_max=1e-13, grid_points=points)
+        spec = FeasibilitySpec(p_max=1.5, p_fj_max=2.0, xi_max=1e-13, grid_points=points)
         ctx = toy_context()
         picks, _ = best_response([0, 1, 2], np.full(3, 0.3), BC, ctx, spec, ROLES,
                                  ETA, 0.0)
-        res = gne_solve(ROLES, np.full(3, 0.3), BC, ctx, spec, ETA, 0.0)
+        res = gne_solve(ROLES, np.full(3, 0.3), BC, ctx, spec, ETA, 0.0, max_iters=50)
         assert np.isin(picks, spec.grid).all()
         assert np.isin(res.powers, spec.grid).all()
         assert res.powers.any()   # a jammer climbs off zero
@@ -240,9 +243,11 @@ class TestGneSolve:
             an_thn_w=np.array([0.0]), noise_w=1e-12,
             eve_capture_w=np.array([5e-10]), eve_an_w=np.array([2e-11]),
             jam_to_eve=np.array([[0.0]]), jam_to_thn=np.array([[0.0]]),
+            eve_noise_w=0.0, jam_to_hn=None,
         )
         res = gne_solve({0: Role.THN}, np.zeros(1), BC, ctx,
-                        FeasibilitySpec(p_fj_max=5.0, xi_max=1.0), ETA, COST)
+                        FeasibilitySpec(p_max=1.5, p_fj_max=5.0, xi_max=1.0,
+                                        grid_points=21), ETA, COST, max_iters=50)
         assert res.converged
         assert res.iterations == 1
         assert res.powers[0] == 0.0
@@ -257,9 +262,10 @@ class TestGneSolve:
             eve_an_w=np.array([2e-11, 2e-11]),
             jam_to_eve=np.array([[0.0, 0.0], [1e-10, 0.0], [0.0, 1e-10]]),
             jam_to_thn=np.zeros((3, 1)),
+            eve_noise_w=0.0, jam_to_hn=None,
         )
-        spec = FeasibilitySpec(p_fj_max=10.0, xi_max=1.0)
-        res = gne_solve(ROLES, np.zeros(3), BC, ctx, spec, ETA, COST)
+        spec = FeasibilitySpec(p_max=1.5, p_fj_max=10.0, xi_max=1.0, grid_points=21)
+        res = gne_solve(ROLES, np.zeros(3), BC, ctx, spec, ETA, COST, max_iters=50)
         assert res.converged
         # independent optimum per jammer: brute-force its own grid alone
         grid = np.linspace(0, 1.5, 21)
@@ -275,8 +281,8 @@ class TestGneSolve:
         # epsilon-GNE oracle: exhaustive joint enumeration over the 11^2
         # jammer profiles, returned profile has no improving unilateral move
         ctx = toy_context()
-        spec = FeasibilitySpec(p_fj_max=2.0, xi_max=1e-13, grid_points=11)
-        res = gne_solve(ROLES, np.zeros(3), BC, ctx, spec, ETA, COST)
+        spec = FeasibilitySpec(p_max=1.5, p_fj_max=2.0, xi_max=1e-13, grid_points=11)
+        res = gne_solve(ROLES, np.zeros(3), BC, ctx, spec, ETA, COST, max_iters=50)
         assert res.converged
         assert res.gap <= 1e-9
         # membership in the enumerated epsilon-GNE set
@@ -295,7 +301,8 @@ class TestGneSolve:
     def test_nonconvergence_flagged(self):
         ctx = toy_context()
         res = gne_solve(ROLES, np.zeros(3), BC, ctx,
-                        FeasibilitySpec(p_fj_max=2.0, xi_max=1e-13), ETA, COST,
+                        FeasibilitySpec(p_max=1.5, p_fj_max=2.0, xi_max=1e-13,
+                                        grid_points=21), ETA, COST,
                         max_iters=1)
         assert res.iterations == 1  # cap respected even if it converged fast
 
@@ -307,9 +314,11 @@ class TestGneSolve:
             an_thn_w=np.array([0.0]), noise_w=1e-12,
             eve_capture_w=np.array([5e-10]), eve_an_w=np.array([2e-11]),
             jam_to_eve=np.array([[0.0]]), jam_to_thn=np.array([[0.0]]),
+            eve_noise_w=0.0, jam_to_hn=None,
         )
         res = gne_solve({0: Role.THN}, np.array([1e-4]), BC, ctx,
-                        FeasibilitySpec(p_fj_max=5.0, xi_max=1.0), ETA, COST)
+                        FeasibilitySpec(p_max=1.5, p_fj_max=5.0, xi_max=1.0,
+                                        grid_points=21), ETA, COST, max_iters=50)
         assert res.converged
         assert res.iterations == 2
         assert res.powers[0] == 0.0
@@ -319,7 +328,8 @@ class TestGneSolve:
     def test_role_keys_must_be_node_ids(self, roles):
         with pytest.raises(ValueError, match="0..K-1"):
             gne_solve(roles, np.zeros(len(roles)), BC, toy_context(),
-                      FeasibilitySpec(p_fj_max=2.0, xi_max=1e-13), ETA, COST)
+                      FeasibilitySpec(p_max=1.5, p_fj_max=2.0, xi_max=1e-13,
+                                      grid_points=21), ETA, COST, max_iters=50)
 
 
 class TestEquilibriumGap:
@@ -327,7 +337,7 @@ class TestEquilibriumGap:
         # the scalar oracle: best feasible grid utility minus the current
         # utility, each through hn_utility
         ctx = toy_context()
-        spec = FeasibilitySpec(p_fj_max=2.0, xi_max=3e-14, grid_points=7)
+        spec = FeasibilitySpec(p_max=1.5, p_fj_max=2.0, xi_max=3e-14, grid_points=7)
         grid = spec.grid
         rng = np.random.default_rng(4)
         for _ in range(10):
@@ -348,7 +358,8 @@ class TestEquilibriumGap:
     def test_off_grid_power_rejected(self):
         with pytest.raises(ValueError, match="not on the grid"):
             equilibrium_gap(np.array([0.0, 0.3, 0.5]), BC, toy_context(),
-                            FeasibilitySpec(p_fj_max=2.0, xi_max=1e-13, grid_points=7),
+                            FeasibilitySpec(p_max=1.5, p_fj_max=2.0, xi_max=1e-13,
+                                            grid_points=7),
                             ROLES, ETA, COST)
 
 
@@ -386,12 +397,13 @@ class TestVectorizedEquivalence:
                 eve_an_w=rng.uniform(0, 5e-11, e_count) * rng.integers(0, 2),
                 jam_to_eve=rng.uniform(0, 2e-10, (k, e_count)),
                 jam_to_thn=rng.uniform(0, 3e-13, (k, u_count)),
+                eve_noise_w=0.0, jam_to_hn=None,
             )
             ctx.jam_to_thn[0, 0] = 0.0
             ctx.jam_to_thn[1, 1] = 0.0
             roles = {0: Role.THN, 1: Role.THN, 2: Role.JHN, 3: Role.JHN}
             costs = [rng.uniform(0.1, 1.0) for _ in range(k)]
-            spec = FeasibilitySpec(p_fj_max=rng.uniform(1.0, 4.0),
+            spec = FeasibilitySpec(p_max=1.5, p_fj_max=rng.uniform(1.0, 4.0),
                                    xi_max=rng.uniform(1e-13, 1e-12), grid_points=11)
             powers = rng.uniform(0, 1.0, k)
             grid = spec.grid
@@ -412,9 +424,9 @@ class TestVectorizedEquivalence:
 class TestGneInvariants:
     def test_returned_profile_feasible_and_deterministic(self):
         ctx = toy_context()
-        spec = FeasibilitySpec(p_fj_max=2.0, xi_max=1e-13)
-        a = gne_solve(ROLES, np.zeros(3), BC, ctx, spec, ETA, COST)
-        b = gne_solve(dict(ROLES), np.zeros(3), BC, ctx, spec, ETA, COST)
+        spec = FeasibilitySpec(p_max=1.5, p_fj_max=2.0, xi_max=1e-13, grid_points=21)
+        a = gne_solve(ROLES, np.zeros(3), BC, ctx, spec, ETA, COST, max_iters=50)
+        b = gne_solve(dict(ROLES), np.zeros(3), BC, ctx, spec, ETA, COST, max_iters=50)
         assert feasible(a.powers, spec, ctx)
         assert np.array_equal(a.powers, b.powers)
         assert a.iterations == b.iterations
@@ -462,6 +474,7 @@ def toy_games(draw):
         jam_to_eve=arr((k, e), 2e-10, sparse=True),
         jam_to_thn=arr((k, n_served), 3e-13, sparse=True),
         eve_noise_w=draw(st.sampled_from([0.0, 1e-12])),
+        jam_to_hn=None,
     )
     grid = np.linspace(0.0, 1.5, draw(st.integers(2, 8)))
     powers = np.array([draw(st.sampled_from(list(grid))) for _ in range(k)])
@@ -711,7 +724,7 @@ class TestBlockSweeps:
 
     def test_block_form_scores_each_node_as_alone(self):
         ctx = toy_context()
-        spec = FeasibilitySpec(p_fj_max=2.0, xi_max=3e-14, grid_points=7)
+        spec = FeasibilitySpec(p_max=1.5, p_fj_max=2.0, xi_max=3e-14, grid_points=7)
         powers = np.array([0.25, 0.5, 1.0])
         picks, empty = best_response([2, 0, 1], powers, BC, ctx, spec, ROLES, ETA, COST)
         assert not empty.any()
@@ -721,13 +734,14 @@ class TestBlockSweeps:
     # A start just inside the closed budget (2.0 + 1e-12) whose slightly
     # negative entry hides that the other two nodes overdraw it: the node
     # holding the negative power has no feasible grid power at the start.
-    OVERDRAWN = FeasibilitySpec(p_fj_max=2.0, xi_max=1.0)
+    OVERDRAWN = FeasibilitySpec(p_max=1.5, p_fj_max=2.0, xi_max=1.0, grid_points=21)
 
     def test_fallback_warns_for_an_accepted_evaluation(self, caplog):
         start = np.array([-0.9e-12, 1.0, 1.0 + 1.5e-12])
         assert feasible(start, self.OVERDRAWN, toy_context())
         with caplog.at_level(logging.WARNING, logger="secure_isac.followers"):
-            res = gne_solve(ROLES, start, BC, toy_context(), self.OVERDRAWN, ETA, COST)
+            res = gne_solve(ROLES, start, BC, toy_context(), self.OVERDRAWN, ETA, COST,
+                            max_iters=50)
         assert [r.getMessage() for r in caplog.records] == [
             "node 0: no feasible grid power, falling back to 0"]
         assert res.powers[0] == 0.0
@@ -741,6 +755,7 @@ class TestBlockSweeps:
                                  self.OVERDRAWN, ROLES, ETA, COST)
         assert empty.tolist() == [False, False, True]
         with caplog.at_level(logging.WARNING, logger="secure_isac.followers"):
-            res = gne_solve(ROLES, start, BC, toy_context(), self.OVERDRAWN, ETA, COST)
+            res = gne_solve(ROLES, start, BC, toy_context(), self.OVERDRAWN, ETA, COST,
+                            max_iters=50)
         assert caplog.records == []
         assert res.powers[0] == 0.0

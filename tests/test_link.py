@@ -58,7 +58,7 @@ def link_context(split, prec, channels, eve_channels=(), basis=None, noise=2e-12
                            for g in eve_channels]),
         jam_to_eve=np.zeros((1, e_count)) if jam_to_eve is None else jam_to_eve,
         jam_to_thn=np.zeros((1, u_count)) if jam_to_thn is None else jam_to_thn,
-        eve_noise_w=eve_noise)
+        eve_noise_w=eve_noise, jam_to_hn=None)
 
 
 def scalar_context(legit_sinr, eve_sinrs):
@@ -69,14 +69,14 @@ def scalar_context(legit_sinr, eve_sinrs):
         served=[0], sig_w=np.array([legit_sinr]), isi_w=np.zeros(1),
         an_thn_w=np.zeros(1), noise_w=1.0, eve_capture_w=np.array(eve_sinrs, float),
         eve_an_w=np.zeros(e_count), jam_to_eve=np.zeros((1, e_count)),
-        jam_to_thn=np.zeros((1, 1)), eve_noise_w=1.0)
+        jam_to_thn=np.zeros((1, 1)), eve_noise_w=1.0, jam_to_hn=None)
 
 
 class TestPrecoder:
     def test_single_thn_matched_beam(self):
         spec = ArraySpec.half_wavelength(16, LAM)
         h = los_at(spec, 40.0, 10.0, gain=0.01)
-        prec = build_precoder([h], num_rf=1)
+        prec = build_precoder([h], num_rf=1, rzf_reg=1e-3)
         matched = h / np.linalg.norm(h)  # maximizes |h^H f|
         # equal up to a global phase
         overlap = abs(np.vdot(prec.beams[:, 0], matched))
@@ -90,25 +90,25 @@ class TestPrecoder:
         a1, a2 = np.radians(40.0), np.radians(-40.0)
         h1 = los_at(spec, r * np.cos(a1), r * np.sin(a1), gain=0.001)
         h2 = los_at(spec, r * np.cos(a2), r * np.sin(a2), gain=0.001)
-        prec = build_precoder([h1, h2], num_rf=8)
+        prec = build_precoder([h1, h2], num_rf=8, rzf_reg=1e-3)
         direct = np.abs(np.conj(h1) @ prec.beams[:, 0]) ** 2
         cross = np.abs(np.conj(h2) @ prec.beams[:, 0]) ** 2
         assert cross <= 1e-2 * direct
 
     def test_zero_thns_empty(self):
-        prec = build_precoder([], num_rf=8)
+        prec = build_precoder([], num_rf=8, rzf_reg=1e-3)
         assert prec.beams.shape[1] == 0
 
     def test_capacity_error(self):
         spec = ArraySpec.half_wavelength(16, LAM)
         hs = [los_at(spec, 30.0, float(k)) for k in range(3)]
         with pytest.raises(CapacityError):
-            build_precoder(hs, num_rf=2)
+            build_precoder(hs, num_rf=2, rzf_reg=1e-3)
 
     def test_analog_block_structure(self):
         spec = ArraySpec.half_wavelength(16, LAM)
         hs = [los_at(spec, 30.0, 5.0), los_at(spec, 30.0, -8.0)]
-        prec = build_precoder(hs, num_rf=4)
+        prec = build_precoder(hs, num_rf=4, rzf_reg=1e-3)
         sub = 4
         for b in range(4):
             col = prec.analog[:, b]
@@ -120,7 +120,7 @@ class TestPrecoder:
     def test_unit_norm_beams(self):
         spec = ArraySpec.half_wavelength(32, LAM)
         hs = [los_at(spec, 50.0, 10.0), los_at(spec, 60.0, -20.0)]
-        prec = build_precoder(hs, num_rf=4)
+        prec = build_precoder(hs, num_rf=4, rzf_reg=1e-3)
         assert np.allclose(np.linalg.norm(prec.beams, axis=0), 1.0, atol=1e-12)
 
 
@@ -128,7 +128,7 @@ class TestAnProjector:
     def test_rank_one_complement(self):
         spec = ArraySpec.half_wavelength(4, LAM)
         h = los_at(spec, 20.0, 3.0)
-        span = an_projector([h])
+        span = an_projector([h], num_antennas=spec.num_elements)
         beta_p = 2.0
         assert an_power_at(h, span, beta_p) <= 1e-10 * beta_p
         assert np.allclose(span.conj().T @ span, np.eye(span.shape[1]), atol=1e-10)
@@ -136,7 +136,8 @@ class TestAnProjector:
     def test_batched_call_equals_row_calls(self):
         rng = np.random.default_rng(5)
         spec = ArraySpec.half_wavelength(128, LAM)
-        span = an_projector([los_at(spec, 50.0, y) for y in (5.0, -12.0, 30.0)])
+        span = an_projector([los_at(spec, 50.0, y) for y in (5.0, -12.0, 30.0)],
+                            num_antennas=spec.num_elements)
         stack = (rng.standard_normal((6, 128)) + 1j * rng.standard_normal((6, 128))) * 1e-3
         batched = an_power_at(stack, span, 2.5)
         assert batched.shape == (6,)
@@ -145,7 +146,8 @@ class TestAnProjector:
     def test_matches_explicit_projector(self):
         rng = np.random.default_rng(6)
         spec = ArraySpec.half_wavelength(32, LAM)
-        span = an_projector([los_at(spec, 40.0, 9.0), los_at(spec, 60.0, -20.0)])
+        span = an_projector([los_at(spec, 40.0, 9.0), los_at(spec, 60.0, -20.0)],
+                            num_antennas=spec.num_elements)
         projector = np.eye(32) - span @ span.conj().T
         for _ in range(20):
             h = rng.standard_normal(32) + 1j * rng.standard_normal(32)
@@ -171,7 +173,7 @@ class TestAnProjector:
     def test_an_invisible_at_served(self):
         spec = ArraySpec.half_wavelength(64, LAM)
         hs = [los_at(spec, 50.0, y) for y in (5.0, -12.0, 30.0)]
-        basis = an_projector(hs)
+        basis = an_projector(hs, num_antennas=spec.num_elements)
         beta_p = 3.0
         for h in hs:
             assert an_power_at(h, basis, beta_p) <= 1e-8 * beta_p
@@ -182,7 +184,7 @@ class TestAnProjector:
         rng = np.random.default_rng(11)
         spec = ArraySpec.half_wavelength(16, LAM)
         hs = [los_at(spec, 50.0, 5.0), los_at(spec, 70.0, -9.0)]
-        basis = an_projector(hs)
+        basis = an_projector(hs, num_antennas=spec.num_elements)
         beta_p = 1.0
         received = []
         for _ in range(1000):
@@ -195,7 +197,7 @@ class TestAnProjector:
         rng = np.random.default_rng(0)
         hs = [rng.standard_normal(3) + 1j * rng.standard_normal(3) for _ in range(3)]
         with pytest.raises(NoNullspaceError):
-            an_projector(hs)
+            an_projector(hs, num_antennas=3)
 
 
 class TestSinrLegitimate:
@@ -204,7 +206,7 @@ class TestSinrLegitimate:
     def test_interference_free_reduction(self):
         spec = ArraySpec.half_wavelength(16, LAM)
         h = los_at(spec, 40.0, 10.0, gain=0.01)
-        prec = build_precoder([h], num_rf=1)
+        prec = build_precoder([h], num_rf=1, rzf_reg=1e-3)
         split = Split(0.7, 0.2, 0.1, 10.0)
         noise = 2e-12
         ctx = link_context(split, prec, [h], noise=noise, rx_gain=2.0)
@@ -214,7 +216,7 @@ class TestSinrLegitimate:
     def test_jammer_strictly_decreases(self):
         spec = ArraySpec.half_wavelength(16, LAM)
         h = los_at(spec, 40.0, 10.0, gain=0.01)
-        prec = build_precoder([h], num_rf=1)
+        prec = build_precoder([h], num_rf=1, rzf_reg=1e-3)
         ctx = link_context(Split(0.7, 0.2, 0.1, 10.0), prec, [h],
                            jam_to_thn=np.array([[1e-12]]))
         assert ctx.leakage_at_served(np.ones(1))[0] == 1e-12
@@ -227,7 +229,7 @@ class TestSinrLegitimate:
         az = np.radians(25.0)
         h1 = los_at(spec, r * np.cos(az), r * np.sin(az), gain=0.002)
         h2 = los_at(spec, r * np.cos(az), -r * np.sin(az), gain=0.002)
-        prec = build_precoder([h1, h2], num_rf=2)
+        prec = build_precoder([h1, h2], num_rf=2, rzf_reg=1e-3)
         ctx = link_context(Split(0.8, 0.1, 0.1, 15.0), prec, [h1, h2])
         r1, r2 = ctx.rates(np.zeros(1))
         assert r1 == pytest.approx(r2, rel=1e-9)
@@ -239,7 +241,7 @@ class TestSinrEavesdropper:
         # channel captures exactly the served power, so secrecy clips to 0
         spec = ArraySpec.half_wavelength(16, LAM)
         h = los_at(spec, 40.0, 10.0, gain=0.01)
-        prec = build_precoder([h], num_rf=1)
+        prec = build_precoder([h], num_rf=1, rzf_reg=1e-3)
         noise = 2e-12
         ctx = link_context(Split(1.0, 0.0, 0.0, 10.0), prec, [h], [h],
                            noise=noise, eve_noise=noise)
@@ -252,15 +254,15 @@ class TestSinrEavesdropper:
         spec = ArraySpec.half_wavelength(16, LAM)
         h = los_at(spec, 40.0, 10.0, gain=0.01)
         eve = los_at(spec, 25.0, -14.0, gain=0.02)
-        prec = build_precoder([h], num_rf=1)
-        basis = an_projector([h])
+        prec = build_precoder([h], num_rf=1, rzf_reg=1e-3)
+        basis = an_projector([h], num_antennas=spec.num_elements)
         lo = link_context(Split(0.8, 0.1, 0.1, 10.0), prec, [h], [eve], basis)
         hi = link_context(Split(0.6, 0.3, 0.1, 10.0), prec, [h], [eve], basis)
         assert hi.eve_rate_max(np.zeros(1)) < lo.eve_rate_max(np.zeros(1))
 
     def test_hand_set_scalar_value(self):
         # direct evaluation: |g_e|^2 = 0.5, P_u = 1, sigma^2 = 0.1 -> SINR 5
-        prec = build_precoder([np.array([1.0 + 0j])], num_rf=1)
+        prec = build_precoder([np.array([1.0 + 0j])], num_rf=1, rzf_reg=1e-3)
         eve = np.array([np.sqrt(0.5) + 0j])
         ctx = link_context(Split(1.0, 0.0, 0.0, 1.0), prec,
                            [np.array([1.0 + 0j])], [eve], eve_noise=0.1)
@@ -270,7 +272,7 @@ class TestSinrEavesdropper:
         spec = ArraySpec.half_wavelength(16, LAM)
         h = los_at(spec, 40.0, 10.0, gain=0.01)
         eve = los_at(spec, 25.0, -14.0, gain=0.02)
-        prec = build_precoder([h], num_rf=1)
+        prec = build_precoder([h], num_rf=1, rzf_reg=1e-3)
         ctx = link_context(Split(1.0, 0.0, 0.0, 10.0), prec, [h], [eve],
                            eve_noise=2e-12)
         expected = 10.0 * np.linalg.norm(eve) ** 2 / 2e-12
@@ -280,7 +282,7 @@ class TestSinrEavesdropper:
         assert np.abs(np.conj(eve) @ prec.beams[:, 0]) ** 2 <= np.linalg.norm(eve) ** 2
 
     def test_worst_case_noiseless_unjammed_is_infinite(self):
-        prec = build_precoder([np.array([1.0 + 0j])], num_rf=1)
+        prec = build_precoder([np.array([1.0 + 0j])], num_rf=1, rzf_reg=1e-3)
         ctx = link_context(Split(1.0, 0.0, 0.0, 1.0), prec,
                            [np.array([1.0 + 0j])], [np.array([0.5 + 0j])])
         assert np.isinf(ctx.eve_rate_max(np.zeros(1)))
@@ -350,6 +352,7 @@ class TestSlotContext:
             eve_an_w=np.array([1e-11]),
             jam_to_eve=np.array([[1e-10], [2e-11], [0.0]]),
             jam_to_thn=np.array([[1e-14, 2e-14], [0.0, 1e-13], [0.0, 0.0]]),
+            eve_noise_w=0.0, jam_to_hn=None,
         )
 
     def test_rates_nonnegative_and_jamming_helps(self):

@@ -19,7 +19,7 @@ from secure_isac.refinement import (
     synthesize_field,
 )
 
-GRID = default_grid()
+GRID = default_grid(181)
 HN_SPEC = ArraySpec.half_wavelength(16, 299792458.0 / 28e9)
 
 
@@ -116,6 +116,7 @@ def refine_ctx(jam_to_eve, jam_to_thn):
         eve_an_w=np.array([2e-11]),
         jam_to_eve=np.asarray(jam_to_eve, dtype=float),
         jam_to_thn=np.asarray(jam_to_thn, dtype=float),
+        eve_noise_w=0.0, jam_to_hn=None,
     )
 
 
@@ -129,7 +130,9 @@ class TestCoalitionRefine:
         ctx = refine_ctx(jam_to_eve=[[0.0], [1e-15]], jam_to_thn=[[0.0], [1e-11]])
         powers = coalition_refine(
             Coalition([1], 0.0), np.array([0.0, 1.5]), ctx,
-            FeasibilitySpec(p_max=1.5, p_fj_max=10.0, xi_max=1.0), j_min=0.0, field_gains=FLAT_GAINS, posterior_probs=UNIFORM_POST)
+            FeasibilitySpec(p_max=1.5, p_fj_max=10.0, xi_max=1.0, grid_points=21),
+            j_min=0.0, field_gains=FLAT_GAINS, posterior_probs=UNIFORM_POST,
+            rate_floor=0.0, power_penalty_per_w=1e-3)
         assert powers[1] == 0.0
 
     def test_nulled_jammer_goes_to_max(self):
@@ -137,7 +140,9 @@ class TestCoalitionRefine:
         ctx = refine_ctx(jam_to_eve=[[0.0], [1e-10]], jam_to_thn=[[0.0], [0.0]])
         powers = coalition_refine(
             Coalition([1], 0.0), np.array([0.0, 0.0]), ctx,
-            FeasibilitySpec(p_max=1.5, p_fj_max=10.0, xi_max=1.0), j_min=0.0, field_gains=FLAT_GAINS, posterior_probs=UNIFORM_POST)
+            FeasibilitySpec(p_max=1.5, p_fj_max=10.0, xi_max=1.0, grid_points=21),
+            j_min=0.0, field_gains=FLAT_GAINS, posterior_probs=UNIFORM_POST,
+            rate_floor=0.0, power_penalty_per_w=1e-3)
         assert powers[1] == pytest.approx(1.5)
 
     def test_matches_exhaustive_enumeration(self):
@@ -154,7 +159,8 @@ class TestCoalitionRefine:
             got = coalition_refine(
                 Coalition([1, 2], 0.0), start, ctx,
                 FeasibilitySpec(p_max=1.5, p_fj_max=fj, xi_max=xi_max, grid_points=11),
-                j_min=0.0, field_gains=FLAT_GAINS, posterior_probs=UNIFORM_POST)
+                j_min=0.0, field_gains=FLAT_GAINS, posterior_probs=UNIFORM_POST,
+                rate_floor=0.0, power_penalty_per_w=1e-3)
             # independent enumeration of the constrained objective; ties
             # within 1e-9 resolve to the lowest combo in ascending order
             grid = np.linspace(0, 1.5, 11)
@@ -182,7 +188,9 @@ class TestCoalitionRefine:
         ctx = refine_ctx(jam_to_eve=[[0.0], [1e-10]], jam_to_thn=[[0.0], [0.0]])
         powers = coalition_refine(
             Coalition([1], 0.0), np.array([0.0, 0.0]), ctx,
-            FeasibilitySpec(p_max=1.5, p_fj_max=10.0, xi_max=1.0), j_min=1e9, field_gains=FLAT_GAINS, posterior_probs=UNIFORM_POST)
+            FeasibilitySpec(p_max=1.5, p_fj_max=10.0, xi_max=1.0, grid_points=21),
+            j_min=1e9, field_gains=FLAT_GAINS, posterior_probs=UNIFORM_POST,
+            rate_floor=0.0, power_penalty_per_w=1e-3)
         assert powers[1] == 1.5
 
     @pytest.mark.parametrize("members", [[1], [1, 2]])
@@ -194,8 +202,9 @@ class TestCoalitionRefine:
         start = np.array([0.0, 0.3, 0.7, 1.2])
         powers = coalition_refine(
             Coalition(members, 0.0), start, ctx,
-            FeasibilitySpec(p_max=1.5, p_fj_max=1.0, xi_max=1.0), j_min=0.0,
-            field_gains=FLAT_GAINS, posterior_probs=UNIFORM_POST)
+            FeasibilitySpec(p_max=1.5, p_fj_max=1.0, xi_max=1.0, grid_points=21),
+            j_min=0.0, field_gains=FLAT_GAINS, posterior_probs=UNIFORM_POST,
+            rate_floor=0.0, power_penalty_per_w=1e-3)
         assert np.array_equal(powers, start)
 
 
@@ -310,6 +319,7 @@ def coalition_games(draw):
         eve_an_w=arr((e,), 5e-11),
         jam_to_eve=arr((k, e), 2e-10),
         jam_to_thn=arr((k, n_served), 1e-13),
+        eve_noise_w=0.0, jam_to_hn=None,
     )
     bins = 9
     gains = {j: arr((bins,), 1.0) for j in members}
@@ -318,7 +328,8 @@ def coalition_games(draw):
                            xi_max=draw(st.floats(1e-13, 2e-12)),
                            grid_points=draw(st.integers(3, 11)))
     powers = arr((k,), draw(st.sampled_from([0.2, 1.5])))
-    kw = {"rate_floor": draw(st.sampled_from([0.0, 0.5, 5.0]))}
+    kw = {"rate_floor": draw(st.sampled_from([0.0, 0.5, 5.0])),
+          "power_penalty_per_w": 1e-3}
     posterior /= posterior.sum()
     # the shaping bound as a fraction of the start's shaping energy, as the
     # refinement loop sets it
@@ -398,8 +409,10 @@ class TestRefinementLoop:
         coalitions = form_coalitions(peaks_of(posteriors), jhn_bearings, 15.0)
         return refinement_loop(
             coalitions, combined / combined.sum(), aims, nulls, powers, ctx, builder,
-            HN_SPEC, GRID, FeasibilitySpec(p_max=1.5, p_fj_max=6.0, xi_max=1e-12),
-            rate_floor=0.0, delta_stop=0.01, max_iters=10)
+            HN_SPEC, GRID, FeasibilitySpec(p_max=1.5, p_fj_max=6.0, xi_max=1e-12,
+                                           grid_points=21),
+            j_min_fraction=0.1, rate_floor=0.0, delta_stop=0.01, max_iters=10,
+            power_penalty_per_w=1e-3)
 
     def test_improves_and_is_monotone(self):
         posteriors, jb, aims, nulls, builder = self.setup_problem()

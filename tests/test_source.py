@@ -1,10 +1,14 @@
 """Guards over the package source itself."""
 
 import ast
+import dataclasses
 import re
 from pathlib import Path
 
+import pytest
+
 import secure_isac
+from secure_isac import channel, followers, link
 
 SRC = Path(secure_isac.__file__).resolve().parent
 
@@ -52,3 +56,43 @@ def test_every_module_level_name_and_method_is_used_in_the_package():
         if not any(n == short and id(where) not in own for n, where in named):
             unused.append(f"{module}:{name}")
     assert unused == []
+
+
+# Every parameter default the package keeps, as module.function.parameter.
+# None of them copies a config value: config.py's fields are the only home of
+# those, so a library caller who omits one cannot run a different model from
+# the simulator.
+KEPT_DEFAULTS = {
+    "arrays.steering_vector.elevation",
+    "belief.uniform_prior.eve_id",
+    "channel.path_loss_db.shadow_draw",
+    "cli.build_manifest.compare",
+    "cli.main.argv",
+    "config.knob.gt", "config.knob.ge", "config.knob.le", "config.knob.choices",
+    "followers.candidate_block.extra",
+}
+
+
+def test_parameter_defaults_are_only_the_kept_ones():
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = node.args
+                positional = args.posonlyargs + args.args
+                defaulted = positional[len(positional) - len(args.defaults):]
+                defaulted += [a for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                              if d is not None]
+                found |= {f"{path.stem}.{node.name}.{a.arg}" for a in defaulted}
+    assert found == KEPT_DEFAULTS
+
+
+@pytest.mark.parametrize("cls", [followers.FeasibilitySpec, link.SlotContext,
+                                 channel.PathLossModel])
+def test_model_inputs_declare_no_field_default(cls):
+    # the power box, budget, leakage cap and grid, the eavesdropper noise
+    # floor and node coupling, and the shadowing spread come from the caller
+    defaulted = [f.name for f in dataclasses.fields(cls)
+                 if f.default is not dataclasses.MISSING
+                 or f.default_factory is not dataclasses.MISSING]
+    assert defaulted == []
