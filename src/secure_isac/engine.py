@@ -33,10 +33,9 @@ from .followers import Role, gne_solve, role_switch
 from .leader import Broadcast, LeaderKpis, leader_step
 from .link import (SlotContext, SlotRecord, an_power_at, outage_metrics,
                    power_accounting, see, watts_to_dbm)
-from .refinement import (form_coalitions, posterior_peaks, protective_nulls,
-                         ray_aim, refinement_loop)
-from .scenario import (Scenario, World, _link_columns, bearing_deg, build_scenario,
-                       init_scenario, start_run)
+from .refinement import form_coalitions, posterior_peaks, refinement_loop
+from .scenario import (Scenario, World, bearing_deg, build_scenario, init_scenario,
+                       start_run)
 
 
 def _slot_inputs(scn: Scenario, slot: int):
@@ -44,20 +43,15 @@ def _slot_inputs(scn: Scenario, slot: int):
     channels (E, N), the faded gains (K, K+E) toward the nodes and the
     eavesdroppers in watts per watt before beam pattern, and the node-array
     steering (K, K+E, n) toward each."""
-    eve_positions = scn.eve_positions(slot)
     channels = []
-    for j, position in enumerate(eve_positions):
+    for j, position in enumerate(scn.eve_positions(slot)):
         dist = np.linalg.norm(position - scn.bs_center)
         gain = linear_gain(path_loss_db(scn.pl_model, dist, scn.eve_shadow[j]))
         los = los_channel(scn.bs_elements, position, gain, scn.bs_spec.wavelength)
         channels.append(eve_channel(scn.k_lin, los, slot, scn.seed, j))
-    k = scn.hn_positions.shape[0]
-    eve_gain, _, eve_steer = _link_columns(scn.hn_positions, eve_positions,
-                                           scn.pair_shadow[:, k:], scn.pl_model, scn.hn_spec)
-    gain = np.hstack([scn.link_gain, eve_gain])
+    gain, steer = scn.victim_links(slot)
     fades = substream(scn.seed, STREAM_FADE, slot).exponential(1.0, size=gain.shape)
-    return (np.stack(channels), gain * fades,
-            np.concatenate([scn.link_steer, eve_steer], axis=1))
+    return np.stack(channels), gain * fades, steer
 
 
 def _select_served(world: World, roles: dict) -> list:
@@ -327,15 +321,11 @@ def _run_refinement(world: World, state: SlotState, jhn_ids):
                             cfg.refinement.peak_threshold_scale / cfg.belief.grid_size)
     jhn_bearings = {u: bearing_deg(np.zeros(3), scn.hn_positions[u]) for u in jhn_ids}
     coalitions = form_coalitions(peaks, jhn_bearings, cfg.refinement.assoc_width_deg)
-    radii = (cfg.run.min_node_distance_m, cfg.run.cell_radius_m)
     aim_deg, null_deg = {}, {}
     for coalition in coalitions:
         for u in coalition.member_ids:
-            aim_deg[u] = ray_aim(scn.hn_positions[u], coalition.target_angle_deg,
-                                 scn.hn_spec, radii, cfg.eve.height_m,
-                                 cfg.channel.path_loss_exponent)
-            null_deg[u] = protective_nulls(u, served, scn.hn_positions,
-                                           scn.link_bearing[u], scn.hn_spec)
+            aim_deg[u] = scn.jamming_aim(u, coalition.target_angle_deg)
+            null_deg[u] = scn.protected_bearings(u, tuple(served))
 
     def context_builder(beams):
         return build_slot_context(world, state, served,
@@ -343,7 +333,7 @@ def _run_refinement(world: World, state: SlotState, jhn_ids):
 
     return refinement_loop(
         coalitions, combined / combined.sum(), aim_deg, null_deg, state.powers,
-        state.ctx, context_builder, scn.hn_spec, grid, scn.feasibility,
+        state.ctx, context_builder, scn.jamming_beam, scn.feasibility,
         j_min_fraction=cfg.refinement.j_min_fraction,
         rate_floor=cfg.run.outage_threshold,
         delta_stop=cfg.refinement.delta_stop,

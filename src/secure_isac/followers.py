@@ -13,6 +13,7 @@ slot by thresholding the achieved secrecy rates.
 import logging
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -52,9 +53,12 @@ class FeasibilitySpec:
         if self.grid_points < 2:
             raise ValueError("grid_points must be >= 2")
 
-    @property
+    @cached_property
     def grid(self) -> np.ndarray:
-        return np.linspace(0.0, self.p_max, self.grid_points)
+        """The grid_points powers, built once per spec and read-only."""
+        grid = np.linspace(0.0, self.p_max, self.grid_points)
+        grid.setflags(write=False)
+        return grid
 
     def admits(self, powers: np.ndarray, leakage: np.ndarray):
         """Per profile of a (..., K) block whose served nodes receive
@@ -126,7 +130,7 @@ def _score_grid(nodes: list, powers: np.ndarray, broadcast: Broadcast,
         credit = ctx.jam_credit(with_rate, eve[n * g:, None], grid)
         jam = np.where(np.array(jams)[:, None], broadcast.pi * credit, 0.0)
     # each node's total leakage into the served nodes at every grid power
-    own_leak = grid * np.array([ctx.jam_to_thn[u].sum() for u in nodes])[:, None]
+    own_leak = grid * ctx.jam_to_thn[nodes].sum(axis=1)[:, None]
     return secrecy - cost * grid - broadcast.tau * own_leak + jam, feas
 
 
@@ -162,9 +166,9 @@ def sweep_best_responses(nodes, powers: np.ndarray, respond, max_sweeps: int):
     moving `powers` in place, until a sweep moves no node. Returns (sweeps
     run, converged flag).
 
-    respond(block) yields, in order, the pick of each node id in `block`, all
-    scored against the current powers; a node's pick must not depend on its
-    own power.
+    respond(block) returns or yields, in order, the pick of each node id in
+    `block`, all scored against the current powers; a node's pick must not
+    depend on its own power.
 
     A node is scored at its turn only if some node has moved since it was
     last scored; otherwise its pick would be the power it holds. Up to

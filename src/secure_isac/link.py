@@ -189,6 +189,10 @@ class SlotContext:
     eve_noise_w: float          # eavesdropper noise floor
     jam_to_hn: np.ndarray       # (K, K)
 
+    def __post_init__(self):
+        if not self.noise_w > 0:
+            raise ValueError(f"noise_w must be > 0, got {self.noise_w}")
+
     @property
     def num_eves(self) -> int:
         return self.jam_to_eve.shape[1]
@@ -206,11 +210,15 @@ class SlotContext:
             return np.zeros(p.shape[:-1])[()]
         den = self.eve_an_w + _delivered(p, self.jam_to_eve) + self.eve_noise_w
         live = den > 0
-        # a zero denominator decodes perfectly, unless nothing was captured
-        sinr = np.where(live, 0.0, np.where(self.eve_capture_w > 0, np.inf, 0.0))
-        # a subnormal denominator overflows to the same infinite SINR
+        # a subnormal denominator overflows to an infinite SINR
         with np.errstate(over="ignore"):
-            np.divide(self.eve_capture_w, den, out=sinr, where=live)
+            if live.all():      # the common case: a plain division
+                sinr = self.eve_capture_w / den
+            else:
+                # a zero or NaN denominator decodes perfectly, unless nothing
+                # was captured
+                sinr = np.where(live, 0.0, np.where(self.eve_capture_w > 0, np.inf, 0.0))
+                np.divide(self.eve_capture_w, den, out=sinr, where=live)
         return np.log2(1.0 + sinr.max(axis=-1))[()]     # log2(inf) is inf
 
     def rates(self, powers) -> np.ndarray:
@@ -226,8 +234,8 @@ class SlotContext:
         eve = np.asarray(eve_rate)[..., None]
         legit = np.log2(1.0 + self.sig_w / (self.isi_w + self.an_thn_w + leak_w
                                             + self.noise_w))
-        with np.errstate(invalid="ignore"):
-            return np.where(np.isfinite(eve), np.maximum(0.0, legit - eve), 0.0)
+        # noise_w > 0 keeps legit finite, so an infinite eve gives 0
+        return np.maximum(0.0, legit - eve)
 
     def jam_credit(self, with_rate, without_rate, power):
         """Jamming credit of a node radiating `power`, given the strongest

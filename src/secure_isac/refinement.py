@@ -92,11 +92,11 @@ def ray_aim(node_pos: np.ndarray, peak_bearing_deg: float, spec: ArraySpec,
 
 
 def protective_nulls(node: int, served, positions: np.ndarray,
-                     bearings_deg: np.ndarray, spec: ArraySpec) -> list:
+                     bearings_deg: np.ndarray, spec: ArraySpec) -> tuple:
     """Bearings from `node` (its row of the link bearings) of the served
     nodes its beam protects: the nearest first, one fewer than its elements."""
     protected = sorted(served, key=lambda t: np.linalg.norm(positions[t] - positions[node]))
-    return [bearings_deg[t] for t in protected[: spec.num_elements - 1]]
+    return tuple(bearings_deg[t] for t in protected[: spec.num_elements - 1])
 
 
 def shaping_energy(field_w: np.ndarray, posterior_probs: np.ndarray) -> float:
@@ -107,45 +107,64 @@ def shaping_energy(field_w: np.ndarray, posterior_probs: np.ndarray) -> float:
     return float(np.dot(posterior_probs, field_w))
 
 
+@dataclass(frozen=True, eq=False)
+class JammingBeam:
+    """A member's beam aligned at its aim with protective nulls, its
+    directional gain over the bearing grid, and how many of the requested
+    nulls it dropped."""
+
+    weights: np.ndarray         # (n,) unit-norm weights
+    gain_row: np.ndarray        # (G,) |a(grid)^H w|^2
+    dropped_nulls: int
+
+
+def aligned_beam(aim_deg: float, null_deg, array_spec: ArraySpec,
+                 grid_steer: np.ndarray) -> JammingBeam:
+    """The beam that steers toward aim_deg, nulls the protected bearings
+    null_deg (nearest first; the farthest are dropped while the set is
+    infeasible), and is phase-referenced so that beams aimed alike add
+    coherently at the target; its gains over the grid steering (G, n)."""
+    target = steering_vector(array_spec, np.radians(aim_deg))
+    nulls = list(null_deg)[: array_spec.num_elements - 1]
+    dropped = 0
+    while True:
+        try:
+            beam = null_steer(target, [np.radians(a) for a in nulls], array_spec)
+            break
+        except InfeasibleNullError:
+            nulls.pop()  # drop the farthest (lists come nearest-first)
+            dropped += 1
+            log.debug("aim %.2f deg: dropped a protective null", aim_deg)
+    response = np.vdot(beam, target)  # w^H a(aim)
+    if abs(response) > 0:
+        beam = beam * np.exp(1j * np.angle(response))
+    return JammingBeam(beam, np.abs(grid_steer.conj() @ beam) ** 2, dropped)
+
+
 @dataclass
 class FieldSynthesis:
     beams: dict                 # node id -> unit-norm weights
     gain_rows: dict             # node id -> directional gain over the grid
-    dropped_nulls: int = 0
+    dropped_nulls: int
 
 
 def synthesize_field(coalitions, aim_deg: dict, null_deg: dict,
-                     array_spec: ArraySpec, grid_deg: np.ndarray) -> FieldSynthesis:
+                     beam_of) -> FieldSynthesis:
     """Per-member aligned beams with protective nulls, and their gains over
     the bearing grid.
 
-    Each member steers toward its coalition aim angle, inserts nulls toward
-    the protected bearings (dropping the farthest nulls if the set is
-    infeasible), and is phase-referenced so member responses add coherently at
-    the target. The field at given powers is the power-weighted sum of the
-    gain rows.
+    Each member steers toward its coalition aim angle with nulls toward its
+    protected bearings: beam_of(aim_deg[j], null_deg[j]) returns its
+    JammingBeam (aligned_beam; the Scenario caches them). The field at given
+    powers is the power-weighted sum of the gain rows.
     """
     beams, gain_rows = {}, {}
     dropped = 0
-    steer_grid = steering_vector(array_spec, np.radians(grid_deg))
     for coalition in coalitions:
         for jid in coalition.member_ids:
-            target = steering_vector(array_spec, np.radians(aim_deg[jid]))
-            nulls = list(null_deg.get(jid, ()))
-            nulls = nulls[: array_spec.num_elements - 1]
-            while True:
-                try:
-                    beam = null_steer(target, [np.radians(a) for a in nulls], array_spec)
-                    break
-                except InfeasibleNullError:
-                    nulls.pop()  # drop the farthest (lists come nearest-first)
-                    dropped += 1
-                    log.debug("node %d: dropped a protective null", jid)
-            response = np.vdot(beam, target)  # w^H a(aim)
-            if abs(response) > 0:
-                beam = beam * np.exp(1j * np.angle(response))
-            beams[jid] = beam
-            gain_rows[jid] = np.abs(steer_grid.conj() @ beam) ** 2
+            beam = beam_of(aim_deg[jid], null_deg[jid])
+            beams[jid], gain_rows[jid] = beam.weights, beam.gain_row
+            dropped += beam.dropped_nulls
     return FieldSynthesis(beams, gain_rows, dropped)
 
 
@@ -196,31 +215,34 @@ def coalition_refine(coalition: Coalition, powers: np.ndarray, ctx: SlotContext,
     if ids.size <= 2:
         combos = np.stack([g.ravel() for g in np.meshgrid(*[grid] * ids.size,
                                                           indexing="ij")], axis=1)
-        powers[ids] = _pick(combos, *score(trial_block(ids, powers, combos)), powers[ids])
+        ok, objective, shaped = score(trial_block(ids, powers, combos))
+        powers[ids] = _pick(combos, ok[None], objective[None], shaped[None],
+                            powers[ids][None])[0]
         return powers
 
     def respond(block):
-        rows = [a.reshape(len(block), -1)
-                for a in score(candidate_block(block, powers, grid))]
-        for jid, ok, objective, shaped in zip(block, *rows):
-            yield _pick(grid, ok, objective, shaped, powers[jid])
+        ok, objective, shaped = (a.reshape(len(block), -1)
+                                 for a in score(candidate_block(block, powers, grid)))
+        return _pick(grid, ok, objective, shaped, powers[block])
 
     sweep_best_responses(ids, powers, respond, MAX_ROUNDS)
     return powers
 
 
 def _pick(rows, ok, objective, shaped, current):
-    """The row of `rows` (ascending powers, one per candidate) to move to:
-    among the shaped candidates if any is feasible, else among every feasible
-    one (the shaping bound is unreachable), the first whose objective is
-    within 1e-9 of the best, so near-ties spend no extra watts. `current`
-    when nothing is feasible."""
+    """Each of N movers' pick among the G candidates `rows` (ascending
+    powers, one row per candidate), from its row of the (N, G) feasibility,
+    objective and shaping test: among its shaped candidates if any is
+    feasible, else among every feasible one (the shaping bound is
+    unreachable), the first whose objective is within 1e-9 of the best, so
+    near-ties spend no extra watts; its row of `current` (N, ...) when
+    nothing is feasible. Returns (N, ...)."""
     shaped_ok = ok & shaped
-    keep = shaped_ok if shaped_ok.any() else ok
-    if not keep.any():
-        return current
-    best = objective[keep].max()
-    return rows[np.flatnonzero(keep & (objective >= best - 1e-9))[0]]
+    keep = np.where(shaped_ok.any(axis=1, keepdims=True), shaped_ok, ok)
+    best = np.where(keep, objective, -np.inf).max(axis=1, keepdims=True)
+    first = (keep & (objective >= best - 1e-9)).argmax(axis=1)
+    found = keep.any(axis=1).reshape((-1,) + (1,) * (rows.ndim - 1))
+    return np.where(found, rows[first], current)
 
 
 @dataclass
@@ -235,8 +257,7 @@ class RefinementResult:
 
 
 def refinement_loop(coalitions, posterior: np.ndarray, aim_deg: dict, null_deg: dict,
-                    powers: np.ndarray, ctx: SlotContext, context_builder,
-                    array_spec: ArraySpec, grid_deg: np.ndarray,
+                    powers: np.ndarray, ctx: SlotContext, context_builder, beam_of,
                     spec: FeasibilitySpec, j_min_fraction: float, rate_floor: float,
                     delta_stop: float, max_iters: int,
                     power_penalty_per_w: float) -> RefinementResult:
@@ -246,7 +267,8 @@ def refinement_loop(coalitions, posterior: np.ndarray, aim_deg: dict, null_deg: 
     so the accepted improvement sequence is nonnegative.
 
     `posterior` is the normalized combined eavesdropper bearing posterior over
-    `grid_deg`; aims and nulls are needed for coalition members only.
+    the bearing grid; aims and nulls are needed for coalition members only,
+    and beam_of builds their beams (see synthesize_field).
     context_builder(beams) must return a SlotContext with jamming rows
     re-evaluated for the given per-node transmit patterns; the result carries
     the context of the accepted beams.
@@ -257,12 +279,12 @@ def refinement_loop(coalitions, posterior: np.ndarray, aim_deg: dict, null_deg: 
     base_rates = ctx.rates(powers)
     best_sum = float(base_rates.sum())
     min_floor = min(rate_floor, float(base_rates.min())) if base_rates.size else 0.0
-    best = RefinementResult(powers.copy(), {}, np.zeros(grid_deg.shape[0]), [], 0, ctx)
+    best = RefinementResult(powers.copy(), {}, np.zeros(posterior.shape[0]), [], 0, ctx)
     if not coalitions:
         return best
     # beams depend only on the aims and nulls, so one synthesis serves every
     # iteration
-    synth = synthesize_field(coalitions, aim_deg, null_deg, array_spec, grid_deg)
+    synth = synthesize_field(coalitions, aim_deg, null_deg, beam_of)
     trial_ctx = context_builder(synth.beams)
     improvements = []
     iterations = 0
@@ -284,7 +306,7 @@ def refinement_loop(coalitions, posterior: np.ndarray, aim_deg: dict, null_deg: 
         if delta < 0 or (new_rates.size and new_rates.min() < min_floor - 1e-12):
             break  # rejected: keep the best accepted state
         powers = trial_powers
-        field_w = np.zeros(grid_deg.shape[0])
+        field_w = np.zeros(posterior.shape[0])
         for coalition in coalitions:
             for j in coalition.member_ids:
                 field_w += powers[j] * synth.gain_rows[j]

@@ -1,11 +1,11 @@
 """The per-seed Scenario and the per-run World over it.
 
 A Scenario is what (config, seed) fixes: placements, channels, the node link
-tables, precoders, and the eavesdroppers' positions in every slot, since no
-decision moves them. It is frozen and its arrays are read-only, so many runs
-(every strategy of a comparison) can share one, and a waypoint walk runs once
-per scenario. A World is one run's decision state: beliefs, leader, roles,
-powers, beams.
+tables, precoders, the eavesdroppers' positions in every slot, and the
+refinement's jamming geometry, since no decision moves them. It is frozen and
+its arrays are read-only, so many runs (every strategy of a comparison) can
+share one, and a waypoint walk runs once per scenario. A World is one run's
+decision state: beliefs, leader, roles, powers, beams.
 """
 
 from dataclasses import dataclass, field, fields
@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .arrays import ArraySpec, steering_vector, ula_positions
-from .belief import uniform_prior
+from .belief import default_grid, uniform_prior
 from .channel import (C_LIGHT, STREAM_CSI_ERROR, STREAM_HN_NLOS,
                       STREAM_PAIR_SHADOW, STREAM_PLACEMENT, STREAM_SHADOW,
                       STREAM_WAYPOINT, PathLossModel, linear_gain, los_channel,
@@ -22,6 +22,7 @@ from .config import RunConfig, ScenarioConfig
 from .followers import FeasibilitySpec, Role
 from .leader import Broadcast, LeaderKpis, LeaderState
 from .link import an_projector, build_precoder
+from .refinement import JammingBeam, aligned_beam, protective_nulls, ray_aim
 
 
 @dataclass(frozen=True, eq=False)
@@ -53,6 +54,11 @@ class Scenario:
     # the waypoint walk: the positions of the slots walked so far, and the
     # generator that walks on
     walk_cache: dict = field(default_factory=dict)
+    # the link tables toward the eavesdroppers, under static mobility
+    link_cache: dict = field(default_factory=dict)
+    # the refinement's jamming geometry, a pure function of each key: aims,
+    # protected bearings, beams and the bearing grid's steering
+    geometry_cache: dict = field(default_factory=dict)
 
     def eve_positions(self, slot: int) -> np.ndarray:
         """Eavesdropper positions (E, 3) in `slot`, read-only. A waypoint walk
@@ -67,6 +73,63 @@ class Scenario:
         while len(positions) <= slot:
             positions.append(next(self.walk_cache["steps"]))
         return positions[slot]
+
+    def victim_links(self, slot: int):
+        """Squared path gains before fading (K, K+E) and node-array steering
+        (K, K+E, n) from each node toward every node and then every
+        eavesdropper in `slot`, read-only. Under static mobility they are
+        built once and shared by every run; a waypoint walk builds them each
+        slot."""
+        static = self.config.eve.mobility != "waypoint"
+        if static and self.link_cache:
+            return self.link_cache["static"]
+        k = self.hn_positions.shape[0]
+        eve_gain, _, eve_steer = _link_columns(self.hn_positions, self.eve_positions(slot),
+                                               self.pair_shadow[:, k:], self.pl_model,
+                                               self.hn_spec)
+        links = (np.hstack([self.link_gain, eve_gain]),
+                 np.concatenate([self.link_steer, eve_steer], axis=1))
+        for arr in links:
+            arr.setflags(write=False)
+        if static:
+            self.link_cache["static"] = links
+        return links
+
+    def jamming_aim(self, node: int, peak_deg: float) -> float:
+        """refinement.ray_aim of `node` at a posterior peak bearing, cached."""
+        key = ("aim", node, peak_deg)
+        if key not in self.geometry_cache:
+            cfg = self.config
+            self.geometry_cache[key] = ray_aim(
+                self.hn_positions[node], peak_deg, self.hn_spec,
+                (cfg.run.min_node_distance_m, cfg.run.cell_radius_m), cfg.eve.height_m,
+                cfg.channel.path_loss_exponent)
+        return self.geometry_cache[key]
+
+    def protected_bearings(self, node: int, served: tuple) -> tuple:
+        """refinement.protective_nulls of `node` for a served set, cached."""
+        key = ("nulls", node, served)
+        if key not in self.geometry_cache:
+            self.geometry_cache[key] = protective_nulls(
+                node, served, self.hn_positions, self.link_bearing[node], self.hn_spec)
+        return self.geometry_cache[key]
+
+    def jamming_beam(self, aim_deg: float, null_deg: tuple) -> JammingBeam:
+        """refinement.aligned_beam over the belief grid, cached, its arrays
+        read-only."""
+        key = ("beam", aim_deg, null_deg)
+        if key not in self.geometry_cache:
+            if "grid_steer" not in self.geometry_cache:
+                grid = default_grid(self.config.belief.grid_size)
+                steer = steering_vector(self.hn_spec, np.radians(grid))
+                steer.setflags(write=False)
+                self.geometry_cache["grid_steer"] = steer
+            beam = aligned_beam(aim_deg, null_deg, self.hn_spec,
+                                self.geometry_cache["grid_steer"])
+            beam.weights.setflags(write=False)
+            beam.gain_row.setflags(write=False)
+            self.geometry_cache[key] = beam
+        return self.geometry_cache[key]
 
     def precoder(self, served: tuple):
         """Precoder and AN basis for a served set, cached; built from the

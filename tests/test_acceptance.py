@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from secure_isac.arrays import ArraySpec
+from secure_isac.arrays import ArraySpec, steering_vector
 from secure_isac.belief import BeliefState, default_grid
 from secure_isac.channel import noise_power, path_loss_db, PathLossModel
 from secure_isac.config import PowerModelConfig, ScenarioConfig, StrategyId
@@ -257,12 +257,13 @@ class TestAcceptance:
                   f"tracking within +-10 deg in {100 * frac:.0f}% of slots")
 
     def test_09_beampattern_nulls(self):
-        from secure_isac.refinement import Coalition, synthesize_field
+        from secure_isac.refinement import Coalition, aligned_beam, synthesize_field
         spec128 = ArraySpec.half_wavelength(128, 299792458.0 / 28e9)
         grid = default_grid(181)
+        steer = steering_vector(spec128, np.radians(grid))
         coalition = Coalition([0], 12.0)
         synth = synthesize_field([coalition], {0: 12.0}, {0: [-35.0, 50.0]},
-                                 spec128, grid)
+                                 lambda aim, nulls: aligned_beam(aim, nulls, spec128, steer))
         field_w = synth.gain_rows[0]  # the field at unit power
         peak = field_w.max()
         for angle in (-35.0, 50.0):

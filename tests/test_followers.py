@@ -175,6 +175,17 @@ class TestFeasible:
         spec = FeasibilitySpec(p_max=3.0, p_fj_max=12.0, xi_max=2e-12, grid_points=5)
         assert spec.grid.tolist() == [0.0, 0.75, 1.5, 2.25, 3.0]
 
+    def test_grid_built_once_and_read_only(self):
+        spec = FeasibilitySpec(p_max=1.5, p_fj_max=12.0, xi_max=2e-12, grid_points=21)
+        assert spec.grid is spec.grid
+        assert np.array_equal(spec.grid, np.linspace(0.0, 1.5, 21))
+        with pytest.raises(ValueError):
+            spec.grid[0] = 1.0
+        # the grid is no field: specs still compare and hash by their fields
+        assert spec == FeasibilitySpec(p_max=1.5, p_fj_max=12.0, xi_max=2e-12,
+                                       grid_points=21)
+        assert hash(spec) == hash(dataclasses.replace(spec))
+
     @pytest.mark.parametrize("points", [1, 0])
     def test_grid_needs_two_points(self, points):
         with pytest.raises(ValueError, match="grid_points"):
@@ -330,6 +341,28 @@ class TestGneSolve:
             gne_solve(roles, np.zeros(len(roles)), BC, toy_context(),
                       FeasibilitySpec(p_max=1.5, p_fj_max=2.0, xi_max=1e-13,
                                       grid_points=21), ETA, COST, max_iters=50)
+
+
+class TestOwnLeakRowSum:
+    # _score_grid takes each node's total leakage into the served nodes as
+    # one row sum over the (N, U) rows of jam_to_thn; it must equal each
+    # node's own sum for every served count the property test draws (up to
+    # bs.num_rf = 8) and past the eight-term unrolled summation
+    @settings(max_examples=300, deadline=None)
+    @given(k=st.integers(1, 20), u=st.integers(0, 16), e=st.integers(0, 5),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_equals_per_node_sums(self, k, u, e, seed):
+        rng = np.random.default_rng(seed)
+        k = max(k, u)
+        # delivered watts over eight decades, some links silent, laid out as
+        # build_slot_context lays them out
+        delivered = 10.0 ** rng.uniform(-20.0, -12.0, (k, k + e))
+        delivered[rng.random((k, k + e)) < 0.2] = 0.0
+        served = [int(v) for v in rng.permutation(k)[:u]]
+        jam_to_thn = delivered[:, :k][:, served]
+        nodes = [int(v) for v in rng.permutation(k)[:rng.integers(1, k + 1)]]
+        rows = jam_to_thn[nodes].sum(axis=1)
+        assert np.array_equal(rows, np.array([jam_to_thn[v].sum() for v in nodes]))
 
 
 class TestEquilibriumGap:

@@ -420,6 +420,114 @@ class TestSlotContext:
         assert jam_contribution(ctx, 2, np.array([1.0, 0.0, 1.0])) == 0.0
 
 
+def where_chain_eve_rate_max(ctx, powers):
+    """The strongest eavesdropper's rate in the where-chain form that handles
+    every denominator alike: zero or NaN ones decode perfectly unless nothing
+    was captured."""
+    p = np.asarray(powers, dtype=float)
+    if ctx.num_eves == 0:
+        return np.zeros(p.shape[:-1])[()]
+    den = ctx.eve_an_w + np.einsum("...k,kx->...x", p, ctx.jam_to_eve) + ctx.eve_noise_w
+    live = den > 0
+    sinr = np.where(live, 0.0, np.where(ctx.eve_capture_w > 0, np.inf, 0.0))
+    with np.errstate(over="ignore"):
+        np.divide(ctx.eve_capture_w, den, out=sinr, where=live)
+    return np.log2(1.0 + sinr.max(axis=-1))[()]
+
+
+def where_chain_rates_from(ctx, leak_w, eve_rate):
+    """Secrecy rates in the where-chain form: zero wherever the
+    eavesdropper's rate is not finite."""
+    eve = np.asarray(eve_rate)[..., None]
+    legit = np.log2(1.0 + ctx.sig_w / (ctx.isi_w + ctx.an_thn_w + leak_w + ctx.noise_w))
+    with np.errstate(invalid="ignore"):
+        return np.where(np.isfinite(eve), np.maximum(0.0, legit - eve), 0.0)
+
+
+class TestEvaluatorForms:
+    """The evaluator's plain forms equal the where-chains bit for bit."""
+
+    def ctx(self, e=3):
+        rng = np.random.default_rng(11)
+        return SlotContext(
+            served=[0, 1], sig_w=np.array([1e-9, 5e-10]), isi_w=np.array([1e-12, 0.0]),
+            an_thn_w=np.zeros(2), noise_w=2e-12,
+            eve_capture_w=rng.uniform(1e-10, 5e-10, e), eve_an_w=rng.uniform(0, 1e-11, e),
+            jam_to_eve=rng.uniform(0, 1e-10, (4, e)),
+            jam_to_thn=rng.uniform(0, 1e-13, (4, 2)), eve_noise_w=0.0, jam_to_hn=None)
+
+    def assert_forms_equal(self, ctx, block):
+        eve = ctx.eve_rate_max(block)
+        expected = where_chain_eve_rate_max(ctx, block)
+        assert eve.shape == expected.shape
+        assert np.array_equal(eve, expected, equal_nan=True)
+        leak = ctx.leakage_at_served(block)
+        rates = ctx.rates_from(leak, eve)
+        assert np.array_equal(rates, where_chain_rates_from(ctx, leak, eve), equal_nan=True)
+        assert np.array_equal(ctx.rates(block), rates, equal_nan=True)
+
+    def test_live_denominators(self):
+        # every denominator > 0: the plain division
+        block = np.random.default_rng(3).uniform(0.0, 1.5, (5, 7, 4))
+        self.assert_forms_equal(self.ctx(), block)
+
+    @pytest.mark.parametrize("case", ["zero", "zero_uncaptured", "subnormal", "nan",
+                                      "nan_uncaptured"])
+    def test_dead_denominators(self, case):
+        # eavesdropper 1 gets no AN and no noise floor, so a silent profile
+        # leaves her denominator at zero; the other rows stay live, so one
+        # block mixes both branches and each row alone takes its own
+        ctx = self.ctx()
+        ctx.eve_an_w = np.array([1e-11, 0.0, 2e-12])
+        ctx.jam_to_eve = ctx.jam_to_eve.copy()
+        block = np.random.default_rng(4).uniform(0.0, 1.5, (6, 4))
+        block[0] = 0.0
+        if case == "zero_uncaptured":
+            ctx.eve_capture_w = np.array([1e-10, 0.0, 3e-10])
+        elif case == "subnormal":
+            ctx.jam_to_eve[:, 1] = [1.0, 0.0, 0.0, 0.0]
+            block[0, 0] = 5e-324
+        elif case.startswith("nan"):
+            ctx.eve_an_w = np.array([1e-11, np.nan, 2e-12])
+            if case == "nan_uncaptured":
+                ctx.eve_capture_w = np.array([1e-10, 0.0, 3e-10])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            self.assert_forms_equal(ctx, block)
+            for row in block:
+                self.assert_forms_equal(ctx, row)
+            assert np.array_equal(ctx.rates(block)[0], ctx.rates(block[0]))
+
+    def test_infinite_eavesdropper_rate_gives_zero(self):
+        ctx = self.ctx()
+        leak = ctx.leakage_at_served(np.ones((3, 4)))
+        eve = np.array([0.5, np.inf, 40.0])
+        rates = ctx.rates_from(leak, eve)
+        assert np.array_equal(rates, where_chain_rates_from(ctx, leak, eve))
+        assert rates[1].tolist() == [0.0, 0.0]
+
+    def test_no_eavesdroppers(self):
+        ctx = self.ctx(e=0)
+        block = np.random.default_rng(5).uniform(0.0, 1.5, (3, 4))
+        self.assert_forms_equal(ctx, block)
+        assert ctx.eve_rate_max(block).tolist() == [0.0] * 3
+
+    @pytest.mark.parametrize("e", [0, 3])
+    def test_empty_block(self, e):
+        ctx = self.ctx(e)
+        block = np.zeros((0, 4))
+        self.assert_forms_equal(ctx, block)
+        assert ctx.eve_rate_max(block).shape == (0,)
+        assert ctx.rates(block).shape == (0, 2)
+
+    def test_noise_must_be_positive(self):
+        # the secrecy rate's plain form needs a finite legitimate rate
+        base = self.ctx()
+        for noise in (0.0, -1e-12, np.nan):
+            with pytest.raises(ValueError, match="noise_w"):
+                SlotContext(**{**vars(base), "noise_w": noise})
+
+
 class TestSeeMonotonicity:
     def test_see_decreases_in_slot_power(self):
         powers = np.linspace(5.0, 80.0, 30)

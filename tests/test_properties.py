@@ -10,6 +10,7 @@ from pathlib import Path
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+from secure_isac import engine
 from secure_isac.cli import write_trace
 from secure_isac.config import ScenarioConfig, StrategyId
 from secure_isac.engine import run_simulation
@@ -86,3 +87,27 @@ def test_random_config_keeps_invariants_and_is_deterministic(cfg, strategy):
     first = trace_bytes(cfg, strategy)
     assert first.count(b"\n") == SLOTS + 1
     assert trace_bytes(cfg, strategy) == first
+
+
+# 60 examples take about 2 s on 2 vCPUs
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(cfg=small_configs(),
+       strategy=st.sampled_from([StrategyId.STACKELBERG_ROLESWITCH, StrategyId.IBEAMS]))
+def test_converged_power_game_has_zero_gap(cfg, strategy):
+    # a sweep that moves no node leaves every node at its best response, so
+    # the exhaustive scan finds no gain at all
+    solves = []
+    solve = engine.gne_solve
+
+    def recording(*args, **kw):
+        result = solve(*args, **kw)
+        solves.append(result)
+        return result
+
+    engine.gne_solve = recording
+    try:
+        run_simulation(cfg, strategy)
+    finally:
+        engine.gne_solve = solve
+    assert len(solves) == SLOTS
+    assert all(r.gap == 0.0 for r in solves if r.converged)

@@ -11,6 +11,7 @@ from secure_isac.refinement import (
     MAX_ROUNDS,
     Coalition,
     _pick,
+    aligned_beam,
     coalition_refine,
     form_coalitions,
     posterior_peaks,
@@ -21,6 +22,12 @@ from secure_isac.refinement import (
 
 GRID = default_grid(181)
 HN_SPEC = ArraySpec.half_wavelength(16, 299792458.0 / 28e9)
+GRID_STEER = steering_vector(HN_SPEC, np.radians(GRID))
+
+
+def beam_of(aim_deg, null_deg):
+    """The uncached beam builder the Scenario caches."""
+    return aligned_beam(aim_deg, null_deg, HN_SPEC, GRID_STEER)
 
 
 def peaked_belief(center_deg, width=2.0, eve_id=0):
@@ -208,42 +215,74 @@ class TestCoalitionRefine:
         assert np.array_equal(powers, start)
 
 
+def reference_pick(rows, ok, objective, shaped, current):
+    """One mover's pick from its (G,) row: the rule _pick applies to each row
+    of a block."""
+    shaped_ok = ok & shaped
+    keep = shaped_ok if shaped_ok.any() else ok
+    if not keep.any():
+        return current
+    best = objective[keep].max()
+    return rows[np.flatnonzero(keep & (objective >= best - 1e-9))[0]]
+
+
 class TestPick:
     ROWS = np.array([0.0, 0.5, 1.0, 1.5])
-    ALL = np.ones(4, dtype=bool)
+    ALL = np.ones((1, 4), dtype=bool)
 
     def test_near_tie_chain_takes_the_first_row_within_tolerance(self):
         # each step gains under 1e-9, the chain over 1e-9: a running best
         # would climb to row 2, the rule stops at row 1
-        rows, every = self.ROWS[:3], self.ALL[:3]
-        objective = np.array([0.0, 0.6e-9, 1.2e-9])
-        assert _pick(rows, every, objective, every, 9.0) == 0.5
+        rows, every = self.ROWS[:3], self.ALL[:, :3]
+        objective = np.array([[0.0, 0.6e-9, 1.2e-9]])
+        assert _pick(rows, every, objective, every, np.array([9.0])).tolist() == [0.5]
 
     def test_shaped_candidates_first(self):
         # row 3 scores best but misses the shaping bound; row 2 meets it but
         # is infeasible, so row 1 is the best feasible shaped candidate
-        ok = np.array([True, True, False, True])
-        shaped = np.array([False, True, True, False])
-        objective = np.array([0.0, 1.0, 5.0, 9.0])
-        assert _pick(self.ROWS, ok, objective, shaped, 9.0) == 0.5
+        ok = np.array([[True, True, False, True]])
+        shaped = np.array([[False, True, True, False]])
+        objective = np.array([[0.0, 1.0, 5.0, 9.0]])
+        assert _pick(self.ROWS, ok, objective, shaped, np.array([9.0])).tolist() == [0.5]
 
     def test_unreachable_shaping_falls_back_to_every_feasible_row(self):
-        ok = np.array([True, True, True, False])
-        none = np.zeros(4, dtype=bool)
-        objective = np.array([0.0, 2.0, 1.0, 9.0])
-        assert _pick(self.ROWS, ok, objective, none, 9.0) == 0.5
+        ok = np.array([[True, True, True, False]])
+        none = np.zeros((1, 4), dtype=bool)
+        objective = np.array([[0.0, 2.0, 1.0, 9.0]])
+        assert _pick(self.ROWS, ok, objective, none, np.array([9.0])).tolist() == [0.5]
 
     def test_nothing_feasible_returns_current(self):
-        none = np.zeros(4, dtype=bool)
-        assert _pick(self.ROWS, none, np.arange(4.0), self.ALL, 0.7) == 0.7
-        current = np.array([0.3, 0.2])
-        assert _pick(np.zeros((4, 2)), none, np.arange(4.0), self.ALL, current) is current
+        none = np.zeros((1, 4), dtype=bool)
+        objective = np.arange(4.0)[None]
+        assert _pick(self.ROWS, none, objective, self.ALL, np.array([0.7])).tolist() == [0.7]
+        current = np.array([[0.3, 0.2]])
+        picked = _pick(np.zeros((4, 2)), none, objective, self.ALL, current)
+        assert picked.tolist() == [[0.3, 0.2]]
 
     def test_combination_rows(self):
         rows = np.array([[0.0, 0.0], [0.0, 1.5], [1.5, 0.0], [1.5, 1.5]])
-        objective = np.array([0.0, 2.0, 2.0 + 0.5e-9, 1.0])
-        picked = _pick(rows, self.ALL, objective, self.ALL, np.zeros(2))
-        assert picked.tolist() == [0.0, 1.5]
+        objective = np.array([[0.0, 2.0, 2.0 + 0.5e-9, 1.0]])
+        picked = _pick(rows, self.ALL, objective, self.ALL, np.zeros((1, 2)))
+        assert picked.tolist() == [[0.0, 1.5]]
+
+    @settings(max_examples=300, deadline=None)
+    @given(n=st.integers(1, 8), g=st.integers(1, 12), seed=st.integers(0, 2 ** 32 - 1))
+    def test_block_equals_the_rule_row_by_row(self, n, g, seed):
+        # feasible and shaped masks at several densities (nothing feasible,
+        # nothing shaped), and objectives on a 1e-9 lattice with offsets
+        # that put candidates just inside and just outside the tolerance
+        rng = np.random.default_rng(seed)
+        ok = rng.random((n, g)) < rng.choice([0.0, 0.3, 0.8, 1.0], size=(n, 1))
+        shaped = rng.random((n, g)) < rng.choice([0.0, 0.5, 1.0], size=(n, 1))
+        objective = (rng.integers(0, 3, (n, g)) * 1e-9
+                     + rng.choice([0.0, 1e-12, -1e-12], size=(n, g)) + rng.normal())
+        rows = np.sort(rng.uniform(0.0, 1.5, g))
+        current = rng.uniform(0.0, 1.5, n)
+        picked = _pick(rows, ok, objective, shaped, current)
+        assert picked.shape == (n,)
+        for i in range(n):
+            assert picked[i] == reference_pick(rows, ok[i], objective[i], shaped[i],
+                                               current[i])
 
 
 def reference_ascent(coalition, powers, ctx, spec, j_min, field_gains, posterior_probs,
@@ -352,14 +391,14 @@ class TestSynthesizeField:
     def test_field_peak_aligned_with_posterior(self):
         belief = peaked_belief(25.0)
         coalition = Coalition([1], 25.0)
-        synth = synthesize_field([coalition], {1: 25.0}, {1: []}, HN_SPEC, GRID)
+        synth = synthesize_field([coalition], {1: 25.0}, {1: []}, beam_of)
         peak_angle = GRID[int(np.argmax(synth.gain_rows[1]))]
         assert abs(peak_angle - belief.argmax_deg) <= 1.0
 
     def test_protected_bearings_nulled(self):
         coalition = Coalition([1, 2], 10.0)
         nulls = {1: [-30.0, 55.0], 2: [-30.0, 55.0]}
-        synth = synthesize_field([coalition], {1: 10.0, 2: 10.0}, nulls, HN_SPEC, GRID)
+        synth = synthesize_field([coalition], {1: 10.0, 2: 10.0}, nulls, beam_of)
         field_w = 1.2 * synth.gain_rows[1] + 0.8 * synth.gain_rows[2]
         peak = field_w.max()
         for angle in (-30.0, 55.0):
@@ -367,13 +406,13 @@ class TestSynthesizeField:
             assert field_w[idx] <= 1e-4 * peak
 
     def test_no_coalitions_zero_field(self):
-        synth = synthesize_field([], {}, {}, HN_SPEC, GRID)
+        synth = synthesize_field([], {}, {}, beam_of)
         assert synth.beams == {} and synth.gain_rows == {}
 
     def test_coherent_phase_reference(self):
         coalition = Coalition([1, 2], 0.0)
         synth = synthesize_field([coalition], {1: 0.0, 2: 0.0}, {1: [40.0], 2: [40.0]},
-                                 HN_SPEC, GRID)
+                                 beam_of)
         target = steering_vector(HN_SPEC, 0.0)
         for jid in (1, 2):
             response = np.vdot(synth.beams[jid], target)
@@ -409,7 +448,7 @@ class TestRefinementLoop:
         coalitions = form_coalitions(peaks_of(posteriors), jhn_bearings, 15.0)
         return refinement_loop(
             coalitions, combined / combined.sum(), aims, nulls, powers, ctx, builder,
-            HN_SPEC, GRID, FeasibilitySpec(p_max=1.5, p_fj_max=6.0, xi_max=1e-12,
+            beam_of, FeasibilitySpec(p_max=1.5, p_fj_max=6.0, xi_max=1e-12,
                                            grid_points=21),
             j_min_fraction=0.1, rate_floor=0.0, delta_stop=0.01, max_iters=10,
             power_penalty_per_w=1e-3)

@@ -7,8 +7,12 @@ import numpy as np
 import pytest
 
 from secure_isac import engine, scenario as scenario_module
+from secure_isac.arrays import InfeasibleNullError, null_steer, steering_vector
+from secure_isac.belief import default_grid
 from secure_isac.config import ScenarioConfig, StrategyId, serialize_config
-from secure_isac.scenario import World, build_scenario, init_scenario, start_run
+from secure_isac.refinement import JammingBeam, protective_nulls, ray_aim
+from secure_isac.scenario import (World, _link_columns, build_scenario, init_scenario,
+                                  start_run)
 
 logging.disable(logging.WARNING)
 
@@ -33,6 +37,37 @@ def run(world, strategy) -> list:
     return [engine.run_slot(world, strategy, t) for t in range(SLOTS)]
 
 
+def reference_beam(aim_deg, null_deg, spec, grid_deg):
+    """A member's beam and gain row as the refinement synthesized them per
+    call: steering over the grid, nulls dropped farthest first while
+    infeasible, phase-referenced at the aim. Returns (weights, gain row,
+    dropped nulls)."""
+    steer_grid = steering_vector(spec, np.radians(grid_deg))
+    target = steering_vector(spec, np.radians(aim_deg))
+    nulls = list(null_deg)[: spec.num_elements - 1]
+    dropped = 0
+    while True:
+        try:
+            beam = null_steer(target, [np.radians(a) for a in nulls], spec)
+            break
+        except InfeasibleNullError:
+            nulls.pop()
+            dropped += 1
+    response = np.vdot(beam, target)
+    if abs(response) > 0:
+        beam = beam * np.exp(1j * np.angle(response))
+    return beam, np.abs(steer_grid.conj() @ beam) ** 2, dropped
+
+
+def reference_victim_links(scn, slot):
+    """The link tables toward every node and eavesdropper, built afresh."""
+    k = scn.hn_positions.shape[0]
+    gain, _, steer = _link_columns(scn.hn_positions, scn.eve_positions(slot),
+                                   scn.pair_shadow[:, k:], scn.pl_model, scn.hn_spec)
+    return (np.hstack([scn.link_gain, gain]),
+            np.concatenate([scn.link_steer, steer], axis=1))
+
+
 @pytest.mark.parametrize("mobility", ["static", "waypoint"])
 class TestFrozenScenario:
     def test_arrays_and_fields_read_only(self, mobility):
@@ -54,6 +89,10 @@ class TestFrozenScenario:
         scenario = build_scenario(cfg, 1)
         before = {name: arr.tobytes() for name, arr in scenario_arrays(scenario).items()}
         config_text = serialize_config(cfg)
+        # an ibeams run first fills the geometry cache, so both runs read a
+        # warm scenario
+        run(start_run(scenario), StrategyId.IBEAMS)
+        assert len(scenario.geometry_cache) > 0
         shared = [run(start_run(scenario), strategy) for _ in range(2)]
         after = {name: arr.tobytes() for name, arr in scenario_arrays(scenario).items()}
         assert after == before
@@ -62,6 +101,65 @@ class TestFrozenScenario:
         assert serialize_config(scenario.config) == config_text
         fresh = [run(init_scenario(cfg, 1), strategy) for _ in range(2)]
         assert shared == fresh
+
+    def test_geometry_cache_equals_fresh_builds_and_is_read_only(self, mobility):
+        cfg = small_config(mobility)
+        scenario = build_scenario(cfg, 1)
+        run(start_run(scenario), StrategyId.IBEAMS)
+        grid = default_grid(cfg.belief.grid_size)
+        radii = (cfg.run.min_node_distance_m, cfg.run.cell_radius_m)
+        kinds = {}
+        for key, value in scenario.geometry_cache.items():
+            kind = key if isinstance(key, str) else key[0]
+            kinds[kind] = kinds.get(kind, 0) + 1
+            if kind == "aim":
+                _, node, peak = key
+                assert value == ray_aim(scenario.hn_positions[node], peak, scenario.hn_spec,
+                                        radii, cfg.eve.height_m,
+                                        cfg.channel.path_loss_exponent)
+            elif kind == "nulls":
+                _, node, served = key
+                assert value == protective_nulls(node, served, scenario.hn_positions,
+                                                 scenario.link_bearing[node],
+                                                 scenario.hn_spec)
+            elif kind == "beam":
+                _, aim, nulls = key
+                assert isinstance(value, JammingBeam)
+                weights, gain_row, dropped = reference_beam(aim, nulls, scenario.hn_spec,
+                                                            grid)
+                assert value.weights.tobytes() == weights.tobytes()
+                assert value.gain_row.tobytes() == gain_row.tobytes()
+                assert value.dropped_nulls == dropped
+                for arr in (value.weights, value.gain_row):
+                    with pytest.raises(ValueError):
+                        arr[0] = 0
+            else:
+                assert kind == "grid_steer"
+                fresh = steering_vector(scenario.hn_spec, np.radians(grid))
+                assert value.tobytes() == fresh.tobytes()
+                with pytest.raises(ValueError):
+                    value[0, 0] = 0
+        assert set(kinds) == {"aim", "nulls", "beam", "grid_steer"}
+        # one entry per distinct key: a second run over the scenario adds none
+        size = len(scenario.geometry_cache)
+        run(start_run(scenario), StrategyId.IBEAMS)
+        assert len(scenario.geometry_cache) == size
+
+    def test_eavesdropper_links_equal_per_slot_builds(self, mobility):
+        scenario = build_scenario(small_config(mobility), 1)
+        for t in range(6):
+            links = scenario.victim_links(t)
+            assert ([a.tobytes() for a in links]
+                    == [a.tobytes() for a in reference_victim_links(scenario, t)])
+            for arr in links:
+                with pytest.raises(ValueError):
+                    arr[(0,) * arr.ndim] = 0
+            # the slot's faded gains and steering are built from them
+            _, node_path, link_steer = engine._slot_inputs(scenario, t)
+            assert link_steer.tobytes() == links[1].tobytes()
+            assert node_path.shape == links[0].shape
+        # built once under static mobility, every slot under a walk
+        assert (scenario.victim_links(0) is scenario.victim_links(5)) == (mobility == "static")
 
 
 class TestRunCompare:
