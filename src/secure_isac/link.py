@@ -210,15 +210,11 @@ class SlotContext:
             return np.zeros(p.shape[:-1])[()]
         den = self.eve_an_w + _delivered(p, self.jam_to_eve) + self.eve_noise_w
         live = den > 0
-        # a subnormal denominator overflows to an infinite SINR
+        # a zero denominator decodes perfectly, unless nothing was captured
+        sinr = np.where(live, 0.0, np.where(self.eve_capture_w > 0, np.inf, 0.0))
+        # a subnormal denominator overflows to the same infinite SINR
         with np.errstate(over="ignore"):
-            if live.all():      # the common case: a plain division
-                sinr = self.eve_capture_w / den
-            else:
-                # a zero or NaN denominator decodes perfectly, unless nothing
-                # was captured
-                sinr = np.where(live, 0.0, np.where(self.eve_capture_w > 0, np.inf, 0.0))
-                np.divide(self.eve_capture_w, den, out=sinr, where=live)
+            np.divide(self.eve_capture_w, den, out=sinr, where=live)
         return np.log2(1.0 + sinr.max(axis=-1))[()]     # log2(inf) is inf
 
     def rates(self, powers) -> np.ndarray:

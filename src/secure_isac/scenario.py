@@ -48,16 +48,17 @@ class Scenario:
     link_gain: np.ndarray             # (K, K) squared path gain before fading
     link_bearing: np.ndarray          # (K, K) degrees from each node to each other
     link_steer: np.ndarray            # (K, K, n) node-array steering to each other
+    grid_steer: np.ndarray            # (G, n) node-array steering over the belief grid
+    # victim_links under static mobility, built once; None under a walk
+    static_links: tuple | None
     feasibility: FeasibilitySpec      # the follower constraints and power grid
     # precoders are a pure function of the estimates and the served set
     precoder_cache: dict = field(default_factory=dict)
     # the waypoint walk: the positions of the slots walked so far, and the
     # generator that walks on
     walk_cache: dict = field(default_factory=dict)
-    # the link tables toward the eavesdroppers, under static mobility
-    link_cache: dict = field(default_factory=dict)
     # the refinement's jamming geometry, a pure function of each key: aims,
-    # protected bearings, beams and the bearing grid's steering
+    # protected bearings and beams
     geometry_cache: dict = field(default_factory=dict)
 
     def eve_positions(self, slot: int) -> np.ndarray:
@@ -80,20 +81,10 @@ class Scenario:
         eavesdropper in `slot`, read-only. Under static mobility they are
         built once and shared by every run; a waypoint walk builds them each
         slot."""
-        static = self.config.eve.mobility != "waypoint"
-        if static and self.link_cache:
-            return self.link_cache["static"]
-        k = self.hn_positions.shape[0]
-        eve_gain, _, eve_steer = _link_columns(self.hn_positions, self.eve_positions(slot),
-                                               self.pair_shadow[:, k:], self.pl_model,
-                                               self.hn_spec)
-        links = (np.hstack([self.link_gain, eve_gain]),
-                 np.concatenate([self.link_steer, eve_steer], axis=1))
-        for arr in links:
-            arr.setflags(write=False)
-        if static:
-            self.link_cache["static"] = links
-        return links
+        if self.static_links is not None:
+            return self.static_links
+        return _victim_links(self.hn_positions, self.eve_positions(slot), self.pair_shadow,
+                             self.pl_model, self.hn_spec, self.link_gain, self.link_steer)
 
     def jamming_aim(self, node: int, peak_deg: float) -> float:
         """refinement.ray_aim of `node` at a posterior peak bearing, cached."""
@@ -119,13 +110,7 @@ class Scenario:
         read-only."""
         key = ("beam", aim_deg, null_deg)
         if key not in self.geometry_cache:
-            if "grid_steer" not in self.geometry_cache:
-                grid = default_grid(self.config.belief.grid_size)
-                steer = steering_vector(self.hn_spec, np.radians(grid))
-                steer.setflags(write=False)
-                self.geometry_cache["grid_steer"] = steer
-            beam = aligned_beam(aim_deg, null_deg, self.hn_spec,
-                                self.geometry_cache["grid_steer"])
+            beam = aligned_beam(aim_deg, null_deg, self.hn_spec, self.grid_steer)
             beam.weights.setflags(write=False)
             beam.gain_row.setflags(write=False)
             self.geometry_cache[key] = beam
@@ -227,6 +212,9 @@ def build_scenario(config: ScenarioConfig, seed: int) -> Scenario:
     link_gain, link_bearing, link_steer = _link_columns(
         hn_positions, hn_positions, pair_shadow[:, :k], pl_model, hn_spec)
     np.fill_diagonal(link_gain, 0.0)      # a node does not jam itself
+    static_links = (None if config.eve.mobility == "waypoint" else
+                    _victim_links(hn_positions, eve_start, pair_shadow, pl_model, hn_spec,
+                                  link_gain, link_steer))
     scenario = Scenario(
         config=config, seed=seed, bs_spec=bs_spec, hn_spec=hn_spec,
         bs_center=bs_center, bs_elements=bs_elements, noise_w=noise_w,
@@ -236,6 +224,8 @@ def build_scenario(config: ScenarioConfig, seed: int) -> Scenario:
         hn_norm2=np.array([np.linalg.norm(h) ** 2 for h in hn_channels]),
         eve_shadow=eve_shadow, pair_shadow=pair_shadow,
         link_gain=link_gain, link_bearing=link_bearing, link_steer=link_steer,
+        grid_steer=steering_vector(hn_spec, np.radians(default_grid(config.belief.grid_size))),
+        static_links=static_links,
         feasibility=FeasibilitySpec(
             p_max=config.hn.p_max_w, p_fj_max=config.followers.p_fj_max_w,
             xi_max=config.followers.xi_max_scale * noise_w,
@@ -337,3 +327,17 @@ def _link_columns(nodes: np.ndarray, victims: np.ndarray, shadow: np.ndarray,
     gain = linear_gain(path_loss_db(pl_model, dist, shadow)) ** 2
     bearing = np.degrees(np.arctan2(d[..., 1], d[..., 0]))
     return gain, bearing, steering_vector(spec, np.radians(bearing))
+
+
+def _victim_links(nodes: np.ndarray, eves: np.ndarray, pair_shadow: np.ndarray,
+                  pl_model: PathLossModel, spec: ArraySpec, link_gain: np.ndarray,
+                  link_steer: np.ndarray):
+    """The node link tables (K, K) and (K, K, n) extended by the columns
+    toward the eavesdroppers at `eves` (E, 3), read-only."""
+    k = nodes.shape[0]
+    eve_gain, _, eve_steer = _link_columns(nodes, eves, pair_shadow[:, k:], pl_model, spec)
+    links = (np.hstack([link_gain, eve_gain]),
+             np.concatenate([link_steer, eve_steer], axis=1))
+    for arr in links:
+        arr.setflags(write=False)
+    return links

@@ -420,21 +420,6 @@ class TestSlotContext:
         assert jam_contribution(ctx, 2, np.array([1.0, 0.0, 1.0])) == 0.0
 
 
-def where_chain_eve_rate_max(ctx, powers):
-    """The strongest eavesdropper's rate in the where-chain form that handles
-    every denominator alike: zero or NaN ones decode perfectly unless nothing
-    was captured."""
-    p = np.asarray(powers, dtype=float)
-    if ctx.num_eves == 0:
-        return np.zeros(p.shape[:-1])[()]
-    den = ctx.eve_an_w + np.einsum("...k,kx->...x", p, ctx.jam_to_eve) + ctx.eve_noise_w
-    live = den > 0
-    sinr = np.where(live, 0.0, np.where(ctx.eve_capture_w > 0, np.inf, 0.0))
-    with np.errstate(over="ignore"):
-        np.divide(ctx.eve_capture_w, den, out=sinr, where=live)
-    return np.log2(1.0 + sinr.max(axis=-1))[()]
-
-
 def where_chain_rates_from(ctx, leak_w, eve_rate):
     """Secrecy rates in the where-chain form: zero wherever the
     eavesdropper's rate is not finite."""
@@ -445,7 +430,8 @@ def where_chain_rates_from(ctx, leak_w, eve_rate):
 
 
 class TestEvaluatorForms:
-    """The evaluator's plain forms equal the where-chains bit for bit."""
+    """The secrecy rate's plain form equals the where-chain bit for bit, on
+    the eavesdropper rates of every denominator the evaluator accepts."""
 
     def ctx(self, e=3):
         rng = np.random.default_rng(11)
@@ -458,16 +444,14 @@ class TestEvaluatorForms:
 
     def assert_forms_equal(self, ctx, block):
         eve = ctx.eve_rate_max(block)
-        expected = where_chain_eve_rate_max(ctx, block)
-        assert eve.shape == expected.shape
-        assert np.array_equal(eve, expected, equal_nan=True)
+        assert eve.shape == block.shape[:-1]
         leak = ctx.leakage_at_served(block)
         rates = ctx.rates_from(leak, eve)
         assert np.array_equal(rates, where_chain_rates_from(ctx, leak, eve), equal_nan=True)
         assert np.array_equal(ctx.rates(block), rates, equal_nan=True)
 
     def test_live_denominators(self):
-        # every denominator > 0: the plain division
+        # every denominator > 0
         block = np.random.default_rng(3).uniform(0.0, 1.5, (5, 7, 4))
         self.assert_forms_equal(self.ctx(), block)
 
@@ -475,8 +459,8 @@ class TestEvaluatorForms:
                                       "nan_uncaptured"])
     def test_dead_denominators(self, case):
         # eavesdropper 1 gets no AN and no noise floor, so a silent profile
-        # leaves her denominator at zero; the other rows stay live, so one
-        # block mixes both branches and each row alone takes its own
+        # leaves her denominator at zero while the other rows stay live; a
+        # row scores the same alone as in the block
         ctx = self.ctx()
         ctx.eve_an_w = np.array([1e-11, 0.0, 2e-12])
         ctx.jam_to_eve = ctx.jam_to_eve.copy()
@@ -494,8 +478,9 @@ class TestEvaluatorForms:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             self.assert_forms_equal(ctx, block)
-            for row in block:
+            for row, rate in zip(block, ctx.eve_rate_max(block)):
                 self.assert_forms_equal(ctx, row)
+                assert np.array_equal(ctx.eve_rate_max(row), rate, equal_nan=True)
             assert np.array_equal(ctx.rates(block)[0], ctx.rates(block[0]))
 
     def test_infinite_eavesdropper_rate_gives_zero(self):

@@ -74,7 +74,7 @@ class TestFrozenScenario:
         scenario = build_scenario(small_config(mobility), 1)
         arrays = scenario_arrays(scenario)
         assert {"hn_channels", "hn_estimates", "link_gain", "link_steer",
-                "eve_start", "pair_shadow"} <= set(arrays)
+                "eve_start", "pair_shadow", "grid_steer"} <= set(arrays)
         for name, arr in arrays.items():
             with pytest.raises(ValueError):
                 arr[(0,) * arr.ndim] = 0
@@ -108,22 +108,24 @@ class TestFrozenScenario:
         run(start_run(scenario), StrategyId.IBEAMS)
         grid = default_grid(cfg.belief.grid_size)
         radii = (cfg.run.min_node_distance_m, cfg.run.cell_radius_m)
+        fresh = steering_vector(scenario.hn_spec, np.radians(grid))
+        assert scenario.grid_steer.tobytes() == fresh.tobytes()
         kinds = {}
-        for key, value in scenario.geometry_cache.items():
-            kind = key if isinstance(key, str) else key[0]
+        for (kind, *key), value in scenario.geometry_cache.items():
             kinds[kind] = kinds.get(kind, 0) + 1
             if kind == "aim":
-                _, node, peak = key
+                node, peak = key
                 assert value == ray_aim(scenario.hn_positions[node], peak, scenario.hn_spec,
                                         radii, cfg.eve.height_m,
                                         cfg.channel.path_loss_exponent)
             elif kind == "nulls":
-                _, node, served = key
+                node, served = key
                 assert value == protective_nulls(node, served, scenario.hn_positions,
                                                  scenario.link_bearing[node],
                                                  scenario.hn_spec)
-            elif kind == "beam":
-                _, aim, nulls = key
+            else:
+                assert kind == "beam"
+                aim, nulls = key
                 assert isinstance(value, JammingBeam)
                 weights, gain_row, dropped = reference_beam(aim, nulls, scenario.hn_spec,
                                                             grid)
@@ -133,13 +135,7 @@ class TestFrozenScenario:
                 for arr in (value.weights, value.gain_row):
                     with pytest.raises(ValueError):
                         arr[0] = 0
-            else:
-                assert kind == "grid_steer"
-                fresh = steering_vector(scenario.hn_spec, np.radians(grid))
-                assert value.tobytes() == fresh.tobytes()
-                with pytest.raises(ValueError):
-                    value[0, 0] = 0
-        assert set(kinds) == {"aim", "nulls", "beam", "grid_steer"}
+        assert set(kinds) == {"aim", "nulls", "beam"}
         # one entry per distinct key: a second run over the scenario adds none
         size = len(scenario.geometry_cache)
         run(start_run(scenario), StrategyId.IBEAMS)
