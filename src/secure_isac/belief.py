@@ -7,6 +7,7 @@ controller; the kernel bandwidth itself adapts to the entropy error.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -36,6 +37,16 @@ def uniform_prior(grid_size: int, eve_id: int = 0) -> BeliefState:
     return BeliefState(grid, np.full(grid_size, 1.0 / grid_size), eve_id)
 
 
+@lru_cache(maxsize=64)
+def _reflect_index(size: int, half: int) -> np.ndarray:
+    """Read-only indices that pad a length-`size` vector by `half` entries on
+    each side the way np.pad(..., mode="reflect") does, reflecting more than
+    once when half >= size."""
+    index = np.pad(np.arange(size), half, mode="reflect")
+    index.flags.writeable = False
+    return index
+
+
 def predict(belief: BeliefState, sigma_deg: float) -> BeliefState:
     """Blur the posterior with a Gaussian kernel of bandwidth sigma_deg.
 
@@ -51,7 +62,7 @@ def predict(belief: BeliefState, sigma_deg: float) -> BeliefState:
         offsets = np.arange(-half, half + 1) * step
         kernel = np.exp(-0.5 * (offsets / sigma_deg) ** 2)
         kernel /= kernel.sum()
-        padded = np.pad(probs, half, mode="reflect")
+        padded = probs[_reflect_index(probs.shape[0], half)]
         probs = np.convolve(padded, kernel, mode="valid")
     probs = np.maximum(probs, 0.0)
     probs = probs / probs.sum()

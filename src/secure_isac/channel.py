@@ -81,15 +81,18 @@ def linear_gain(pl_db):
     return (10.0 ** (-np.asarray(pl_db) / 20.0))[()]
 
 
-def los_channel(bs_positions: np.ndarray, node_pos: np.ndarray, gain: float,
-                wavelength: float) -> np.ndarray:
-    """Spherical-wave LOS channel: entry n = g * exp(-j 2 pi d_n / lambda) / sqrt(N)."""
-    deltas = bs_positions - np.asarray(node_pos, dtype=float)[None, :]
-    dists = np.linalg.norm(deltas, axis=1)
+def los_channel(bs_positions: np.ndarray, node_pos, gain, wavelength: float) -> np.ndarray:
+    """Spherical-wave LOS channel: entry n = g * exp(-j 2 pi d_n / lambda) / sqrt(N).
+
+    Node positions (..., 3) with gains (...) give channels (..., N); each
+    channel of a stack equals its own single-node call.
+    """
+    deltas = bs_positions - np.asarray(node_pos, dtype=float)[..., None, :]
+    dists = np.linalg.norm(deltas, axis=-1)
     if np.any(dists < 1e-9):
         raise ValueError("node position coincides with an array element")
     n = bs_positions.shape[0]
-    return gain * np.exp(-2j * np.pi * dists / wavelength) / np.sqrt(n)
+    return np.asarray(gain)[..., None] * np.exp(-2j * np.pi * dists / wavelength) / np.sqrt(n)
 
 
 def rician_channel(k_factor: float, los: np.ndarray, rng: np.random.Generator) -> np.ndarray:

@@ -66,6 +66,16 @@ def write_summary(summaries, path: str) -> None:
             fh.write("\t".join(_fmt(summary[c]) for c in SUMMARY_COLUMNS) + "\n")
 
 
+def _write_rows(path: str, header: str, rows) -> None:
+    """The header, then one line per float row. tolist() yields Python
+    floats, so each cell's repr is its _fmt text at a fraction of the cost of
+    one _fmt call per cell; converting row by row keeps one row of Python
+    floats alive at a time."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(header)
+        fh.writelines(" ".join(map(repr, row.tolist())) + "\n" for row in rows)
+
+
 def emit_plot_data(result: SimulationResult, out_dir: str, wanted) -> list:
     """Plot-ready artifacts from replication 0: posterior heatmaps, the last
     jamming-field snapshot, and the normalized pattern of the strongest node
@@ -78,24 +88,18 @@ def emit_plot_data(result: SimulationResult, out_dir: str, wanted) -> list:
     written = []
 
     if "beliefs" in wanted:
-        history = world.belief_history
+        header = ("# rows: slots; columns: posterior mass per angle\n"
+                  "# angle_deg " + " ".join(map(repr, grid.tolist())) + "\n")
         for j in range(len(world.beliefs)):
             path = os.path.join(out_dir, f"beliefs_eve{j}.txt")
-            with open(path, "w", encoding="utf-8", newline="\n") as fh:
-                fh.write("# rows: slots; columns: posterior mass per angle\n")
-                fh.write("# angle_deg " + " ".join(_fmt(a) for a in grid) + "\n")
-                for probs in (h[j] for h in history):
-                    fh.write(" ".join(_fmt(p) for p in probs) + "\n")
+            _write_rows(path, header, (h[j] for h in world.belief_history))
             written.append(path)
 
     if "field" in wanted:
         field = world.last_field if world.last_field is not None \
             else np.zeros(grid.shape[0])
         path = os.path.join(out_dir, "jamming_field.txt")
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("angle_deg watts\n")
-            for a, w in zip(grid, field):
-                fh.write(f"{_fmt(a)} {_fmt(w)}\n")
+        _write_rows(path, "angle_deg watts\n", np.column_stack([grid, field]))
         written.append(path)
         path = os.path.join(out_dir, "coalitions.txt")
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -113,10 +117,7 @@ def emit_plot_data(result: SimulationResult, out_dir: str, wanted) -> list:
             beam = sensing_beam(spec, 0.5, np.radians(world.beliefs[0].argmax_deg))
         pattern = beampattern_db(beam, spec, np.radians(grid))
         path = os.path.join(out_dir, "beampattern.txt")
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("angle_deg gain_db\n")
-            for a, g in zip(grid, pattern):
-                fh.write(f"{_fmt(a)} {_fmt(float(g))}\n")
+        _write_rows(path, "angle_deg gain_db\n", np.column_stack([grid, pattern]))
         written.append(path)
 
     return written

@@ -43,15 +43,19 @@ def _slot_inputs(scn: Scenario, slot: int):
     channels (E, N), the faded gains (K, K+E) toward the nodes and the
     eavesdroppers in watts per watt before beam pattern, and the node-array
     steering (K, K+E, n) toward each."""
-    channels = []
-    for j, position in enumerate(scn.eve_positions(slot)):
-        dist = np.linalg.norm(position - scn.bs_center)
-        gain = linear_gain(path_loss_db(scn.pl_model, dist, scn.eve_shadow[j]))
-        los = los_channel(scn.bs_elements, position, gain, scn.bs_spec.wavelength)
-        channels.append(eve_channel(scn.k_lin, los, slot, scn.seed, j))
+    positions = scn.eve_positions(slot)
+    # one scalar path-loss call per eavesdropper: numpy's array log10 and
+    # power round differently from the scalar ones, so a batched gain would
+    # move some slots' channels by an ulp
+    gains = [linear_gain(path_loss_db(scn.pl_model, np.linalg.norm(p - scn.bs_center),
+                                      scn.eve_shadow[j]))
+             for j, p in enumerate(positions)]
+    los = los_channel(scn.bs_elements, positions, np.array(gains), scn.bs_spec.wavelength)
+    channels = np.stack([eve_channel(scn.k_lin, row, slot, scn.seed, j)
+                         for j, row in enumerate(los)])
     gain, steer = scn.victim_links(slot)
     fades = substream(scn.seed, STREAM_FADE, slot).exponential(1.0, size=gain.shape)
-    return np.stack(channels), gain * fades, steer
+    return channels, gain * fades, steer
 
 
 def _select_served(world: World, roles: dict) -> list:
@@ -346,19 +350,20 @@ def _finalize_slot(world: World, state: SlotState) -> SlotRecord:
     slot, and the carried-over roles, powers and beliefs."""
     cfg = world.config
     ctx, powers, roles, broadcast = state.ctx, state.powers, state.roles, state.broadcast
-    rates = ctx.rates(powers)
+    # the final profile and the silent one, scored in one block
+    rates, silent_rates = ctx.rates(np.stack([powers, np.zeros_like(powers)]))
     r_min, r_mean, outage = outage_metrics(rates, cfg.run.outage_threshold)
     p_bs = cfg.bs.p_init_w
     _, slot_power = power_accounting(p_bs, powers, cfg.bs.num_rf, cfg.power)
     secrecy_sum = float(rates.sum())
     see_value = see(secrecy_sum, slot_power)
+    leakage = ctx.leakage_at_served(powers)
 
-    _check_slot_invariants(world, state, rates)
+    _check_slot_invariants(world, state, rates, leakage)
 
     jam_power = float(sum(powers[u] for u in range(world.num_hn)
                           if roles[u] is Role.JHN))
-    leakage = ctx.leakage_at_served(powers)
-    jam_benefit = (float(rates.mean() - ctx.rates(np.zeros_like(powers)).mean())
+    jam_benefit = (float(rates.mean() - silent_rates.mean())
                    if ctx.served else 0.0)
     # smoothed secrecy KPI keeps the AN integrator from chasing slot noise
     world.secrecy_ema = _ema(world.secrecy_ema, r_mean)
@@ -391,8 +396,10 @@ def _finalize_slot(world: World, state: SlotState) -> SlotRecord:
     return record
 
 
-def _check_slot_invariants(world: World, state: SlotState, rates: np.ndarray) -> None:
-    """Raise InvariantError naming the first slot invariant that fails."""
+def _check_slot_invariants(world: World, state: SlotState, rates: np.ndarray,
+                           leakage: np.ndarray) -> None:
+    """Raise InvariantError naming the first slot invariant that fails, given
+    the slot's served rates and the leakage at each served node."""
     cfg, spec = world.config, world.scenario.feasibility
     b, powers, ctx, p_bs = state.broadcast, state.powers, state.ctx, cfg.bs.p_init_w
     checks = {
@@ -406,7 +413,7 @@ def _check_slot_invariants(world: World, state: SlotState, rates: np.ndarray) ->
                                          and np.all(q.probs >= -1e-15)
                                          for q in world.beliefs),
         "leakage cap exceeded at a served node": np.all(
-            ctx.leakage_at_served(powers) <= spec.xi_max * (1.0 + 1e-6)),
+            leakage <= spec.xi_max * (1.0 + 1e-6)),
         # with perfect estimates the noise basis is exactly invisible at the
         # served nodes; a configured CSI error makes residual leakage physical
         "artificial noise visible at a served node": (

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from secure_isac import belief
 from secure_isac.belief import (
     BeliefState,
     default_grid,
@@ -38,6 +39,16 @@ class TestPrior:
             uniform_prior(1)
 
 
+def reference_predict(b, sigma_deg, half):
+    """predict with the padding spelled out through np.pad."""
+    offsets = np.arange(-half, half + 1) * float(b.grid_deg[1] - b.grid_deg[0])
+    kernel = np.exp(-0.5 * (offsets / sigma_deg) ** 2)
+    kernel /= kernel.sum()
+    probs = np.convolve(np.pad(b.probs, half, mode="reflect"), kernel, mode="valid")
+    probs = np.maximum(probs, 0.0)
+    return BeliefState(b.grid_deg, probs / probs.sum(), b.eve_id)
+
+
 class TestPredict:
     @pytest.mark.parametrize("sigma", [0.0, -1.0])
     def test_nonpositive_width_rejected(self, sigma):
@@ -70,6 +81,27 @@ class TestPredict:
         b = delta_belief(0)
         out = predict(b, 15.0)
         assert out.probs.sum() == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("size", [2, 3, 5, 91, 181])
+    def test_reflect_index_matches_np_pad_for_every_half(self, size):
+        # half >= size reflects more than once, which the form "reversed
+        # slices around the vector" gets wrong; the grid-size and bandwidth
+        # ranges allow it
+        rng = np.random.default_rng(size)
+        grid = default_grid(size)
+        step = float(grid[1] - grid[0])
+        for half in range(1, 3 * size + 1):
+            sigma = (half - 0.5) * step / 4.0
+            assert int(np.ceil(4.0 * sigma / step)) == half
+            probs = rng.random(size)
+            b = BeliefState(grid, probs / probs.sum())
+            assert np.array_equal(predict(b, sigma).probs,
+                                  reference_predict(b, sigma, half).probs), half
+
+    def test_reflect_index_is_read_only(self):
+        index = belief._reflect_index(5, 7)
+        with pytest.raises(ValueError):
+            index[0] = 1
 
 
 class TestEntropy:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from secure_isac.arrays import ArraySpec, steering_vector, ula_positions
 from secure_isac.channel import (
@@ -150,6 +152,26 @@ class TestLosChannel:
         pos = ula_positions(spec)
         with pytest.raises(ValueError):
             los_channel(pos, pos[1], 1.0, lam)
+
+    @settings(max_examples=100, deadline=None)
+    @given(e=st.integers(1, 5), n=st.integers(1, 32), seed=st.integers(0, 2 ** 32 - 1))
+    def test_stack_equals_single_calls(self, e, n, seed):
+        rng = np.random.default_rng(seed)
+        lam = 0.01
+        pos = ula_positions(ArraySpec.half_wavelength(n, lam))
+        nodes = rng.uniform(-200.0, 200.0, size=(e, 3))
+        gains = rng.uniform(0.0, 1.0, size=e)
+        stacked = los_channel(pos, nodes, gains, lam)
+        assert stacked.shape == (e, n)
+        assert np.array_equal(stacked, np.stack(
+            [los_channel(pos, nodes[j], gains[j], lam) for j in range(e)]))
+
+    def test_coincident_position_in_a_stack_rejected(self):
+        lam = 0.01
+        pos = ula_positions(ArraySpec.half_wavelength(4, lam))
+        nodes = np.array([[5.0, 1.0, 0.0], pos[2], [7.0, -3.0, 1.0]])
+        with pytest.raises(ValueError, match="coincides"):
+            los_channel(pos, nodes, np.ones(3), lam)
 
 
 class TestRician:

@@ -453,7 +453,8 @@ class TestGneToleranceRule:
         assert main(["--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
 
 
-# `--compare --slots 4 --replications 2` at the defaults
+# `--compare --slots 4 --replications 2` at the defaults, every emit kind; the
+# plot files come from the ibeams run
 COMPARE_DIGESTS = {
     "summary_compare.tsv":
         "9a609ea49f3d8d35bae7dfb1144629735457645c5da9ec5a4ffe34ef59d13856",
@@ -467,6 +468,20 @@ COMPARE_DIGESTS = {
         "9010e3370945368172af9736c69b42386af5c9aa52138fd01c53816227da8e76",
     "trace_ibeams.csv":
         "b999274deed356633a58ebd3fa140286a92034c8184018e1ed39ce56d443bd00",
+    "beliefs_eve0.txt":
+        "3b555624d6315e9e2f95931c1a3f5be77f99351baa32c3e6805f2ed87aa3849c",
+    "beliefs_eve1.txt":
+        "531306724b2084e761beb7919e2cd56b419564adad3512ae4546bda31e519bd4",
+    "beliefs_eve2.txt":
+        "4282f9a86991051663798b2a57bf343b01f8d13c94223233cf16faf815bb6430",
+    "beliefs_eve3.txt":
+        "f90cdb19d514a92bd7898501c22975542798ac69a2336e5a196df2d93d981295",
+    "beampattern.txt":
+        "925e9fce483afed276f836a679b6ed2d97767940ef52dcfd0cf89a60ba3302db",
+    "jamming_field.txt":
+        "af8336ae3c43ede1158304b34cf5a7d74d56d9a0cf23391c51f3e8e261bd07de",
+    "coalitions.txt":
+        "448f14df05086f1cbe2c9407a66c79c24e791078928b4e472a035e93092026c2",
 }
 
 

@@ -17,7 +17,8 @@ import secure_isac
 from secure_isac import engine
 from secure_isac.arrays import steering_vector
 from secure_isac.channel import (STREAM_FADE, STREAM_PAIR_SHADOW, STREAM_WAYPOINT,
-                                  linear_gain, path_loss_db, substream)
+                                  eve_channel, linear_gain, los_channel, path_loss_db,
+                                  substream)
 from secure_isac.config import ConfigError, ScenarioConfig, StrategyId, parse_config
 from secure_isac.engine import (
     bearing_deg,
@@ -264,6 +265,27 @@ class TestLinkTables:
                                        rtol=0, atol=1e-15)
             fades = substream(seed, STREAM_FADE, slot).exponential(1.0, size=(k, k + e))
             assert np.array_equal(node_path[:, :k], nodes * fades[:, :k])
+
+
+def reference_eve_channels(scn, slot):
+    """Eavesdropper channels, one los_channel and eve_channel call each."""
+    channels = []
+    for j, position in enumerate(scn.eve_positions(slot)):
+        dist = np.linalg.norm(position - scn.bs_center)
+        gain = linear_gain(path_loss_db(scn.pl_model, dist, scn.eve_shadow[j]))
+        los = los_channel(scn.bs_elements, position, gain, scn.bs_spec.wavelength)
+        channels.append(eve_channel(scn.k_lin, los, slot, scn.seed, j))
+    return np.stack(channels)
+
+
+class TestEveChannels:
+    def test_stacked_los_matches_per_eavesdropper_calls_on_a_walk(self):
+        cfg = parse_config(str(Path(__file__).resolve().parent.parent / "configs"
+                               / "posterior_mobile.ini"))
+        scn = build_scenario(cfg, cfg.run.seed)
+        for slot in range(30):
+            eve_chans, _, _ = engine._slot_inputs(scn, slot)
+            assert np.array_equal(eve_chans, reference_eve_channels(scn, slot)), slot
 
 
 def reference_pattern_table(link_steer, beams):
@@ -574,13 +596,17 @@ class TestInvariants:
             from secure_isac import InvariantError, engine
             from secure_isac.config import ScenarioConfig, StrategyId
 
+            def slot_scores(state):
+                return (state.ctx.rates(state.powers),
+                        state.ctx.leakage_at_served(state.powers))
+
             world = engine.init_scenario(ScenarioConfig(), 1)
             state = engine._open_slot(world, StrategyId.FIXED_AN, 0, False)
             engine._serve(world, state, [])
-            engine._check_slot_invariants(world, state, state.ctx.rates(state.powers))
+            engine._check_slot_invariants(world, state, *slot_scores(state))
             state.powers[0] = 2.0 * world.config.hn.p_max_w
             try:
-                engine._check_slot_invariants(world, state, state.ctx.rates(state.powers))
+                engine._check_slot_invariants(world, state, *slot_scores(state))
             except InvariantError as exc:
                 print(__debug__, exc)
         """)
