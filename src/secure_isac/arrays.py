@@ -81,26 +81,32 @@ def sensing_beam(spec: ArraySpec, taper: float, steer_angle: float) -> np.ndarra
     return weights / np.linalg.norm(weights)
 
 
-def null_steer(weights: np.ndarray, null_angles, spec: ArraySpec) -> np.ndarray:
-    """Project weights onto the orthogonal complement of the nulled directions.
+def null_steer(weights: np.ndarray, null_angles, spec: ArraySpec) -> tuple:
+    """Project each weight row (M, n) onto the orthogonal complement of its
+    row of nulled directions (M, U) and renormalize it, so its gain at each
+    nulled angle ends up at numerical zero.
 
-    Gain at each nulled angle ends up at numerical zero. Raises
-    InfeasibleNullError when the projection removes (almost) all beam energy.
+    The null steering and its QR factorization are built for all rows at
+    once; the projection, the norm and the division run row by row, because
+    their stacked forms round differently. Returns the beams (M, n) and
+    which rows are feasible (M,): a row whose projection removes (almost) all
+    beam energy is left at zero. Raises InfeasibleNullError when U >= n.
     """
-    angles = list(null_angles)
-    if not angles:
-        return weights.copy()
-    if len(angles) >= spec.num_elements:
-        raise InfeasibleNullError(
-            f"{len(angles)} nulls requested for {spec.num_elements} elements"
-        )
-    basis = steering_vector(spec, angles).T
-    q, _ = np.linalg.qr(basis)
-    projected = weights - q @ (q.conj().T @ weights)
-    norm = np.linalg.norm(projected)
-    if norm < 1e-9:
-        raise InfeasibleNullError("null set spans the entire beam space")
-    return projected / norm
+    null_angles = np.asarray(null_angles, dtype=float)
+    rows, count = null_angles.shape
+    if count == 0:
+        return weights.copy(), np.ones(rows, dtype=bool)
+    if count >= spec.num_elements:
+        raise InfeasibleNullError(f"{count} nulls requested for {spec.num_elements} elements")
+    q, _ = np.linalg.qr(np.swapaxes(steering_vector(spec, null_angles), 1, 2))
+    beams = np.zeros_like(weights)
+    feasible = np.zeros(rows, dtype=bool)
+    for i, (w, basis) in enumerate(zip(weights, q)):
+        projected = w - basis @ (basis.conj().T @ w)
+        norm = np.linalg.norm(projected)
+        if norm >= 1e-9:
+            beams[i], feasible[i] = projected / norm, True
+    return beams, feasible
 
 
 def beampattern_db(weights: np.ndarray, spec: ArraySpec, angles: np.ndarray) -> np.ndarray:

@@ -325,11 +325,10 @@ def _run_refinement(world: World, state: SlotState, jhn_ids):
                             cfg.refinement.peak_threshold_scale / cfg.belief.grid_size)
     jhn_bearings = {u: bearing_deg(np.zeros(3), scn.hn_positions[u]) for u in jhn_ids}
     coalitions = form_coalitions(peaks, jhn_bearings, cfg.refinement.assoc_width_deg)
-    aim_deg, null_deg = {}, {}
-    for coalition in coalitions:
-        for u in coalition.member_ids:
-            aim_deg[u] = scn.jamming_aim(u, coalition.target_angle_deg)
-            null_deg[u] = scn.protected_bearings(u, tuple(served))
+    members = [u for coalition in coalitions for u in coalition.member_ids]
+    aim_deg = dict(zip(members, scn.jamming_aims(
+        members, [c.target_angle_deg for c in coalitions for _ in c.member_ids])))
+    null_deg = {u: scn.protected_bearings(u, tuple(served)) for u in members}
 
     def context_builder(beams):
         return build_slot_context(world, state, served,
@@ -337,7 +336,7 @@ def _run_refinement(world: World, state: SlotState, jhn_ids):
 
     return refinement_loop(
         coalitions, combined / combined.sum(), aim_deg, null_deg, state.powers,
-        state.ctx, context_builder, scn.jamming_beam, scn.feasibility,
+        state.ctx, context_builder, scn.jamming_beams, scn.feasibility,
         j_min_fraction=cfg.refinement.j_min_fraction,
         rate_floor=cfg.run.outage_threshold,
         delta_stop=cfg.refinement.delta_stop,

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .arrays import ArraySpec, InfeasibleNullError, null_steer, steering_vector
+from .arrays import ArraySpec, null_steer, steering_vector
 from .followers import FeasibilitySpec, candidate_block, sweep_best_responses, trial_block
 from .link import SlotContext
 
@@ -33,16 +33,13 @@ class Coalition:
 
 
 def posterior_peaks(probs: np.ndarray, grid_deg: np.ndarray, threshold: float):
-    """Bearings of local posterior maxima above the threshold."""
-    peaks = []
-    for i in range(probs.shape[0]):
-        if probs[i] < threshold:
-            continue
-        left = probs[i - 1] if i > 0 else -np.inf
-        right = probs[i + 1] if i + 1 < probs.shape[0] else -np.inf
-        if probs[i] > left and probs[i] >= right:
-            peaks.append(float(grid_deg[i]))
-    return peaks
+    """Bearings of local posterior maxima above the threshold: a point at
+    least the threshold, above its left neighbour and not below its right
+    one (the grid ends count as -inf neighbours)."""
+    left = np.concatenate(([-np.inf], probs[:-1]))
+    right = np.concatenate((probs[1:], [-np.inf]))
+    peak = (probs >= threshold) & (probs > left) & (probs >= right)
+    return [float(g) for g in grid_deg[peak]]
 
 
 def form_coalitions(peaks, jhn_bearings_deg: dict, assoc_width_deg: float):
@@ -63,22 +60,24 @@ def form_coalitions(peaks, jhn_bearings_deg: dict, assoc_width_deg: float):
             for p, ids in members.items() if ids]
 
 
-def ray_aim(node_pos: np.ndarray, peak_bearing_deg: float, spec: ArraySpec,
-            radii: tuple, height_m: float, exponent: float) -> float:
-    """Aim angle maximizing expected delivered power along the bearing ray.
+def ray_aim(node_pos: np.ndarray, peak_bearing_deg, spec: ArraySpec,
+            radii: tuple, height_m: float, exponent: float) -> np.ndarray:
+    """Aim angles (M,) maximizing expected delivered power along the bearing
+    rays, one per row of node positions (M, 3) and peak bearings (M,).
 
     The posterior fixes only the adversary's bearing from the base station,
-    so the jammer at node_pos scores candidate aims against RAY_SAMPLES range
-    samples over radii = (r_min, r_max) along that ray, at height_m, weighted
-    by its own path loss (exponent) to each sample point.
+    so each jammer scores candidate aims against RAY_SAMPLES range samples
+    over radii = (r_min, r_max) along its ray, at height_m, weighted by its
+    own path loss (exponent) to each sample point. Every step is row-wise,
+    so a row's aim does not depend on the other rows.
     """
-    theta = np.radians(peak_bearing_deg)
+    theta = np.radians(np.asarray(peak_bearing_deg, dtype=float))[:, None]
     ranges = np.linspace(radii[0], radii[1], RAY_SAMPLES)
-    points = np.stack([ranges * np.cos(theta), ranges * np.sin(theta),
-                       np.full(RAY_SAMPLES, height_m)], axis=1)
-    d = points - node_pos
-    bearings = np.degrees(np.arctan2(d[:, 1], d[:, 0]))
-    dists = np.maximum(np.linalg.norm(d, axis=1), 1.0)
+    x, y = ranges * np.cos(theta), ranges * np.sin(theta)           # (M, S)
+    points = np.stack([x, y, np.full_like(x, height_m)], axis=-1)
+    d = points - node_pos[:, None]                                   # (M, S, 3)
+    bearings = np.degrees(np.arctan2(d[..., 1], d[..., 0]))
+    dists = np.maximum(np.linalg.norm(d, axis=-1), 1.0)
     # a sample at BS range r needs suppression proportional to its stream
     # capture (~r^-n); the jammer delivers ~d^-n * pattern, so the quality of
     # an aim at a sample is pattern * (r/d)^n. Pick the aim with the best
@@ -86,9 +85,10 @@ def ray_aim(node_pos: np.ndarray, peak_bearing_deg: float, spec: ArraySpec,
     need_ratio = (ranges / dists) ** exponent
     steers = steering_vector(spec, np.radians(bearings))
     # einsum, not a BLAS product, so the aim does not depend on the thread count
-    gains = np.abs(np.einsum("ci,si->cs", steers.conj(), steers)) ** 2
-    scores = np.min(gains * need_ratio, axis=1)
-    return float(bearings[int(np.argmax(scores))])   # first of tied aims
+    gains = np.abs(np.einsum("mci,msi->mcs", steers.conj(), steers)) ** 2
+    scores = np.min(gains * need_ratio[:, None], axis=2)
+    best = np.argmax(scores, axis=1)   # first of tied aims
+    return bearings[np.arange(len(best)), best]
 
 
 def protective_nulls(node: int, served, positions: np.ndarray,
@@ -118,27 +118,38 @@ class JammingBeam:
     dropped_nulls: int
 
 
-def aligned_beam(aim_deg: float, null_deg, array_spec: ArraySpec,
-                 grid_steer: np.ndarray) -> JammingBeam:
-    """The beam that steers toward aim_deg, nulls the protected bearings
-    null_deg (nearest first; the farthest are dropped while the set is
-    infeasible), and is phase-referenced so that beams aimed alike add
-    coherently at the target; its gains over the grid steering (G, n)."""
-    target = steering_vector(array_spec, np.radians(aim_deg))
-    nulls = list(null_deg)[: array_spec.num_elements - 1]
-    dropped = 0
-    while True:
-        try:
-            beam = null_steer(target, [np.radians(a) for a in nulls], array_spec)
-            break
-        except InfeasibleNullError:
-            nulls.pop()  # drop the farthest (lists come nearest-first)
-            dropped += 1
-            log.debug("aim %.2f deg: dropped a protective null", aim_deg)
-    response = np.vdot(beam, target)  # w^H a(aim)
-    if abs(response) > 0:
-        beam = beam * np.exp(1j * np.angle(response))
-    return JammingBeam(beam, np.abs(grid_steer.conj() @ beam) ** 2, dropped)
+def aligned_beam(aim_deg, null_deg, array_spec: ArraySpec,
+                 grid_steer_conj: np.ndarray) -> list:
+    """The JammingBeams that steer toward the aims aim_deg (M,), each with
+    protective nulls toward its row of the bearings null_deg (M, U; nearest
+    first, at most n - 1 kept), and that are phase-referenced so that beams
+    aimed alike add coherently at the target; their gains over the grid from
+    the conjugated grid steering (G, n).
+
+    A row whose null set leaves no usable beam drops its farthest null until
+    it is feasible. The steering and the null steering are built for all rows
+    at once; the phase reference and the gain row are taken per beam, because
+    their stacked forms round differently.
+    """
+    targets = steering_vector(array_spec, np.radians(np.asarray(aim_deg, dtype=float)))
+    nulls = np.radians(np.asarray(null_deg, dtype=float))[:, : array_spec.num_elements - 1]
+    weights, feasible = null_steer(targets, nulls, array_spec)
+    dropped = np.zeros(len(targets), dtype=int)
+    retry, kept = np.flatnonzero(~feasible), nulls.shape[1]
+    while retry.size:
+        kept -= 1      # drop the farthest null (lists come nearest-first)
+        dropped[retry] += 1
+        weights[retry], feasible = null_steer(targets[retry], nulls[retry, :kept], array_spec)
+        retry = retry[~feasible]
+    beams = []
+    for aim, beam, target, count in zip(aim_deg, weights, targets, dropped.tolist()):
+        if count:
+            log.debug("aim %.2f deg: dropped %d protective nulls", aim, count)
+        response = np.vdot(beam, target)  # w^H a(aim)
+        if abs(response) > 0:
+            beam = beam * np.exp(1j * np.angle(response))
+        beams.append(JammingBeam(beam, np.abs(grid_steer_conj @ beam) ** 2, count))
+    return beams
 
 
 @dataclass
@@ -149,23 +160,22 @@ class FieldSynthesis:
 
 
 def synthesize_field(coalitions, aim_deg: dict, null_deg: dict,
-                     beam_of) -> FieldSynthesis:
+                     beams_of) -> FieldSynthesis:
     """Per-member aligned beams with protective nulls, and their gains over
     the bearing grid.
 
     Each member steers toward its coalition aim angle with nulls toward its
-    protected bearings: beam_of(aim_deg[j], null_deg[j]) returns its
-    JammingBeam (aligned_beam; the Scenario caches them). The field at given
-    powers is the power-weighted sum of the gain rows.
+    protected bearings. One call beams_of(aims, null_sets) returns every
+    member's JammingBeam, in member order (aligned_beam; the Scenario caches
+    them), so the null sets must have one length. The field at given powers
+    is the power-weighted sum of the gain rows.
     """
-    beams, gain_rows = {}, {}
-    dropped = 0
-    for coalition in coalitions:
-        for jid in coalition.member_ids:
-            beam = beam_of(aim_deg[jid], null_deg[jid])
-            beams[jid], gain_rows[jid] = beam.weights, beam.gain_row
-            dropped += beam.dropped_nulls
-    return FieldSynthesis(beams, gain_rows, dropped)
+    members = [jid for coalition in coalitions for jid in coalition.member_ids]
+    beams = (beams_of([aim_deg[j] for j in members], [null_deg[j] for j in members])
+             if members else [])
+    return FieldSynthesis({j: b.weights for j, b in zip(members, beams)},
+                          {j: b.gain_row for j, b in zip(members, beams)},
+                          sum(b.dropped_nulls for b in beams))
 
 
 def coalition_refine(coalition: Coalition, powers: np.ndarray, ctx: SlotContext,
@@ -257,7 +267,7 @@ class RefinementResult:
 
 
 def refinement_loop(coalitions, posterior: np.ndarray, aim_deg: dict, null_deg: dict,
-                    powers: np.ndarray, ctx: SlotContext, context_builder, beam_of,
+                    powers: np.ndarray, ctx: SlotContext, context_builder, beams_of,
                     spec: FeasibilitySpec, j_min_fraction: float, rate_floor: float,
                     delta_stop: float, max_iters: int,
                     power_penalty_per_w: float) -> RefinementResult:
@@ -268,7 +278,7 @@ def refinement_loop(coalitions, posterior: np.ndarray, aim_deg: dict, null_deg: 
 
     `posterior` is the normalized combined eavesdropper bearing posterior over
     the bearing grid; aims and nulls are needed for coalition members only,
-    and beam_of builds their beams (see synthesize_field).
+    and beams_of builds their beams (see synthesize_field).
     context_builder(beams) must return a SlotContext with jamming rows
     re-evaluated for the given per-node transmit patterns; the result carries
     the context of the accepted beams.
@@ -284,7 +294,7 @@ def refinement_loop(coalitions, posterior: np.ndarray, aim_deg: dict, null_deg: 
         return best
     # beams depend only on the aims and nulls, so one synthesis serves every
     # iteration
-    synth = synthesize_field(coalitions, aim_deg, null_deg, beam_of)
+    synth = synthesize_field(coalitions, aim_deg, null_deg, beams_of)
     trial_ctx = context_builder(synth.beams)
     improvements = []
     iterations = 0

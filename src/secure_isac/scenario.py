@@ -22,7 +22,7 @@ from .config import RunConfig, ScenarioConfig
 from .followers import FeasibilitySpec, Role
 from .leader import Broadcast, LeaderKpis, LeaderState
 from .link import an_projector, build_precoder
-from .refinement import JammingBeam, aligned_beam, protective_nulls, ray_aim
+from .refinement import aligned_beam, protective_nulls, ray_aim
 
 
 @dataclass(frozen=True, eq=False)
@@ -48,7 +48,7 @@ class Scenario:
     link_gain: np.ndarray             # (K, K) squared path gain before fading
     link_bearing: np.ndarray          # (K, K) degrees from each node to each other
     link_steer: np.ndarray            # (K, K, n) node-array steering to each other
-    grid_steer: np.ndarray            # (G, n) node-array steering over the belief grid
+    grid_steer_conj: np.ndarray       # (G, n) conjugated node-array steering over the belief grid
     # victim_links under static mobility, built once; None under a walk
     static_links: tuple | None
     feasibility: FeasibilitySpec      # the follower constraints and power grid
@@ -86,16 +86,26 @@ class Scenario:
         return _victim_links(self.hn_positions, self.eve_positions(slot), self.pair_shadow,
                              self.pl_model, self.hn_spec, self.link_gain, self.link_steer)
 
-    def jamming_aim(self, node: int, peak_deg: float) -> float:
-        """refinement.ray_aim of `node` at a posterior peak bearing, cached."""
-        key = ("aim", node, peak_deg)
-        if key not in self.geometry_cache:
-            cfg = self.config
-            self.geometry_cache[key] = ray_aim(
-                self.hn_positions[node], peak_deg, self.hn_spec,
-                (cfg.run.min_node_distance_m, cfg.run.cell_radius_m), cfg.eve.height_m,
-                cfg.channel.path_loss_exponent)
-        return self.geometry_cache[key]
+    def _geometry(self, keys: list, build) -> list:
+        """The geometry cache's values at `keys`; build(misses) returns the
+        values of the distinct keys not yet cached, built in one call."""
+        misses = [key for key in dict.fromkeys(keys) if key not in self.geometry_cache]
+        if misses:
+            self.geometry_cache.update(zip(misses, build(misses)))
+        return [self.geometry_cache[key] for key in keys]
+
+    def jamming_aims(self, nodes: list, peaks_deg: list) -> list:
+        """refinement.ray_aim of each node at its posterior peak bearing,
+        cached."""
+        cfg = self.config
+
+        def build(misses):
+            return ray_aim(self.hn_positions[[node for _, node, _ in misses]],
+                           [peak for _, _, peak in misses], self.hn_spec,
+                           (cfg.run.min_node_distance_m, cfg.run.cell_radius_m),
+                           cfg.eve.height_m, cfg.channel.path_loss_exponent).tolist()
+
+        return self._geometry([("aim", u, p) for u, p in zip(nodes, peaks_deg)], build)
 
     def protected_bearings(self, node: int, served: tuple) -> tuple:
         """refinement.protective_nulls of `node` for a served set, cached."""
@@ -105,16 +115,18 @@ class Scenario:
                 node, served, self.hn_positions, self.link_bearing[node], self.hn_spec)
         return self.geometry_cache[key]
 
-    def jamming_beam(self, aim_deg: float, null_deg: tuple) -> JammingBeam:
-        """refinement.aligned_beam over the belief grid, cached, its arrays
-        read-only."""
-        key = ("beam", aim_deg, null_deg)
-        if key not in self.geometry_cache:
-            beam = aligned_beam(aim_deg, null_deg, self.hn_spec, self.grid_steer)
-            beam.weights.setflags(write=False)
-            beam.gain_row.setflags(write=False)
-            self.geometry_cache[key] = beam
-        return self.geometry_cache[key]
+    def jamming_beams(self, aims_deg: list, null_sets: list) -> list:
+        """refinement.aligned_beam at each aim with its protected bearings
+        over the belief grid, cached, its arrays read-only."""
+        def build(misses):
+            beams = aligned_beam([aim for _, aim, _ in misses], [nulls for _, _, nulls in misses],
+                                 self.hn_spec, self.grid_steer_conj)
+            for beam in beams:
+                beam.weights.setflags(write=False)
+                beam.gain_row.setflags(write=False)
+            return beams
+
+        return self._geometry([("beam", a, n) for a, n in zip(aims_deg, null_sets)], build)
 
     def precoder(self, served: tuple):
         """Precoder and AN basis for a served set, cached; built from the
@@ -224,7 +236,8 @@ def build_scenario(config: ScenarioConfig, seed: int) -> Scenario:
         hn_norm2=np.array([np.linalg.norm(h) ** 2 for h in hn_channels]),
         eve_shadow=eve_shadow, pair_shadow=pair_shadow,
         link_gain=link_gain, link_bearing=link_bearing, link_steer=link_steer,
-        grid_steer=steering_vector(hn_spec, np.radians(default_grid(config.belief.grid_size))),
+        grid_steer_conj=steering_vector(
+            hn_spec, np.radians(default_grid(config.belief.grid_size))).conj(),
         static_links=static_links,
         feasibility=FeasibilitySpec(
             p_max=config.hn.p_max_w, p_fj_max=config.followers.p_fj_max_w,

@@ -263,7 +263,8 @@ class TestAcceptance:
         steer = steering_vector(spec128, np.radians(grid))
         coalition = Coalition([0], 12.0)
         synth = synthesize_field([coalition], {0: 12.0}, {0: [-35.0, 50.0]},
-                                 lambda aim, nulls: aligned_beam(aim, nulls, spec128, steer))
+                                 lambda aims, nulls: aligned_beam(aims, nulls, spec128,
+                                                                  steer.conj()))
         field_w = synth.gain_rows[0]  # the field at unit power
         peak = field_w.max()
         for angle in (-35.0, 50.0):

@@ -222,31 +222,38 @@ class TestBeampattern:
             elif kind == 1:
                 w = sensing_beam(spec, rng.uniform(0, 1), rng.uniform(-1.4, 1.4))
             else:
-                w = null_steer(steering_vector(spec, rng.uniform(-1.4, 1.4)),
-                               rng.uniform(-1.5, 1.5, size=3), spec)
+                w, _ = steer_one(steering_vector(spec, rng.uniform(-1.4, 1.4)),
+                                 rng.uniform(-1.5, 1.5, size=3), spec)
             np.testing.assert_allclose(beampattern_db(w, spec, angles),
                                        reference_pattern_db(w, spec, angles),
                                        rtol=0, atol=1e-9)
+
+
+def steer_one(weights, null_angles, spec):
+    """null_steer of a single row: its beam and whether it is feasible."""
+    beams, feasible = null_steer(weights[None], [null_angles], spec)
+    return beams[0], bool(feasible[0])
 
 
 class TestNullSteer:
     def test_empty_null_set(self):
         spec = ArraySpec(8, 0.005, 0.01)
         w = steering_vector(spec, 0.1)
-        assert np.allclose(null_steer(w, [], spec), w)
+        out, feasible = steer_one(w, [], spec)
+        assert feasible and np.allclose(out, w)
 
     def test_null_at_own_steer_angle(self):
         spec = ArraySpec(8, 0.005, 0.01)
         w = steering_vector(spec, 0.4)
-        out = null_steer(w, [0.9], spec)
-        out2 = null_steer(out, [0.9], spec)  # projection is idempotent
+        out, _ = steer_one(w, [0.9], spec)
+        out2, _ = steer_one(out, [0.9], spec)  # projection is idempotent
         assert np.allclose(out, out2, atol=1e-12)
         assert sensing_response(out, spec, 0.9) <= 1e-6
 
     def test_deep_nulls_128(self):
         spec = spec28(128)
         nulls = [np.radians(-20.0), np.radians(20.0)]
-        w = null_steer(steering_vector(spec, 0.0), nulls, spec)
+        w, _ = steer_one(steering_vector(spec, 0.0), nulls, spec)
         pattern = beampattern_db(w, spec, np.radians(np.arange(-90.0, 90.1, 0.5)))
         for a in nulls:
             g = sensing_response(w, spec, a)
@@ -256,7 +263,7 @@ class TestNullSteer:
     def test_exact_orthogonality_residual(self):
         spec = ArraySpec(16, 0.005, 0.01)
         nulls = [0.3, -0.5, 1.0]
-        w = null_steer(steering_vector(spec, 0.0), nulls, spec)
+        w, _ = steer_one(steering_vector(spec, 0.0), nulls, spec)
         for a in nulls:
             assert abs(np.vdot(steering_vector(spec, a), w)) <= 1e-10
         assert np.linalg.norm(w) == pytest.approx(1.0, abs=1e-12)
@@ -265,11 +272,17 @@ class TestNullSteer:
         spec = ArraySpec(4, 0.005, 0.01)
         w = steering_vector(spec, 0.2)
         with pytest.raises(InfeasibleNullError):
-            null_steer(w, [0.1, 0.2, 0.3, 0.4], spec)
+            null_steer(w[None], [[0.1, 0.2, 0.3, 0.4]], spec)
 
     def test_self_null_infeasible_when_space_exhausted(self):
         spec = ArraySpec(2, 0.005, 0.01)
         w = steering_vector(spec, 0.0)
-        # nulling the only remaining complement direction too leaves nothing
+        # as many nulls as elements leave nothing
+        nulled, _ = steer_one(w, [0.7], spec)
         with pytest.raises(InfeasibleNullError):
-            null_steer(null_steer(w, [0.7], spec), [0.7, 0.0], spec)
+            null_steer(nulled[None], [[0.7, 0.0]], spec)
+        # nulling a beam's own direction leaves nothing of it: only that row
+        # is infeasible, and it is left at zero
+        beams, feasible = null_steer(np.stack([w, w]), [[0.0], [0.7]], spec)
+        assert feasible.tolist() == [False, True]
+        assert not beams[0].any() and np.linalg.norm(beams[1]) == pytest.approx(1.0)

@@ -7,6 +7,7 @@ import textwrap
 import weakref
 from dataclasses import astuple, replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,8 +16,8 @@ from hypothesis import strategies as st
 
 import secure_isac
 from secure_isac import engine
-from secure_isac.arrays import steering_vector
-from secure_isac.channel import (STREAM_FADE, STREAM_PAIR_SHADOW, STREAM_WAYPOINT,
+from secure_isac.arrays import ArraySpec, steering_vector
+from secure_isac.channel import (C_LIGHT, STREAM_FADE, STREAM_PAIR_SHADOW, STREAM_WAYPOINT,
                                   eve_channel, linear_gain, los_channel, path_loss_db,
                                   substream)
 from secure_isac.config import ConfigError, ScenarioConfig, StrategyId, parse_config
@@ -579,14 +580,42 @@ class TestRayAim:
             record = run_slot(world, StrategyId.IBEAMS, t)
             jammers = [u for u, role in record.roles.items() if role == Role.JHN.value]
             for target, _ in record.coalitions:
-                for u in jammers:
-                    got = ray_aim(world.scenario.hn_positions[u], target,
-                                  world.scenario.hn_spec,
-                                  (cfg.run.min_node_distance_m, cfg.run.cell_radius_m),
-                                  cfg.eve.height_m, cfg.channel.path_loss_exponent)
-                    assert got == reference_ray_aim(world, u, target)
-                    checked += 1
+                got = ray_aim(world.scenario.hn_positions[jammers], [target] * len(jammers),
+                              world.scenario.hn_spec,
+                              (cfg.run.min_node_distance_m, cfg.run.cell_radius_m),
+                              cfg.eve.height_m, cfg.channel.path_loss_exponent)
+                assert got.tolist() == [reference_ray_aim(world, u, target) for u in jammers]
+                checked += len(jammers)
         assert checked > 0
+
+    # 100 examples take about 2 s on 2 vCPUs
+    @settings(max_examples=100, deadline=None)
+    @given(elements=st.integers(2, 32), frequency_ghz=st.floats(1.0, 100.0),
+           cell_radius=st.floats(60.0, 400.0), min_distance=st.floats(1.0, 50.0),
+           exponent=st.floats(1.6, 4.0), height=st.floats(0.0, 60.0),
+           nodes=st.integers(1, 12), seed=st.integers(0, 2 ** 32 - 1),
+           edge_peaks=st.lists(st.sampled_from([-90.0, 90.0]), max_size=3))
+    def test_stacked_aims_match_one_pair_at_a_time(self, elements, frequency_ghz,
+                                                   cell_radius, min_distance, exponent,
+                                                   height, nodes, seed, edge_peaks):
+        cfg = ScenarioConfig()
+        cfg.hn.array_elements = elements
+        cfg.carrier.frequency_hz = frequency_ghz * 1e9
+        cfg.run.cell_radius_m, cfg.run.min_node_distance_m = cell_radius, min_distance
+        cfg.channel.path_loss_exponent, cfg.eve.height_m = exponent, height
+        rng = np.random.default_rng(seed)
+        positions = np.stack([_draw_sector_position(rng, cfg.run, cfg.hn.height_m)
+                              for _ in range(nodes)])
+        # grid bearings, the field's edges, and each (node, peak) pair repeated
+        peaks = rng.choice(np.linspace(-90.0, 90.0, 181), nodes).tolist()
+        peaks[: len(edge_peaks)] = edge_peaks[:nodes]
+        rows = np.r_[np.arange(nodes), np.arange(nodes)]
+        world = SimpleNamespace(config=cfg, scenario=SimpleNamespace(
+            hn_positions=positions,
+            hn_spec=ArraySpec.half_wavelength(elements, C_LIGHT / cfg.carrier.frequency_hz)))
+        got = ray_aim(positions[rows], [peaks[u] for u in rows], world.scenario.hn_spec,
+                      (min_distance, cell_radius), height, exponent)
+        assert got.tolist() == [reference_ray_aim(world, u, peaks[u]) for u in rows]
 
 
 class TestInvariants:

@@ -22,12 +22,12 @@ from secure_isac.refinement import (
 
 GRID = default_grid(181)
 HN_SPEC = ArraySpec.half_wavelength(16, 299792458.0 / 28e9)
-GRID_STEER = steering_vector(HN_SPEC, np.radians(GRID))
+GRID_STEER_CONJ = steering_vector(HN_SPEC, np.radians(GRID)).conj()
 
 
-def beam_of(aim_deg, null_deg):
+def beams_of(aims_deg, null_sets):
     """The uncached beam builder the Scenario caches."""
-    return aligned_beam(aim_deg, null_deg, HN_SPEC, GRID_STEER)
+    return aligned_beam(aims_deg, null_sets, HN_SPEC, GRID_STEER_CONJ)
 
 
 def peaked_belief(center_deg, width=2.0, eve_id=0):
@@ -90,6 +90,57 @@ class TestFormCoalitions:
         probs /= probs.sum()
         peaks = posterior_peaks(probs, GRID, 0.01)
         assert peaks == [float(GRID[50]), float(GRID[120])]
+
+
+def reference_peaks(probs, grid_deg, threshold):
+    """posterior_peaks point by point: at least the threshold, above the left
+    neighbour and not below the right one, the ends facing -inf."""
+    peaks = []
+    for i in range(probs.shape[0]):
+        if probs[i] < threshold:
+            continue
+        left = probs[i - 1] if i > 0 else -np.inf
+        right = probs[i + 1] if i + 1 < probs.shape[0] else -np.inf
+        if probs[i] > left and probs[i] >= right:
+            peaks.append(float(grid_deg[i]))
+    return peaks
+
+
+class TestPosteriorPeaks:
+    @pytest.mark.parametrize("probs, threshold, expected", [
+        ([0.1, 0.3, 0.3, 0.3, 0.1], 0.2, [1]),     # a plateau peaks at its left end
+        ([0.4, 0.4, 0.1, 0.4, 0.4], 0.2, [0, 3]),  # ties at both edges
+        ([0.4, 0.1, 0.1, 0.1, 0.4], 0.2, [0, 4]),  # the ends face -inf
+        ([0.1, 0.15, 0.1, 0.15, 0.1], 0.2, []),    # everything below the threshold
+        ([0.2, 0.2, 0.1, 0.3, 0.2], 0.2, [0, 3]),  # a peak at exactly the threshold
+        ([0.5, 0.5], 0.1, [0]),                    # G = 2, tied
+        ([0.3, 0.7], 0.1, [1]),                    # G = 2, rising
+        ([0.3, 0.7], 0.8, []),                     # G = 2, below
+    ])
+    def test_cases(self, probs, threshold, expected):
+        probs = np.array(probs)
+        grid = np.linspace(-90.0, 90.0, probs.size)
+        got = posterior_peaks(probs, grid, threshold)
+        assert got == reference_peaks(probs, grid, threshold) == [float(grid[i])
+                                                                  for i in expected]
+        assert all(type(p) is float for p in got)
+
+    # small integer levels make plateaus and ties common
+    @settings(max_examples=300, deadline=None)
+    @given(levels=st.lists(st.integers(0, 4), min_size=2, max_size=40),
+           threshold=st.integers(0, 5))
+    def test_matches_point_by_point(self, levels, threshold):
+        probs = np.array(levels, dtype=float) / 4.0
+        grid = np.linspace(-90.0, 90.0, probs.size)
+        assert (posterior_peaks(probs, grid, threshold / 4.0)
+                == reference_peaks(probs, grid, threshold / 4.0))
+
+    def test_matches_point_by_point_on_posteriors(self):
+        rng = np.random.default_rng(5)
+        for _ in range(50):
+            probs = rng.dirichlet(np.full(181, 0.3))
+            assert (posterior_peaks(probs, GRID, 2 / 181)
+                    == reference_peaks(probs, GRID, 2 / 181))
 
 
 class TestShaping:
@@ -391,14 +442,14 @@ class TestSynthesizeField:
     def test_field_peak_aligned_with_posterior(self):
         belief = peaked_belief(25.0)
         coalition = Coalition([1], 25.0)
-        synth = synthesize_field([coalition], {1: 25.0}, {1: []}, beam_of)
+        synth = synthesize_field([coalition], {1: 25.0}, {1: []}, beams_of)
         peak_angle = GRID[int(np.argmax(synth.gain_rows[1]))]
         assert abs(peak_angle - belief.argmax_deg) <= 1.0
 
     def test_protected_bearings_nulled(self):
         coalition = Coalition([1, 2], 10.0)
         nulls = {1: [-30.0, 55.0], 2: [-30.0, 55.0]}
-        synth = synthesize_field([coalition], {1: 10.0, 2: 10.0}, nulls, beam_of)
+        synth = synthesize_field([coalition], {1: 10.0, 2: 10.0}, nulls, beams_of)
         field_w = 1.2 * synth.gain_rows[1] + 0.8 * synth.gain_rows[2]
         peak = field_w.max()
         for angle in (-30.0, 55.0):
@@ -406,13 +457,13 @@ class TestSynthesizeField:
             assert field_w[idx] <= 1e-4 * peak
 
     def test_no_coalitions_zero_field(self):
-        synth = synthesize_field([], {}, {}, beam_of)
+        synth = synthesize_field([], {}, {}, beams_of)
         assert synth.beams == {} and synth.gain_rows == {}
 
     def test_coherent_phase_reference(self):
         coalition = Coalition([1, 2], 0.0)
         synth = synthesize_field([coalition], {1: 0.0, 2: 0.0}, {1: [40.0], 2: [40.0]},
-                                 beam_of)
+                                 beams_of)
         target = steering_vector(HN_SPEC, 0.0)
         for jid in (1, 2):
             response = np.vdot(synth.beams[jid], target)
@@ -448,7 +499,7 @@ class TestRefinementLoop:
         coalitions = form_coalitions(peaks_of(posteriors), jhn_bearings, 15.0)
         return refinement_loop(
             coalitions, combined / combined.sum(), aims, nulls, powers, ctx, builder,
-            beam_of, FeasibilitySpec(p_max=1.5, p_fj_max=6.0, xi_max=1e-12,
+            beams_of, FeasibilitySpec(p_max=1.5, p_fj_max=6.0, xi_max=1e-12,
                                            grid_points=21),
             j_min_fraction=0.1, rate_floor=0.0, delta_stop=0.01, max_iters=10,
             power_penalty_per_w=1e-3)

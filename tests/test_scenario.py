@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from secure_isac import engine, scenario as scenario_module
-from secure_isac.arrays import InfeasibleNullError, null_steer, steering_vector
+from secure_isac.arrays import steering_vector
 from secure_isac.belief import default_grid
 from secure_isac.config import ScenarioConfig, StrategyId, serialize_config
 from secure_isac.refinement import JammingBeam, protective_nulls, ray_aim
@@ -37,22 +37,29 @@ def run(world, strategy) -> list:
     return [engine.run_slot(world, strategy, t) for t in range(SLOTS)]
 
 
+def reference_null_steer(weights, null_angles, spec):
+    """One beam projected off its nulled directions (radians) by its own QR
+    factorization and renormalized; None when (almost) no energy is left."""
+    if not null_angles:
+        return weights.copy()
+    q, _ = np.linalg.qr(steering_vector(spec, null_angles).T)
+    projected = weights - q @ (q.conj().T @ weights)
+    norm = np.linalg.norm(projected)
+    return None if norm < 1e-9 else projected / norm
+
+
 def reference_beam(aim_deg, null_deg, spec, grid_deg):
-    """A member's beam and gain row as the refinement synthesized them per
-    call: steering over the grid, nulls dropped farthest first while
-    infeasible, phase-referenced at the aim. Returns (weights, gain row,
-    dropped nulls)."""
+    """A member's beam and gain row as the refinement synthesized them one
+    call at a time: steering over the grid, nulls dropped farthest first
+    while infeasible, phase-referenced at the aim. Returns (weights, gain
+    row, dropped nulls)."""
     steer_grid = steering_vector(spec, np.radians(grid_deg))
     target = steering_vector(spec, np.radians(aim_deg))
     nulls = list(null_deg)[: spec.num_elements - 1]
     dropped = 0
-    while True:
-        try:
-            beam = null_steer(target, [np.radians(a) for a in nulls], spec)
-            break
-        except InfeasibleNullError:
-            nulls.pop()
-            dropped += 1
+    while (beam := reference_null_steer(target, [np.radians(a) for a in nulls], spec)) is None:
+        nulls.pop()
+        dropped += 1
     response = np.vdot(beam, target)
     if abs(response) > 0:
         beam = beam * np.exp(1j * np.angle(response))
@@ -74,7 +81,7 @@ class TestFrozenScenario:
         scenario = build_scenario(small_config(mobility), 1)
         arrays = scenario_arrays(scenario)
         assert {"hn_channels", "hn_estimates", "link_gain", "link_steer",
-                "eve_start", "pair_shadow", "grid_steer"} <= set(arrays)
+                "eve_start", "pair_shadow", "grid_steer_conj"} <= set(arrays)
         for name, arr in arrays.items():
             with pytest.raises(ValueError):
                 arr[(0,) * arr.ndim] = 0
@@ -109,15 +116,16 @@ class TestFrozenScenario:
         grid = default_grid(cfg.belief.grid_size)
         radii = (cfg.run.min_node_distance_m, cfg.run.cell_radius_m)
         fresh = steering_vector(scenario.hn_spec, np.radians(grid))
-        assert scenario.grid_steer.tobytes() == fresh.tobytes()
+        assert scenario.grid_steer_conj.tobytes() == fresh.conj().tobytes()
         kinds = {}
         for (kind, *key), value in scenario.geometry_cache.items():
             kinds[kind] = kinds.get(kind, 0) + 1
             if kind == "aim":
                 node, peak = key
-                assert value == ray_aim(scenario.hn_positions[node], peak, scenario.hn_spec,
-                                        radii, cfg.eve.height_m,
-                                        cfg.channel.path_loss_exponent)
+                assert type(value) is float
+                assert [value] == ray_aim(scenario.hn_positions[[node]], [peak],
+                                          scenario.hn_spec, radii, cfg.eve.height_m,
+                                          cfg.channel.path_loss_exponent).tolist()
             elif kind == "nulls":
                 node, served = key
                 assert value == protective_nulls(node, served, scenario.hn_positions,
@@ -141,6 +149,35 @@ class TestFrozenScenario:
         run(start_run(scenario), StrategyId.IBEAMS)
         assert len(scenario.geometry_cache) == size
 
+    def test_refined_slots_build_geometry_in_one_stacked_call_each(self, mobility,
+                                                                     monkeypatch):
+        calls = []
+
+        def counted(name, build):
+            def wrapper(*args):
+                calls.append((name, len(args[0])))
+                return build(*args)
+            return wrapper
+
+        monkeypatch.setattr(scenario_module, "ray_aim",
+                            counted("aim", scenario_module.ray_aim))
+        monkeypatch.setattr(scenario_module, "aligned_beam",
+                            counted("beam", scenario_module.aligned_beam))
+        scenario = build_scenario(small_config(mobility), 1)
+        world = start_run(scenario)
+        per_slot, batch_sizes = [], []
+        for t in range(SLOTS):
+            engine.run_slot(world, StrategyId.IBEAMS, t)
+            per_slot.append(sorted(name for name, _ in calls))
+            batch_sizes += [size for _, size in calls]
+            calls.clear()
+        assert all(names in ([], ["aim"], ["beam"], ["aim", "beam"]) for names in per_slot)
+        assert ["aim", "beam"] in per_slot and max(batch_sizes) > 1
+        # a run over the warm scenario builds nothing and caches nothing new
+        size = len(scenario.geometry_cache)
+        run(start_run(scenario), StrategyId.IBEAMS)
+        assert calls == [] and len(scenario.geometry_cache) == size
+
     def test_eavesdropper_links_equal_per_slot_builds(self, mobility):
         scenario = build_scenario(small_config(mobility), 1)
         for t in range(6):
@@ -156,6 +193,55 @@ class TestFrozenScenario:
             assert node_path.shape == links[0].shape
         # built once under static mobility, every slot under a walk
         assert (scenario.victim_links(0) is scenario.victim_links(5)) == (mobility == "static")
+
+
+def stacked_beam_cases(n: int, rng):
+    """(aims, null sets) batches for an n-element array: no nulls, each count
+    from 1 to n - 1, a served set longer than n - 1, and rows whose aim sits
+    on a protected bearing (nearest or farthest) so that nulls are dropped."""
+    def draw(rows, count):
+        return (rng.uniform(-90.0, 90.0, rows).tolist(),
+                [tuple(rng.uniform(-90.0, 90.0, count).tolist()) for _ in range(rows)])
+
+    cases = [draw(3, 0)] + [draw(5, count) for count in range(1, n)] + [draw(4, n + 2)]
+    for count in range(1, n):
+        aims, nulls = draw(4, count)
+        nulls[0] = nulls[0][:-1] + (aims[0],)     # on the farthest protected bearing
+        nulls[1] = (aims[1],) + nulls[1][1:]      # on the nearest one
+        cases.append((aims, nulls))
+    return cases
+
+
+class TestJammingBeams:
+    @pytest.mark.parametrize("elements", [2, 3, 8, 16])
+    def test_stacked_beams_equal_one_call_per_beam(self, elements):
+        cfg = small_config("static")
+        cfg.hn.array_elements = elements
+        scenario = build_scenario(cfg, 1)
+        grid = default_grid(cfg.belief.grid_size)
+        dropped_any = 0
+        for aims, nulls in stacked_beam_cases(elements, np.random.default_rng(elements)):
+            beams = scenario.jamming_beams(aims, nulls)
+            for aim, null_set, beam in zip(aims, nulls, beams):
+                weights, gain_row, dropped = reference_beam(aim, null_set, scenario.hn_spec,
+                                                            grid)
+                assert beam.weights.tobytes() == weights.tobytes()
+                assert beam.gain_row.tobytes() == gain_row.tobytes()
+                assert beam.dropped_nulls == dropped
+                dropped_any += dropped
+                for arr in (beam.weights, beam.gain_row):
+                    with pytest.raises(ValueError):
+                        arr[0] = 0
+        assert dropped_any > 0
+
+    def test_cached_beams_are_reused(self):
+        scenario = build_scenario(small_config("static"), 1)
+        # a key repeated among the misses is built once
+        first = scenario.jamming_beams([10.0, -20.0, 10.0], [(30.0,), (40.0,), (30.0,)])
+        assert first[2] is first[0] and len(scenario.geometry_cache) == 2
+        again = scenario.jamming_beams([-20.0, 10.0, -20.0], [(40.0,), (30.0,), (40.0,)])
+        assert [id(b) for b in again] == [id(first[1]), id(first[0]), id(first[1])]
+        assert len(scenario.geometry_cache) == 2
 
 
 class TestRunCompare:
