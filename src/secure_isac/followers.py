@@ -14,6 +14,7 @@ import logging
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -55,7 +56,7 @@ class FeasibilitySpec:
 
     @cached_property
     def grid(self) -> np.ndarray:
-        """The grid_points powers, built once per spec and read-only."""
+        """The grid_points powers from exactly 0 W, built once and read-only."""
         grid = np.linspace(0.0, self.p_max, self.grid_points)
         grid.setflags(write=False)
         return grid
@@ -71,27 +72,36 @@ class FeasibilitySpec:
         return ok
 
 
-def trial_block(u, powers: np.ndarray, grid) -> np.ndarray:
-    """One profile per grid row: powers with node u's power replaced, (G, K).
+class ScoredBlock(NamedTuple):
+    """A score_block block of R profiles and each row's evaluation."""
 
-    u may also be an array of node ids, with one column of `grid` per id.
+    profiles: np.ndarray    # (R, K)
+    leakage: np.ndarray     # (R, U) watts each served node receives
+    eve_rate: np.ndarray    # (R,) strongest eavesdropper's rate
+    rates: np.ndarray       # (R, U) served secrecy rates
+    feasible: np.ndarray    # (R,) spec.admits
+
+
+def score_block(powers: np.ndarray, moved, values, ctx: SlotContext,
+                spec: FeasibilitySpec) -> ScoredBlock:
+    """Score each profile that sets one row of node ids, moved (N, m), of
+    `powers` to one row of values (V, m): row i * V + v of the block is
+    powers with the nodes moved[i] at values[v].
+
+    Each gain table contracts the block once, and the leakage serves both
+    the caps and the rates. A row scores as it would alone (see
+    link._delivered), so the power game's grid blocks and the refinement's
+    enumerations and sweeps share this one scoring chain.
     """
-    trial = np.empty((len(grid), len(powers)))
-    trial[:] = powers
-    trial[:, u] = grid
-    return trial
-
-
-def candidate_block(nodes: list, powers: np.ndarray, grid, extra: int = 0) -> np.ndarray:
-    """Every grid candidate of every node in `nodes`, (N * G + extra, K): row
-    i * G + g is powers with node nodes[i] at grid[g]; the `extra` trailing
-    rows hold powers unchanged."""
-    n, g = len(nodes), len(grid)
-    block = np.empty((n * g + extra, len(powers)))
+    moved, values = np.asarray(moved, dtype=np.intp), np.asarray(values, dtype=float)
+    block = np.empty((len(moved), len(values), len(powers)))
     block[:] = powers
-    for i, u in enumerate(nodes):
-        block[i * g:(i + 1) * g, u] = grid
-    return block
+    block[np.arange(len(moved))[:, None], :, moved] = values.T
+    block = block.reshape(-1, len(powers))
+    leak = ctx.leakage_at_served(block)
+    eve = ctx.eve_rate_max(block)
+    return ScoredBlock(block, leak, eve, ctx.rates_from(leak, eve),
+                       spec.admits(block, leak))
 
 
 def _score_grid(nodes: list, powers: np.ndarray, broadcast: Broadcast,
@@ -103,35 +113,26 @@ def _score_grid(nodes: list, powers: np.ndarray, broadcast: Broadcast,
     (served transmit nodes) or jamming credit (jammers), less its power cost
     and the tau price of its leakage into the served nodes.
 
-    One block holds the N x G candidate profiles, then one profile per node
-    with that node silent (its jamming credit's reference). Each gain table
-    contracts the block once, and the leakage serves both the caps and the
-    served rates. A row scores as it would alone (see link._delivered).
+    The N x G candidate profiles are one score_block block, row i * G + g
+    with node nodes[i] at grid[g]. spec.grid starts at 0 W, so each node's
+    first row is the profile with it silent: its jamming credit's reference.
     """
     grid = spec.grid
     n, g = len(nodes), len(grid)
-    block = candidate_block(nodes, powers, grid, extra=n)
-    block[n * g + np.arange(n), nodes] = 0.0
-    candidates = block[: n * g]
-    leak = ctx.leakage_at_served(candidates)
-    feas = spec.admits(candidates, leak).reshape(n, g)
-
-    jams = [roles[u] is Role.JHN for u in nodes]
-    earns = [not j and u in ctx.served for u, j in zip(nodes, jams)]
-    secrecy, jam = 0.0, 0.0
-    if any(jams) or any(earns):
-        eve = ctx.eve_rate_max(block)
-        with_rate = eve[: n * g].reshape(n, g)
-    if any(earns):
-        column = [ctx.served.index(u) if e else 0 for u, e in zip(nodes, earns)]
-        rates = ctx.rates_from(leak.reshape(n, g, -1), with_rate)[np.arange(n), :, column]
-        secrecy = np.where(np.array(earns)[:, None], eta * rates, 0.0)
-    if any(jams):
-        credit = ctx.jam_credit(with_rate, eve[n * g:, None], grid)
-        jam = np.where(np.array(jams)[:, None], broadcast.pi * credit, 0.0)
+    scored = score_block(powers, np.reshape(nodes, (n, 1)), grid[:, None], ctx, spec)
+    eve = scored.eve_rate.reshape(n, g)
+    jams = np.array([roles[u] is Role.JHN for u in nodes], dtype=bool)
+    # served transmit nodes earn their own stream's rate (none when U = 0)
+    earners = [i for i, u in enumerate(nodes) if not jams[i] and u in ctx.served]
+    rates = scored.rates.reshape(n, g, len(ctx.served))
+    secrecy = np.zeros((n, g))
+    secrecy[earners] = eta * rates[earners, :, [ctx.served.index(nodes[i]) for i in earners]]
+    credit = ctx.jam_credit(eve, eve[:, :1], grid)
+    jam = np.where(jams[:, None], broadcast.pi * credit, 0.0)
     # each node's total leakage into the served nodes at every grid power
     own_leak = grid * ctx.jam_to_thn[nodes].sum(axis=1)[:, None]
-    return secrecy - cost * grid - broadcast.tau * own_leak + jam, feas
+    return (secrecy - cost * grid - broadcast.tau * own_leak + jam,
+            scored.feasible.reshape(n, g))
 
 
 def candidate_utilities(nodes: list, powers: np.ndarray, broadcast: Broadcast,
@@ -251,7 +252,7 @@ def gne_solve(roles: dict, powers: np.ndarray, broadcast: Broadcast, ctx: SlotCo
     if sorted(roles) != list(range(len(roles))):
         raise ValueError("role keys must be 0..K-1 and match the context rows")
     powers = np.array(powers, dtype=float)
-    if not spec.admits(powers, ctx.leakage_at_served(powers)):
+    if not score_block(powers, [[]], [[]], ctx, spec).feasible[0]:
         powers = np.zeros_like(powers)
 
     def respond(block):

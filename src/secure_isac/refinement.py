@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .arrays import ArraySpec, null_steer, steering_vector
-from .followers import FeasibilitySpec, candidate_block, sweep_best_responses, trial_block
+from .followers import FeasibilitySpec, score_block, sweep_best_responses
 from .link import SlotContext
 
 log = logging.getLogger(__name__)
@@ -156,7 +156,6 @@ def aligned_beam(aim_deg, null_deg, array_spec: ArraySpec,
 class FieldSynthesis:
     beams: dict                 # node id -> unit-norm weights
     gain_rows: dict             # node id -> directional gain over the grid
-    dropped_nulls: int
 
 
 def synthesize_field(coalitions, aim_deg: dict, null_deg: dict,
@@ -174,8 +173,7 @@ def synthesize_field(coalitions, aim_deg: dict, null_deg: dict,
     beams = (beams_of([aim_deg[j] for j in members], [null_deg[j] for j in members])
              if members else [])
     return FieldSynthesis({j: b.weights for j, b in zip(members, beams)},
-                          {j: b.gain_row for j, b in zip(members, beams)},
-                          sum(b.dropped_nulls for b in beams))
+                          {j: b.gain_row for j, b in zip(members, beams)})
 
 
 def coalition_refine(coalition: Coalition, powers: np.ndarray, ctx: SlotContext,
@@ -210,29 +208,27 @@ def coalition_refine(coalition: Coalition, powers: np.ndarray, ctx: SlotContext,
     current_rates = ctx.rates(powers)
     floor_eff = min(rate_floor, float(current_rates.min())) if current_rates.size else 0.0
 
-    def score(trial):
+    def score(moved, values):
         """Feasibility (rate floor included), objective and shaping test of
-        every profile in a (M, K) block."""
-        leak = ctx.leakage_at_served(trial)
-        rates = ctx.rates_from(leak, ctx.eve_rate_max(trial))
-        ok = spec.admits(trial, leak)
+        every row of the score_block block that moves `moved` to `values`."""
+        block, _, _, rates, ok = score_block(powers, moved, values, ctx, spec)
         if floor_eff > 0:
             ok &= rates.min(axis=-1) >= floor_eff - 1e-12
-        member = trial[:, ids]
+        member = block[:, ids]
         objective = rates.sum(axis=-1) - power_penalty_per_w * member.sum(axis=-1)
         return ok, objective, np.einsum("mc,c->m", member, shaping_weights) >= j_min - 1e-15
 
     if ids.size <= 2:
         combos = np.stack([g.ravel() for g in np.meshgrid(*[grid] * ids.size,
                                                           indexing="ij")], axis=1)
-        ok, objective, shaped = score(trial_block(ids, powers, combos))
+        ok, objective, shaped = score(ids[None], combos)
         powers[ids] = _pick(combos, ok[None], objective[None], shaped[None],
                             powers[ids][None])[0]
         return powers
 
     def respond(block):
-        ok, objective, shaped = (a.reshape(len(block), -1)
-                                 for a in score(candidate_block(block, powers, grid)))
+        rows = score(np.reshape(block, (len(block), 1)), grid[:, None])
+        ok, objective, shaped = (a.reshape(len(block), -1) for a in rows)
         return _pick(grid, ok, objective, shaped, powers[block])
 
     sweep_best_responses(ids, powers, respond, MAX_ROUNDS)

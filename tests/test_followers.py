@@ -17,7 +17,7 @@ from secure_isac.followers import (
     equilibrium_gap,
     gne_solve,
     role_switch,
-    trial_block,
+    score_block,
 )
 from secure_isac.leader import Broadcast
 from secure_isac.link import JAM_CREDIT, SlotContext
@@ -38,6 +38,15 @@ def jam_contribution(ctx: SlotContext, k: int, powers):
     without[..., k] = 0.0
     return ctx.jam_credit(ctx.eve_rate_max(p), ctx.eve_rate_max(without),
                           p[..., k])
+
+
+def trial_block(u, powers: np.ndarray, grid) -> np.ndarray:
+    """One profile per grid row, (G, K): powers with node u's power replaced,
+    built apart from the package's block scorer."""
+    trial = np.empty((len(grid), len(powers)))
+    trial[:] = powers
+    trial[:, u] = grid
+    return trial
 
 
 def hn_utility(u: int, power: float, powers: np.ndarray, roles: dict,
@@ -537,6 +546,53 @@ class TestBlockScorerProperties:
             picks, empty = best_response([u], powers, bc, ctx, spec, roles, eta, cost)
             assert picks[0] == want_p and empty[0] != feasible_any
         assert equilibrium_gap(powers, bc, ctx, spec, roles, eta, cost) == want_gap
+
+
+def assert_rows_score_as_alone(powers, moved, values, ctx, spec):
+    """Each row of the score_block block, scored as a block of its own, gives
+    the same bytes in all four outputs. Returns the block."""
+    scored = score_block(powers, moved, values, ctx, spec)
+    assert scored.rates.shape == (len(moved) * len(values), len(ctx.served))
+    for r in range(len(scored.profiles)):
+        i, v = divmod(r, len(values))
+        alone = score_block(powers, moved[i:i + 1], values[v:v + 1], ctx, spec)
+        assert np.array_equal(alone.profiles[0], scored.profiles[r])
+        for name in ("leakage", "eve_rate", "rates", "feasible"):
+            got, want = getattr(alone, name)[0], getattr(scored, name)[r]
+            assert got.tobytes() == want.tobytes(), (name, r)
+    return scored
+
+
+class TestScoreBlock:
+    # 150 examples take about 1.5 s on 2 vCPUs
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(game=toy_games())
+    def test_rows_score_as_alone_and_zero_row_is_silent(self, game):
+        ctx, _, grid, powers, spec, _, _, _ = game
+        k, g = len(powers), len(grid)
+        assert spec.grid[0] == 0.0
+        # the power game's form: each node over the whole grid in turn
+        scored = assert_rows_score_as_alone(powers, np.arange(k)[:, None], grid[:, None],
+                                            ctx, spec)
+        for u in range(k):
+            silenced = powers.copy()
+            silenced[u] = 0.0
+            assert (np.float64(ctx.eve_rate_max(silenced)).tobytes()
+                    == scored.eve_rate[u * g].tobytes())
+        # the refinement's form: two members moved together
+        combos = np.stack([a.ravel() for a in np.meshgrid(grid, grid, indexing="ij")],
+                          axis=1)
+        assert_rows_score_as_alone(powers, np.array([[k - 1, 0]]), combos, ctx, spec)
+
+    def test_unmoved_row_is_the_base_profile(self):
+        ctx = toy_context()
+        powers = np.array([0.25, 0.5, 1.0])
+        scored = score_block(powers, [[]], [[]], ctx, BOX)
+        assert np.array_equal(scored.profiles, powers[None])
+        assert scored.eve_rate.tobytes() == np.float64(ctx.eve_rate_max(powers)).tobytes()
+        assert scored.rates.tobytes() == ctx.rates(powers)[None].tobytes()
+        assert scored.feasible.tolist() == [feasible(powers, BOX, ctx)]
 
 
 def reference_eve_rate(ctx, p):

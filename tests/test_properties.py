@@ -35,10 +35,15 @@ def declared_range(path):
     return lo, lo_open, hi
 
 
+def draw_log_uniform(draw, lo, hi):
+    """A value log-uniform over [lo, hi]."""
+    return min(max(10.0 ** draw(st.floats(math.log10(lo), math.log10(hi))), lo), hi)
+
+
 def draw_in_range(draw, lo, lo_open, hi):
     """A value in the range; log-uniform when it spans a decade or more."""
     if lo > 0 and hi >= 10 * lo:
-        value = min(max(10.0 ** draw(st.floats(math.log10(lo), math.log10(hi))), lo), hi)
+        value = draw_log_uniform(draw, lo, hi)
         assume(value > lo or not lo_open)
         return value
     return draw(st.floats(lo, hi, exclude_min=lo_open))
@@ -65,6 +70,16 @@ def small_configs(draw):
     cfg.eve.speed_mps = draw(st.sampled_from([1.0, 25.0]))
     cfg.channel.csi_error_frobenius = draw(
         st.one_of(st.just(0.0), st.floats(1e-9, 1e-4)))
+    # the knobs that shape the power game's and the refinement's blocks: the
+    # grid, the beam's element count (one element leaves no null), the
+    # budget and leakage cap from never binding to always binding, the
+    # shaping bound and the QoS floor
+    cfg.followers.grid_points = draw(st.integers(2, 21))
+    cfg.hn.array_elements = draw(st.sampled_from([1, 2, 4, 16]))
+    cfg.followers.p_fj_max_w = draw_log_uniform(draw, 1e-3, 1e3)
+    cfg.followers.xi_max_scale = draw_log_uniform(draw, 1e-3, 1e3)
+    cfg.refinement.j_min_fraction = draw(st.floats(0.0, 1.0))
+    cfg.run.outage_threshold = draw(st.floats(0.0, 5.0))
     cfg.run.seed = draw(st.integers(0, 2 ** 31 - 1))
     cfg.run.slots = SLOTS
     cfg.validate()

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from secure_isac.arrays import ArraySpec, steering_vector
 from secure_isac.belief import BeliefState, default_grid
-from secure_isac.followers import FeasibilitySpec, trial_block
+from secure_isac.followers import FeasibilitySpec
 from secure_isac.link import SlotContext
 from secure_isac.refinement import (
     MAX_ROUNDS,
@@ -363,7 +363,9 @@ def reference_ascent(coalition, powers, ctx, spec, j_min, field_gains, posterior
     for _ in range(MAX_ROUNDS):
         moved = False
         for jid in ids:
-            ok, objective, shaped = score(trial_block(jid, powers, grid))
+            trial = np.tile(powers, (len(grid), 1))
+            trial[:, jid] = grid
+            ok, objective, shaped = score(trial)
             # shaped candidates if any is feasible, else every feasible one;
             # the lowest power within 1e-9 of their best objective wins
             pool = [(p, value, meets) for p, p_ok, value, meets

@@ -69,7 +69,6 @@ KEPT_DEFAULTS = {
     "cli.build_manifest.compare",
     "cli.main.argv",
     "config.knob.gt", "config.knob.ge", "config.knob.le", "config.knob.choices",
-    "followers.candidate_block.extra",
 }
 
 
