@@ -81,24 +81,23 @@ def sensing_beam(spec: ArraySpec, taper: float, steer_angle: float) -> np.ndarra
     return weights / np.linalg.norm(weights)
 
 
-def null_steer(weights: np.ndarray, null_angles, spec: ArraySpec) -> tuple:
+def null_steer(weights: np.ndarray, null_steering: np.ndarray) -> tuple:
     """Project each weight row (M, n) onto the orthogonal complement of its
-    row of nulled directions (M, U) and renormalize it, so its gain at each
-    nulled angle ends up at numerical zero.
+    row of null steering vectors (M, U, n) and renormalize it, so its gain
+    toward each nulled direction ends up at numerical zero.
 
-    The null steering and its QR factorization are built for all rows at
+    The QR factorizations of the null steering are taken for all rows at
     once; the projection, the norm and the division run row by row, because
     their stacked forms round differently. Returns the beams (M, n) and
     which rows are feasible (M,): a row whose projection removes (almost) all
     beam energy is left at zero. Raises InfeasibleNullError when U >= n.
     """
-    null_angles = np.asarray(null_angles, dtype=float)
-    rows, count = null_angles.shape
+    rows, count, elements = null_steering.shape
     if count == 0:
         return weights.copy(), np.ones(rows, dtype=bool)
-    if count >= spec.num_elements:
-        raise InfeasibleNullError(f"{count} nulls requested for {spec.num_elements} elements")
-    q, _ = np.linalg.qr(np.swapaxes(steering_vector(spec, null_angles), 1, 2))
+    if count >= elements:
+        raise InfeasibleNullError(f"{count} nulls requested for {elements} elements")
+    q, _ = np.linalg.qr(np.swapaxes(null_steering, 1, 2))
     beams = np.zeros_like(weights)
     feasible = np.zeros(rows, dtype=bool)
     for i, (w, basis) in enumerate(zip(weights, q)):

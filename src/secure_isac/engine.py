@@ -317,7 +317,8 @@ def _withhold_outage(world: World, state: SlotState) -> None:
 
 def _run_refinement(world: World, state: SlotState, jhn_ids):
     """Coalitions of the jamming nodes around the combined posterior's peaks,
-    each member's ray aim and protective nulls, then the refinement loop."""
+    then the refinement loop over the members' beams, which the scenario
+    builds and caches."""
     scn, cfg, served = world.scenario, world.config, state.ctx.served
     grid = world.beliefs[0].grid_deg
     combined = np.max(np.stack([b.probs for b in world.beliefs]), axis=0)
@@ -325,18 +326,17 @@ def _run_refinement(world: World, state: SlotState, jhn_ids):
                             cfg.refinement.peak_threshold_scale / cfg.belief.grid_size)
     jhn_bearings = {u: bearing_deg(np.zeros(3), scn.hn_positions[u]) for u in jhn_ids}
     coalitions = form_coalitions(peaks, jhn_bearings, cfg.refinement.assoc_width_deg)
-    members = [u for coalition in coalitions for u in coalition.member_ids]
-    aim_deg = dict(zip(members, scn.jamming_aims(
-        members, [c.target_angle_deg for c in coalitions for _ in c.member_ids])))
-    null_deg = {u: scn.protected_bearings(u, tuple(served)) for u in members}
+
+    def beams_of(members, targets):
+        return scn.jamming_beams(members, targets, tuple(served))
 
     def context_builder(beams):
         return build_slot_context(world, state, served,
                                   {**world.jhn_beams, **beams})
 
     return refinement_loop(
-        coalitions, combined / combined.sum(), aim_deg, null_deg, state.powers,
-        state.ctx, context_builder, scn.jamming_beams, scn.feasibility,
+        coalitions, combined / combined.sum(), state.powers, state.ctx, context_builder,
+        beams_of, scn.feasibility,
         j_min_fraction=cfg.refinement.j_min_fraction,
         rate_floor=cfg.run.outage_threshold,
         delta_stop=cfg.refinement.delta_stop,

@@ -91,12 +91,11 @@ def ray_aim(node_pos: np.ndarray, peak_bearing_deg, spec: ArraySpec,
     return bearings[np.arange(len(best)), best]
 
 
-def protective_nulls(node: int, served, positions: np.ndarray,
-                     bearings_deg: np.ndarray, spec: ArraySpec) -> tuple:
-    """Bearings from `node` (its row of the link bearings) of the served
-    nodes its beam protects: the nearest first, one fewer than its elements."""
+def protective_nulls(node: int, served, positions: np.ndarray, spec: ArraySpec) -> tuple:
+    """The served nodes `node`'s beam protects: the nearest first, one fewer
+    than its elements."""
     protected = sorted(served, key=lambda t: np.linalg.norm(positions[t] - positions[node]))
-    return tuple(bearings_deg[t] for t in protected[: spec.num_elements - 1])
+    return tuple(protected[: spec.num_elements - 1])
 
 
 def shaping_energy(field_w: np.ndarray, posterior_probs: np.ndarray) -> float:
@@ -118,28 +117,27 @@ class JammingBeam:
     dropped_nulls: int
 
 
-def aligned_beam(aim_deg, null_deg, array_spec: ArraySpec,
+def aligned_beam(aim_deg, null_steering: np.ndarray, array_spec: ArraySpec,
                  grid_steer_conj: np.ndarray) -> list:
     """The JammingBeams that steer toward the aims aim_deg (M,), each with
-    protective nulls toward its row of the bearings null_deg (M, U; nearest
-    first, at most n - 1 kept), and that are phase-referenced so that beams
-    aimed alike add coherently at the target; their gains over the grid from
-    the conjugated grid steering (G, n).
+    protective nulls along its row of the null steering (M, U, n; nearest
+    first, U < n), and that are phase-referenced so that beams aimed alike
+    add coherently at the target; their gains over the grid from the
+    conjugated grid steering (G, n).
 
     A row whose null set leaves no usable beam drops its farthest null until
-    it is feasible. The steering and the null steering are built for all rows
-    at once; the phase reference and the gain row are taken per beam, because
-    their stacked forms round differently.
+    it is feasible. The steering is built for all rows at once; the phase
+    reference and the gain row are taken per beam, because their stacked
+    forms round differently.
     """
     targets = steering_vector(array_spec, np.radians(np.asarray(aim_deg, dtype=float)))
-    nulls = np.radians(np.asarray(null_deg, dtype=float))[:, : array_spec.num_elements - 1]
-    weights, feasible = null_steer(targets, nulls, array_spec)
+    weights, feasible = null_steer(targets, null_steering)
     dropped = np.zeros(len(targets), dtype=int)
-    retry, kept = np.flatnonzero(~feasible), nulls.shape[1]
+    retry, kept = np.flatnonzero(~feasible), null_steering.shape[1]
     while retry.size:
         kept -= 1      # drop the farthest null (lists come nearest-first)
         dropped[retry] += 1
-        weights[retry], feasible = null_steer(targets[retry], nulls[retry, :kept], array_spec)
+        weights[retry], feasible = null_steer(targets[retry], null_steering[retry, :kept])
         retry = retry[~feasible]
     beams = []
     for aim, beam, target, count in zip(aim_deg, weights, targets, dropped.tolist()):
@@ -158,20 +156,19 @@ class FieldSynthesis:
     gain_rows: dict             # node id -> directional gain over the grid
 
 
-def synthesize_field(coalitions, aim_deg: dict, null_deg: dict,
-                     beams_of) -> FieldSynthesis:
+def synthesize_field(coalitions, beams_of) -> FieldSynthesis:
     """Per-member aligned beams with protective nulls, and their gains over
     the bearing grid.
 
-    Each member steers toward its coalition aim angle with nulls toward its
-    protected bearings. One call beams_of(aims, null_sets) returns every
-    member's JammingBeam, in member order (aligned_beam; the Scenario caches
-    them), so the null sets must have one length. The field at given powers
-    is the power-weighted sum of the gain rows.
+    One call beams_of(members, targets) returns every member's JammingBeam,
+    in member order, from the members and their coalitions' target bearings
+    (Scenario.jamming_beams: aligned_beam at the member's ray aim, with nulls
+    toward the served nodes it protects). The field at given powers is the
+    power-weighted sum of the gain rows.
     """
     members = [jid for coalition in coalitions for jid in coalition.member_ids]
-    beams = (beams_of([aim_deg[j] for j in members], [null_deg[j] for j in members])
-             if members else [])
+    targets = [c.target_angle_deg for c in coalitions for _ in c.member_ids]
+    beams = beams_of(members, targets)
     return FieldSynthesis({j: b.weights for j, b in zip(members, beams)},
                           {j: b.gain_row for j, b in zip(members, beams)})
 
@@ -262,19 +259,18 @@ class RefinementResult:
     improvements: list = field(default_factory=list)
 
 
-def refinement_loop(coalitions, posterior: np.ndarray, aim_deg: dict, null_deg: dict,
-                    powers: np.ndarray, ctx: SlotContext, context_builder, beams_of,
-                    spec: FeasibilitySpec, j_min_fraction: float, rate_floor: float,
-                    delta_stop: float, max_iters: int,
-                    power_penalty_per_w: float) -> RefinementResult:
+def refinement_loop(coalitions, posterior: np.ndarray, powers: np.ndarray,
+                    ctx: SlotContext, context_builder, beams_of, spec: FeasibilitySpec,
+                    j_min_fraction: float, rate_floor: float, delta_stop: float,
+                    max_iters: int, power_penalty_per_w: float) -> RefinementResult:
     """Synthesize the coalitions' beams, then iterate power refinement under
     them until the aggregate-secrecy improvement falls below the stopping
     threshold. Iterations that would reduce aggregate secrecy are rejected,
     so the accepted improvement sequence is nonnegative.
 
     `posterior` is the normalized combined eavesdropper bearing posterior over
-    the bearing grid; aims and nulls are needed for coalition members only,
-    and beams_of builds their beams (see synthesize_field).
+    the bearing grid; beams_of builds the members' beams (see
+    synthesize_field).
     context_builder(beams) must return a SlotContext with jamming rows
     re-evaluated for the given per-node transmit patterns; the result carries
     the context of the accepted beams.
@@ -288,9 +284,9 @@ def refinement_loop(coalitions, posterior: np.ndarray, aim_deg: dict, null_deg: 
     best = RefinementResult(powers.copy(), {}, np.zeros(posterior.shape[0]), [], 0, ctx)
     if not coalitions:
         return best
-    # beams depend only on the aims and nulls, so one synthesis serves every
+    # the beams do not depend on the powers, so one synthesis serves every
     # iteration
-    synth = synthesize_field(coalitions, aim_deg, null_deg, beams_of)
+    synth = synthesize_field(coalitions, beams_of)
     trial_ctx = context_builder(synth.beams)
     improvements = []
     iterations = 0

@@ -46,7 +46,6 @@ class Scenario:
     eve_shadow: np.ndarray            # (E,) fixed shadowing draws per eavesdropper
     pair_shadow: np.ndarray           # (K, K+E) symmetric-in-nodes draws
     link_gain: np.ndarray             # (K, K) squared path gain before fading
-    link_bearing: np.ndarray          # (K, K) degrees from each node to each other
     link_steer: np.ndarray            # (K, K, n) node-array steering to each other
     grid_steer_conj: np.ndarray       # (G, n) conjugated node-array steering over the belief grid
     # victim_links under static mobility, built once; None under a walk
@@ -57,8 +56,8 @@ class Scenario:
     # the waypoint walk: the positions of the slots walked so far, and the
     # generator that walks on
     walk_cache: dict = field(default_factory=dict)
-    # the refinement's jamming geometry, a pure function of each key: aims,
-    # protected bearings and beams
+    # the refinement's jamming geometry, a pure function of each key: ray
+    # aims by (node, peak) and beams by (node, peak, served set)
     geometry_cache: dict = field(default_factory=dict)
 
     def eve_positions(self, slot: int) -> np.ndarray:
@@ -94,39 +93,36 @@ class Scenario:
             self.geometry_cache.update(zip(misses, build(misses)))
         return [self.geometry_cache[key] for key in keys]
 
-    def jamming_aims(self, nodes: list, peaks_deg: list) -> list:
-        """refinement.ray_aim of each node at its posterior peak bearing,
-        cached."""
+    def jamming_beams(self, nodes: list, peaks_deg: list, served: tuple) -> list:
+        """refinement.aligned_beam of each node at its ray aim toward its
+        posterior peak bearing (refinement.ray_aim), with nulls toward the
+        served nodes it protects (refinement.protective_nulls) and its gain
+        row over the belief grid; cached, its arrays read-only. The null
+        steering is the node's row of link_steer at the protected nodes."""
         cfg = self.config
 
-        def build(misses):
+        def build_aims(misses):
             return ray_aim(self.hn_positions[[node for _, node, _ in misses]],
                            [peak for _, _, peak in misses], self.hn_spec,
                            (cfg.run.min_node_distance_m, cfg.run.cell_radius_m),
                            cfg.eve.height_m, cfg.channel.path_loss_exponent).tolist()
 
-        return self._geometry([("aim", u, p) for u, p in zip(nodes, peaks_deg)], build)
-
-    def protected_bearings(self, node: int, served: tuple) -> tuple:
-        """refinement.protective_nulls of `node` for a served set, cached."""
-        key = ("nulls", node, served)
-        if key not in self.geometry_cache:
-            self.geometry_cache[key] = protective_nulls(
-                node, served, self.hn_positions, self.link_bearing[node], self.hn_spec)
-        return self.geometry_cache[key]
-
-    def jamming_beams(self, aims_deg: list, null_sets: list) -> list:
-        """refinement.aligned_beam at each aim with its protected bearings
-        over the belief grid, cached, its arrays read-only."""
         def build(misses):
-            beams = aligned_beam([aim for _, aim, _ in misses], [nulls for _, _, nulls in misses],
-                                 self.hn_spec, self.grid_steer_conj)
+            rows = [node for _, node, _, _ in misses]
+            aims = self._geometry([("aim", node, peak) for _, node, peak, _ in misses],
+                                  build_aims)
+            protected = [protective_nulls(node, served, self.hn_positions, self.hn_spec)
+                         for node in rows]
+            null_steering = self.link_steer[np.array(rows)[:, None],
+                                            np.array(protected, dtype=int)]
+            beams = aligned_beam(aims, null_steering, self.hn_spec, self.grid_steer_conj)
             for beam in beams:
                 beam.weights.setflags(write=False)
                 beam.gain_row.setflags(write=False)
             return beams
 
-        return self._geometry([("beam", a, n) for a, n in zip(aims_deg, null_sets)], build)
+        return self._geometry([("beam", u, p, served) for u, p in zip(nodes, peaks_deg)],
+                              build)
 
     def precoder(self, served: tuple):
         """Precoder and AN basis for a served set, cached; built from the
@@ -221,7 +217,7 @@ def build_scenario(config: ScenarioConfig, seed: int) -> Scenario:
                 pair_shadow[j, i] = pair_shadow[i, j]
 
     hn_spec = ArraySpec.half_wavelength(config.hn.array_elements, lam)
-    link_gain, link_bearing, link_steer = _link_columns(
+    link_gain, link_steer = _link_columns(
         hn_positions, hn_positions, pair_shadow[:, :k], pl_model, hn_spec)
     np.fill_diagonal(link_gain, 0.0)      # a node does not jam itself
     static_links = (None if config.eve.mobility == "waypoint" else
@@ -235,7 +231,7 @@ def build_scenario(config: ScenarioConfig, seed: int) -> Scenario:
         hn_estimates=_estimate_channels(hn_channels, config, seed),
         hn_norm2=np.array([np.linalg.norm(h) ** 2 for h in hn_channels]),
         eve_shadow=eve_shadow, pair_shadow=pair_shadow,
-        link_gain=link_gain, link_bearing=link_bearing, link_steer=link_steer,
+        link_gain=link_gain, link_steer=link_steer,
         grid_steer_conj=steering_vector(
             hn_spec, np.radians(default_grid(config.belief.grid_size))).conj(),
         static_links=static_links,
@@ -333,13 +329,12 @@ def _link_columns(nodes: np.ndarray, victims: np.ndarray, shadow: np.ndarray,
                   pl_model: PathLossModel, spec: ArraySpec):
     """Link tables from each hybrid node (K, 3) toward each victim (V, 3):
     squared path gain before fading (K, V) under the pair shadowing draws
-    (K, V), ground bearing in degrees (K, V), and node-array steering
-    (K, V, n)."""
+    (K, V), and node-array steering along the ground bearing (K, V, n)."""
     d = victims[None] - nodes[:, None]
     dist = np.maximum(np.linalg.norm(d, axis=-1), 1.0)
     gain = linear_gain(path_loss_db(pl_model, dist, shadow)) ** 2
     bearing = np.degrees(np.arctan2(d[..., 1], d[..., 0]))
-    return gain, bearing, steering_vector(spec, np.radians(bearing))
+    return gain, steering_vector(spec, np.radians(bearing))
 
 
 def _victim_links(nodes: np.ndarray, eves: np.ndarray, pair_shadow: np.ndarray,
@@ -348,7 +343,7 @@ def _victim_links(nodes: np.ndarray, eves: np.ndarray, pair_shadow: np.ndarray,
     """The node link tables (K, K) and (K, K, n) extended by the columns
     toward the eavesdroppers at `eves` (E, 3), read-only."""
     k = nodes.shape[0]
-    eve_gain, _, eve_steer = _link_columns(nodes, eves, pair_shadow[:, k:], pl_model, spec)
+    eve_gain, eve_steer = _link_columns(nodes, eves, pair_shadow[:, k:], pl_model, spec)
     links = (np.hstack([link_gain, eve_gain]),
              np.concatenate([link_steer, eve_steer], axis=1))
     for arr in links:

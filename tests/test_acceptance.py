@@ -262,9 +262,12 @@ class TestAcceptance:
         grid = default_grid(181)
         steer = steering_vector(spec128, np.radians(grid))
         coalition = Coalition([0], 12.0)
-        synth = synthesize_field([coalition], {0: 12.0}, {0: [-35.0, 50.0]},
-                                 lambda aims, nulls: aligned_beam(aims, nulls, spec128,
-                                                                  steer.conj()))
+        # the member aims at its target, with nulls along the steering toward
+        # the protected bearings
+        nulls = steering_vector(spec128, np.radians([[-35.0, 50.0]]))
+        synth = synthesize_field([coalition],
+                                 lambda members, targets: aligned_beam(
+                                     targets, nulls, spec128, steer.conj()))
         field_w = synth.gain_rows[0]  # the field at unit power
         peak = field_w.max()
         for angle in (-35.0, 50.0):

@@ -229,9 +229,15 @@ class TestBeampattern:
                                        rtol=0, atol=1e-9)
 
 
+def null_steering(spec, null_angles):
+    """Steering (M, U, n) toward each row of nulled angles (M, U), radians."""
+    return steering_vector(spec, np.asarray(null_angles, dtype=float).reshape(
+        len(null_angles), -1))
+
+
 def steer_one(weights, null_angles, spec):
     """null_steer of a single row: its beam and whether it is feasible."""
-    beams, feasible = null_steer(weights[None], [null_angles], spec)
+    beams, feasible = null_steer(weights[None], null_steering(spec, [null_angles]))
     return beams[0], bool(feasible[0])
 
 
@@ -272,7 +278,7 @@ class TestNullSteer:
         spec = ArraySpec(4, 0.005, 0.01)
         w = steering_vector(spec, 0.2)
         with pytest.raises(InfeasibleNullError):
-            null_steer(w[None], [[0.1, 0.2, 0.3, 0.4]], spec)
+            null_steer(w[None], null_steering(spec, [[0.1, 0.2, 0.3, 0.4]]))
 
     def test_self_null_infeasible_when_space_exhausted(self):
         spec = ArraySpec(2, 0.005, 0.01)
@@ -280,9 +286,9 @@ class TestNullSteer:
         # as many nulls as elements leave nothing
         nulled, _ = steer_one(w, [0.7], spec)
         with pytest.raises(InfeasibleNullError):
-            null_steer(nulled[None], [[0.7, 0.0]], spec)
+            null_steer(nulled[None], null_steering(spec, [[0.7, 0.0]]))
         # nulling a beam's own direction leaves nothing of it: only that row
         # is infeasible, and it is left at zero
-        beams, feasible = null_steer(np.stack([w, w]), [[0.0], [0.7]], spec)
+        beams, feasible = null_steer(np.stack([w, w]), null_steering(spec, [[0.0], [0.7]]))
         assert feasible.tolist() == [False, True]
         assert not beams[0].any() and np.linalg.norm(beams[1]) == pytest.approx(1.0)

@@ -261,7 +261,6 @@ class TestLinkTables:
             path, bearings = reference_gain_tables(world, slot)
             # the array form rounds apart from the per-pair scalar arithmetic
             np.testing.assert_allclose(node_path, path, rtol=1e-13, atol=0)
-            assert np.array_equal(world.scenario.link_bearing, bearings[:, :k])
             np.testing.assert_allclose(link_steer, reference_steer(world, bearings),
                                        rtol=0, atol=1e-15)
             fades = substream(seed, STREAM_FADE, slot).exponential(1.0, size=(k, k + e))

@@ -25,9 +25,17 @@ HN_SPEC = ArraySpec.half_wavelength(16, 299792458.0 / 28e9)
 GRID_STEER_CONJ = steering_vector(HN_SPEC, np.radians(GRID)).conj()
 
 
-def beams_of(aims_deg, null_sets):
-    """The uncached beam builder the Scenario caches."""
-    return aligned_beam(aims_deg, null_sets, HN_SPEC, GRID_STEER_CONJ)
+def beams_by(aim_deg: dict, null_deg: dict):
+    """An uncached beam builder over given aims and null bearings (degrees)
+    per member, in place of the Scenario's: beams_of(members, targets)."""
+    def beams_of(members, targets):
+        if not members:
+            return []
+        nulls = np.array([null_deg[j] for j in members], dtype=float).reshape(len(members), -1)
+        return aligned_beam([aim_deg[j] for j in members],
+                            steering_vector(HN_SPEC, np.radians(nulls)), HN_SPEC,
+                            GRID_STEER_CONJ)
+    return beams_of
 
 
 def peaked_belief(center_deg, width=2.0, eve_id=0):
@@ -444,14 +452,14 @@ class TestSynthesizeField:
     def test_field_peak_aligned_with_posterior(self):
         belief = peaked_belief(25.0)
         coalition = Coalition([1], 25.0)
-        synth = synthesize_field([coalition], {1: 25.0}, {1: []}, beams_of)
+        synth = synthesize_field([coalition], beams_by({1: 25.0}, {1: []}))
         peak_angle = GRID[int(np.argmax(synth.gain_rows[1]))]
         assert abs(peak_angle - belief.argmax_deg) <= 1.0
 
     def test_protected_bearings_nulled(self):
         coalition = Coalition([1, 2], 10.0)
         nulls = {1: [-30.0, 55.0], 2: [-30.0, 55.0]}
-        synth = synthesize_field([coalition], {1: 10.0, 2: 10.0}, nulls, beams_of)
+        synth = synthesize_field([coalition], beams_by({1: 10.0, 2: 10.0}, nulls))
         field_w = 1.2 * synth.gain_rows[1] + 0.8 * synth.gain_rows[2]
         peak = field_w.max()
         for angle in (-30.0, 55.0):
@@ -459,13 +467,13 @@ class TestSynthesizeField:
             assert field_w[idx] <= 1e-4 * peak
 
     def test_no_coalitions_zero_field(self):
-        synth = synthesize_field([], {}, {}, beams_of)
+        synth = synthesize_field([], beams_by({}, {}))
         assert synth.beams == {} and synth.gain_rows == {}
 
     def test_coherent_phase_reference(self):
         coalition = Coalition([1, 2], 0.0)
-        synth = synthesize_field([coalition], {1: 0.0, 2: 0.0}, {1: [40.0], 2: [40.0]},
-                                 beams_of)
+        synth = synthesize_field([coalition],
+                                 beams_by({1: 0.0, 2: 0.0}, {1: [40.0], 2: [40.0]}))
         target = steering_vector(HN_SPEC, 0.0)
         for jid in (1, 2):
             response = np.vdot(synth.beams[jid], target)
@@ -500,9 +508,9 @@ class TestRefinementLoop:
         combined = np.max(np.stack([b.probs for b in posteriors]), axis=0)
         coalitions = form_coalitions(peaks_of(posteriors), jhn_bearings, 15.0)
         return refinement_loop(
-            coalitions, combined / combined.sum(), aims, nulls, powers, ctx, builder,
-            beams_of, FeasibilitySpec(p_max=1.5, p_fj_max=6.0, xi_max=1e-12,
-                                           grid_points=21),
+            coalitions, combined / combined.sum(), powers, ctx, builder,
+            beams_by(aims, nulls), FeasibilitySpec(p_max=1.5, p_fj_max=6.0, xi_max=1e-12,
+                                                   grid_points=21),
             j_min_fraction=0.1, rate_floor=0.0, delta_stop=0.01, max_iters=10,
             power_penalty_per_w=1e-3)
 

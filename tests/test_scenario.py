@@ -1,7 +1,7 @@
 """The per-seed Scenario is frozen, read-only and shared safely by its runs."""
 
 import logging
-from dataclasses import FrozenInstanceError, fields
+from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
@@ -10,9 +10,9 @@ from secure_isac import engine, scenario as scenario_module
 from secure_isac.arrays import steering_vector
 from secure_isac.belief import default_grid
 from secure_isac.config import ScenarioConfig, StrategyId, serialize_config
-from secure_isac.refinement import JammingBeam, protective_nulls, ray_aim
-from secure_isac.scenario import (World, _link_columns, build_scenario, init_scenario,
-                                  start_run)
+from secure_isac.refinement import JammingBeam, ray_aim
+from secure_isac.scenario import (World, _link_columns, bearing_deg, build_scenario,
+                                  init_scenario, start_run)
 
 logging.disable(logging.WARNING)
 
@@ -66,11 +66,49 @@ def reference_beam(aim_deg, null_deg, spec, grid_deg):
     return beam, np.abs(steer_grid.conj() @ beam) ** 2, dropped
 
 
+def reference_aim(scn, node, peak_deg):
+    """refinement.ray_aim of one node at one peak bearing."""
+    cfg = scn.config
+    return ray_aim(scn.hn_positions[[node]], [peak_deg], scn.hn_spec,
+                   (cfg.run.min_node_distance_m, cfg.run.cell_radius_m), cfg.eve.height_m,
+                   cfg.channel.path_loss_exponent)[0]
+
+
+def reference_null_bearings(scn, node, served):
+    """Bearings from `node` of the served nodes its beam protects, recomputed
+    from the positions: the nearest first, one fewer than its elements."""
+    pos = scn.hn_positions
+    nearest = sorted(served, key=lambda t: np.linalg.norm(pos[t] - pos[node]))
+    return [bearing_deg(pos[node], pos[t]) for t in nearest[: scn.hn_spec.num_elements - 1]]
+
+
+def reference_jamming_beam(scn, node, peak_deg, served):
+    """reference_beam of a node at its ray aim with nulls toward the served
+    nodes it protects, all from bearings."""
+    return reference_beam(reference_aim(scn, node, peak_deg),
+                          reference_null_bearings(scn, node, served), scn.hn_spec,
+                          default_grid(scn.config.belief.grid_size))
+
+
+def assert_beam_equals_reference(beam, scn, node, peak_deg, served) -> int:
+    """The cached beam equals its reference in bytes and is read-only;
+    returns its count of dropped nulls."""
+    weights, gain_row, dropped = reference_jamming_beam(scn, node, peak_deg, served)
+    assert isinstance(beam, JammingBeam)
+    assert beam.weights.tobytes() == weights.tobytes()
+    assert beam.gain_row.tobytes() == gain_row.tobytes()
+    assert beam.dropped_nulls == dropped
+    for arr in (beam.weights, beam.gain_row):
+        with pytest.raises(ValueError):
+            arr[0] = 0
+    return dropped
+
+
 def reference_victim_links(scn, slot):
     """The link tables toward every node and eavesdropper, built afresh."""
     k = scn.hn_positions.shape[0]
-    gain, _, steer = _link_columns(scn.hn_positions, scn.eve_positions(slot),
-                                   scn.pair_shadow[:, k:], scn.pl_model, scn.hn_spec)
+    gain, steer = _link_columns(scn.hn_positions, scn.eve_positions(slot),
+                                scn.pair_shadow[:, k:], scn.pl_model, scn.hn_spec)
     return (np.hstack([scn.link_gain, gain]),
             np.concatenate([scn.link_steer, steer], axis=1))
 
@@ -113,9 +151,7 @@ class TestFrozenScenario:
         cfg = small_config(mobility)
         scenario = build_scenario(cfg, 1)
         run(start_run(scenario), StrategyId.IBEAMS)
-        grid = default_grid(cfg.belief.grid_size)
-        radii = (cfg.run.min_node_distance_m, cfg.run.cell_radius_m)
-        fresh = steering_vector(scenario.hn_spec, np.radians(grid))
+        fresh = steering_vector(scenario.hn_spec, np.radians(default_grid(cfg.belief.grid_size)))
         assert scenario.grid_steer_conj.tobytes() == fresh.conj().tobytes()
         kinds = {}
         for (kind, *key), value in scenario.geometry_cache.items():
@@ -123,27 +159,11 @@ class TestFrozenScenario:
             if kind == "aim":
                 node, peak = key
                 assert type(value) is float
-                assert [value] == ray_aim(scenario.hn_positions[[node]], [peak],
-                                          scenario.hn_spec, radii, cfg.eve.height_m,
-                                          cfg.channel.path_loss_exponent).tolist()
-            elif kind == "nulls":
-                node, served = key
-                assert value == protective_nulls(node, served, scenario.hn_positions,
-                                                 scenario.link_bearing[node],
-                                                 scenario.hn_spec)
+                assert value == reference_aim(scenario, node, peak)
             else:
                 assert kind == "beam"
-                aim, nulls = key
-                assert isinstance(value, JammingBeam)
-                weights, gain_row, dropped = reference_beam(aim, nulls, scenario.hn_spec,
-                                                            grid)
-                assert value.weights.tobytes() == weights.tobytes()
-                assert value.gain_row.tobytes() == gain_row.tobytes()
-                assert value.dropped_nulls == dropped
-                for arr in (value.weights, value.gain_row):
-                    with pytest.raises(ValueError):
-                        arr[0] = 0
-        assert set(kinds) == {"aim", "nulls", "beam"}
+                assert_beam_equals_reference(value, scenario, *key)
+        assert set(kinds) == {"aim", "beam"}
         # one entry per distinct key: a second run over the scenario adds none
         size = len(scenario.geometry_cache)
         run(start_run(scenario), StrategyId.IBEAMS)
@@ -195,53 +215,66 @@ class TestFrozenScenario:
         assert (scenario.victim_links(0) is scenario.victim_links(5)) == (mobility == "static")
 
 
-def stacked_beam_cases(n: int, rng):
-    """(aims, null sets) batches for an n-element array: no nulls, each count
-    from 1 to n - 1, a served set longer than n - 1, and rows whose aim sits
-    on a protected bearing (nearest or farthest) so that nulls are dropped."""
-    def draw(rows, count):
-        return (rng.uniform(-90.0, 90.0, rows).tolist(),
-                [tuple(rng.uniform(-90.0, 90.0, count).tolist()) for _ in range(rows)])
-
-    cases = [draw(3, 0)] + [draw(5, count) for count in range(1, n)] + [draw(4, n + 2)]
-    for count in range(1, n):
-        aims, nulls = draw(4, count)
-        nulls[0] = nulls[0][:-1] + (aims[0],)     # on the farthest protected bearing
-        nulls[1] = (aims[1],) + nulls[1][1:]      # on the nearest one
-        cases.append((aims, nulls))
-    return cases
+def with_node_at(scn, node, position):
+    """The scenario with one hybrid node moved, its node link steering
+    rebuilt and an empty geometry cache."""
+    positions = scn.hn_positions.copy()
+    positions[node] = position
+    _, steer = _link_columns(positions, positions, scn.pair_shadow[:, : len(positions)],
+                             scn.pl_model, scn.hn_spec)
+    return replace(scn, hn_positions=positions, link_steer=steer, geometry_cache={})
 
 
 class TestJammingBeams:
-    @pytest.mark.parametrize("elements", [2, 3, 8, 16])
-    def test_stacked_beams_equal_one_call_per_beam(self, elements):
+    @pytest.mark.parametrize("elements", [1, 2, 3, 8, 16])
+    def test_beams_equal_the_reference_built_from_bearings(self, elements):
         cfg = small_config("static")
+        cfg.hn.count = 20
         cfg.hn.array_elements = elements
         scenario = build_scenario(cfg, 1)
         grid = default_grid(cfg.belief.grid_size)
-        dropped_any = 0
-        for aims, nulls in stacked_beam_cases(elements, np.random.default_rng(elements)):
-            beams = scenario.jamming_beams(aims, nulls)
-            for aim, null_set, beam in zip(aims, nulls, beams):
-                weights, gain_row, dropped = reference_beam(aim, null_set, scenario.hn_spec,
-                                                            grid)
-                assert beam.weights.tobytes() == weights.tobytes()
-                assert beam.gain_row.tobytes() == gain_row.tobytes()
-                assert beam.dropped_nulls == dropped
-                dropped_any += dropped
-                for arr in (beam.weights, beam.gain_row):
-                    with pytest.raises(ValueError):
-                        arr[0] = 0
-        assert dropped_any > 0
+        rng = np.random.default_rng(elements)
+        # served sets of each size: none, one, n - 1, and more than n - 1
+        for size in sorted({0, 1, elements - 1, elements + 2}):
+            served = tuple(sorted(rng.choice(cfg.hn.count, size, replace=False).tolist()))
+            nodes = [u for u in range(cfg.hn.count) if u not in served]
+            peaks = rng.choice(grid, len(nodes)).tolist()
+            beams = scenario.jamming_beams(nodes, peaks, served)
+            for node, peak, beam in zip(nodes, peaks, beams):
+                assert_beam_equals_reference(beam, scenario, node, peak, served)
+        if elements == 1:
+            return
+        # a served node on the jammer's aim leaves its beam no usable energy
+        # under that null: placed nearest, every null is dropped; placed
+        # farthest, only it is
+        node, peak, on_aim = 0, 20.0, 1
+        aim = np.radians(reference_aim(scenario, node, peak))
+        others = tuple(range(2, elements))
+        for distance, dropped in [(5.0, len(others) + 1), (1000.0, 1)]:
+            moved = with_node_at(scenario, on_aim, scenario.hn_positions[node]
+                                 + distance * np.array([np.cos(aim), np.sin(aim), 0.0]))
+            served = tuple(sorted((on_aim,) + others))
+            [beam] = moved.jamming_beams([node], [peak], served)
+            assert assert_beam_equals_reference(beam, moved, node, peak, served) == dropped
 
     def test_cached_beams_are_reused(self):
         scenario = build_scenario(small_config("static"), 1)
+
+        def beams():
+            return {key: value for key, value in scenario.geometry_cache.items()
+                    if key[0] == "beam"}
+
         # a key repeated among the misses is built once
-        first = scenario.jamming_beams([10.0, -20.0, 10.0], [(30.0,), (40.0,), (30.0,)])
-        assert first[2] is first[0] and len(scenario.geometry_cache) == 2
-        again = scenario.jamming_beams([-20.0, 10.0, -20.0], [(40.0,), (30.0,), (40.0,)])
+        first = scenario.jamming_beams([0, 1, 0], [10.0, -20.0, 10.0], (2, 3))
+        assert first[2] is first[0] and len(beams()) == 2
+        size = len(scenario.geometry_cache)
+        again = scenario.jamming_beams([1, 0, 1], [-20.0, 10.0, -20.0], (2, 3))
         assert [id(b) for b in again] == [id(first[1]), id(first[0]), id(first[1])]
-        assert len(scenario.geometry_cache) == 2
+        assert len(scenario.geometry_cache) == size
+        # a new served set adds a beam entry and reuses the aim
+        other = scenario.jamming_beams([0], [10.0], (2, 4))
+        assert other[0] is not first[0] and len(beams()) == 3
+        assert len(scenario.geometry_cache) == size + 1
 
 
 class TestRunCompare:

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import secure_isac
-from secure_isac import channel, followers, link
+from secure_isac import channel, config, engine, followers, link, scenario
 
 SRC = Path(secure_isac.__file__).resolve().parent
 
@@ -95,3 +95,26 @@ def test_model_inputs_declare_no_field_default(cls):
                  if f.default is not dataclasses.MISSING
                  or f.default_factory is not dataclasses.MISSING]
     assert defaulted == []
+
+
+def test_every_state_and_config_field_is_read_in_the_package():
+    # a field that no code reads is dead state or a dead knob; an attribute
+    # load of its name anywhere in the package counts as a read (by name, not
+    # by type). A config field must be read outside config.py, whose parsing,
+    # validation and serialization touch every field.
+    readers = {}
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                readers.setdefault(node.attr, set()).add(path.name)
+    sections = [type(getattr(config.ScenarioConfig(), f.name))
+                for f in dataclasses.fields(config.ScenarioConfig)]
+    unread = [f"{cls.__name__}.{f.name}"
+              for cls in (scenario.Scenario, scenario.World, engine.SlotState)
+              for f in dataclasses.fields(cls) if f.name not in readers]
+    unread += [f"{cls.__name__}.{f.name}"
+               for cls in [config.ScenarioConfig] + sections
+               for f in dataclasses.fields(cls)
+               if not readers.get(f.name, set()) - {"config.py"}]
+    assert len(sections) >= 10
+    assert unread == []
