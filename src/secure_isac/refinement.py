@@ -91,11 +91,12 @@ def ray_aim(node_pos: np.ndarray, peak_bearing_deg, spec: ArraySpec,
     return bearings[np.arange(len(best)), best]
 
 
-def protective_nulls(node: int, served, positions: np.ndarray, spec: ArraySpec) -> tuple:
-    """The served nodes `node`'s beam protects: the nearest first, one fewer
-    than its elements."""
-    protected = sorted(served, key=lambda t: np.linalg.norm(positions[t] - positions[node]))
-    return tuple(protected[: spec.num_elements - 1])
+def protective_nulls(nodes, served, positions: np.ndarray, spec: ArraySpec) -> np.ndarray:
+    """The served nodes each node's beam protects (M, U): the nearest first,
+    one fewer than its elements."""
+    served = np.asarray(served, dtype=int)
+    distance = np.linalg.norm(positions[served] - positions[np.asarray(nodes)][:, None], axis=2)
+    return served[np.argsort(distance, axis=1, kind="stable")[:, : spec.num_elements - 1]]
 
 
 def shaping_energy(field_w: np.ndarray, posterior_probs: np.ndarray) -> float:

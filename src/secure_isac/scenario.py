@@ -57,7 +57,7 @@ class Scenario:
     # generator that walks on
     walk_cache: dict = field(default_factory=dict)
     # the refinement's jamming geometry, a pure function of each key: ray
-    # aims by (node, peak) and beams by (node, peak, served set)
+    # aims by (node, peak) and beams by (node, peak, protected node ids)
     geometry_cache: dict = field(default_factory=dict)
 
     def eve_positions(self, slot: int) -> np.ndarray:
@@ -111,18 +111,17 @@ class Scenario:
             rows = [node for _, node, _, _ in misses]
             aims = self._geometry([("aim", node, peak) for _, node, peak, _ in misses],
                                   build_aims)
-            protected = [protective_nulls(node, served, self.hn_positions, self.hn_spec)
-                         for node in rows]
             null_steering = self.link_steer[np.array(rows)[:, None],
-                                            np.array(protected, dtype=int)]
+                                            np.array([ids for *_, ids in misses], dtype=int)]
             beams = aligned_beam(aims, null_steering, self.hn_spec, self.grid_steer_conj)
             for beam in beams:
                 beam.weights.setflags(write=False)
                 beam.gain_row.setflags(write=False)
             return beams
 
-        return self._geometry([("beam", u, p, served) for u, p in zip(nodes, peaks_deg)],
-                              build)
+        protected = protective_nulls(nodes, served, self.hn_positions, self.hn_spec).tolist()
+        return self._geometry([("beam", u, p, tuple(ids))
+                               for u, p, ids in zip(nodes, peaks_deg, protected)], build)
 
     def precoder(self, served: tuple):
         """Precoder and AN basis for a served set, cached; built from the

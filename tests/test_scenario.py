@@ -10,7 +10,7 @@ from secure_isac import engine, scenario as scenario_module
 from secure_isac.arrays import steering_vector
 from secure_isac.belief import default_grid
 from secure_isac.config import ScenarioConfig, StrategyId, serialize_config
-from secure_isac.refinement import JammingBeam, ray_aim
+from secure_isac.refinement import JammingBeam, aligned_beam, ray_aim
 from secure_isac.scenario import (World, _link_columns, bearing_deg, build_scenario,
                                   init_scenario, start_run)
 
@@ -225,7 +225,43 @@ def with_node_at(scn, node, position):
     return replace(scn, hn_positions=positions, link_steer=steer, geometry_cache={})
 
 
+def stacked_beam_cases(n: int, rng):
+    """(aims, null sets) batches for an n-element array: no nulls, each count
+    from 1 to n - 1, a served set longer than n - 1, and rows whose aim sits
+    on a protected bearing (nearest or farthest) so that nulls are dropped."""
+    def draw(rows, count):
+        return (rng.uniform(-90.0, 90.0, rows).tolist(),
+                [tuple(rng.uniform(-90.0, 90.0, count).tolist()) for _ in range(rows)])
+
+    cases = [draw(3, 0)] + [draw(5, count) for count in range(1, n)] + [draw(4, n + 2)]
+    for count in range(1, n):
+        aims, nulls = draw(4, count)
+        nulls[0] = nulls[0][:-1] + (aims[0],)     # on the farthest protected bearing
+        nulls[1] = (aims[1],) + nulls[1][1:]      # on the nearest one
+        cases.append((aims, nulls))
+    return cases
+
+
 class TestJammingBeams:
+    @pytest.mark.parametrize("elements", [2, 3, 8, 16])
+    def test_stacked_beams_equal_one_call_per_beam(self, elements):
+        cfg = small_config("static")
+        cfg.hn.array_elements = elements
+        scenario = build_scenario(cfg, 1)
+        spec, grid = scenario.hn_spec, default_grid(cfg.belief.grid_size)
+        dropped_any = 0
+        for aims, nulls in stacked_beam_cases(elements, np.random.default_rng(elements)):
+            kept = np.array([null_set[: elements - 1] for null_set in nulls])
+            beams = aligned_beam(aims, steering_vector(spec, np.radians(kept)), spec,
+                                 scenario.grid_steer_conj)
+            for aim, null_set, beam in zip(aims, nulls, beams):
+                weights, gain_row, dropped = reference_beam(aim, null_set, spec, grid)
+                assert beam.weights.tobytes() == weights.tobytes()
+                assert beam.gain_row.tobytes() == gain_row.tobytes()
+                assert beam.dropped_nulls == dropped
+                dropped_any += dropped
+        assert dropped_any > 0
+
     @pytest.mark.parametrize("elements", [1, 2, 3, 8, 16])
     def test_beams_equal_the_reference_built_from_bearings(self, elements):
         cfg = small_config("static")
@@ -242,20 +278,23 @@ class TestJammingBeams:
             beams = scenario.jamming_beams(nodes, peaks, served)
             for node, peak, beam in zip(nodes, peaks, beams):
                 assert_beam_equals_reference(beam, scenario, node, peak, served)
-        if elements == 1:
-            return
-        # a served node on the jammer's aim leaves its beam no usable energy
-        # under that null: placed nearest, every null is dropped; placed
-        # farthest, only it is
+        # a served node on node 0's aim leaves its beam no usable energy under
+        # that null: placed nearest, every null is dropped; placed farthest,
+        # only it is. Node 0 is built in one call with every other jammer, so
+        # the call mixes rows that retry with rows that are feasible at once.
         node, peak, on_aim = 0, 20.0, 1
         aim = np.radians(reference_aim(scenario, node, peak))
-        others = tuple(range(2, elements))
-        for distance, dropped in [(5.0, len(others) + 1), (1000.0, 1)]:
-            moved = with_node_at(scenario, on_aim, scenario.hn_positions[node]
-                                 + distance * np.array([np.cos(aim), np.sin(aim), 0.0]))
-            served = tuple(sorted((on_aim,) + others))
-            [beam] = moved.jamming_beams([node], [peak], served)
-            assert assert_beam_equals_reference(beam, moved, node, peak, served) == dropped
+        for count in range(1, elements):
+            served = (on_aim,) + tuple(range(2, count + 1))
+            jammers = [u for u in range(cfg.hn.count) if u not in served]
+            peaks = [peak] + rng.choice(grid, len(jammers) - 1).tolist()
+            for distance, expected in [(5.0, count), (1000.0, 1)]:
+                moved = with_node_at(scenario, on_aim, scenario.hn_positions[node]
+                                     + distance * np.array([np.cos(aim), np.sin(aim), 0.0]))
+                beams = moved.jamming_beams(jammers, peaks, served)
+                dropped = [assert_beam_equals_reference(beam, moved, u, p, served)
+                           for u, p, beam in zip(jammers, peaks, beams)]
+                assert dropped[0] == expected and 0 in dropped[1:]
 
     def test_cached_beams_are_reused(self):
         scenario = build_scenario(small_config("static"), 1)
@@ -275,6 +314,20 @@ class TestJammingBeams:
         other = scenario.jamming_beams([0], [10.0], (2, 4))
         assert other[0] is not first[0] and len(beams()) == 3
         assert len(scenario.geometry_cache) == size + 1
+
+    def test_served_sets_protecting_the_same_nodes_share_a_beam(self):
+        cfg = small_config("static")
+        cfg.hn.array_elements = 2
+        scenario = build_scenario(cfg, 1)
+        pos = scenario.hn_positions
+        nearest, *farther = sorted(range(1, cfg.hn.count),
+                                   key=lambda t: np.linalg.norm(pos[t] - pos[0]))
+        # node 0 protects only its nearest served node, whatever else is served
+        first = scenario.jamming_beams([0], [10.0], (nearest, farther[0]))
+        size = len(scenario.geometry_cache)
+        again = scenario.jamming_beams([0], [10.0], tuple(sorted((nearest, *farther[1:]))))
+        assert again[0] is first[0] and len(scenario.geometry_cache) == size
+        assert_beam_equals_reference(again[0], scenario, 0, 10.0, (nearest, *farther))
 
 
 class TestRunCompare:
