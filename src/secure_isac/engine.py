@@ -26,12 +26,11 @@ import numpy as np
 
 from . import InvariantError
 from .belief import entropy, predict, synthesize_measurement, update
-from .channel import (STREAM_FADE, STREAM_MEASUREMENT, eve_channel,
-                      linear_gain, los_channel, path_loss_db, substream)
+from .channel import STREAM_FADE, STREAM_MEASUREMENT, eve_channel, substream
 from .config import ScenarioConfig, StrategyId
 from .followers import Role, gne_solve, role_switch
 from .leader import Broadcast, LeaderKpis, leader_step
-from .link import (SlotContext, SlotRecord, an_power_at, outage_metrics,
+from .link import (SlotContext, SlotRecord, an_power_at, an_residual, outage_metrics,
                    power_accounting, see, watts_to_dbm)
 from .refinement import form_coalitions, posterior_peaks, refinement_loop
 from .scenario import (Scenario, World, bearing_deg, build_scenario, init_scenario,
@@ -43,16 +42,8 @@ def _slot_inputs(scn: Scenario, slot: int):
     channels (E, N), the faded gains (K, K+E) toward the nodes and the
     eavesdroppers in watts per watt before beam pattern, and the node-array
     steering (K, K+E, n) toward each."""
-    positions = scn.eve_positions(slot)
-    # one scalar path-loss call per eavesdropper: numpy's array log10 and
-    # power round differently from the scalar ones, so a batched gain would
-    # move some slots' channels by an ulp
-    gains = [linear_gain(path_loss_db(scn.pl_model, np.linalg.norm(p - scn.bs_center),
-                                      scn.eve_shadow[j]))
-             for j, p in enumerate(positions)]
-    los = los_channel(scn.bs_elements, positions, np.array(gains), scn.bs_spec.wavelength)
     channels = np.stack([eve_channel(scn.k_lin, row, slot, scn.seed, j)
-                         for j, row in enumerate(los)])
+                         for j, row in enumerate(scn.eve_los(slot))])
     gain, steer = scn.victim_links(slot)
     fades = substream(scn.seed, STREAM_FADE, slot).exponential(1.0, size=gain.shape)
     return channels, gain * fades, steer
@@ -103,10 +94,11 @@ class SlotState:
 def build_slot_context(world: World, state: SlotState, served: list,
                        beams: dict) -> SlotContext:
     """Assemble the interference coefficients of a served set under the given
-    per-node transmit beams."""
+    per-node transmit beams: the scenario's base-station terms of the served
+    set, scaled by this slot's stream and AN powers, and the jamming rows."""
     scn, cfg = world.scenario, world.config
     k, p_bs = world.num_hn, cfg.bs.p_init_w
-    prec, basis = scn.precoder(tuple(served))
+    terms = scn.precoder(tuple(served))
     p_stream = state.broadcast.alpha * p_bs / max(len(served), 1)
 
     delivered = state.node_path * _pattern_table(state.link_steer, beams)
@@ -114,19 +106,13 @@ def build_slot_context(world: World, state: SlotState, served: list,
 
     rx = cfg.hn.rx_gain
     an_total = state.broadcast.beta * p_bs
-    channels = scn.hn_channels[served]
-    # coupling[u, v] = |h_u^H b_v|^2 of served node u to stream v; the
-    # precoder of an empty served set has no antenna axis
-    coupling = (np.abs(np.einsum("un,nv->uv", channels.conj(), prec.beams)) ** 2
-                if served else np.zeros((0, 0)))
-    sig = p_stream * coupling.diagonal() * rx
-    isi = p_stream * (coupling.sum(axis=1) - coupling.diagonal()) * rx
-    an_thn = an_power_at(channels, basis, an_total) * rx
-
     return SlotContext(
-        served=list(served), sig_w=sig, isi_w=isi, an_thn_w=an_thn,
+        served=list(served), sig_w=p_stream * terms.own * rx,
+        isi_w=p_stream * terms.cross * rx,
+        an_thn_w=an_power_at(terms.residual, terms.basis, an_total) * rx,
         noise_w=scn.noise_w, eve_capture_w=p_stream * state.eve_norm2,
-        eve_an_w=an_power_at(state.eve_chans, basis, an_total),
+        eve_an_w=an_power_at(an_residual(state.eve_chans, terms.basis), terms.basis,
+                             an_total),
         jam_to_eve=delivered[:, k:], jam_to_thn=jam_to_nodes[:, served],
         eve_noise_w=cfg.eve.noise_floor_w, jam_to_hn=jam_to_nodes)
 
@@ -395,6 +381,9 @@ def _finalize_slot(world: World, state: SlotState) -> SlotRecord:
     return record
 
 
+LEAKAGE_CAP = "leakage cap exceeded at a served node"
+
+
 def _check_slot_invariants(world: World, state: SlotState, rates: np.ndarray,
                            leakage: np.ndarray) -> None:
     """Raise InvariantError naming the first slot invariant that fails, given
@@ -411,7 +400,7 @@ def _check_slot_invariants(world: World, state: SlotState, rates: np.ndarray,
         "belief not a distribution": all(abs(q.probs.sum() - 1.0) <= 1e-9
                                          and np.all(q.probs >= -1e-15)
                                          for q in world.beliefs),
-        "leakage cap exceeded at a served node": np.all(
+        LEAKAGE_CAP: np.all(
             leakage <= spec.xi_max * (1.0 + 1e-6)),
         # with perfect estimates the noise basis is exactly invisible at the
         # served nodes; a configured CSI error makes residual leakage physical
@@ -421,6 +410,10 @@ def _check_slot_invariants(world: World, state: SlotState, rates: np.ndarray,
     }
     for what, ok in checks.items():
         if not ok:
+            if what == LEAKAGE_CAP:
+                worst = int(np.argmax(leakage))
+                what += (f": node {ctx.served[worst]} receives "
+                         f"{leakage[worst] / spec.xi_max:.9g} x xi_max")
             raise InvariantError(f"slot {state.slot}: {what}")
 
 

@@ -95,24 +95,43 @@ def an_projector(thn_channels, num_antennas: int) -> np.ndarray:
     return span
 
 
-def an_power_at(channels, span: np.ndarray, an_power_w: float):
-    """AN power delivered to each receiver of a channel (N,) or stack (..., N).
-
-    The AN power is spread evenly over the N - U dimensions of the complement
-    of the served span Q (N, U) from an_projector, so a receiver with channel
-    h gets an_power_w / (N - U) * ||(I - QQ^H) h||^2, computed as
-    ||h||^2 - ||Q^H h||^2. The reductions are einsum calls, never BLAS, so the
-    result does not depend on the BLAS thread count and each row of a stack
-    equals its own single-channel call.
-    """
+def served_coupling(channels, beams: np.ndarray):
+    """Coupling |h_u^H b_v|^2 of served node u (channels (U, N), stream order)
+    to stream v of the composite beams (N, U), as (own, cross): each node's
+    coupling to its own stream and the sum over the other streams, (U,) each.
+    An empty served set has no antenna axis and gives two empty arrays."""
     h = np.asarray(channels)
-    n, u = span.shape
-    if n == u or an_power_w <= 0.0:
-        return np.zeros(h.shape[:-1])[()]
+    coupling = (np.abs(np.einsum("un,nv->uv", h.conj(), beams)) ** 2
+                if len(h) else np.zeros((0, 0)))
+    own = coupling.diagonal().copy()
+    return own, coupling.sum(axis=1) - own
+
+
+def an_residual(channels, span: np.ndarray):
+    """||(I - QQ^H) h||^2 of a channel (N,) or of each row of a stack (..., N)
+    off the served span Q (N, U) from an_projector, computed as
+    ||h||^2 - ||Q^H h||^2 and floored at 0. The reductions are einsum calls,
+    never BLAS, so the result does not depend on the BLAS thread count and
+    each row of a stack equals its own single-channel call."""
+    h = np.asarray(channels)
     total = np.einsum("...n,...n->...", h.conj(), h).real
     coeffs = np.einsum("nu,...n->...u", span.conj(), h)    # Q^H h
     captured = np.einsum("...u,...u->...", coeffs.conj(), coeffs).real
-    return (an_power_w / (n - u) * np.maximum(0.0, total - captured))[()]
+    return np.maximum(0.0, total - captured)
+
+
+def an_power_at(residual, span: np.ndarray, an_power_w: float):
+    """AN power delivered to receivers whose channels leave `residual` off the
+    served span Q (N, U) (an_residual, any shape).
+
+    The AN power is spread evenly over the N - U dimensions of the complement
+    of the span, so a receiver gets an_power_w / (N - U) * residual; zeros
+    when the span leaves no complement or no AN is radiated.
+    """
+    n, u = span.shape
+    if n == u or an_power_w <= 0.0:
+        return np.zeros(np.shape(residual))[()]
+    return (an_power_w / (n - u) * np.asarray(residual))[()]
 
 
 def power_accounting(bs_power: float, hn_powers, num_rf: int, power: PowerModelConfig):
@@ -193,10 +212,6 @@ class SlotContext:
         if not self.noise_w > 0:
             raise ValueError(f"noise_w must be > 0, got {self.noise_w}")
 
-    @property
-    def num_eves(self) -> int:
-        return self.jam_to_eve.shape[1]
-
     def leakage_at_served(self, powers) -> np.ndarray:
         """Interference power each served node receives from all hybrid
         nodes, (..., U)."""
@@ -206,16 +221,13 @@ class SlotContext:
         """Spectral efficiency of the strongest eavesdropper, (...); inf when
         she decodes with a zero denominator."""
         p = np.asarray(powers, dtype=float)
-        if self.num_eves == 0:
-            return np.zeros(p.shape[:-1])[()]
         den = self.eve_an_w + _delivered(p, self.jam_to_eve) + self.eve_noise_w
-        live = den > 0
-        # a zero denominator decodes perfectly, unless nothing was captured
-        sinr = np.where(live, 0.0, np.where(self.eve_capture_w > 0, np.inf, 0.0))
-        # a subnormal denominator overflows to the same infinite SINR
-        with np.errstate(over="ignore"):
-            np.divide(self.eve_capture_w, den, out=sinr, where=live)
-        return np.log2(1.0 + sinr.max(axis=-1))[()]     # log2(inf) is inf
+        # a zero or subnormal denominator gives an infinite SINR, unless
+        # nothing was captured: 0/0 is NaN, which fmax skips for the 0 floor
+        # (which also scores no eavesdropper); log2(inf) is inf
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            sinr = self.eve_capture_w / den
+        return np.log2(1.0 + np.fmax.reduce(sinr, axis=-1, initial=0.0))[()]
 
     def rates(self, powers) -> np.ndarray:
         """Per served node secrecy rates, (..., U); all zero while the

@@ -266,8 +266,10 @@ def refinement_loop(coalitions, posterior: np.ndarray, powers: np.ndarray,
                     max_iters: int, power_penalty_per_w: float) -> RefinementResult:
     """Synthesize the coalitions' beams, then iterate power refinement under
     them until the aggregate-secrecy improvement falls below the stopping
-    threshold. Iterations that would reduce aggregate secrecy are rejected,
-    so the accepted improvement sequence is nonnegative.
+    threshold. Iterations that would reduce aggregate secrecy, break the
+    rate floor or leave a profile that spec does not admit under the new
+    beams are rejected, so the accepted improvement sequence is nonnegative
+    and every accepted profile is feasible.
 
     `posterior` is the normalized combined eavesdropper bearing posterior over
     the bearing grid; beams_of builds the members' beams (see
@@ -303,10 +305,14 @@ def refinement_loop(coalitions, posterior: np.ndarray, powers: np.ndarray,
                 coalition, trial_powers, trial_ctx, spec,
                 j_min_fraction * baseline, synth.gain_rows, posterior,
                 rate_floor=rate_floor, power_penalty_per_w=power_penalty_per_w)
-        new_rates = trial_ctx.rates(trial_powers)
+        # the new beams move every node's leakage, so the profile is scored
+        # for the caps as well as for secrecy and the rate floor
+        scored = score_block(trial_powers, [[]], [[]], trial_ctx, spec)
+        new_rates = scored.rates[0]
         new_sum = float(new_rates.sum())
         delta = new_sum - best_sum
-        if delta < 0 or (new_rates.size and new_rates.min() < min_floor - 1e-12):
+        if (delta < 0 or not scored.feasible[0]
+                or (new_rates.size and new_rates.min() < min_floor - 1e-12)):
             break  # rejected: keep the best accepted state
         powers = trial_powers
         field_w = np.zeros(posterior.shape[0])

@@ -1,14 +1,17 @@
 """The per-seed Scenario and the per-run World over it.
 
 A Scenario is what (config, seed) fixes: placements, channels, the node link
-tables, precoders, the eavesdroppers' positions in every slot, and the
-refinement's jamming geometry, since no decision moves them. It is frozen and
-its arrays are read-only, so many runs (every strategy of a comparison) can
-share one, and a waypoint walk runs once per scenario. A World is one run's
-decision state: beliefs, leader, roles, powers, beams.
+tables, each served set's precoder and base-station terms, the
+eavesdroppers' positions in every slot (and their LOS channels when they
+stand still), and the refinement's jamming geometry, since no decision
+moves them. It is frozen and its arrays are read-only, so many runs (every
+strategy of a comparison) can share one, and a waypoint walk runs once per
+scenario. A World is one run's decision state: beliefs, leader, roles,
+powers, beams.
 """
 
 from dataclasses import dataclass, field, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -21,8 +24,23 @@ from .channel import (C_LIGHT, STREAM_CSI_ERROR, STREAM_HN_NLOS,
 from .config import RunConfig, ScenarioConfig
 from .followers import FeasibilitySpec, Role
 from .leader import Broadcast, LeaderKpis, LeaderState
-from .link import an_projector, build_precoder
+from .link import (PrecoderSet, an_projector, an_residual, build_precoder,
+                   served_coupling)
 from .refinement import aligned_beam, protective_nulls, ray_aim
+
+
+class ServedTerms(NamedTuple):
+    """A served set's base-station terms, fixed by the scenario: the
+    precoder, the AN basis, and at each served node (stream order) the
+    coupling to its own stream, the summed coupling to the other streams
+    (link.served_coupling) and the AN residual (link.an_residual) of its
+    true channel. A slot scales them by its stream and AN powers."""
+
+    precoder: PrecoderSet
+    basis: np.ndarray       # (N, U)
+    own: np.ndarray         # (U,)
+    cross: np.ndarray       # (U,)
+    residual: np.ndarray    # (U,)
 
 
 @dataclass(frozen=True, eq=False)
@@ -51,7 +69,11 @@ class Scenario:
     # victim_links under static mobility, built once; None under a walk
     static_links: tuple | None
     feasibility: FeasibilitySpec      # the follower constraints and power grid
-    # precoders are a pure function of the estimates and the served set
+    # BS->eavesdropper LOS channels under static mobility, built once; None
+    # under a walk
+    static_eve_los: np.ndarray | None
+    # each served set's ServedTerms: a pure function of the channels, their
+    # estimates and the served set
     precoder_cache: dict = field(default_factory=dict)
     # the waypoint walk: the positions of the slots walked so far, and the
     # generator that walks on
@@ -123,16 +145,30 @@ class Scenario:
         return self._geometry([("beam", u, p, tuple(ids))
                                for u, p, ids in zip(nodes, peaks_deg, protected)], build)
 
-    def precoder(self, served: tuple):
-        """Precoder and AN basis for a served set, cached; built from the
-        channel estimates (the true channels unless a CSI error is configured)."""
+    def eve_los(self, slot: int) -> np.ndarray:
+        """LOS channels (E, N) from the base station to the eavesdroppers in
+        `slot`. Under static mobility they are built once, read-only, and
+        shared by every run; a waypoint walk builds them each slot."""
+        if self.static_eve_los is not None:
+            return self.static_eve_los
+        return _eve_los(self.bs_elements, self.bs_center, self.bs_spec.wavelength,
+                        self.pl_model, self.eve_shadow, self.eve_positions(slot))
+
+    def precoder(self, served: tuple) -> ServedTerms:
+        """The served set's ServedTerms, cached and read-only. The precoder
+        and AN basis are built from the channel estimates (the true channels
+        unless a CSI error is configured); the coupling and the residual are
+        those of the true channels."""
         if served not in self.precoder_cache:
             estimates = self.hn_estimates[list(served)]
+            channels = self.hn_channels[list(served)]
             prec = build_precoder(estimates, self.config.bs.num_rf, self.config.bs.rzf_reg)
             basis = an_projector(estimates, num_antennas=self.config.bs.antennas)
-            for arr in (prec.analog, prec.digital, prec.beams, basis):
+            terms = ServedTerms(prec, basis, *served_coupling(channels, prec.beams),
+                                an_residual(channels, basis))
+            for arr in (prec.analog, prec.digital, prec.beams, *terms[1:]):
                 arr.setflags(write=False)     # shared by every run
-            self.precoder_cache[served] = (prec, basis)
+            self.precoder_cache[served] = terms
         return self.precoder_cache[served]
 
 
@@ -219,9 +255,9 @@ def build_scenario(config: ScenarioConfig, seed: int) -> Scenario:
     link_gain, link_steer = _link_columns(
         hn_positions, hn_positions, pair_shadow[:, :k], pl_model, hn_spec)
     np.fill_diagonal(link_gain, 0.0)      # a node does not jam itself
-    static_links = (None if config.eve.mobility == "waypoint" else
-                    _victim_links(hn_positions, eve_start, pair_shadow, pl_model, hn_spec,
-                                  link_gain, link_steer))
+    static = config.eve.mobility != "waypoint"
+    static_links = (_victim_links(hn_positions, eve_start, pair_shadow, pl_model, hn_spec,
+                                  link_gain, link_steer) if static else None)
     scenario = Scenario(
         config=config, seed=seed, bs_spec=bs_spec, hn_spec=hn_spec,
         bs_center=bs_center, bs_elements=bs_elements, noise_w=noise_w,
@@ -234,6 +270,8 @@ def build_scenario(config: ScenarioConfig, seed: int) -> Scenario:
         grid_steer_conj=steering_vector(
             hn_spec, np.radians(default_grid(config.belief.grid_size))).conj(),
         static_links=static_links,
+        static_eve_los=(_eve_los(bs_elements, bs_center, lam, pl_model, eve_shadow, eve_start)
+                        if static else None),
         feasibility=FeasibilitySpec(
             p_max=config.hn.p_max_w, p_fj_max=config.followers.p_fj_max_w,
             xi_max=config.followers.xi_max_scale * noise_w,
@@ -322,6 +360,19 @@ def _waypoint_walk(config: ScenarioConfig, seed: int, start: np.ndarray):
             if 0 < radius < r_min:  # keep mobile nodes outside the exclusion disc
                 positions[j][:2] = ground * (r_min / radius)
         positions.setflags(write=False)
+
+
+def _eve_los(bs_elements: np.ndarray, bs_center: np.ndarray, wavelength: float,
+             pl_model: PathLossModel, eve_shadow: np.ndarray,
+             positions: np.ndarray) -> np.ndarray:
+    """LOS channels (E, N) from the base-station elements to the
+    eavesdroppers at `positions` (E, 3) under their shadowing draws (E,)."""
+    # one scalar path-loss call per eavesdropper: numpy's array log10 and
+    # power round differently from the scalar ones, so a batched gain would
+    # move some slots' channels by an ulp
+    gains = [linear_gain(path_loss_db(pl_model, np.linalg.norm(p - bs_center), eve_shadow[j]))
+             for j, p in enumerate(positions)]
+    return los_channel(bs_elements, positions, np.array(gains), wavelength)
 
 
 def _link_columns(nodes: np.ndarray, victims: np.ndarray, shadow: np.ndarray,

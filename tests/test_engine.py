@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import secure_isac
-from secure_isac import engine
+from secure_isac import InvariantError, engine
 from secure_isac.arrays import ArraySpec, steering_vector
 from secure_isac.channel import (C_LIGHT, STREAM_FADE, STREAM_PAIR_SHADOW, STREAM_WAYPOINT,
                                   eve_channel, linear_gain, los_channel, path_loss_db,
@@ -303,7 +303,7 @@ def reference_stream_powers(world, p_stream, served):
     """Desired and inter-stream power at each served node, one node at a time
     through a BLAS product."""
     scn, rx = world.scenario, world.config.hn.rx_gain
-    prec, _ = scn.precoder(tuple(served))
+    prec = scn.precoder(tuple(served)).precoder
     sig, isi = np.zeros(len(served)), np.zeros(len(served))
     for idx, u in enumerate(served):
         beam_gain = np.abs(np.conj(scn.hn_channels[u]) @ prec.beams) ** 2
@@ -645,3 +645,26 @@ class TestInvariants:
                              capture_output=True, text=True, timeout=120)
         assert out.returncode == 0, out.stderr
         assert out.stdout.strip() == "False slot 0: node power outside [0, p_max]"
+
+    def test_leakage_failure_names_the_node_and_its_excess(self):
+        world = init_scenario(ScenarioConfig(), 1)
+        state = engine._open_slot(world, StrategyId.IBEAMS, 0, True)
+        served = [int(u) for u in np.argsort(-world.scenario.hn_norm2)[:2]]
+        engine._serve(world, state, served)
+        leakage = np.array([0.5, 3.0]) * world.scenario.feasibility.xi_max
+        with pytest.raises(InvariantError) as raised:
+            engine._check_slot_invariants(world, state, state.ctx.rates(state.powers),
+                                          leakage)
+        assert str(raised.value) == (f"slot 0: leakage cap exceeded at a served node: "
+                                     f"node {served[1]} receives 3 x xi_max")
+
+    def test_two_element_node_arrays_keep_every_served_node_inside_the_cap(self):
+        # with two elements a jamming beam protects one served node, and at
+        # seed 1 the refinement's new beams push the power game's profile
+        # over a cap in slot 138; the refinement rejects that iteration, so
+        # every slot's invariants hold
+        cfg = ScenarioConfig()
+        cfg.hn.array_elements = 2
+        world = init_scenario(cfg, 1)
+        refined = [run_slot(world, StrategyId.IBEAMS, t).refine_iters for t in range(139)]
+        assert refined[138] >= 1

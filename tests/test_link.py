@@ -3,6 +3,8 @@ from collections import namedtuple
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from secure_isac.arrays import ArraySpec, ula_positions
 from secure_isac.channel import los_channel
@@ -12,6 +14,7 @@ from secure_isac.link import (
     NoNullspaceError,
     SlotContext,
     an_power_at,
+    an_residual,
     an_projector,
     build_precoder,
     outage_metrics,
@@ -31,6 +34,11 @@ def los_at(spec, x, y, gain=1.0, z=0.0):
     return los_channel(ula_positions(spec), np.array([x, y, z]), gain, spec.wavelength)
 
 
+def an_at(channels, span, an_power_w):
+    """AN power at each channel through the served span."""
+    return an_power_at(an_residual(channels, span), span, an_power_w)
+
+
 def link_context(split, prec, channels, eve_channels=(), basis=None, noise=2e-12,
                  eve_noise=0.0, rx_gain=1.0, jam_to_thn=None, jam_to_eve=None):
     """SlotContext of a physical link, assembled as the engine does: served
@@ -46,7 +54,7 @@ def link_context(split, prec, channels, eve_channels=(), basis=None, noise=2e-12
         sig[idx] = p_stream * coupling[idx] * rx_gain
         isi[idx] = p_stream * (coupling.sum() - coupling[idx]) * rx_gain
         if basis is not None:
-            an[idx] = an_power_at(h, basis, an_total) * rx_gain
+            an[idx] = an_at(h, basis, an_total) * rx_gain
     e_count = len(eve_channels)
     return SlotContext(
         served=list(range(u_count)), sig_w=sig, isi_w=isi, an_thn_w=an,
@@ -54,7 +62,7 @@ def link_context(split, prec, channels, eve_channels=(), basis=None, noise=2e-12
         eve_capture_w=np.array([p_stream * np.linalg.norm(g) ** 2 * rx_gain
                                 for g in eve_channels]),
         eve_an_w=np.array([0.0 if basis is None
-                           else an_power_at(g, basis, an_total) * rx_gain
+                           else an_at(g, basis, an_total) * rx_gain
                            for g in eve_channels]),
         jam_to_eve=np.zeros((1, e_count)) if jam_to_eve is None else jam_to_eve,
         jam_to_thn=np.zeros((1, u_count)) if jam_to_thn is None else jam_to_thn,
@@ -130,7 +138,7 @@ class TestAnProjector:
         h = los_at(spec, 20.0, 3.0)
         span = an_projector([h], num_antennas=spec.num_elements)
         beta_p = 2.0
-        assert an_power_at(h, span, beta_p) <= 1e-10 * beta_p
+        assert an_at(h, span, beta_p) <= 1e-10 * beta_p
         assert np.allclose(span.conj().T @ span, np.eye(span.shape[1]), atol=1e-10)
 
     def test_batched_call_equals_row_calls(self):
@@ -139,9 +147,9 @@ class TestAnProjector:
         span = an_projector([los_at(spec, 50.0, y) for y in (5.0, -12.0, 30.0)],
                             num_antennas=spec.num_elements)
         stack = (rng.standard_normal((6, 128)) + 1j * rng.standard_normal((6, 128))) * 1e-3
-        batched = an_power_at(stack, span, 2.5)
+        batched = an_at(stack, span, 2.5)
         assert batched.shape == (6,)
-        assert np.array_equal(batched, [an_power_at(h, span, 2.5) for h in stack])
+        assert np.array_equal(batched, [an_at(h, span, 2.5) for h in stack])
 
     def test_matches_explicit_projector(self):
         rng = np.random.default_rng(6)
@@ -152,21 +160,21 @@ class TestAnProjector:
         for _ in range(20):
             h = rng.standard_normal(32) + 1j * rng.standard_normal(32)
             want = 1.5 / 30 * np.linalg.norm(projector @ h) ** 2
-            assert an_power_at(h, span, 1.5) == pytest.approx(want, rel=1e-12)
+            assert an_at(h, span, 1.5) == pytest.approx(want, rel=1e-12)
 
     def test_empty_served_set_spreads_over_all_antennas(self):
         rng = np.random.default_rng(7)
         span = an_projector([], num_antennas=16)
         assert span.shape == (16, 0)
         h = rng.standard_normal(16) + 1j * rng.standard_normal(16)
-        assert an_power_at(h, span, 3.0) == pytest.approx(
+        assert an_at(h, span, 3.0) == pytest.approx(
             3.0 / 16 * np.linalg.norm(h) ** 2, rel=1e-12)
 
     def test_no_complement_gives_zeros_of_batch_shape(self):
         rng = np.random.default_rng(8)
         span, _ = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
         stack = rng.standard_normal((2, 3, 4)) + 1j * rng.standard_normal((2, 3, 4))
-        out = an_power_at(stack, span, 1.0)
+        out = an_at(stack, span, 1.0)
         assert out.shape == (2, 3)
         assert np.all(out == 0.0)
 
@@ -176,7 +184,7 @@ class TestAnProjector:
         basis = an_projector(hs, num_antennas=spec.num_elements)
         beta_p = 3.0
         for h in hs:
-            assert an_power_at(h, basis, beta_p) <= 1e-8 * beta_p
+            assert an_at(h, basis, beta_p) <= 1e-8 * beta_p
 
     def test_random_eve_receives_an(self):
         # Monte Carlo: an unconstrained channel almost surely lands in the
@@ -189,7 +197,7 @@ class TestAnProjector:
         received = []
         for _ in range(1000):
             e = (rng.standard_normal(16) + 1j * rng.standard_normal(16)) / np.sqrt(2 * 16)
-            received.append(an_power_at(e, basis, beta_p))
+            received.append(an_at(e, basis, beta_p))
         assert np.mean(received) > 1e-3 * beta_p
         assert np.all(np.asarray(received) >= 0.0)
 
@@ -511,6 +519,56 @@ class TestEvaluatorForms:
         for noise in (0.0, -1e-12, np.nan):
             with pytest.raises(ValueError, match="noise_w"):
                 SlotContext(**{**vars(base), "noise_w": noise})
+
+
+def masked_eve_rate_max(ctx, powers):
+    """The strongest eavesdropper's rate in the masked form: a zero
+    denominator decodes perfectly unless nothing was captured, a subnormal
+    one overflows to the same infinite SINR, and no eavesdropper gives 0."""
+    p = np.asarray(powers, dtype=float)
+    if ctx.jam_to_eve.shape[1] == 0:
+        return np.zeros(p.shape[:-1])[()]
+    den = ctx.eve_an_w + np.einsum("...k,kx->...x", p, ctx.jam_to_eve) + ctx.eve_noise_w
+    live = den > 0
+    sinr = np.where(live, 0.0, np.where(ctx.eve_capture_w > 0, np.inf, 0.0))
+    with np.errstate(over="ignore"):
+        np.divide(ctx.eve_capture_w, den, out=sinr, where=live)
+    return np.log2(1.0 + sinr.max(axis=-1))[()]
+
+
+# zeros, subnormals and the watt scales of a slot, so that denominators hit
+# zero, underflow to zero, overflow the SINR and stay live
+WATTS = st.one_of(st.just(0.0), st.just(5e-324), st.floats(1e-14, 1e-8))
+
+
+@st.composite
+def eavesdropper_cases(draw):
+    e, k = draw(st.sampled_from([0, 1, 4])), draw(st.integers(1, 4))
+    batch = draw(st.sampled_from([(), (3,), (2, 3)]))
+
+    def arr(shape, values):
+        return np.array(draw(st.lists(values, min_size=int(np.prod(shape)),
+                                      max_size=int(np.prod(shape)))),
+                        dtype=float).reshape(shape)
+
+    ctx = SlotContext(
+        served=[0], sig_w=np.ones(1), isi_w=np.zeros(1), an_thn_w=np.zeros(1),
+        noise_w=1.0, eve_capture_w=arr((e,), WATTS), eve_an_w=arr((e,), WATTS),
+        jam_to_eve=arr((k, e), st.one_of(WATTS, st.just(1.0))),
+        jam_to_thn=np.zeros((k, 1)), eve_noise_w=draw(WATTS), jam_to_hn=None)
+    powers = arr(batch + (k,), st.one_of(st.just(0.0), st.just(5e-324),
+                                        st.floats(0.0, 1.5)))
+    return ctx, powers
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=eavesdropper_cases())
+def test_eve_rate_max_equals_the_masked_form_in_bytes(case):
+    ctx, powers = case
+    got, want = ctx.eve_rate_max(powers), masked_eve_rate_max(ctx, powers)
+    assert type(got) is type(want)
+    assert np.shape(got) == np.shape(want) == powers.shape[:-1]
+    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
 
 class TestSeeMonotonicity:

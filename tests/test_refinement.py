@@ -546,6 +546,30 @@ class TestRefinementLoop:
         assert 2 not in res.beams
         assert res.powers[2] == start[2]
 
+    def test_profile_the_new_beams_make_infeasible_is_rejected(self):
+        # jammer 2 joins no coalition and keeps its power; under the member's
+        # new beam it jams the eavesdropper harder, which raises the aggregate
+        # secrecy, but it also leaks over the cap, so no member candidate is
+        # feasible and the iteration is rejected: the start state is kept
+        posteriors, _, aims, nulls, builder = self.setup_problem()
+
+        def reshaped(beams):
+            ctx = builder(beams)
+            if beams:
+                ctx.jam_to_eve[2, 0], ctx.jam_to_thn[2, 0] = 1e-9, 1e-11
+            return ctx
+
+        start = np.array([0.0, 0.0, 0.7])
+        beam = beams_by(aims, nulls)([1], [30.0])[0].weights
+        assert reshaped({1: beam}).rates(start).sum() > reshaped({}).rates(start).sum()
+        assert reshaped({1: beam}).leakage_at_served(start)[0] > 1e-12
+        res = self.run_loop(start, reshaped, posteriors, {1: 28.0, 2: 90.0},
+                            {1: aims[1]}, {1: nulls[1]})
+        assert res.iterations == 1 and res.improvements == []
+        assert res.beams == {} and res.coalitions == []
+        assert np.array_equal(res.powers, start)
+        assert res.ctx.leakage_at_served(res.powers)[0] == 0.0
+
     def test_no_jammers_is_noop(self):
         posteriors, _, aims, nulls, builder = self.setup_problem()
         res = self.run_loop(np.zeros(3), builder, posteriors, {}, aims, nulls)

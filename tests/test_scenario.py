@@ -9,7 +9,9 @@ import pytest
 from secure_isac import engine, scenario as scenario_module
 from secure_isac.arrays import steering_vector
 from secure_isac.belief import default_grid
+from secure_isac.channel import eve_channel, linear_gain, los_channel, path_loss_db
 from secure_isac.config import ScenarioConfig, StrategyId, serialize_config
+from secure_isac.link import an_projector, build_precoder
 from secure_isac.refinement import JammingBeam, aligned_beam, ray_aim
 from secure_isac.scenario import (World, _link_columns, bearing_deg, build_scenario,
                                   init_scenario, start_run)
@@ -113,6 +115,32 @@ def reference_victim_links(scn, slot):
             np.concatenate([scn.link_steer, steer], axis=1))
 
 
+def reference_eve_los(scn, slot):
+    """The BS->eavesdropper LOS channels of a slot, built afresh from the
+    slot's positions with one scalar path-loss call per eavesdropper."""
+    positions = scn.eve_positions(slot)
+    gains = [linear_gain(path_loss_db(scn.pl_model, np.linalg.norm(p - scn.bs_center),
+                                      scn.eve_shadow[j]))
+             for j, p in enumerate(positions)]
+    return los_channel(scn.bs_elements, positions, np.array(gains), scn.bs_spec.wavelength)
+
+
+def reference_served_terms(scn, served):
+    """A served set's precoder, AN basis, own and cross coupling and AN
+    residual, built afresh with the coupling and residual written out."""
+    cfg, ids = scn.config, list(served)
+    prec = build_precoder(scn.hn_estimates[ids], cfg.bs.num_rf, cfg.bs.rzf_reg)
+    basis = an_projector(scn.hn_estimates[ids], num_antennas=cfg.bs.antennas)
+    h = scn.hn_channels[ids]
+    coupling = (np.abs(np.einsum("un,nv->uv", h.conj(), prec.beams)) ** 2
+                if served else np.zeros((0, 0)))
+    total = np.einsum("...n,...n->...", h.conj(), h).real
+    coeffs = np.einsum("nu,...n->...u", basis.conj(), h)
+    captured = np.einsum("...u,...u->...", coeffs.conj(), coeffs).real
+    return (prec, basis, coupling.diagonal(), coupling.sum(axis=1) - coupling.diagonal(),
+            np.maximum(0.0, total - captured))
+
+
 @pytest.mark.parametrize("mobility", ["static", "waypoint"])
 class TestFrozenScenario:
     def test_arrays_and_fields_read_only(self, mobility):
@@ -141,8 +169,11 @@ class TestFrozenScenario:
         shared = [run(start_run(scenario), strategy) for _ in range(2)]
         after = {name: arr.tobytes() for name, arr in scenario_arrays(scenario).items()}
         assert after == before
-        for prec, basis in scenario.precoder_cache.values():
-            assert not (prec.beams.flags.writeable or basis.flags.writeable)
+        assert scenario.precoder_cache
+        for terms in scenario.precoder_cache.values():
+            for arr in (terms.precoder.beams, terms.basis, terms.own, terms.cross,
+                        terms.residual):
+                assert not arr.flags.writeable
         assert serialize_config(scenario.config) == config_text
         fresh = [run(init_scenario(cfg, 1), strategy) for _ in range(2)]
         assert shared == fresh
@@ -213,6 +244,38 @@ class TestFrozenScenario:
             assert node_path.shape == links[0].shape
         # built once under static mobility, every slot under a walk
         assert (scenario.victim_links(0) is scenario.victim_links(5)) == (mobility == "static")
+
+
+    def test_eavesdropper_los_equals_per_slot_builds(self, mobility):
+        scenario = build_scenario(small_config(mobility), 1)
+        if mobility == "static":
+            with pytest.raises(ValueError):
+                scenario.static_eve_los[0, 0] = 0
+        else:
+            assert scenario.static_eve_los is None
+        for t in range(6):
+            los = reference_eve_los(scenario, t)
+            assert scenario.eve_los(t).tobytes() == los.tobytes()
+            # the slot's channels redraw only the scattered part on it
+            channels, _, _ = engine._slot_inputs(scenario, t)
+            fresh = [eve_channel(scenario.k_lin, row, t, scenario.seed, j)
+                     for j, row in enumerate(los)]
+            assert channels.tobytes() == np.stack(fresh).tobytes()
+        # built once under static mobility, every slot under a walk
+        assert (scenario.eve_los(0) is scenario.eve_los(5)) == (mobility == "static")
+
+    def test_served_terms_equal_fresh_builds(self, mobility):
+        scenario = build_scenario(small_config(mobility), 1)
+        run(start_run(scenario), StrategyId.IBEAMS)
+        run(start_run(scenario), StrategyId.STACKELBERG_ONLY)
+        assert len(scenario.precoder_cache) > 1
+        for served, terms in scenario.precoder_cache.items():
+            prec, *rest = reference_served_terms(scenario, served)
+            for got, want in zip((terms.precoder.analog, terms.precoder.digital,
+                                  terms.precoder.beams),
+                                 (prec.analog, prec.digital, prec.beams)):
+                assert got.tobytes() == want.tobytes()
+            assert [a.tobytes() for a in terms[1:]] == [a.tobytes() for a in rest]
 
 
 def with_node_at(scn, node, position):

@@ -118,3 +118,32 @@ def test_every_state_and_config_field_is_read_in_the_package():
                if not readers.get(f.name, set()) - {"config.py"}]
     assert len(sections) >= 10
     assert unread == []
+
+
+def test_served_coupling_and_an_residual_each_have_one_home():
+    # the served set's coupling |h_u^H b_v|^2 and the AN residual
+    # ||(I - QQ^H) h||^2 are each computed by one link.py function; the
+    # scenario's cache and the slot context call it and inline no einsum of it
+    trees = {path.name: ast.parse(path.read_text(), str(path))
+             for path in sorted(SRC.glob("*.py"))}
+    homes = {top.name: top for top in trees["link.py"].body
+             if isinstance(top, ast.FunctionDef)
+             and top.name in ("served_coupling", "an_residual")}
+
+    def einsums(node):
+        return [call for call in ast.walk(node) if isinstance(call, ast.Call)
+                and isinstance(call.func, ast.Attribute) and call.func.attr == "einsum"]
+
+    def called(tree):
+        return {call.func.id for call in ast.walk(tree)
+                if isinstance(call, ast.Call) and isinstance(call.func, ast.Name)}
+
+    formulas = {call.args[0].value for home in homes.values() for call in einsums(home)}
+    assert len(homes) == 2 and len(formulas) == 4
+    inside = {id(call) for home in homes.values() for call in einsums(home)}
+    inlined = [f"{module}:{call.lineno}" for module, tree in trees.items()
+               for call in einsums(tree) if id(call) not in inside
+               and isinstance(call.args[0], ast.Constant) and call.args[0].value in formulas]
+    assert inlined == []
+    assert set(homes) <= called(trees["scenario.py"])
+    assert "an_residual" in called(trees["engine.py"])
