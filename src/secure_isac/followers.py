@@ -165,11 +165,14 @@ def best_response(nodes: list, powers: np.ndarray, broadcast: Broadcast,
 def sweep_best_responses(nodes, powers: np.ndarray, respond, max_sweeps: int):
     """Gauss-Seidel best-response sweeps over the node ids `nodes` in order,
     moving `powers` in place, until a sweep moves no node. Returns (sweeps
-    run, converged flag).
+    run, converged flag, pending): pending lists, in order, the node ids not
+    scored since the last move, none after a converged sweep.
 
     respond(block) returns or yields, in order, the pick of each node id in
-    `block`, all scored against the current powers; a node's pick must not
-    depend on its own power.
+    `block`, all scored against the current powers. A node's pick may depend
+    on its own power only by keeping it (as when no candidate is feasible):
+    scored again after its pick is taken, while no other node has moved, it
+    must pick the power it holds.
 
     A node is scored at its turn only if some node has moved since it was
     last scored; otherwise its pick would be the power it holds. Up to
@@ -180,7 +183,9 @@ def sweep_best_responses(nodes, powers: np.ndarray, respond, max_sweeps: int):
     """
     seen = [-1] * len(nodes)    # the move count when each node was last scored
     version = 0                 # moves so far
-    for sweep in range(1, max_sweeps + 1):
+    sweeps, converged = 0, False
+    while not converged and sweeps < max_sweeps:
+        sweeps += 1
         moves_before = version
         pos = 0
         while True:
@@ -198,25 +203,25 @@ def sweep_best_responses(nodes, powers: np.ndarray, respond, max_sweeps: int):
                     version += 1
                     seen[i] = version
                     break
-        if version == moves_before:
-            return sweep, True
-    return max_sweeps, False
+        converged = version == moves_before
+    return sweeps, converged, [u for u, last in zip(nodes, seen) if last != version]
 
 
 @dataclass
 class GneResult:
     powers: np.ndarray
     iterations: int
-    gap: float          # exhaustive equilibrium gap at the returned profile
+    gap: float          # equilibrium gap at the returned profile, over every node
     converged: bool
 
 
 def equilibrium_gap(powers: np.ndarray, broadcast: Broadcast, ctx: SlotContext,
-                    spec: FeasibilitySpec, roles: dict, eta: float,
-                    cost: float) -> float:
-    """Largest unilateral utility improvement any node can reach on spec.grid
-    (the epsilon-equilibrium certificate, by exhaustive scan of every node's
-    grid as one block).
+                    spec: FeasibilitySpec, roles: dict, eta: float, cost: float,
+                    nodes) -> float:
+    """Largest unilateral utility improvement on spec.grid that any node id in
+    `nodes` can reach (the epsilon-equilibrium certificate), scanning those
+    nodes' grids as one block; 0.0 when `nodes` is empty. Nodes with no
+    feasible grid power are left out.
 
     Every power must be a grid point, as it is after any best-response sweep:
     node u's current utility is the row of its candidate block at powers[u].
@@ -226,9 +231,11 @@ def equilibrium_gap(powers: np.ndarray, broadcast: Broadcast, ctx: SlotContext,
     off = np.flatnonzero(~on_grid.any(axis=1))
     if off.size:
         raise ValueError(f"node {off[0]}: power {powers[off[0]]} is not on the grid")
-    values, feas = _score_grid(list(range(len(powers))), powers, broadcast, ctx, spec,
-                               roles, eta, cost)
-    current = values[np.arange(len(powers)), on_grid.argmax(axis=1)]
+    nodes = list(nodes)
+    if not nodes:
+        return 0.0
+    values, feas = _score_grid(nodes, powers, broadcast, ctx, spec, roles, eta, cost)
+    current = values[np.arange(len(nodes)), on_grid[nodes].argmax(axis=1)]
     best = np.where(feas, values, -np.inf).max(axis=1)
     gains = (best - current)[feas.any(axis=1)]
     return max(0.0, float(gains.max())) if gains.size else 0.0
@@ -244,8 +251,14 @@ def gne_solve(roles: dict, powers: np.ndarray, broadcast: Broadcast, ctx: SlotCo
     grid; an infeasible start profile restarts from zero. Sweep order is
     ascending node id, and a node is re-scored only after some node has moved
     (see sweep_best_responses). Returns the profile, sweep count, the
-    exhaustive equilibrium gap at the returned profile, and whether the last
-    sweep moved no node.
+    equilibrium gap at the returned profile, and whether the last sweep moved
+    no node.
+
+    The gap scores only the nodes the sweeps left pending. Every other node
+    was last scored against the current profile and picked the power it
+    holds, so its gain is exactly 0.0 (its rows score as they would in any
+    block): the result equals equilibrium_gap over every node, and a
+    converged solve scores no gap row.
     """
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
@@ -264,11 +277,11 @@ def gne_solve(roles: dict, powers: np.ndarray, broadcast: Broadcast, ctx: SlotCo
                 log.warning("node %d: no feasible grid power, falling back to 0", u)
             yield pick
 
-    iterations, converged = sweep_best_responses(range(len(roles)), powers, respond,
-                                                 max_iters)
+    iterations, converged, pending = sweep_best_responses(range(len(roles)), powers,
+                                                          respond, max_iters)
     if not converged:
         log.warning("best-response dynamics hit the iteration cap (%d sweeps)", max_iters)
-    gap = equilibrium_gap(powers, broadcast, ctx, spec, roles, eta, cost)
+    gap = equilibrium_gap(powers, broadcast, ctx, spec, roles, eta, cost, pending)
     return GneResult(powers, iterations, gap, converged)
 
 

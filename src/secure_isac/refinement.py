@@ -174,14 +174,16 @@ def synthesize_field(coalitions, beams_of) -> FieldSynthesis:
                           {j: b.gain_row for j, b in zip(members, beams)})
 
 
-def coalition_refine(coalition: Coalition, powers: np.ndarray, ctx: SlotContext,
-                     spec: FeasibilitySpec, j_min: float, field_gains: dict,
-                     posterior_probs: np.ndarray, rate_floor: float,
+def coalition_refine(coalition: Coalition, powers: np.ndarray, rates: np.ndarray,
+                     ctx: SlotContext, spec: FeasibilitySpec, j_min: float,
+                     field_gains: dict, posterior_probs: np.ndarray, rate_floor: float,
                      power_penalty_per_w: float) -> np.ndarray:
     """Re-optimize coalition member powers for aggregate served secrecy.
 
+    `rates` are the served secrecy rates of `powers` under ctx (ctx.rates).
     Members move on spec.grid subject to the box, aggregate budget and
-    per-victim leakage cap of `spec`, a served-rate floor, and the
+    per-victim leakage cap of `spec`, a served-rate floor (rate_floor, or
+    the start's lowest rate where that is lower), and the
     posterior-weighted shaping bound. A small per-watt penalty suppresses
     redundant or low-impact jammers, which also preserves the shared budget
     for coalitions facing stronger adversaries. Coalitions of one or two
@@ -203,8 +205,7 @@ def coalition_refine(coalition: Coalition, powers: np.ndarray, ctx: SlotContext,
     shaping_weights = np.einsum("cg,g->c", gains_matrix, posterior_probs)   # (|C|,)
     grid = spec.grid
 
-    current_rates = ctx.rates(powers)
-    floor_eff = min(rate_floor, float(current_rates.min())) if current_rates.size else 0.0
+    floor_eff = min(rate_floor, float(rates.min())) if rates.size else 0.0
 
     def score(moved, values):
         """Feasibility (rate floor included), objective and shaping test of
@@ -293,18 +294,24 @@ def refinement_loop(coalitions, posterior: np.ndarray, powers: np.ndarray,
     trial_ctx = context_builder(synth.beams)
     improvements = []
     iterations = 0
+    # the served rates of `powers` under the new beams
+    rates = trial_ctx.rates(powers)
     for _ in range(max_iters):
         iterations += 1
-        trial_powers = powers.copy()
+        trial_powers, trial_rates = powers.copy(), rates
         for coalition in coalitions:
             baseline = shaping_energy(
                 np.sum([trial_powers[j] * synth.gain_rows[j]
                         for j in coalition.member_ids], axis=0),
                 posterior)
-            trial_powers = coalition_refine(
-                coalition, trial_powers, trial_ctx, spec,
+            refined = coalition_refine(
+                coalition, trial_powers, trial_rates, trial_ctx, spec,
                 j_min_fraction * baseline, synth.gain_rows, posterior,
                 rate_floor=rate_floor, power_penalty_per_w=power_penalty_per_w)
+            # a coalition that moved nothing leaves the rates as they are
+            if not np.array_equal(refined, trial_powers):
+                trial_rates = trial_ctx.rates(refined)
+            trial_powers = refined
         # the new beams move every node's leakage, so the profile is scored
         # for the caps as well as for secrecy and the rate floor
         scored = score_block(trial_powers, [[]], [[]], trial_ctx, spec)
@@ -314,7 +321,7 @@ def refinement_loop(coalitions, posterior: np.ndarray, powers: np.ndarray,
         if (delta < 0 or not scored.feasible[0]
                 or (new_rates.size and new_rates.min() < min_floor - 1e-12)):
             break  # rejected: keep the best accepted state
-        powers = trial_powers
+        powers, rates = trial_powers, new_rates
         field_w = np.zeros(posterior.shape[0])
         for coalition in coalitions:
             for j in coalition.member_ids:

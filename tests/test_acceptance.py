@@ -185,7 +185,8 @@ class TestAcceptance:
                 assert np.min(np.abs(grid - power)) <= 1e-15, \
                     f"toy {trial}: off-grid power {power}"
             assert feasible(result.powers, spec, ctx), f"toy {trial}"
-            gap = equilibrium_gap(result.powers, bc, ctx, spec, role_map, 1.0, cost)
+            gap = equilibrium_gap(result.powers, bc, ctx, spec, role_map, 1.0, cost,
+                                  range(n))
             assert gap <= 1e-9, f"toy {trial}: gap {gap}"
 
         # 50 randomized 2-jammer refinement instances vs exhaustive enumeration
@@ -205,7 +206,7 @@ class TestAcceptance:
                 eve_noise_w=0.0, jam_to_hn=None,
             )
             got = coalition_refine(
-                Coalition([1, 2], 0.0), np.zeros(3), ctx,
+                Coalition([1, 2], 0.0), np.zeros(3), ctx.rates(np.zeros(3)), ctx,
                 FeasibilitySpec(p_max=1.5, p_fj_max=fj, xi_max=xi_max, grid_points=11),
                 j_min=0.0, field_gains=flat_gains, posterior_probs=uniform_post,
                 rate_floor=0.0, power_penalty_per_w=1e-3)

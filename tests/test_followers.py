@@ -6,7 +6,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from secure_isac import engine
+from secure_isac import engine, followers
 from secure_isac.config import ScenarioConfig, StrategyId
 from secure_isac.followers import (
     FEAS_TOL,
@@ -18,6 +18,7 @@ from secure_isac.followers import (
     gne_solve,
     role_switch,
     score_block,
+    sweep_best_responses,
 )
 from secure_isac.leader import Broadcast
 from secure_isac.link import JAM_CREDIT, SlotContext
@@ -313,7 +314,7 @@ class TestGneSolve:
                 prof = np.array([0.0, p1, p2])
                 if not feasible(prof, spec, ctx):
                     continue
-                gap = equilibrium_gap(prof, BC, ctx, spec, ROLES, ETA, COST)
+                gap = equilibrium_gap(prof, BC, ctx, spec, ROLES, ETA, COST, range(3))
                 if gap <= 1e-9:
                     gne_set.append(prof)
         assert any(np.allclose(res.powers, g, atol=1e-15) for g in gne_set)
@@ -395,14 +396,14 @@ class TestEquilibriumGap:
                                                     ETA, COST))
                 current = hn_utility(u, powers[u], powers, ROLES, BC, ctx, spec, ETA, COST)
                 want = max(want, best - current)
-            assert equilibrium_gap(powers, BC, ctx, spec, ROLES, ETA, COST) == want
+            assert equilibrium_gap(powers, BC, ctx, spec, ROLES, ETA, COST, range(3)) == want
 
     def test_off_grid_power_rejected(self):
         with pytest.raises(ValueError, match="not on the grid"):
             equilibrium_gap(np.array([0.0, 0.3, 0.5]), BC, toy_context(),
                             FeasibilitySpec(p_max=1.5, p_fj_max=2.0, xi_max=1e-13,
                                             grid_points=7),
-                            ROLES, ETA, COST)
+                            ROLES, ETA, COST, range(3))
 
 
 class TestRoleSwitch:
@@ -545,7 +546,8 @@ class TestBlockScorerProperties:
             want_p = float(grid[int(np.argmax(scan))]) if feasible_any else 0.0
             picks, empty = best_response([u], powers, bc, ctx, spec, roles, eta, cost)
             assert picks[0] == want_p and empty[0] != feasible_any
-        assert equilibrium_gap(powers, bc, ctx, spec, roles, eta, cost) == want_gap
+        assert equilibrium_gap(powers, bc, ctx, spec, roles, eta, cost,
+                               range(len(powers))) == want_gap
 
 
 def assert_rows_score_as_alone(powers, moved, values, ctx, spec):
@@ -700,7 +702,7 @@ class TestBlockScorerOnDefaultSlots:
                 if feas.any():
                     at = np.flatnonzero(grid == eq[u])[0]
                     want = max(want, float(values[feas].max() - values[at]))
-            assert equilibrium_gap(eq, bc, ctx, spec, roles, eta, cost) == want
+            assert equilibrium_gap(eq, bc, ctx, spec, roles, eta, cost, range(len(eq))) == want
 
 
 def assert_kappa_free(roles, powers, bc, ctx, spec, eta, cost, kappa):
@@ -713,9 +715,9 @@ def assert_kappa_free(roles, powers, bc, ctx, spec, eta, cost, kappa):
                                            cost)
     assert np.array_equal(feas, feas_k)
     assert values.tobytes() == values_k.tobytes()
-    gap = equilibrium_gap(powers, bc, ctx, spec, roles, eta, cost)
+    gap = equilibrium_gap(powers, bc, ctx, spec, roles, eta, cost, nodes)
     assert np.float64(gap).tobytes() == np.float64(
-        equilibrium_gap(powers, other, ctx, spec, roles, eta, cost)).tobytes()
+        equilibrium_gap(powers, other, ctx, spec, roles, eta, cost, nodes)).tobytes()
 
 
 class TestKappaEntersNoScore:
@@ -751,7 +753,7 @@ def reference_gne(roles, powers, bc, ctx, spec, eta, cost, max_iters=50):
         if np.array_equal(powers, previous):
             converged = True
             break
-    gap = equilibrium_gap(powers, bc, ctx, spec, roles, eta, cost)
+    gap = equilibrium_gap(powers, bc, ctx, spec, roles, eta, cost, range(len(powers)))
     return powers, iterations, converged, gap
 
 
@@ -848,3 +850,77 @@ class TestBlockSweeps:
                             max_iters=50)
         assert caplog.records == []
         assert res.powers[0] == 0.0
+
+
+def full_gap(args, result):
+    """The equilibrium gap over every node at a solve's returned profile."""
+    roles, _, bc, ctx, spec, eta, cost = args
+    return equilibrium_gap(result.powers, bc, ctx, spec, roles, eta, cost,
+                           range(len(roles)))
+
+
+@pytest.fixture
+def gap_rows(monkeypatch):
+    """The row count of every score_block block scored inside
+    equilibrium_gap, through the module globals that gne_solve calls."""
+    rows, inside = [], []
+    gap, scorer = followers.equilibrium_gap, followers.score_block
+
+    def counting_gap(*args):
+        inside.append(True)
+        try:
+            return gap(*args)
+        finally:
+            inside.pop()
+
+    def counting_scorer(*args):
+        scored = scorer(*args)
+        if inside:
+            rows.append(len(scored.profiles))
+        return scored
+
+    monkeypatch.setattr(followers, "equilibrium_gap", counting_gap)
+    monkeypatch.setattr(followers, "score_block", counting_scorer)
+    return rows
+
+
+class TestGapCertificate:
+    """gne_solve scores the gap only at the nodes its sweeps left pending:
+    every other node holds its best response against the returned profile.
+    TestBlockSweeps compares the toy games' gaps with the scan over every
+    node."""
+
+    def test_pending_nodes_are_those_not_scored_since_the_last_move(self):
+        target = {0: 1.0, 1: 2.0, 2: 3.0}
+
+        def respond(block):
+            return [target[u] for u in block]
+
+        powers = np.zeros(3)
+        # each node moves at its turn of the first sweep; only the last
+        # mover was scored after the last move
+        assert sweep_best_responses([0, 1, 2], powers, respond, 1) == (1, False, [0, 1])
+        powers = np.zeros(3)
+        assert sweep_best_responses([0, 1, 2], powers, respond, 2) == (2, True, [])
+        assert sweep_best_responses([0, 1, 2], powers, respond, 0) == (0, False, [0, 1, 2])
+
+    @pytest.mark.parametrize("max_iters", [1, 2, 3, 50])
+    def test_gap_equals_the_scan_over_every_node(self, default_solves, gap_rows,
+                                                  max_iters):
+        gaps = []
+        for args, _, _ in default_solves:
+            del gap_rows[:]
+            got = gne_solve(*args, max_iters=max_iters)
+            gaps.append(got.gap)
+            assert np.float64(got.gap).tobytes() == np.float64(full_gap(args, got)).tobytes()
+            if got.converged:
+                # a converged solve scores no gap row
+                assert got.gap == 0.0 and gap_rows == []
+            else:
+                # the pending nodes' whole grids: never the last mover's, so
+                # fewer than the full scan's (none when node 0 moved last)
+                spec = args[4]
+                assert sum(gap_rows) < len(args[0]) * spec.grid_points
+                assert sum(gap_rows) % spec.grid_points == 0
+        # one capped solve stops short of its fixed point
+        assert (max(gaps) > 0.0) == (max_iters == 1)

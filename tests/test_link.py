@@ -13,6 +13,7 @@ from secure_isac.link import (
     CapacityError,
     NoNullspaceError,
     SlotContext,
+    _delivered,
     an_power_at,
     an_residual,
     an_projector,
@@ -519,6 +520,52 @@ class TestEvaluatorForms:
         for noise in (0.0, -1e-12, np.nan):
             with pytest.raises(ValueError, match="noise_w"):
                 SlotContext(**{**vars(base), "noise_w": noise})
+
+
+def in_order_delivered(powers, gains):
+    """Watts delivered through gains (K, X) by profiles (..., K), adding the
+    nodes one at a time in id order."""
+    acc = np.zeros(powers.shape[:-1] + gains.shape[1:])
+    for k in range(gains.shape[0]):
+        acc = acc + powers[..., k, None] * gains[k]
+    return acc
+
+
+@st.composite
+def delivery_cases(draw):
+    """Profiles (K,), (R, K) or (2, 3, K) with silent nodes, and a gain
+    table (K, X) mixing slot-scale, subnormal and zero gains, with zero
+    columns, laid out as the engine's tables are: C-ordered, a column slice
+    (jam_to_eve), a column gather (jam_to_thn) or Fortran-ordered."""
+    k, width = draw(st.integers(1, 130)), draw(st.integers(0, 24))
+    batch = draw(st.sampled_from([(), (draw(st.integers(1, 700)),), (2, 3)]))
+    layout = draw(st.sampled_from(["C", "slice", "gather", "F"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    powers = rng.uniform(0.0, 1.5, batch + (k,))
+    powers[..., rng.random(k) < 0.5] = 0.0
+    scale = rng.choice([1e-8, 1e-13, 1e-310, 0.0], size=(k, width + 3))
+    table = rng.uniform(0.0, 1.0, (k, width + 3)) * scale
+    table[:, rng.random(width + 3) < 0.2] = 0.0
+    gains = {"C": table[:, :width].copy(), "slice": table[:, 3:],
+             "gather": table[:, rng.permutation(width + 3)[:width]],
+             "F": np.asfortranarray(table[:, :width])}[layout]
+    return powers, gains
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=delivery_cases())
+def test_delivered_sums_a_row_alike_in_every_block(case):
+    powers, gains = case
+    got = _delivered(powers, gains)
+    assert got.shape == powers.shape[:-1] + gains.shape[1:] and got.flags.c_contiguous
+    # the row-major einsum's sums, in every layout; BLAS @ is not exact
+    assert got.tobytes() == np.einsum("...k,kx->...x", powers, gains).tobytes()
+    # each profile scores the same alone as in its block
+    for row in np.ndindex(powers.shape[:-1]):
+        assert got[row].tobytes() == _delivered(powers[row], gains).tobytes()
+    if gains.shape[1] >= 2 and gains.strides[1] == gains.itemsize:
+        # node-major: the nodes are added one at a time in id order
+        assert got.tobytes() == in_order_delivered(powers, gains).tobytes()
 
 
 def masked_eve_rate_max(ctx, powers):

@@ -7,6 +7,7 @@ import tempfile
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
@@ -14,6 +15,7 @@ from secure_isac import engine
 from secure_isac.cli import write_trace
 from secure_isac.config import ScenarioConfig, StrategyId
 from secure_isac.engine import run_simulation
+from secure_isac.followers import equilibrium_gap
 
 logging.disable(logging.WARNING)
 
@@ -110,13 +112,16 @@ def test_random_config_keeps_invariants_and_is_deterministic(cfg, strategy):
        strategy=st.sampled_from([StrategyId.STACKELBERG_ROLESWITCH, StrategyId.IBEAMS]))
 def test_converged_power_game_has_zero_gap(cfg, strategy):
     # a sweep that moves no node leaves every node at its best response, so
-    # the exhaustive scan finds no gain at all
+    # the scan over every node finds no gain at all; gne_solve's own gap,
+    # scored only at the nodes its sweeps left pending, equals that scan
     solves = []
     solve = engine.gne_solve
 
     def recording(*args, **kw):
         result = solve(*args, **kw)
-        solves.append(result)
+        roles, _, broadcast, ctx, spec, eta, cost = args
+        solves.append((result, equilibrium_gap(result.powers, broadcast, ctx, spec, roles,
+                                               eta, cost, range(len(roles)))))
         return result
 
     engine.gne_solve = recording
@@ -125,4 +130,6 @@ def test_converged_power_game_has_zero_gap(cfg, strategy):
     finally:
         engine.gne_solve = solve
     assert len(solves) == SLOTS
-    assert all(r.gap == 0.0 for r in solves if r.converged)
+    assert all(np.float64(r.gap).tobytes() == np.float64(full).tobytes()
+               for r, full in solves)
+    assert all(full == 0.0 for r, full in solves if r.converged)

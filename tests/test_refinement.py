@@ -195,7 +195,7 @@ class TestCoalitionRefine:
         # leakage dominates suppression: objective maximized by silence
         ctx = refine_ctx(jam_to_eve=[[0.0], [1e-15]], jam_to_thn=[[0.0], [1e-11]])
         powers = coalition_refine(
-            Coalition([1], 0.0), np.array([0.0, 1.5]), ctx,
+            Coalition([1], 0.0), np.array([0.0, 1.5]), ctx.rates([0.0, 1.5]), ctx,
             FeasibilitySpec(p_max=1.5, p_fj_max=10.0, xi_max=1.0, grid_points=21),
             j_min=0.0, field_gains=FLAT_GAINS, posterior_probs=UNIFORM_POST,
             rate_floor=0.0, power_penalty_per_w=1e-3)
@@ -205,7 +205,7 @@ class TestCoalitionRefine:
         # zero leakage, positive suppression: unopposed benefit
         ctx = refine_ctx(jam_to_eve=[[0.0], [1e-10]], jam_to_thn=[[0.0], [0.0]])
         powers = coalition_refine(
-            Coalition([1], 0.0), np.array([0.0, 0.0]), ctx,
+            Coalition([1], 0.0), np.array([0.0, 0.0]), ctx.rates([0.0, 0.0]), ctx,
             FeasibilitySpec(p_max=1.5, p_fj_max=10.0, xi_max=1.0, grid_points=21),
             j_min=0.0, field_gains=FLAT_GAINS, posterior_probs=UNIFORM_POST,
             rate_floor=0.0, power_penalty_per_w=1e-3)
@@ -223,7 +223,7 @@ class TestCoalitionRefine:
                              jam_to_thn=[[0.0], [j2t[0]], [j2t[1]]])
             start = np.zeros(3)
             got = coalition_refine(
-                Coalition([1, 2], 0.0), start, ctx,
+                Coalition([1, 2], 0.0), start, ctx.rates(start), ctx,
                 FeasibilitySpec(p_max=1.5, p_fj_max=fj, xi_max=xi_max, grid_points=11),
                 j_min=0.0, field_gains=FLAT_GAINS, posterior_probs=UNIFORM_POST,
                 rate_floor=0.0, power_penalty_per_w=1e-3)
@@ -253,7 +253,7 @@ class TestCoalitionRefine:
         # the unopposed jammer goes to max as if it were absent
         ctx = refine_ctx(jam_to_eve=[[0.0], [1e-10]], jam_to_thn=[[0.0], [0.0]])
         powers = coalition_refine(
-            Coalition([1], 0.0), np.array([0.0, 0.0]), ctx,
+            Coalition([1], 0.0), np.array([0.0, 0.0]), ctx.rates([0.0, 0.0]), ctx,
             FeasibilitySpec(p_max=1.5, p_fj_max=10.0, xi_max=1.0, grid_points=21),
             j_min=1e9, field_gains=FLAT_GAINS, posterior_probs=UNIFORM_POST,
             rate_floor=0.0, power_penalty_per_w=1e-3)
@@ -267,7 +267,7 @@ class TestCoalitionRefine:
                          jam_to_thn=np.zeros((4, 1)))
         start = np.array([0.0, 0.3, 0.7, 1.2])
         powers = coalition_refine(
-            Coalition(members, 0.0), start, ctx,
+            Coalition(members, 0.0), start, ctx.rates(start), ctx,
             FeasibilitySpec(p_max=1.5, p_fj_max=1.0, xi_max=1.0, grid_points=21),
             j_min=0.0, field_gains=FLAT_GAINS, posterior_probs=UNIFORM_POST,
             rate_floor=0.0, power_penalty_per_w=1e-3)
@@ -445,7 +445,9 @@ class TestCoalitionBlockSweeps:
     @given(game=coalition_games())
     def test_matches_per_member_ascent(self, game):
         args, kw = game
-        assert np.array_equal(coalition_refine(*args, **kw), reference_ascent(*args, **kw))
+        coalition, powers, ctx, *rest = args
+        got = coalition_refine(coalition, powers, ctx.rates(powers), ctx, *rest, **kw)
+        assert np.array_equal(got, reference_ascent(*args, **kw))
 
 
 class TestSynthesizeField:

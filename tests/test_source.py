@@ -120,6 +120,25 @@ def test_every_state_and_config_field_is_read_in_the_package():
     assert unread == []
 
 
+def _einsums(node):
+    return [call for call in ast.walk(node) if isinstance(call, ast.Call)
+            and isinstance(call.func, ast.Attribute) and call.func.attr == "einsum"]
+
+
+def _called(tree):
+    return {call.func.id for call in ast.walk(tree)
+            if isinstance(call, ast.Call) and isinstance(call.func, ast.Name)}
+
+
+def _inlined(trees, homes, formulas):
+    """Einsum calls outside the home functions whose formula is one of
+    `formulas`, as module:line."""
+    inside = {id(call) for home in homes for call in _einsums(home)}
+    return [f"{module}:{call.lineno}" for module, tree in trees.items()
+            for call in _einsums(tree) if id(call) not in inside
+            and isinstance(call.args[0], ast.Constant) and call.args[0].value in formulas]
+
+
 def test_served_coupling_and_an_residual_each_have_one_home():
     # the served set's coupling |h_u^H b_v|^2 and the AN residual
     # ||(I - QQ^H) h||^2 are each computed by one link.py function; the
@@ -129,21 +148,34 @@ def test_served_coupling_and_an_residual_each_have_one_home():
     homes = {top.name: top for top in trees["link.py"].body
              if isinstance(top, ast.FunctionDef)
              and top.name in ("served_coupling", "an_residual")}
-
-    def einsums(node):
-        return [call for call in ast.walk(node) if isinstance(call, ast.Call)
-                and isinstance(call.func, ast.Attribute) and call.func.attr == "einsum"]
-
-    def called(tree):
-        return {call.func.id for call in ast.walk(tree)
-                if isinstance(call, ast.Call) and isinstance(call.func, ast.Name)}
-
-    formulas = {call.args[0].value for home in homes.values() for call in einsums(home)}
+    formulas = {call.args[0].value for home in homes.values() for call in _einsums(home)}
     assert len(homes) == 2 and len(formulas) == 4
-    inside = {id(call) for home in homes.values() for call in einsums(home)}
-    inlined = [f"{module}:{call.lineno}" for module, tree in trees.items()
-               for call in einsums(tree) if id(call) not in inside
-               and isinstance(call.args[0], ast.Constant) and call.args[0].value in formulas]
-    assert inlined == []
-    assert set(homes) <= called(trees["scenario.py"])
-    assert "an_residual" in called(trees["engine.py"])
+    assert _inlined(trees, homes.values(), formulas) == []
+    assert set(homes) <= _called(trees["scenario.py"])
+    assert "an_residual" in _called(trees["engine.py"])
+
+
+def test_delivered_watts_have_one_home():
+    # the watts profiles deliver through a gain table are contracted only by
+    # link._delivered, whose form follows the table's layout so that a row
+    # scores alike in every block: the evaluator calls it, and no module
+    # inlines either of its contractions or takes a BLAS product of a table
+    trees = {path.name: ast.parse(path.read_text(), str(path))
+             for path in sorted(SRC.glob("*.py"))}
+    (home,) = [top for top in trees["link.py"].body
+               if isinstance(top, ast.FunctionDef) and top.name == "_delivered"]
+    formulas = {call.args[0].value for call in _einsums(home)}
+    assert formulas == {"kr,kx->xr", "...k,kx->...x"}
+    assert _inlined(trees, [home], formulas) == []
+    (context,) = [top for top in trees["link.py"].body
+                  if isinstance(top, ast.ClassDef) and top.name == "SlotContext"]
+    for method in ("leakage_at_served", "eve_rate_max"):
+        (body,) = [item for item in context.body if getattr(item, "name", None) == method]
+        assert "_delivered" in _called(body), method
+    tables = {"jam_to_eve", "jam_to_thn", "jam_to_hn"}
+    products = [f"{module}:{node.lineno}" for module, tree in trees.items()
+                for node in ast.walk(tree)
+                if isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult)
+                and any(isinstance(side, ast.Attribute) and side.attr in tables
+                        for side in (node.left, node.right))]
+    assert products == []
