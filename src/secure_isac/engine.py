@@ -113,6 +113,8 @@ def build_slot_context(world: World, state: SlotState, served: list,
         noise_w=scn.noise_w, eve_capture_w=p_stream * state.eve_norm2,
         eve_an_w=an_power_at(an_residual(state.eve_chans, terms.basis), terms.basis,
                              an_total),
+        # these layouts (a column slice, a column gather) select the
+        # summation order of link._delivered, so the trace bytes depend on them
         jam_to_eve=delivered[:, k:], jam_to_thn=jam_to_nodes[:, served],
         eve_noise_w=cfg.eve.noise_floor_w, jam_to_hn=jam_to_nodes)
 
@@ -130,6 +132,8 @@ def _readmission_context(world: World, state: SlotState, waiting: list) -> SlotC
         sig_w=p_full * world.scenario.hn_norm2[waiting] / cfg.bs.num_rf * cfg.hn.rx_gain,
         isi_w=none, an_thn_w=none,
         eve_capture_w=p_full * state.eve_norm2,
+        # a column gather, as in build_slot_context: the layout selects the
+        # summation order of link._delivered
         jam_to_thn=state.ctx.jam_to_hn[:, waiting])
 
 

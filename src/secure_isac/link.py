@@ -10,7 +10,6 @@ strongest eavesdropper's rate, leakage, and jamming credit for a single
 power profile (K,) or a batch of profiles (..., K).
 """
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -167,28 +166,17 @@ def outage_metrics(rates, threshold: float):
 
 def _delivered(powers: np.ndarray, gains: np.ndarray) -> np.ndarray:
     """Watts delivered through gains (K, X) by a profile (K,) or each profile
-    of a batch (..., K), as (..., X), C-contiguous.
+    of a batch (..., K), as (..., X).
 
-    One einsum contraction, never a BLAS product (which is not exact), whose
-    form follows the table's layout so that a profile scores the same alone
-    as in any block that contains it:
-    - a table with two or more columns side by side in memory (a C-ordered
-      table or a column slice of one, such as jam_to_eve) is contracted
-      node-major: the profiles are copied to a contiguous (K, rows) array,
-      and the einsum adds the nodes' watts in id order with its inner loop
-      along the rows, two to three times faster on a candidate block than
-      the row-major form, whose sums it equals for such a table;
-    - any other table (one column, or a column gather such as jam_to_thn,
-      whose node axis is the contiguous one) takes the row-major form, a dot
-      product over the nodes per entry. The node-major form would sum a lone
-      row of such a table in another order than a block.
+    One einsum contraction, never a BLAS product, so a profile scores the
+    same alone as in any block that contains it. Its summation order follows
+    the table's layout: for a table with two or more columns side by side in
+    memory (jam_to_eve, a column slice) the nodes are added one at a time in
+    id order; for a column gather (jam_to_thn, whose node axis is the
+    contiguous one) or a one-column table each entry is one dot product over
+    the nodes.
     """
-    k, x = gains.shape
-    if x < 2 or gains.strides[1] != gains.itemsize:
-        return np.einsum("...k,kx->...x", powers, gains)
-    by_node = np.ascontiguousarray(powers.reshape(math.prod(powers.shape[:-1]), k).T)
-    delivered = np.einsum("kr,kx->xr", by_node, gains)
-    return np.ascontiguousarray(delivered.T).reshape(powers.shape[:-1] + (x,))
+    return np.einsum("...k,kx->...x", powers, gains)
 
 
 # Jamming credit (bps/Hz per served stream) when a jammer alone takes the

@@ -174,17 +174,16 @@ def synthesize_field(coalitions, beams_of) -> FieldSynthesis:
                           {j: b.gain_row for j, b in zip(members, beams)})
 
 
-def coalition_refine(coalition: Coalition, powers: np.ndarray, rates: np.ndarray,
-                     ctx: SlotContext, spec: FeasibilitySpec, j_min: float,
-                     field_gains: dict, posterior_probs: np.ndarray, rate_floor: float,
+def coalition_refine(coalition: Coalition, powers: np.ndarray, ctx: SlotContext,
+                     spec: FeasibilitySpec, j_min: float, field_gains: dict,
+                     posterior_probs: np.ndarray, rate_floor: float,
                      power_penalty_per_w: float) -> np.ndarray:
     """Re-optimize coalition member powers for aggregate served secrecy.
 
-    `rates` are the served secrecy rates of `powers` under ctx (ctx.rates).
     Members move on spec.grid subject to the box, aggregate budget and
-    per-victim leakage cap of `spec`, a served-rate floor (rate_floor, or
-    the start's lowest rate where that is lower), and the
-    posterior-weighted shaping bound. A small per-watt penalty suppresses
+    per-victim leakage cap of `spec`, the served-rate floor rate_floor (none
+    where it is 0; refinement_loop lowers it to the start's lowest rate), and
+    the posterior-weighted shaping bound. A small per-watt penalty suppresses
     redundant or low-impact jammers, which also preserves the shared budget
     for coalitions facing stronger adversaries. Coalitions of one or two
     members are solved exactly by enumeration; larger ones by coordinate
@@ -205,14 +204,12 @@ def coalition_refine(coalition: Coalition, powers: np.ndarray, rates: np.ndarray
     shaping_weights = np.einsum("cg,g->c", gains_matrix, posterior_probs)   # (|C|,)
     grid = spec.grid
 
-    floor_eff = min(rate_floor, float(rates.min())) if rates.size else 0.0
-
     def score(moved, values):
         """Feasibility (rate floor included), objective and shaping test of
         every row of the score_block block that moves `moved` to `values`."""
         block, _, _, rates, ok = score_block(powers, moved, values, ctx, spec)
-        if floor_eff > 0:
-            ok &= rates.min(axis=-1) >= floor_eff - 1e-12
+        if rate_floor > 0:
+            ok &= rates.min(axis=-1) >= rate_floor - 1e-12
         member = block[:, ids]
         objective = rates.sum(axis=-1) - power_penalty_per_w * member.sum(axis=-1)
         return ok, objective, np.einsum("mc,c->m", member, shaping_weights) >= j_min - 1e-15
@@ -304,10 +301,14 @@ def refinement_loop(coalitions, posterior: np.ndarray, powers: np.ndarray,
                 np.sum([trial_powers[j] * synth.gain_rows[j]
                         for j in coalition.member_ids], axis=0),
                 posterior)
+            # the floor, lowered to the start's lowest rate, keeps the
+            # start feasible
             refined = coalition_refine(
-                coalition, trial_powers, trial_rates, trial_ctx, spec,
+                coalition, trial_powers, trial_ctx, spec,
                 j_min_fraction * baseline, synth.gain_rows, posterior,
-                rate_floor=rate_floor, power_penalty_per_w=power_penalty_per_w)
+                rate_floor=(min(rate_floor, float(trial_rates.min()))
+                            if trial_rates.size else 0.0),
+                power_penalty_per_w=power_penalty_per_w)
             # a coalition that moved nothing leaves the rates as they are
             if not np.array_equal(refined, trial_powers):
                 trial_rates = trial_ctx.rates(refined)

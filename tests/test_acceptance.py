@@ -206,7 +206,7 @@ class TestAcceptance:
                 eve_noise_w=0.0, jam_to_hn=None,
             )
             got = coalition_refine(
-                Coalition([1, 2], 0.0), np.zeros(3), ctx.rates(np.zeros(3)), ctx,
+                Coalition([1, 2], 0.0), np.zeros(3), ctx,
                 FeasibilitySpec(p_max=1.5, p_fj_max=fj, xi_max=xi_max, grid_points=11),
                 j_min=0.0, field_gains=flat_gains, posterior_probs=uniform_post,
                 rate_floor=0.0, power_penalty_per_w=1e-3)

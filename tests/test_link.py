@@ -558,13 +558,11 @@ def test_delivered_sums_a_row_alike_in_every_block(case):
     powers, gains = case
     got = _delivered(powers, gains)
     assert got.shape == powers.shape[:-1] + gains.shape[1:] and got.flags.c_contiguous
-    # the row-major einsum's sums, in every layout; BLAS @ is not exact
-    assert got.tobytes() == np.einsum("...k,kx->...x", powers, gains).tobytes()
-    # each profile scores the same alone as in its block
+    # each profile scores the same alone as in its block; BLAS @ does not
     for row in np.ndindex(powers.shape[:-1]):
         assert got[row].tobytes() == _delivered(powers[row], gains).tobytes()
     if gains.shape[1] >= 2 and gains.strides[1] == gains.itemsize:
-        # node-major: the nodes are added one at a time in id order
+        # the nodes are added one at a time in id order
         assert got.tobytes() == in_order_delivered(powers, gains).tobytes()
 
 

@@ -195,7 +195,7 @@ class TestCoalitionRefine:
         # leakage dominates suppression: objective maximized by silence
         ctx = refine_ctx(jam_to_eve=[[0.0], [1e-15]], jam_to_thn=[[0.0], [1e-11]])
         powers = coalition_refine(
-            Coalition([1], 0.0), np.array([0.0, 1.5]), ctx.rates([0.0, 1.5]), ctx,
+            Coalition([1], 0.0), np.array([0.0, 1.5]), ctx,
             FeasibilitySpec(p_max=1.5, p_fj_max=10.0, xi_max=1.0, grid_points=21),
             j_min=0.0, field_gains=FLAT_GAINS, posterior_probs=UNIFORM_POST,
             rate_floor=0.0, power_penalty_per_w=1e-3)
@@ -205,7 +205,7 @@ class TestCoalitionRefine:
         # zero leakage, positive suppression: unopposed benefit
         ctx = refine_ctx(jam_to_eve=[[0.0], [1e-10]], jam_to_thn=[[0.0], [0.0]])
         powers = coalition_refine(
-            Coalition([1], 0.0), np.array([0.0, 0.0]), ctx.rates([0.0, 0.0]), ctx,
+            Coalition([1], 0.0), np.array([0.0, 0.0]), ctx,
             FeasibilitySpec(p_max=1.5, p_fj_max=10.0, xi_max=1.0, grid_points=21),
             j_min=0.0, field_gains=FLAT_GAINS, posterior_probs=UNIFORM_POST,
             rate_floor=0.0, power_penalty_per_w=1e-3)
@@ -223,7 +223,7 @@ class TestCoalitionRefine:
                              jam_to_thn=[[0.0], [j2t[0]], [j2t[1]]])
             start = np.zeros(3)
             got = coalition_refine(
-                Coalition([1, 2], 0.0), start, ctx.rates(start), ctx,
+                Coalition([1, 2], 0.0), start, ctx,
                 FeasibilitySpec(p_max=1.5, p_fj_max=fj, xi_max=xi_max, grid_points=11),
                 j_min=0.0, field_gains=FLAT_GAINS, posterior_probs=UNIFORM_POST,
                 rate_floor=0.0, power_penalty_per_w=1e-3)
@@ -253,7 +253,7 @@ class TestCoalitionRefine:
         # the unopposed jammer goes to max as if it were absent
         ctx = refine_ctx(jam_to_eve=[[0.0], [1e-10]], jam_to_thn=[[0.0], [0.0]])
         powers = coalition_refine(
-            Coalition([1], 0.0), np.array([0.0, 0.0]), ctx.rates([0.0, 0.0]), ctx,
+            Coalition([1], 0.0), np.array([0.0, 0.0]), ctx,
             FeasibilitySpec(p_max=1.5, p_fj_max=10.0, xi_max=1.0, grid_points=21),
             j_min=1e9, field_gains=FLAT_GAINS, posterior_probs=UNIFORM_POST,
             rate_floor=0.0, power_penalty_per_w=1e-3)
@@ -267,7 +267,7 @@ class TestCoalitionRefine:
                          jam_to_thn=np.zeros((4, 1)))
         start = np.array([0.0, 0.3, 0.7, 1.2])
         powers = coalition_refine(
-            Coalition(members, 0.0), start, ctx.rates(start), ctx,
+            Coalition(members, 0.0), start, ctx,
             FeasibilitySpec(p_max=1.5, p_fj_max=1.0, xi_max=1.0, grid_points=21),
             j_min=0.0, field_gains=FLAT_GAINS, posterior_probs=UNIFORM_POST,
             rate_floor=0.0, power_penalty_per_w=1e-3)
@@ -355,15 +355,13 @@ def reference_ascent(coalition, powers, ctx, spec, j_min, field_gains, posterior
     gains_matrix = np.stack([field_gains[j] for j in ids])
     shaping_weights = np.einsum("cg,g->c", gains_matrix, posterior_probs)
     grid = np.linspace(0.0, spec.p_max, spec.grid_points)
-    current_rates = ctx.rates(powers)
-    floor_eff = min(rate_floor, float(current_rates.min())) if current_rates.size else 0.0
 
     def score(trial):
         leak = ctx.leakage_at_served(trial)
         rates = ctx.rates_from(leak, ctx.eve_rate_max(trial))
         ok = spec.admits(trial, leak)
-        if floor_eff > 0:
-            ok &= rates.min(axis=-1) >= floor_eff - 1e-12
+        if rate_floor > 0:
+            ok &= rates.min(axis=-1) >= rate_floor - 1e-12
         member = trial[:, ids]
         objective = rates.sum(axis=-1) - power_penalty_per_w * member.sum(axis=-1)
         return ok, objective, np.einsum("mc,c->m", member, shaping_weights) >= j_min - 1e-15
@@ -428,8 +426,10 @@ def coalition_games(draw):
                            xi_max=draw(st.floats(1e-13, 2e-12)),
                            grid_points=draw(st.integers(3, 11)))
     powers = arr((k,), draw(st.sampled_from([0.2, 1.5])))
-    kw = {"rate_floor": draw(st.sampled_from([0.0, 0.5, 5.0])),
-          "power_penalty_per_w": 1e-3}
+    # the rate floor lowered to the start's lowest rate, as the refinement
+    # loop sets it
+    floor = min(draw(st.sampled_from([0.0, 0.5, 5.0])), float(ctx.rates(powers).min()))
+    kw = {"rate_floor": floor, "power_penalty_per_w": 1e-3}
     posterior /= posterior.sum()
     # the shaping bound as a fraction of the start's shaping energy, as the
     # refinement loop sets it
@@ -445,9 +445,7 @@ class TestCoalitionBlockSweeps:
     @given(game=coalition_games())
     def test_matches_per_member_ascent(self, game):
         args, kw = game
-        coalition, powers, ctx, *rest = args
-        got = coalition_refine(coalition, powers, ctx.rates(powers), ctx, *rest, **kw)
-        assert np.array_equal(got, reference_ascent(*args, **kw))
+        assert np.array_equal(coalition_refine(*args, **kw), reference_ascent(*args, **kw))
 
 
 class TestSynthesizeField:

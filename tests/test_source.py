@@ -157,15 +157,15 @@ def test_served_coupling_and_an_residual_each_have_one_home():
 
 def test_delivered_watts_have_one_home():
     # the watts profiles deliver through a gain table are contracted only by
-    # link._delivered, whose form follows the table's layout so that a row
-    # scores alike in every block: the evaluator calls it, and no module
-    # inlines either of its contractions or takes a BLAS product of a table
+    # link._delivered, so that a row scores alike in every block: the
+    # evaluator calls it, and no module inlines its contraction or takes a
+    # BLAS product of a table
     trees = {path.name: ast.parse(path.read_text(), str(path))
              for path in sorted(SRC.glob("*.py"))}
     (home,) = [top for top in trees["link.py"].body
                if isinstance(top, ast.FunctionDef) and top.name == "_delivered"]
     formulas = {call.args[0].value for call in _einsums(home)}
-    assert formulas == {"kr,kx->xr", "...k,kx->...x"}
+    assert formulas == {"...k,kx->...x"}
     assert _inlined(trees, [home], formulas) == []
     (context,) = [top for top in trees["link.py"].body
                   if isinstance(top, ast.ClassDef) and top.name == "SlotContext"]
