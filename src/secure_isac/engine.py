@@ -2,9 +2,11 @@
 
 run_slot advances a slot through named stages over one SlotState:
 1. open: the slot's exogenous inputs, a pure function of (Scenario, slot)
-   that every run over the scenario shares (eavesdropper channels, fades, and
-   the eavesdropper columns of the node link tables), then belief prediction
-   and the leader's split/price update;
+   that every run over the scenario shares, then belief prediction and the
+   leader's split/price update. Every strategy draws the eavesdropper
+   channels; only the power game strategies, the ones in which a node can
+   radiate, draw the node fades and build the node link tables (the others
+   get zero jamming tables);
 2. serve: roles and the served set, whose SlotContext is built once;
 3. power game: the hybrid nodes' GNE and secrecy-threshold role switching;
 4. sense: the sensing measurement and posterior update;
@@ -37,16 +39,19 @@ from .scenario import (Scenario, World, bearing_deg, build_scenario, init_scenar
                        start_run)
 
 
-def _slot_inputs(scn: Scenario, slot: int):
-    """The slot's inputs that no decision moves: the BS->eavesdropper
-    channels (E, N), the faded gains (K, K+E) toward the nodes and the
-    eavesdroppers in watts per watt before beam pattern, and the node-array
-    steering (K, K+E, n) toward each."""
-    channels = np.stack([eve_channel(scn.k_lin, row, slot, scn.seed, j)
-                         for j, row in enumerate(scn.eve_los(slot))])
+def _eve_channels(scn: Scenario, slot: int) -> np.ndarray:
+    """The slot's BS->eavesdropper channels (E, N), which no decision moves."""
+    return np.stack([eve_channel(scn.k_lin, row, slot, scn.seed, j)
+                     for j, row in enumerate(scn.eve_los(slot))])
+
+
+def _node_links(scn: Scenario, slot: int):
+    """The slot's node link inputs, which no decision moves: the faded gains
+    (K, K+E) toward the nodes and the eavesdroppers in watts per watt before
+    beam pattern, and the node-array steering (K, K+E, n) toward each."""
     gain, steer = scn.victim_links(slot)
     fades = substream(scn.seed, STREAM_FADE, slot).exponential(1.0, size=gain.shape)
-    return channels, gain * fades, steer
+    return gain * fades, steer
 
 
 def _select_served(world: World, roles: dict) -> list:
@@ -78,8 +83,9 @@ class SlotState:
     broadcast: Broadcast
     eve_chans: np.ndarray             # (E, N) BS->eavesdropper channels
     eve_norm2: np.ndarray             # (E,) their powers ||h_e||^2
-    node_path: np.ndarray             # (K, K+E) watts per watt before beam pattern
-    link_steer: np.ndarray            # (K, K+E, n) node-array steering to each victim
+    # _node_links, or None under a strategy in which no node radiates
+    node_path: np.ndarray | None      # (K, K+E) watts per watt before beam pattern
+    link_steer: np.ndarray | None     # (K, K+E, n) node-array steering to each victim
     powers: np.ndarray                # (K,) hybrid-node powers
     roles: dict = field(default_factory=dict)
     ctx: SlotContext | None = None    # the served set's context under the current beams
@@ -95,13 +101,19 @@ def build_slot_context(world: World, state: SlotState, served: list,
                        beams: dict) -> SlotContext:
     """Assemble the interference coefficients of a served set under the given
     per-node transmit beams: the scenario's base-station terms of the served
-    set, scaled by this slot's stream and AN powers, and the jamming rows."""
+    set, scaled by this slot's stream and AN powers, and the jamming rows,
+    all zero when the slot has no node link inputs (no node radiates)."""
     scn, cfg = world.scenario, world.config
     k, p_bs = world.num_hn, cfg.bs.p_init_w
     terms = scn.precoder(tuple(served))
     p_stream = state.broadcast.alpha * p_bs / max(len(served), 1)
 
-    delivered = state.node_path * _pattern_table(state.link_steer, beams)
+    if state.node_path is None:
+        # every power is 0 W, and _delivered gives exactly +0.0 through any
+        # finite nonnegative table, so a zero table scores as the real one
+        delivered = np.zeros((k, k + len(state.eve_norm2)))
+    else:
+        delivered = state.node_path * _pattern_table(state.link_steer, beams)
     jam_to_nodes = delivered[:, :k]
 
     rx = cfg.hn.rx_gain
@@ -159,8 +171,8 @@ def _ema(previous: float | None, value: float) -> float:
 
 def run_slot(world: World, strategy: StrategyId, slot: int) -> SlotRecord:
     """Advance one slot through its stages and return its record."""
-    leader_on, gne_on, refine_on = _strategy_flags(strategy)
-    state = _open_slot(world, strategy, slot, leader_on)
+    _, gne_on, refine_on = _strategy_flags(strategy)
+    state = _open_slot(world, strategy, slot)
     state.roles = (dict(world.roles) if gne_on
                    else {u: Role.THN for u in range(world.num_hn)})
     _serve(world, state, _select_served(world, state.roles))
@@ -174,11 +186,13 @@ def run_slot(world: World, strategy: StrategyId, slot: int) -> SlotRecord:
     return _finalize_slot(world, state)
 
 
-def _open_slot(world: World, strategy: StrategyId, slot: int,
-               leader_on: bool) -> SlotState:
+def _open_slot(world: World, strategy: StrategyId, slot: int) -> SlotState:
     """Stage 1: the slot's exogenous inputs, then predict the beliefs and
-    step the leader."""
-    eve_chans, node_path, link_steer = _slot_inputs(world.scenario, slot)
+    step the leader. Only the strategies that play the power game, whose
+    nodes can radiate, draw the node link inputs."""
+    leader_on, gne_on, _ = _strategy_flags(strategy)
+    eve_chans = _eve_channels(world.scenario, slot)
+    node_path, link_steer = _node_links(world.scenario, slot) if gne_on else (None, None)
 
     # belief prediction feeds the controller; the posterior update comes after
     # the game so sensing power reflects this slot's split

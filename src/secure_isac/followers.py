@@ -165,8 +165,10 @@ def best_response(nodes: list, powers: np.ndarray, broadcast: Broadcast,
 def sweep_best_responses(nodes, powers: np.ndarray, respond, max_sweeps: int):
     """Gauss-Seidel best-response sweeps over the node ids `nodes` in order,
     moving `powers` in place, until a sweep moves no node. Returns (sweeps
-    run, converged flag, pending): pending lists, in order, the node ids not
-    scored since the last move, none after a converged sweep.
+    run, pending): pending lists, in order, the node ids not scored since the
+    last move. With none pending every node holds its pick against the final
+    profile, an exact fixed point: after a sweep that moves no node, and also
+    when the capped last sweep moved a node and then scored all the others.
 
     respond(block) returns or yields, in order, the pick of each node id in
     `block`, all scored against the current powers. A node's pick may depend
@@ -183,8 +185,8 @@ def sweep_best_responses(nodes, powers: np.ndarray, respond, max_sweeps: int):
     """
     seen = [-1] * len(nodes)    # the move count when each node was last scored
     version = 0                 # moves so far
-    sweeps, converged = 0, False
-    while not converged and sweeps < max_sweeps:
+    sweeps, quiet = 0, False
+    while not quiet and sweeps < max_sweeps:
         sweeps += 1
         moves_before = version
         pos = 0
@@ -203,8 +205,8 @@ def sweep_best_responses(nodes, powers: np.ndarray, respond, max_sweeps: int):
                     version += 1
                     seen[i] = version
                     break
-        converged = version == moves_before
-    return sweeps, converged, [u for u, last in zip(nodes, seen) if last != version]
+        quiet = version == moves_before
+    return sweeps, [u for u, last in zip(nodes, seen) if last != version]
 
 
 @dataclass
@@ -251,8 +253,8 @@ def gne_solve(roles: dict, powers: np.ndarray, broadcast: Broadcast, ctx: SlotCo
     grid; an infeasible start profile restarts from zero. Sweep order is
     ascending node id, and a node is re-scored only after some node has moved
     (see sweep_best_responses). Returns the profile, sweep count, the
-    equilibrium gap at the returned profile, and whether the last sweep moved
-    no node.
+    equilibrium gap at the returned profile, and whether it is a fixed point:
+    no node is left pending, which a sweep that moves no node ensures.
 
     The gap scores only the nodes the sweeps left pending. Every other node
     was last scored against the current profile and picked the power it
@@ -277,8 +279,9 @@ def gne_solve(roles: dict, powers: np.ndarray, broadcast: Broadcast, ctx: SlotCo
                 log.warning("node %d: no feasible grid power, falling back to 0", u)
             yield pick
 
-    iterations, converged, pending = sweep_best_responses(range(len(roles)), powers,
-                                                          respond, max_iters)
+    iterations, pending = sweep_best_responses(range(len(roles)), powers, respond,
+                                               max_iters)
+    converged = not pending
     if not converged:
         log.warning("best-response dynamics hit the iteration cap (%d sweeps)", max_iters)
     gap = equilibrium_gap(powers, broadcast, ctx, spec, roles, eta, cost, pending)

@@ -198,7 +198,8 @@ class SlotContext:
     Shapes: K hybrid nodes, U served streams, E eavesdroppers.
     jam_to_eve[k, e] / jam_to_thn[k, u] / jam_to_hn[k, j] are delivered watts
     per transmitted watt from node k (path gain x transmit pattern x fade);
-    jam_to_hn reaches every hybrid node, served or not.
+    jam_to_hn reaches every hybrid node, served or not. Under a strategy in
+    which no node radiates (no power game) the three tables are zero.
     """
 
     served: list            # served node ids, stream order

@@ -30,7 +30,7 @@ from secure_isac.engine import (
 from secure_isac.followers import Role
 from secure_isac.leader import Broadcast, LeaderState, leader_step
 from secure_isac.refinement import ray_aim
-from secure_isac.scenario import _draw_sector_position, build_scenario
+from secure_isac.scenario import Scenario, _draw_sector_position, build_scenario
 
 logging.disable(logging.WARNING)
 
@@ -257,7 +257,7 @@ class TestLinkTables:
         assert nodes.shape == (k, k)
         assert np.array_equal(nodes, nodes.T) and np.all(np.diagonal(nodes) == 0.0)
         for slot in range(3):
-            _, node_path, link_steer = engine._slot_inputs(world.scenario, slot)
+            node_path, link_steer = engine._node_links(world.scenario, slot)
             path, bearings = reference_gain_tables(world, slot)
             # the array form rounds apart from the per-pair scalar arithmetic
             np.testing.assert_allclose(node_path, path, rtol=1e-13, atol=0)
@@ -284,7 +284,7 @@ class TestEveChannels:
                                / "posterior_mobile.ini"))
         scn = build_scenario(cfg, cfg.run.seed)
         for slot in range(30):
-            eve_chans, _, _ = engine._slot_inputs(scn, slot)
+            eve_chans = engine._eve_channels(scn, slot)
             assert np.array_equal(eve_chans, reference_eve_channels(scn, slot)), slot
 
 
@@ -319,7 +319,7 @@ class TestSlotArrayForms:
     def test_pattern_and_stream_powers_match_per_node_loops(self, k, e, seed, data):
         cfg = small_config(hn__count=k, eve__count=e)
         world = init_scenario(cfg, seed)
-        state = engine._open_slot(world, StrategyId.IBEAMS, 0, True)
+        state = engine._open_slot(world, StrategyId.IBEAMS, 0)
         rng = np.random.default_rng(seed)
         n = world.scenario.hn_spec.num_elements
         beams = {}
@@ -346,6 +346,70 @@ class TestSlotArrayForms:
                 ctx.eve_capture_w,
                 [p_stream * np.linalg.norm(h) ** 2 for h in state.eve_chans],
                 rtol=1e-13, atol=0)
+
+
+GAME_STRATEGIES = (StrategyId.STACKELBERG_ROLESWITCH, StrategyId.IBEAMS)
+
+
+class TestNodeLinkInputs:
+    @pytest.mark.parametrize("mobility", ["static", "waypoint"])
+    def test_only_the_power_game_strategies_build_node_links(self, monkeypatch,
+                                                             mobility):
+        # no node radiates without the power game, so those strategies never
+        # build the node link tables nor draw their fades
+        links, fades = [], []
+        victim_links, draw = Scenario.victim_links, engine.substream
+
+        def counting_links(scn, slot):
+            links.append(slot)
+            return victim_links(scn, slot)
+
+        def counting_draw(seed, stream, *keys):
+            if stream == STREAM_FADE:
+                fades.append(keys)
+            return draw(seed, stream, *keys)
+
+        monkeypatch.setattr(Scenario, "victim_links", counting_links)
+        monkeypatch.setattr(engine, "substream", counting_draw)
+        cfg = small_config(eve__mobility=mobility, eve__speed_mps=25.0)
+        slots = list(range(cfg.run.slots))
+        for strategy in StrategyId:
+            del links[:], fades[:]
+            run_simulation(cfg, strategy)
+            if strategy in GAME_STRATEGIES:
+                assert links == slots and fades == [(t,) for t in slots], strategy
+            else:
+                assert links == [] and fades == [], strategy
+
+    @pytest.mark.parametrize("strategy", [StrategyId.STACKELBERG_ONLY, StrategyId.IBEAMS])
+    def test_gain_table_layouts_fix_the_summation_order(self, strategy):
+        # link._delivered's summation order follows each table's layout, and
+        # the trace bytes follow that order; the zero tables of a strategy
+        # without the power game are laid out as the real ones
+        world = init_scenario(small_config(), 1)
+        for t in range(3):
+            run_slot(world, strategy, t)
+        state = engine._open_slot(world, strategy, 3)
+        assert (state.node_path is None) == (strategy not in GAME_STRATEGIES)
+        served, waiting = [0, 2, 3], [1, 4, 5]
+        engine._serve(world, state, served)
+        ctx = state.ctx
+        readmission = engine._readmission_context(world, state, waiting)
+        k, e = world.num_hn, len(state.eve_norm2)
+        item = ctx.jam_to_eve.itemsize
+        assert ctx.jam_to_eve.strides == (item * (k + e), item), (
+            f"jam_to_eve strides {ctx.jam_to_eve.strides}: a column slice of the "
+            "row-major (K, K+E) table keeps its rows contiguous, so _delivered adds "
+            "the nodes one at a time in id order; another layout changes that "
+            "summation order")
+        for name, table, count in (("jam_to_thn", ctx.jam_to_thn, len(served)),
+                                   ("_readmission_context's jam_to_thn",
+                                    readmission.jam_to_thn, len(waiting))):
+            assert table.shape == (k, count)
+            assert table.flags.f_contiguous and table.strides == (item, item * k), (
+                f"{name} strides {table.strides}: a column gather keeps the node "
+                "axis contiguous, so _delivered sums each entry as one dot product "
+                "over the nodes; another layout changes that summation order")
 
 
 class TestRunSlot:
@@ -520,7 +584,7 @@ class TestReadmission:
         world = init_scenario(cfg, 1)
         for t in range(3):
             run_slot(world, StrategyId.IBEAMS, t)
-        state = engine._open_slot(world, StrategyId.IBEAMS, 3, True)
+        state = engine._open_slot(world, StrategyId.IBEAMS, 3)
         state.roles = dict(world.roles)
         engine._serve(world, state, engine._select_served(world, state.roles))
         ctx, served = state.ctx, state.ctx.served
@@ -629,7 +693,7 @@ class TestInvariants:
                         state.ctx.leakage_at_served(state.powers))
 
             world = engine.init_scenario(ScenarioConfig(), 1)
-            state = engine._open_slot(world, StrategyId.FIXED_AN, 0, False)
+            state = engine._open_slot(world, StrategyId.FIXED_AN, 0)
             engine._serve(world, state, [])
             engine._check_slot_invariants(world, state, *slot_scores(state))
             state.powers[0] = 2.0 * world.config.hn.p_max_w
@@ -648,7 +712,7 @@ class TestInvariants:
 
     def test_leakage_failure_names_the_node_and_its_excess(self):
         world = init_scenario(ScenarioConfig(), 1)
-        state = engine._open_slot(world, StrategyId.IBEAMS, 0, True)
+        state = engine._open_slot(world, StrategyId.IBEAMS, 0)
         served = [int(u) for u in np.argsort(-world.scenario.hn_norm2)[:2]]
         engine._serve(world, state, served)
         leakage = np.array([0.5, 3.0]) * world.scenario.feasibility.xi_max

@@ -738,23 +738,26 @@ class TestKappaEntersNoScore:
 def reference_gne(roles, powers, bc, ctx, spec, eta, cost, max_iters=50):
     """The per-node Gauss-Seidel loop the block sweeps replaced: every node
     scored alone through best_response, at its turn, in every sweep, until a
-    sweep moves no node. Returns (powers, iterations, converged, gap)."""
+    sweep moves no node. Converged when every node was scored since the last
+    move. Returns (powers, iterations, converged, gap)."""
     powers = np.array(powers, dtype=float)
     if not feasible(powers, spec, ctx):
         powers = np.zeros_like(powers)
-    converged = False
     iterations = 0
+    scored = set()      # node ids scored since the last move
     for _ in range(max_iters):
         iterations += 1
         previous = powers.copy()
         for uid in range(len(roles)):
-            (powers[uid],), _ = best_response([uid], powers, bc, ctx, spec, roles, eta,
-                                              cost)
+            (pick,), _ = best_response([uid], powers, bc, ctx, spec, roles, eta, cost)
+            if pick != powers[uid]:
+                powers[uid] = pick
+                scored.clear()
+            scored.add(uid)
         if np.array_equal(powers, previous):
-            converged = True
             break
     gap = equilibrium_gap(powers, bc, ctx, spec, roles, eta, cost, range(len(powers)))
-    return powers, iterations, converged, gap
+    return powers, iterations, len(scored) == len(roles), gap
 
 
 def assert_solve_matches_reference(args, kw):
@@ -899,10 +902,10 @@ class TestGapCertificate:
         powers = np.zeros(3)
         # each node moves at its turn of the first sweep; only the last
         # mover was scored after the last move
-        assert sweep_best_responses([0, 1, 2], powers, respond, 1) == (1, False, [0, 1])
+        assert sweep_best_responses([0, 1, 2], powers, respond, 1) == (1, [0, 1])
         powers = np.zeros(3)
-        assert sweep_best_responses([0, 1, 2], powers, respond, 2) == (2, True, [])
-        assert sweep_best_responses([0, 1, 2], powers, respond, 0) == (0, False, [0, 1, 2])
+        assert sweep_best_responses([0, 1, 2], powers, respond, 2) == (2, [])
+        assert sweep_best_responses([0, 1, 2], powers, respond, 0) == (0, [0, 1, 2])
 
     @pytest.mark.parametrize("max_iters", [1, 2, 3, 50])
     def test_gap_equals_the_scan_over_every_node(self, default_solves, gap_rows,
@@ -917,10 +920,31 @@ class TestGapCertificate:
                 # a converged solve scores no gap row
                 assert got.gap == 0.0 and gap_rows == []
             else:
-                # the pending nodes' whole grids: never the last mover's, so
-                # fewer than the full scan's (none when node 0 moved last)
+                # the pending nodes' whole grids: some node is pending, never
+                # the last mover, so fewer rows than the full scan's
                 spec = args[4]
-                assert sum(gap_rows) < len(args[0]) * spec.grid_points
+                assert 0 < sum(gap_rows) < len(args[0]) * spec.grid_points
                 assert sum(gap_rows) % spec.grid_points == 0
         # one capped solve stops short of its fixed point
         assert (max(gaps) > 0.0) == (max_iters == 1)
+
+    def test_capped_solve_that_scored_every_node_after_its_last_move_converged(
+            self, caplog):
+        # at gne.max_iters = 2, the third default slot's second sweep moves
+        # node 0 and then scores every other node: nothing is pending, so the
+        # profile is a grid fixed point although the cap ended the sweeps
+        config = ScenarioConfig()
+        config.gne.max_iters = 2
+        args, kw, result = capture_games(config, StrategyId.IBEAMS, 3)[2]
+        assert kw == {"max_iters": 2} and result.iterations == 2
+        assert result.converged and result.gap == 0.0 == full_gap(args, result)
+        with caplog.at_level(logging.WARNING, logger="secure_isac.followers"):
+            again = gne_solve(*args, **kw)
+        assert caplog.records == []
+        assert again.converged and np.array_equal(again.powers, result.powers)
+        # restarted from it, the first sweep moves no node
+        roles, _, *rest = args
+        restarted = gne_solve(roles, result.powers, *rest, **kw)
+        assert restarted.iterations == 1 and restarted.converged
+        assert np.array_equal(restarted.powers, result.powers)
+        assert_solve_matches_reference(args, kw)

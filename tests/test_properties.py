@@ -4,7 +4,7 @@ invariant and are pure functions of (config, seed, strategy)."""
 import logging
 import math
 import tempfile
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -133,3 +133,36 @@ def test_converged_power_game_has_zero_gap(cfg, strategy):
     assert all(np.float64(r.gap).tobytes() == np.float64(full).tobytes()
                for r, full in solves)
     assert all(full == 0.0 for r, full in solves if r.converged)
+
+
+# 60 examples take about 1 s on 2 vCPUs
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(cfg=small_configs(),
+       strategy=st.sampled_from([StrategyId.BASELINE, StrategyId.FIXED_AN,
+                                 StrategyId.STACKELBERG_ONLY]))
+def test_zero_jamming_tables_score_as_the_real_ones(cfg, strategy):
+    # without the power game no node radiates, so these strategies build no
+    # node link tables; every slot ends at 0 W, where a context built from the
+    # real tables scores byte for byte as the one built from the zero tables
+    finalize = engine._finalize_slot
+    checked = []
+
+    def comparing(world, state):
+        assert state.node_path is None and not state.powers.any()
+        node_path, link_steer = engine._node_links(world.scenario, state.slot)
+        real = engine.build_slot_context(
+            world, replace(state, node_path=node_path, link_steer=link_steer),
+            state.ctx.served, world.jhn_beams)
+        for score in ("rates", "eve_rate_max", "leakage_at_served"):
+            got = np.asarray(getattr(state.ctx, score)(state.powers))
+            want = np.asarray(getattr(real, score)(state.powers))
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), score
+        checked.append(state.slot)
+        return finalize(world, state)
+
+    engine._finalize_slot = comparing
+    try:
+        run_simulation(cfg, strategy)
+    finally:
+        engine._finalize_slot = finalize
+    assert checked == list(range(SLOTS))

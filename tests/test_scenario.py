@@ -239,7 +239,7 @@ class TestFrozenScenario:
                 with pytest.raises(ValueError):
                     arr[(0,) * arr.ndim] = 0
             # the slot's faded gains and steering are built from them
-            _, node_path, link_steer = engine._slot_inputs(scenario, t)
+            node_path, link_steer = engine._node_links(scenario, t)
             assert link_steer.tobytes() == links[1].tobytes()
             assert node_path.shape == links[0].shape
         # built once under static mobility, every slot under a walk
@@ -257,7 +257,7 @@ class TestFrozenScenario:
             los = reference_eve_los(scenario, t)
             assert scenario.eve_los(t).tobytes() == los.tobytes()
             # the slot's channels redraw only the scattered part on it
-            channels, _, _ = engine._slot_inputs(scenario, t)
+            channels = engine._eve_channels(scenario, t)
             fresh = [eve_channel(scenario.k_lin, row, t, scenario.seed, j)
                      for j, row in enumerate(los)]
             assert channels.tobytes() == np.stack(fresh).tobytes()
@@ -434,7 +434,8 @@ class TestRunCompare:
         shared = results[StrategyId.IBEAMS].worlds[0].scenario
         fresh = build_scenario(cfg, cfg.run.seed)
         for t in range(SLOTS):
-            ran, new = engine._slot_inputs(shared, t), engine._slot_inputs(fresh, t)
+            ran = [engine._eve_channels(shared, t), *engine._node_links(shared, t)]
+            new = [engine._eve_channels(fresh, t), *engine._node_links(fresh, t)]
             assert [a.tobytes() for a in ran] == [a.tobytes() for a in new], t
 
 
