@@ -1,4 +1,4 @@
-"""Per-eavesdropper bearing posterior on a discrete angular grid.
+"""Bearing posteriors on a discrete angular grid, one row per eavesdropper.
 
 The filter alternates Gaussian-kernel prediction (mobility blur, reflected at
 the grid edges) with a pseudo-likelihood update from angular sensing scans.
@@ -47,32 +47,40 @@ def _reflect_index(size: int, half: int) -> np.ndarray:
     return index
 
 
-def predict(belief: BeliefState, sigma_deg: float) -> BeliefState:
-    """Blur the posterior with a Gaussian kernel of bandwidth sigma_deg.
+def predict(posterior: np.ndarray, grid_deg: np.ndarray, sigma_deg: float) -> np.ndarray:
+    """Blur each row of the posterior (E, G) over the bearing grid (G,) with a
+    Gaussian kernel of bandwidth sigma_deg.
 
-    Mass leaving the grid is reflected back at the boundaries, then the result
-    is renormalized.
+    Mass leaving the grid is reflected back at the boundaries, then each row
+    is renormalized. Every row is convolved on its own, so each row is the
+    blur a one-row posterior would get.
     """
     if sigma_deg <= 0:
         raise ValueError("sigma_deg must be > 0")
-    step = float(belief.grid_deg[1] - belief.grid_deg[0])
+    step = float(grid_deg[1] - grid_deg[0])
     half = int(np.ceil(4.0 * sigma_deg / step))
-    probs = belief.probs
+    probs = posterior
     if half >= 1:
         offsets = np.arange(-half, half + 1) * step
         kernel = np.exp(-0.5 * (offsets / sigma_deg) ** 2)
         kernel /= kernel.sum()
-        padded = probs[_reflect_index(probs.shape[0], half)]
-        probs = np.convolve(padded, kernel, mode="valid")
+        padded = posterior[:, _reflect_index(posterior.shape[1], half)]
+        probs = np.empty_like(posterior)
+        for row, padded_row in zip(probs, padded):
+            row[:] = np.convolve(padded_row, kernel, mode="valid")
     probs = np.maximum(probs, 0.0)
-    probs = probs / probs.sum()
-    return BeliefState(belief.grid_deg, probs, belief.eve_id)
+    return probs / probs.sum(axis=-1, keepdims=True)
 
 
-def entropy(belief: BeliefState) -> float:
-    """Shannon entropy in bits, with 0 log 0 = 0."""
-    p = belief.probs[belief.probs > 0]
-    return float(-np.sum(p * np.log2(p)))
+def entropy(posterior: np.ndarray) -> np.ndarray:
+    """Shannon entropy in bits of each row of the posterior (E, G), with
+    0 log 0 = 0. Each row sums its positive entries alone, as a one-row
+    entropy does (a zero term would move the pairwise summation's blocks)."""
+    out = np.empty(posterior.shape[0])
+    for j, row in enumerate(posterior):
+        p = row[row > 0]
+        out[j] = -np.sum(p * np.log2(p))
+    return out
 
 
 def synthesize_measurement(true_angles_deg, gamma: float,
@@ -100,27 +108,25 @@ def synthesize_measurement(true_angles_deg, gamma: float,
     return z
 
 
-def update(belief: BeliefState, z: np.ndarray, k_eff: float) -> BeliefState:
-    """Bayesian update with pseudo-likelihood z^k_eff, renormalized.
+def update(posterior: np.ndarray, scans: np.ndarray, k_eff: float) -> np.ndarray:
+    """Bayesian update of each row of the posterior (E, G) with the
+    pseudo-likelihood z^k_eff of its scan row (E, G), renormalized.
 
-    Degenerate evidence (all-zero scan, or a posterior that would vanish)
-    returns the prior unchanged.
+    A row with degenerate evidence (an all-zero scan, or a posterior that
+    would vanish) keeps its prior.
     """
     if k_eff <= 0:
         raise ValueError("k_eff must be > 0")
-    if z.shape != belief.probs.shape:
-        raise ValueError(f"scan/grid mismatch: {z.shape} vs {belief.probs.shape}")
-    if np.any(z < 0):
+    if scans.shape != posterior.shape:
+        raise ValueError(f"scan/grid mismatch: {scans.shape} vs {posterior.shape}")
+    if np.any(scans < 0):
         raise ValueError("scan must be nonnegative")
-    zmax = z.max()
-    if zmax <= 0.0:
-        return BeliefState(belief.grid_deg, belief.probs.copy(), belief.eve_id)
-    likelihood = (z / zmax) ** k_eff
-    post = belief.probs * likelihood
-    total = post.sum()
-    if total <= 0.0 or not np.isfinite(total):
-        return BeliefState(belief.grid_deg, belief.probs.copy(), belief.eve_id)
-    return BeliefState(belief.grid_deg, post / total, belief.eve_id)
+    zmax = scans.max(axis=-1, keepdims=True)
+    # an all-zero scan row divides by 1 instead and scores a zero total
+    post = posterior * (scans / np.where(zmax > 0.0, zmax, 1.0)) ** k_eff
+    total = post.sum(axis=-1, keepdims=True)
+    ok = (total > 0.0) & np.isfinite(total)
+    return np.where(ok, post / np.where(ok, total, 1.0), posterior)
 
 
 def kernel_adapt(sigma: float, entropy_bits: float, h_max: float, eta_sigma: float,

@@ -84,13 +84,13 @@ def emit_plot_data(result: SimulationResult, out_dir: str, wanted) -> list:
     from .arrays import beampattern_db
 
     world = result.worlds[0]
-    grid = world.beliefs[0].grid_deg
+    grid = world.scenario.grid_deg
     written = []
 
     if "beliefs" in wanted:
         header = ("# rows: slots; columns: posterior mass per angle\n"
                   "# angle_deg " + " ".join(map(repr, grid.tolist())) + "\n")
-        for j in range(len(world.beliefs)):
+        for j in range(len(world.posterior)):
             path = os.path.join(out_dir, f"beliefs_eve{j}.txt")
             _write_rows(path, header, (h[j] for h in world.belief_history))
             written.append(path)

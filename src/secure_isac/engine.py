@@ -56,9 +56,8 @@ def _node_links(scn: Scenario, slot: int):
 
 def _select_served(world: World, roles: dict) -> list:
     """Up to num_rf transmit-role nodes, strongest static channels first."""
-    candidates = [u for u in np.argsort(-world.scenario.hn_norm2)
-                  if roles[int(u)] is Role.THN]
-    return [int(u) for u in candidates[: world.config.bs.num_rf]]
+    candidates = [u for u in world.scenario.hn_rank if roles[u] is Role.THN]
+    return candidates[: world.config.bs.num_rf]
 
 
 def _pattern_table(link_steer: np.ndarray, beams: dict) -> np.ndarray:
@@ -196,8 +195,9 @@ def _open_slot(world: World, strategy: StrategyId, slot: int) -> SlotState:
 
     # belief prediction feeds the controller; the posterior update comes after
     # the game so sensing power reflects this slot's split
-    world.beliefs = [predict(b, world.leader.kernel_sigma_deg) for b in world.beliefs]
-    h_pred = max(entropy(b) for b in world.beliefs)
+    world.posterior = predict(world.posterior, world.scenario.grid_deg,
+                              world.leader.kernel_sigma_deg)
+    h_pred = float(entropy(world.posterior).max())
     # smooth the controller's uncertainty signal so the sensing split does not
     # chase per-slot measurement noise
     world.entropy_ema = _ema(world.entropy_ema, h_pred)
@@ -261,20 +261,17 @@ def _play_power_game(world: World, state: SlotState) -> None:
 
 
 def _sense(world: World, state: SlotState) -> None:
-    """Stage 4: sensing scan (unit self-response) and posterior update."""
+    """Stage 4: sensing scans (unit self-response), one per eavesdropper from
+    its own substream, and the posterior update."""
     cfg, scn = world.config, world.scenario
-    eve_positions = scn.eve_positions(state.slot)
-    new_beliefs = []
-    for j, belief in enumerate(world.beliefs):
-        rng = substream(scn.seed, STREAM_MEASUREMENT, j, state.slot)
-        z = synthesize_measurement(
-            [bearing_deg(np.zeros(3), eve_positions[j])], state.broadcast.gamma,
-            cfg.belief.meas_noise_deg, rng, grid_deg=belief.grid_deg,
-            bs_power_w=cfg.bs.p_init_w, bump_width_deg=cfg.belief.bump_width_deg,
-            floor_scale=cfg.belief.floor_scale)
-        new_beliefs.append(update(belief, z, cfg.belief.k_eff))
-    world.beliefs = new_beliefs
-    state.entropies = [entropy(b) for b in world.beliefs]
+    scans = np.stack([synthesize_measurement(
+        [bearing_deg(np.zeros(3), position)], state.broadcast.gamma,
+        cfg.belief.meas_noise_deg, substream(scn.seed, STREAM_MEASUREMENT, j, state.slot),
+        grid_deg=scn.grid_deg, bs_power_w=cfg.bs.p_init_w,
+        bump_width_deg=cfg.belief.bump_width_deg, floor_scale=cfg.belief.floor_scale)
+        for j, position in enumerate(scn.eve_positions(state.slot))])
+    world.posterior = update(world.posterior, scans, cfg.belief.k_eff)
+    state.entropies = entropy(world.posterior).tolist()
 
 
 def _refine(world: World, state: SlotState) -> None:
@@ -324,9 +321,8 @@ def _run_refinement(world: World, state: SlotState, jhn_ids):
     then the refinement loop over the members' beams, which the scenario
     builds and caches."""
     scn, cfg, served = world.scenario, world.config, state.ctx.served
-    grid = world.beliefs[0].grid_deg
-    combined = np.max(np.stack([b.probs for b in world.beliefs]), axis=0)
-    peaks = posterior_peaks(combined, grid,
+    combined = world.posterior.max(axis=0)
+    peaks = posterior_peaks(combined, scn.grid_deg,
                             cfg.refinement.peak_threshold_scale / cfg.belief.grid_size)
     jhn_bearings = {u: bearing_deg(np.zeros(3), scn.hn_positions[u]) for u in jhn_ids}
     coalitions = form_coalitions(peaks, jhn_bearings, cfg.refinement.assoc_width_deg)
@@ -364,8 +360,13 @@ def _finalize_slot(world: World, state: SlotState) -> SlotRecord:
 
     _check_slot_invariants(world, state, rates, leakage)
 
-    jam_power = float(sum(powers[u] for u in range(world.num_hn)
-                          if roles[u] is Role.JHN))
+    power_list = powers.tolist()
+    # summed left to right in node order (the built-in sum of floats is
+    # compensated from Python 3.12 on)
+    jam_power = 0.0
+    for u, p in enumerate(power_list):
+        if roles[u] is Role.JHN:
+            jam_power += p
     jam_benefit = (float(rates.mean() - silent_rates.mean())
                    if ctx.served else 0.0)
     # smoothed secrecy KPI keeps the AN integrator from chasing slot noise
@@ -386,16 +387,16 @@ def _finalize_slot(world: World, state: SlotState) -> SlotRecord:
         n_jhn=sum(1 for r in roles.values() if r is Role.JHN),
         refine_iters=state.refine_iters, jam_power_w=jam_power,
         entropy_per_eve=list(state.entropies),
-        rates={u: float(r) for u, r in zip(ctx.served, rates)},
+        rates=dict(zip(ctx.served, rates.tolist())),
         roles={u: roles[u].value for u in range(world.num_hn)},
-        powers={u: float(powers[u]) for u in range(world.num_hn)},
+        powers=dict(enumerate(power_list)),
         slot_power_w=slot_power, secrecy_sum=secrecy_sum,
         gne_converged=state.gne_conv, coalitions=list(world.last_coalitions))
     world.roles = roles
     world.powers = powers
     # a node radiates its jamming beam only while it jams
     world.jhn_beams = {u: w for u, w in world.jhn_beams.items() if roles[u] is Role.JHN}
-    world.belief_history.append([b.probs.copy() for b in world.beliefs])
+    world.belief_history.append(world.posterior.copy())
     return record
 
 
@@ -415,9 +416,9 @@ def _check_slot_invariants(world: World, state: SlotState, rates: np.ndarray,
                                                 & (powers <= spec.p_max + 1e-12)),
         "jamming budget exceeded": powers.sum() <= spec.p_fj_max + 1e-9,
         "negative secrecy rate": np.all(rates >= 0.0),
-        "belief not a distribution": all(abs(q.probs.sum() - 1.0) <= 1e-9
-                                         and np.all(q.probs >= -1e-15)
-                                         for q in world.beliefs),
+        "belief not a distribution": (
+            np.all(np.abs(world.posterior.sum(axis=-1) - 1.0) <= 1e-9)
+            and np.all(world.posterior >= -1e-15)),
         LEAKAGE_CAP: np.all(
             leakage <= spec.xi_max * (1.0 + 1e-6)),
         # with perfect estimates the noise basis is exactly invisible at the

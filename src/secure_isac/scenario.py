@@ -1,13 +1,13 @@
 """The per-seed Scenario and the per-run World over it.
 
 A Scenario is what (config, seed) fixes: placements, channels, the node link
-tables, each served set's precoder and base-station terms, the
-eavesdroppers' positions in every slot (and their LOS channels when they
-stand still), and the refinement's jamming geometry, since no decision
-moves them. It is frozen and its arrays are read-only, so many runs (every
-strategy of a comparison) can share one, and a waypoint walk runs once per
-scenario. A World is one run's decision state: beliefs, leader, roles,
-powers, beams.
+tables, the served-set ranking, each served set's precoder and base-station
+terms, the belief grid, the eavesdroppers' positions in every slot (and their
+LOS channels when they stand still), and the refinement's jamming geometry,
+since no decision moves them. It is frozen and its arrays are read-only, so
+many runs (every strategy of a comparison) can share one, and a waypoint walk
+runs once per scenario. A World is one run's decision state: the (E, G) bearing posterior,
+leader, roles, powers, beams.
 """
 
 from dataclasses import dataclass, field, fields
@@ -16,11 +16,12 @@ from typing import NamedTuple
 import numpy as np
 
 from .arrays import ArraySpec, steering_vector, ula_positions
-from .belief import default_grid, uniform_prior
+from .belief import BeliefState, default_grid, uniform_prior
 from .channel import (C_LIGHT, STREAM_CSI_ERROR, STREAM_HN_NLOS,
                       STREAM_PAIR_SHADOW, STREAM_PLACEMENT, STREAM_SHADOW,
                       STREAM_WAYPOINT, PathLossModel, linear_gain, los_channel,
-                      noise_power, path_loss_db, rician_channel, substream)
+                      noise_power, path_loss_db, rician_channel, substream,
+                      vector_norm)
 from .config import RunConfig, ScenarioConfig
 from .followers import FeasibilitySpec, Role
 from .leader import Broadcast, LeaderKpis, LeaderState
@@ -61,10 +62,12 @@ class Scenario:
     hn_channels: np.ndarray           # (K, N) static BS->HN channels
     hn_estimates: np.ndarray          # (K, N) what the precoder believes they are
     hn_norm2: np.ndarray              # (K,) static channel powers
+    hn_rank: tuple                    # node ids by static channel power, strongest first
     eve_shadow: np.ndarray            # (E,) fixed shadowing draws per eavesdropper
     pair_shadow: np.ndarray           # (K, K+E) symmetric-in-nodes draws
     link_gain: np.ndarray             # (K, K) squared path gain before fading
     link_steer: np.ndarray            # (K, K, n) node-array steering to each other
+    grid_deg: np.ndarray              # (G,) the belief grid's bearings
     grid_steer_conj: np.ndarray       # (G, n) conjugated node-array steering over the belief grid
     # victim_links under static mobility, built once; None under a walk
     static_links: tuple | None
@@ -177,7 +180,7 @@ class World:
     """One run's decision state over a shared Scenario."""
 
     scenario: Scenario
-    beliefs: list
+    posterior: np.ndarray             # (E, G) bearing posterior, one row per eavesdropper
     leader: LeaderState
     roles: dict
     powers: np.ndarray
@@ -196,6 +199,13 @@ class World:
     @property
     def num_hn(self) -> int:
         return self.scenario.hn_positions.shape[0]
+
+    @property
+    def beliefs(self) -> list:
+        """One BeliefState per eavesdropper whose probs are a writable row
+        view of the posterior."""
+        grid = self.scenario.grid_deg
+        return [BeliefState(grid, row, j) for j, row in enumerate(self.posterior)]
 
 
 def _draw_sector_position(rng, run: RunConfig, height: float) -> np.ndarray:
@@ -251,7 +261,9 @@ def build_scenario(config: ScenarioConfig, seed: int) -> Scenario:
             if j < k:
                 pair_shadow[j, i] = pair_shadow[i, j]
 
+    hn_norm2 = np.array([np.linalg.norm(h) ** 2 for h in hn_channels])
     hn_spec = ArraySpec.half_wavelength(config.hn.array_elements, lam)
+    grid_deg = default_grid(config.belief.grid_size)
     link_gain, link_steer = _link_columns(
         hn_positions, hn_positions, pair_shadow[:, :k], pl_model, hn_spec)
     np.fill_diagonal(link_gain, 0.0)      # a node does not jam itself
@@ -264,11 +276,11 @@ def build_scenario(config: ScenarioConfig, seed: int) -> Scenario:
         pl_model=pl_model, k_lin=k_lin, hn_positions=hn_positions,
         eve_start=eve_start, hn_channels=hn_channels,
         hn_estimates=_estimate_channels(hn_channels, config, seed),
-        hn_norm2=np.array([np.linalg.norm(h) ** 2 for h in hn_channels]),
+        hn_norm2=hn_norm2, hn_rank=tuple(np.argsort(-hn_norm2).tolist()),
         eve_shadow=eve_shadow, pair_shadow=pair_shadow,
         link_gain=link_gain, link_steer=link_steer,
-        grid_steer_conj=steering_vector(
-            hn_spec, np.radians(default_grid(config.belief.grid_size))).conj(),
+        grid_deg=grid_deg,
+        grid_steer_conj=steering_vector(hn_spec, np.radians(grid_deg)).conj(),
         static_links=static_links,
         static_eve_los=(_eve_los(bs_elements, bs_center, lam, pl_model, eve_shadow, eve_start)
                         if static else None),
@@ -303,21 +315,20 @@ def _estimate_channels(hn_channels: np.ndarray, config: ScenarioConfig,
 
 
 def start_run(scenario: Scenario) -> World:
-    """A fresh run over the scenario: uniform beliefs, the configured leader
-    start, and the warm role split."""
+    """A fresh run over the scenario: the uniform prior for every
+    eavesdropper, the configured leader start, and the warm role split."""
     config = scenario.config
     lead, k, e = config.leader, config.hn.count, config.eve.count
-    # warm role start: the strongest channels begin as transmit nodes, the
-    # rest as jammers, so defense is active from the first slot
-    ranked = np.argsort(-scenario.hn_norm2)
     return World(
         scenario=scenario,
-        beliefs=[uniform_prior(config.belief.grid_size, j) for j in range(e)],
+        posterior=np.tile(uniform_prior(config.belief.grid_size).probs, (e, 1)),
         leader=LeaderState(Broadcast(lead.alpha_init, lead.beta_init, lead.gamma_init,
                                      lead.pi_init, lead.tau_init, lead.kappa_init),
                            config.belief.sigma0_deg),
-        roles={int(u): (Role.THN if rank < config.bs.num_rf else Role.JHN)
-               for rank, u in enumerate(ranked)},
+        # warm role start: the strongest channels begin as transmit nodes,
+        # the rest as jammers, so defense is active from the first slot
+        roles={u: (Role.THN if rank < config.bs.num_rf else Role.JHN)
+               for rank, u in enumerate(scenario.hn_rank)},
         powers=np.zeros(k),
         prev_kpis=LeaderKpis(secrecy=lead.r_s_target))
 
@@ -349,14 +360,14 @@ def _waypoint_walk(config: ScenarioConfig, seed: int, start: np.ndarray):
         for j in range(len(legs)):
             pos, target = positions[j], waypoints[j]
             delta = target - pos
-            dist = np.linalg.norm(delta)
+            dist = vector_norm(delta)
             if dist <= step:
                 positions[j] = target
                 waypoints[j] = next_waypoint(j)
             else:
                 positions[j] = pos + delta * (step / dist)
             ground = positions[j][:2]
-            radius = np.linalg.norm(ground)
+            radius = vector_norm(ground)
             if 0 < radius < r_min:  # keep mobile nodes outside the exclusion disc
                 positions[j][:2] = ground * (r_min / radius)
         positions.setflags(write=False)
@@ -370,7 +381,7 @@ def _eve_los(bs_elements: np.ndarray, bs_center: np.ndarray, wavelength: float,
     # one scalar path-loss call per eavesdropper: numpy's array log10 and
     # power round differently from the scalar ones, so a batched gain would
     # move some slots' channels by an ulp
-    gains = [linear_gain(path_loss_db(pl_model, np.linalg.norm(p - bs_center), eve_shadow[j]))
+    gains = [linear_gain(path_loss_db(pl_model, vector_norm(p - bs_center), eve_shadow[j]))
              for j, p in enumerate(positions)]
     return los_channel(bs_elements, positions, np.array(gains), wavelength)
 

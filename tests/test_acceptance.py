@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 from secure_isac.arrays import ArraySpec, steering_vector
-from secure_isac.belief import BeliefState, default_grid
+from secure_isac.belief import default_grid, uniform_prior
+from secure_isac.belief import entropy as belief_entropy
 from secure_isac.channel import noise_power, path_loss_db, PathLossModel
 from secure_isac.config import PowerModelConfig, ScenarioConfig, StrategyId
 from secure_isac.engine import bearing_deg, init_scenario, run_simulation, run_slot
@@ -331,14 +332,11 @@ class TestAcceptance:
         _, slot_power = power_accounting(15.0, [1.0, 1.0, 1.0], 4, power)
         assert slot_power == pytest.approx(47.0, rel=rel)
         assert see(4.5, 9.0) == pytest.approx(0.5, rel=rel)
-        probs = np.zeros(181)
-        probs[:3] = (0.5, 0.25, 0.25)
-        from secure_isac.belief import entropy as belief_entropy
-        assert belief_entropy(BeliefState(default_grid(181), probs)) == \
-            pytest.approx(1.5, rel=rel)
-        assert belief_entropy(
-            __import__("secure_isac.belief", fromlist=["uniform_prior"])
-            .uniform_prior(181)) == pytest.approx(7.499845887083206, rel=rel)
+        probs = np.zeros((2, 181))
+        probs[0, :3] = (0.5, 0.25, 0.25)
+        probs[1] = uniform_prior(181).probs
+        assert belief_entropy(probs).tolist() == [
+            pytest.approx(1.5, rel=rel), pytest.approx(7.499845887083206, rel=rel)]
         r_min, r_mean, out = outage_metrics([0.2, 1.0, 3.0], 0.5)
         assert (r_min, r_mean, out) == (pytest.approx(0.2), pytest.approx(1.4),
                                         pytest.approx(1.0 / 3.0))

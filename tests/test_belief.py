@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from secure_isac import belief
 from secure_isac.belief import (
@@ -14,11 +16,50 @@ from secure_isac.belief import (
 )
 
 
-def delta_belief(idx, size=181):
-    grid = default_grid(size)
+# The one-BeliefState filter the batched layer replaced, kept as its oracle:
+# every row of a batched call must equal these byte for byte.
+
+def oracle_predict(b: BeliefState, sigma_deg: float) -> BeliefState:
+    step = float(b.grid_deg[1] - b.grid_deg[0])
+    half = int(np.ceil(4.0 * sigma_deg / step))
+    probs = b.probs
+    if half >= 1:
+        offsets = np.arange(-half, half + 1) * step
+        kernel = np.exp(-0.5 * (offsets / sigma_deg) ** 2)
+        kernel /= kernel.sum()
+        probs = np.convolve(np.pad(probs, half, mode="reflect"), kernel, mode="valid")
+    probs = np.maximum(probs, 0.0)
+    return BeliefState(b.grid_deg, probs / probs.sum(), b.eve_id)
+
+
+def oracle_entropy(b: BeliefState) -> float:
+    p = b.probs[b.probs > 0]
+    return float(-np.sum(p * np.log2(p)))
+
+
+def oracle_update(b: BeliefState, z: np.ndarray, k_eff: float) -> BeliefState:
+    zmax = z.max()
+    if zmax <= 0.0:
+        return BeliefState(b.grid_deg, b.probs.copy(), b.eve_id)
+    post = b.probs * (z / zmax) ** k_eff
+    total = post.sum()
+    if total <= 0.0 or not np.isfinite(total):
+        return BeliefState(b.grid_deg, b.probs.copy(), b.eve_id)
+    return BeliefState(b.grid_deg, post / total, b.eve_id)
+
+
+def one_row(probs) -> np.ndarray:
+    """A one-eavesdropper posterior (1, G)."""
+    return np.asarray(probs, dtype=float)[None]
+
+
+def delta_row(idx, size=181):
     probs = np.zeros(size)
     probs[idx] = 1.0
-    return BeliefState(grid, probs)
+    return one_row(probs)
+
+
+GRID = default_grid(181)
 
 
 class TestPrior:
@@ -28,7 +69,8 @@ class TestPrior:
         assert b.probs.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_uniform_entropy_is_log2_n(self):
-        assert entropy(uniform_prior(181)) == pytest.approx(7.499845887083206, rel=1e-12)
+        assert entropy(one_row(uniform_prior(181).probs))[0] == pytest.approx(
+            7.499845887083206, rel=1e-12)
 
     def test_two_bins(self):
         b = uniform_prior(2)
@@ -39,33 +81,22 @@ class TestPrior:
             uniform_prior(1)
 
 
-def reference_predict(b, sigma_deg, half):
-    """predict with the padding spelled out through np.pad."""
-    offsets = np.arange(-half, half + 1) * float(b.grid_deg[1] - b.grid_deg[0])
-    kernel = np.exp(-0.5 * (offsets / sigma_deg) ** 2)
-    kernel /= kernel.sum()
-    probs = np.convolve(np.pad(b.probs, half, mode="reflect"), kernel, mode="valid")
-    probs = np.maximum(probs, 0.0)
-    return BeliefState(b.grid_deg, probs / probs.sum(), b.eve_id)
-
-
 class TestPredict:
     @pytest.mark.parametrize("sigma", [0.0, -1.0])
     def test_nonpositive_width_rejected(self, sigma):
         with pytest.raises(ValueError, match="sigma_deg"):
-            predict(uniform_prior(181), sigma)
+            predict(one_row(uniform_prior(181).probs), GRID, sigma)
 
     def test_tiny_kernel_is_identity(self):
-        b = delta_belief(90)
-        out = predict(b, 1e-6)
-        assert np.max(np.abs(out.probs - b.probs)) < 1e-6
+        b = delta_row(90)
+        out = predict(b, GRID, 1e-6)
+        assert np.max(np.abs(out - b)) < 1e-6
 
     def test_delta_spreads_symmetrically(self):
-        b = delta_belief(90)
-        out = predict(b, 10.0)
-        assert int(np.argmax(out.probs)) == 90
-        assert out.probs[80] == pytest.approx(out.probs[100], rel=1e-9)
-        assert out.probs.sum() == pytest.approx(1.0, abs=1e-12)
+        out = predict(delta_row(90), GRID, 10.0)[0]
+        assert int(np.argmax(out)) == 90
+        assert out[80] == pytest.approx(out[100], rel=1e-9)
+        assert out.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_smoothing_never_decreases_entropy(self):
         # numeric oracle over random interior-supported beliefs
@@ -74,13 +105,13 @@ class TestPredict:
             probs = np.zeros(181)
             inner = rng.random(101)
             probs[40:141] = inner / inner.sum()
-            b = BeliefState(default_grid(181), probs)
-            assert entropy(predict(b, rng.uniform(0.5, 8.0))) >= entropy(b) - 1e-9
+            b = one_row(probs)
+            blurred = predict(b, GRID, rng.uniform(0.5, 8.0))
+            assert entropy(blurred)[0] >= entropy(b)[0] - 1e-9
 
     def test_mass_conserved_at_boundary(self):
-        b = delta_belief(0)
-        out = predict(b, 15.0)
-        assert out.probs.sum() == pytest.approx(1.0, abs=1e-12)
+        out = predict(delta_row(0), GRID, 15.0)
+        assert out.sum() == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("size", [2, 3, 5, 91, 181])
     def test_reflect_index_matches_np_pad_for_every_half(self, size):
@@ -95,8 +126,8 @@ class TestPredict:
             assert int(np.ceil(4.0 * sigma / step)) == half
             probs = rng.random(size)
             b = BeliefState(grid, probs / probs.sum())
-            assert np.array_equal(predict(b, sigma).probs,
-                                  reference_predict(b, sigma, half).probs), half
+            assert np.array_equal(predict(one_row(b.probs), grid, sigma)[0],
+                                  oracle_predict(b, sigma).probs), half
 
     def test_reflect_index_is_read_only(self):
         index = belief._reflect_index(5, 7)
@@ -106,20 +137,18 @@ class TestPredict:
 
 class TestEntropy:
     def test_delta_zero(self):
-        assert entropy(delta_belief(17)) == 0.0
+        assert entropy(delta_row(17))[0] == 0.0
 
     def test_half_quarter_quarter(self):
         probs = np.zeros(181)
         probs[0], probs[1], probs[2] = 0.5, 0.25, 0.25
-        b = BeliefState(default_grid(181), probs)
-        assert entropy(b) == pytest.approx(1.5, rel=1e-12)
+        assert entropy(one_row(probs))[0] == pytest.approx(1.5, rel=1e-12)
 
     def test_bounds(self):
         rng = np.random.default_rng(1)
-        for _ in range(50):
-            p = rng.random(181)
-            b = BeliefState(default_grid(181), p / p.sum())
-            assert 0.0 <= entropy(b) <= np.log2(181) + 1e-12
+        p = rng.random((50, 181))
+        h = entropy(p / p.sum(axis=1, keepdims=True))
+        assert np.all((0.0 <= h) & (h <= np.log2(181) + 1e-12))
 
 
 class TestMeasurement:
@@ -162,46 +191,71 @@ class TestMeasurement:
 
 class TestUpdate:
     def test_delta_evidence(self):
-        b = uniform_prior(181)
         z = np.zeros(181)
         z[60] = 3.0
-        out = update(b, z, 1.0)
-        assert out.probs[60] == pytest.approx(1.0, abs=1e-12)
+        out = update(one_row(uniform_prior(181).probs), one_row(z), 1.0)[0]
+        assert out[60] == pytest.approx(1.0, abs=1e-12)
 
     def test_vanishing_exponent_keeps_prior(self):
         rng = np.random.default_rng(6)
         p = rng.random(181)
-        b = BeliefState(default_grid(181), p / p.sum())
-        z = rng.random(181) + 0.1
+        b = one_row(p / p.sum())
+        z = one_row(rng.random(181) + 0.1)
         out = update(b, z, 1e-9)
-        assert np.max(np.abs(out.probs - b.probs)) < 1e-6
+        assert np.max(np.abs(out - b)) < 1e-6
 
     def test_larger_exponent_sharpens(self):
         # numeric check over random unimodal scans
         rng = np.random.default_rng(7)
-        grid = default_grid(181)
+        prior = one_row(uniform_prior(181).probs)
         for _ in range(100):
-            b = uniform_prior(181)
             center = rng.uniform(-60, 60)
             width = rng.uniform(3.0, 15.0)
-            z = np.exp(-0.5 * ((grid - center) / width) ** 2) + 0.01
-            h1 = entropy(update(b, z, 1.0))
-            h2 = entropy(update(b, z, 2.0))
+            z = one_row(np.exp(-0.5 * ((GRID - center) / width) ** 2) + 0.01)
+            h1 = entropy(update(prior, z, 1.0))[0]
+            h2 = entropy(update(prior, z, 2.0))[0]
             assert h2 <= h1 + 1e-12
 
     def test_zero_scan_returns_prior(self):
-        b = uniform_prior(181)
-        out = update(b, np.zeros(181), 1.0)
-        assert np.array_equal(out.probs, b.probs)
+        prior = one_row(uniform_prior(181).probs)
+        out = update(prior, np.zeros((1, 181)), 1.0)
+        assert np.array_equal(out, prior)
 
     def test_normalization_preserved(self):
         rng = np.random.default_rng(8)
-        b = uniform_prior(181)
+        b = np.tile(uniform_prior(181).probs, (3, 1))
         for _ in range(20):
-            z = rng.random(181)
-            b = update(predict(b, 10.0), z, 1.0)
-            assert b.probs.sum() == pytest.approx(1.0, abs=1e-9)
-            assert np.all(b.probs >= 0.0)
+            b = update(predict(b, GRID, 10.0), rng.random((3, 181)), 1.0)
+            assert np.allclose(b.sum(axis=1), 1.0, rtol=0.0, atol=1e-9)
+            assert np.all(b >= 0.0)
+
+    def test_only_degenerate_rows_keep_their_prior(self):
+        rng = np.random.default_rng(9)
+        prior = rng.random((3, 181))
+        prior /= prior.sum(axis=1, keepdims=True)
+        prior[2] = 0.0
+        prior[2, 0] = 1.0
+        scans = rng.random((3, 181)) + 0.1
+        scans[1] = 0.0                      # an all-zero scan
+        scans[2] = 1e-200                   # a posterior that vanishes
+        scans[2, -1] = 1.0
+        out = update(prior, scans, 2.0)
+        assert not np.array_equal(out[0], prior[0])
+        assert np.array_equal(out[1:], prior[1:])
+
+    @pytest.mark.parametrize("k_eff", [0.0, -1.0])
+    def test_nonpositive_exponent_rejected(self, k_eff):
+        with pytest.raises(ValueError, match="k_eff"):
+            update(np.full((2, 5), 0.2), np.ones((2, 5)), k_eff)
+
+    def test_scan_shape_and_sign_checked(self):
+        prior = np.full((2, 5), 0.2)
+        with pytest.raises(ValueError, match="mismatch"):
+            update(prior, np.ones((1, 5)), 1.0)
+        scans = np.ones((2, 5))
+        scans[1, 3] = -1e-300
+        with pytest.raises(ValueError, match="nonnegative"):
+            update(prior, scans, 1.0)
 
 
 class TestKernelAdapt:
@@ -228,15 +282,65 @@ class TestContraction:
         # filter cycle on a fixed emitter: late-window entropy drops below the
         # early window
         rng = np.random.default_rng(9)
-        b, sigma = uniform_prior(181), 10.0
+        b, sigma = one_row(uniform_prior(181).probs), 10.0
         entropies = []
         for _ in range(50):
-            b = predict(b, sigma)
-            z = synthesize_measurement([25.0], 0.15, 5.0, rng, b.grid_deg,
+            b = predict(b, GRID, sigma)
+            z = synthesize_measurement([25.0], 0.15, 5.0, rng, GRID,
                                        bs_power_w=15.0, bump_width_deg=2.0,
                                        floor_scale=0.005)
-            b = update(b, z, 1.0)
-            sigma = kernel_adapt(sigma, entropy(b), 4.0, 0.5, sigma_min=1.0,
-                                 sigma_max=45.0)
-            entropies.append(entropy(b))
+            b = update(b, one_row(z), 1.0)
+            h = float(entropy(b)[0])
+            sigma = kernel_adapt(sigma, h, 4.0, 0.5, sigma_min=1.0, sigma_max=45.0)
+            entropies.append(h)
         assert np.median(entropies[19:50]) < np.median(entropies[0:10])
+
+
+@st.composite
+def filter_cases(draw):
+    """A posterior (E, G) whose rows hold exact zeros and underflowing
+    entries, scans (E, G) with an all-zero row and a row that makes its
+    posterior vanish, and a bandwidth and exponent across their ranges."""
+    e = draw(st.integers(1, 6))
+    g = draw(st.integers(2, 200))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    posterior = rng.random((e, g)) ** draw(st.sampled_from([1.0, 8.0, 400.0]))
+    posterior[rng.random((e, g)) < draw(st.sampled_from([0.0, 0.3, 0.9]))] = 0.0
+    posterior[np.arange(e), rng.integers(0, g, e)] += 1.0   # no row is all zero
+    posterior /= posterior.sum(axis=1, keepdims=True)
+    scans = rng.exponential(1.0, (e, g)) * (rng.random((e, g)) < 0.9)
+    row = rng.integers(0, e)
+    special = draw(st.sampled_from(["none", "zero scan", "vanishing"]))
+    if special == "zero scan":
+        scans[row] = 0.0
+    elif special == "vanishing":
+        # the posterior sits where the scan is ~1e-200 of its peak, so the
+        # likelihood underflows to zero under any exponent >= 2
+        posterior[row] = 0.0
+        posterior[row, 0] = 1.0
+        scans[row] = 1e-200
+        scans[row, -1] = 1.0
+    step = 180.0 / (g - 1)
+    sigma = 10.0 ** draw(st.floats(-3.0, 2.0)) * step
+    k_eff = draw(st.floats(2.0, 10.0)) if special == "vanishing" else \
+        10.0 ** draw(st.floats(-3.0, 1.0))
+    return posterior, scans, sigma, k_eff, special, row
+
+
+@settings(max_examples=300, deadline=None)
+@given(filter_cases())
+def test_batched_filter_matches_the_one_row_oracle_byte_for_byte(case):
+    posterior, scans, sigma, k_eff, special, row = case
+    grid = default_grid(posterior.shape[1])
+    rows = [BeliefState(grid, p, j) for j, p in enumerate(posterior)]
+
+    predicted = predict(posterior, grid, sigma)
+    updated = update(posterior, scans, k_eff)
+    entropies = entropy(posterior)
+    assert predicted.shape == updated.shape == posterior.shape
+    for j, b in enumerate(rows):
+        assert predicted[j].tobytes() == oracle_predict(b, sigma).probs.tobytes(), j
+        assert updated[j].tobytes() == oracle_update(b, scans[j], k_eff).probs.tobytes(), j
+        assert entropies[j].tobytes() == np.float64(oracle_entropy(b)).tobytes(), j
+    if special != "none":
+        assert updated[row].tobytes() == posterior[row].tobytes()

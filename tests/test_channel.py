@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from secure_isac.arrays import ArraySpec, steering_vector, ula_positions
 from secure_isac.channel import (
@@ -13,6 +14,7 @@ from secure_isac.channel import (
     path_loss_db,
     rician_channel,
     substream,
+    vector_norm,
 )
 
 C = 299792458.0
@@ -259,3 +261,28 @@ class TestSubstream:
         c = substream(1, 2, 3).standard_normal(4)
         assert np.array_equal(a, c)
         assert not np.array_equal(a, b)
+
+
+# zeros, subnormals and tiny magnitudes next to ordinary ones; below overflow
+COMPONENTS = st.one_of(st.just(0.0), st.floats(-1e-300, 1e-300),
+                       st.floats(-1e150, 1e150, allow_nan=False))
+
+
+class TestVectorNorm:
+    @settings(max_examples=400, deadline=None)
+    @given(arrays(np.float64, 3, elements=COMPONENTS))
+    def test_equals_numpy_on_real_3_vectors(self, x):
+        assert np.float64(vector_norm(x)).tobytes() == np.linalg.norm(x).tobytes()
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.integers(1, 64).flatmap(lambda n: st.tuples(
+        arrays(np.float64, (2, n), elements=COMPONENTS),
+        arrays(np.float64, (2, n), elements=COMPONENTS))))
+    def test_equals_numpy_on_complex_rows(self, parts):
+        rows = parts[0] + 1j * parts[1]          # (2, N): rows of a channel table
+        for row in (rows[0], rows[1], rows[1].copy()):
+            assert np.float64(vector_norm(row)).tobytes() == np.linalg.norm(row).tobytes()
+
+    def test_zero_vectors(self):
+        assert vector_norm(np.zeros(3)) == 0.0
+        assert vector_norm(np.zeros(16, dtype=complex)) == 0.0

@@ -681,34 +681,62 @@ class TestRayAim:
         assert got.tolist() == [reference_ray_aim(world, u, peaks[u]) for u in rows]
 
 
+def _check_after_corrupting(corrupt: str) -> str:
+    """Under python -O, which strips assert statements: run the slot check of
+    a fresh FIXED_AN slot 0, apply `corrupt` (a statement over `world` and
+    `state`), check again, and return what was printed: __debug__ and the
+    InvariantError raised."""
+    code = textwrap.dedent("""
+        from secure_isac import InvariantError, engine
+        from secure_isac.config import ScenarioConfig, StrategyId
+
+        def slot_scores(state):
+            return (state.ctx.rates(state.powers),
+                    state.ctx.leakage_at_served(state.powers))
+
+        world = engine.init_scenario(ScenarioConfig(), 1)
+        state = engine._open_slot(world, StrategyId.FIXED_AN, 0)
+        engine._serve(world, state, [])
+        engine._check_slot_invariants(world, state, *slot_scores(state))
+        {corrupt}
+        try:
+            engine._check_slot_invariants(world, state, *slot_scores(state))
+        except InvariantError as exc:
+            print(__debug__, exc)
+    """).format(corrupt=corrupt)
+    src = str(Path(secure_isac.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    return out.stdout.strip()
+
+
 class TestInvariants:
     def test_slot_check_raises_under_python_O(self):
         # python -O strips assert statements; the slot check must still fire
-        code = textwrap.dedent("""
-            from secure_isac import InvariantError, engine
-            from secure_isac.config import ScenarioConfig, StrategyId
+        printed = _check_after_corrupting("state.powers[0] = 2.0 * world.config.hn.p_max_w")
+        assert printed == "False slot 0: node power outside [0, p_max]"
 
-            def slot_scores(state):
-                return (state.ctx.rates(state.powers),
-                        state.ctx.leakage_at_served(state.powers))
+    def test_belief_check_raises_under_python_O(self):
+        printed = _check_after_corrupting("world.posterior[1] *= 1.5")
+        assert printed == "False slot 0: belief not a distribution"
 
-            world = engine.init_scenario(ScenarioConfig(), 1)
-            state = engine._open_slot(world, StrategyId.FIXED_AN, 0)
-            engine._serve(world, state, [])
-            engine._check_slot_invariants(world, state, *slot_scores(state))
-            state.powers[0] = 2.0 * world.config.hn.p_max_w
-            try:
-                engine._check_slot_invariants(world, state, *slot_scores(state))
-            except InvariantError as exc:
-                print(__debug__, exc)
-        """)
-        src = str(Path(secure_isac.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-        out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
-                             capture_output=True, text=True, timeout=120)
-        assert out.returncode == 0, out.stderr
-        assert out.stdout.strip() == "False slot 0: node power outside [0, p_max]"
+    @pytest.mark.parametrize("corrupt", ["mass", "negative entry"])
+    def test_a_corrupt_posterior_row_fails_the_slot_check(self, corrupt):
+        world = init_scenario(ScenarioConfig(), 1)
+        state = engine._open_slot(world, StrategyId.FIXED_AN, 0)
+        engine._serve(world, state, [])
+        scores = (state.ctx.rates(state.powers), state.ctx.leakage_at_served(state.powers))
+        engine._check_slot_invariants(world, state, *scores)
+        if corrupt == "mass":
+            world.posterior[2] *= 1.0 + 1e-8
+        else:
+            # mass moved within the row: its sum stays 1, one entry goes negative
+            world.posterior[2, :2] += (-0.01, 0.01)
+        with pytest.raises(InvariantError, match="^slot 0: belief not a distribution$"):
+            engine._check_slot_invariants(world, state, *scores)
 
     def test_leakage_failure_names_the_node_and_its_excess(self):
         world = init_scenario(ScenarioConfig(), 1)

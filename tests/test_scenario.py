@@ -147,7 +147,7 @@ class TestFrozenScenario:
         scenario = build_scenario(small_config(mobility), 1)
         arrays = scenario_arrays(scenario)
         assert {"hn_channels", "hn_estimates", "link_gain", "link_steer",
-                "eve_start", "pair_shadow", "grid_steer_conj"} <= set(arrays)
+                "eve_start", "pair_shadow", "grid_deg", "grid_steer_conj"} <= set(arrays)
         for name, arr in arrays.items():
             with pytest.raises(ValueError):
                 arr[(0,) * arr.ndim] = 0
@@ -443,6 +443,30 @@ def test_world_holds_only_decision_state():
     # a run's state is what its decisions change; anything a decision cannot
     # move belongs on the Scenario
     assert {f.name for f in fields(World)} == {
-        "scenario", "beliefs", "leader", "roles", "powers", "prev_kpis",
+        "scenario", "posterior", "leader", "roles", "powers", "prev_kpis",
         "jhn_beams", "entropy_ema", "secrecy_ema", "last_field",
         "last_coalitions", "belief_history"}
+
+
+def test_beliefs_are_writable_row_views_of_the_posterior():
+    world = init_scenario(small_config("waypoint"), 1)
+    engine.run_slot(world, StrategyId.STACKELBERG_ONLY, 0)
+    beliefs = world.beliefs
+    assert [b.eve_id for b in beliefs] == [0, 1]
+    assert all(b.grid_deg is world.scenario.grid_deg for b in beliefs)
+    for b, row in zip(beliefs, world.posterior):
+        assert np.shares_memory(b.probs, row) and np.array_equal(b.probs, row)
+    beliefs[1].probs[3] = -0.5
+    assert world.posterior[1, 3] == -0.5
+
+
+def test_scenario_holds_the_belief_grid_and_the_served_ranking():
+    scenario = build_scenario(small_config("static"), 1)
+    cfg = scenario.config
+    assert np.array_equal(scenario.grid_deg, default_grid(cfg.belief.grid_size))
+    assert scenario.hn_rank == tuple(int(u) for u in np.argsort(-scenario.hn_norm2))
+    world = start_run(scenario)
+    assert world.posterior.shape == (cfg.eve.count, cfg.belief.grid_size)
+    assert np.all(world.posterior == 1.0 / cfg.belief.grid_size)
+    thn = [u for u, role in world.roles.items() if role.value == "THN"]
+    assert thn == list(scenario.hn_rank[: cfg.bs.num_rf])
