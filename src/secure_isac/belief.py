@@ -29,12 +29,12 @@ def default_grid(size: int) -> np.ndarray:
     return np.linspace(-90.0, 90.0, size)
 
 
-def uniform_prior(grid_size: int, eve_id: int = 0) -> BeliefState:
+def uniform_prior(grid_size: int) -> BeliefState:
     """Maximum-entropy prior over the bearing grid."""
     if grid_size < 2:
         raise ValueError(f"grid_size must be >= 2, got {grid_size}")
     grid = default_grid(grid_size)
-    return BeliefState(grid, np.full(grid_size, 1.0 / grid_size), eve_id)
+    return BeliefState(grid, np.full(grid_size, 1.0 / grid_size))
 
 
 @lru_cache(maxsize=64)
@@ -83,28 +83,37 @@ def entropy(posterior: np.ndarray) -> np.ndarray:
     return out
 
 
-def synthesize_measurement(true_angles_deg, gamma: float,
-                           noise_sigma_deg: float, rng: np.random.Generator,
-                           grid_deg: np.ndarray, bs_power_w: float,
-                           bump_width_deg: float, floor_scale: float) -> np.ndarray:
-    """Nonnegative angular scan: one blurred return per true emitter plus a
-    noise floor.
+def synthesize_measurement(true_bearings_deg, gamma: float,
+                           noise_sigma_deg: float, rngs, grid_deg: np.ndarray,
+                           bs_power_w: float, bump_width_deg: float,
+                           floor_scale: float) -> np.ndarray:
+    """Nonnegative angular scans (E, G), one row per emitter: a blurred
+    return of the emitter at true_bearings_deg[j] plus a noise floor, drawn
+    from the generator rngs[j].
 
     Each return is a Gaussian lobe centered on the true bearing perturbed by
     the measurement noise, with amplitude proportional to the sensing power
     (the scanning beam has unit response at every bearing). gamma = 0 leaves
-    only the floor.
+    only the floor. Each row draws its exponential floor (none when the
+    floor is zero) and then its bearing noise (none when gamma is 0) from
+    its own generator, so a row is the scan a one-emitter call gets.
     """
     if gamma < 0:
         raise ValueError("gamma must be >= 0")
+    if len(rngs) != len(true_bearings_deg):
+        raise ValueError(f"{len(rngs)} generators for {len(true_bearings_deg)} emitters")
+    size = grid_deg.shape[0]
     floor_mean = floor_scale * bs_power_w
-    z = rng.exponential(floor_mean, size=grid_deg.shape[0]) if floor_mean > 0 \
-        else np.zeros(grid_deg.shape[0])
+    z = np.zeros((len(rngs), size))
+    centers = []
+    for row, rng, truth in zip(z, rngs, true_bearings_deg):
+        if floor_mean > 0:
+            row[:] = rng.exponential(floor_mean, size=size)
+        if gamma > 0.0:
+            centers.append(truth + rng.normal(0.0, noise_sigma_deg))
     if gamma > 0.0:
-        for truth in true_angles_deg:
-            center = truth + rng.normal(0.0, noise_sigma_deg)
-            lobe = np.exp(-0.5 * ((grid_deg - center) / bump_width_deg) ** 2)
-            z = z + gamma * bs_power_w * lobe
+        lobes = np.exp(-0.5 * ((grid_deg - np.array(centers)[:, None]) / bump_width_deg) ** 2)
+        z = z + gamma * bs_power_w * lobes
     return z
 
 
@@ -135,4 +144,5 @@ def kernel_adapt(sigma: float, entropy_bits: float, h_max: float, eta_sigma: flo
     it otherwise; clamped to [sigma_min, sigma_max]."""
     if sigma <= 0:
         raise ValueError("sigma must be > 0")
-    return float(np.clip(sigma + eta_sigma * (entropy_bits - h_max), sigma_min, sigma_max))
+    # min/max on floats give np.clip's value without its array dispatch
+    return float(min(max(sigma + eta_sigma * (entropy_bits - h_max), sigma_min), sigma_max))

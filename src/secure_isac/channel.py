@@ -39,9 +39,40 @@ def vector_norm(x: np.ndarray) -> float:
     return math.sqrt(x.dot(x))
 
 
+SEED_POOL_WORDS = 4   # np.random.SeedSequence's default pool size
+
+
+def _words(value: int) -> list:
+    """The little-endian 32-bit words of a nonnegative integer, as
+    np.random.SeedSequence splits it (zero is one zero word)."""
+    if value < 0:
+        raise ValueError(f"seed and keys must be nonnegative, got {value}")
+    words = [value & 0xFFFFFFFF]
+    value >>= 32
+    while value:
+        words.append(value & 0xFFFFFFFF)
+        value >>= 32
+    return words
+
+
 def substream(seed: int, *keys: int) -> np.random.Generator:
-    """Independent deterministic generator for (seed, *keys)."""
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=keys))
+    """Independent deterministic generator for (seed, *keys): the generator
+    np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=keys))
+    gives, state for state.
+
+    It is seeded from the entropy words that SeedSequence assembles from the
+    seed and the spawn key itself: the seed's words, zero-padded to the pool
+    size, then each key's words. Handing it the words skips its per-call
+    coercion of the seed and the key. So bit_generator.seed_seq holds the
+    words rather than (entropy, spawn_key), and spawning from it would not
+    give the spawn-key children; nothing in the package reads it or spawns.
+    """
+    words = _words(seed)
+    words += [0] * (SEED_POOL_WORDS - len(words))
+    for key in keys:
+        words += _words(key)
+    return np.random.Generator(np.random.PCG64(
+        np.random.SeedSequence(np.array(words, dtype=np.uint32))))
 
 
 @dataclass(frozen=True)
@@ -106,25 +137,36 @@ def los_channel(bs_positions: np.ndarray, node_pos, gain, wavelength: float) -> 
     return np.asarray(gain)[..., None] * np.exp(-2j * np.pi * dists / wavelength) / np.sqrt(n)
 
 
-def rician_channel(k_factor: float, los: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Rician mix sqrt(K/(K+1)) LOS + sqrt(1/(K+1)) NLOS, K linear.
+def rician_channel(k_factor: float, los: np.ndarray, rngs) -> np.ndarray:
+    """Rician mix sqrt(K/(K+1)) LOS + sqrt(1/(K+1)) NLOS, K linear, of each
+    row of the LOS stack (M, N), row m scattered by the generator rngs[m].
 
     The scattered part is i.i.d. complex Gaussian with per-entry variance
-    g^2/N, g being the LOS large-scale amplitude, so K only sets the power
-    split and E||h||^2 stays independent of K.
+    g^2/N, g being the row's LOS large-scale amplitude, so K only sets the
+    power split and E||h||^2 stays independent of K. Each row draws its N
+    real normals, then its N imaginary ones, from its own generator, so a
+    row is the channel a one-row stack with its generator gets.
     """
     if k_factor < 0:
         raise ValueError("k_factor must be >= 0")
-    n = los.shape[0]
-    g = vector_norm(los)
-    scale = g / np.sqrt(2.0 * n)
-    nlos = scale * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    m, n = los.shape
+    if len(rngs) != m:
+        raise ValueError(f"{len(rngs)} generators for {m} LOS rows")
+    # one scalar norm per row: vector_norm's dot is a BLAS sum, whose
+    # rounding an axis reduction does not reproduce
+    scale = np.array([vector_norm(row) for row in los]) / np.sqrt(2.0 * n)
+    re, im = np.empty((m, n)), np.empty((m, n))
+    for rng, re_row, im_row in zip(rngs, re, im):
+        rng.standard_normal(out=re_row)
+        rng.standard_normal(out=im_row)
+    nlos = scale[:, None] * (re + 1j * im)
     return np.sqrt(k_factor / (k_factor + 1.0)) * los \
         + np.sqrt(1.0 / (k_factor + 1.0)) * nlos
 
 
-def eve_channel(k_factor: float, los: np.ndarray, slot: int, seed: int,
-                eve_id: int) -> np.ndarray:
-    """Eavesdropper link at a given slot: fixed LOS, scattered part redrawn per slot."""
-    rng = substream(seed, STREAM_EVE_NLOS, eve_id, slot)
-    return rician_channel(k_factor, los, rng)
+def eve_channel(k_factor: float, los: np.ndarray, slot: int, seed: int) -> np.ndarray:
+    """The eavesdropper links (E, N) at a given slot from their LOS stack
+    (E, N): the LOS part is fixed, and eavesdropper j's scattered part is
+    redrawn every slot from its own (STREAM_EVE_NLOS, j, slot) substream."""
+    return rician_channel(k_factor, los, [substream(seed, STREAM_EVE_NLOS, j, slot)
+                                          for j in range(los.shape[0])])

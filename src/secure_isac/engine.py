@@ -41,8 +41,7 @@ from .scenario import (Scenario, World, bearing_deg, build_scenario, init_scenar
 
 def _eve_channels(scn: Scenario, slot: int) -> np.ndarray:
     """The slot's BS->eavesdropper channels (E, N), which no decision moves."""
-    return np.stack([eve_channel(scn.k_lin, row, slot, scn.seed, j)
-                     for j, row in enumerate(scn.eve_los(slot))])
+    return eve_channel(scn.k_lin, scn.eve_los(slot), slot, scn.seed)
 
 
 def _node_links(scn: Scenario, slot: int):
@@ -264,12 +263,13 @@ def _sense(world: World, state: SlotState) -> None:
     """Stage 4: sensing scans (unit self-response), one per eavesdropper from
     its own substream, and the posterior update."""
     cfg, scn = world.config, world.scenario
-    scans = np.stack([synthesize_measurement(
-        [bearing_deg(np.zeros(3), position)], state.broadcast.gamma,
-        cfg.belief.meas_noise_deg, substream(scn.seed, STREAM_MEASUREMENT, j, state.slot),
+    positions, origin = scn.eve_positions(state.slot), np.zeros(3)
+    scans = synthesize_measurement(
+        [bearing_deg(origin, position) for position in positions], state.broadcast.gamma,
+        cfg.belief.meas_noise_deg,
+        [substream(scn.seed, STREAM_MEASUREMENT, j, state.slot) for j in range(len(positions))],
         grid_deg=scn.grid_deg, bs_power_w=cfg.bs.p_init_w,
         bump_width_deg=cfg.belief.bump_width_deg, floor_scale=cfg.belief.floor_scale)
-        for j, position in enumerate(scn.eve_positions(state.slot))])
     world.posterior = update(world.posterior, scans, cfg.belief.k_eff)
     state.entropies = entropy(world.posterior).tolist()
 
@@ -324,7 +324,7 @@ def _run_refinement(world: World, state: SlotState, jhn_ids):
     combined = world.posterior.max(axis=0)
     peaks = posterior_peaks(combined, scn.grid_deg,
                             cfg.refinement.peak_threshold_scale / cfg.belief.grid_size)
-    jhn_bearings = {u: bearing_deg(np.zeros(3), scn.hn_positions[u]) for u in jhn_ids}
+    jhn_bearings = {u: scn.hn_bearing_deg[u] for u in jhn_ids}
     coalitions = form_coalitions(peaks, jhn_bearings, cfg.refinement.assoc_width_deg)
 
     def beams_of(members, targets):

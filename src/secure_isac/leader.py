@@ -4,12 +4,11 @@ Each slot the controller maps the predicted bearing-posterior entropy and the
 previous slot's KPIs to a power split (data/AN/sensing), three incentive
 prices broadcast to the hybrid nodes, and an adapted prediction-kernel width.
 All updates are clipped affine laws, so the state provably stays inside its
-boxes for any KPI sequence.
+boxes for any KPI sequence. They clip floats with min(max(x, lo), hi), which
+gives np.clip's value without its array dispatch.
 """
 
 from dataclasses import dataclass
-
-import numpy as np
 
 from . import InvariantError
 from .belief import kernel_adapt
@@ -51,7 +50,7 @@ def sensing_fraction(entropy_bits: float, lead: LeaderConfig) -> float:
     the entropy budget, clamped in between."""
     if entropy_bits < 0:
         raise ValueError("entropy must be >= 0")
-    frac = np.clip(entropy_bits / lead.h_max_bits, 0.0, 1.0)
+    frac = min(max(entropy_bits / lead.h_max_bits, 0.0), 1.0)
     return float(lead.gamma_min + (lead.gamma_max - lead.gamma_min) * frac)
 
 
@@ -63,7 +62,7 @@ def an_update(beta_prev: float, secrecy_error: float, gamma: float,
         raise ValueError("gamma must be in [0, 1]")
     hi = min(1.0 - gamma, lead.beta_max)
     lo = min(lead.beta_min, hi)
-    return float(np.clip(beta_prev + lead.k_s * secrecy_error, lo, hi))
+    return float(min(max(beta_prev + lead.k_s * secrecy_error, lo), hi))
 
 
 def data_fraction(beta: float, gamma: float) -> float:
@@ -77,11 +76,11 @@ def price_update(pi: float, tau: float, kappa: float, kpis: LeaderKpis,
                  entropy_bits: float, lead: LeaderConfig, xi_target_w: float):
     """Clipped affine price moves: reward jamming, steer leakage to the
     target xi_target_w, reward sensing when uncertainty exceeds the budget."""
-    pi_new = np.clip(pi + lead.k_pi * kpis.jam_benefit, lead.pi_min, lead.pi_max)
-    tau_new = np.clip(tau + lead.k_tau * (kpis.mean_leakage_w - xi_target_w),
-                      lead.tau_min, lead.tau_max)
-    kappa_new = np.clip(kappa + lead.k_kappa * (entropy_bits - lead.h_max_bits),
-                        lead.kappa_min, lead.kappa_max)
+    pi_new = min(max(pi + lead.k_pi * kpis.jam_benefit, lead.pi_min), lead.pi_max)
+    tau_new = min(max(tau + lead.k_tau * (kpis.mean_leakage_w - xi_target_w),
+                      lead.tau_min), lead.tau_max)
+    kappa_new = min(max(kappa + lead.k_kappa * (entropy_bits - lead.h_max_bits),
+                        lead.kappa_min), lead.kappa_max)
     return float(pi_new), float(tau_new), float(kappa_new)
 
 

@@ -63,6 +63,7 @@ class Scenario:
     hn_estimates: np.ndarray          # (K, N) what the precoder believes they are
     hn_norm2: np.ndarray              # (K,) static channel powers
     hn_rank: tuple                    # node ids by static channel power, strongest first
+    hn_bearing_deg: tuple             # each node's ground bearing from the origin (floats)
     eve_shadow: np.ndarray            # (E,) fixed shadowing draws per eavesdropper
     pair_shadow: np.ndarray           # (K, K+E) symmetric-in-nodes draws
     link_gain: np.ndarray             # (K, K) squared path gain before fading
@@ -243,14 +244,13 @@ def build_scenario(config: ScenarioConfig, seed: int) -> Scenario:
                           for _ in range(e)])
 
     k_lin = 10.0 ** (config.channel.rician_k_db / 10.0)
-    hn_channels = []
-    for uid in range(k):
-        shadow = substream(seed, STREAM_SHADOW, uid).standard_normal()
-        dist = np.linalg.norm(hn_positions[uid] - bs_center)
-        gain = linear_gain(path_loss_db(pl_model, dist, shadow))
-        los = los_channel(bs_elements, hn_positions[uid], gain, lam)
-        hn_channels.append(rician_channel(k_lin, los, substream(seed, STREAM_HN_NLOS, uid)))
-    hn_channels = np.stack(hn_channels)
+    # one scalar path-loss call per node, as in _eve_los
+    hn_gains = [linear_gain(path_loss_db(pl_model, np.linalg.norm(position - bs_center),
+                                         substream(seed, STREAM_SHADOW, uid).standard_normal()))
+                for uid, position in enumerate(hn_positions)]
+    hn_channels = rician_channel(
+        k_lin, los_channel(bs_elements, hn_positions, np.array(hn_gains), lam),
+        [substream(seed, STREAM_HN_NLOS, uid) for uid in range(k)])
 
     eve_shadow = np.array([substream(seed, STREAM_SHADOW, k + j).standard_normal()
                            for j in range(e)])
@@ -277,6 +277,7 @@ def build_scenario(config: ScenarioConfig, seed: int) -> Scenario:
         eve_start=eve_start, hn_channels=hn_channels,
         hn_estimates=_estimate_channels(hn_channels, config, seed),
         hn_norm2=hn_norm2, hn_rank=tuple(np.argsort(-hn_norm2).tolist()),
+        hn_bearing_deg=tuple(bearing_deg(np.zeros(3), p) for p in hn_positions),
         eve_shadow=eve_shadow, pair_shadow=pair_shadow,
         link_gain=link_gain, link_steer=link_steer,
         grid_deg=grid_deg,

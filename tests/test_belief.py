@@ -48,6 +48,28 @@ def oracle_update(b: BeliefState, z: np.ndarray, k_eff: float) -> BeliefState:
     return BeliefState(b.grid_deg, post / total, b.eve_id)
 
 
+def oracle_synthesize_measurement(true_angles_deg, gamma, noise_sigma_deg, rng, grid_deg,
+                                  bs_power_w, bump_width_deg, floor_scale):
+    """One scan (G,) of the emitters at true_angles_deg, drawn from `rng`."""
+    if gamma < 0:
+        raise ValueError("gamma must be >= 0")
+    floor_mean = floor_scale * bs_power_w
+    z = rng.exponential(floor_mean, size=grid_deg.shape[0]) if floor_mean > 0 \
+        else np.zeros(grid_deg.shape[0])
+    if gamma > 0.0:
+        for truth in true_angles_deg:
+            center = truth + rng.normal(0.0, noise_sigma_deg)
+            lobe = np.exp(-0.5 * ((grid_deg - center) / bump_width_deg) ** 2)
+            z = z + gamma * bs_power_w * lobe
+    return z
+
+
+def scan(truth, gamma, noise_sigma_deg, rng, grid_deg, **kwargs):
+    """One emitter's scan (G,) from a one-row call."""
+    return synthesize_measurement([truth], gamma, noise_sigma_deg, [rng], grid_deg,
+                                  **kwargs)[0]
+
+
 def one_row(probs) -> np.ndarray:
     """A one-eavesdropper posterior (1, G)."""
     return np.asarray(probs, dtype=float)[None]
@@ -154,8 +176,8 @@ class TestEntropy:
 class TestMeasurement:
     def test_gamma_zero_pure_floor(self):
         rng = np.random.default_rng(2)
-        z = synthesize_measurement([30.0], 0.0, 5.0, rng, default_grid(181),
-                                   bs_power_w=15.0, bump_width_deg=2.0, floor_scale=0.005)
+        z = scan(30.0, 0.0, 5.0, rng, default_grid(181),
+                 bs_power_w=15.0, bump_width_deg=2.0, floor_scale=0.005)
         assert np.all(z >= 0.0)
         # flat in expectation: no bump structure anywhere near the truth
         grid = default_grid(181)
@@ -166,8 +188,8 @@ class TestMeasurement:
     def test_noiseless_peak_at_truth(self):
         rng = np.random.default_rng(3)
         grid = default_grid(181)
-        z = synthesize_measurement([30.0], 0.2, 0.0, rng, grid,
-                                   bs_power_w=15.0, bump_width_deg=2.0, floor_scale=0.0)
+        z = scan(30.0, 0.2, 0.0, rng, grid,
+                 bs_power_w=15.0, bump_width_deg=2.0, floor_scale=0.0)
         assert abs(grid[np.argmax(z)] - 30.0) <= 1.0
 
     def test_argmax_within_10deg_at_default_noise(self):
@@ -176,17 +198,45 @@ class TestMeasurement:
         grid = default_grid(181)
         hits = 0
         for _ in range(1000):
-            z = synthesize_measurement([20.0], 0.15, 5.0, rng, grid, bs_power_w=15.0,
-                                       bump_width_deg=2.0, floor_scale=0.005)
+            z = scan(20.0, 0.15, 5.0, rng, grid, bs_power_w=15.0,
+                     bump_width_deg=2.0, floor_scale=0.005)
             if abs(grid[np.argmax(z)] - 20.0) <= 10.0:
                 hits += 1
         assert hits >= 900
 
     def test_negative_gamma_rejected(self):
         with pytest.raises(ValueError):
-            synthesize_measurement([0.0], -0.1, 5.0, np.random.default_rng(0),
-                                   default_grid(181), bs_power_w=15.0,
-                                   bump_width_deg=2.0, floor_scale=0.005)
+            scan(0.0, -0.1, 5.0, np.random.default_rng(0), default_grid(181),
+                 bs_power_w=15.0, bump_width_deg=2.0, floor_scale=0.005)
+
+    def test_one_generator_per_emitter_required(self):
+        with pytest.raises(ValueError, match="2 emitters"):
+            synthesize_measurement([0.0, 10.0], 0.1, 5.0, [np.random.default_rng(0)],
+                                   GRID, bs_power_w=15.0, bump_width_deg=2.0,
+                                   floor_scale=0.005)
+
+    @settings(max_examples=300, deadline=None)
+    @given(e=st.integers(1, 6), g=st.integers(2, 200),
+           gamma=st.sampled_from([0.0, 1e-6, 0.15, 1.0]),
+           floor_scale=st.sampled_from([0.0, 1e-9, 0.005]),
+           noise=st.sampled_from([0.0, 5.0, 40.0]),
+           bump=st.sampled_from([0.5, 2.0, 30.0]), seed=st.integers(0, 2 ** 32 - 1))
+    def test_rows_equal_the_one_scan_oracle(self, e, g, gamma, floor_scale, noise, bump,
+                                            seed):
+        grid = default_grid(g)
+        truths = np.random.default_rng(seed).uniform(-120.0, 120.0, e).tolist()
+        rngs = [np.random.default_rng([seed, j]) for j in range(e)]
+        scans = synthesize_measurement(truths, gamma, noise, rngs, grid, bs_power_w=15.0,
+                                       bump_width_deg=bump, floor_scale=floor_scale)
+        assert scans.shape == (e, g)
+        for j, (row, truth, used) in enumerate(zip(scans, truths, rngs)):
+            rng = np.random.default_rng([seed, j])
+            want = oracle_synthesize_measurement([truth], gamma, noise, rng, grid,
+                                                 bs_power_w=15.0, bump_width_deg=bump,
+                                                 floor_scale=floor_scale)
+            assert row.tobytes() == want.tobytes()
+            # each row drew what the oracle drew, and nothing more
+            assert used.bit_generator.state == rng.bit_generator.state
 
 
 class TestUpdate:
@@ -286,9 +336,8 @@ class TestContraction:
         entropies = []
         for _ in range(50):
             b = predict(b, GRID, sigma)
-            z = synthesize_measurement([25.0], 0.15, 5.0, rng, GRID,
-                                       bs_power_w=15.0, bump_width_deg=2.0,
-                                       floor_scale=0.005)
+            z = scan(25.0, 0.15, 5.0, rng, GRID,
+                     bs_power_w=15.0, bump_width_deg=2.0, floor_scale=0.005)
             b = update(b, one_row(z), 1.0)
             h = float(entropy(b)[0])
             sigma = kernel_adapt(sigma, h, 4.0, 0.5, sigma_min=1.0, sigma_max=45.0)

@@ -6,6 +6,7 @@ from hypothesis.extra.numpy import arrays
 
 from secure_isac.arrays import ArraySpec, steering_vector, ula_positions
 from secure_isac.channel import (
+    STREAM_EVE_NLOS,
     PathLossModel,
     eve_channel,
     linear_gain,
@@ -18,6 +19,29 @@ from secure_isac.channel import (
 )
 
 C = 299792458.0
+
+
+# The spawn-key seeding and the one-row channel forms the package replaced,
+# kept as their oracles: every generator state and every row of a stacked
+# call must equal these byte for byte.
+
+def oracle_substream(seed, *keys):
+    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=keys))
+
+
+def oracle_rician_channel(k_factor, los, rng):
+    n = los.shape[0]
+    g = np.linalg.norm(los)
+    scale = g / np.sqrt(2.0 * n)
+    nlos = scale * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    return np.sqrt(k_factor / (k_factor + 1.0)) * los \
+        + np.sqrt(1.0 / (k_factor + 1.0)) * nlos
+
+
+def oracle_eve_channel(k_factor, los, slot, seed, eve_id):
+    """One eavesdropper's link (N,) from its LOS row (N,)."""
+    return oracle_rician_channel(k_factor, los,
+                                 oracle_substream(seed, STREAM_EVE_NLOS, eve_id, slot))
 
 
 class TestNoise:
@@ -184,7 +208,7 @@ class TestRician:
 
     def test_k_infinite_limit(self):
         los = self.los()
-        h = rician_channel(1e12, los, np.random.default_rng(0))
+        h = rician_channel(1e12, los[None], [np.random.default_rng(0)])[0]
         assert np.linalg.norm(h - los) / np.linalg.norm(los) < 1e-5
 
     def test_rayleigh_moment(self):
@@ -192,7 +216,7 @@ class TestRician:
         # variance g^2/N
         los = self.los(n=16, g=0.5)
         rng = np.random.default_rng(1)
-        draws = np.array([rician_channel(0.0, los, rng) for _ in range(10000)])
+        draws = rician_channel(0.0, np.tile(los, (10000, 1)), [rng] * 10000)
         var = np.mean(np.abs(draws) ** 2)
         assert var == pytest.approx(0.5 ** 2 / 16, rel=0.05)
 
@@ -200,7 +224,7 @@ class TestRician:
         k = 10.0  # 10 dB
         los = self.los(n=16, g=0.5)
         rng = np.random.default_rng(2)
-        draws = np.array([rician_channel(k, los, rng) for _ in range(10000)])
+        draws = rician_channel(k, np.tile(los, (10000, 1)), [rng] * 10000)
         total = np.mean(np.linalg.norm(draws, axis=1) ** 2)
         los_part = k / (k + 1.0) * np.linalg.norm(los) ** 2
         assert los_part / total == pytest.approx(10.0 / 11.0, rel=0.03)
@@ -210,33 +234,68 @@ class TestRician:
         target = np.linalg.norm(los) ** 2
         for k in (0.0, 1.0, 10.0, 100.0):
             rng = np.random.default_rng(3)
-            draws = np.array([rician_channel(k, los, rng) for _ in range(10000)])
+            draws = rician_channel(k, np.tile(los, (10000, 1)), [rng] * 10000)
             total = np.mean(np.linalg.norm(draws, axis=1) ** 2)
             assert total == pytest.approx(target, rel=0.03)
 
     def test_negative_k_rejected(self):
         with pytest.raises(ValueError):
-            rician_channel(-1.0, self.los(), np.random.default_rng(0))
+            rician_channel(-1.0, self.los()[None], [np.random.default_rng(0)])
+
+    def test_one_generator_per_row_required(self):
+        los = np.tile(self.los(), (3, 1))
+        with pytest.raises(ValueError, match="3 LOS rows"):
+            rician_channel(1.0, los, [np.random.default_rng(0)] * 2)
+
+    @settings(max_examples=300, deadline=None)
+    @given(m=st.integers(1, 6), n=st.integers(1, 40),
+           k=st.sampled_from([0.0, 1e-3, 1.0, 10 ** 0.9, 10.0, 1e12]),
+           zero_row=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+    def test_stack_rows_equal_the_one_row_oracle(self, m, n, k, zero_row, seed):
+        rng = np.random.default_rng(seed)
+        lam = 0.01
+        pos = ula_positions(ArraySpec.half_wavelength(n, lam))
+        gains = rng.uniform(0.0, 1e-3, m) * 10.0 ** rng.uniform(-6, 0, m)
+        los = los_channel(pos, rng.uniform(-200.0, 200.0, (m, 3)), gains, lam)
+        if zero_row:
+            los[rng.integers(0, m)] = 0.0
+        keys = rng.integers(0, 2 ** 40, m).tolist()
+        stacked = rician_channel(k, los, [substream(seed, 3, key) for key in keys])
+        assert stacked.shape == (m, n)
+        for row, los_row, key in zip(stacked, los, keys):
+            want = oracle_rician_channel(k, los_row, oracle_substream(seed, 3, key))
+            assert np.array_equal(row, want)
+            assert row.tobytes() == want.tobytes()
 
 
 class TestEveChannel:
     def los(self):
         lam = 0.01
         spec = ArraySpec.half_wavelength(32, lam)
-        return los_channel(ula_positions(spec), np.array([20.0, 5.0, 0.0]), 0.3, lam)
+        pos = ula_positions(spec)
+        return los_channel(pos, np.array([[20.0, 5.0, 0.0], [-3.0, 40.0, 1.5],
+                                          [60.0, -9.0, 0.0]]), np.array([0.3, 0.02, 1e-4]),
+                           lam)
 
     def test_determinism(self):
         los = self.los()
-        a = eve_channel(10.0, los, slot=7, seed=42, eve_id=3)
-        b = eve_channel(10.0, los, slot=7, seed=42, eve_id=3)
+        a = eve_channel(10.0, los, slot=7, seed=42)
+        b = eve_channel(10.0, los, slot=7, seed=42)
         assert np.array_equal(a, b)
+
+    def test_each_row_is_its_eavesdroppers_one_row_channel(self):
+        los = self.los()
+        for slot in (0, 1, 7, 2 ** 33):
+            stacked = eve_channel(10.0, los, slot=slot, seed=42)
+            want = [oracle_eve_channel(10.0, row, slot, 42, j) for j, row in enumerate(los)]
+            assert stacked.tobytes() == np.stack(want).tobytes()
 
     def test_slots_differ_only_in_nlos(self):
         los = self.los()
         k = 10.0
-        h1 = eve_channel(k, los, slot=0, seed=42, eve_id=0)
-        h2 = eve_channel(k, los, slot=1, seed=42, eve_id=0)
-        shared = np.sqrt(k / (k + 1)) * los
+        h1 = eve_channel(k, los, slot=0, seed=42)[0]
+        h2 = eve_channel(k, los, slot=1, seed=42)[0]
+        shared = np.sqrt(k / (k + 1)) * los[0]
         d1, d2 = h1 - shared, h2 - shared
         # the residuals are independent scattered draws, not identical
         assert not np.allclose(d1, d2)
@@ -245,13 +304,21 @@ class TestEveChannel:
     def test_slot_correlation_is_k_over_k_plus_one(self):
         # sample-correlation oracle: consecutive-slot inner products share only
         # the LOS part, so corr -> K/(K+1)
-        los = self.los()
+        los = np.tile(self.los()[0], (2, 1))
         k = 10.0
         slots = 1000
-        hs = [eve_channel(k, los, slot=t, seed=9, eve_id=1) for t in range(slots)]
+        hs = [eve_channel(k, los, slot=t, seed=9)[1] for t in range(slots)]
         num = np.mean([np.real(np.vdot(hs[t], hs[t + 1])) for t in range(slots - 1)])
         den = np.mean([np.linalg.norm(h) ** 2 for h in hs])
         assert num / den == pytest.approx(k / (k + 1.0), rel=0.05)
+
+
+# seeds and keys at and across the 32-bit word boundaries, next to ordinary ones
+SEED_VALUES = st.one_of(st.sampled_from([0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 + 5,
+                                         2 ** 130 + 7]),
+                        st.integers(0, 2 ** 70))
+KEY_VALUES = st.one_of(st.sampled_from([0, 2 ** 32 - 1, 2 ** 32 + 3]),
+                       st.integers(0, 2 ** 40))
 
 
 class TestSubstream:
@@ -261,6 +328,20 @@ class TestSubstream:
         c = substream(1, 2, 3).standard_normal(4)
         assert np.array_equal(a, c)
         assert not np.array_equal(a, b)
+
+    @settings(max_examples=500, deadline=None)
+    @given(seed=SEED_VALUES, keys=st.lists(KEY_VALUES, max_size=5))
+    def test_equals_spawn_key_seeding(self, seed, keys):
+        got, want = substream(seed, *keys), oracle_substream(seed, *keys)
+        assert got.bit_generator.state == want.bit_generator.state
+        assert got.standard_normal(3).tobytes() == want.standard_normal(3).tobytes()
+
+    @pytest.mark.parametrize("args", [(-1,), (-1, 2), (3, -1), (3, 2, -(2 ** 40))])
+    def test_negative_seed_or_key_rejected(self, args):
+        with pytest.raises(ValueError):
+            oracle_substream(*args)
+        with pytest.raises(ValueError):
+            substream(*args)
 
 
 # zeros, subnormals and tiny magnitudes next to ordinary ones; below overflow

@@ -18,8 +18,7 @@ import secure_isac
 from secure_isac import InvariantError, engine
 from secure_isac.arrays import ArraySpec, steering_vector
 from secure_isac.channel import (C_LIGHT, STREAM_FADE, STREAM_PAIR_SHADOW, STREAM_WAYPOINT,
-                                  eve_channel, linear_gain, los_channel, path_loss_db,
-                                  substream)
+                                  linear_gain, los_channel, path_loss_db, substream)
 from secure_isac.config import ConfigError, ScenarioConfig, StrategyId, parse_config
 from secure_isac.engine import (
     bearing_deg,
@@ -31,6 +30,7 @@ from secure_isac.followers import Role
 from secure_isac.leader import Broadcast, LeaderState, leader_step
 from secure_isac.refinement import ray_aim
 from secure_isac.scenario import Scenario, _draw_sector_position, build_scenario
+from test_channel import oracle_eve_channel
 
 logging.disable(logging.WARNING)
 
@@ -268,13 +268,13 @@ class TestLinkTables:
 
 
 def reference_eve_channels(scn, slot):
-    """Eavesdropper channels, one los_channel and eve_channel call each."""
+    """Eavesdropper channels, one los_channel and one-row channel call each."""
     channels = []
     for j, position in enumerate(scn.eve_positions(slot)):
         dist = np.linalg.norm(position - scn.bs_center)
         gain = linear_gain(path_loss_db(scn.pl_model, dist, scn.eve_shadow[j]))
         los = los_channel(scn.bs_elements, position, gain, scn.bs_spec.wavelength)
-        channels.append(eve_channel(scn.k_lin, los, slot, scn.seed, j))
+        channels.append(oracle_eve_channel(scn.k_lin, los, slot, scn.seed, j))
     return np.stack(channels)
 
 

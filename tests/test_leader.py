@@ -2,7 +2,10 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from secure_isac.belief import kernel_adapt
 from secure_isac.config import LeaderConfig, ScenarioConfig
 from secure_isac.leader import (
     Broadcast,
@@ -183,3 +186,87 @@ def test_kernel_width_clamped_to_belief_section(bound, value, entropy_bits, uncl
     assert step() == pytest.approx(unclamped)
     setattr(config.belief, bound, value)
     assert step() == value
+
+
+# The np.clip forms of the clipped laws, kept as their oracles: the package
+# clips its floats with min(max(x, lo), hi), which must give the same value
+# and the same sign of zero.
+
+def oracle_sensing_fraction(entropy_bits, lead):
+    frac = np.clip(entropy_bits / lead.h_max_bits, 0.0, 1.0)
+    return float(lead.gamma_min + (lead.gamma_max - lead.gamma_min) * frac)
+
+
+def oracle_an_update(beta_prev, secrecy_error, gamma, lead):
+    hi = min(1.0 - gamma, lead.beta_max)
+    lo = min(lead.beta_min, hi)
+    return float(np.clip(beta_prev + lead.k_s * secrecy_error, lo, hi))
+
+
+def oracle_price_update(pi, tau, kappa, kpis, entropy_bits, lead, xi_target_w):
+    pi_new = np.clip(pi + lead.k_pi * kpis.jam_benefit, lead.pi_min, lead.pi_max)
+    tau_new = np.clip(tau + lead.k_tau * (kpis.mean_leakage_w - xi_target_w),
+                      lead.tau_min, lead.tau_max)
+    kappa_new = np.clip(kappa + lead.k_kappa * (entropy_bits - lead.h_max_bits),
+                        lead.kappa_min, lead.kappa_max)
+    return float(pi_new), float(tau_new), float(kappa_new)
+
+
+def oracle_kernel_adapt(sigma, entropy_bits, h_max, eta_sigma, sigma_min, sigma_max):
+    return float(np.clip(sigma + eta_sigma * (entropy_bits - h_max), sigma_min, sigma_max))
+
+
+# signed zeros, infinities and NaN next to ordinary floats
+ANY_FLOAT = st.one_of(st.sampled_from([0.0, -0.0, 1.0, np.inf, -np.inf, np.nan]),
+                      st.floats(allow_nan=True, allow_infinity=True))
+GAIN = st.one_of(st.sampled_from([0.0, -0.0, 1.0]), st.floats(-1e3, 1e3))
+BOUND = st.one_of(st.sampled_from([0.0, -0.0, 1.0]), st.floats(-1e6, 1e6))
+
+
+@st.composite
+def box(draw):
+    """Bounds lo <= hi, equal in about a quarter of the draws."""
+    lo = draw(BOUND)
+    return lo, lo if draw(st.integers(0, 3)) == 0 else max(lo, draw(BOUND))
+
+
+class TestScalarClips:
+    @settings(max_examples=500, deadline=None)
+    @given(entropy_bits=ANY_FLOAT, h_max=st.floats(1e-3, 20.0), gammas=box())
+    def test_sensing_fraction(self, entropy_bits, h_max, gammas):
+        lead = LeaderConfig(h_max_bits=h_max, gamma_min=gammas[0], gamma_max=gammas[1])
+        if entropy_bits < 0:
+            with pytest.raises(ValueError):
+                sensing_fraction(entropy_bits, lead)
+            entropy_bits = abs(entropy_bits)
+        assert repr(sensing_fraction(entropy_bits, lead)) == repr(
+            oracle_sensing_fraction(entropy_bits, lead))
+
+    @settings(max_examples=500, deadline=None)
+    @given(beta=ANY_FLOAT, error=ANY_FLOAT, k_s=GAIN, gamma=st.floats(0.0, 1.0),
+           betas=box())
+    def test_an_update(self, beta, error, k_s, gamma, betas):
+        lead = LeaderConfig(k_s=k_s, beta_min=betas[0], beta_max=betas[1])
+        assert repr(an_update(beta, error, gamma, lead)) == repr(
+            oracle_an_update(beta, error, gamma, lead))
+
+    @settings(max_examples=500, deadline=None)
+    @given(prices=st.tuples(ANY_FLOAT, ANY_FLOAT, ANY_FLOAT),
+           kpis=st.tuples(ANY_FLOAT, ANY_FLOAT), entropy_bits=ANY_FLOAT,
+           gains=st.tuples(GAIN, GAIN, GAIN), boxes=st.tuples(box(), box(), box()))
+    def test_price_update(self, prices, kpis, entropy_bits, gains, boxes):
+        (pi_min, pi_max), (tau_min, tau_max), (kappa_min, kappa_max) = boxes
+        lead = LeaderConfig(k_pi=gains[0], k_tau=gains[1], k_kappa=gains[2],
+                            pi_min=pi_min, pi_max=pi_max, tau_min=tau_min,
+                            tau_max=tau_max, kappa_min=kappa_min, kappa_max=kappa_max)
+        args = (*prices, LeaderKpis(jam_benefit=kpis[0], mean_leakage_w=kpis[1]),
+                entropy_bits, lead, XI_TARGET_W)
+        assert repr(price_update(*args)) == repr(oracle_price_update(*args))
+
+    @settings(max_examples=500, deadline=None)
+    @given(sigma=st.one_of(st.sampled_from([1e-300, 1.0, np.inf]), st.floats(1e-6, 1e6)),
+           entropy_bits=ANY_FLOAT, h_max=ANY_FLOAT, eta=GAIN, sigmas=box())
+    def test_kernel_adapt(self, sigma, entropy_bits, h_max, eta, sigmas):
+        args = (sigma, entropy_bits, h_max, eta, *sigmas)
+        assert repr(kernel_adapt(*args)) == repr(oracle_kernel_adapt(*args))
+

@@ -9,12 +9,14 @@ import pytest
 from secure_isac import engine, scenario as scenario_module
 from secure_isac.arrays import steering_vector
 from secure_isac.belief import default_grid
-from secure_isac.channel import eve_channel, linear_gain, los_channel, path_loss_db
+from secure_isac.channel import (STREAM_HN_NLOS, STREAM_SHADOW, linear_gain, los_channel,
+                                  path_loss_db)
 from secure_isac.config import ScenarioConfig, StrategyId, serialize_config
 from secure_isac.link import an_projector, build_precoder
 from secure_isac.refinement import JammingBeam, aligned_beam, ray_aim
 from secure_isac.scenario import (World, _link_columns, bearing_deg, build_scenario,
                                   init_scenario, start_run)
+from test_channel import oracle_eve_channel, oracle_rician_channel, oracle_substream
 
 logging.disable(logging.WARNING)
 
@@ -258,7 +260,7 @@ class TestFrozenScenario:
             assert scenario.eve_los(t).tobytes() == los.tobytes()
             # the slot's channels redraw only the scattered part on it
             channels = engine._eve_channels(scenario, t)
-            fresh = [eve_channel(scenario.k_lin, row, t, scenario.seed, j)
+            fresh = [oracle_eve_channel(scenario.k_lin, row, t, scenario.seed, j)
                      for j, row in enumerate(los)]
             assert channels.tobytes() == np.stack(fresh).tobytes()
         # built once under static mobility, every slot under a walk
@@ -458,6 +460,34 @@ def test_beliefs_are_writable_row_views_of_the_posterior():
         assert np.shares_memory(b.probs, row) and np.array_equal(b.probs, row)
     beliefs[1].probs[3] = -0.5
     assert world.posterior[1, 3] == -0.5
+
+
+def reference_node_channels(scn):
+    """The static BS->node channels, built afresh one node at a time from
+    spawn-key substreams, with one scalar path-loss call per node."""
+    channels = []
+    for uid, position in enumerate(scn.hn_positions):
+        shadow = oracle_substream(scn.seed, STREAM_SHADOW, uid).standard_normal()
+        gain = linear_gain(path_loss_db(scn.pl_model, np.linalg.norm(position - scn.bs_center),
+                                        shadow))
+        los = los_channel(scn.bs_elements, position, gain, scn.bs_spec.wavelength)
+        channels.append(oracle_rician_channel(scn.k_lin, los,
+                                              oracle_substream(scn.seed, STREAM_HN_NLOS, uid)))
+    return np.stack(channels)
+
+
+@pytest.mark.parametrize("seed", [1, 2 ** 33 + 5])
+def test_node_channels_equal_per_node_builds(seed):
+    scenario = build_scenario(small_config("waypoint"), seed)
+    assert scenario.hn_channels.tobytes() == reference_node_channels(scenario).tobytes()
+
+
+def test_node_bearings_equal_per_slot_recomputation():
+    scenario = build_scenario(small_config("static"), 1)
+    assert isinstance(scenario.hn_bearing_deg, tuple)
+    assert all(type(b) is float for b in scenario.hn_bearing_deg)
+    assert scenario.hn_bearing_deg == tuple(bearing_deg(np.zeros(3), scenario.hn_positions[u])
+                                            for u in range(scenario.config.hn.count))
 
 
 def test_scenario_holds_the_belief_grid_and_the_served_ranking():

@@ -64,7 +64,6 @@ def test_every_module_level_name_and_method_is_used_in_the_package():
 # the simulator.
 KEPT_DEFAULTS = {
     "arrays.steering_vector.elevation",
-    "belief.uniform_prior.eve_id",
     "channel.path_loss_db.shadow_draw",
     "cli.build_manifest.compare",
     "cli.main.argv",
@@ -118,6 +117,24 @@ def test_every_state_and_config_field_is_read_in_the_package():
                if not readers.get(f.name, set()) - {"config.py"}]
     assert len(sections) >= 10
     assert unread == []
+
+
+SEEDERS = {"default_rng", "SeedSequence", "Generator", "BitGenerator", "PCG64",
+           "PCG64DXSM", "MT19937", "Philox", "SFC64", "RandomState"}
+
+
+def test_only_substream_builds_generators():
+    # every draw comes from a keyed channel.substream, so no other code seeds,
+    # builds or wraps a generator or a bit generator
+    calls = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        homes = {id(node): top.name for top in tree.body
+                 if isinstance(top, DEFINITIONS) for node in ast.walk(top)}
+        calls += [(path.name, homes.get(id(node)), node.lineno)
+                  for node in ast.walk(tree) if isinstance(node, ast.Call)
+                  and getattr(node.func, "id", getattr(node.func, "attr", None)) in SEEDERS]
+    assert {(module, home) for module, home, _ in calls} == {("channel.py", "substream")}
 
 
 def _einsums(node):
