@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from golden import compare_golden, divergence, sha256
 from secure_isac.arrays import beampattern_db, sensing_beam
 from secure_isac.cli import (
     TRACE_COLUMNS,
@@ -494,7 +495,9 @@ class TestCompareOutputs:
         assert main(["--compare", "--out", str(compare), *self.FLAGS]) == 0
         assert main(["--strategy", "ibeams", "--out", str(alone), *self.FLAGS]) == 0
         for name, digest in COMPARE_DIGESTS.items():
-            assert hashlib.sha256((compare / name).read_bytes()).hexdigest() == digest, name
+            data = (compare / name).read_bytes()
+            assert sha256(data) == digest, f"{name}: " + divergence(
+                compare_golden(name).read_bytes(), data).describe()
         outputs = json.loads((compare / "manifest.json").read_text())["outputs"]
         assert len(outputs) == len(set(outputs)) == 13
         plots = [os.path.basename(p) for p in outputs
@@ -502,6 +505,12 @@ class TestCompareOutputs:
         assert len(plots) == 7    # four belief maps, field, coalitions, pattern
         for name in plots:
             assert (compare / name).read_bytes() == (alone / name).read_bytes(), name
+
+
+    @pytest.mark.parametrize("name", sorted(COMPARE_DIGESTS))
+    def test_golden_file_hashes_to_its_pin(self, name):
+        # tests/golden/compare/ holds the file behind each pin (golden.py)
+        assert sha256(compare_golden(name).read_bytes()) == COMPARE_DIGESTS[name]
 
 
 class TestBeampatternSource:

@@ -6,9 +6,12 @@ convergence_28ghz.ini run the program defaults (seed 1), so the defaults
 stand for both. A refactor that is meant to keep behaviour keeps these
 digests; a change that moves them must say which trace columns moved. The
 digests must not depend on the BLAS or OpenMP thread count.
+
+tests/golden/trace/ holds the trace behind each digest. A mismatch reports
+the first moved row and the moved columns against it (golden.py), and
+scripts/repin_digests.py rewrites the digests and the golden traces together.
 """
 
-import hashlib
 import json
 import os
 import subprocess
@@ -17,6 +20,7 @@ from pathlib import Path
 
 import pytest
 
+from golden import divergence, sha256, trace_golden
 from secure_isac.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -74,21 +78,32 @@ DIGESTS = {
 }
 
 
-def trace_digest(scenario: str, strategy: str, out_dir: Path) -> str:
-    """SHA-256 of the trace CSV of one strategy on one scenario."""
+def trace_bytes(scenario: str, strategy: str, out_dir: Path) -> bytes:
+    """The trace CSV of one strategy on one scenario."""
     args = ["--strategy", strategy, "--slots", str(SLOTS), "--replications", "1",
             "--emit", "trace", "--out", str(out_dir)]
     if SCENARIOS[scenario]:
         args += ["--config", str(CONFIGS / SCENARIOS[scenario])]
     if main(args) != 0:
         raise RuntimeError(f"{scenario}/{strategy} exited nonzero")
-    data = (out_dir / f"trace_{strategy}.csv").read_bytes()
-    return hashlib.sha256(data).hexdigest()
+    return (out_dir / f"trace_{strategy}.csv").read_bytes()
+
+
+def trace_digest(scenario: str, strategy: str, out_dir: Path) -> str:
+    """SHA-256 of the trace CSV of one strategy on one scenario."""
+    return sha256(trace_bytes(scenario, strategy, out_dir))
 
 
 @pytest.mark.parametrize("scenario,strategy", sorted(DIGESTS))
 def test_trace_digest(scenario, strategy, tmp_path):
-    assert trace_digest(scenario, strategy, tmp_path) == DIGESTS[scenario, strategy]
+    data = trace_bytes(scenario, strategy, tmp_path)
+    assert sha256(data) == DIGESTS[scenario, strategy], divergence(
+        trace_golden(scenario, strategy).read_bytes(), data).describe()
+
+
+@pytest.mark.parametrize("scenario,strategy", sorted(DIGESTS))
+def test_golden_trace_hashes_to_its_digest(scenario, strategy):
+    assert sha256(trace_golden(scenario, strategy).read_bytes()) == DIGESTS[scenario, strategy]
 
 
 # Runs every case in one fresh interpreter, so the thread variables are read
@@ -113,3 +128,20 @@ def test_digests_independent_of_thread_count(threads, tmp_path):
     assert run.returncode == 0, run.stderr
     got = json.loads(run.stdout.splitlines()[-1])
     assert got == {f"{sc}/{st}": digest for (sc, st), digest in DIGESTS.items()}
+
+
+def test_divergence_names_first_row_moved_columns_and_decision_flags():
+    golden = trace_golden("defaults", "ibeams").read_bytes()
+    assert divergence(golden, golden).identical
+    lines = golden.decode().splitlines(keepends=True)
+    cells = lines[5].split(",")               # data row 4, slot 4
+    cells[9] = repr(float(cells[9]) * (1 + 1e-9))       # r_min
+    cells[17] = str(int(cells[17]) + 1)                 # n_thn
+    lines[5] = ",".join(cells)
+    report = divergence(golden, "".join(lines).encode())
+    assert (report.first_row, report.first_label) == (4, "4")
+    assert list(report.moved) == ["r_min", "n_thn"]
+    assert 0.5e-9 < report.moved["r_min"] < 2e-9
+    assert report.integer_moved == ["n_thn"]
+    assert "outage: held" in report.describe()
+    assert "role counts: n_thn" in report.describe()
