@@ -86,10 +86,10 @@ class BsConfig:
 @dataclass
 class HnConfig:
     count: int = knob(25, ge=1)
+    # the node array; its element count is also the matched-filter receive gain
     array_elements: int = knob(16, ge=1)
     p_max_w: float = knob(1.5, gt=0)
     height_m: float = knob(1.5, ge=0, le=100)
-    rx_gain: float = knob(16.0, gt=0)   # matched-filter combining over the node's array
     eta: float = knob(1.0, ge=0)
     power_cost_per_w: float = knob(0.5, ge=0)
 

@@ -114,7 +114,7 @@ def build_slot_context(world: World, state: SlotState, served: list,
         delivered = state.node_path * _pattern_table(state.link_steer, beams)
     jam_to_nodes = delivered[:, :k]
 
-    rx = cfg.hn.rx_gain
+    rx = cfg.hn.array_elements   # matched-filter combining over the node's array
     an_total = state.broadcast.beta * p_bs
     return SlotContext(
         served=list(served), sig_w=p_stream * terms.own * rx,
@@ -139,7 +139,7 @@ def _readmission_context(world: World, state: SlotState, waiting: list) -> SlotC
     none = np.zeros(len(waiting))
     return replace(
         state.ctx, served=waiting,
-        sig_w=p_full * world.scenario.hn_norm2[waiting] / cfg.bs.num_rf * cfg.hn.rx_gain,
+        sig_w=p_full * world.scenario.hn_norm2[waiting] / cfg.bs.num_rf * cfg.hn.array_elements,
         isi_w=none, an_thn_w=none,
         eve_capture_w=p_full * state.eve_norm2,
         # a column gather, as in build_slot_context: the layout selects the
@@ -425,7 +425,7 @@ def _check_slot_invariants(world: World, state: SlotState, rates: np.ndarray,
         # served nodes; a configured CSI error makes residual leakage physical
         "artificial noise visible at a served node": (
             b.beta <= 0 or cfg.channel.csi_error_frobenius != 0.0
-            or np.all(ctx.an_thn_w <= 1e-8 * b.beta * p_bs * cfg.hn.rx_gain + 1e-30)),
+            or np.all(ctx.an_thn_w <= 1e-8 * b.beta * p_bs * cfg.hn.array_elements + 1e-30)),
     }
     for what, ok in checks.items():
         if not ok:

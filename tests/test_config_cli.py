@@ -50,23 +50,23 @@ def read_trace(path: str):
 # config
 CANONICAL_DIGESTS = {
     "defaults": (
-        "ae1d523ed44f3bc7f9ee71b4a0d05b36eef835bc58117b0ca8cbea67c2501f88",
-        "827be1eac1c0fa7279db6255b3b277b17bba5e6e25c848e92c2c0ebec4289959"),
+        "0d0ffa5ec4a1f4cb1e184e3f9fa87e60a654bb05515d162f3e09d57c8961f8a0",
+        "213d02ba145a29ba513cc549d53a892af918cc940fbcbfbd0dfad889bff8c7a5"),
     "beampattern_field.ini": (
-        "7ceb1bc2969dcbd92c7c05f9669de90b237ffffe524136513a137a89f7d1ecea",
-        "d6a34e4508726cfadfee4be2b6f65cf2f027f03e94184c06efe50bf7a96a27fd"),
+        "ac3152ff7f10a119b93a049c587c5a81dbe5ebab5e7396799c33a21d9b9d2435",
+        "3648a8bb975a9a5994bbb732f458a8a5e505034e9b220dbe1b080a0119fdfb82"),
     "compare_28ghz.ini": (
-        "ab5d279a82c753ef3b4066778f23d2a235dc63455c5b8904f0fe39d7ec04c4c8",
-        "b9e366fd4c139fc196c3447544ca2d0da64624c944a5c0de9963e52f65c811ac"),
+        "e176564e0bc301b3fdb7b02b888159488533917611111dee75497c05f9f52b45",
+        "2878a9fe87e66a2ba66b41bf35f3af665e82bfd91382fdeb58029798cab80eb3"),
     "convergence_28ghz.ini": (
-        "ae1d523ed44f3bc7f9ee71b4a0d05b36eef835bc58117b0ca8cbea67c2501f88",
-        "827be1eac1c0fa7279db6255b3b277b17bba5e6e25c848e92c2c0ebec4289959"),
+        "0d0ffa5ec4a1f4cb1e184e3f9fa87e60a654bb05515d162f3e09d57c8961f8a0",
+        "213d02ba145a29ba513cc549d53a892af918cc940fbcbfbd0dfad889bff8c7a5"),
     "posterior_mobile.ini": (
-        "39320111efc74d06fd1b6bcd40ad6f527cc3e224051576e1c72c098ac877ee58",
-        "01a9382ba79b5d021399e15654f4cfd9f012d2f27a8741a1646bedf4a9501145"),
+        "507c9fa3533052d66b31dd2ce9d6e3c3a8eabeb515ad36a43ddaa7f59a7381e4",
+        "85feb843e578bdb2e97e232fa232a0719cd3a35e95a817769d7896d130469529"),
     "posterior_static.ini": (
-        "2ed18f8db5cfb5384741a5317f8860fbf33ab3f71377bbf1bdf024118dbe2b2e",
-        "8e4e2284b0f4d969f528d0d3198c87515ce4d941df8a934edf00c15e7e5ec721"),
+        "bfdaaa90560dda0ae8767e17ea9fb5252a179c488503598b3360618729d1c378",
+        "cac67b12e14fb939aa20b51563a275bee5cdb9c6b3ef0ffdeacfc8c80e75ed02"),
 }
 
 
@@ -394,7 +394,6 @@ class TestNonFiniteAndOutOfRangeCli:
         ("[carrier]\nfrequency_hz = inf\n", "carrier.frequency_hz", []),
         ("[channel]\nrician_k_db = 4000\n", "channel.rician_k_db", []),
         ("[noise]\nnoise_figure_db = inf\n", "noise.noise_figure_db", []),
-        ("[hn]\nrx_gain = inf\n", "hn.rx_gain", []),
         # sums to 1, but with a negative AN share
         ("[leader]\nalpha_init = 1.2\nbeta_init = -0.4\n", "leader.beta_init",
          ["--strategy", "fixed_an"]),
@@ -402,7 +401,7 @@ class TestNonFiniteAndOutOfRangeCli:
         ("[followers]\nxi_max_scale = 1e-310\n[noise]\npsd_dbm_per_hz = -200\n",
          "followers.xi_max_scale", []),
     ], ids=["eve_height_nan", "carrier_frequency_inf", "rician_k_4000",
-            "noise_figure_inf", "rx_gain_inf", "negative_an_share",
+            "noise_figure_inf", "negative_an_share",
             "leakage_cap_underflow"])
     def test_cli_exit_code(self, tmp_path, capsys, text, path, extra):
         cfg = tmp_path / "bad.ini"

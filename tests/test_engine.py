@@ -302,7 +302,7 @@ def reference_pattern_table(link_steer, beams):
 def reference_stream_powers(world, p_stream, served):
     """Desired and inter-stream power at each served node, one node at a time
     through a BLAS product."""
-    scn, rx = world.scenario, world.config.hn.rx_gain
+    scn, rx = world.scenario, world.config.hn.array_elements
     prec = scn.precoder(tuple(served)).precoder
     sig, isi = np.zeros(len(served)), np.zeros(len(served))
     for idx, u in enumerate(served):
@@ -602,7 +602,7 @@ class TestReadmission:
         for u in waiting:
             leak = powers @ ctx.jam_to_hn[:, u]
             legit = np.log2(1.0 + p_full * world.scenario.hn_norm2[u] / cfg.bs.num_rf
-                            * cfg.hn.rx_gain / (leak + world.scenario.noise_w))
+                            * cfg.hn.array_elements / (leak + world.scenario.noise_w))
             expected = (cfg.followers.hypothetical_discount * max(0.0, legit - eve)
                         if np.isfinite(eve) else 0.0)
             assert state.rates_eq[u] == pytest.approx(expected, rel=1e-12, abs=0.0)
