@@ -1,8 +1,8 @@
 """Uniform linear arrays: element geometry, steering, tapered sensing beams,
 and null-steered beam synthesis.
 
-All arrays are ULAs on the y-axis. Angles are radians here; azimuth is
-measured from the array normal (x-axis), elevation from the horizontal plane.
+All arrays are ULAs on the y-axis. Angles are radians here, azimuth
+measured from the array normal (x-axis) in the horizontal plane.
 Every synthesis routine returns unit-norm complex weights.
 """
 
@@ -53,13 +53,13 @@ def ula_positions(spec: ArraySpec) -> np.ndarray:
     return pos
 
 
-def steering_vector(spec: ArraySpec, azimuth, elevation: float = 0.0) -> np.ndarray:
-    """Unit-norm plane-wave steering vector; element-n phase k0*d*n*cos(el)*sin(az).
+def steering_vector(spec: ArraySpec, azimuth) -> np.ndarray:
+    """Unit-norm plane-wave steering vector; element-n phase k0*d*n*sin(az).
 
     An array of azimuths gives one vector per azimuth, shape (..., N), each
     equal to the scalar call.
     """
-    phase = spec.wavenumber * spec.spacing * np.cos(elevation) * np.sin(azimuth)
+    phase = spec.wavenumber * spec.spacing * np.sin(azimuth)
     return (np.exp(1j * np.asarray(phase)[..., None] * element_indices(spec))
             / np.sqrt(spec.num_elements))
 

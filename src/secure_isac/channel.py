@@ -105,7 +105,7 @@ def noise_power(psd_dbm_per_hz: float, bandwidth_hz: float,
     return float(10.0 ** ((db - 30.0) / 10.0))
 
 
-def path_loss_db(model: PathLossModel, distance, shadow_draw=0.0):
+def path_loss_db(model: PathLossModel, distance, shadow_draw):
     """PL_1m + 10 n log10(d) + sigma_sh * shadow_draw, distances clamped to >= 1 m.
 
     Distances and shadow draws may be scalars or arrays (broadcast together);

@@ -124,7 +124,7 @@ def emit_plot_data(result: SimulationResult, out_dir: str, wanted) -> list:
 
 
 def build_manifest(config: ScenarioConfig, strategy: StrategyId, outputs,
-                   wall_clock_s: float, compare: bool = False) -> dict:
+                   wall_clock_s: float, compare: bool) -> dict:
     return {
         "artifact_version": __version__,
         "config_hash": config_hash(config),

@@ -63,21 +63,17 @@ class TestPositions:
 
 class TestSteering:
     def test_broadside_all_equal(self):
-        a = steering_vector(ArraySpec(4, 0.005, 0.01), 0.0, 0.0)
+        a = steering_vector(ArraySpec(4, 0.005, 0.01), 0.0)
         assert np.allclose(a, 0.5 + 0j)
 
-    def test_elevation_pi_half_collapses_phase(self):
-        a = steering_vector(ArraySpec(8, 0.005, 0.01), 0.7, np.pi / 2)
-        assert np.allclose(a, a[0])
-
     def test_two_element_phases(self):
-        # direct evaluation of the phase law for d = lambda/2, az = pi/6, el = 0:
+        # direct evaluation of the phase law for d = lambda/2, az = pi/6:
         # phi_n = pi * n * sin(pi/6) = pi * n / 2 with n = +-1/2
-        a = steering_vector(ArraySpec(2, 0.005, 0.01), np.pi / 6, 0.0)
+        a = steering_vector(ArraySpec(2, 0.005, 0.01), np.pi / 6)
         expected = np.exp(1j * np.pi * np.array([-0.25, 0.25])) / np.sqrt(2)
         assert np.allclose(a, expected)
         # cross-check via inner product with broadside: |<a, a0>| = |cos(pi/4)|
-        a0 = steering_vector(ArraySpec(2, 0.005, 0.01), 0.0, 0.0)
+        a0 = steering_vector(ArraySpec(2, 0.005, 0.01), 0.0)
         assert abs(np.vdot(a0, a)) == pytest.approx(np.cos(np.pi / 4), rel=1e-12)
 
     def test_unit_norm_and_modulus(self):
@@ -85,13 +81,12 @@ class TestSteering:
         for _ in range(20):
             n = int(rng.integers(1, 64))
             az = rng.uniform(-np.pi, np.pi)
-            el = rng.uniform(-np.pi / 2, np.pi / 2)
-            a = steering_vector(ArraySpec(n, 0.005, 0.01), az, el)
+            a = steering_vector(ArraySpec(n, 0.005, 0.01), az)
             assert np.linalg.norm(a) == pytest.approx(1.0, abs=1e-12)
             assert np.allclose(np.abs(a), 1 / np.sqrt(n))
 
     def test_phase_antisymmetry(self):
-        a = steering_vector(ArraySpec(9, 0.005, 0.01), 0.4, 0.1)
+        a = steering_vector(ArraySpec(9, 0.005, 0.01), 0.4)
         assert np.allclose(a, np.conj(a[::-1]))
 
     def test_batched_azimuths_match_scalar_calls(self):
@@ -99,11 +94,10 @@ class TestSteering:
         rng = np.random.default_rng(11)
         for shape in [(), (7,), (3, 29)]:
             az = rng.uniform(-np.pi / 2, np.pi / 2, size=shape)
-            for el in (0.0, 0.3):
-                batch = steering_vector(spec, az, el)
-                stacked = np.array([steering_vector(spec, a, el) for a in az.ravel()])
-                assert batch.shape == shape + (16,)
-                assert np.array_equal(batch, stacked.reshape(batch.shape))
+            batch = steering_vector(spec, az)
+            stacked = np.array([steering_vector(spec, a) for a in az.ravel()])
+            assert batch.shape == shape + (16,)
+            assert np.array_equal(batch, stacked.reshape(batch.shape))
 
     def test_scalar_azimuth_gives_one_vector(self):
         assert steering_vector(spec28(8), 0.25).shape == (8,)

@@ -77,17 +77,17 @@ class TestPathLoss:
 
     def test_subreference_clamped(self):
         m = PathLossModel(61.4, 2.2, 0.0)
-        assert path_loss_db(m, 0.3) == path_loss_db(m, 1.0)
+        assert path_loss_db(m, 0.3, 0.0) == path_loss_db(m, 1.0, 0.0)
 
     def test_nonpositive_distance_rejected(self):
         m = PathLossModel(61.4, 2.2, 0.0)
         with pytest.raises(ValueError):
-            path_loss_db(m, 0.0)
+            path_loss_db(m, 0.0, 0.0)
 
     def test_strictly_increasing(self):
         m = PathLossModel(61.4, 2.2, 0.0)
         d = np.linspace(1.0, 500.0, 100)
-        pl = [path_loss_db(m, x) for x in d]
+        pl = [path_loss_db(m, x, 0.0) for x in d]
         assert np.all(np.diff(pl) > 0)
 
     def test_array_matches_scalar_calls(self):
@@ -105,7 +105,7 @@ class TestPathLoss:
         m = PathLossModel(61.4, 2.2, 0.0)
         for bad in (0.0, -3.0):
             with pytest.raises(ValueError):
-                path_loss_db(m, np.array([[5.0, 2.0], [bad, 7.0]]))
+                path_loss_db(m, np.array([[5.0, 2.0], [bad, 7.0]]), 0.0)
 
     def test_friis_reference_28ghz(self):
         m = PathLossModel.friis_reference(28e9, 2.2, shadow_sigma_db=0.0)

@@ -224,7 +224,7 @@ class TestDeclaredRanges:
 
 class TestManifest:
     def test_power_round_trips_to_dbm(self):
-        manifest = build_manifest(ScenarioConfig(), StrategyId.IBEAMS, [], 0.1)
+        manifest = build_manifest(ScenarioConfig(), StrategyId.IBEAMS, [], 0.1, False)
         assert manifest["bs_p_max_dbm"] == pytest.approx(43.0103, abs=1e-4)
         assert manifest["bs_p_init_dbm"] == pytest.approx(41.7609, abs=1e-4)
         assert manifest["hn_p_max_dbm"] == pytest.approx(31.7609, abs=1e-4)

@@ -63,9 +63,6 @@ def test_every_module_level_name_and_method_is_used_in_the_package():
 # those, so a library caller who omits one cannot run a different model from
 # the simulator.
 KEPT_DEFAULTS = {
-    "arrays.steering_vector.elevation",
-    "channel.path_loss_db.shadow_draw",
-    "cli.build_manifest.compare",
     "cli.main.argv",
     "config.knob.gt", "config.knob.ge", "config.knob.le", "config.knob.choices",
 }
