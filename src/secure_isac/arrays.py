@@ -86,25 +86,24 @@ def null_steer(weights: np.ndarray, null_steering: np.ndarray) -> tuple:
     row of null steering vectors (M, U, n) and renormalize it, so its gain
     toward each nulled direction ends up at numerical zero.
 
-    The QR factorizations of the null steering are taken for all rows at
-    once; the projection, the norm and the division run row by row, because
-    their stacked forms round differently. Returns the beams (M, n) and
-    which rows are feasible (M,): a row whose projection removes (almost) all
-    beam energy is left at zero. Raises InfeasibleNullError when U >= n.
+    Every step runs over all rows at once: the QR factorizations, then the
+    projection and the norms as einsums, so each row is the beam a one-row
+    call gives. Returns the beams (M, n) and which rows are feasible (M,): a
+    row whose projection removes (almost) all beam energy is left at zero.
+    Raises InfeasibleNullError when U >= n.
     """
     rows, count, elements = null_steering.shape
     if count == 0:
         return weights.copy(), np.ones(rows, dtype=bool)
     if count >= elements:
         raise InfeasibleNullError(f"{count} nulls requested for {elements} elements")
-    q, _ = np.linalg.qr(np.swapaxes(null_steering, 1, 2))
+    q, _ = np.linalg.qr(np.swapaxes(null_steering, 1, 2))        # (M, n, U)
+    projected = weights - np.einsum("mnu,mu->mn", q,
+                                    np.einsum("mnu,mn->mu", q.conj(), weights))
+    norm = np.sqrt(np.einsum("mn,mn->m", projected.conj(), projected).real)
+    feasible = norm >= 1e-9
     beams = np.zeros_like(weights)
-    feasible = np.zeros(rows, dtype=bool)
-    for i, (w, basis) in enumerate(zip(weights, q)):
-        projected = w - basis @ (basis.conj().T @ w)
-        norm = np.linalg.norm(projected)
-        if norm >= 1e-9:
-            beams[i], feasible[i] = projected / norm, True
+    beams[feasible] = projected[feasible] / norm[feasible, None]
     return beams, feasible
 
 

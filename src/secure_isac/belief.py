@@ -74,13 +74,8 @@ def predict(posterior: np.ndarray, grid_deg: np.ndarray, sigma_deg: float) -> np
 
 def entropy(posterior: np.ndarray) -> np.ndarray:
     """Shannon entropy in bits of each row of the posterior (E, G), with
-    0 log 0 = 0. Each row sums its positive entries alone, as a one-row
-    entropy does (a zero term would move the pairwise summation's blocks)."""
-    out = np.empty(posterior.shape[0])
-    for j, row in enumerate(posterior):
-        p = row[row > 0]
-        out[j] = -np.sum(p * np.log2(p))
-    return out
+    0 log 0 = 0: a nonpositive entry takes log2(1) and adds a zero term."""
+    return -np.sum(posterior * np.log2(np.where(posterior > 0, posterior, 1.0)), axis=-1)
 
 
 def synthesize_measurement(true_bearings_deg, gamma: float,

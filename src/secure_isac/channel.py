@@ -9,7 +9,6 @@ keyed on (seed, purpose, entity, slot), which makes every realization a pure
 function of the scenario configuration and seed.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,16 +26,6 @@ STREAM_PAIR_SHADOW = 8
 STREAM_CSI_ERROR = 9
 
 C_LIGHT = 299792458.0
-
-
-def vector_norm(x: np.ndarray) -> float:
-    """np.linalg.norm(x) of a contiguous 1-D real or complex vector, by its
-    own formula sqrt(x . x), the real and imaginary parts dotted separately,
-    without its per-call dispatch."""
-    if x.dtype.kind == "c":
-        re, im = x.real, x.imag
-        return math.sqrt(re.dot(re) + im.dot(im))
-    return math.sqrt(x.dot(x))
 
 
 SEED_POOL_WORDS = 4   # np.random.SeedSequence's default pool size
@@ -152,9 +141,7 @@ def rician_channel(k_factor: float, los: np.ndarray, rngs) -> np.ndarray:
     m, n = los.shape
     if len(rngs) != m:
         raise ValueError(f"{len(rngs)} generators for {m} LOS rows")
-    # one scalar norm per row: vector_norm's dot is a BLAS sum, whose
-    # rounding an axis reduction does not reproduce
-    scale = np.array([vector_norm(row) for row in los]) / np.sqrt(2.0 * n)
+    scale = np.sqrt(np.einsum("mn,mn->m", los.conj(), los).real) / np.sqrt(2.0 * n)
     re, im = np.empty((m, n)), np.empty((m, n))
     for rng, re_row, im_row in zip(rngs, re, im):
         rng.standard_normal(out=re_row)

@@ -263,9 +263,9 @@ def _sense(world: World, state: SlotState) -> None:
     """Stage 4: sensing scans (unit self-response), one per eavesdropper from
     its own substream, and the posterior update."""
     cfg, scn = world.config, world.scenario
-    positions, origin = scn.eve_positions(state.slot), np.zeros(3)
+    positions = scn.eve_positions(state.slot)
     scans = synthesize_measurement(
-        [bearing_deg(origin, position) for position in positions], state.broadcast.gamma,
+        bearing_deg(np.zeros(3), positions), state.broadcast.gamma,
         cfg.belief.meas_noise_deg,
         [substream(scn.seed, STREAM_MEASUREMENT, j, state.slot) for j in range(len(positions))],
         grid_deg=scn.grid_deg, bs_power_w=cfg.bs.p_init_w,
@@ -361,12 +361,7 @@ def _finalize_slot(world: World, state: SlotState) -> SlotRecord:
     _check_slot_invariants(world, state, rates, leakage)
 
     power_list = powers.tolist()
-    # summed left to right in node order (the built-in sum of floats is
-    # compensated from Python 3.12 on)
-    jam_power = 0.0
-    for u, p in enumerate(power_list):
-        if roles[u] is Role.JHN:
-            jam_power += p
+    jam_power = float(np.sum(powers[[roles[u] is Role.JHN for u in range(world.num_hn)]]))
     jam_benefit = (float(rates.mean() - silent_rates.mean())
                    if ctx.served else 0.0)
     # smoothed secrecy KPI keeps the AN integrator from chasing slot noise

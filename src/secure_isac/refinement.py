@@ -104,7 +104,13 @@ def shaping_energy(field_w: np.ndarray, posterior_probs: np.ndarray) -> float:
     if field_w.shape != posterior_probs.shape:
         raise ValueError(f"grid mismatch: field {field_w.shape} vs "
                          f"posterior {posterior_probs.shape}")
-    return float(np.dot(posterior_probs, field_w))
+    return float(np.einsum("g,g->", posterior_probs, field_w))
+
+
+def jamming_field(powers: np.ndarray, members: list, gain_rows: dict) -> np.ndarray:
+    """The members' jamming field over the bearing grid: their gain rows
+    weighted by their powers and summed."""
+    return np.einsum("c,cg->g", powers[members], np.stack([gain_rows[j] for j in members]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -127,9 +133,8 @@ def aligned_beam(aim_deg, null_steering: np.ndarray, array_spec: ArraySpec,
     conjugated grid steering (G, n).
 
     A row whose null set leaves no usable beam drops its farthest null until
-    it is feasible. The steering is built for all rows at once; the phase
-    reference and the gain row are taken per beam, because their stacked
-    forms round differently.
+    it is feasible. Every step runs over all rows at once, so each row is
+    the beam a one-row call gives.
     """
     targets = steering_vector(array_spec, np.radians(np.asarray(aim_deg, dtype=float)))
     weights, feasible = null_steer(targets, null_steering)
@@ -140,15 +145,15 @@ def aligned_beam(aim_deg, null_steering: np.ndarray, array_spec: ArraySpec,
         dropped[retry] += 1
         weights[retry], feasible = null_steer(targets[retry], null_steering[retry, :kept])
         retry = retry[~feasible]
-    beams = []
-    for aim, beam, target, count in zip(aim_deg, weights, targets, dropped.tolist()):
-        if count:
-            log.debug("aim %.2f deg: dropped %d protective nulls", aim, count)
-        response = np.vdot(beam, target)  # w^H a(aim)
-        if abs(response) > 0:
-            beam = beam * np.exp(1j * np.angle(response))
-        beams.append(JammingBeam(beam, np.abs(grid_steer_conj @ beam) ** 2, count))
-    return beams
+    for i in np.flatnonzero(dropped):
+        log.debug("aim %.2f deg: dropped %d protective nulls", aim_deg[i], dropped[i])
+    # w^H a(aim) is positive in exact arithmetic (the projection is
+    # idempotent), so every beam takes its phase
+    response = np.einsum("mn,mn->m", weights.conj(), targets)
+    weights = weights * np.exp(1j * np.angle(response))[:, None]
+    gains = np.abs(np.einsum("gn,mn->mg", grid_steer_conj, weights)) ** 2
+    return [JammingBeam(w, gain, count)
+            for w, gain, count in zip(weights, gains, dropped.tolist())]
 
 
 @dataclass
@@ -164,8 +169,8 @@ def synthesize_field(coalitions, beams_of) -> FieldSynthesis:
     One call beams_of(members, targets) returns every member's JammingBeam,
     in member order, from the members and their coalitions' target bearings
     (Scenario.jamming_beams: aligned_beam at the member's ray aim, with nulls
-    toward the served nodes it protects). The field at given powers is the
-    power-weighted sum of the gain rows.
+    toward the served nodes it protects). The field at given powers is
+    jamming_field of the gain rows.
     """
     members = [jid for coalition in coalitions for jid in coalition.member_ids]
     targets = [c.target_angle_deg for c in coalitions for _ in c.member_ids]
@@ -298,8 +303,7 @@ def refinement_loop(coalitions, posterior: np.ndarray, powers: np.ndarray,
         trial_powers, trial_rates = powers.copy(), rates
         for coalition in coalitions:
             baseline = shaping_energy(
-                np.sum([trial_powers[j] * synth.gain_rows[j]
-                        for j in coalition.member_ids], axis=0),
+                jamming_field(trial_powers, coalition.member_ids, synth.gain_rows),
                 posterior)
             # the floor, lowered to the start's lowest rate, keeps the
             # start feasible
@@ -323,10 +327,8 @@ def refinement_loop(coalitions, posterior: np.ndarray, powers: np.ndarray,
                 or (new_rates.size and new_rates.min() < min_floor - 1e-12)):
             break  # rejected: keep the best accepted state
         powers, rates = trial_powers, new_rates
-        field_w = np.zeros(posterior.shape[0])
-        for coalition in coalitions:
-            for j in coalition.member_ids:
-                field_w += powers[j] * synth.gain_rows[j]
+        field_w = jamming_field(powers, [j for c in coalitions for j in c.member_ids],
+                                synth.gain_rows)
         best = RefinementResult(powers.copy(), synth.beams, field_w, coalitions,
                                 iterations, trial_ctx)
         improvements.append(delta)

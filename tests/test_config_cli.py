@@ -457,17 +457,17 @@ class TestGneToleranceRule:
 # plot files come from the ibeams run
 COMPARE_DIGESTS = {
     "summary_compare.tsv":
-        "9a609ea49f3d8d35bae7dfb1144629735457645c5da9ec5a4ffe34ef59d13856",
+        "304b8e385948e8c9db724d15dbc97b56c43c15b5fd1cf221567421b4a49e7b06",
     "trace_baseline.csv":
         "3ee2f630fa101ae777c8c6d0b0aec5e6700bff0635a800cf627d5439de4275e4",
     "trace_fixed_an.csv":
-        "8c93ef11d7e54539457dd6b858f520f6974403731e72fb620057c838527fb264",
+        "dd9cd3cb22433386c65ed110ee89a4c59e364c47fccac31bced60635497bbc80",
     "trace_stackelberg_only.csv":
-        "9da071d6ee07809854d1d669e046d09021d5aba2eb88c985c1c22eca4bb4a548",
+        "ec05e4fd87d8e7f35272e4d1b09d09dd3d0f3f75c89d47184db0584aac497bbf",
     "trace_stackelberg_roleswitch.csv":
-        "9010e3370945368172af9736c69b42386af5c9aa52138fd01c53816227da8e76",
+        "a1c09b5ee8434ab12a349110d4901f7f14ed6fa8ad8965d9954c3c9291028afa",
     "trace_ibeams.csv":
-        "b999274deed356633a58ebd3fa140286a92034c8184018e1ed39ce56d443bd00",
+        "9257b0ce779fbfbe47c27a9bec7e7fae7f5471103d60406601b8fa1a5e62cdd7",
     "beliefs_eve0.txt":
         "3b555624d6315e9e2f95931c1a3f5be77f99351baa32c3e6805f2ed87aa3849c",
     "beliefs_eve1.txt":
@@ -477,7 +477,7 @@ COMPARE_DIGESTS = {
     "beliefs_eve3.txt":
         "f90cdb19d514a92bd7898501c22975542798ac69a2336e5a196df2d93d981295",
     "beampattern.txt":
-        "925e9fce483afed276f836a679b6ed2d97767940ef52dcfd0cf89a60ba3302db",
+        "a7c1b8ac50923e6bd15ae59643b83381b064bb1dc22dc5fb78c685469c981b17",
     "jamming_field.txt":
         "af8336ae3c43ede1158304b34cf5a7d74d56d9a0cf23391c51f3e8e261bd07de",
     "coalitions.txt":

@@ -9,14 +9,15 @@ import pytest
 from secure_isac import engine, scenario as scenario_module
 from secure_isac.arrays import steering_vector
 from secure_isac.belief import default_grid
-from secure_isac.channel import (STREAM_HN_NLOS, STREAM_SHADOW, linear_gain, los_channel,
-                                  path_loss_db)
+from secure_isac.channel import (STREAM_EVE_NLOS, STREAM_HN_NLOS, STREAM_SHADOW, linear_gain,
+                                  los_channel, path_loss_db, rician_channel, substream)
 from secure_isac.config import ScenarioConfig, StrategyId, serialize_config
 from secure_isac.link import an_projector, build_precoder
 from secure_isac.refinement import JammingBeam, aligned_beam, ray_aim
-from secure_isac.scenario import (World, _link_columns, bearing_deg, build_scenario,
+from secure_isac.scenario import (World, _eve_los, _link_columns, bearing_deg, build_scenario,
                                   init_scenario, start_run)
-from test_channel import oracle_eve_channel, oracle_rician_channel, oracle_substream
+from test_channel import (assert_near_oracle, oracle_eve_channel, oracle_rician_channel,
+                          oracle_substream)
 
 logging.disable(logging.WARNING)
 
@@ -56,7 +57,9 @@ def reference_beam(aim_deg, null_deg, spec, grid_deg):
     """A member's beam and gain row as the refinement synthesized them one
     call at a time: steering over the grid, nulls dropped farthest first
     while infeasible, phase-referenced at the aim. Returns (weights, gain
-    row, dropped nulls)."""
+    row, dropped nulls). Its phase reference and gain row are BLAS products,
+    which round differently from aligned_beam's einsums: see
+    assert_near_reference_beam."""
     steer_grid = steering_vector(spec, np.radians(grid_deg))
     target = steering_vector(spec, np.radians(aim_deg))
     nulls = list(null_deg)[: spec.num_elements - 1]
@@ -68,6 +71,28 @@ def reference_beam(aim_deg, null_deg, spec, grid_deg):
     if abs(response) > 0:
         beam = beam * np.exp(1j * np.angle(response))
     return beam, np.abs(steer_grid.conj() @ beam) ** 2, dropped
+
+
+# The beams agree with reference_beam to BEAM_TOL of the row's peak gain, and
+# their weights up to a global phase: where the nulls nearly cancel the aim,
+# the phase reference w^H a(aim) falls to ~1e-8 and its angle is rounding
+# noise, so the two phase references can differ by any angle.
+BEAM_TOL = 1e-6
+
+
+def one_row_beam(aim_deg, null_deg, spec, grid_steer_conj):
+    """aligned_beam's one-row call at one aim with nulls at `null_deg`, of
+    which it keeps one fewer than the elements."""
+    kept = np.array(list(null_deg)[: spec.num_elements - 1], dtype=float)
+    return aligned_beam([aim_deg], steering_vector(spec, np.radians(kept))[None], spec,
+                        grid_steer_conj)[0]
+
+
+def assert_near_reference_beam(beam, reference):
+    weights, gain_row, dropped = reference
+    assert beam.dropped_nulls == dropped
+    np.testing.assert_allclose(beam.gain_row, gain_row, rtol=0, atol=BEAM_TOL * gain_row.max())
+    assert abs(np.vdot(weights, beam.weights)) == pytest.approx(1.0, abs=BEAM_TOL)
 
 
 def reference_aim(scn, node, peak_deg):
@@ -86,26 +111,23 @@ def reference_null_bearings(scn, node, served):
     return [bearing_deg(pos[node], pos[t]) for t in nearest[: scn.hn_spec.num_elements - 1]]
 
 
-def reference_jamming_beam(scn, node, peak_deg, served):
-    """reference_beam of a node at its ray aim with nulls toward the served
-    nodes it protects, all from bearings."""
-    return reference_beam(reference_aim(scn, node, peak_deg),
-                          reference_null_bearings(scn, node, served), scn.hn_spec,
-                          default_grid(scn.config.belief.grid_size))
-
-
 def assert_beam_equals_reference(beam, scn, node, peak_deg, served) -> int:
-    """The cached beam equals its reference in bytes and is read-only;
-    returns its count of dropped nulls."""
-    weights, gain_row, dropped = reference_jamming_beam(scn, node, peak_deg, served)
+    """The cached beam is, in bytes, the one-row aligned_beam call of the
+    node at its ray aim with nulls toward the served nodes it protects, all
+    from bearings; it agrees with reference_beam and is read-only. Returns
+    its count of dropped nulls."""
+    aim, nulls = reference_aim(scn, node, peak_deg), reference_null_bearings(scn, node, served)
+    alone = one_row_beam(aim, nulls, scn.hn_spec, scn.grid_steer_conj)
     assert isinstance(beam, JammingBeam)
-    assert beam.weights.tobytes() == weights.tobytes()
-    assert beam.gain_row.tobytes() == gain_row.tobytes()
-    assert beam.dropped_nulls == dropped
+    assert beam.weights.tobytes() == alone.weights.tobytes()
+    assert beam.gain_row.tobytes() == alone.gain_row.tobytes()
+    assert beam.dropped_nulls == alone.dropped_nulls
+    assert_near_reference_beam(beam, reference_beam(aim, nulls, scn.hn_spec,
+                                                    default_grid(scn.config.belief.grid_size)))
     for arr in (beam.weights, beam.gain_row):
         with pytest.raises(ValueError):
             arr[0] = 0
-    return dropped
+    return beam.dropped_nulls
 
 
 def reference_victim_links(scn, slot):
@@ -119,7 +141,8 @@ def reference_victim_links(scn, slot):
 
 def reference_eve_los(scn, slot):
     """The BS->eavesdropper LOS channels of a slot, built afresh from the
-    slot's positions with one scalar path-loss call per eavesdropper."""
+    slot's positions with one scalar path-loss call per eavesdropper (whose
+    scalar log10 and power round differently from the array ones)."""
     positions = scn.eve_positions(slot)
     gains = [linear_gain(path_loss_db(scn.pl_model, np.linalg.norm(p - scn.bs_center),
                                       scn.eve_shadow[j]))
@@ -256,13 +279,23 @@ class TestFrozenScenario:
         else:
             assert scenario.static_eve_los is None
         for t in range(6):
-            los = reference_eve_los(scenario, t)
-            assert scenario.eve_los(t).tobytes() == los.tobytes()
+            # each row is its eavesdropper's one-row build in bytes, and the
+            # scalar-path-loss reference to test_channel.ORACLE_RTOL
+            los, positions = scenario.eve_los(t), scenario.eve_positions(t)
+            reference = reference_eve_los(scenario, t)
             # the slot's channels redraw only the scattered part on it
             channels = engine._eve_channels(scenario, t)
-            fresh = [oracle_eve_channel(scenario.k_lin, row, t, scenario.seed, j)
-                     for j, row in enumerate(los)]
-            assert channels.tobytes() == np.stack(fresh).tobytes()
+            for j in range(len(los)):
+                alone = _eve_los(scenario.bs_elements, scenario.bs_center,
+                                 scenario.bs_spec.wavelength, scenario.pl_model,
+                                 scenario.eve_shadow[j:j + 1], positions[j:j + 1])
+                assert los[j].tobytes() == alone[0].tobytes()
+                assert_near_oracle(los[j], reference[j])
+                fresh = rician_channel(scenario.k_lin, alone,
+                                       [substream(scenario.seed, STREAM_EVE_NLOS, j, t)])
+                assert channels[j].tobytes() == fresh[0].tobytes()
+                assert_near_oracle(channels[j], oracle_eve_channel(
+                    scenario.k_lin, reference[j], t, scenario.seed, j))
         # built once under static mobility, every slot under a walk
         assert (scenario.eve_los(0) is scenario.eve_los(5)) == (mobility == "static")
 
@@ -320,11 +353,11 @@ class TestJammingBeams:
             beams = aligned_beam(aims, steering_vector(spec, np.radians(kept)), spec,
                                  scenario.grid_steer_conj)
             for aim, null_set, beam in zip(aims, nulls, beams):
-                weights, gain_row, dropped = reference_beam(aim, null_set, spec, grid)
-                assert beam.weights.tobytes() == weights.tobytes()
-                assert beam.gain_row.tobytes() == gain_row.tobytes()
-                assert beam.dropped_nulls == dropped
-                dropped_any += dropped
+                alone = one_row_beam(aim, null_set, spec, scenario.grid_steer_conj)
+                assert beam.weights.tobytes() == alone.weights.tobytes()
+                assert beam.gain_row.tobytes() == alone.gain_row.tobytes()
+                assert_near_reference_beam(beam, reference_beam(aim, null_set, spec, grid))
+                dropped_any += beam.dropped_nulls
         assert dropped_any > 0
 
     @pytest.mark.parametrize("elements", [1, 2, 3, 8, 16])
@@ -464,7 +497,8 @@ def test_beliefs_are_writable_row_views_of_the_posterior():
 
 def reference_node_channels(scn):
     """The static BS->node channels, built afresh one node at a time from
-    spawn-key substreams, with one scalar path-loss call per node."""
+    spawn-key substreams, with one scalar path-loss call per node and the
+    BLAS-norm Rician scale (which round differently from the array forms)."""
     channels = []
     for uid, position in enumerate(scn.hn_positions):
         shadow = oracle_substream(scn.seed, STREAM_SHADOW, uid).standard_normal()
@@ -476,10 +510,31 @@ def reference_node_channels(scn):
     return np.stack(channels)
 
 
+def one_node_channel(scn, uid):
+    """Node uid's channel from one-row path-loss, LOS and Rician calls."""
+    position = scn.hn_positions[uid:uid + 1]
+    shadow = substream(scn.seed, STREAM_SHADOW, uid).standard_normal()
+    gain = linear_gain(path_loss_db(scn.pl_model,
+                                    np.linalg.norm(position - scn.bs_center, axis=-1),
+                                    np.array([shadow])))
+    los = los_channel(scn.bs_elements, position, gain, scn.bs_spec.wavelength)
+    return rician_channel(scn.k_lin, los, [substream(scn.seed, STREAM_HN_NLOS, uid)])[0]
+
+
 @pytest.mark.parametrize("seed", [1, 2 ** 33 + 5])
 def test_node_channels_equal_per_node_builds(seed):
+    # each row is its node's one-row build in bytes, and the per-node
+    # reference to test_channel.ORACLE_RTOL; so are the channel powers
     scenario = build_scenario(small_config("waypoint"), seed)
-    assert scenario.hn_channels.tobytes() == reference_node_channels(scenario).tobytes()
+    reference = reference_node_channels(scenario)
+    for uid, row in enumerate(scenario.hn_channels):
+        alone = one_node_channel(scenario, uid)
+        assert row.tobytes() == alone.tobytes()
+        assert_near_oracle(row, reference[uid])
+        norm2 = np.einsum("n,n->", alone.conj(), alone).real
+        assert scenario.hn_norm2[uid].tobytes() == norm2.tobytes()
+        assert scenario.hn_norm2[uid] == pytest.approx(np.linalg.norm(reference[uid]) ** 2,
+                                                       rel=1e-13)
 
 
 def test_node_bearings_equal_per_slot_recomputation():

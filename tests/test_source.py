@@ -193,3 +193,22 @@ def test_delivered_watts_have_one_home():
                 and any(isinstance(side, ast.Attribute) and side.attr in tables
                         for side in (node.left, node.right))]
     assert products == []
+
+
+BLAS_PRODUCTS = {"dot", "vdot", "matmul"}
+
+
+def test_blas_products_only_in_the_precoder():
+    # a BLAS product's rounding may follow the thread count and the shape of
+    # the batch it runs in, so outside link.build_precoder every contraction
+    # is an einsum or an elementwise reduction: no @, np.dot, np.vdot, .dot
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        homes = {id(node): top.name for top in tree.body
+                 if isinstance(top, DEFINITIONS) for node in ast.walk(top)}
+        found += [(path.name, homes.get(id(node))) for node in ast.walk(tree)
+                  if (isinstance(node, (ast.BinOp, ast.AugAssign))
+                      and isinstance(node.op, ast.MatMult))
+                  or (isinstance(node, ast.Attribute) and node.attr in BLAS_PRODUCTS)]
+    assert set(found) == {("link.py", "build_precoder")}

@@ -38,43 +38,43 @@ DIGESTS = {
     ("defaults", "baseline"):
         "2f3c41e0a555a586e4aa25e383fe858fc1b2513de11e22daf76c244cffa5d477",
     ("defaults", "fixed_an"):
-        "66387ddb74b4096cd152639e5c3247af2e7f9aa7852bdaa80c7d4680500715c9",
+        "e47910772fae6280c7d0fb031e8b42789242cf5041995509f8250820652b24cb",
     ("defaults", "stackelberg_only"):
-        "a21229f3cf798363864f4d186d3e1a209d2f3cac8e4d2cb72f7ec8998c90c36e",
+        "f7b6c6ed21f926ac3066e36574190bed7d193555ea2aa4731189e3c7023ad955",
     ("defaults", "stackelberg_roleswitch"):
-        "aae8bcd5174f89d09a6d4c2809cef198443c6e35992e0747108272bd22e3ead2",
+        "818f6f70729ee78d4050e0c6c7ed332299935e373d57fa99669e46aa9ab510e0",
     ("defaults", "ibeams"):
-        "1031d1a9222b450748a40aa227bfbc25036aca6904871fb28ddec1b5cdda5920",
+        "6e63fec0f8f8da93f925b2ffb4c7797b994d08baea0d8ee63e463567dee94966",
     ("beampattern_field", "baseline"):
         "13bc8a4e897edba756fe5bad267a4174d5c8fd71c673556d7d4d1ddedbb68460",
     ("beampattern_field", "fixed_an"):
-        "c13b48bceb90b33897d9c18325b39521983b01c829f317e10717691c40d1fbef",
+        "39b792c820e12a32ac4bc79622675ecf05f3c7f471affad6c5b6428df5d4bc44",
     ("beampattern_field", "stackelberg_only"):
-        "e09f847d1fcdcfb27ac3ff28dc31976b62c636f920b7d604405bedd6527d1e69",
+        "c5511c4bc6c682aa6af2450281d928002d3c87c7456ec628b94b9867e9edf109",
     ("beampattern_field", "stackelberg_roleswitch"):
-        "cd69b7052a6db5afda7ef003e12d05e33e20969219aeb8dfbdb261a4e06bcd7e",
+        "29e2e8628d18a586e92d80821345f3bbf2a3aba6b5ce00fff21b7cb001f8b695",
     ("beampattern_field", "ibeams"):
-        "96d5fa8e693ad402163f445b462c5a3123475fb40f836f288fc51983d7d60a6c",
+        "5990d8589f7d8dfae323aa6a673f471b6ea3c3d1753813d89956f2aeab73b243",
     ("posterior_mobile", "baseline"):
         "77fd45e58cf3f86a2653570daf7bec9ad03190be36321c93819b7129745004b5",
     ("posterior_mobile", "fixed_an"):
-        "139ca8dd2c62875fbba2d1d14f97f970f3986a4affd70661fa38ef70d8a8440f",
+        "89920bd7ac385055c1f0bbf044e20878190d49e88cec28dd298184998cd44256",
     ("posterior_mobile", "stackelberg_only"):
-        "257ab0927fdc49a39afefa0b696597cba5d4a65803df84a5f386611648f6581d",
+        "92d20cc8a53e68a9d3d20f183907f454c086384eb67ded7888dcc29fe4604a98",
     ("posterior_mobile", "stackelberg_roleswitch"):
-        "27264fc280035c99d1a3b7e087438e2f9b3aa82ca38042cf268a0d928bfde968",
+        "24baed20fa3760f08dbec4815b131524bafdb33e101e2613f650ebef7bcc1165",
     ("posterior_mobile", "ibeams"):
-        "7f728a5117d6f0fdc6c021f96f5257b023776697d949709580c57a6a0bf7deb1",
+        "9cc96894c5948a591e2420e825d1caf1dc396fe6801a1d641c6eb4c1e2ec1108",
     ("posterior_static", "baseline"):
         "77fd45e58cf3f86a2653570daf7bec9ad03190be36321c93819b7129745004b5",
     ("posterior_static", "fixed_an"):
-        "384994b5d08b66d1d4527c6f524045a074f5b0aff67e4ec3a560414b99d8d5ba",
+        "0ad21d520e3a03a7f4bfc25922392509f358b261923b00caa2a14093a539eed0",
     ("posterior_static", "stackelberg_only"):
-        "144685b52f7ffa96f1cc7bed0855f769fc3d6e1d34ff2cde7968f98d781d8f9c",
+        "68fd69fe3493c38f3ef61841a9894905a1344935fa8ee3a0c0f16751834785f4",
     ("posterior_static", "stackelberg_roleswitch"):
-        "67c22cc3eb6acc7d40cc60864b6c7387d46aaac553d56ad8fedbf55b0f187a73",
+        "aec9519422eac6af2c3f6c8571bf1297f5c5b7dd5f526a2272e71c17dae7f1bd",
     ("posterior_static", "ibeams"):
-        "2280b73b3a752b8a6aa75639b6215e899516f7fe4d35b14573322635e076fb3c",
+        "31f34ffd6876a76020b59ab491406aba604cef694c06a010f4f72ad23175cae5",
 }
 
 
