@@ -360,7 +360,6 @@ def _finalize_slot(world: World, state: SlotState) -> SlotRecord:
 
     _check_slot_invariants(world, state, rates, leakage)
 
-    power_list = powers.tolist()
     jam_power = float(np.sum(powers[[roles[u] is Role.JHN for u in range(world.num_hn)]]))
     jam_benefit = (float(rates.mean() - silent_rates.mean())
                    if ctx.served else 0.0)
@@ -384,7 +383,7 @@ def _finalize_slot(world: World, state: SlotState) -> SlotRecord:
         entropy_per_eve=list(state.entropies),
         rates=dict(zip(ctx.served, rates.tolist())),
         roles={u: roles[u].value for u in range(world.num_hn)},
-        powers=dict(enumerate(power_list)),
+        powers=dict(enumerate(powers.tolist())),
         slot_power_w=slot_power, secrecy_sum=secrecy_sum,
         gne_converged=state.gne_conv, coalitions=list(world.last_coalitions))
     world.roles = roles
