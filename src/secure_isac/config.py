@@ -124,12 +124,10 @@ class LeaderConfig:
     beta_init: float = knob(0.2, ge=0, le=1)
     gamma_init: float = knob(0.2, ge=0, le=1)
     pi_init: float = knob(0.7)
-    tau_init: float = knob(0.3)
-    kappa_init: float = knob(0.1)
+    tau_init: float = knob(0.3, ge=0, le=1)     # fixed leakage penalty
+    kappa_init: float = knob(0.1, ge=0, le=1)   # fixed sensing price
     k_s: float = knob(0.01, gt=0)
     k_pi: float = knob(0.05, gt=0)
-    k_tau: float = knob(0.05, gt=0)
-    k_kappa: float = knob(0.05, gt=0)
     eta_sigma: float = knob(0.5, gt=0)
     r_s_target: float = knob(4.5, gt=0)
     h_max_bits: float = knob(6.0, gt=0)
@@ -139,11 +137,6 @@ class LeaderConfig:
     beta_max: float = knob(0.3, ge=0, le=1)
     pi_min: float = knob(0.0)
     pi_max: float = knob(1.0)
-    tau_min: float = knob(0.0)
-    tau_max: float = knob(1.0)
-    kappa_min: float = knob(0.0)
-    kappa_max: float = knob(1.0)
-    xi_target_scale: float = knob(10.0, gt=0)   # leakage price target, in noise powers
 
 
 @dataclass
@@ -249,10 +242,9 @@ class ScenarioConfig:
              lambda: lead.gamma_min < lead.gamma_max, "must be < gamma_max")
         rule(("leader.beta_min", "leader.beta_max"),
              lambda: lead.beta_min <= lead.beta_max, "must be <= beta_max")
-        for price in ("pi", "tau", "kappa"):
-            init, lo, hi = (getattr(lead, f"{price}_{end}") for end in ("init", "min", "max"))
-            rule((f"leader.{price}_init", f"leader.{price}_min", f"leader.{price}_max"),
-                 lambda: lo <= init <= hi, f"must lie in [{lo}, {hi}]")
+        rule(("leader.pi_init", "leader.pi_min", "leader.pi_max"),
+             lambda: lead.pi_min <= lead.pi_init <= lead.pi_max,
+             f"must lie in [{lead.pi_min}, {lead.pi_max}]")
         # the leakage cap, a multiple of the noise power, can underflow to 0 W
         rule(("followers.xi_max_scale", "noise.psd_dbm_per_hz", "carrier.bandwidth_hz",
               "noise.noise_figure_db"),

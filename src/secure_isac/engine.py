@@ -202,8 +202,8 @@ def _open_slot(world: World, strategy: StrategyId, slot: int) -> SlotState:
     world.entropy_ema = _ema(world.entropy_ema, h_pred)
 
     if leader_on:
-        world.leader = leader_step(world.leader, world.config, world.scenario.noise_w,
-                                   world.prev_kpis, world.entropy_ema)
+        world.leader = leader_step(world.leader, world.config, world.prev_kpis,
+                                   world.entropy_ema)
     broadcast = world.leader.broadcast
     if strategy is StrategyId.BASELINE:
         broadcast = replace(broadcast, alpha=1.0, beta=0.0, gamma=0.0)
@@ -265,7 +265,7 @@ def _sense(world: World, state: SlotState) -> None:
     cfg, scn = world.config, world.scenario
     positions = scn.eve_positions(state.slot)
     scans = synthesize_measurement(
-        bearing_deg(np.zeros(3), positions), state.broadcast.gamma,
+        bearing_deg(positions), state.broadcast.gamma,
         cfg.belief.meas_noise_deg,
         [substream(scn.seed, STREAM_MEASUREMENT, j, state.slot) for j in range(len(positions))],
         grid_deg=scn.grid_deg, bs_power_w=cfg.bs.p_init_w,
@@ -365,9 +365,7 @@ def _finalize_slot(world: World, state: SlotState) -> SlotRecord:
                    if ctx.served else 0.0)
     # smoothed secrecy KPI keeps the AN integrator from chasing slot noise
     world.secrecy_ema = _ema(world.secrecy_ema, r_mean)
-    world.prev_kpis = LeaderKpis(
-        secrecy=world.secrecy_ema, jam_benefit=jam_benefit,
-        mean_leakage_w=float(leakage.mean()) if leakage.size else 0.0)
+    world.prev_kpis = LeaderKpis(secrecy=world.secrecy_ema, jam_benefit=jam_benefit)
 
     record = SlotRecord(
         slot=state.slot, alpha=broadcast.alpha, beta=broadcast.beta,

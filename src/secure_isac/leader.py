@@ -1,11 +1,13 @@
 """Base-station slot controller.
 
 Each slot the controller maps the predicted bearing-posterior entropy and the
-previous slot's KPIs to a power split (data/AN/sensing), three incentive
-prices broadcast to the hybrid nodes, and an adapted prediction-kernel width.
-All updates are clipped affine laws, so the state provably stays inside its
-boxes for any KPI sequence. They clip floats with min(max(x, lo), hi), which
-gives np.clip's value without its array dispatch.
+previous slot's KPIs to a power split (data/AN/sensing), the jamming price pi
+broadcast to the hybrid nodes, and an adapted prediction-kernel width. The
+broadcast's other two prices are fixed announcements: the leakage penalty tau
+and the sensing price kappa keep their configured initial values. All updates
+are clipped affine laws, so the state provably stays inside its boxes for any
+KPI sequence. They clip floats with min(max(x, lo), hi), which gives np.clip's
+value without its array dispatch.
 """
 
 from dataclasses import dataclass
@@ -42,7 +44,6 @@ class LeaderKpis:
 
     secrecy: float = 0.0         # mean served secrecy rate (bps/Hz)
     jam_benefit: float = 0.0     # secrecy gained by active jamming (bps/Hz)
-    mean_leakage_w: float = 0.0  # mean jamming leakage at served nodes
 
 
 def sensing_fraction(entropy_bits: float, lead: LeaderConfig) -> float:
@@ -72,34 +73,26 @@ def data_fraction(beta: float, gamma: float) -> float:
     return max(0.0, 1.0 - beta - gamma)
 
 
-def price_update(pi: float, tau: float, kappa: float, kpis: LeaderKpis,
-                 entropy_bits: float, lead: LeaderConfig, xi_target_w: float):
-    """Clipped affine price moves: reward jamming, steer leakage to the
-    target xi_target_w, reward sensing when uncertainty exceeds the budget."""
-    pi_new = min(max(pi + lead.k_pi * kpis.jam_benefit, lead.pi_min), lead.pi_max)
-    tau_new = min(max(tau + lead.k_tau * (kpis.mean_leakage_w - xi_target_w),
-                      lead.tau_min), lead.tau_max)
-    kappa_new = min(max(kappa + lead.k_kappa * (entropy_bits - lead.h_max_bits),
-                        lead.kappa_min), lead.kappa_max)
-    return float(pi_new), float(tau_new), float(kappa_new)
+def price_update(pi: float, kpis: LeaderKpis, lead: LeaderConfig) -> float:
+    """Clipped affine jamming-price move: reward the secrecy jamming bought."""
+    return float(min(max(pi + lead.k_pi * kpis.jam_benefit, lead.pi_min), lead.pi_max))
 
 
-def leader_step(state: LeaderState, config: ScenarioConfig, noise_w: float,
-                kpis: LeaderKpis, belief_entropy: float) -> LeaderState:
+def leader_step(state: LeaderState, config: ScenarioConfig, kpis: LeaderKpis,
+                belief_entropy: float) -> LeaderState:
     """One controller cycle: entropy -> sensing split -> AN integrator ->
-    data complement -> prices -> kernel width, under the [leader] gains and
-    the [belief] kernel bounds; the leakage target is xi_target_scale noise
-    powers. Returns the new state, whose broadcast is this slot's
-    announcement to the followers."""
+    data complement -> jamming price -> kernel width, under the [leader] gains
+    and the [belief] kernel bounds. The leakage penalty tau and the sensing
+    price kappa are carried over unchanged. Returns the new state, whose
+    broadcast is this slot's announcement to the followers."""
     lead, bel, last = config.leader, config.belief, state.broadcast
     gamma = sensing_fraction(belief_entropy, lead)
     error = lead.r_s_target - kpis.secrecy
     beta = an_update(last.beta, error, gamma, lead)
     alpha = data_fraction(beta, gamma)
-    pi, tau, kappa = price_update(last.pi, last.tau, last.kappa, kpis, belief_entropy,
-                                  lead, lead.xi_target_scale * noise_w)
+    pi = price_update(last.pi, kpis, lead)
     sigma = kernel_adapt(state.kernel_sigma_deg, belief_entropy, lead.h_max_bits,
                          lead.eta_sigma, bel.sigma_min_deg, bel.sigma_max_deg)
     if not abs(alpha + beta + gamma - 1.0) <= 1e-9:
         raise InvariantError("leader power split left the simplex")
-    return LeaderState(Broadcast(alpha, beta, gamma, pi, tau, kappa), sigma)
+    return LeaderState(Broadcast(alpha, beta, gamma, pi, last.tau, last.kappa), sigma)

@@ -215,11 +215,10 @@ def _draw_sector_position(rng, run: RunConfig, height: float) -> np.ndarray:
     return np.array([radius * np.cos(azimuth), radius * np.sin(azimuth), height])
 
 
-def bearing_deg(origin: np.ndarray, targets: np.ndarray):
-    """Ground-plane bearings of targets (..., 3) from origin, degrees in
-    (-180, 180]."""
-    d = targets - origin
-    return np.degrees(np.arctan2(d[..., 1], d[..., 0]))
+def bearing_deg(targets: np.ndarray):
+    """Ground-plane bearings of targets (..., 3) from the BS ground origin,
+    degrees in (-180, 180]."""
+    return np.degrees(np.arctan2(targets[..., 1], targets[..., 0]))
 
 
 def build_scenario(config: ScenarioConfig, seed: int) -> Scenario:
@@ -277,7 +276,7 @@ def build_scenario(config: ScenarioConfig, seed: int) -> Scenario:
         eve_start=eve_start, hn_channels=hn_channels,
         hn_estimates=_estimate_channels(hn_channels, config, seed),
         hn_norm2=hn_norm2, hn_rank=tuple(np.argsort(-hn_norm2).tolist()),
-        hn_bearing_deg=tuple(bearing_deg(np.zeros(3), hn_positions).tolist()),
+        hn_bearing_deg=tuple(bearing_deg(hn_positions).tolist()),
         eve_shadow=eve_shadow, pair_shadow=pair_shadow,
         link_gain=link_gain, link_steer=link_steer,
         grid_deg=grid_deg,

@@ -249,7 +249,7 @@ class TestAcceptance:
             run_slot(world, StrategyId.IBEAMS, t)
             if t <= 15:
                 continue
-            truth = bearing_deg(np.zeros(3), world.scenario.eve_positions(t)[0])
+            truth = bearing_deg(world.scenario.eve_positions(t)[0])
             est = world.beliefs[0].argmax_deg
             total += 1
             hits += abs(est - truth) <= 10.0

@@ -50,23 +50,23 @@ def read_trace(path: str):
 # config
 CANONICAL_DIGESTS = {
     "defaults": (
-        "0d0ffa5ec4a1f4cb1e184e3f9fa87e60a654bb05515d162f3e09d57c8961f8a0",
-        "213d02ba145a29ba513cc549d53a892af918cc940fbcbfbd0dfad889bff8c7a5"),
+        "908d4260e9455ce1bd15b05694ef610bab154e4053d26e8d4738e3bb28ce1456",
+        "29daf96ddb22d44c3d81fad968c97edce8c551b835166f6e475d8df26c247ed5"),
     "beampattern_field.ini": (
-        "ac3152ff7f10a119b93a049c587c5a81dbe5ebab5e7396799c33a21d9b9d2435",
-        "3648a8bb975a9a5994bbb732f458a8a5e505034e9b220dbe1b080a0119fdfb82"),
+        "69277b5b9d6e0d0db59bfdef4c46fc6f6b6792dab0b344bf96966d3cc6195a36",
+        "2cfdfcde1055971116bc1297d86143b64df2170f85cd3bd4a1d253c45e6db726"),
     "compare_28ghz.ini": (
-        "e176564e0bc301b3fdb7b02b888159488533917611111dee75497c05f9f52b45",
-        "2878a9fe87e66a2ba66b41bf35f3af665e82bfd91382fdeb58029798cab80eb3"),
+        "06d8f7950b7e5cf9bd6747afe405c0fcc46b226d0a4def61de27bd386f92e2a7",
+        "66d79c9c93b6effa3040657065b0fd3633e1217054b1a17b6e34b6e8f0371061"),
     "convergence_28ghz.ini": (
-        "0d0ffa5ec4a1f4cb1e184e3f9fa87e60a654bb05515d162f3e09d57c8961f8a0",
-        "213d02ba145a29ba513cc549d53a892af918cc940fbcbfbd0dfad889bff8c7a5"),
+        "908d4260e9455ce1bd15b05694ef610bab154e4053d26e8d4738e3bb28ce1456",
+        "29daf96ddb22d44c3d81fad968c97edce8c551b835166f6e475d8df26c247ed5"),
     "posterior_mobile.ini": (
-        "507c9fa3533052d66b31dd2ce9d6e3c3a8eabeb515ad36a43ddaa7f59a7381e4",
-        "85feb843e578bdb2e97e232fa232a0719cd3a35e95a817769d7896d130469529"),
+        "1eeab99c4e39349edebf5b0784e8892b8861a5a8838a69ed2026a5673eab060e",
+        "dd20503c06a428e89d133c3d96adde98ac4402444dd5474bb93044c527f7666a"),
     "posterior_static.ini": (
-        "bfdaaa90560dda0ae8767e17ea9fb5252a179c488503598b3360618729d1c378",
-        "cac67b12e14fb939aa20b51563a275bee5cdb9c6b3ef0ffdeacfc8c80e75ed02"),
+        "4026f651356ea9dc06f4cbaae9d988779c9448f177a817aee05db69077b670d5",
+        "4cfa9f6cf2b65ca24d016b3f206fcfaae393bed35954b94a1bf5ef6a6e2b1525"),
 }
 
 
@@ -113,6 +113,12 @@ class TestConfigParsing:
         with pytest.raises(ConfigError) as err:
             config_from_dict({"gne": {"tolerance": "1e-3"}})
         assert any("gne.tolerance" in e for e in err.value.errors)
+        # the tau and kappa price laws were removed: the leader adapts only pi
+        for key in ("k_tau", "tau_min", "tau_max", "xi_target_scale",
+                    "k_kappa", "kappa_min", "kappa_max"):
+            with pytest.raises(ConfigError) as err:
+                config_from_dict({"leader": {key: "0.5"}})
+            assert err.value.errors == [f"leader.{key}: unknown key"]
 
     def test_unknown_section_rejected(self):
         with pytest.raises(ConfigError) as err:
@@ -370,8 +376,11 @@ class TestCrossFieldRules:
         ({"leader": {"gamma_min": 0.3}}, "leader.gamma_min: must be < gamma_max"),
         ({"leader": {"beta_min": 0.4}}, "leader.beta_min: must be <= beta_max"),
         ({"leader": {"pi_init": 1.5}}, "leader.pi_init: must lie in [0.0, 1.0]"),
-        ({"leader": {"tau_min": 0.5}}, "leader.tau_init: must lie in [0.5, 1.0]"),
-        ({"leader": {"kappa_max": 0.05}}, "leader.kappa_init: must lie in [0.0, 0.05]"),
+        # tau and kappa are fixed announcements: a declared range, no rule
+        ({"leader": {"tau_init": 1.5}}, "leader.tau_init: must be in [0, 1]"),
+        ({"leader": {"tau_init": -0.1}}, "leader.tau_init: must be in [0, 1]"),
+        ({"leader": {"kappa_init": 1.5}}, "leader.kappa_init: must be in [0, 1]"),
+        ({"leader": {"kappa_init": -0.1}}, "leader.kappa_init: must be in [0, 1]"),
         ({"belief": {"sigma_min_deg": 50}},
          "belief.sigma_min_deg: must be <= sigma_max_deg"),
         ({"run": {"min_node_distance_m": 150}},
@@ -463,11 +472,11 @@ COMPARE_DIGESTS = {
     "trace_fixed_an.csv":
         "dd9cd3cb22433386c65ed110ee89a4c59e364c47fccac31bced60635497bbc80",
     "trace_stackelberg_only.csv":
-        "ec05e4fd87d8e7f35272e4d1b09d09dd3d0f3f75c89d47184db0584aac497bbf",
+        "00b73e66a2a0d2371c71bcc9208e4baa50d60148b4bdf400cb8a797846149b7b",
     "trace_stackelberg_roleswitch.csv":
-        "a1c09b5ee8434ab12a349110d4901f7f14ed6fa8ad8965d9954c3c9291028afa",
+        "22a480db0fd231e3cdb4d877350b6f5d800706a7aab73082e26f4d09eb933935",
     "trace_ibeams.csv":
-        "9257b0ce779fbfbe47c27a9bec7e7fae7f5471103d60406601b8fa1a5e62cdd7",
+        "f33c32c220cc79ac879e5b45672872b272ab1afd0f0bb0940579acdaed9c14e5",
     "beliefs_eve0.txt":
         "3b555624d6315e9e2f95931c1a3f5be77f99351baa32c3e6805f2ed87aa3849c",
     "beliefs_eve1.txt":

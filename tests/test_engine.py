@@ -111,7 +111,7 @@ class TestMobility:
         for t in range(1, 20001):
             for pos in scn.eve_positions(t):
                 radius = np.linalg.norm(pos[:2])
-                angle = bearing_deg(np.zeros(3), pos)
+                angle = bearing_deg(pos)
                 ri = min(np.searchsorted(r_edges, radius) - 1, 2)
                 ai = min(np.searchsorted(a_edges, angle) - 1, 3)
                 if ri >= 0 and ai >= 0:
@@ -234,7 +234,7 @@ def reference_gain_tables(world, slot):
             dist = np.linalg.norm(targets[j] - scn.hn_positions[i])
             pl = path_loss_db(scn.pl_model, max(dist, 1.0), scn.pair_shadow[i, j])
             path[i, j] = linear_gain(pl) ** 2 * fades[i, j]
-            bearings[i, j] = bearing_deg(scn.hn_positions[i], targets[j])
+            bearings[i, j] = bearing_deg(targets[j] - scn.hn_positions[i])
     return path, bearings
 
 
@@ -488,9 +488,15 @@ class TestRunSlot:
         kpis = world.prev_kpis
         r = run_slot(world, StrategyId.STACKELBERG_ONLY, 0)
         want = leader_step(LeaderState(initial, cfg.belief.sigma0_deg), cfg,
-                           world.scenario.noise_w, kpis, world.entropy_ema).broadcast
+                           kpis, world.entropy_ema).broadcast
         assert (r.alpha, r.beta, r.gamma, r.pi, r.tau, r.kappa) == astuple(want)
         assert want != initial
+        # the leader adapts only pi: the leakage penalty tau and the sensing
+        # price kappa stay the announced initial values in every slot
+        for strategy in (StrategyId.STACKELBERG_ONLY, StrategyId.IBEAMS):
+            world = init_scenario(cfg, 1)
+            records = [run_slot(world, strategy, t) for t in range(4)]
+            assert [(r.tau, r.kappa) for r in records] == [(0.6, 0.25)] * 4, strategy
 
     def test_leader_frozen_for_static_strategies(self):
         world = init_scenario(small_config(), 1)

@@ -20,8 +20,6 @@ from secure_isac.leader import (
 
 CONFIG = ScenarioConfig()
 LEAD = CONFIG.leader
-NOISE_W = 2e-12
-XI_TARGET_W = LEAD.xi_target_scale * NOISE_W   # the target leader_step steers tau to
 
 
 def leader_state(sigma=10.0, **announced):
@@ -84,34 +82,17 @@ class TestDataFraction:
 
 class TestPriceUpdate:
     def test_zero_drives_fixed_point(self):
-        kpis = LeaderKpis(jam_benefit=0.0, mean_leakage_w=XI_TARGET_W)
-        prices = price_update(0.7, 0.3, 0.1, kpis, LEAD.h_max_bits, LEAD, XI_TARGET_W)
-        assert prices == (pytest.approx(0.7), pytest.approx(0.3), pytest.approx(0.1))
+        assert price_update(0.7, LeaderKpis(jam_benefit=0.0), LEAD) == pytest.approx(0.7)
 
     def test_clamp_at_max(self):
-        kpis = LeaderKpis(jam_benefit=5.0)
-        pi, _, _ = price_update(1.0, 0.3, 0.1, kpis, 0.0, LEAD, XI_TARGET_W)
-        assert pi == 1.0
-
-    def test_tau_decrement(self):
-        lead = LeaderConfig(k_tau=0.1)
-        kpis = LeaderKpis(mean_leakage_w=XI_TARGET_W - 1.0)
-        _, tau, _ = price_update(0.7, 0.3, 0.1, kpis, lead.h_max_bits, lead,
-                                 XI_TARGET_W)
-        assert tau == pytest.approx(0.2)
-
-    def test_kappa_rises_with_entropy_excess(self):
-        _, _, kappa = price_update(0.7, 0.3, 0.1, LeaderKpis(), LEAD.h_max_bits + 1.0,
-                                   LEAD, XI_TARGET_W)
-        assert kappa == pytest.approx(0.1 + LEAD.k_kappa)
+        assert price_update(1.0, LeaderKpis(jam_benefit=5.0), LEAD) == 1.0
 
 
 class TestLeaderStep:
     def test_state_is_frozen_and_kept(self):
         state = leader_state(12.0, beta=0.25)
         before = (state.broadcast, state.kernel_sigma_deg)
-        new = leader_step(state, CONFIG, NOISE_W,
-                          LeaderKpis(secrecy=0.0, jam_benefit=1.0), 7.0)
+        new = leader_step(state, CONFIG, LeaderKpis(secrecy=0.0, jam_benefit=1.0), 7.0)
         assert new.broadcast != state.broadcast
         assert (state.broadcast, state.kernel_sigma_deg) == before
         with pytest.raises(dataclasses.FrozenInstanceError):
@@ -120,12 +101,10 @@ class TestLeaderStep:
             state.broadcast = new.broadcast
 
     def test_fixed_point_consistency(self):
-        # e=0, jam_benefit=0, leakage at target, H=H_max: identity on
-        # (beta, pi, tau, kappa, sigma)
+        # e=0, jam_benefit=0, H=H_max: identity on (beta, pi, tau, kappa, sigma)
         state = leader_state(12.0, beta=0.25, pi=0.5, tau=0.4, kappa=0.2)
-        kpis = LeaderKpis(secrecy=LEAD.r_s_target, jam_benefit=0.0,
-                          mean_leakage_w=XI_TARGET_W)
-        new = leader_step(state, CONFIG, NOISE_W, kpis, LEAD.h_max_bits)
+        kpis = LeaderKpis(secrecy=LEAD.r_s_target, jam_benefit=0.0)
+        new = leader_step(state, CONFIG, kpis, LEAD.h_max_bits)
         bc, last = new.broadcast, state.broadcast
         assert bc.beta == pytest.approx(last.beta)
         assert bc.pi == pytest.approx(last.pi)
@@ -138,7 +117,7 @@ class TestLeaderStep:
         state = leader_state(beta=0.1)
         betas = [state.broadcast.beta]
         for _ in range(10):
-            state = leader_step(state, CONFIG, NOISE_W, LeaderKpis(secrecy=0.0), 2.0)
+            state = leader_step(state, CONFIG, LeaderKpis(secrecy=0.0), 2.0)
             betas.append(state.broadcast.beta)
         diffs = np.diff(betas)
         assert np.all(diffs >= -1e-12)
@@ -149,14 +128,12 @@ class TestLeaderStep:
         state = leader_state()
         for _ in range(500):
             kpis = LeaderKpis(secrecy=rng.uniform(0, 10),
-                              jam_benefit=rng.uniform(-5, 20),
-                              mean_leakage_w=rng.uniform(0, 1e-9))
-            state = leader_step(state, CONFIG, NOISE_W, kpis, rng.uniform(0, 8))
+                              jam_benefit=rng.uniform(-5, 20))
+            state = leader_step(state, CONFIG, kpis, rng.uniform(0, 8))
             bc = state.broadcast
             assert abs(bc.alpha + bc.beta + bc.gamma - 1.0) <= 1e-9
             assert LEAD.pi_min <= bc.pi <= LEAD.pi_max
-            assert LEAD.tau_min <= bc.tau <= LEAD.tau_max
-            assert LEAD.kappa_min <= bc.kappa <= LEAD.kappa_max
+            assert (bc.tau, bc.kappa) == (0.3, 0.1)    # fixed announcements
             assert LEAD.gamma_min <= bc.gamma <= LEAD.gamma_max
             assert 0.0 <= bc.beta <= LEAD.beta_max
             assert (CONFIG.belief.sigma_min_deg <= state.kernel_sigma_deg
@@ -165,8 +142,8 @@ class TestLeaderStep:
     def test_residual_zero_at_fixed_point(self):
         gamma = sensing_fraction(LEAD.h_max_bits, LEAD)
         state = leader_state(alpha=1.0 - 0.2 - gamma, beta=0.2, gamma=gamma)
-        kpis = LeaderKpis(secrecy=LEAD.r_s_target, mean_leakage_w=XI_TARGET_W)
-        new = leader_step(state, CONFIG, NOISE_W, kpis, LEAD.h_max_bits)
+        kpis = LeaderKpis(secrecy=LEAD.r_s_target)
+        new = leader_step(state, CONFIG, kpis, LEAD.h_max_bits)
         for name in ("alpha", "beta", "gamma", "pi", "tau", "kappa"):
             assert getattr(new.broadcast, name) == pytest.approx(
                 getattr(state.broadcast, name), abs=1e-12)
@@ -181,7 +158,7 @@ class TestLeaderStep:
 ])
 def test_kernel_width_clamped_to_belief_section(bound, value, entropy_bits, unclamped):
     config = ScenarioConfig()
-    step = lambda: leader_step(leader_state(10.0), config, NOISE_W, LeaderKpis(),
+    step = lambda: leader_step(leader_state(10.0), config, LeaderKpis(),
                                entropy_bits).kernel_sigma_deg
     assert step() == pytest.approx(unclamped)
     setattr(config.belief, bound, value)
@@ -203,13 +180,8 @@ def oracle_an_update(beta_prev, secrecy_error, gamma, lead):
     return float(np.clip(beta_prev + lead.k_s * secrecy_error, lo, hi))
 
 
-def oracle_price_update(pi, tau, kappa, kpis, entropy_bits, lead, xi_target_w):
-    pi_new = np.clip(pi + lead.k_pi * kpis.jam_benefit, lead.pi_min, lead.pi_max)
-    tau_new = np.clip(tau + lead.k_tau * (kpis.mean_leakage_w - xi_target_w),
-                      lead.tau_min, lead.tau_max)
-    kappa_new = np.clip(kappa + lead.k_kappa * (entropy_bits - lead.h_max_bits),
-                        lead.kappa_min, lead.kappa_max)
-    return float(pi_new), float(tau_new), float(kappa_new)
+def oracle_price_update(pi, kpis, lead):
+    return float(np.clip(pi + lead.k_pi * kpis.jam_benefit, lead.pi_min, lead.pi_max))
 
 
 def oracle_kernel_adapt(sigma, entropy_bits, h_max, eta_sigma, sigma_min, sigma_max):
@@ -251,16 +223,10 @@ class TestScalarClips:
             oracle_an_update(beta, error, gamma, lead))
 
     @settings(max_examples=500, deadline=None)
-    @given(prices=st.tuples(ANY_FLOAT, ANY_FLOAT, ANY_FLOAT),
-           kpis=st.tuples(ANY_FLOAT, ANY_FLOAT), entropy_bits=ANY_FLOAT,
-           gains=st.tuples(GAIN, GAIN, GAIN), boxes=st.tuples(box(), box(), box()))
-    def test_price_update(self, prices, kpis, entropy_bits, gains, boxes):
-        (pi_min, pi_max), (tau_min, tau_max), (kappa_min, kappa_max) = boxes
-        lead = LeaderConfig(k_pi=gains[0], k_tau=gains[1], k_kappa=gains[2],
-                            pi_min=pi_min, pi_max=pi_max, tau_min=tau_min,
-                            tau_max=tau_max, kappa_min=kappa_min, kappa_max=kappa_max)
-        args = (*prices, LeaderKpis(jam_benefit=kpis[0], mean_leakage_w=kpis[1]),
-                entropy_bits, lead, XI_TARGET_W)
+    @given(pi=ANY_FLOAT, jam_benefit=ANY_FLOAT, k_pi=GAIN, pis=box())
+    def test_price_update(self, pi, jam_benefit, k_pi, pis):
+        lead = LeaderConfig(k_pi=k_pi, pi_min=pis[0], pi_max=pis[1])
+        args = (pi, LeaderKpis(jam_benefit=jam_benefit), lead)
         assert repr(price_update(*args)) == repr(oracle_price_update(*args))
 
     @settings(max_examples=500, deadline=None)

@@ -108,7 +108,7 @@ def reference_null_bearings(scn, node, served):
     from the positions: the nearest first, one fewer than its elements."""
     pos = scn.hn_positions
     nearest = sorted(served, key=lambda t: np.linalg.norm(pos[t] - pos[node]))
-    return [bearing_deg(pos[node], pos[t]) for t in nearest[: scn.hn_spec.num_elements - 1]]
+    return [bearing_deg(pos[t] - pos[node]) for t in nearest[: scn.hn_spec.num_elements - 1]]
 
 
 def assert_beam_equals_reference(beam, scn, node, peak_deg, served) -> int:
@@ -541,7 +541,7 @@ def test_node_bearings_equal_per_slot_recomputation():
     scenario = build_scenario(small_config("static"), 1)
     assert isinstance(scenario.hn_bearing_deg, tuple)
     assert all(type(b) is float for b in scenario.hn_bearing_deg)
-    assert scenario.hn_bearing_deg == tuple(bearing_deg(np.zeros(3), scenario.hn_positions[u])
+    assert scenario.hn_bearing_deg == tuple(bearing_deg(scenario.hn_positions[u])
                                             for u in range(scenario.config.hn.count))
 
 

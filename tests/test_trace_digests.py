@@ -40,41 +40,41 @@ DIGESTS = {
     ("defaults", "fixed_an"):
         "e47910772fae6280c7d0fb031e8b42789242cf5041995509f8250820652b24cb",
     ("defaults", "stackelberg_only"):
-        "f7b6c6ed21f926ac3066e36574190bed7d193555ea2aa4731189e3c7023ad955",
+        "a0a3e1e997445953f86a1ef9679db5f2b2c3536960abe9686cd5a90e4a71f4b3",
     ("defaults", "stackelberg_roleswitch"):
-        "818f6f70729ee78d4050e0c6c7ed332299935e373d57fa99669e46aa9ab510e0",
+        "ec00eaaf53c526289fa57635763e0a5b249c8631a25d5c4d15acb20c9eb3125a",
     ("defaults", "ibeams"):
-        "6e63fec0f8f8da93f925b2ffb4c7797b994d08baea0d8ee63e463567dee94966",
+        "515a9eccaf211a1572a0ff518dc4769286e0dd3a5d91a0f6cf0d9ac0e7f1cc3c",
     ("beampattern_field", "baseline"):
         "13bc8a4e897edba756fe5bad267a4174d5c8fd71c673556d7d4d1ddedbb68460",
     ("beampattern_field", "fixed_an"):
         "39b792c820e12a32ac4bc79622675ecf05f3c7f471affad6c5b6428df5d4bc44",
     ("beampattern_field", "stackelberg_only"):
-        "c5511c4bc6c682aa6af2450281d928002d3c87c7456ec628b94b9867e9edf109",
+        "edb4065e1e624b8dd742b9ba88aeb687c528a024c0b547a3ac84dd0df4258c51",
     ("beampattern_field", "stackelberg_roleswitch"):
-        "29e2e8628d18a586e92d80821345f3bbf2a3aba6b5ce00fff21b7cb001f8b695",
+        "1f24c2de6fdb7f0e02671715e2f0d2dd37a75355a745d8ddb410abb2fd224496",
     ("beampattern_field", "ibeams"):
-        "5990d8589f7d8dfae323aa6a673f471b6ea3c3d1753813d89956f2aeab73b243",
+        "c595290c71cf46f78d46e755d4a1e7cd16516351e11309cf70cf5f12dd7bc13d",
     ("posterior_mobile", "baseline"):
         "77fd45e58cf3f86a2653570daf7bec9ad03190be36321c93819b7129745004b5",
     ("posterior_mobile", "fixed_an"):
         "89920bd7ac385055c1f0bbf044e20878190d49e88cec28dd298184998cd44256",
     ("posterior_mobile", "stackelberg_only"):
-        "92d20cc8a53e68a9d3d20f183907f454c086384eb67ded7888dcc29fe4604a98",
+        "880ba010ec0e797349241cae1d8a0da35653c39339cb903a2f1caffb9708d749",
     ("posterior_mobile", "stackelberg_roleswitch"):
-        "24baed20fa3760f08dbec4815b131524bafdb33e101e2613f650ebef7bcc1165",
+        "1ffcfed87831de7d608575b8522a120333ff725aeecc9f070acf5138f572eb66",
     ("posterior_mobile", "ibeams"):
-        "9cc96894c5948a591e2420e825d1caf1dc396fe6801a1d641c6eb4c1e2ec1108",
+        "939604eb6afcf9b684cb9ffdae2e15b884661042f0676795230690af1e30774f",
     ("posterior_static", "baseline"):
         "77fd45e58cf3f86a2653570daf7bec9ad03190be36321c93819b7129745004b5",
     ("posterior_static", "fixed_an"):
         "0ad21d520e3a03a7f4bfc25922392509f358b261923b00caa2a14093a539eed0",
     ("posterior_static", "stackelberg_only"):
-        "68fd69fe3493c38f3ef61841a9894905a1344935fa8ee3a0c0f16751834785f4",
+        "f3f09a658626de3b754302abe9811a528c16097282ce59868073a5420b1bea34",
     ("posterior_static", "stackelberg_roleswitch"):
-        "aec9519422eac6af2c3f6c8571bf1297f5c5b7dd5f526a2272e71c17dae7f1bd",
+        "bd0ec0ecc80f15513657243caffbb49366fb2e28f65a74ff5d7560c25a03d23d",
     ("posterior_static", "ibeams"):
-        "31f34ffd6876a76020b59ab491406aba604cef694c06a010f4f72ad23175cae5",
+        "29a91d357397bdf995b991714b427d9fbcdfe617b000669dde7dd5d7a7d2e5ee",
 }
 
 
