@@ -113,12 +113,14 @@ class TestConfigParsing:
         with pytest.raises(ConfigError) as err:
             config_from_dict({"gne": {"tolerance": "1e-3"}})
         assert any("gne.tolerance" in e for e in err.value.errors)
+
+    @pytest.mark.parametrize("key", ["k_tau", "tau_min", "tau_max", "xi_target_scale",
+                                     "k_kappa", "kappa_min", "kappa_max"])
+    def test_removed_price_law_key_rejected(self, key):
         # the tau and kappa price laws were removed: the leader adapts only pi
-        for key in ("k_tau", "tau_min", "tau_max", "xi_target_scale",
-                    "k_kappa", "kappa_min", "kappa_max"):
-            with pytest.raises(ConfigError) as err:
-                config_from_dict({"leader": {key: "0.5"}})
-            assert err.value.errors == [f"leader.{key}: unknown key"]
+        with pytest.raises(ConfigError) as err:
+            config_from_dict({"leader": {key: "0.5"}})
+        assert err.value.errors == [f"leader.{key}: unknown key"]
 
     def test_unknown_section_rejected(self):
         with pytest.raises(ConfigError) as err:
@@ -211,6 +213,19 @@ class TestDeclaredRanges:
         with pytest.raises(ConfigError) as err:
             config_from_dict({section: {key: value}})
         assert any(e.startswith(f"{path}: ") for e in err.value.errors)
+
+    # tau and kappa are fixed announcements: a declared range, no cross-field rule
+    @pytest.mark.parametrize("key", ["tau_init", "kappa_init"])
+    @pytest.mark.parametrize("value", [-0.1, 1.5])
+    def test_fixed_price_outside_unit_interval_rejected(self, key, value):
+        with pytest.raises(ConfigError) as err:
+            config_from_dict({"leader": {key: value}})
+        assert err.value.errors == [f"leader.{key}: must be in [0, 1]"]
+
+    @pytest.mark.parametrize("key", ["tau_init", "kappa_init"])
+    @pytest.mark.parametrize("value", [0.0, 1.0])
+    def test_fixed_price_accepts_its_bounds(self, key, value):
+        assert getattr(config_from_dict({"leader": {key: value}}).leader, key) == value
 
     def test_defaults_and_shipped_configs_lie_in_range(self):
         ScenarioConfig().validate()
@@ -376,11 +391,6 @@ class TestCrossFieldRules:
         ({"leader": {"gamma_min": 0.3}}, "leader.gamma_min: must be < gamma_max"),
         ({"leader": {"beta_min": 0.4}}, "leader.beta_min: must be <= beta_max"),
         ({"leader": {"pi_init": 1.5}}, "leader.pi_init: must lie in [0.0, 1.0]"),
-        # tau and kappa are fixed announcements: a declared range, no rule
-        ({"leader": {"tau_init": 1.5}}, "leader.tau_init: must be in [0, 1]"),
-        ({"leader": {"tau_init": -0.1}}, "leader.tau_init: must be in [0, 1]"),
-        ({"leader": {"kappa_init": 1.5}}, "leader.kappa_init: must be in [0, 1]"),
-        ({"leader": {"kappa_init": -0.1}}, "leader.kappa_init: must be in [0, 1]"),
         ({"belief": {"sigma_min_deg": 50}},
          "belief.sigma_min_deg: must be <= sigma_max_deg"),
         ({"run": {"min_node_distance_m": 150}},

@@ -491,12 +491,14 @@ class TestRunSlot:
                            kpis, world.entropy_ema).broadcast
         assert (r.alpha, r.beta, r.gamma, r.pi, r.tau, r.kappa) == astuple(want)
         assert want != initial
+
+    @pytest.mark.parametrize("strategy", list(StrategyId))
+    def test_tau_and_kappa_stay_the_initial_announcement(self, strategy):
         # the leader adapts only pi: the leakage penalty tau and the sensing
         # price kappa stay the announced initial values in every slot
-        for strategy in (StrategyId.STACKELBERG_ONLY, StrategyId.IBEAMS):
-            world = init_scenario(cfg, 1)
-            records = [run_slot(world, strategy, t) for t in range(4)]
-            assert [(r.tau, r.kappa) for r in records] == [(0.6, 0.25)] * 4, strategy
+        world = init_scenario(small_config(leader__tau_init=0.6, leader__kappa_init=0.25), 1)
+        records = [run_slot(world, strategy, t) for t in range(4)]
+        assert [(r.tau, r.kappa) for r in records] == [(0.6, 0.25)] * 4
 
     def test_leader_frozen_for_static_strategies(self):
         world = init_scenario(small_config(), 1)

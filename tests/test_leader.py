@@ -87,6 +87,13 @@ class TestPriceUpdate:
     def test_clamp_at_max(self):
         assert price_update(1.0, LeaderKpis(jam_benefit=5.0), LEAD) == 1.0
 
+    def test_clamp_at_min(self):
+        assert price_update(0.1, LeaderKpis(jam_benefit=-5.0), LEAD) == LEAD.pi_min
+
+    def test_step_follows_jam_benefit(self):
+        kpis = LeaderKpis(jam_benefit=2.0)
+        assert price_update(0.5, kpis, LEAD) == pytest.approx(0.5 + 2.0 * LEAD.k_pi)
+
 
 class TestLeaderStep:
     def test_state_is_frozen_and_kept(self):
@@ -99,6 +106,16 @@ class TestLeaderStep:
             state.kernel_sigma_deg = 5.0
         with pytest.raises(dataclasses.FrozenInstanceError):
             state.broadcast = new.broadcast
+
+    @pytest.mark.parametrize("entropy_bits", [0.0, 3.0, LEAD.h_max_bits, 10.0])
+    def test_tau_and_kappa_carried_over(self, entropy_bits):
+        # tau and kappa are fixed announcements: no entropy excess or deficit
+        # moves them, while the same step does adapt pi
+        state = leader_state(tau=0.45, kappa=0.05)
+        new = leader_step(state, CONFIG, LeaderKpis(secrecy=0.0, jam_benefit=3.0),
+                          entropy_bits)
+        assert (new.broadcast.tau, new.broadcast.kappa) == (0.45, 0.05)
+        assert new.broadcast.pi == pytest.approx(0.7 + 3.0 * LEAD.k_pi)
 
     def test_fixed_point_consistency(self):
         # e=0, jam_benefit=0, H=H_max: identity on (beta, pi, tau, kappa, sigma)

@@ -537,6 +537,14 @@ def test_node_channels_equal_per_node_builds(seed):
                                                        rel=1e-13)
 
 
+@pytest.mark.parametrize("xy,want", [((100.0, 0.0), 0.0), ((0.0, 40.0), 90.0),
+                                     ((-7.0, 0.0), 180.0), ((0.0, -250.0), -90.0)])
+def test_bearing_measured_from_the_bs_ground_origin(xy, want):
+    # the height is ignored: a target's bearing is that of its ground point
+    for z in (0.0, 1.5, 25.0):
+        assert bearing_deg(np.array([*xy, z])) == pytest.approx(want, abs=1e-12)
+
+
 def test_node_bearings_equal_per_slot_recomputation():
     scenario = build_scenario(small_config("static"), 1)
     assert isinstance(scenario.hn_bearing_deg, tuple)
