@@ -64,6 +64,87 @@ def substream(seed: int, *keys: int) -> np.random.Generator:
         np.random.SeedSequence(np.array(words, dtype=np.uint32))))
 
 
+# The constants of np.random.SeedSequence's hash (NEP 19) and of PCG64's
+# 128-bit LCG (O'Neill, "PCG", 2014), which substream_normals replicates.
+_MASK32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def substream_normals(seed: int, keys, count: int) -> np.ndarray:
+    """Standard normals (M, count) whose row m is byte for byte
+    substream(seed, *keys[m]).standard_normal(count), keys being (M, L)
+    32-bit keys.
+
+    SeedSequence's entropy mixing and generate_state(4, uint64) run once
+    over all M rows as uint32 array arithmetic: the hash constants advance
+    the same way for every row, so each step is one array operation. Then
+    one PCG64 takes each row's four state words as its seed and increment
+    by PCG64's set-seq seeding, in Python ints, before that row's draws.
+    A seed of any size is allowed; a key outside [0, 2**32) raises
+    ValueError, since it would give its row more entropy words than the rest.
+    """
+    words = _words(seed)
+    words += [0] * (SEED_POOL_WORDS - len(words))
+    keys = np.asarray(keys)
+    rows = len(keys)
+    out_of_range = (keys < 0) | (keys > _MASK32)
+    if out_of_range.any():
+        raise ValueError(f"substream_normals keys must be in [0, 2**32), "
+                         f"got {keys[out_of_range][0]}")
+    entropy = [np.full(rows, word, dtype=np.uint32) for word in words]
+    entropy += list(keys.astype(np.uint32).T)
+
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ hash_const
+        hash_const = (hash_const * _MULT_A) & _MASK32
+        value = value * hash_const
+        return value ^ (value >> 16)
+
+    def mix(x, y):
+        result = x * _MIX_MULT_L - y * _MIX_MULT_R
+        return result ^ (result >> 16)
+
+    mixer = [hashmix(word) for word in entropy[:SEED_POOL_WORDS]]
+    for src in range(SEED_POOL_WORDS):
+        for dst in range(SEED_POOL_WORDS):
+            if src != dst:
+                mixer[dst] = mix(mixer[dst], hashmix(mixer[src]))
+    for word in entropy[SEED_POOL_WORDS:]:
+        for dst in range(SEED_POOL_WORDS):
+            mixer[dst] = mix(mixer[dst], hashmix(word))
+
+    hash_const = _INIT_B
+    state = []
+    for i in range(2 * SEED_POOL_WORDS):
+        value = mixer[i % SEED_POOL_WORDS] ^ hash_const
+        hash_const = (hash_const * _MULT_B) & _MASK32
+        value = value * hash_const
+        state.append((value ^ (value >> 16)).astype(np.uint64))
+    # the eight words pair up little-endian into four uint64 words, which
+    # PCG64 reads as its seed (high, low) and its increment (high, low)
+    state64 = np.stack([lo | (hi << 32)
+                        for lo, hi in zip(state[0::2], state[1::2])], axis=1)
+
+    bit_generator = np.random.PCG64(0)
+    gen = np.random.Generator(bit_generator)
+    out = np.empty((rows, count))
+    for row, (s_hi, s_lo, i_hi, i_lo) in zip(out, state64.tolist()):
+        inc = ((((i_hi << 64) | i_lo) << 1) | 1) & _MASK128
+        start = ((inc + ((s_hi << 64) | s_lo)) * _PCG_MULT + inc) & _MASK128
+        bit_generator.state = {"bit_generator": "PCG64",
+                               "state": {"state": start, "inc": inc},
+                               "has_uint32": 0, "uinteger": 0}
+        gen.standard_normal(out=row)
+    return out
+
+
 @dataclass(frozen=True)
 class PathLossModel:
     """Log-distance path loss: reference loss at 1 m, exponent, shadowing std (dB)."""

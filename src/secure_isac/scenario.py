@@ -20,7 +20,8 @@ from .belief import BeliefState, default_grid, uniform_prior
 from .channel import (C_LIGHT, STREAM_CSI_ERROR, STREAM_HN_NLOS,
                       STREAM_PAIR_SHADOW, STREAM_PLACEMENT, STREAM_SHADOW,
                       STREAM_WAYPOINT, PathLossModel, linear_gain, los_channel,
-                      noise_power, path_loss_db, rician_channel, substream)
+                      noise_power, path_loss_db, rician_channel, substream,
+                      substream_normals)
 from .config import RunConfig, ScenarioConfig
 from .followers import FeasibilitySpec, Role
 from .leader import Broadcast, LeaderKpis, LeaderState
@@ -243,22 +244,22 @@ def build_scenario(config: ScenarioConfig, seed: int) -> Scenario:
                           for _ in range(e)])
 
     k_lin = 10.0 ** (config.channel.rician_k_db / 10.0)
-    hn_shadow = np.array([substream(seed, STREAM_SHADOW, uid).standard_normal()
-                          for uid in range(k)])
+    shadow = substream_normals(
+        seed, np.stack([np.full(k + e, STREAM_SHADOW), np.arange(k + e)], axis=1), 1)[:, 0]
+    hn_shadow, eve_shadow = shadow[:k], shadow[k:]
     hn_gains = linear_gain(path_loss_db(
         pl_model, np.linalg.norm(hn_positions - bs_center, axis=-1), hn_shadow))
     hn_channels = rician_channel(
         k_lin, los_channel(bs_elements, hn_positions, hn_gains, lam),
         [substream(seed, STREAM_HN_NLOS, uid) for uid in range(k)])
 
-    eve_shadow = np.array([substream(seed, STREAM_SHADOW, k + j).standard_normal()
-                           for j in range(e)])
+    # one draw per unordered pair (i <= j), mirrored into the node block
+    row, col = np.triu_indices(k, m=k + e)
     pair_shadow = np.zeros((k, k + e))
-    for i in range(k):
-        for j in range(i, k + e):  # once per unordered pair; nodes mirrored
-            pair_shadow[i, j] = substream(seed, STREAM_PAIR_SHADOW, i, j).standard_normal()
-            if j < k:
-                pair_shadow[j, i] = pair_shadow[i, j]
+    pair_shadow[row, col] = substream_normals(
+        seed, np.stack([np.full(len(row), STREAM_PAIR_SHADOW), row, col], axis=1), 1)[:, 0]
+    nodes = col < k
+    pair_shadow[col[nodes], row[nodes]] = pair_shadow[row[nodes], col[nodes]]
 
     hn_norm2 = np.einsum("kn,kn->k", hn_channels.conj(), hn_channels).real
     hn_spec = ArraySpec.half_wavelength(config.hn.array_elements, lam)

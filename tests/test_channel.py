@@ -15,6 +15,7 @@ from secure_isac.channel import (
     path_loss_db,
     rician_channel,
     substream,
+    substream_normals,
 )
 
 C = 299792458.0
@@ -330,6 +331,11 @@ SEED_VALUES = st.one_of(st.sampled_from([0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 + 5
                         st.integers(0, 2 ** 70))
 KEY_VALUES = st.one_of(st.sampled_from([0, 2 ** 32 - 1, 2 ** 32 + 3]),
                        st.integers(0, 2 ** 40))
+# batches of one to six rows, each of the same one to three 32-bit keys
+KEY32_ROWS = st.integers(1, 3).flatmap(lambda width: st.lists(
+    st.lists(st.one_of(st.sampled_from([0, 2 ** 32 - 1]), st.integers(0, 2 ** 32 - 1)),
+             min_size=width, max_size=width),
+    min_size=1, max_size=6))
 
 
 class TestSubstream:
@@ -353,3 +359,23 @@ class TestSubstream:
             oracle_substream(*args)
         with pytest.raises(ValueError):
             substream(*args)
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=SEED_VALUES, keys=KEY32_ROWS, count=st.sampled_from([1, 32]))
+    def test_batched_normals_equal_substream_draws(self, seed, keys, count):
+        got = substream_normals(seed, keys, count)
+        assert got.shape == (len(keys), count)
+        for row, key in zip(got, keys):
+            assert row.tobytes() == substream(seed, *key).standard_normal(count).tobytes()
+            assert row.tobytes() == oracle_substream(seed, *key).standard_normal(count).tobytes()
+
+    def test_batched_normals_of_no_rows(self):
+        assert substream_normals(7, np.zeros((0, 2), dtype=int), 5).shape == (0, 5)
+        assert substream_normals(2 ** 40, [], 1).shape == (0, 1)
+
+    @pytest.mark.parametrize("seed, keys, bad", [
+        (-1, [[2, 3]], -1), (1, [[2, 3], [2, -4]], -4),
+        (1, [[2, 3], [2 ** 32, 0]], 2 ** 32), (1, [[2 ** 70, 1]], 2 ** 70)])
+    def test_batched_normals_reject_negative_seed_and_wide_keys(self, seed, keys, bad):
+        with pytest.raises(ValueError, match=f"got {bad}$"):
+            substream_normals(seed, keys, 1)

@@ -5,6 +5,8 @@ from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from secure_isac import engine, scenario as scenario_module
 from secure_isac.arrays import steering_vector
@@ -16,8 +18,9 @@ from secure_isac.link import an_projector, build_precoder
 from secure_isac.refinement import JammingBeam, aligned_beam, ray_aim
 from secure_isac.scenario import (World, _eve_los, _link_columns, bearing_deg, build_scenario,
                                   init_scenario, start_run)
-from test_channel import (assert_near_oracle, oracle_eve_channel, oracle_rician_channel,
-                          oracle_substream)
+from test_channel import (SEED_VALUES, assert_near_oracle, oracle_eve_channel,
+                          oracle_rician_channel, oracle_substream)
+from test_engine import reference_pair_shadow
 
 logging.disable(logging.WARNING)
 
@@ -535,6 +538,37 @@ def test_node_channels_equal_per_node_builds(seed):
         assert scenario.hn_norm2[uid].tobytes() == norm2.tobytes()
         assert scenario.hn_norm2[uid] == pytest.approx(np.linalg.norm(reference[uid]) ** 2,
                                                        rel=1e-13)
+
+
+@settings(max_examples=25, deadline=None)
+@given(k=st.integers(1, 40), e=st.integers(1, 10), seed=SEED_VALUES)
+def test_batched_shadows_equal_per_entity_draws(k, e, seed):
+    # the shadowing drawn in two batches is the draw each node, eavesdropper
+    # and pair gets from its own scalar substream
+    cfg = ScenarioConfig()
+    cfg.hn.count, cfg.eve.count = k, e
+    scn = build_scenario(cfg, seed)
+    assert np.array_equal(scn.pair_shadow, reference_pair_shadow(seed, k, e))
+    eve = [oracle_substream(seed, STREAM_SHADOW, k + j).standard_normal() for j in range(e)]
+    assert scn.eve_shadow.tobytes() == np.array(eve).tobytes()
+    for uid, row in enumerate(scn.hn_channels):   # the node shadow sets the gain
+        assert row.tobytes() == one_node_channel(scn, uid).tobytes()
+
+
+def test_setup_seeds_one_substream_per_node_plus_placement(monkeypatch):
+    # the shadows come in batches, so at the defaults (no CSI error, static
+    # eavesdroppers) only placement and each node's NLOS draw build a generator
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return substream(*args)
+
+    monkeypatch.setattr(scenario_module, "substream", counted)
+    cfg = ScenarioConfig()
+    assert cfg.channel.csi_error_frobenius == 0.0 and cfg.eve.mobility == "static"
+    build_scenario(cfg, 3)
+    assert len(calls) == cfg.hn.count + 1
 
 
 @pytest.mark.parametrize("xy,want", [((100.0, 0.0), 0.0), ((0.0, 40.0), 90.0),

@@ -121,9 +121,10 @@ SEEDERS = {"default_rng", "SeedSequence", "Generator", "BitGenerator", "PCG64",
 
 
 def test_only_substream_builds_generators():
-    # every draw comes from a keyed channel.substream, so no other code seeds,
-    # builds or wraps a generator or a bit generator
-    calls = []
+    # every draw comes from a keyed channel.substream or channel.substream_normals,
+    # so no other code seeds, builds or wraps a generator or a bit generator,
+    # and only substream_normals sets a bit generator's state
+    calls, state_sets = [], []
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(), str(path))
         homes = {id(node): top.name for top in tree.body
@@ -131,7 +132,12 @@ def test_only_substream_builds_generators():
         calls += [(path.name, homes.get(id(node)), node.lineno)
                   for node in ast.walk(tree) if isinstance(node, ast.Call)
                   and getattr(node.func, "id", getattr(node.func, "attr", None)) in SEEDERS]
-    assert {(module, home) for module, home, _ in calls} == {("channel.py", "substream")}
+        state_sets += [(path.name, homes.get(id(node))) for node in ast.walk(tree)
+                       if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                       and node.attr == "state"]
+    assert {(module, home) for module, home, _ in calls} == {
+        ("channel.py", "substream"), ("channel.py", "substream_normals")}
+    assert set(state_sets) == {("channel.py", "substream_normals")}
 
 
 def _einsums(node):
