@@ -10,6 +10,8 @@ moved columns with their largest relative change |new - old| / max(|old|,
 
     PYTHONPATH=src python scripts/repin_digests.py            # report only
     PYTHONPATH=src python scripts/repin_digests.py --write    # re-pin
+
+The report exits 1 when any pin moved and 0 when none did; --write exits 0.
 """
 
 import argparse
@@ -83,7 +85,7 @@ def main() -> int:
                 if new_pin != pin:
                     _repin(module, key, new_pin)
     print(f"\n{moved} pins moved" + (", rewritten" if args.write and moved else ""))
-    return 0
+    return 1 if moved and not args.write else 0
 
 
 if __name__ == "__main__":

@@ -27,13 +27,6 @@ TRACE_COLUMNS = [
     "refine_iters", "jam_power_w",
 ]
 
-SUMMARY_COLUMNS = [
-    "strategy", "slots", "replications", "seed", "r_mean_avg", "r_min_avg",
-    "outage_avg", "see_avg", "secrecy_sum_avg", "bs_power_dbm_avg",
-    "hn_power_avg_w", "gne_iters_avg", "gne_converged_frac",
-    "entropy_final_bits", "slot_power_avg_w",
-]
-
 EMIT_CHOICES = ("trace", "summary", "beliefs", "beampattern", "field")
 
 
@@ -58,12 +51,16 @@ def write_trace(trace, path: str) -> None:
 
 
 def write_summary(summaries, path: str) -> None:
-    """One table row per run (five rows under --compare)."""
+    """One table row per run (five rows under --compare), the columns in the
+    first summary's key order; every summary must have the same keys."""
     rows = summaries if isinstance(summaries, list) else [summaries]
+    columns = list(rows[0])
+    if any(summary.keys() != rows[0].keys() for summary in rows):
+        raise ValueError("summaries with different keys")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\t".join(SUMMARY_COLUMNS) + "\n")
+        fh.write("\t".join(columns) + "\n")
         for summary in rows:
-            fh.write("\t".join(_fmt(summary[c]) for c in SUMMARY_COLUMNS) + "\n")
+            fh.write("\t".join(_fmt(summary[c]) for c in columns) + "\n")
 
 
 def _write_rows(path: str, header: str, rows) -> None:

@@ -135,16 +135,6 @@ def _score_grid(nodes: list, powers: np.ndarray, broadcast: Broadcast,
             scored.feasible.reshape(n, g))
 
 
-def candidate_utilities(nodes: list, powers: np.ndarray, broadcast: Broadcast,
-                        ctx: SlotContext, spec: FeasibilitySpec, roles: dict,
-                        eta: float, cost: float):
-    """Utilities and feasibility, each (N, G), over spec.grid for every node
-    id in `nodes`, the others fixed: the priced utility and feasible at every
-    grid power, scored as one block. Infeasible candidates score -inf."""
-    values, feas = _score_grid(nodes, powers, broadcast, ctx, spec, roles, eta, cost)
-    return np.where(feas, values, -np.inf), feas
-
-
 def best_response(nodes: list, powers: np.ndarray, broadcast: Broadcast,
                   ctx: SlotContext, spec: FeasibilitySpec, roles: dict, eta: float,
                   cost: float):
@@ -155,11 +145,11 @@ def best_response(nodes: list, powers: np.ndarray, broadcast: Broadcast,
     node with an empty feasible set falls back to zero power and is marked in
     `empty`. Nothing is logged: a sweep logs only the picks it accepts.
     """
-    values, feas = candidate_utilities(nodes, powers, broadcast, ctx, spec, roles,
-                                       eta, cost)
+    values, feas = _score_grid(nodes, powers, broadcast, ctx, spec, roles, eta, cost)
     empty = ~feas.any(axis=1)
-    # argmax takes the first (lowest) tie
-    return np.where(empty, 0.0, spec.grid[np.argmax(values, axis=1)]), empty
+    # argmax takes the first (lowest) tie among the feasible candidates
+    best = np.argmax(np.where(feas, values, -np.inf), axis=1)
+    return np.where(empty, 0.0, spec.grid[best]), empty
 
 
 def sweep_best_responses(nodes, powers: np.ndarray, respond, max_sweeps: int):

@@ -10,7 +10,7 @@ starting point.
 """
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -99,14 +99,6 @@ def protective_nulls(nodes, served, positions: np.ndarray, spec: ArraySpec) -> n
     return served[np.argsort(distance, axis=1, kind="stable")[:, : spec.num_elements - 1]]
 
 
-def shaping_energy(field_w: np.ndarray, posterior_probs: np.ndarray) -> float:
-    """Posterior-weighted jamming energy: inner product of belief and field."""
-    if field_w.shape != posterior_probs.shape:
-        raise ValueError(f"grid mismatch: field {field_w.shape} vs "
-                         f"posterior {posterior_probs.shape}")
-    return float(np.einsum("g,g->", posterior_probs, field_w))
-
-
 def jamming_field(powers: np.ndarray, members: list, gain_rows: dict) -> np.ndarray:
     """The members' jamming field over the bearing grid: their gain rows
     weighted by their powers and summed."""
@@ -180,7 +172,7 @@ def synthesize_field(coalitions, beams_of) -> FieldSynthesis:
 
 
 def coalition_refine(coalition: Coalition, powers: np.ndarray, ctx: SlotContext,
-                     spec: FeasibilitySpec, j_min: float, field_gains: dict,
+                     spec: FeasibilitySpec, j_min_fraction: float, field_gains: dict,
                      posterior_probs: np.ndarray, rate_floor: float,
                      power_penalty_per_w: float) -> np.ndarray:
     """Re-optimize coalition member powers for aggregate served secrecy.
@@ -188,9 +180,11 @@ def coalition_refine(coalition: Coalition, powers: np.ndarray, ctx: SlotContext,
     Members move on spec.grid subject to the box, aggregate budget and
     per-victim leakage cap of `spec`, the served-rate floor rate_floor (none
     where it is 0; refinement_loop lowers it to the start's lowest rate), and
-    the posterior-weighted shaping bound. A small per-watt penalty suppresses
-    redundant or low-impact jammers, which also preserves the shared budget
-    for coalitions facing stronger adversaries. Coalitions of one or two
+    the shaping bound: the members' powers, weighted by the posterior
+    expectation of their gain rows, sum to at least j_min_fraction of their
+    sum at the start powers. A small per-watt penalty suppresses redundant or
+    low-impact jammers, which also preserves the shared budget for
+    coalitions facing stronger adversaries. Coalitions of one or two
     members are solved exactly by enumeration; larger ones by coordinate
     ascent in the power game's block sweeps (followers.sweep_best_responses),
     at most MAX_ROUNDS sweeps. Both take one pick rule (_pick): members keep
@@ -207,6 +201,7 @@ def coalition_refine(coalition: Coalition, powers: np.ndarray, ctx: SlotContext,
     # einsum, not BLAS: a member's shaping test must score the same in any
     # block and at any thread count
     shaping_weights = np.einsum("cg,g->c", gains_matrix, posterior_probs)   # (|C|,)
+    j_min = j_min_fraction * np.einsum("c,c->", powers[ids], shaping_weights)
     grid = spec.grid
 
     def score(moved, values):
@@ -260,7 +255,7 @@ class RefinementResult:
     coalitions: list
     iterations: int
     ctx: SlotContext        # context of the accepted beams (the input if none)
-    improvements: list = field(default_factory=list)
+    improvements: list
 
 
 def refinement_loop(coalitions, posterior: np.ndarray, powers: np.ndarray,
@@ -279,17 +274,23 @@ def refinement_loop(coalitions, posterior: np.ndarray, powers: np.ndarray,
     synthesize_field).
     context_builder(beams) must return a SlotContext with jamming rows
     re-evaluated for the given per-node transmit patterns; the result carries
-    the context of the accepted beams.
+    the context of the accepted beams. With no iteration accepted, the result
+    is the start powers under the input context, with no beams, coalitions or
+    field.
     """
     if delta_stop <= 0:
         raise ValueError("delta_stop must be > 0")
     powers = np.array(powers, dtype=float)
+
+    def unrefined(iterations):
+        return RefinementResult(powers, {}, np.zeros(posterior.shape[0]), [], iterations,
+                                ctx, [])
+
+    if not coalitions:
+        return unrefined(0)
     base_rates = ctx.rates(powers)
     best_sum = float(base_rates.sum())
     min_floor = min(rate_floor, float(base_rates.min())) if base_rates.size else 0.0
-    best = RefinementResult(powers.copy(), {}, np.zeros(posterior.shape[0]), [], 0, ctx)
-    if not coalitions:
-        return best
     # the beams do not depend on the powers, so one synthesis serves every
     # iteration
     synth = synthesize_field(coalitions, beams_of)
@@ -298,18 +299,14 @@ def refinement_loop(coalitions, posterior: np.ndarray, powers: np.ndarray,
     iterations = 0
     # the served rates of `powers` under the new beams
     rates = trial_ctx.rates(powers)
-    for _ in range(max_iters):
-        iterations += 1
-        trial_powers, trial_rates = powers.copy(), rates
+    for iterations in range(1, max_iters + 1):
+        trial_powers, trial_rates = powers, rates
         for coalition in coalitions:
-            baseline = shaping_energy(
-                jamming_field(trial_powers, coalition.member_ids, synth.gain_rows),
-                posterior)
             # the floor, lowered to the start's lowest rate, keeps the
             # start feasible
             refined = coalition_refine(
-                coalition, trial_powers, trial_ctx, spec,
-                j_min_fraction * baseline, synth.gain_rows, posterior,
+                coalition, trial_powers, trial_ctx, spec, j_min_fraction,
+                synth.gain_rows, posterior,
                 rate_floor=(min(rate_floor, float(trial_rates.min()))
                             if trial_rates.size else 0.0),
                 power_penalty_per_w=power_penalty_per_w)
@@ -327,14 +324,13 @@ def refinement_loop(coalitions, posterior: np.ndarray, powers: np.ndarray,
                 or (new_rates.size and new_rates.min() < min_floor - 1e-12)):
             break  # rejected: keep the best accepted state
         powers, rates = trial_powers, new_rates
-        field_w = jamming_field(powers, [j for c in coalitions for j in c.member_ids],
-                                synth.gain_rows)
-        best = RefinementResult(powers.copy(), synth.beams, field_w, coalitions,
-                                iterations, trial_ctx)
         improvements.append(delta)
         best_sum = new_sum
         if delta < delta_stop:
             break
-    best.improvements = improvements
-    best.iterations = iterations
-    return best
+    if not improvements:
+        return unrefined(iterations)
+    members = [j for c in coalitions for j in c.member_ids]
+    return RefinementResult(powers, synth.beams,
+                            jamming_field(powers, members, synth.gain_rows), coalitions,
+                            iterations, trial_ctx, improvements)

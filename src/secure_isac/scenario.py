@@ -1,10 +1,10 @@
 """The per-seed Scenario and the per-run World over it.
 
 A Scenario is what (config, seed) fixes: placements, channels, the node link
-tables, the served-set ranking, each served set's precoder and base-station
-terms, the belief grid, the eavesdroppers' positions in every slot (and their
-LOS channels when they stand still), and the refinement's jamming geometry,
-since no decision moves them. It is frozen and its arrays are read-only, so
+tables, the served-set ranking, each served set's base-station terms, the
+belief grid, the eavesdroppers' positions in every slot (and their LOS
+channels when they stand still), and the refinement's jamming beams, since no
+decision moves them. It is frozen and its arrays are read-only, so
 many runs (every strategy of a comparison) can share one, and a waypoint walk
 runs once per scenario. A World is one run's decision state: the (E, G) bearing posterior,
 leader, roles, powers, beams.
@@ -25,19 +25,17 @@ from .channel import (C_LIGHT, STREAM_CSI_ERROR, STREAM_HN_NLOS,
 from .config import RunConfig, ScenarioConfig
 from .followers import FeasibilitySpec, Role
 from .leader import Broadcast, LeaderKpis, LeaderState
-from .link import (PrecoderSet, an_projector, an_residual, build_precoder,
-                   served_coupling)
+from .link import an_projector, an_residual, build_precoder, served_coupling
 from .refinement import aligned_beam, protective_nulls, ray_aim
 
 
 class ServedTerms(NamedTuple):
-    """A served set's base-station terms, fixed by the scenario: the
-    precoder, the AN basis, and at each served node (stream order) the
-    coupling to its own stream, the summed coupling to the other streams
-    (link.served_coupling) and the AN residual (link.an_residual) of its
+    """A served set's base-station terms, fixed by the scenario: the AN
+    basis, and at each served node (stream order) the coupling to its own
+    stream, the summed coupling to the other streams (link.served_coupling,
+    under the set's precoder) and the AN residual (link.an_residual) of its
     true channel. A slot scales them by its stream and AN powers."""
 
-    precoder: PrecoderSet
     basis: np.ndarray       # (N, U)
     own: np.ndarray         # (U,)
     cross: np.ndarray       # (U,)
@@ -82,8 +80,8 @@ class Scenario:
     # the waypoint walk: the positions of the slots walked so far, and the
     # generator that walks on
     walk_cache: dict = field(default_factory=dict)
-    # the refinement's jamming geometry, a pure function of each key: ray
-    # aims by (node, peak) and beams by (node, peak, protected node ids)
+    # the refinement's jamming beams by (node, peak, protected node ids), a
+    # pure function of each key
     geometry_cache: dict = field(default_factory=dict)
 
     def eve_positions(self, slot: int) -> np.ndarray:
@@ -111,43 +109,30 @@ class Scenario:
         return _victim_links(self.hn_positions, self.eve_positions(slot), self.pair_shadow,
                              self.pl_model, self.hn_spec, self.link_gain, self.link_steer)
 
-    def _geometry(self, keys: list, build) -> list:
-        """The geometry cache's values at `keys`; build(misses) returns the
-        values of the distinct keys not yet cached, built in one call."""
-        misses = [key for key in dict.fromkeys(keys) if key not in self.geometry_cache]
-        if misses:
-            self.geometry_cache.update(zip(misses, build(misses)))
-        return [self.geometry_cache[key] for key in keys]
-
     def jamming_beams(self, nodes: list, peaks_deg: list, served: tuple) -> list:
         """refinement.aligned_beam of each node at its ray aim toward its
         posterior peak bearing (refinement.ray_aim), with nulls toward the
         served nodes it protects (refinement.protective_nulls) and its gain
-        row over the belief grid; cached, its arrays read-only. The null
-        steering is the node's row of link_steer at the protected nodes."""
-        cfg = self.config
-
-        def build_aims(misses):
-            return ray_aim(self.hn_positions[[node for _, node, _ in misses]],
-                           [peak for _, _, peak in misses], self.hn_spec,
-                           (cfg.run.min_node_distance_m, cfg.run.cell_radius_m),
-                           cfg.eve.height_m, cfg.channel.path_loss_exponent).tolist()
-
-        def build(misses):
-            rows = [node for _, node, _, _ in misses]
-            aims = self._geometry([("aim", node, peak) for _, node, peak, _ in misses],
-                                  build_aims)
+        row over the belief grid; cached by (node, peak, protected node ids),
+        its arrays read-only. The distinct keys not yet cached are built in
+        one ray_aim call and one aligned_beam call; the null steering is the
+        node's row of link_steer at the protected nodes."""
+        protected = protective_nulls(nodes, served, self.hn_positions, self.hn_spec).tolist()
+        keys = [(u, p, tuple(ids)) for u, p, ids in zip(nodes, peaks_deg, protected)]
+        misses = [key for key in dict.fromkeys(keys) if key not in self.geometry_cache]
+        if misses:
+            cfg, rows = self.config, [node for node, _, _ in misses]
+            aims = ray_aim(self.hn_positions[rows], [peak for _, peak, _ in misses],
+                           self.hn_spec, (cfg.run.min_node_distance_m, cfg.run.cell_radius_m),
+                           cfg.eve.height_m, cfg.channel.path_loss_exponent)
             null_steering = self.link_steer[np.array(rows)[:, None],
                                             np.array([ids for *_, ids in misses], dtype=int)]
             beams = aligned_beam(aims, null_steering, self.hn_spec, self.grid_steer_conj)
             for beam in beams:
                 beam.weights.setflags(write=False)
                 beam.gain_row.setflags(write=False)
-            return beams
-
-        protected = protective_nulls(nodes, served, self.hn_positions, self.hn_spec).tolist()
-        return self._geometry([("beam", u, p, tuple(ids))
-                               for u, p, ids in zip(nodes, peaks_deg, protected)], build)
+            self.geometry_cache.update(zip(misses, beams))
+        return [self.geometry_cache[key] for key in keys]
 
     def eve_los(self, slot: int) -> np.ndarray:
         """LOS channels (E, N) from the base station to the eavesdroppers in
@@ -168,9 +153,9 @@ class Scenario:
             channels = self.hn_channels[list(served)]
             prec = build_precoder(estimates, self.config.bs.num_rf, self.config.bs.rzf_reg)
             basis = an_projector(estimates, num_antennas=self.config.bs.antennas)
-            terms = ServedTerms(prec, basis, *served_coupling(channels, prec.beams),
+            terms = ServedTerms(basis, *served_coupling(channels, prec.beams),
                                 an_residual(channels, basis))
-            for arr in (prec.analog, prec.digital, prec.beams, *terms[1:]):
+            for arr in terms:
                 arr.setflags(write=False)     # shared by every run
             self.precoder_cache[served] = terms
         return self.precoder_cache[served]

@@ -15,6 +15,7 @@ from secure_isac.cli import (
     build_manifest,
     emit_plot_data,
     main,
+    write_summary,
     write_trace,
 )
 from secure_isac.config import (
@@ -317,6 +318,21 @@ class TestCliRun:
         assert len(lines) == 6  # header + five strategies
         strategies = [line.split("\t")[0] for line in lines[1:]]
         assert strategies == [s.value for s in StrategyId]
+
+    def test_summary_header_is_the_summary_keys(self, tmp_path):
+        cfg = ScenarioConfig()
+        cfg.run.slots = 2
+        summary = run_simulation(cfg, StrategyId.BASELINE).summary
+        path = tmp_path / "summary.tsv"
+        write_summary([summary, summary], str(path))
+        header, *rows = path.read_text().splitlines()
+        assert header.split("\t") == list(summary)
+        assert [row.split("\t")[:2] for row in rows] == [["baseline", "2"]] * 2
+        # every row must have the header's keys, no more and no fewer
+        fewer = {key: value for key, value in summary.items() if key != "seed"}
+        for other in ({**summary, "extra": 1.0}, fewer):
+            with pytest.raises(ValueError):
+                write_summary([summary, other], str(path))
 
     def test_validation_error_exit_code(self, tmp_path):
         cfg = tmp_path / "bad.ini"

@@ -29,6 +29,7 @@ from secure_isac.engine import (
 )
 from secure_isac.followers import Role
 from secure_isac.leader import Broadcast, LeaderState, leader_step
+from secure_isac.link import build_precoder
 from secure_isac.refinement import ray_aim
 from secure_isac.scenario import Scenario, _draw_sector_position, _eve_los, build_scenario
 from test_channel import assert_near_oracle, oracle_eve_channel
@@ -319,8 +320,9 @@ def reference_pattern_table(link_steer, beams):
 def reference_stream_powers(world, p_stream, served):
     """Desired and inter-stream power at each served node, one node at a time
     through a BLAS product."""
-    scn, rx = world.scenario, world.config.hn.array_elements
-    prec = scn.precoder(tuple(served)).precoder
+    scn, cfg = world.scenario, world.config
+    rx = cfg.hn.array_elements
+    prec = build_precoder(scn.hn_estimates[list(served)], cfg.bs.num_rf, cfg.bs.rzf_reg)
     sig, isi = np.zeros(len(served)), np.zeros(len(served))
     for idx, u in enumerate(served):
         beam_gain = np.abs(np.conj(scn.hn_channels[u]) @ prec.beams) ** 2

@@ -12,8 +12,8 @@ from secure_isac.followers import (
     FEAS_TOL,
     FeasibilitySpec,
     Role,
+    _score_grid,
     best_response,
-    candidate_utilities,
     equilibrium_gap,
     gne_solve,
     role_switch,
@@ -423,10 +423,9 @@ class TestRoleSwitch:
 
 
 class TestVectorizedEquivalence:
-    def test_candidate_utilities_match_scalar_reference(self):
+    def test_grid_scores_match_scalar_reference(self):
         # the vectorized grid evaluation must reproduce the scalar utility and
         # feasibility pointwise on randomized instances
-        from secure_isac.followers import candidate_utilities
         rng = np.random.default_rng(21)
         for trial in range(30):
             k, e_count, u_count = 4, 2, 2
@@ -451,8 +450,8 @@ class TestVectorizedEquivalence:
             powers = rng.uniform(0, 1.0, k)
             grid = spec.grid
             for u in range(k):
-                (values,), (feas,) = candidate_utilities([u], powers, BC, ctx, spec, roles,
-                                                         ETA, costs[u])
+                (values,), (feas,) = _score_grid([u], powers, BC, ctx, spec, roles, ETA,
+                                                 costs[u])
                 for gi, g in enumerate(grid):
                     trial_p = powers.copy()
                     trial_p[u] = g
@@ -685,12 +684,12 @@ class TestBlockScorerOnDefaultSlots:
             grid = spec.grid
             for powers in (start, eq):
                 for u in range(len(powers)):
-                    (values,), (feas,) = candidate_utilities([u], powers, bc, ctx, spec,
-                                                             roles, eta, cost)
+                    (values,), (feas,) = _score_grid([u], powers, bc, ctx, spec, roles,
+                                                     eta, cost)
                     want, want_feas = reference_candidates(u, powers, grid, bc, ctx,
                                                            spec, roles, eta, cost)
                     assert np.array_equal(feas, want_feas)
-                    assert np.array_equal(values, np.where(want_feas, want, -np.inf))
+                    assert np.array_equal(values, want)
 
     def test_gap_equals_per_node_reference(self, default_games):
         for roles, _, bc, ctx, spec, eta, cost, eq in default_games:
@@ -710,9 +709,8 @@ def assert_kappa_free(roles, powers, bc, ctx, spec, eta, cost, kappa):
     bitwise equal."""
     other = dataclasses.replace(bc, kappa=kappa)
     nodes = list(range(len(powers)))
-    values, feas = candidate_utilities(nodes, powers, bc, ctx, spec, roles, eta, cost)
-    values_k, feas_k = candidate_utilities(nodes, powers, other, ctx, spec, roles, eta,
-                                           cost)
+    values, feas = _score_grid(nodes, powers, bc, ctx, spec, roles, eta, cost)
+    values_k, feas_k = _score_grid(nodes, powers, other, ctx, spec, roles, eta, cost)
     assert np.array_equal(feas, feas_k)
     assert values.tobytes() == values_k.tobytes()
     gap = equilibrium_gap(powers, bc, ctx, spec, roles, eta, cost, nodes)

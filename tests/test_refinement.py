@@ -16,7 +16,6 @@ from secure_isac.refinement import (
     form_coalitions,
     posterior_peaks,
     refinement_loop,
-    shaping_energy,
     synthesize_field,
 )
 
@@ -151,26 +150,6 @@ class TestPosteriorPeaks:
                     == reference_peaks(probs, GRID, 2 / 181))
 
 
-class TestShaping:
-    def test_uniform_posterior_gives_mean(self):
-        field = np.linspace(0, 1, 181)
-        post = np.full(181, 1 / 181)
-        assert shaping_energy(field, post) == pytest.approx(field.mean())
-
-    def test_delta_posterior_picks_value(self):
-        field = np.linspace(0, 1, 181)
-        post = np.zeros(181)
-        post[60] = 1.0
-        assert shaping_energy(field, post) == pytest.approx(field[60])
-
-    def test_zero_field(self):
-        assert shaping_energy(np.zeros(181), np.full(181, 1 / 181)) == 0.0
-
-    def test_grid_mismatch(self):
-        with pytest.raises(ValueError):
-            shaping_energy(np.zeros(180), np.full(181, 1 / 181))
-
-
 def refine_ctx(jam_to_eve, jam_to_thn):
     return SlotContext(
         served=[0],
@@ -197,7 +176,7 @@ class TestCoalitionRefine:
         powers = coalition_refine(
             Coalition([1], 0.0), np.array([0.0, 1.5]), ctx,
             FeasibilitySpec(p_max=1.5, p_fj_max=10.0, xi_max=1.0, grid_points=21),
-            j_min=0.0, field_gains=FLAT_GAINS, posterior_probs=UNIFORM_POST,
+            j_min_fraction=0.0, field_gains=FLAT_GAINS, posterior_probs=UNIFORM_POST,
             rate_floor=0.0, power_penalty_per_w=1e-3)
         assert powers[1] == 0.0
 
@@ -207,7 +186,7 @@ class TestCoalitionRefine:
         powers = coalition_refine(
             Coalition([1], 0.0), np.array([0.0, 0.0]), ctx,
             FeasibilitySpec(p_max=1.5, p_fj_max=10.0, xi_max=1.0, grid_points=21),
-            j_min=0.0, field_gains=FLAT_GAINS, posterior_probs=UNIFORM_POST,
+            j_min_fraction=0.0, field_gains=FLAT_GAINS, posterior_probs=UNIFORM_POST,
             rate_floor=0.0, power_penalty_per_w=1e-3)
         assert powers[1] == pytest.approx(1.5)
 
@@ -225,7 +204,7 @@ class TestCoalitionRefine:
             got = coalition_refine(
                 Coalition([1, 2], 0.0), start, ctx,
                 FeasibilitySpec(p_max=1.5, p_fj_max=fj, xi_max=xi_max, grid_points=11),
-                j_min=0.0, field_gains=FLAT_GAINS, posterior_probs=UNIFORM_POST,
+                j_min_fraction=0.0, field_gains=FLAT_GAINS, posterior_probs=UNIFORM_POST,
                 rate_floor=0.0, power_penalty_per_w=1e-3)
             # independent enumeration of the constrained objective; ties
             # within 1e-9 resolve to the lowest combo in ascending order
@@ -248,16 +227,6 @@ class TestCoalitionRefine:
             assert got[1] == pytest.approx(best_combo[0], abs=1e-15)
             assert got[2] == pytest.approx(best_combo[1], abs=1e-15)
 
-    def test_unreachable_shaping_relaxes_and_flags(self):
-        # no grid power meets the shaping bound, so the bound is dropped and
-        # the unopposed jammer goes to max as if it were absent
-        ctx = refine_ctx(jam_to_eve=[[0.0], [1e-10]], jam_to_thn=[[0.0], [0.0]])
-        powers = coalition_refine(
-            Coalition([1], 0.0), np.array([0.0, 0.0]), ctx,
-            FeasibilitySpec(p_max=1.5, p_fj_max=10.0, xi_max=1.0, grid_points=21),
-            j_min=1e9, field_gains=FLAT_GAINS, posterior_probs=UNIFORM_POST,
-            rate_floor=0.0, power_penalty_per_w=1e-3)
-        assert powers[1] == 1.5
 
     @pytest.mark.parametrize("members", [[1], [1, 2]])
     def test_no_feasible_combination_keeps_start(self, members):
@@ -269,9 +238,53 @@ class TestCoalitionRefine:
         powers = coalition_refine(
             Coalition(members, 0.0), start, ctx,
             FeasibilitySpec(p_max=1.5, p_fj_max=1.0, xi_max=1.0, grid_points=21),
-            j_min=0.0, field_gains=FLAT_GAINS, posterior_probs=UNIFORM_POST,
+            j_min_fraction=0.0, field_gains=FLAT_GAINS, posterior_probs=UNIFORM_POST,
             rate_floor=0.0, power_penalty_per_w=1e-3)
         assert np.array_equal(powers, start)
+
+
+class TestShapingThreshold:
+    """The shaping bound is j_min_fraction of the members' posterior-weighted
+    jamming energy at the start powers."""
+
+    SPEC = FeasibilitySpec(p_max=1.5, p_fj_max=10.0, xi_max=1.0, grid_points=21)
+    # leakage dominates suppression: unshaped, every member goes silent
+    HARMFUL = refine_ctx(jam_to_eve=[[0.0], [1e-15], [1e-15]],
+                         jam_to_thn=[[0.0], [1e-11], [1e-11]])
+    # no leakage, positive suppression: unshaped, every member goes to max
+    NULLED = refine_ctx(jam_to_eve=[[0.0], [1e-10], [1e-10]], jam_to_thn=np.zeros((3, 1)))
+
+    def refine(self, ctx, members, start, fraction):
+        return coalition_refine(
+            Coalition(members, 0.0), np.array(start), ctx, self.SPEC,
+            j_min_fraction=fraction, field_gains=FLAT_GAINS, posterior_probs=UNIFORM_POST,
+            rate_floor=0.0, power_penalty_per_w=1e-3)
+
+    @pytest.mark.parametrize("members", [[1], [1, 2]])
+    def test_zero_fraction_never_constrains(self, members):
+        # from full power the harmful members go silent at fraction 0; at
+        # fraction 1 the bound holds them at the start's energy
+        start = [0.0, 1.5, 1.5]
+        assert self.refine(self.HARMFUL, members, start, 0.0)[members].tolist() == (
+            [0.0] * len(members))
+        assert self.refine(self.HARMFUL, members, start, 1.0)[members].tolist() == (
+            [1.5] * len(members))
+
+    @pytest.mark.parametrize("members", [[1], [1, 2]])
+    def test_unreachable_fraction_falls_back_to_best_feasible(self, members):
+        # no grid power reaches 1e9 times the start's energy, so the bound is
+        # dropped: the nulled members go to max, and the harmful ones go
+        # silent from a start above zero
+        start = [0.0, 0.3, 0.3]
+        assert self.refine(self.NULLED, members, start, 1e9)[members].tolist() == (
+            [1.5] * len(members))
+        assert self.refine(self.HARMFUL, members, start, 1e9)[members].tolist() == (
+            [0.0] * len(members))
+
+    def test_bound_scales_with_the_start_energy(self):
+        # at fraction 0.5 from 1.2 W the bound is 0.6 W of flat gain: the
+        # harmful member stops at the lowest grid power meeting it
+        assert self.refine(self.HARMFUL, [1], [0.0, 1.2, 0.0], 0.5)[1] == 0.6
 
 
 def reference_pick(rows, ok, objective, shaped, current):
@@ -344,8 +357,8 @@ class TestPick:
                                                current[i])
 
 
-def reference_ascent(coalition, powers, ctx, spec, j_min, field_gains, posterior_probs,
-                     rate_floor=0.0, power_penalty_per_w=1e-3):
+def reference_ascent(coalition, powers, ctx, spec, j_min_fraction, field_gains,
+                     posterior_probs, rate_floor=0.0, power_penalty_per_w=1e-3):
     """The per-member coordinate ascent the block sweeps replaced, for
     coalitions of three or more: every member scored alone, at its turn, in
     every round, with the same einsum shaping test and the enumeration's pick
@@ -354,6 +367,7 @@ def reference_ascent(coalition, powers, ctx, spec, j_min, field_gains, posterior
     powers = np.array(powers, dtype=float)
     gains_matrix = np.stack([field_gains[j] for j in ids])
     shaping_weights = np.einsum("cg,g->c", gains_matrix, posterior_probs)
+    j_min = j_min_fraction * np.einsum("c,c->", powers[ids], shaping_weights)
     grid = np.linspace(0.0, spec.p_max, spec.grid_points)
 
     def score(trial):
@@ -394,7 +408,7 @@ def reference_ascent(coalition, powers, ctx, spec, j_min, field_gains, posterior
 def coalition_games(draw):
     """A coalition of 3-8 jammers in random order among served and idle
     nodes, with random gains, field rows, posterior, caps, rate floor,
-    shaping bound and start powers (on or off the grid)."""
+    shaping fraction and start powers (on or off the grid)."""
     unit = st.floats(0.0, 1.0)
 
     def arr(shape, scale):
@@ -431,11 +445,9 @@ def coalition_games(draw):
     floor = min(draw(st.sampled_from([0.0, 0.5, 5.0])), float(ctx.rates(powers).min()))
     kw = {"rate_floor": floor, "power_penalty_per_w": 1e-3}
     posterior /= posterior.sum()
-    # the shaping bound as a fraction of the start's shaping energy, as the
-    # refinement loop sets it
-    energy = sum(powers[j] * gains[j] for j in members) @ posterior
-    return (Coalition(members, 0.0), powers, ctx, spec,
-            draw(st.floats(0.0, 2.0)) * energy, gains, posterior), kw
+    # the shaping bound's fraction of the start's shaping energy
+    return (Coalition(members, 0.0), powers, ctx, spec, draw(st.floats(0.0, 2.0)),
+            gains, posterior), kw
 
 
 class TestCoalitionBlockSweeps:

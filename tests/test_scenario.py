@@ -15,7 +15,7 @@ from secure_isac.channel import (STREAM_EVE_NLOS, STREAM_HN_NLOS, STREAM_SHADOW,
                                   los_channel, path_loss_db, rician_channel, substream)
 from secure_isac.config import ScenarioConfig, StrategyId, serialize_config
 from secure_isac.link import an_projector, build_precoder
-from secure_isac.refinement import JammingBeam, aligned_beam, ray_aim
+from secure_isac.refinement import JammingBeam, aligned_beam, protective_nulls, ray_aim
 from secure_isac.scenario import (World, _eve_los, _link_columns, bearing_deg, build_scenario,
                                   init_scenario, start_run)
 from test_channel import (SEED_VALUES, assert_near_oracle, oracle_eve_channel,
@@ -154,8 +154,8 @@ def reference_eve_los(scn, slot):
 
 
 def reference_served_terms(scn, served):
-    """A served set's precoder, AN basis, own and cross coupling and AN
-    residual, built afresh with the coupling and residual written out."""
+    """A served set's AN basis, own and cross coupling and AN residual,
+    built afresh with the coupling and residual written out."""
     cfg, ids = scn.config, list(served)
     prec = build_precoder(scn.hn_estimates[ids], cfg.bs.num_rf, cfg.bs.rzf_reg)
     basis = an_projector(scn.hn_estimates[ids], num_antennas=cfg.bs.antennas)
@@ -165,7 +165,7 @@ def reference_served_terms(scn, served):
     total = np.einsum("...n,...n->...", h.conj(), h).real
     coeffs = np.einsum("nu,...n->...u", basis.conj(), h)
     captured = np.einsum("...u,...u->...", coeffs.conj(), coeffs).real
-    return (prec, basis, coupling.diagonal(), coupling.sum(axis=1) - coupling.diagonal(),
+    return (basis, coupling.diagonal(), coupling.sum(axis=1) - coupling.diagonal(),
             np.maximum(0.0, total - captured))
 
 
@@ -199,8 +199,7 @@ class TestFrozenScenario:
         assert after == before
         assert scenario.precoder_cache
         for terms in scenario.precoder_cache.values():
-            for arr in (terms.precoder.beams, terms.basis, terms.own, terms.cross,
-                        terms.residual):
+            for arr in terms:
                 assert not arr.flags.writeable
         assert serialize_config(scenario.config) == config_text
         fresh = [run(init_scenario(cfg, 1), strategy) for _ in range(2)]
@@ -212,17 +211,14 @@ class TestFrozenScenario:
         run(start_run(scenario), StrategyId.IBEAMS)
         fresh = steering_vector(scenario.hn_spec, np.radians(default_grid(cfg.belief.grid_size)))
         assert scenario.grid_steer_conj.tobytes() == fresh.conj().tobytes()
-        kinds = {}
-        for (kind, *key), value in scenario.geometry_cache.items():
-            kinds[kind] = kinds.get(kind, 0) + 1
-            if kind == "aim":
-                node, peak = key
-                assert type(value) is float
-                assert value == reference_aim(scenario, node, peak)
-            else:
-                assert kind == "beam"
-                assert_beam_equals_reference(value, scenario, *key)
-        assert set(kinds) == {"aim", "beam"}
+        assert scenario.geometry_cache
+        # one key kind: (node, peak, the protected node ids, nearest first)
+        for key, value in scenario.geometry_cache.items():
+            node, peak, protected = key
+            assert (type(node), type(peak), type(protected)) == (int, float, tuple)
+            assert list(protected) == protective_nulls([node], protected, scenario.hn_positions,
+                                                       scenario.hn_spec)[0].tolist()
+            assert_beam_equals_reference(value, scenario, *key)
         # one entry per distinct key: a second run over the scenario adds none
         size = len(scenario.geometry_cache)
         run(start_run(scenario), StrategyId.IBEAMS)
@@ -244,14 +240,17 @@ class TestFrozenScenario:
                             counted("beam", scenario_module.aligned_beam))
         scenario = build_scenario(small_config(mobility), 1)
         world = start_run(scenario)
-        per_slot, batch_sizes = [], []
+        per_slot = []
         for t in range(SLOTS):
             engine.run_slot(world, StrategyId.IBEAMS, t)
-            per_slot.append(sorted(name for name, _ in calls))
-            batch_sizes += [size for _, size in calls]
+            per_slot.append(list(calls))
             calls.clear()
-        assert all(names in ([], ["aim"], ["beam"], ["aim", "beam"]) for names in per_slot)
-        assert ["aim", "beam"] in per_slot and max(batch_sizes) > 1
+        # a slot that misses builds its beams' aims and the beams in one call
+        # each, over the same rows
+        built = [slot for slot in per_slot if slot]
+        assert all(len(slot) == 2 and slot[0][0] == "aim" and slot[1][0] == "beam"
+                   and slot[0][1] == slot[1][1] for slot in built)
+        assert built and max(rows for (_, rows), _ in built) > 1
         # a run over the warm scenario builds nothing and caches nothing new
         size = len(scenario.geometry_cache)
         run(start_run(scenario), StrategyId.IBEAMS)
@@ -308,12 +307,19 @@ class TestFrozenScenario:
         run(start_run(scenario), StrategyId.STACKELBERG_ONLY)
         assert len(scenario.precoder_cache) > 1
         for served, terms in scenario.precoder_cache.items():
-            prec, *rest = reference_served_terms(scenario, served)
-            for got, want in zip((terms.precoder.analog, terms.precoder.digital,
-                                  terms.precoder.beams),
-                                 (prec.analog, prec.digital, prec.beams)):
-                assert got.tobytes() == want.tobytes()
-            assert [a.tobytes() for a in terms[1:]] == [a.tobytes() for a in rest]
+            assert [a.tobytes() for a in terms] == [
+                a.tobytes() for a in reference_served_terms(scenario, served)]
+
+    def test_cached_served_terms_equal_a_fresh_scenarios_build(self, mobility):
+        # the terms cached over runs are those a fresh scenario builds first
+        scenario = build_scenario(small_config(mobility), 1)
+        run(start_run(scenario), StrategyId.IBEAMS)
+        fresh = build_scenario(small_config(mobility), 1)
+        assert len(scenario.precoder_cache) > 1
+        for served, terms in scenario.precoder_cache.items():
+            assert type(terms) is type(fresh.precoder(served))
+            assert [a.tobytes() for a in terms] == [
+                a.tobytes() for a in fresh.precoder(served)]
 
 
 def with_node_at(scn, node, position):
@@ -400,21 +406,15 @@ class TestJammingBeams:
     def test_cached_beams_are_reused(self):
         scenario = build_scenario(small_config("static"), 1)
 
-        def beams():
-            return {key: value for key, value in scenario.geometry_cache.items()
-                    if key[0] == "beam"}
-
         # a key repeated among the misses is built once
         first = scenario.jamming_beams([0, 1, 0], [10.0, -20.0, 10.0], (2, 3))
-        assert first[2] is first[0] and len(beams()) == 2
-        size = len(scenario.geometry_cache)
+        assert first[2] is first[0] and len(scenario.geometry_cache) == 2
         again = scenario.jamming_beams([1, 0, 1], [-20.0, 10.0, -20.0], (2, 3))
         assert [id(b) for b in again] == [id(first[1]), id(first[0]), id(first[1])]
-        assert len(scenario.geometry_cache) == size
-        # a new served set adds a beam entry and reuses the aim
+        assert len(scenario.geometry_cache) == 2
+        # a new served set adds one entry
         other = scenario.jamming_beams([0], [10.0], (2, 4))
-        assert other[0] is not first[0] and len(beams()) == 3
-        assert len(scenario.geometry_cache) == size + 1
+        assert other[0] is not first[0] and len(scenario.geometry_cache) == 3
 
     def test_served_sets_protecting_the_same_nodes_share_a_beam(self):
         cfg = small_config("static")
